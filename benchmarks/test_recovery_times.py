@@ -76,9 +76,15 @@ def test_recovery_times(once):
     table.print()
 
     # The paper's bands, generously interpreted on simulated hardware.
+    # The VAM band lost its floor (it was ``2_000 < vam_ms``): the paper
+    # and our former key-order walk (16.9 s) paid a seek and a rotation
+    # per name-table page, the physical-order sweep reads the same
+    # pages as a handful of multi-sector transfers.  It is still a real
+    # cost — every allocated page, both copies — so it is not zero.
     assert replay_ms < 5_000
-    assert 2_000 < vam_ms < 60_000
+    assert 100 < vam_ms < 5_000
     assert total_ms < 60_000
+    assert fsck_ms > 20 * total_ms
     assert cfs_ms > 20 * total_ms
     assert cfs_ms > 1_000_000
     assert total_ms < fsck_ms < cfs_ms

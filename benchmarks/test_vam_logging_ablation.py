@@ -8,6 +8,14 @@ is rare, and recovery was fast enough anyway."
 We built it (``VolumeParams.log_vam``) and measure both sides of the
 paper's trade: recovery drops to about log-replay time, at the cost of
 a little extra log traffic per commit.
+
+Finding since the VAM rebuild became a physical-order sweep of the name
+table: the rebuild the paper priced at ~20 s (and our key-order walk at
+16.9 s) is now 0.7 s of sequential transfers on this volume, so stock
+recovery (3.1 s) is already within 10 % of the logged one (2.9 s).  The order-of-
+magnitude gap this benchmark used to assert is gone; what it asserts
+now is what logging still buys (no name-table sweep at all) and what
+it still costs (log traffic).
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.fsd import FSD
+from repro.core.recovery import MountReport
 from repro.harness.report import Table
 from repro.harness.runner import drain_clock, measure
 from repro.harness.scenarios import FULL, populate_recovery_volume
@@ -23,8 +32,9 @@ from repro.harness.adapters import FsdAdapter
 from repro.workloads.generators import payload
 
 
-def _measure(log_vam: bool) -> tuple[float, int, str]:
-    """(recovery ms, extra log sectors during the workload, note)."""
+def _measure(log_vam: bool) -> tuple[float, int, str, MountReport, int]:
+    """(recovery ms, log sectors during the workload, note, the
+    recovering mount's report, its bulk name-table transfers)."""
     params = replace(FULL.fsd_params, log_vam=log_vam)
     disk = SimDisk(geometry=FULL.geometry)
     FSD.format(disk, params)
@@ -45,14 +55,20 @@ def _measure(log_vam: bool) -> tuple[float, int, str]:
         f"VAM {'loaded from log' if report.vam_loaded else 'rebuilt'}; "
         f"{report.log_records_replayed} records replayed"
     )
-    return took.elapsed_ms, log_traffic, note
+    return (
+        took.elapsed_ms, log_traffic, note, report,
+        recovered.nt_home.bulk_reads,
+    )
 
 
 def test_vam_logging_ablation(once):
     def run():
         return _measure(log_vam=False), _measure(log_vam=True)
 
-    (base_ms, base_log, base_note), (ext_ms, ext_log, ext_note) = once(run)
+    (
+        (base_ms, base_log, base_note, base_report, base_sweep_ios),
+        (ext_ms, ext_log, ext_note, ext_report, ext_sweep_ios),
+    ) = once(run)
 
     table = Table("§5.3 ablation: VAM logging (the modification FSD skipped)")
     table.add(
@@ -64,13 +80,27 @@ def test_vam_logging_ablation(once):
         f"{ext_ms / 1000:.1f} s", note=ext_note,
     )
     table.add(
+        "VAM rebuild, stock FSD", "~20 s",
+        f"{base_report.vam_ms / 1000:.2f} s",
+        note=f"{base_report.vam_sweep_pages} pages in "
+             f"{base_sweep_ios} transfers",
+    )
+    table.add(
         "workload log traffic", "somewhat higher",
         f"{base_log} -> {ext_log} sectors",
     )
     table.print()
 
-    # The paper's predicted order-of-magnitude drop.
-    assert ext_ms < base_ms / 5
+    # What logging buys: the free map is loaded, the name table is
+    # never swept.
+    assert ext_report.vam_loaded and ext_report.vam_ms == 0.0
+    assert ext_report.vam_sweep_pages == 0 and ext_sweep_ios == 0
     assert ext_ms < 5_000
+    # What the stock mount pays instead: one sequential sweep, well
+    # under the paper's 25 s worst case and no longer most of the
+    # mount — so logging cannot win by the predicted factor any more.
+    assert not base_report.vam_loaded and base_report.vam_sweep_pages > 0
+    assert base_report.vam_ms < 2_000
+    assert ext_ms < base_ms < 1.25 * ext_ms
     # The cost side: more log traffic, but bounded (< 3x).
     assert base_log <= ext_log < 3 * base_log

@@ -187,6 +187,48 @@ class MetadataCache:
         self._dirty[key] = entry
         self._touch(entry)
 
+    def resident_nt(self, page_no: int) -> bytes | None:
+        """Current image of a resident name-table page, else None.
+
+        For bulk readers that fetch home images themselves and only
+        need to know where the cache is newer: no hit is counted and
+        recency is untouched.
+        """
+        entry = self._entries.get((PAGE_NAME_TABLE, page_no))
+        return None if entry is None else entry.data
+
+    def clean_nt_pages(self) -> list[tuple[int, bytes]]:
+        """Resident name-table pages with no pending obligation, as
+        ``(page_no, data)``.  Each must equal both of its home copies;
+        the verifier holds the cache to that."""
+        return [
+            (entry.page_id, entry.data)
+            for entry in self._entries.values()
+            if entry.kind == PAGE_NAME_TABLE and entry.evictable
+        ]
+
+    def install_clean(self, pages: list[tuple[int, bytes]]) -> int:
+        """Adopt name-table images known to equal their home copies
+        (recovery hands over what it just redid), oldest first, as
+        clean evictable entries.  Only as many as fit are taken, from
+        the newest end; a page already resident keeps its entry.
+        Returns the number of pages installed.
+        """
+        installed = 0
+        for page_no, data in pages[max(0, len(pages) - self.capacity):]:
+            key = (PAGE_NAME_TABLE, page_no)
+            if key in self._entries:
+                continue
+            entry = CacheEntry(
+                kind=PAGE_NAME_TABLE, page_id=page_no, data=data,
+                home_image=data,
+            )
+            self._entries[key] = entry
+            self._touch(entry)
+            installed += 1
+        self._evict_if_needed()
+        return installed
+
     # ------------------------------------------------------------------
     # leader pages
     # ------------------------------------------------------------------

@@ -292,9 +292,10 @@ class FSD:
             wal = WriteAheadLog(disk, layout, io=io)
             wal.boot_count = new_boot
             wal.obs = obs
-            replay_log(disk, layout, wal, report, obs=obs)
+            redone_nt = replay_log(disk, layout, wal, report, obs=obs)
 
             home = NameTableHome(io, layout)
+            home.obs = obs
             cache = MetadataCache(
                 capacity_pages=layout.params.cache_pages,
                 nt_reader=home.read_page,
@@ -307,6 +308,13 @@ class FSD:
                 ),
             )
             cache.obs = obs
+            if redone_nt:
+                # The pages the log carried are the most recently
+                # updated ones, already in memory, and (after the redo
+                # barrier) identical to both home copies: start the
+                # cache warm with them instead of re-reading them.
+                report.cache_warm_pages = cache.install_clean(redone_nt)
+                obs.count("recovery.cache_warm_pages", report.cache_warm_pages)
             pager = NameTablePager(cache, layout, disk.clock)
             pager.obs = obs
             name_table = FsdNameTable.open(pager, disk.clock)
@@ -329,7 +337,9 @@ class FSD:
                     )
                 vam_span.set(loaded=vam_loaded)
             if not vam_loaded:
-                vam = rebuild_vam(disk, layout, name_table, report, obs=obs)
+                vam = rebuild_vam(
+                    disk, layout, name_table, home, report, obs=obs
+                )
             report.vam_loaded = vam_loaded
             if layout.params.log_vam:
                 # Write this boot's base image; subsequent commits log

@@ -70,6 +70,10 @@ class NameTableHome:
         self.single_copy = layout.params.single_nt_copy
         self.repairs = 0
         self.retries = 0
+        #: multi-sector transfers issued by :meth:`read_run`, and pages
+        #: of those transfers that had to drop to the per-page ladder.
+        self.bulk_reads = 0
+        self.ladder_fallbacks = 0
         #: called with a reason string when a read exhausts the ladder
         #: (``FSD.mount`` points this at the volume's degraded switch).
         self.on_degraded = None
@@ -137,6 +141,38 @@ class NameTableHome:
         self.repairs += 1
         self.obs.count("ladder.copy_repairs")
         return survivor
+
+    def read_run(self, first_page: int, count: int) -> list[bytes]:
+        """Bulk double read of ``count`` consecutive pages: one
+        multi-sector transfer per copy instead of two single-sector
+        I/Os per page.
+
+        The cross-check is still page by page.  A page whose copies
+        are both present and equal is served from the transfer; any
+        other page (a copy missing, or the copies differ) is re-read
+        through :meth:`read_page`, so it climbs exactly the ladder a
+        single-page read would — retry, repair from the twin, degrade
+        — and its neighbours in the transfer are unaffected.
+        """
+        addr_a, addr_b = self.layout.nt_page_addresses(first_page)
+        # Range check on the far end of the run as well.
+        self.layout.nt_page_addresses(first_page + count - 1)
+        copies_a = self.io.read_maybe(addr_a, count)
+        if self.single_copy:
+            copies_b = copies_a
+            self.bulk_reads += 1
+        else:
+            copies_b = self.io.read_maybe(addr_b, count)
+            self.bulk_reads += 2
+        pages = []
+        for page_no, (copy_a, copy_b) in enumerate(
+            zip(copies_a, copies_b), first_page
+        ):
+            if copy_a is None or copy_a != copy_b:
+                self.ladder_fallbacks += 1
+                copy_a = self.read_page(page_no)
+            pages.append(copy_a)
+        return pages
 
     def write_pages(self, pages: list[tuple[int, bytes]]) -> None:
         """Write pages home, to both copies, batching contiguous page
@@ -325,6 +361,28 @@ class NameTablePager:
             data = self.cache.read_nt(bitmap_page)
             total += sum(bin(byte).count("1") for byte in data)
         return total
+
+    def allocated_runs(self) -> list[tuple[int, int]]:
+        """Maximal ``(first_page, count)`` runs of allocated tree pages
+        (the reserved meta and bitmap pages excluded), ascending.  Each
+        bitmap page is read once, through the cache."""
+        reserved = 1 + self.bitmap_pages
+        bits = int.from_bytes(
+            b"".join(self.cache.read_nt(page) for page in range(1, reserved)),
+            "little",
+        )
+        runs = []
+        first = None
+        for page_no in range(reserved, self.nt_pages):
+            if bits >> page_no & 1:
+                if first is None:
+                    first = page_no
+            elif first is not None:
+                runs.append((first, page_no - first))
+                first = None
+        if first is not None:
+            runs.append((first, self.nt_pages - first))
+        return runs
 
 
 class FsdNameTable:

@@ -16,9 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.btree.node import LEAF, Node
 from repro.core.layout import RootPage, VolumeLayout
+from repro.core.leader import decode_leader
 from repro.core.name_table import FsdNameTable, NameTableHome
-from repro.core.types import Run
+from repro.core.types import (
+    Run,
+    decode_continuation,
+    decode_key,
+    decode_main_entry,
+)
 from repro.core.vam import VolumeAllocationMap
 from repro.core.wal import PAGE_LEADER, PAGE_NAME_TABLE, PAGE_VAM, WriteAheadLog
 from repro.disk.disk import SimDisk
@@ -43,6 +50,10 @@ class MountReport:
     pages_replayed: int = 0
     vam_loaded: bool = False
     vam_rebuild_entries: int = 0
+    #: name-table pages the VAM rebuild swept in physical order.
+    vam_sweep_pages: int = 0
+    #: replayed name-table images left resident in the metadata cache.
+    cache_warm_pages: int = 0
     replay_ms: float = 0.0
     vam_ms: float = 0.0
     total_ms: float = 0.0
@@ -108,8 +119,14 @@ def replay_log(
     wal: WriteAheadLog,
     report: MountReport,
     obs=NULL_OBS,
-) -> None:
+) -> list[tuple[int, bytes]]:
     """Scan the log from its anchor and write every page image home.
+
+    Returns the name-table images just redone as ``(page_no, data)``,
+    ordered by their last appearance in the log (newest last).  After
+    the closing barrier each equals both of its home copies, and they
+    are by construction the most recently updated pages of the table,
+    so the mount seeds its metadata cache with them.
 
     Name-table and VAM pages live in fixed extents, so their redo is
     unconditional.  Leader pages are different: their sectors return to
@@ -126,11 +143,15 @@ def replay_log(
         if TEST_DROP_LAST_RECORD and records:
             records = records[:-1]
         newest: dict[tuple[int, int], bytes] = {}
+        #: name-table page -> position of its newest image in the scan.
+        nt_last_seen: dict[int, int] = {}
         pages_scanned = 0
         for record in records:
             for page in record.pages:
                 pages_scanned += 1
                 newest[(page.kind, page.page_id)] = page.data
+                if page.kind == PAGE_NAME_TABLE:
+                    nt_last_seen[page.page_id] = pages_scanned
         with obs.span("recovery.redo", pages=len(newest)):
             io = wal.io
             home = NameTableHome(io, layout)
@@ -167,6 +188,10 @@ def replay_log(
     report.log_records_replayed = len(records)
     report.pages_replayed = len(newest)
     report.replay_ms = disk.clock.now_ms - start_ms
+    return [
+        (page_id, nt_images[page_id])
+        for page_id in sorted(nt_last_seen, key=nt_last_seen.__getitem__)
+    ]
 
 
 def _redo_live_leaders(
@@ -190,10 +215,6 @@ def _redo_live_leaders(
     file survived.  Pure CPU over pages already scanned: no extra
     I/O beyond at most one home bitmap read.
     """
-    from repro.btree.node import LEAF, Node
-    from repro.core.leader import decode_leader
-    from repro.core.types import decode_key, decode_main_entry
-
     pending = {
         page_id: data
         for (kind, page_id), data in newest.items()
@@ -263,27 +284,124 @@ def rebuild_vam(
     disk: SimDisk,
     layout: VolumeLayout,
     name_table: FsdNameTable,
+    home: NameTableHome,
     report: MountReport,
     obs=NULL_OBS,
 ) -> VolumeAllocationMap:
     """Reconstruct the free map from the name table (paper §5.5): mark
-    the metadata extents, then every file's leader and data runs."""
+    the metadata extents, then every file's leader and data runs.
+
+    The rebuild needs every entry's runs, not their order, so the name
+    table is swept in *physical* order (:func:`_sweep_name_table`)
+    rather than walked in key order.  The sweep trusts the allocation
+    bitmap to say which pages belong to the tree; the tree's own logged
+    entry count is the cross-check.  If the two disagree (or a swept
+    page does not parse, or two entries claim one sector) the bitmap
+    and the tree are out of step, and the rebuild is redone by walking
+    the tree, which reads only what is reachable from the root.
+    """
     start_ms = disk.clock.now_ms
+    bulk_reads = home.bulk_reads
+    ladder_fallbacks = home.ladder_fallbacks
     with obs.span("recovery.vam_rebuild") as span:
-        vam = VolumeAllocationMap(disk.geometry.total_sectors)
-        vam.obs = obs
-        for run in layout.metadata_runs():
-            vam.mark_allocated(run)
-        entries = 0
-        for props, runs in name_table.enumerate():
-            entries += 1
-            if props.leader_addr:
-                vam.mark_allocated(Run(props.leader_addr, 1))
-            for run in runs.runs:
-                vam.mark_allocated(run)
-        span.set(entries=entries)
+        try:
+            swept = _sweep_name_table(disk, layout, name_table, home, obs)
+        except DegradedVolumeError:
+            raise
+        except (CorruptMetadata, ValueError):
+            swept = None
+        if swept is None:
+            obs.count("recovery.vam_sweep_mismatch")
+            vam = _metadata_vam(disk, layout, obs)
+            files = 0
+            for props, runs in name_table.enumerate():
+                files += 1
+                _mark_file(vam, props.leader_addr, runs.runs)
+        else:
+            vam, files, report.vam_sweep_pages = swept
+            obs.count("recovery.vam_sweep_pages", report.vam_sweep_pages)
+        span.set(
+            entries=files,
+            pages=report.vam_sweep_pages,
+            transfers=home.bulk_reads - bulk_reads,
+            ladder_fallbacks=home.ladder_fallbacks - ladder_fallbacks,
+        )
     obs.count("recovery.vam_rebuilds")
-    obs.count("recovery.vam_rebuild_entries", entries)
-    report.vam_rebuild_entries = entries
+    obs.count("recovery.vam_rebuild_entries", files)
+    report.vam_rebuild_entries = files
     report.vam_ms = disk.clock.now_ms - start_ms
     return vam
+
+
+def _metadata_vam(
+    disk: SimDisk, layout: VolumeLayout, obs
+) -> VolumeAllocationMap:
+    vam = VolumeAllocationMap(disk.geometry.total_sectors)
+    vam.obs = obs
+    for run in layout.metadata_runs():
+        vam.mark_allocated(run)
+    return vam
+
+
+def _mark_file(vam: VolumeAllocationMap, leader_addr: int, runs) -> None:
+    if leader_addr:
+        vam.mark_allocated(Run(leader_addr, 1))
+    for run in runs:
+        vam.mark_allocated(run)
+
+
+def _sweep_name_table(
+    disk: SimDisk,
+    layout: VolumeLayout,
+    name_table: FsdNameTable,
+    home: NameTableHome,
+    obs,
+) -> tuple[VolumeAllocationMap, int, int] | None:
+    """Build a VAM from every allocated name-table page, read in
+    ascending page order as multi-sector transfers.
+
+    Returns (vam, files, pages swept), or None when the leaf entries
+    swept are not as many as the tree says it holds.  Both home copies
+    of every page are read and compared (:meth:`NameTableHome.read_run`);
+    an image resident in the metadata cache overrides the home image,
+    because on a live mount (``verify_volume``) the newest pages are
+    dirty or logged-but-not-home.  CPU is charged as the key-order walk
+    charged it: one B-tree node visit per page, one entry
+    interpretation per leaf entry.
+    """
+    pager = name_table.tree.pager
+    cache = pager.cache
+    clock = disk.clock
+    node_ms = clock.cpu.btree_node_ms
+    interpret_ms = clock.cpu.entry_interpret_ms
+    max_io = layout.params.max_io_sectors
+    vam = _metadata_vam(disk, layout, obs)
+    files = entries = pages = 0
+    for first, count in pager.allocated_runs():
+        for start in range(first, first + count, max_io):
+            images = home.read_run(start, min(max_io, first + count - start))
+            for page_no, image in enumerate(images, start):
+                resident = cache.resident_nt(page_no)
+                node = Node.from_bytes(
+                    image if resident is None else resident
+                )
+                clock.advance_cpu(node_ms)
+                pages += 1
+                if node.kind != LEAF:
+                    continue
+                clock.advance_cpu(interpret_ms * len(node.keys))
+                entries += len(node.keys)
+                for key, value in zip(node.keys, node.values):
+                    name, version, chunk = decode_key(key)
+                    if chunk:
+                        for run in decode_continuation(value):
+                            vam.mark_allocated(run)
+                    else:
+                        props, runs, _ = decode_main_entry(
+                            name, version, value
+                        )
+                        files += 1
+                        _mark_file(vam, props.leader_addr, runs.runs)
+    if entries != len(name_table.tree):
+        return None
+    return vam, files, pages

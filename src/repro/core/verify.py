@@ -7,6 +7,8 @@ sweep — the "using different data structures to detect bugs" idea of
 checking structures:
 
 * both home copies of every reachable name-table page agree,
+* every clean name-table page resident in the metadata cache equals
+  its home copies (recovery leaves the cache warm from the log),
 * the B-tree is structurally valid,
 * every file's leader page verifies against its name-table entry,
 * no two files (or metadata regions) claim the same sector,
@@ -50,12 +52,30 @@ class VerifyReport:
 def verify_volume(fs: FSD, strict_vam: bool = False) -> VerifyReport:
     """Run every cross-check on a mounted FSD volume."""
     report = VerifyReport()
+    _check_cache_coherence(fs, report)
     _check_tree(fs, report)
     _check_nt_copies(fs, report)
     _check_files(fs, report)
     _check_vam(fs, report, strict=strict_vam)
     _check_log_anchor(fs, report)
     return report
+
+
+def _check_cache_coherence(fs: FSD, report: VerifyReport) -> None:
+    """A cached page that owes nothing to the log or to home must *be*
+    the home image.  Runs first, so after a mount it sees the cache
+    exactly as recovery's warm-up left it."""
+    for page_no, data in fs.cache.clean_nt_pages():
+        try:
+            home = fs.nt_home.read_page(page_no)
+        except CorruptMetadata as error:
+            report.add(f"name-table page {page_no}: {error}")
+            continue
+        if home != data:
+            report.add(
+                f"name-table page {page_no}: clean cached image differs "
+                f"from its home copies"
+            )
 
 
 def _check_tree(fs: FSD, report: VerifyReport) -> None:
@@ -136,7 +156,7 @@ def _check_vam(fs: FSD, report: VerifyReport, strict: bool) -> None:
     # leaks, not as hazards.
     try:
         reference = rebuild_vam(
-            fs.disk, fs.layout, fs.name_table, MountReport()
+            fs.disk, fs.layout, fs.name_table, fs.nt_home, MountReport()
         )
     except CorruptMetadata as error:
         report.add(f"VAM rebuild impossible: {error}")

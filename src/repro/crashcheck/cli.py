@@ -77,6 +77,9 @@ def _print_recovery_metrics(obs: Observer) -> None:
         "recovery.pages_skipped",
         "recovery.vam_rebuilds",
         "recovery.vam_rebuild_entries",
+        "recovery.vam_sweep_pages",
+        "recovery.vam_sweep_mismatch",
+        "recovery.cache_warm_pages",
         "vam.loads",
     ):
         print(f"  {name:<30} {snap.counter(name):g}")

@@ -3,7 +3,9 @@
 Two layers, per the paper's durability contract:
 
 * **structural** — the offline integrity sweep (:mod:`repro.core.verify`)
-  passes in strict-VAM mode: the B-tree is valid, both home copies of
+  passes in strict-VAM mode: every clean name-table page the mount
+  left in the metadata cache equals its home copies (recovery warms
+  that cache from the log), the B-tree is valid, both home copies of
   every name-table page agree, every leader verifies, no sector is
   claimed twice, and the live VAM exactly matches a rebuild.
 

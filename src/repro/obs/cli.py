@@ -111,6 +111,26 @@ def cmd_stats(args) -> int:
             f"write-home across {_fmt_value(wal['wal.third_entries'])} "
             f"third entries{suffix}"
         )
+    recovery = snapshot.layers().get("recovery", {})
+    if recovery.get("recovery.records_replayed") or recovery.get(
+        "recovery.vam_rebuilds"
+    ):
+        if recovery.get("recovery.vam_sweep_mismatch"):
+            vam = "VAM rebuilt by tree walk (sweep/tree entry counts differed)"
+        elif recovery.get("recovery.vam_rebuilds"):
+            swept = recovery.get("recovery.vam_sweep_pages", 0)
+            vam = f"VAM rebuilt from {_fmt_value(swept)} swept name-table pages"
+        else:
+            vam = "VAM loaded"
+        print(
+            f"recovery: "
+            f"{_fmt_value(recovery.get('recovery.records_replayed', 0))} "
+            f"log records / "
+            f"{_fmt_value(recovery.get('recovery.pages_replayed', 0))} "
+            f"pages replayed, {vam}, "
+            f"{_fmt_value(recovery.get('recovery.cache_warm_pages', 0))} "
+            f"pages left warm in the metadata cache"
+        )
     durable = commit.get("commit.durable_latency_ms")
     if isinstance(durable, HistogramSnapshot) and durable.count:
         print(

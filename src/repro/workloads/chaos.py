@@ -889,11 +889,15 @@ def chaos_bench_doc(report: ChaosReport) -> dict:
         if report.ops_completed
         else 0.0
     )
+    recoveries = avail.get("recoveries", [])
     ttrs = [
         entry["time_to_restored_slo_ms"]
-        for entry in avail.get("recoveries", [])
+        for entry in recoveries
         if entry.get("time_to_restored_slo_ms") is not None
     ]
+    #: crash -> ``FSD.mount`` returned: what recovery itself costs,
+    #: without the SLO streak's dependence on which faults land next.
+    recover_ms = [entry["recover_ms"] for entry in recoveries]
     return {
         "schema_version": CHAOS_SCHEMA_VERSION,
         "seed": report.seed,
@@ -904,6 +908,10 @@ def chaos_bench_doc(report: ChaosReport) -> dict:
         "goodput_ops_per_s": round(goodput, 3),
         "errors_per_1k_ops": round(errors_per_1k, 3),
         "retry_amplification": avail.get("retry_amplification", 1.0),
+        "mean_recover_ms": (
+            round(sum(recover_ms) / len(recover_ms), 3)
+            if recover_ms else 0.0
+        ),
         "mean_time_to_restored_slo_ms": (
             round(sum(ttrs) / len(ttrs), 3) if ttrs else 0.0
         ),

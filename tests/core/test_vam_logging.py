@@ -64,7 +64,8 @@ class TestVamLogging:
         from repro.core.recovery import MountReport, rebuild_vam
 
         reference = rebuild_vam(
-            disk, recovered.layout, recovered.name_table, MountReport()
+            disk, recovered.layout, recovered.name_table,
+            recovered.nt_home, MountReport(),
         )
         assert bytes(recovered.vam._bits) == bytes(reference._bits)
         assert recovered.vam.free_count == reference.free_count
@@ -109,7 +110,8 @@ class TestVamLogging:
         from repro.core.recovery import MountReport, rebuild_vam
 
         reference = rebuild_vam(
-            disk, recovered.layout, recovered.name_table, MountReport()
+            disk, recovered.layout, recovered.name_table,
+            recovered.nt_home, MountReport(),
         )
         for sector in range(victim_run.start, victim_run.end):
             if reference.is_free(sector):
@@ -118,9 +120,18 @@ class TestVamLogging:
                 if recovered.vam.is_free(sector):
                     assert reference.is_free(sector)
 
-    def test_recovery_faster_than_rebuild(self):
-        """The headline: recovery cost drops to about log-replay time."""
-        def crash_and_measure(log_vam: bool) -> float:
+    def test_logged_recovery_reads_no_name_table(self):
+        """What VAM logging still buys: the mount loads the free map and
+        never sweeps the name table.
+
+        This used to assert ``logged < 0.85 * stock`` mount time.  Since
+        the rebuild became a physical-order sweep (two multi-sector
+        transfers here, 52 ms) that no longer holds: on this tiny volume
+        the logged mount is the *slower* one (719 ms against 673 ms),
+        because writing the new boot's base image costs more than the
+        sweep it avoids.  EXPERIMENTS.md §5.3 has the full-scale pair.
+        """
+        def crash_and_mount(log_vam: bool) -> FSD:
             params = VolumeParams(
                 nt_pages=512, log_record_sectors=300, cache_pages=48,
                 log_vam=log_vam,
@@ -132,15 +143,22 @@ class TestVamLogging:
                 fs.create(f"d/f{index:02d}", payload(700, index))
             fs.force()
             fs.crash()
-            before = disk.clock.now_ms
-            FSD.mount(disk)
-            return disk.clock.now_ms - before
+            return FSD.mount(disk)
 
-        with_logging = crash_and_measure(True)
-        without = crash_and_measure(False)
-        # On the tiny test volume the rebuild is cheap, so the margin
-        # is modest; the full-scale ablation bench shows the ~10x gap.
-        assert with_logging < 0.85 * without
+        logged = crash_and_mount(True)
+        assert logged.mount_report.vam_loaded
+        assert logged.mount_report.vam_sweep_pages == 0
+        assert logged.mount_report.vam_ms == 0.0
+        assert logged.nt_home.bulk_reads == 0
+
+        stock = crash_and_mount(False)
+        assert not stock.mount_report.vam_loaded
+        assert stock.mount_report.vam_rebuild_entries == 60
+        assert stock.mount_report.vam_sweep_pages > 0
+        assert stock.nt_home.bulk_reads == 2  # one transfer per copy
+        # The rebuild is no longer what a crash mount spends its time on.
+        assert stock.mount_report.vam_ms < 0.2 * stock.mount_report.total_ms
+        assert bytes(stock.vam._bits) == bytes(logged.vam._bits)
 
     def test_damaged_vam_page_falls_back_to_rebuild(self):
         disk, fs = fresh()

@@ -1,0 +1,396 @@
+"""The physical-order VAM rebuild: equivalence with the key-order walk,
+and the fault ladder inside a bulk transfer.
+
+``rebuild_vam`` sweeps every *allocated* name-table page in ascending
+page order as multi-sector transfers.  Its contract is that it builds
+the bitmap the ``FsdNameTable.enumerate`` walk would build — on a fresh
+mount, on a live mount whose newest pages exist only in the cache, with
+run tables spilled into continuation chunks, with stale leaf images
+left behind in freed pages — and that a page it cannot take from the
+bulk transfer climbs the same ladder a single-page read climbs.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.btree.node import LEAF, Node
+from repro.core.fsd import FSD
+from repro.core.layout import VolumeLayout, VolumeParams
+from repro.core.name_table import NameTableHome
+from repro.core.recovery import MountReport, rebuild_vam
+from repro.core.types import (
+    MAX_INLINE_RUNS,
+    FileProperties,
+    Run,
+    RunTable,
+    encode_key,
+    encode_main_entry,
+    make_uid,
+)
+from repro.core.vam import VolumeAllocationMap
+from repro.disk.disk import SimDisk
+from repro.disk.geometry import DiskGeometry
+from repro.errors import DegradedVolumeError, FileNotFound, VolumeFull
+from repro.obs import Observer
+from repro.workloads.generators import payload
+
+GEO = DiskGeometry(cylinders=120, heads=8, sectors_per_track=24)
+
+
+def params(single_nt_copy: bool = False) -> VolumeParams:
+    # A 1 KB big-file threshold sends every file of two sectors or more
+    # to the first-fit big area, where deleting alternate files leaves
+    # three-sector holes for later files to be scattered across.
+    return VolumeParams(
+        nt_pages=512,
+        log_record_sectors=300,
+        cache_pages=48,
+        big_file_threshold_bytes=1024,
+        single_nt_copy=single_nt_copy,
+    )
+
+
+def fragmented_volume(single_nt_copy: bool = False) -> tuple[SimDisk, FSD]:
+    """A committed volume holding a file whose run table spills past
+    the inline limit, and freed name-table pages still holding the leaf
+    images they had before the deletes merged them away."""
+    disk = SimDisk(geometry=GEO)
+    FSD.format(disk, params(single_nt_copy))
+    fs = FSD.mount(disk)
+    for index in range(60):
+        fs.create(f"frag/f{index:02d}", payload(1024, index))
+    fs.force()
+    # A directory that comes and goes: its leaves are split off, logged,
+    # then merged away, and the freed pages keep their last leaf image.
+    for index in range(40):
+        fs.create(f"tmp/t{index:02d}", payload(200, index))
+    fs.force()
+    for index in range(40):
+        fs.delete(f"tmp/t{index:02d}")
+    fs.force()
+    for index in range(0, 60, 2):
+        fs.delete(f"frag/f{index:02d}")
+    fs.force()
+    fs.force()  # the second force commits the shadow-freed sectors
+    fs.create("frag/scattered", payload(512 * 56, 99))
+    fs.force()
+    return disk, fs
+
+
+def walk_bits(fs: FSD) -> bytes:
+    """The reference: a bitmap built from the key-order walk."""
+    vam = VolumeAllocationMap(fs.disk.geometry.total_sectors)
+    for run in fs.layout.metadata_runs():
+        vam.mark_allocated(run)
+    for props, runs in fs.name_table.enumerate():
+        if props.leader_addr:
+            vam.mark_allocated(Run(props.leader_addr, 1))
+        for run in runs.runs:
+            vam.mark_allocated(run)
+    return bytes(vam._bits)
+
+
+def sweep_bits(fs: FSD) -> tuple[bytes, MountReport]:
+    report = MountReport()
+    vam = rebuild_vam(
+        fs.disk, fs.layout, fs.name_table, fs.nt_home, report
+    )
+    return bytes(vam._bits), report
+
+
+def allocated_pages(fs: FSD) -> set[int]:
+    return {
+        page
+        for first, count in fs.name_table.tree.pager.allocated_runs()
+        for page in range(first, first + count)
+    }
+
+
+def stale_leaf_pages(fs: FSD) -> list[int]:
+    """Unallocated name-table pages whose home image is a non-empty
+    leaf: what the sweep must not be fooled by."""
+    allocated = allocated_pages(fs)
+    stale = []
+    for page_no in range(2, fs.params.nt_pages):
+        if page_no in allocated:
+            continue
+        image = fs.disk.peek(fs.layout.nt_page_addresses(page_no)[0])
+        if image[0] == LEAF and Node.from_bytes(image).keys:
+            stale.append(page_no)
+    return stale
+
+
+# ----------------------------------------------------------------------
+# equivalence
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("single_nt_copy", [False, True])
+class TestSweepEqualsWalk:
+    def test_fixture_has_spill_and_stale_leaves(self, single_nt_copy):
+        disk, fs = fragmented_volume(single_nt_copy)
+        assert len(fs.open("frag/scattered").runs.runs) > MAX_INLINE_RUNS
+        fs.unmount()  # writes every logged image home
+        fs = FSD.mount(disk)
+        assert stale_leaf_pages(fs)
+
+    def test_fresh_mount_after_crash(self, single_nt_copy):
+        disk, fs = fragmented_volume(single_nt_copy)
+        fs.crash()
+        recovered = FSD.mount(disk)
+        report = recovered.mount_report
+        assert not report.vam_loaded
+        assert report.vam_sweep_pages > 0
+        assert report.vam_rebuild_entries == 31
+        assert bytes(recovered.vam._bits) == walk_bits(recovered)
+
+    def test_live_mount_with_uncommitted_pages(self, single_nt_copy):
+        """The ``verify_volume`` case: the newest pages are dirty in
+        the cache (or logged and not yet home), so home alone is stale."""
+        disk, fs = fragmented_volume(single_nt_copy)
+        for index in range(12):
+            fs.create(f"live/f{index:02d}", payload(700, index))
+        fs.delete("frag/f01")
+        assert fs.cache.pending_log_pages() > 0
+        bits, report = sweep_bits(fs)
+        assert report.vam_sweep_pages > 0
+        assert bits == walk_bits(fs)
+
+
+_NAMES = [f"h/n{index}" for index in range(8)]
+_SIZES = [300, 1024, 512 * 40]
+
+_history = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("create"),
+            st.sampled_from(_NAMES),
+            st.sampled_from(_SIZES),
+        ),
+        st.tuples(st.just("delete"), st.sampled_from(_NAMES)),
+        st.tuples(
+            st.just("rename"),
+            st.sampled_from(_NAMES),
+            st.sampled_from(_NAMES),
+        ),
+        st.tuples(st.just("force")),
+    ),
+    max_size=30,
+)
+
+
+def _apply(fs: FSD, history) -> None:
+    for step, op in enumerate(history):
+        try:
+            if op[0] == "create":
+                fs.create(op[1], payload(op[2], step), keep=0)
+            elif op[0] == "delete":
+                fs.delete(op[1])
+            elif op[0] == "rename":
+                if op[1] != op[2]:
+                    fs.rename(op[1], op[2])
+            else:
+                fs.force()
+        except (FileNotFound, VolumeFull):
+            pass
+
+
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(history=_history, single_nt_copy=st.booleans())
+def test_sweep_equals_walk_over_histories(history, single_nt_copy):
+    """Create / delete / rename histories on top of the fragmented
+    volume: same bitmap from sweep and walk, live and after a crash."""
+    disk, fs = fragmented_volume(single_nt_copy)
+    _apply(fs, history)
+
+    bits, report = sweep_bits(fs)
+    assert report.vam_sweep_pages > 0
+    assert bits == walk_bits(fs)
+
+    fs.crash()
+    recovered = FSD.mount(disk)
+    assert recovered.mount_report.vam_sweep_pages > 0
+    assert bytes(recovered.vam._bits) == walk_bits(recovered)
+
+
+# ----------------------------------------------------------------------
+# the ladder inside a bulk transfer
+# ----------------------------------------------------------------------
+def page(byte: int) -> bytes:
+    return bytes([byte]) * GEO.sector_bytes
+
+
+@pytest.fixture
+def home_world():
+    disk = SimDisk(geometry=GEO)
+    layout = VolumeLayout.compute(GEO, params())
+    home = NameTableHome(disk, layout)
+    home.obs = Observer()
+    home.write_pages([(10 + index, page(index + 1)) for index in range(10)])
+    return disk, layout, home
+
+
+class TestBulkReadLadder:
+    def test_clean_run_is_one_transfer_per_copy(self, home_world):
+        disk, _, home = home_world
+        before = disk.stats.total_ios
+        assert home.read_run(10, 10) == [page(i + 1) for i in range(10)]
+        assert disk.stats.total_ios - before == 2
+        assert home.bulk_reads == 2
+        assert home.ladder_fallbacks == 0
+
+    @pytest.mark.parametrize("copy", [0, 1])
+    def test_one_damaged_copy_is_served_from_its_twin(self, home_world, copy):
+        disk, layout, home = home_world
+        bad = layout.nt_page_addresses(13)[copy]
+        disk.faults.damage(bad)
+        assert home.read_run(10, 10) == [page(i + 1) for i in range(10)]
+        assert home.ladder_fallbacks == 1
+        assert home.repairs == 1
+        assert not disk.faults.is_damaged(bad)
+        assert disk.peek(bad) == page(4)
+        counters = home.obs.snapshot().counters
+        assert counters["ladder.copy_repairs"] == 1
+
+    def test_transient_fault_costs_a_fallback_but_no_repair(self, home_world):
+        disk, layout, home = home_world
+        disk.faults.damage_transient(layout.nt_page_addresses(15)[0])
+        assert home.read_run(10, 10) == [page(i + 1) for i in range(10)]
+        assert home.ladder_fallbacks == 1
+        assert home.repairs == 0
+
+    def test_both_copies_damaged_degrades_at_the_page(self, home_world):
+        disk, layout, home = home_world
+        addr_a, addr_b = layout.nt_page_addresses(16)
+        disk.faults.damage(addr_a)
+        disk.faults.damage(addr_b)
+        with pytest.raises(DegradedVolumeError) as caught:
+            home.read_run(10, 10)
+        assert caught.value.fault_site == addr_a
+        assert "both copies damaged" in str(caught.value)
+
+    def test_differing_copies_degrade_at_the_page(self, home_world):
+        disk, layout, home = home_world
+        addr_a, addr_b = layout.nt_page_addresses(12)
+        disk.poke(addr_b, page(0xEE))  # a wild write: healthy, wrong
+        with pytest.raises(DegradedVolumeError) as caught:
+            home.read_run(10, 10)
+        assert caught.value.fault_site == addr_a
+        assert "copies differ" in str(caught.value)
+
+    def test_single_copy_volume_reads_one_transfer(self):
+        disk = SimDisk(geometry=GEO)
+        layout = VolumeLayout.compute(GEO, params(single_nt_copy=True))
+        home = NameTableHome(disk, layout)
+        home.write_pages([(10 + index, page(index + 1)) for index in range(4)])
+        before = disk.stats.total_ios
+        assert home.read_run(10, 4) == [page(i + 1) for i in range(4)]
+        assert disk.stats.total_ios - before == 1
+        addr_a, _ = layout.nt_page_addresses(11)
+        disk.faults.damage(addr_a)
+        with pytest.raises(DegradedVolumeError) as caught:
+            home.read_run(10, 4)
+        assert caught.value.fault_site == addr_a
+
+
+class TestMountThroughDamage:
+    def test_damaged_leaf_copy_is_repaired_during_the_sweep(self):
+        disk, fs = fragmented_volume()
+        first, _ = fs.name_table.tree.pager.allocated_runs()[0]
+        fs.unmount()
+        fs = FSD.mount(disk)
+        fs.crash()  # dirty root, empty log: the next mount rebuilds
+        bad = fs.layout.nt_page_addresses(first + 1)[1]
+        disk.faults.damage(bad)
+        obs = Observer()
+        recovered = FSD.mount(disk, obs=obs)
+        assert recovered.nt_home.ladder_fallbacks == 1
+        assert not disk.faults.is_damaged(bad)
+        assert obs.snapshot().counters["ladder.copy_repairs"] == 1
+        assert bytes(recovered.vam._bits) == walk_bits(recovered)
+        span = next(
+            record for record in obs.span_records()
+            if record.name == "recovery.vam_rebuild"
+        )
+        assert span.attrs["ladder_fallbacks"] == 1
+        assert span.attrs["pages"] == recovered.mount_report.vam_sweep_pages
+        assert span.attrs["transfers"] == recovered.nt_home.bulk_reads
+
+    def test_leaf_lost_on_both_copies_fails_the_mount(self):
+        disk, fs = fragmented_volume()
+        first, _ = fs.name_table.tree.pager.allocated_runs()[0]
+        fs.unmount()
+        fs = FSD.mount(disk)
+        fs.crash()
+        addr_a, addr_b = fs.layout.nt_page_addresses(first + 1)
+        disk.faults.damage(addr_a)
+        disk.faults.damage(addr_b)
+        with pytest.raises(DegradedVolumeError) as caught:
+            FSD.mount(disk)
+        assert caught.value.fault_site == addr_a
+
+
+# ----------------------------------------------------------------------
+# the entry-count guard
+# ----------------------------------------------------------------------
+def _plant_orphan(disk: SimDisk, fs: FSD, runs: list[Run]) -> int:
+    """Mark a free name-table page allocated and fill it with a leaf
+    the tree does not reach.  Returns the page number."""
+    layout = fs.layout
+    allocated = allocated_pages(fs)
+    orphan = next(
+        page for page in range(2, layout.params.nt_pages)
+        if page not in allocated
+    )
+    props = FileProperties(
+        name="zz/orphan", version=1, uid=make_uid(9, 9), byte_size=512,
+        keep=1, leader_addr=0,
+    )
+    leaf = Node(
+        kind=LEAF,
+        keys=[encode_key("zz/orphan", 1, 0)],
+        values=[encode_main_entry(props, RunTable(runs))],
+    ).to_bytes(GEO.sector_bytes)
+    home = NameTableHome(disk, layout)
+    bitmap = bytearray(home.read_page(1))
+    bitmap[orphan // 8] |= 1 << (orphan % 8)
+    home.write_pages([(1, bytes(bitmap)), (orphan, leaf)])
+    return orphan
+
+
+class TestEntryCountGuard:
+    def _crashed_clean_volume(self) -> tuple[SimDisk, FSD]:
+        disk, fs = fragmented_volume()
+        fs.unmount()
+        fs = FSD.mount(disk)
+        fs.crash()  # dirty root, empty log: home is the whole truth
+        return disk, fs
+
+    def test_orphan_leaf_is_detected_and_the_walk_wins(self):
+        disk, fs = self._crashed_clean_volume()
+        free = Run(fs.layout.small_area.end - 8, 3)
+        _plant_orphan(disk, fs, [free])
+        obs = Observer()
+        recovered = FSD.mount(disk, obs=obs)
+        counters = obs.snapshot().counters
+        assert counters["recovery.vam_sweep_mismatch"] == 1
+        assert recovered.mount_report.vam_sweep_pages == 0
+        assert recovered.mount_report.vam_rebuild_entries == 31
+        assert bytes(recovered.vam._bits) == walk_bits(recovered)
+        assert recovered.vam.is_free(free.start)
+
+    def test_orphan_claiming_live_sectors_is_detected_too(self):
+        """A stale copy of a live entry double-allocates before the
+        counts can be compared; that is the same disagreement."""
+        disk, fs = self._crashed_clean_volume()
+        probe = FSD.mount(disk)
+        taken = probe.open("frag/f01").runs.runs[0]
+        probe.crash()
+        _plant_orphan(disk, fs, [taken])
+        obs = Observer()
+        recovered = FSD.mount(disk, obs=obs)
+        assert obs.snapshot().counters["recovery.vam_sweep_mismatch"] == 1
+        assert bytes(recovered.vam._bits) == walk_bits(recovered)

@@ -8,7 +8,7 @@ order, with correct contents — and appending can resume afterwards.
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.layout import VolumeLayout, VolumeParams
 from repro.core.wal import LoggedPage, PAGE_NAME_TABLE, WriteAheadLog
@@ -94,6 +94,25 @@ def test_scan_returns_all_live_records(batches):
     surviving=st.integers(min_value=0, max_value=30),
     tail=st.integers(min_value=0, max_value=2),
 )
+# The counter-example PR 12 saw replayed from a stale example database,
+# pinned so it runs every time: the crash tears the data record that
+# follows a wrap's skip record, after exactly its first copy (header
+# pair, ten pages, end page: 14 of 25 sectors) reached the disk.  The
+# scan rightly accepts that record — every page has one good copy — and
+# the skip record used up a number no append reported, so the recovered
+# record is numbered two past the last *completed* one.  The scan was
+# right and the oracle's "+ 1" was wrong.
+@example(
+    batches=[
+        [(page, index) for page in range(size)]
+        for index, size in enumerate(
+            [1, 1, 1, 2, 2, 3, 4, 5, 5, 6, 6, 6, 8, 9, 10, 10]
+        )
+    ],
+    crash_io=17,
+    surviving=14,
+    tail=0,
+)
 def test_scan_after_torn_append_is_a_prefix(batches, crash_io, surviving, tail):
     disk = SimDisk(geometry=GEO)
     layout = VolumeLayout.compute(GEO, PARAMS)
@@ -119,18 +138,15 @@ def test_scan_after_torn_append_is_a_prefix(batches, crash_io, surviving, tail):
     assert numbers == sorted(numbers)
     assert len(set(numbers)) == len(numbers)
     # Every record whose append completed and which is at/after the
-    # anchor must be recovered; nothing may appear beyond the newest
-    # completed record + possibly the torn one being absent.
+    # anchor must be recovered.  The only other record a scan may
+    # return is the one the crash tore, if enough of it persisted: its
+    # number is the appender's ``next_record_number``, which is not
+    # advanced until the write returns (a wrap's skip record takes a
+    # number too, so this is not always the last completed one + 1).
     recovered = set(numbers)
-    if completed:
-        anchor_number = (
-            WriteAheadLog(disk, layout).read_anchor()[1]
-        )
-        expected = {n for n in completed if n >= anchor_number}
-        assert expected <= recovered | {max(completed) + 1}
-        assert expected >= recovered - {max(completed) + 1} or True
-        # No phantom records beyond what was ever appended + 1 torn.
-        assert max(recovered, default=0) <= max(completed) + 1
+    anchor_number = WriteAheadLog(disk, layout).read_anchor()[1]
+    assert {n for n in completed if n >= anchor_number} <= recovered
+    assert max(recovered, default=0) <= wal.next_record_number
     # Appending resumes cleanly after recovery.
     resumed = WriteAheadLog(disk, layout)
     resumed.boot_count = 2

@@ -222,3 +222,55 @@ class TestBrokenRecoveryIsCaught:
             and "committed" in violation.detail
             for violation in summary.violations
         )
+
+
+class TestCrashDuringRecovery:
+    """Recover, crash at each I/O of that recovery, recover again: the
+    image must be the one an uninterrupted recovery leaves.  Redo is
+    idempotent and the VAM sweep only reads (apart from ladder repairs),
+    so this holds at every prefix of the mount."""
+
+    @staticmethod
+    def _image(disk, layout):
+        roots = {layout.root_a, layout.root_b}
+        return (
+            {a: d for a, d in disk._data.items() if a not in roots},
+            dict(disk._labels),
+            set(disk.faults.damaged) - roots,
+        )
+
+    @pytest.mark.parametrize("surviving,damage", [(0, 0), (1, 1), (None, 0)])
+    def test_churn_recovery_is_idempotent_at_every_io(self, surviving, damage):
+        from repro.core.fsd import FSD
+        from repro.crashcheck import record_scenario
+        from repro.errors import SimulatedCrash
+
+        recording = record_scenario(get_scenario("churn"))
+        # The un-crashed end of the body: three committed rounds in the
+        # log plus an uncommitted tail the crash loses.
+        crashed = crashed_image(recording, recording.io_total)
+
+        disk = materialize(crashed)
+        before = disk.stats.total_ios
+        reference_fs = FSD.mount(disk)
+        mount_ios = disk.stats.total_ios - before
+        assert reference_fs.mount_report.log_records_replayed > 0
+        assert reference_fs.mount_report.vam_sweep_pages > 0
+        layout = reference_fs.layout
+        reference_fs.crash()
+        reference = self._image(disk, layout)
+
+        for crash_io in range(mount_ios):
+            disk = materialize(crashed)
+            disk.faults.arm_crash(
+                after_ios=crash_io,
+                surviving_sectors=surviving,
+                damage_tail=damage,
+            )
+            with pytest.raises(SimulatedCrash):
+                FSD.mount(disk)
+            disk.faults.disarm_crash()
+            again = FSD.mount(disk)
+            assert again.mount_report.vam_sweep_pages > 0
+            again.crash()
+            assert self._image(disk, layout) == reference, f"io={crash_io}"

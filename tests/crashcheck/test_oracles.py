@@ -165,6 +165,36 @@ class TestStructuralOracle:
         assert StructuralOracle(strict_vam=False).check(fsd, ctx_for([])) == []
 
 
+class TestWarmMetadataCache:
+    """The metadata twin of the cache-coherence oracle: recovery leaves
+    replayed name-table pages resident, and every clean resident page
+    must equal both of its home copies."""
+
+    def recovered(self, fsd):
+        for index in range(20):
+            fsd.create(f"warm/f{index:02d}", b"w" * (90 * index + 1))
+        fsd.force()
+        fsd.crash()
+        return FSD.mount(fsd.disk)
+
+    def test_recovered_mount_is_warm_and_coherent(self, fsd):
+        fs = self.recovered(fsd)
+        assert fs.mount_report.cache_warm_pages > 0
+        assert fs.cache.clean_nt_pages()
+        assert StructuralOracle().check(fs, ctx_for([])) == []
+
+    def test_incoherent_warm_page_is_reported(self, fsd):
+        fs = self.recovered(fsd)
+        page_no, data = fs.cache.clean_nt_pages()[-1]
+        for address in fs.layout.nt_page_addresses(page_no):
+            fs.disk.poke(address, bytes(len(data)))
+        problems = StructuralOracle().check(fs, ctx_for([]))
+        assert any(
+            f"page {page_no}: clean cached image differs" in p
+            for p in problems
+        )
+
+
 class TestCacheCoherenceOracle:
     def make_cached_fs(self, disk):
         from repro.crashcheck.scenarios import CRASH_SCALE

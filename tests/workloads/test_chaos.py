@@ -131,6 +131,8 @@ class TestCampaign:
             "goodput_ops_per_s",
             "errors_per_1k_ops",
             "retry_amplification",
+            "mean_recover_ms",
+            "mean_time_to_restored_slo_ms",
             "files_verified_share",
         ):
             assert isinstance(doc[key], (int, float)), key
