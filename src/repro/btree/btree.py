@@ -380,17 +380,26 @@ class BTree:
     # scan
     # ------------------------------------------------------------------
     def scan_leaves(
-        self, start: bytes | None = None
+        self, start: bytes | None = None, stop: bytes | None = None
     ) -> Iterator[tuple[list[bytes], list[bytes]]]:
-        """Yield (keys, values) per leaf, in key order.
+        """Yield (keys, values) per leaf for keys in ``[start, stop)``,
+        in key order.
 
         Batch counterpart of :meth:`scan` for bulk readers (the name
         table's ``enumerate``): one generator resume per *leaf* instead
         of per entry.  The yielded lists belong to the shared parse
         templates — callers must never mutate them.
+
+        ``stop`` bounds the descent: a subtree whose keys are all
+        ``>= stop`` is never read.  At each interior node the children
+        the scan is about to visit, in key order, are handed to
+        ``pager.prefetch`` before the first of them is read; the reads
+        themselves (and so the pager's per-node accounting) are the
+        same with or without a pager that acts on the hint.
         """
         stack: list[tuple[int, bytes | None]] = [(self._root, start)]
         read = self.pager.read
+        prefetch = self.pager.prefetch
         page_memo = self._page_memo
         while stack:
             page_no, start = stack.pop()
@@ -403,15 +412,26 @@ class BTree:
                 node = self._template_for(page_no, data)
             keys = node.keys
             if node.kind == LEAF:
-                if start is None:
+                first = 0 if start is None else bisect.bisect_left(keys, start)
+                last = (
+                    len(keys) if stop is None
+                    else bisect.bisect_left(keys, stop)
+                )
+                if first == 0 and last == len(keys):
                     yield keys, node.values
                 else:
-                    first = bisect.bisect_left(keys, start)
-                    yield keys[first:], node.values[first:]
+                    yield keys[first:last], node.values[first:last]
                 continue
+            # children[i] holds keys in [keys[i-1], keys[i]): the scan
+            # visits exactly children[first .. last].
             first = 0 if start is None else bisect.bisect_right(keys, start)
             children = node.children
-            for index in range(len(children) - 1, first, -1):
+            last = (
+                len(children) - 1 if stop is None
+                else bisect.bisect_left(keys, stop)
+            )
+            prefetch(children[first : last + 1])
+            for index in range(last, first, -1):
                 stack.append((children[index], None))
             stack.append((children[first], start))
 

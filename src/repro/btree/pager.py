@@ -54,6 +54,16 @@ class Pager(Protocol):
         """Recycle a page for later allocation."""
         ...
 
+    def prefetch(self, page_nos: list[int]) -> None:
+        """Hint from a range scan: ``page_nos`` are exactly the pages
+        it will ``read`` next, in that order.
+
+        A pager may use the hint to fetch them in fewer, larger
+        transfers; it must not change what a later ``read`` returns or
+        accounts for, and it may ignore the hint altogether.
+        """
+        ...
+
 
 class MemoryPager:
     """In-memory pager for tests; enforces the page-size contract."""
@@ -113,6 +123,9 @@ class MemoryPager:
             raise CorruptMetadata("cannot free the meta page")
         self._pages.pop(page_no, None)
         self._free.append(page_no)
+
+    def prefetch(self, page_nos: list[int]) -> None:
+        """Scan hint; memory has nothing to batch, so it is ignored."""
 
     @property
     def allocated_pages(self) -> int:

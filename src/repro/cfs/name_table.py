@@ -129,6 +129,10 @@ class CfsNameTablePager:
         self._used.discard(page_no)
         self._cache.pop(page_no, None)
 
+    def prefetch(self, page_nos: list[int]) -> None:
+        """Scan hint, ignored: CFS reads its name table a page at a
+        time (the behaviour Table 3 measures FSD against)."""
+
     # -- cache ----------------------------------------------------------
     def _remember(self, page_no: int, data: bytes) -> None:
         self._cache[page_no] = data

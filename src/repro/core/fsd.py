@@ -226,7 +226,7 @@ class FSD:
             nt_writer=home.write_pages,
             leader_writer=lambda addr, data: io.submit_write(addr, [data]),
         )
-        pager = NameTablePager(cache, layout, disk.clock)
+        pager = NameTablePager(cache, layout, disk.clock, home)
         FsdNameTable.format(pager, disk.clock)
         # At format time nothing is committed yet; write the fresh tree
         # straight home instead of logging it.
@@ -315,7 +315,7 @@ class FSD:
                 # cache warm with them instead of re-reading them.
                 report.cache_warm_pages = cache.install_clean(redone_nt)
                 obs.count("recovery.cache_warm_pages", report.cache_warm_pages)
-            pager = NameTablePager(cache, layout, disk.clock)
+            pager = NameTablePager(cache, layout, disk.clock, home)
             pager.obs = obs
             name_table = FsdNameTable.open(pager, disk.clock)
 

@@ -142,7 +142,9 @@ class NameTableHome:
         self.obs.count("ladder.copy_repairs")
         return survivor
 
-    def read_run(self, first_page: int, count: int) -> list[bytes]:
+    def read_run(
+        self, first_page: int, count: int, holes: frozenset[int] = frozenset()
+    ) -> list[bytes | None]:
         """Bulk double read of ``count`` consecutive pages: one
         multi-sector transfer per copy instead of two single-sector
         I/Os per page.
@@ -153,6 +155,12 @@ class NameTableHome:
         through :meth:`read_page`, so it climbs exactly the ladder a
         single-page read would — retry, repair from the twin, degrade
         — and its neighbours in the transfer are unaffected.
+
+        Pages in ``holes`` ride along in the transfer only because
+        skipping them would cost a second seek: the caller does not
+        want them (they may be unallocated, or newer in the cache), so
+        they come back as ``None`` — never compared, never re-read,
+        whatever state their sectors are in.
         """
         addr_a, addr_b = self.layout.nt_page_addresses(first_page)
         # Range check on the far end of the run as well.
@@ -164,10 +172,13 @@ class NameTableHome:
         else:
             copies_b = self.io.read_maybe(addr_b, count)
             self.bulk_reads += 2
-        pages = []
+        pages: list[bytes | None] = []
         for page_no, (copy_a, copy_b) in enumerate(
             zip(copies_a, copies_b), first_page
         ):
+            if page_no in holes:
+                pages.append(None)
+                continue
             if copy_a is None or copy_a != copy_b:
                 self.ladder_fallbacks += 1
                 copy_a = self.read_page(page_no)
@@ -206,6 +217,37 @@ def _contiguous_groups(
         yield group
 
 
+#: A scan prefetch fills at most this share of the metadata cache per
+#: call, so one interior node's children cannot push out the pages an
+#: interleaved point lookup is living on (EXPERIMENTS.md, "list
+#: prefetch": capacity // 4 = 24 pages covers every interior node of a
+#: 1500-entry directory; a larger share buys nothing).
+PREFETCH_CACHE_SHARE = 4
+
+#: Unwanted pages a prefetch transfer may read through to reach the
+#: next wanted one.  A bridged sector costs ~0.5 ms of transfer against
+#: ~23 ms for the seek and rotational wait of a transfer of its own;
+#: the limit keeps the sectors a list reads beyond the ones it needs to
+#: a small constant per transfer (EXPERIMENTS.md, "list prefetch").
+PREFETCH_MAX_GAP = 2
+
+
+def _prefetch_runs(
+    pages: list[int], max_gap: int, max_len: int
+) -> Iterator[list[int]]:
+    """Split ascending page numbers into transfers: consecutive wanted
+    pages stay together while at most ``max_gap`` unwanted pages lie
+    between them and the transfer spans at most ``max_len`` pages."""
+    run = [pages[0]]
+    for page_no in pages[1:]:
+        if page_no - run[-1] - 1 <= max_gap and page_no - run[0] < max_len:
+            run.append(page_no)
+        else:
+            yield run
+            run = [page_no]
+    yield run
+
+
 class NameTablePager:
     """B-tree pager over the metadata cache.
 
@@ -221,10 +263,20 @@ class NameTablePager:
         cache: MetadataCache,
         layout: VolumeLayout,
         clock: SimClock,
+        home: NameTableHome,
     ):
         self.cache = cache
         self.layout = layout
         self.clock = clock
+        #: where :meth:`prefetch` fetches from (demand misses reach the
+        #: same object through the cache's ``nt_reader``).
+        self.home = home
+        #: most pages one prefetch call may install, and the longest
+        #: transfer it may issue.
+        self._prefetch_pages = cache.capacity // PREFETCH_CACHE_SHARE
+        self._prefetch_window = min(
+            layout.params.max_io_sectors, self._prefetch_pages
+        )
         #: the fixed per-node CPU charge (CpuCostModel is frozen).
         self._node_ms = clock.cpu.btree_node_ms
         self.page_size = layout.geometry.sector_bytes
@@ -326,6 +378,49 @@ class NameTablePager:
         self._set_bit(page_no, False)
         self.obs.count("btree.page_frees")
 
+    def prefetch(self, page_nos: list[int]) -> None:
+        """Fetch the pages a scan is about to read, in bulk.
+
+        Of ``page_nos`` (the scan's read order) the first
+        ``capacity // 4`` that are not resident are sorted by page
+        number and cut into transfers (:func:`_prefetch_runs`); every
+        transfer holding at least two of them is read with
+        :meth:`NameTableHome.read_run` — both copies, compared page by
+        page, ladder for any odd page — and adopted as clean cache
+        entries.  A lone page is left to the demand miss it would have
+        been anyway.  Resident pages are never touched: their cached
+        image may be newer than home.  No B-tree node visit is charged
+        and no ``btree.page_reads`` counted here; the scan's own
+        ``read`` of each page does both, and finds the page resident.
+        """
+        resident = self.cache.resident_nt
+        wanted = [page_no for page_no in page_nos if resident(page_no) is None]
+        if len(wanted) < 2:
+            return
+        wanted = sorted(wanted[: self._prefetch_pages])
+        fetched: list[tuple[int, bytes]] = []
+        transfers = gap_sectors = 0
+        copies = 1 if self.home.single_copy else 2
+        for run in _prefetch_runs(
+            wanted, PREFETCH_MAX_GAP, self._prefetch_window
+        ):
+            if len(run) < 2:
+                continue
+            span = run[-1] - run[0] + 1
+            holes = frozenset(range(run[0], run[-1])).difference(run)
+            images = self.home.read_run(run[0], span, holes)
+            fetched.extend(
+                (page_no, images[page_no - run[0]]) for page_no in run
+            )
+            transfers += copies
+            gap_sectors += copies * len(holes)
+        if not fetched:
+            return
+        obs = self._obs
+        obs.count("nt.prefetch_pages", self.cache.install_clean(fetched))
+        obs.count("nt.prefetch_transfers", transfers)
+        obs.count("nt.prefetch_gap_sectors", gap_sectors)
+
     # -- bitmap plumbing -------------------------------------------------
     def format_bitmap(self) -> None:
         """Mark the meta page and the bitmap pages themselves used."""
@@ -383,6 +478,17 @@ class NameTablePager:
         if first is not None:
             runs.append((first, self.nt_pages - first))
         return runs
+
+
+def _prefix_range(prefix: str) -> tuple[bytes | None, bytes | None]:
+    """Key range ``[start, stop)`` holding every entry whose name
+    begins with ``prefix``; ``(None, None)`` for the whole table.
+    0xFF occurs in no UTF-8 string, so ``prefix + 0xFF`` sorts above
+    every key that extends the prefix and below every later key."""
+    if not prefix:
+        return None, None
+    start = prefix.encode("utf-8")
+    return start, start + b"\xff"
 
 
 class FsdNameTable:
@@ -496,14 +602,14 @@ class FsdNameTable:
         """
         current: tuple[FileProperties, RunTable] | None = None
         expected_runs = 0
-        start = prefix.encode("utf-8") if prefix else None
+        start, stop = _prefix_range(prefix)
         clock = self.clock
         interpret_ms = clock.cpu.entry_interpret_ms
         # decode_key memo-hit inlined: one dict probe per entry, with
         # the decoding call only on a cold key.  Leaf-batched scan: one
         # generator resume per leaf page, not per entry.
         key_memo = types._KEY_MEMO
-        for keys, values in self.tree.scan_leaves(start):
+        for keys, values in self.tree.scan_leaves(start, stop):
             for key, value in zip(keys, values):
                 decoded = key_memo.get(key)
                 if decoded is None:
@@ -542,12 +648,12 @@ class FsdNameTable:
         through the properties memo.
         """
         have_main = False
-        start = prefix.encode("utf-8") if prefix else None
+        start, stop = _prefix_range(prefix)
         clock = self.clock
         interpret_ms = clock.cpu.entry_interpret_ms
         key_memo = types._KEY_MEMO
         decode_props = types.decode_main_props
-        for keys, values in self.tree.scan_leaves(start):
+        for keys, values in self.tree.scan_leaves(start, stop):
             for key, value in zip(keys, values):
                 decoded = key_memo.get(key)
                 if decoded is None:

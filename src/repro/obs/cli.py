@@ -78,6 +78,21 @@ def cmd_stats(args) -> int:
     print(f"metrics after {args.ops} scripted ops on {args.image}:\n")
     _print_stats_table(snapshot)
     cache = snapshot.layers().get("cache", {})
+    hits, misses = cache.get("cache.hits", 0), cache.get("cache.misses", 0)
+    if hits + misses:
+        # A prefetched page is a hit when the scan reads it, so misses
+        # are demand misses only; the prefetch figure says how many of
+        # the hits were bought with a bulk transfer.
+        nt = snapshot.layers().get("nt", {})
+        print(
+            f"name table: {_fmt_value(hits + misses)} page reads through "
+            f"the metadata cache, {hits / (hits + misses):.1%} hits, "
+            f"{_fmt_value(misses)} demand misses; prefetch: "
+            f"{_fmt_value(nt.get('nt.prefetch_pages', 0))} pages in "
+            f"{_fmt_value(nt.get('nt.prefetch_transfers', 0))} transfers "
+            f"({_fmt_value(nt.get('nt.prefetch_gap_sectors', 0))} gap "
+            f"sectors)"
+        )
     if getattr(args, "data_cache_pages", 0) <= 0:
         # A disabled cache records no lookups: say so instead of
         # printing a meaningless 0/0 ratio (or nothing at all).

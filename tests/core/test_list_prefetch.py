@@ -1,0 +1,423 @@
+"""Child-directed bulk prefetch under ``list``: what
+``NameTablePager.prefetch`` may fetch, what it must leave alone, and
+that a listing served through it is the listing served without it.
+
+The contract (DESIGN.md "Name table"): exact children only, a bounded
+window, clean installs only, gap sectors inert.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.btree.node import LEAF, Node
+from repro.core.cache import MetadataCache
+from repro.core.fsd import FSD
+from repro.core.layout import VolumeLayout, VolumeParams
+from repro.core.name_table import (
+    PREFETCH_CACHE_SHARE,
+    PREFETCH_MAX_GAP,
+    NameTableHome,
+    NameTablePager,
+    _prefetch_runs,
+)
+from repro.core.types import decode_key
+from repro.core.verify import verify_volume
+from repro.disk.disk import SimDisk
+from repro.disk.geometry import DiskGeometry
+from repro.errors import DegradedVolumeError
+from repro.obs import Observer
+from repro.workloads.generators import payload
+
+GEO = DiskGeometry(cylinders=120, heads=8, sectors_per_track=24)
+PARAMS = VolumeParams(nt_pages=512, log_record_sectors=300, cache_pages=64)
+WINDOW = PARAMS.cache_pages // PREFETCH_CACHE_SHARE
+
+
+def page(tag: int) -> bytes:
+    return bytes([tag]) * 512
+
+
+# ----------------------------------------------------------------------
+# the pager against a bare home + cache
+# ----------------------------------------------------------------------
+@pytest.fixture
+def world():
+    disk = SimDisk(geometry=GEO)
+    layout = VolumeLayout.compute(GEO, PARAMS)
+    home = NameTableHome(disk, layout)
+    cache = MetadataCache(
+        capacity_pages=PARAMS.cache_pages,
+        nt_reader=home.read_page,
+        nt_writer=home.write_pages,
+        leader_writer=lambda addr, data: disk.write(addr, [data]),
+    )
+    pager = NameTablePager(cache, layout, disk.clock, home)
+    pager.obs = Observer()
+    home.write_pages([(no, page(no)) for no in range(10, 80)])
+    return disk, layout, home, cache, pager
+
+
+def counters(pager) -> dict[str, float]:
+    return {
+        name.removeprefix("nt.prefetch_"): value
+        for name, value in pager.obs.snapshot().counters.items()
+        if name.startswith("nt.prefetch_")
+    }
+
+
+def resident(cache, pages) -> list[int]:
+    return [no for no in pages if cache.resident_nt(no) is not None]
+
+
+class TestTransfers:
+    def test_run_grouping(self):
+        def runs(pages):
+            return list(_prefetch_runs(pages, PREFETCH_MAX_GAP, 12))
+
+        assert runs([2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13]) == [
+            [2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13]
+        ]
+        assert runs([2, 3, 7, 8]) == [[2, 3], [7, 8]]  # a 3-page gap
+        assert runs([2, 5, 8, 11, 14]) == [[2, 5, 8, 11], [14]]  # 12 pages
+        assert runs([4]) == [[4]]
+
+    def test_contiguous_children_cost_one_transfer_per_copy(self, world):
+        disk, _, home, cache, pager = world
+        before = disk.stats.total_ios
+        pager.prefetch([20, 21, 22, 23])
+        assert disk.stats.total_ios - before == 2
+        assert resident(cache, range(18, 26)) == [20, 21, 22, 23]
+        assert (cache.hits, cache.misses) == (0, 0)
+        assert counters(pager) == {
+            "pages": 4, "transfers": 2, "gap_sectors": 0,
+        }
+        # The scan's own read is then a hit on the image both copies hold.
+        assert pager.read(21) == page(21)
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert disk.stats.total_ios - before == 2
+
+    def test_hint_order_is_key_order_not_page_order(self, world):
+        disk, _, _, cache, pager = world
+        before = disk.stats.total_ios
+        pager.prefetch([31, 12, 30, 11, 10])
+        assert disk.stats.total_ios - before == 4
+        assert resident(cache, range(9, 33)) == [10, 11, 12, 30, 31]
+
+    def test_a_lone_page_is_left_to_the_demand_miss(self, world):
+        disk, _, _, cache, pager = world
+        before = disk.stats.total_ios
+        pager.prefetch([20])
+        pager.prefetch([30, 40])  # two singletons
+        pager.prefetch([])
+        assert disk.stats.total_ios == before
+        assert len(cache) == 0
+        assert counters(pager) == {}
+
+    def test_resident_pages_are_not_fetched_again(self, world):
+        disk, _, _, cache, pager = world
+        pager.prefetch([20, 21, 22])
+        before = disk.stats.total_ios
+        pager.prefetch([20, 21, 22])
+        pager.prefetch([20, 21, 22, 23])  # one missing: demand miss
+        assert disk.stats.total_ios == before
+
+    def test_single_copy_volume_reads_one_transfer(self):
+        disk = SimDisk(geometry=GEO)
+        params = VolumeParams(
+            nt_pages=512, log_record_sectors=300, cache_pages=64,
+            single_nt_copy=True,
+        )
+        layout = VolumeLayout.compute(GEO, params)
+        home = NameTableHome(disk, layout)
+        cache = MetadataCache(64, home.read_page, home.write_pages, None)
+        pager = NameTablePager(cache, layout, disk.clock, home)
+        pager.obs = Observer()
+        home.write_pages([(no, page(no)) for no in range(10, 20)])
+        before = disk.stats.total_ios
+        pager.prefetch([10, 11, 13])
+        assert disk.stats.total_ios - before == 1
+        assert counters(pager) == {
+            "pages": 3, "transfers": 1, "gap_sectors": 1,
+        }
+
+
+class TestWindow:
+    def test_at_most_a_quarter_of_the_cache_per_call(self, world):
+        _, _, _, cache, pager = world
+        pager.prefetch(list(range(10, 70)))
+        # The first capacity // 4 of the hint, in the order handed.
+        assert resident(cache, range(10, 80)) == list(range(10, 10 + WINDOW))
+        assert counters(pager)["pages"] == WINDOW
+
+    def test_no_transfer_is_longer_than_the_window(self, world):
+        disk, _, home, _, pager = world
+        sectors = disk.stats.sectors_read
+        reads = home.bulk_reads
+        pager.prefetch(list(range(10, 10 + WINDOW)))
+        assert home.bulk_reads - reads == 2
+        assert disk.stats.sectors_read - sectors == 2 * WINDOW
+        # Spread out, the same number of pages takes more transfers,
+        # none of them spanning more than the window.
+        spread = list(range(30, 30 + 3 * WINDOW, 3))
+        sectors = disk.stats.sectors_read
+        reads = home.bulk_reads
+        pager.prefetch(spread)
+        transfers = home.bulk_reads - reads
+        assert transfers > 2
+        assert disk.stats.sectors_read - sectors <= transfers * WINDOW
+
+    def test_pinned_entries_survive_a_prefetch_into_a_full_cache(self, world):
+        _, _, _, cache, pager = world
+        pinned = list(range(100, 100 + PARAMS.cache_pages))
+        for no in pinned:
+            cache.write_nt(no, page(1))  # dirty: pinned until logged
+        installs = 0
+        for first in range(10, 70, 20):
+            pager.prefetch(list(range(first, first + 20)))
+            installs += 1
+            assert counters(pager)["pages"] <= installs * WINDOW
+            assert resident(cache, pinned) == pinned
+            assert all(cache.resident_nt(no) == page(1) for no in pinned)
+
+
+class TestLadderInsideAPrefetch:
+    def test_one_damaged_copy_is_repaired_from_its_twin(self, world):
+        disk, layout, home, cache, pager = world
+        bad = layout.nt_page_addresses(21)[1]
+        disk.faults.damage(bad)
+        pager.prefetch([20, 21, 22])
+        assert (home.ladder_fallbacks, home.repairs) == (1, 1)
+        assert not disk.faults.is_damaged(bad)
+        assert cache.resident_nt(21) == page(21)
+        assert resident(cache, [20, 21, 22]) == [20, 21, 22]
+
+    @pytest.mark.parametrize("fault", ["lost", "differ"])
+    def test_unreadable_page_degrades_as_a_single_read_would(
+        self, world, fault
+    ):
+        disk, layout, home, cache, pager = world
+        addr_a, addr_b = layout.nt_page_addresses(21)
+        if fault == "lost":
+            disk.faults.damage(addr_a)
+            disk.faults.damage(addr_b)
+        else:
+            disk.poke(addr_a, b"wild write")
+        reasons = []
+        home.on_degraded = lambda reason, site: reasons.append(reason)
+        with pytest.raises(DegradedVolumeError) as bulk:
+            pager.prefetch([20, 21, 22])
+        with pytest.raises(DegradedVolumeError) as single:
+            home.read_page(21)
+        assert str(bulk.value) == str(single.value)
+        assert bulk.value.fault_site == single.value.fault_site == addr_a
+        assert len(reasons) == 2 and reasons[0] == reasons[1]
+        assert cache.resident_nt(21) is None
+
+    @pytest.mark.parametrize("fault", ["copy_a", "both", "differ"])
+    def test_a_gap_sector_is_inert(self, world, fault):
+        disk, layout, home, cache, pager = world
+        addr_a, addr_b = layout.nt_page_addresses(22)
+        if fault == "differ":
+            disk.poke(addr_b, b"stale image of a freed page")
+        else:
+            disk.faults.damage(addr_a)
+            if fault == "both":
+                disk.faults.damage(addr_b)
+        home.on_degraded = lambda *_: pytest.fail("a gap sector degraded")
+        writes = disk.stats.writes
+        pager.prefetch([20, 21, 23, 24])
+        assert resident(cache, range(19, 26)) == [20, 21, 23, 24]
+        assert counters(pager) == {
+            "pages": 4, "transfers": 2, "gap_sectors": 2,
+        }
+        assert (home.ladder_fallbacks, home.repairs, home.retries) == (0, 0, 0)
+        assert disk.stats.writes == writes
+        if fault != "differ":
+            assert disk.faults.is_damaged(addr_a)
+
+
+class TestCacheIsNewerThanHome:
+    def test_a_dirty_resident_page_is_bridged_not_replaced(self, world):
+        disk, _, _, cache, pager = world
+        cache.write_nt(21, page(99))  # newer than its home image
+        before = disk.stats.total_ios
+        pager.prefetch([20, 21, 22])
+        assert disk.stats.total_ios - before == 2
+        assert cache.resident_nt(21) == page(99)
+        assert cache.pending_log_pages() == 1
+        assert counters(pager) == {
+            "pages": 2, "transfers": 2, "gap_sectors": 2,
+        }
+
+    def test_logged_not_home_page_keeps_its_logged_image(self, world):
+        _, _, _, cache, pager = world
+        cache.write_nt(21, page(99))
+        logged = cache.pages_needing_log()
+        cache.note_logged(logged, third=0)
+        pager.prefetch([20, 21, 22])
+        assert cache.resident_nt(21) == page(99)
+        assert (21, page(99)) not in cache.clean_nt_pages()
+
+
+# ----------------------------------------------------------------------
+# whole-volume: list through the prefetch == list without it
+# ----------------------------------------------------------------------
+def volume(cache_pages: int, **mount) -> tuple[SimDisk, FSD, list[str]]:
+    disk = SimDisk(geometry=GEO)
+    FSD.format(
+        disk,
+        VolumeParams(
+            nt_pages=512, log_record_sectors=300, cache_pages=cache_pages
+        ),
+    )
+    fs = FSD.mount(disk, **mount)
+    names = []
+    for directory, count in (("doc/", 40), ("src/", 220), ("tmp/", 30)):
+        for index in range(count):
+            names.append(f"{directory}m{index:03d}.mesa")
+            fs.create(names[-1], payload(300 + index, index))
+    fs.force()
+    return disk, fs, sorted(names)
+
+
+def leaves(fs: FSD) -> list[list[str]]:
+    """Names per leaf, in key order."""
+    return [
+        [decode_key(key)[0] for key in keys]
+        for keys, _ in fs.name_table.tree.scan_leaves()
+    ]
+
+
+def boundary_prefixes(fs: FSD) -> dict[str, str]:
+    per_leaf = [names for names in leaves(fs) if len(names) >= 3]
+    middle = per_leaf[len(per_leaf) // 2]
+    return {
+        # the last match is the last key of a leaf
+        "at a leaf boundary": middle[-1],
+        # matches end (and begin) strictly inside one leaf
+        "mid-leaf": middle[1],
+        "nothing": "nowhere/",
+        "nothing, past the last key": "zzz",
+        "everything": "",
+        "a directory spanning many leaves": "src/",
+        "the first directory": "doc/",
+        "the last directory": "tmp/",
+        "a prefix that is no name": "src/m1",
+    }
+
+
+@pytest.mark.parametrize("cache_pages", [16, 48, 400])
+def test_cold_list_equals_warm_list(cache_pages):
+    disk, fs, names = volume(cache_pages)
+    prefixes = boundary_prefixes(fs)
+    assert fs.name_table.tree.depth() >= 3
+    fs.unmount()
+    for label, prefix in prefixes.items():
+        obs = Observer()
+        cold_fs = FSD.mount(disk, obs=obs)
+        cold = cold_fs.list(prefix)
+        warm = cold_fs.list(prefix)
+        assert cold == warm, label
+        assert [p.name for p in cold] == [
+            name for name in names if name.startswith(prefix)
+        ], label
+        count = obs.snapshot().counters
+        if len(cold) > 40:
+            assert count["nt.prefetch_pages"] > 0, label
+        if cache_pages == 400:
+            # Fully warm: the second list did no I/O of any kind.
+            ios = disk.stats.total_ios
+            assert cold_fs.list(prefix) == cold
+            assert disk.stats.total_ios == ios
+        cold_fs.unmount()
+
+
+def test_a_list_reads_the_pages_the_demand_path_read_plus_gaps():
+    """No name-table sector is read that a page-at-a-time list would
+    not have read, bridged gap sectors excepted."""
+    disk, fs, _ = volume(48)
+    fs.unmount()
+    obs = Observer()
+    fs = FSD.mount(disk, obs=obs)
+    before = obs.snapshot().counters
+    sectors = disk.stats.sectors_read
+    listed = fs.list("src/")
+    count = obs.snapshot().counters
+    page_reads = count["btree.page_reads"] - before.get("btree.page_reads", 0)
+    hits = count.get("cache.hits", 0) - before.get("cache.hits", 0)
+    misses = count.get("cache.misses", 0) - before.get("cache.misses", 0)
+    assert len(listed) == 220
+    assert hits + misses == page_reads
+    # Every page the scan visited was fetched at most once (both
+    # copies), plus the gap sectors, plus nothing.
+    assert disk.stats.sectors_read - sectors == (
+        2 * (count["nt.prefetch_pages"] + misses)
+        + count["nt.prefetch_gap_sectors"]
+    )
+    assert count["nt.prefetch_pages"] + misses <= page_reads
+
+
+def test_list_repairs_a_damaged_leaf_copy_met_inside_a_prefetch():
+    disk, fs, names = volume(48)
+    tree = fs.name_table.tree
+    root = Node.from_bytes(fs.cache.read_nt(tree._root))
+    inner = Node.from_bytes(fs.cache.read_nt(root.children[-1]))
+    assert Node.from_bytes(fs.cache.read_nt(inner.children[1])).kind == LEAF
+    fs.unmount()
+    bad = fs.layout.nt_page_addresses(inner.children[1])[0]
+    disk.faults.damage(bad)
+    obs = Observer()
+    fs = FSD.mount(disk, obs=obs)
+    assert [p.name for p in fs.list()] == names
+    assert not disk.faults.is_damaged(bad)
+    assert obs.snapshot().counters["ladder.copy_repairs"] == 1
+    assert fs.nt_home.ladder_fallbacks == 1
+    assert not fs.degraded
+    assert verify_volume(fs).clean
+
+
+def test_list_over_a_leaf_lost_on_both_copies_degrades_the_volume():
+    disk, fs, _ = volume(48)
+    tree = fs.name_table.tree
+    root = Node.from_bytes(fs.cache.read_nt(tree._root))
+    inner = Node.from_bytes(fs.cache.read_nt(root.children[-1]))
+    fs.unmount()
+    for address in fs.layout.nt_page_addresses(inner.children[1]):
+        disk.faults.damage(address)
+    fs = FSD.mount(disk)
+    with pytest.raises(DegradedVolumeError):
+        fs.list()
+    assert fs.degraded
+    assert fs.list("doc/")  # reads elsewhere still work
+
+
+@pytest.mark.parametrize(
+    "mount",
+    [{}, {"sched": "scan"}, {"sched": "scan", "checkpoint_interval_ms": 50.0}],
+    ids=["fifo", "scan", "scan+checkpointer"],
+)
+def test_list_under_pending_commits_keeps_the_cache_coherent(mount):
+    """Dirty and logged-but-not-home pages are resident and pinned, so
+    a prefetch passes over them; what it installs around them must be
+    the home image, also while writebacks sit in the scheduler queue."""
+    disk, fs, names = volume(48, **mount)
+    fs.unmount()
+    fs = FSD.mount(disk, **mount)
+    live = set(names)
+    for round_no in range(6):
+        for index in range(round_no, 220, 7):
+            name = f"src/m{index:03d}.mesa"
+            if name in live:
+                fs.delete(name)
+                live.discard(name)
+            else:
+                fs.create(name, payload(200, index))
+                live.add(name)
+        if round_no % 2:
+            fs.force()  # logged, not yet home
+        listed = [p.name for p in fs.list("src/")]
+        assert listed == sorted(n for n in live if n.startswith("src/"))
+        report = verify_volume(fs)
+        assert report.clean, report.problems
+    assert [p.name for p in fs.list()] == sorted(live)

@@ -32,7 +32,7 @@ def world():
         nt_writer=home.write_pages,
         leader_writer=lambda addr, data: disk.write(addr, [data]),
     )
-    pager = NameTablePager(cache, layout, disk.clock)
+    pager = NameTablePager(cache, layout, disk.clock, home)
     return disk, layout, home, cache, pager
 
 

@@ -71,6 +71,29 @@ class TestStats:
             by_name["cache.data.readahead_accuracy"]["type"] == "gauge"
         )
 
+    def test_name_table_line_reports_the_list_prefetch(self, image, capsys):
+        from repro.core.fsd import FSD
+        from repro.disk.image import load_disk, save_disk
+
+        disk = load_disk(image)
+        fs = FSD.mount(disk)
+        for index in range(300):
+            fs.create(f"obs/old-{index:03d}", b"x" * 100)
+        fs.unmount()
+        save_disk(disk, image)
+        capsys.readouterr()
+        assert main(["stats", image, "--ops", "10"]) == 0
+        out = capsys.readouterr().out
+        for counter in ("pages", "transfers", "gap_sectors"):
+            assert f"nt.prefetch_{counter}" in out
+        line = next(
+            line for line in out.splitlines()
+            if line.startswith("name table:")
+        )
+        assert "demand misses; prefetch:" in line
+        pages = int(line.split("prefetch: ")[1].split()[0])
+        assert pages > 20
+
     def test_cache_off_run_has_no_cache_summary(self, image, capsys):
         capsys.readouterr()
         assert main(["stats", image, "--ops", "20"]) == 0
