@@ -8,17 +8,17 @@ CFS: name table holds (text name, version, keep, uid, header addr);
      headers hold (run table, byte size, keep, create time, version,
      text name); labels hold (uid, page number, page type).
 FSD: name table holds everything (name, version, keep, uid, run
-     table, byte size, create time); leaders hold (uid, run-table
-     preamble, run-table checksum).
+     table, byte size, create time); leaders hold (uid, name, run-table
+     preamble, run-table checksum) behind a checksummed header.
 """
 
 from __future__ import annotations
 
 from repro.cfs.header import decode_header
 from repro.cfs.labels import PAGE_DATA, PAGE_HEADER, parse_label
+from repro.core.leader import MAX_LEADER_RUNS, decode_leader, verify_leader
 from repro.harness.report import Table
 from repro.harness.scenarios import SMALL, cfs_volume, fsd_volume
-from repro.serial import Unpacker, checksum
 
 
 def test_table1_structures(once):
@@ -82,17 +82,15 @@ def test_table1_structures(once):
 
         fsd.force()
         fsd.unmount()
-        leader_raw = disk2.peek(props2.leader_addr)
-        reader = Unpacker(leader_raw)
-        assert reader.u32() == 0x4C454144  # LEAD
-        assert reader.u64() == props2.uid
-        assert reader.u16() == 1  # version
-        assert reader.u32() == checksum(b"table1/file")
-        preamble_count = reader.u8()
-        assert preamble_count == len(runs2.runs[:4])
+        leader = decode_leader(disk2.peek(props2.leader_addr))
+        assert (leader.uid, leader.version) == (props2.uid, 1)
+        assert leader.name == "table1/file"
+        assert leader.total_runs == len(runs2.runs)
+        assert leader.runs.runs == runs2.runs[:MAX_LEADER_RUNS]
+        verify_leader(disk2.peek(props2.leader_addr), props2, runs2)
         rows.add(
             "FSD leader",
-            "uid, run-table preamble, run-table checksum",
+            "uid, name, run-table preamble, run-table checksum",
             "verified", note="used only for software checking",
         )
         rows.print()

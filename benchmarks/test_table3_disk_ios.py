@@ -11,6 +11,13 @@ Paper:
 The FSD counts come from logging + group commit (creates cost one
 combined leader+data write plus an amortized share of the log) and
 from properties living in the name table (list does almost no I/O).
+
+The paper's rows are measured on the paper's mount
+(``readahead_pages=0``): the MakeDo ratio is only 1.52 *because* both
+systems pay one I/O per page the compiler reads
+(``MakeDoWorkload.read_page_bytes``).  One more row shows the same
+build on a default mount, whose read-ahead fetches each source file's
+disk run in a few transfers.
 """
 
 from __future__ import annotations
@@ -37,11 +44,15 @@ COLD_LIST_IOS_PAGE_AT_A_TIME = 60
 
 def test_table3_disk_ios(once):
     def run():
-        disk_f, fs_f, fsd_adapter = fsd_volume(FULL)
+        disk_f, fs_f, fsd_adapter = fsd_volume(FULL, readahead_pages=0)
         aged = populate(fsd_adapter, 200)
         fsd = measure_batches(disk_f, fsd_adapter, pollute=aged[:80])
         fsd_makedo, _ = measure_makedo(disk_f, fsd_adapter)
         fs_f.unmount()
+        disk_d, _, default_adapter = fsd_volume(FULL)
+        aged_d = populate(default_adapter, 200)
+        measure_batches(disk_d, default_adapter, pollute=aged_d[:80])
+        default_makedo, _ = measure_makedo(disk_d, default_adapter)
         remounted = FSD.mount(disk_f)
         cold_list = measure(disk_f, lambda: remounted.list("bench/"))
         assert len(cold_list.result) == 100
@@ -50,9 +61,10 @@ def test_table3_disk_ios(once):
         aged_c = populate(cfs_adapter, 200)
         cfs = measure_batches(disk_c, cfs_adapter, pollute=aged_c[:80])
         cfs_makedo, _ = measure_makedo(disk_c, cfs_adapter)
-        return fsd, fsd_makedo, cfs, cfs_makedo, cold_list.io.total_ios
+        return (fsd, fsd_makedo, default_makedo, cfs, cfs_makedo,
+                cold_list.io.total_ios)
 
-    fsd, fsd_makedo, cfs, cfs_makedo, cold_list_ios = once(run)
+    fsd, fsd_makedo, default_makedo, cfs, cfs_makedo, cold_list_ios = once(run)
 
     measured = {
         "100 small creates": (cfs.create_ios, fsd.create_ios),
@@ -69,6 +81,12 @@ def test_table3_disk_ios(once):
             f"{m_cfs}/{m_fsd} = {ratio(m_cfs, max(m_fsd, 1)):.2f}x",
         )
     table.add(
+        "MakeDo, default mount (read-ahead)",
+        "— (the paper's FSD read a page per I/O)",
+        f"{cfs_makedo}/{default_makedo} = "
+        f"{ratio(cfs_makedo, default_makedo):.2f}x",
+    )
+    table.add(
         "list 100 files, cold cache (FSD only)",
         "3 (larger name-table pages)",
         f"{cold_list_ios} (page at a time: {COLD_LIST_IOS_PAGE_AT_A_TIME})",
@@ -80,7 +98,7 @@ def test_table3_disk_ios(once):
     assert measured["100 small creates"][0] > 2 * measured["100 small creates"][1]
     assert measured["list 100 files"][0] > 8 * max(measured["list 100 files"][1], 1)
     assert measured["read 100 small files"][0] > measured["read 100 small files"][1]
-    assert measured["MakeDo"][0] > measured["MakeDo"][1]
+    assert measured["MakeDo"][0] > measured["MakeDo"][1] > default_makedo
     # Magnitudes: CFS creates cost ~6-10 I/Os each; FSD a small multiple
     # of one I/O per create; CFS list pays ~1 header read per file.
     assert 600 <= measured["100 small creates"][0] <= 1100

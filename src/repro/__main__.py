@@ -340,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--data-cache-pages", type=int, default=0, metavar="N",
-            help="data-page cache capacity in sectors (0 disables; "
-                 "default: 0)",
+            help="demanded and written data sectors kept cached "
+                 "(default 0: read-ahead only)",
         )
         p.add_argument(
             "--readahead", type=int, default=DEFAULT_READAHEAD_PAGES,
             metavar="N",
             help="sequential read-ahead window in pages (default: "
-                 f"{DEFAULT_READAHEAD_PAGES})",
+                 f"{DEFAULT_READAHEAD_PAGES}; 0: the paper's mount)",
         )
         p.add_argument(
             "--checkpoint-ms", type=float, default=None, metavar="MS",

@@ -1,42 +1,44 @@
-"""The data-page buffer cache with sequential read-ahead.
+"""The data-page cache and read-ahead buffer.
 
-The paper's evaluation assumes clients work from *cached* files —
-"cached remote files" are one of FSD's three entry kinds — and the
-4.2 BSD baseline it compares against owes much of its read throughput
-to the kernel buffer cache and block clustering.  The FSD read path,
-by contrast, issued one disk request per run extent with no caching at
-all, which made reads the slowest path in every benchmark.  This
-module closes that gap for *data* pages; metadata pages stay in
+The paper's evaluation assumes clients work from *cached* files, and
+the 4.2 BSD baseline it compares against owes much of its read
+throughput to the kernel buffer cache and block clustering.  FSD files
+are written once and lie in a few long disk runs (paper §5.3), so a
+client reading one a page at a time should pay transfer cost, not a
+rotational wait per page.  This module holds *data* sectors for the one
+FSD read path; metadata pages stay in
 :class:`~repro.core.cache.MetadataCache`, whose logging obligations
 this cache deliberately does not share.
 
 Design rules:
 
+* **Sequential read-ahead.**  When two consecutive extents of a file
+  are read in order (tracked per file uid), the read also fetches the
+  rest of the file's current disk run, capped by ``readahead_pages``,
+  in the same transfer (:meth:`~repro.disk.sched.IoScheduler.merge_reads`)
+  — one rotational wait instead of one per page.
+* **What is retained is a matter of capacity.**  With
+  ``capacity_pages > 0`` demanded, written and prefetched sectors share
+  one LRU.  With ``capacity_pages == 0`` (every mount's default) this
+  is a pure read-ahead buffer: prefetched sectors only, each until its
+  first demand, at most ``BUFFER_WINDOWS`` windows of them.
+  ``readahead_pages == 0`` on top of that holds nothing and counts
+  nothing — the paper's mount.
+* **A stream that wastes its window stops prefetching.**  A prefetched
+  sector evicted before any demand means its stream over-subscribes the
+  cache; it plans no further prefetch until one of its remaining
+  sectors is hit or it starts a new pass, so interleaved readers that
+  do not fit fall back to demand reads, not to evicting each other.
 * **Write-through, never write-behind.**  Data pages are not logged
-  (paper §5.3: files are written once; logging them would double data
-  writes), so the platter copy is the only durable copy.  A write
-  populates the cache *and* reaches the disk exactly as it did before
-  the cache existed — crash semantics are unchanged, and cache-off
-  runs are bit-identical to cache-on runs on the write side.
+  (paper §5.3), so the platter copy is the only durable copy: a write
+  goes to the disk first, then :meth:`DataPageCache.store` replaces —
+  or, in the buffer, drops — the image its addresses had.
 * **Strict invalidation.**  Truncate and delete free sectors that the
   allocator may hand to a different file (or to a new leader page,
-  which is written through a path this cache never sees); their cached
-  images are dropped immediately.  Rename drops the file's pages too —
-  cheaper to be strict than to prove each exception safe.  A crash or
-  unmount discards everything: the cache is volatile state, exactly
-  like the scheduler queue.
-* **Sequential read-ahead.**  When two consecutive extents of a file
-  are read in order (tracked per file uid), the miss read is extended
-  to prefetch the remainder of the file's current disk run, capped by
-  ``readahead_pages``.  The demand read and the prefetch are submitted
-  as adjacent requests and merged by the I/O scheduler
-  (:meth:`~repro.disk.sched.IoScheduler.merge_reads`) into a single
-  multi-sector transfer — one rotational wait instead of one per page.
-
-A capacity of zero disables the cache: every lookup misses, nothing is
-stored, and the FSD read path takes its original extent-by-extent
-route, keeping op counts and simulated times bit-identical to the
-pre-cache tree.
+  which is written through a path this cache never sees); their images
+  are dropped immediately.  Rename drops the file's pages too — cheaper
+  to be strict than to prove each exception safe.  A crash or unmount
+  discards everything, exactly like the scheduler queue.
 """
 
 from __future__ import annotations
@@ -52,51 +54,49 @@ DEFAULT_DATA_CACHE_PAGES = 256
 
 #: default read-ahead window, in pages (sectors).  Two windows fit one
 #: ``VolumeParams.max_io_sectors`` transfer with room for the demand
-#: read that triggers them.
+#: read that triggers them.  EXPERIMENTS.md "Read-ahead on every mount"
+#: has the 8 / 16 / 32 sweep.
 DEFAULT_READAHEAD_PAGES = 16
 
-#: default sequential-detection states tracked at once; beyond this
-#: the oldest file's state is forgotten (it only costs a missed
-#: prefetch).  Mounts serving many interleaved client streams (the
-#: traffic engine) can raise it via the ``seq_streams`` knob.
+#: read-ahead windows a capacity-0 mount may hold at once (same
+#: section of EXPERIMENTS.md for the client-count sweep behind it).
+BUFFER_WINDOWS = 4
+
+#: sequential-detection states tracked at once; beyond this the oldest
+#: file's state is forgotten (it only costs a missed prefetch).
 _MAX_SEQ_STREAMS = 64
 
 
 class DataPageCache:
-    """LRU cache of data sectors keyed by disk address.
-
-    ``capacity_pages == 0`` disables the cache entirely (the
-    bit-compatibility mode).  All counters are mirrored to ``obs``
-    under ``cache.data.*``; the hit-ratio and read-ahead-accuracy
-    gauges are updated as the counters move so ``repro stats`` can
-    report them without post-processing.
-    """
+    """LRU store of data sectors keyed by disk address.  Counters are
+    mirrored to ``obs`` under ``cache.data.*``; the ratio gauges are
+    derived from them at snapshot time (:mod:`repro.obs.metrics`)."""
 
     def __init__(
         self,
         capacity_pages: int = 0,
         readahead_pages: int = DEFAULT_READAHEAD_PAGES,
         sector_bytes: int = 512,
-        seq_streams: int = _MAX_SEQ_STREAMS,
         obs=NULL_OBS,
     ):
         if capacity_pages < 0:
             raise ValueError("negative data-cache capacity")
         if readahead_pages < 0:
             raise ValueError("negative read-ahead window")
-        if seq_streams < 1:
-            raise ValueError("need at least one sequential stream slot")
         self.capacity = capacity_pages
         self.readahead_pages = readahead_pages
         self.sector_bytes = sector_bytes
-        self.seq_streams = seq_streams
         self.obs = obs
+        #: most sectors held at once.
+        self._room = capacity_pages or BUFFER_WINDOWS * readahead_pages
         self._pages: OrderedDict[int, bytes] = OrderedDict()
         #: addresses prefetched by read-ahead and not yet demanded.
         self._prefetched: set[int] = set()
         #: per-file sequential detector: uid -> next expected page.
         self._seq: OrderedDict[int, int] = OrderedDict()
-        #: file identity of each cached address (and the reverse index)
+        #: streams that had a prefetched sector evicted unused.
+        self._backed_off: set[int] = set()
+        #: file identity of each held address (and the reverse index)
         #: so delete/rename can invalidate by uid even when the
         #: caller's run list is stale under interleaved clients.
         self._owner: dict[int, int] = {}
@@ -108,136 +108,182 @@ class DataPageCache:
         self.readahead_issued = 0
         self.readahead_used = 0
 
-    @property
-    def enabled(self) -> bool:
-        return self.capacity > 0
-
     def __len__(self) -> int:
         return len(self._pages)
 
     # ------------------------------------------------------------------
     # lookups and population
     # ------------------------------------------------------------------
-    def lookup(self, address: int) -> bytes | None:
-        """A demand lookup: counts a hit or miss, tracks read-ahead
-        accuracy, and refreshes LRU position on a hit."""
-        if not self.enabled:
-            return None
-        data = self._pages.get(address)
+    def lookup(self, address: int, count: int = 1) -> list[bytes | None] | None:
+        """A demand lookup of ``count`` consecutive sectors: one image
+        (or None) per sector, or None when not one of them is held.
+        A hit refreshes its LRU position or, in the buffer, lets the
+        sector go: a demanded page is the client's from then on."""
+        pages = self._pages
+        found = None
+        hits = 0
+        if pages:
+            found = list(map(pages.get, range(address, address + count)))
+            hits = count - found.count(None)
         recorder = getattr(self.obs, "attribution", None)
-        if recorder is not None:
-            recorder.note_cache(hit=data is not None)
-        if data is None:
-            self.misses += 1
-            self.obs.count("cache.data.misses")
+        if hits:
+            used = 0
+            for hit, data in enumerate(found, address):
+                if data is None:
+                    continue
+                if hit in self._prefetched:
+                    self._prefetched.discard(hit)
+                    self._backed_off.discard(self._owner[hit])
+                    used += 1
+                if self.capacity:
+                    pages.move_to_end(hit)
+                else:
+                    del pages[hit]
+                    self._disown(hit)
+                if recorder is not None:
+                    recorder.note_cache(hit=True)
+            self.hits += hits
+            self.obs.count("cache.data.hits", hits)
+            if used:
+                self.readahead_used += used
+                self.obs.count("cache.data.readahead_used", used)
         else:
-            self.hits += 1
-            self.obs.count("cache.data.hits")
-            self._pages.move_to_end(address)
-            if address in self._prefetched:
-                self._prefetched.discard(address)
-                self.readahead_used += 1
-                self.obs.count("cache.data.readahead_used")
-                self._update_accuracy()
-        self._update_ratio()
-        return data
+            found = None
+        if hits < count and self._room:
+            self.misses += count - hits
+            self.obs.count("cache.data.misses", count - hits)
+            if recorder is not None:
+                for _ in range(count - hits):
+                    recorder.note_cache(hit=False)
+        return found
 
     def contains(self, address: int) -> bool:
-        """Presence probe for read-ahead planning (no hit/miss count,
-        no LRU effect)."""
+        """Presence probe (no hit/miss count, no LRU effect)."""
         return address in self._pages
 
-    def put(
+    def store(
         self,
         address: int,
-        data: bytes,
+        sectors: list[bytes],
+        uid: int,
         prefetched: bool = False,
-        uid: int | None = None,
     ) -> None:
-        """Insert one sector image (padded to the sector size, exactly
-        as it lies on the platter).  ``uid`` records which file the
-        sector belongs to, feeding the per-file invalidation index."""
-        if not self.enabled:
-            return
-        if len(data) < self.sector_bytes:
-            data = data + b"\x00" * (self.sector_bytes - len(data))
-        self._pages[address] = bytes(data)
-        self._pages.move_to_end(address)
-        self._set_owner(address, uid)
+        """``sectors`` are what the platter holds from ``address`` on
+        for file ``uid``: just read on demand, just written, or
+        (``prefetched``) fetched by a read-ahead.  The buffer keeps
+        only the last kind and forgets any image a write made stale;
+        kept images are padded exactly as they lie on the platter."""
         if prefetched:
-            self._prefetched.add(address)
-            self.readahead_issued += 1
-            self.obs.count("cache.data.readahead_issued")
-            self._update_accuracy()
-        else:
-            self._prefetched.discard(address)
-        while len(self._pages) > self.capacity:
-            victim, _ = self._pages.popitem(last=False)
-            self._prefetched.discard(victim)
-            self._set_owner(victim, None)
-            self.evictions += 1
-            self.obs.count("cache.data.evictions")
+            self.readahead_issued += len(sectors)
+            self.obs.count("cache.data.readahead_issued", len(sectors))
+        elif not self.capacity:
+            if self._pages:
+                self.invalidate(address, len(sectors))
+            return
+        pages = self._pages
+        unused = self._prefetched
+        sector_bytes = self.sector_bytes
+        room = self._room
+        owner = self._owner
+        owned = self._by_uid.setdefault(uid, set())
+        evicted = 0
+        for address, data in enumerate(sectors, address):
+            if len(data) < sector_bytes:
+                data = data + b"\x00" * (sector_bytes - len(data))
+            pages[address] = bytes(data)
+            pages.move_to_end(address)
+            if owner.get(address, uid) != uid:
+                self._disown(address)
+            owner[address] = uid
+            owned.add(address)
+            if prefetched:
+                unused.add(address)
+            else:
+                unused.discard(address)
+            while len(pages) > room:
+                victim, _ = pages.popitem(last=False)
+                if victim in unused:
+                    unused.discard(victim)
+                    self._backed_off.add(owner[victim])
+                self._disown(victim)
+                evicted += 1
+        if evicted:
+            self.evictions += evicted
+            self.obs.count("cache.data.evictions", evicted)
 
-    def _set_owner(self, address: int, uid: int | None) -> None:
-        previous = self._owner.pop(address, None)
-        if previous is not None:
-            owned = self._by_uid.get(previous)
-            if owned is not None:
-                owned.discard(address)
-                if not owned:
-                    del self._by_uid[previous]
-        if uid is not None:
-            self._owner[address] = uid
-            self._by_uid.setdefault(uid, set()).add(address)
+    def _disown(self, address: int) -> None:
+        uid = self._owner.pop(address, None)
+        owned = self._by_uid.get(uid)
+        if owned is not None:
+            owned.discard(address)
+            if not owned:
+                del self._by_uid[uid]
 
     # ------------------------------------------------------------------
-    # sequential detection
+    # sequential detection and the prefetch window
     # ------------------------------------------------------------------
-    def note_read(self, uid: int, first_page: int, page_count: int) -> bool:
+    def readahead(
+        self, uid: int, first_page: int, page_count: int, next_address: int
+    ) -> int:
         """Record one read of file ``uid`` covering logical pages
-        ``[first_page, first_page + page_count)``; returns True when it
-        directly continues the previous read (the read-ahead trigger:
-        two consecutive extents of the file read in order)."""
-        if not self.enabled:
-            return False
-        sequential = self._seq.get(uid) == first_page and first_page > 0
-        self._seq[uid] = first_page + page_count
-        self._seq.move_to_end(uid)
-        while len(self._seq) > self.seq_streams:
-            self._seq.popitem(last=False)
-        return sequential
+        ``[first_page, first_page + page_count)``; returns how many
+        sectors from ``next_address`` on may be prefetched behind it:
+        none unless the read directly continues the previous one and
+        the stream has not backed off, then ``readahead_pages``, less
+        what is already held.  The caller cuts that to what is left of
+        the disk run and of the file."""
+        if not self.readahead_pages:
+            return 0
+        seq = self._seq
+        sequential = first_page > 0 and seq.get(uid) == first_page
+        seq[uid] = first_page + page_count
+        seq.move_to_end(uid)
+        if len(seq) > _MAX_SEQ_STREAMS:
+            self._backed_off.discard(seq.popitem(last=False)[0])
+        if not sequential:
+            self._backed_off.discard(uid)
+            return 0
+        if uid in self._backed_off:
+            return 0
+        pages, limit = self._pages, self.readahead_pages
+        count = 0
+        while count < limit and next_address + count not in pages:
+            count += 1
+        return count
 
     def forget_file(self, uid: int) -> None:
         """Drop the sequential-detection state of one file."""
         self._seq.pop(uid, None)
+        self._backed_off.discard(uid)
 
     # ------------------------------------------------------------------
     # invalidation
     # ------------------------------------------------------------------
     def invalidate(self, address: int, count: int = 1) -> int:
         """Drop ``count`` sectors starting at ``address``; returns how
-        many were actually cached."""
+        many were actually held."""
+        pages = self._pages
         dropped = 0
-        for victim in range(address, address + count):
-            if self._pages.pop(victim, None) is not None:
-                dropped += 1
-            self._prefetched.discard(victim)
-            self._set_owner(victim, None)
+        if pages:
+            for victim in range(address, address + count):
+                if pages.pop(victim, None) is not None:
+                    dropped += 1
+                    self._prefetched.discard(victim)
+                    self._disown(victim)
         if dropped:
             self.invalidations += dropped
             self.obs.count("cache.data.invalidations", dropped)
         return dropped
 
     def invalidate_file(self, uid: int) -> int:
-        """Drop every cached sector owned by file ``uid`` (and its
+        """Drop every held sector owned by file ``uid`` (and its
         sequential-detection state).  Delete and rename invalidate by
         identity *in addition to* run lists: under interleaved clients
         a stale handle may have populated pages outside the run list
         the invalidating operation resolved, and those images must not
         survive the file they belonged to."""
-        addresses = list(self._by_uid.get(uid, ()))
         dropped = 0
-        for address in addresses:
+        for address in list(self._by_uid.get(uid, ())):
             dropped += self.invalidate(address)
         self.forget_file(uid)
         return dropped
@@ -245,6 +291,8 @@ class DataPageCache:
     def invalidate_runs(self, runs) -> int:
         """Drop every sector of the given runs (truncate/delete/rename
         free or re-home these sectors; stale images must not survive)."""
+        if not self._pages:
+            return 0
         run_list = getattr(runs, "runs", runs)
         dropped = 0
         for run in run_list:
@@ -257,29 +305,17 @@ class DataPageCache:
         self._pages.clear()
         self._prefetched.clear()
         self._seq.clear()
+        self._backed_off.clear()
         self._owner.clear()
         self._by_uid.clear()
 
     # ------------------------------------------------------------------
-    # derived gauges
+    # derived figures
     # ------------------------------------------------------------------
     @property
     def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        return self.hits / max(self.hits + self.misses, 1)
 
     @property
     def readahead_accuracy(self) -> float:
-        return (
-            self.readahead_used / self.readahead_issued
-            if self.readahead_issued
-            else 0.0
-        )
-
-    def _update_ratio(self) -> None:
-        self.obs.gauge("cache.data.hit_ratio", round(self.hit_ratio, 4))
-
-    def _update_accuracy(self) -> None:
-        self.obs.gauge(
-            "cache.data.readahead_accuracy", round(self.readahead_accuracy, 4)
-        )
+        return self.readahead_used / max(self.readahead_issued, 1)

@@ -267,9 +267,11 @@ class FSD:
         scheduler policy (``fifo``/``scan``/``deadline``); like the
         data-cache knobs it is a mount-time choice, not a volume
         parameter, so the same volume can be remounted differently.
-        ``data_cache_pages`` sizes the data-page buffer cache (0, the
-        default, disables it — the bit-compatibility mode);
-        ``readahead_pages`` caps the sequential prefetch window.
+        ``data_cache_pages`` is how many demanded and written data
+        sectors stay cached (0, the default: none — the data cache
+        holds read-ahead only); ``readahead_pages`` caps the sequential
+        prefetch window, and 0 is the paper's mount: every read is
+        exactly the disk requests the client asked for.
         ``checkpoint_interval_ms`` enables the background checkpointer
         (:mod:`repro.core.checkpoint`) at that simulated-clock cadence;
         None (the default) keeps the synchronous third-entry writeback
@@ -479,10 +481,11 @@ class FSD:
                     leader_addr, encode_leader(props, runs, sector_bytes)
                 )
                 handle = FsdFile(props=props, runs=runs, leader_verified=True)
+                # A zero-byte create has no data write to piggyback on:
+                # its leader stays cached until the logging code writes
+                # it during entry into its third (paper §5.3).
                 if data:
                     self._write_data(handle, 0, data)
-                else:
-                    self._piggyback_leader_alone(handle)
                 if keep > 0:
                     self._trim_versions(name, keep)
                 return handle
@@ -524,28 +527,16 @@ class FSD:
                     f"{byte_size} bytes"
                 )
             if length == 0:
-                self._verify_leader_if_needed(handle, piggyback_extent=None)
+                self._verify_leader_if_needed(handle)
                 return b""
             sector_bytes = self._sector_bytes
             first_page = offset // sector_bytes
             last_page = (offset + length - 1) // sector_bytes
-            page_count = last_page - first_page + 1
-            if self.data_cache.capacity > 0:
-                chunks = self._read_pages_cached(handle, first_page, page_count)
-            else:
-                extents = handle.runs.extents_for(first_page, page_count)
-                chunks = []
-                first = True
-                for extent in extents:
-                    piggyback = (
-                        extent
-                        if first and first_page == 0 and not handle.leader_verified
-                        else None
-                    )
-                    chunks.extend(self._read_extent(handle, extent, piggyback))
-                    first = False
+            chunks = self._read_pages(
+                handle, first_page, last_page - first_page + 1
+            )
             if not handle.leader_verified:
-                self._verify_leader_if_needed(handle, piggyback_extent=None)
+                self._verify_leader_if_needed(handle)
             blob = b"".join(chunks)
             skip = offset - first_page * sector_bytes
             return blob[skip : skip + length]
@@ -823,12 +814,11 @@ class FSD:
         if page * sector_bytes >= old_size:
             return b"\x00" * sector_bytes
         address = handle.runs.sector_of_page(page)
-        cached = self.data_cache.lookup(address)
-        if cached is not None:
-            return cached
-        data = self._ladder_read(address, 1)[0]
-        self.data_cache.put(address, data, uid=handle.props.uid)
-        return data
+        sectors = self.data_cache.lookup(address)
+        if sectors is None:
+            sectors = self._ladder_read(address, 1)
+            self.data_cache.store(address, sectors, handle.props.uid)
+        return sectors[0]
 
     def _write_extent(
         self,
@@ -838,9 +828,12 @@ class FSD:
         allow_piggyback: bool,
     ) -> None:
         """Write one extent in max_io_sectors chunks, piggybacking the
-        pending leader write when the extent directly follows it."""
+        pending leader write when the extent directly follows it.  Every
+        chunk is written through: the platter copy just written is also
+        the freshest image the data cache can hold."""
         max_io = self.params.max_io_sectors
         leader_addr = handle.props.leader_addr
+        uid = handle.props.uid
         start = extent.start
         cursor = 0
         if (
@@ -854,186 +847,113 @@ class FSD:
                     leader_addr, [pending, *chunk], cpu_overlap=True
                 )
                 self.cache.note_leader_home(leader_addr)
-                self._populate_cache(start, chunk, handle.props.uid)
+                self.data_cache.store(start, chunk, uid)
                 cursor = len(chunk)
         while cursor < len(sectors):
             chunk = sectors[cursor : cursor + max_io]
             self.io.write(start + cursor, chunk, cpu_overlap=True)
-            self._populate_cache(start + cursor, chunk, handle.props.uid)
+            self.data_cache.store(start + cursor, chunk, uid)
             cursor += len(chunk)
 
-    def _populate_cache(
-        self, address: int, sectors: list[bytes], uid: int | None = None
-    ) -> None:
-        """Write-through population: the platter copy just written is
-        also the freshest cacheable image."""
-        if self.data_cache.capacity > 0:
-            for offset, sector in enumerate(sectors):
-                self.data_cache.put(address + offset, sector, uid=uid)
-
-    def _read_pages_cached(
+    def _read_pages(
         self, handle: FsdFile, first_page: int, page_count: int
     ) -> list[bytes]:
-        """The cached read path: serve hits from the data cache, then
-        batch the misses — plus any sequential read-ahead — into
-        scheduler-merged transfers (one rotational wait per contiguous
-        span instead of one per extent)."""
+        """The data read path: serve what the data cache holds, then
+        read the rest extent by extent in ``max_io_sectors`` chunks.  A
+        read that continues the file sequentially carries a read-ahead
+        of the current disk run on its last transfer (merged by the
+        scheduler: one rotational wait for the span instead of one per
+        page); the first read of an unverified file carries the leader
+        in front of its first (paper §5.7)."""
         dc = self.data_cache
-        addresses: list[int] = []
-        for extent in handle.runs.extents_for(first_page, page_count):
-            addresses.extend(range(extent.start, extent.end))
-        position_of = {
-            address: position for position, address in enumerate(addresses)
-        }
-        out: dict[int, bytes] = {}
-        requests: list[list[int]] = []
-        for position, address in enumerate(addresses):
-            data = dc.lookup(address)
-            if data is not None:
-                out[position] = data
-            elif requests and requests[-1][0] + requests[-1][1] == address:
-                requests[-1][1] += 1
+        props = handle.props
+        uid = props.uid
+        extents = handle.runs.extents_for(first_page, page_count)
+        out: list[bytes | None] = []
+        #: (address, count, position in ``out``) of every missing span.
+        demands: list[tuple[int, int, int]] = []
+        for extent in extents:
+            start, count = extent.start, extent.count
+            found = dc.lookup(start, count)
+            if found is None:
+                demands.append((start, count, len(out)))
+                out += [None] * count
+                continue
+            if None in found:
+                missing = (start + i for i, x in enumerate(found) if x is None)
+                demands += [
+                    (at, span, len(out) + at - start)
+                    for at, span in _spans(missing)
+                ]
+            out += found
+
+        leader_addr = props.leader_addr
+        piggyback = False
+        if first_page == 0 and not handle.leader_verified:
+            if (
+                demands
+                and demands[0][0] == leader_addr + 1
+                and self.cache.leader_pending_piggyback(leader_addr) is None
+            ):
+                piggyback = True
             else:
-                requests.append([address, 1])
+                # Cached (just created/extended) or not adjacent to the
+                # data: verified on its own, before the data moves.
+                self._verify_leader_if_needed(handle)
 
-        ra: tuple[int, int] | None = None
-        if dc.note_read(handle.props.uid, first_page, page_count):
-            ra = self._plan_readahead(handle, first_page + page_count)
-        if ra is not None:
-            requests.append(list(ra))
-        ra_addresses = (
-            set(range(ra[0], ra[0] + ra[1])) if ra is not None else set()
-        )
+        ahead_addr = start + count  # the sector after the last extent
+        ahead = dc.readahead(uid, first_page, page_count, ahead_addr)
+        if ahead:
+            # No further than the file, or the disk run the read ended in.
+            ahead = min(
+                ahead,
+                -(-props.byte_size // self._sector_bytes)
+                - (first_page + page_count),
+            )
+            for run in handle.runs.runs:
+                if run.start < ahead_addr <= run.start + run.count:
+                    ahead = min(ahead, run.start + run.count - ahead_addr)
+                    break
+        if not demands and not ahead:
+            return out
 
-        # Paper §5.7: piggyback the leader check onto the first data
-        # transfer when the data run directly follows an unverified,
-        # uncached leader (the cached-mode twin of _read_extent's).
-        leader_addr = handle.props.leader_addr
-        if (
-            not handle.leader_verified
-            and first_page == 0
-            and requests
-            and requests[0][0] == leader_addr + 1
-            and self.cache.leader_pending_piggyback(leader_addr) is None
+        requests = [(address, count) for address, count, _ in demands]
+        if piggyback:
+            requests[0] = (leader_addr, requests[0][1] + 1)
+        if ahead:
+            requests.append((ahead_addr, ahead))
+        stream: list[bytes] = []
+        for address, count in self.io.merge_reads(
+            requests, limit=self.params.max_io_sectors
         ):
-            requests[0] = [leader_addr, requests[0][1] + 1]
-
-        segments = self.io.merge_reads(
-            [(address, count) for address, count in requests],
-            limit=self.params.max_io_sectors,
-        )
-        for address, count in segments:
             try:
-                sectors = self._ladder_read(address, count, cpu_overlap=True)
+                stream += self._ladder_read(address, count, cpu_overlap=True)
             except DamagedSectorError:
                 # Read-ahead must never turn a good read into a
-                # failure: drop the prefetch and retry only the spans
-                # the client demanded (those raise honestly).
+                # failure: drop the prefetch and retry only the part
+                # the client demanded (which raises honestly).
+                demanded = ahead_addr - address if ahead else count
+                if demanded >= count:
+                    raise
                 self.obs.count("cache.data.readahead_aborted")
-                for sub_address, sub_count in _spans(
-                    a for a in range(address, address + count)
-                    if a not in ra_addresses
-                ):
-                    self._consume_read(
-                        handle,
-                        sub_address,
-                        self._ladder_read(
-                            sub_address, sub_count, cpu_overlap=True
-                        ),
-                        position_of,
-                        out,
-                        ra_addresses,
+                if demanded > 0:
+                    stream += self._ladder_read(
+                        address, demanded, cpu_overlap=True
                     )
-                continue
-            self._consume_read(
-                handle, address, sectors, position_of, out, ra_addresses
-            )
-        return [out[position] for position in range(len(addresses))]
+                break
 
-    def _consume_read(
-        self,
-        handle: FsdFile,
-        start: int,
-        sectors: list[bytes],
-        position_of: dict[int, int],
-        out: dict[int, bytes],
-        ra_addresses: set[int],
-    ) -> None:
-        """File one transfer's sectors into the cache and the result."""
-        for offset, data in enumerate(sectors):
-            address = start + offset
-            if address == handle.props.leader_addr:
-                self._check_leader_bytes(handle, data)
-                self.ops.leader_piggyback_reads += 1
-                continue
-            position = position_of.get(address)
-            self.data_cache.put(
-                address,
-                data,
-                prefetched=position is None and address in ra_addresses,
-                uid=handle.props.uid,
-            )
-            if position is not None:
-                out[position] = data
-
-    def _plan_readahead(
-        self, handle: FsdFile, next_page: int
-    ) -> tuple[int, int] | None:
-        """The prefetch plan once a file reads sequentially: the
-        remainder of the current disk run after ``next_page - 1``,
-        capped by ``readahead_pages``, stopping at end-of-file or at
-        the first sector already cached."""
-        dc = self.data_cache
-        sector_bytes = self._sector_bytes
-        file_pages = -(-handle.props.byte_size // sector_bytes)
-        if dc.readahead_pages <= 0 or not (0 < next_page < file_pages):
-            return None
-        prev_addr = handle.runs.sector_of_page(next_page - 1)
-        run = next(r for r in handle.runs.runs if prev_addr in r)
-        limit = min(
-            dc.readahead_pages,
-            file_pages - next_page,
-            run.end - prev_addr - 1,
-        )
-        count = 0
-        while count < limit and not dc.contains(prev_addr + 1 + count):
-            count += 1
-        return (prev_addr + 1, count) if count else None
-
-    def _read_extent(
-        self, handle: FsdFile, extent: Run, piggyback: Run | None
-    ) -> list[bytes]:
-        """Read one extent in chunks; when ``piggyback`` is the first
-        extent of an unverified file, prepend the leader to the first
-        chunk and verify it (paper §5.7)."""
-        max_io = self.params.max_io_sectors
-        out: list[bytes] = []
-        start = extent.start
-        remaining = extent.count
-        if (
-            piggyback is not None
-            and start == handle.props.leader_addr + 1
-            and self.cache.leader_pending_piggyback(handle.props.leader_addr)
-            is None
-        ):
-            count = min(remaining, max_io - 1)
-            sectors = self._ladder_read(
-                handle.props.leader_addr, count + 1, cpu_overlap=True
-            )
-            self._check_leader_bytes(handle, sectors[0])
+        cursor = 0
+        if piggyback:
+            self._check_leader_bytes(handle, stream[0])
             self.ops.leader_piggyback_reads += 1
-            out.extend(sectors[1:])
-            start += count
-            remaining -= count
-        elif piggyback is not None:
-            # Leader is cached (e.g. just created/extended): verify the
-            # in-memory copy, no extra I/O.
-            self._verify_leader_if_needed(handle, piggyback_extent=None)
-        while remaining > 0:
-            count = remaining if remaining < max_io else max_io
-            out.extend(self._ladder_read(start, count, cpu_overlap=True))
-            start += count
-            remaining -= count
+            cursor = 1
+        for address, count, position in demands:
+            sectors = stream[cursor : cursor + count]
+            out[position : position + count] = sectors
+            dc.store(address, sectors, uid)
+            cursor += count
+        if cursor < len(stream):
+            dc.store(ahead_addr, stream[cursor:], uid, prefetched=True)
         return out
 
     # ------------------------------------------------------------------
@@ -1050,14 +970,7 @@ class FSD:
         )
         handle.leader_verified = True
 
-    def _piggyback_leader_alone(self, handle: FsdFile) -> None:
-        """A zero-byte create has no data write to piggyback on; the
-        leader simply stays cached until the logging code writes it
-        during entry into its third (paper §5.3)."""
-
-    def _verify_leader_if_needed(
-        self, handle: FsdFile, piggyback_extent: Run | None
-    ) -> None:
+    def _verify_leader_if_needed(self, handle: FsdFile) -> None:
         if handle.leader_verified:
             return
         address = handle.props.leader_addr

@@ -59,9 +59,9 @@ def add_subparser(sub) -> None:
         type=int,
         default=0,
         metavar="N",
-        help="enable an N-sector data-page cache in the recorded run "
-        "and every post-crash remount, so the cache-coherence oracle "
-        "exercises cached reads (default: 0, disabled)",
+        help="keep N demanded and written data sectors cached in the "
+        "recorded run and every post-crash remount (default 0: the "
+        "cache-coherence oracle checks the read-ahead buffer)",
     )
     p.set_defaults(fn=cmd_crashcheck)
 

@@ -273,8 +273,8 @@ def check_image(
 
     ``obs`` aggregates recovery metrics/spans across every mount in a
     sweep (``FSD.mount`` rebinds the observer's clock per image).
-    ``data_cache_pages`` sizes the remount's data-page cache so the
-    cache-coherence oracle can exercise post-crash cached reads.
+    ``data_cache_pages`` sizes the remount's data cache (0: the
+    cache-coherence oracle checks the default read-ahead buffer).
     """
     disk = materialize(image)
     try:
@@ -308,9 +308,8 @@ def explore(
     pre-made ``recording`` may be supplied to amortize the baseline
     run across sweeps.  ``obs`` receives the recovery metrics and
     spans of every mounted crash image (see ``crashcheck --metrics``).
-    ``data_cache_pages`` enables the data-page cache both in the
-    recorded baseline run and in every post-crash remount, so the
-    cache-coherence oracle checks real cached reads.
+    ``data_cache_pages`` sizes the data cache both in the recorded
+    baseline run and in every post-crash remount.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)

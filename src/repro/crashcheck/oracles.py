@@ -209,12 +209,12 @@ class SemanticOracle:
 class CacheCoherenceOracle:
     """A post-crash read must never observe cached pre-crash data.
 
-    The data-page cache is volatile, so a recovered mount must start
-    cold — any page already cached when the oracles run would be a leak
-    of pre-crash state across the crash boundary.  When the remount
-    enables the cache, the oracle also reads every surviving file twice
-    and requires the warm (cache-served) pass to be byte-identical to
-    the cold pass straight off the platter.
+    The data cache is volatile, so a recovered mount must start cold —
+    any sector already held when the oracles run leaked across the
+    crash boundary.  The oracle then reads every surviving file whole,
+    straight off the platter, and again page by page — the pattern the
+    read-ahead buffer of a default mount (and the LRU of a retaining
+    one) serves.  The two must be byte-identical.
 
     Runs before :class:`SemanticOracle` (whose reads warm the cache);
     the structural sweep only touches leaders via ``fs.io``, so the
@@ -224,27 +224,31 @@ class CacheCoherenceOracle:
     name = "cache-coherence"
 
     def check(self, fs: FSD, ctx: OracleContext) -> list[str]:
-        """Flag a warm cache at mount; cross-check cold vs warm reads."""
+        """Flag a warm cache at mount; cross-check whole vs paged reads."""
         problems: list[str] = []
-        if len(fs.data_cache):
+        cache = fs.data_cache
+        if len(cache):
             problems.append(
-                f"data cache holds {len(fs.data_cache)} page(s) at mount "
+                f"data cache holds {len(cache)} page(s) at mount "
                 "— pre-crash cached data survived the crash"
             )
-        if not fs.data_cache.enabled:
-            return problems
+        if not (cache.capacity or cache.readahead_pages):
+            return problems  # the paper's mount: nothing is ever held
+        page = fs.disk.geometry.sector_bytes
         for props in fs.list():
             try:
                 handle = fs.open(props.name)
                 cold = fs.read(handle)
-                warm = fs.read(handle)
+                warm = b"".join(
+                    fs.read(handle, at, min(page, len(cold) - at))
+                    for at in range(0, len(cold), page)
+                )
             except Exception:
                 continue  # the semantic oracle reports unreadable files
             if cold != warm:
                 problems.append(
-                    f"cached re-read of {props.name!r} diverges from the "
-                    f"platter copy after recovery ({len(cold)} vs "
-                    f"{len(warm)} bytes or content mismatch)"
+                    f"paged re-read of {props.name!r} through the data "
+                    f"cache diverges from the platter copy after recovery"
                 )
         return problems
 

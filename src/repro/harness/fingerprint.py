@@ -101,7 +101,7 @@ def fingerprint(disk, obs=None) -> RunFingerprint:
     )
 
 
-def makedo_fingerprint(scale=None, modules: int = 60) -> RunFingerprint:
+def makedo_fingerprint(scale=None, modules: int = 60, **mount) -> RunFingerprint:
     """Run the makedo workload on a fresh volume and fingerprint it.
 
     The canonical bit-identity probe: FULL scale ("t300") with an
@@ -120,7 +120,7 @@ def makedo_fingerprint(scale=None, modules: int = 60) -> RunFingerprint:
     disk = SimDisk(geometry=scale.geometry)
     FSD.format(disk, scale.fsd_params)
     obs = Observer(disk.clock)
-    fs = FSD.mount(disk, obs=obs)
+    fs = FSD.mount(disk, obs=obs, **mount)
     adapter = FsdAdapter(fs)
     workload = MakeDoWorkload(modules=modules)
     workload.setup(adapter)

@@ -86,9 +86,9 @@ def fsd_volume(
 
     ``sched`` selects the I/O scheduler policy for the mount
     (``fifo``/``scan``/``deadline``); ``data_cache_pages`` and
-    ``readahead_pages`` size the data-page cache (0 pages disables it,
-    the bit-compatible default).  Benchmarks use these to compare
-    dispatch orders and cache policies on identical volumes.
+    ``readahead_pages`` size the data cache (0 pages, the default, keeps
+    read-ahead only; a 0 window on top is the paper's mount).  Benchmarks
+    use these to compare dispatch orders and cache policies.
     """
     disk = SimDisk(geometry=scale.geometry)
     FSD.format(disk, scale.fsd_params)

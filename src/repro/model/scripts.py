@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.data_cache import DEFAULT_READAHEAD_PAGES
 from repro.disk.clock import CpuCostModel
 from repro.model.primitives import (
     Cpu,
@@ -61,6 +62,11 @@ class ModelAssumptions:
     @property
     def record_sectors(self) -> float:
         return 5.0 + 2.0 * self.pages_per_record
+
+
+#: client compute between two page reads of a sequential pass (the
+#: mean of the 0-2 ms the ``makedo_build`` client draws).
+SEQUENTIAL_THINK_MS = 1.0
 
 
 def _io_cpu(cpu: CpuCostModel, sectors: float) -> Cpu:
@@ -250,6 +256,38 @@ def fsd_read_page(assume: ModelAssumptions) -> Script:
     )
 
 
+def fsd_sequential_page_read(
+    assume: ModelAssumptions, window: int = 0
+) -> Script:
+    """One page of a page-at-a-time pass over a file lying in one disk
+    run, client think time (``SEQUENTIAL_THINK_MS``) included.
+
+    ``window == 0`` is the paper's mount: while the client thinks, the
+    next sector's start passes under the head, so think plus wait is
+    one lost revolution whatever the think time, then one transfer.
+    With a read-ahead ``window`` one request in ``window`` pays a
+    latency and the window's transfer; the others cost the think."""
+    if not window:
+        return Script(
+            name="fsd sequential page read",
+            steps=[Revolution(), Transfer(sectors=1)],
+        )
+    return Script(
+        name="fsd sequential page read (read-ahead)",
+        steps=[
+            Cpu(label="client think", ms=SEQUENTIAL_THINK_MS),
+            Fraction(
+                label="window fetch share",
+                steps=(
+                    Cpu(ms=assume.cpu.io_setup_ms), Latency(),
+                    Transfer(sectors=window),
+                ),
+                weight=1.0 / window,
+            ),
+        ],
+    )
+
+
 def fsd_open_read(assume: ModelAssumptions) -> Script:
     """Open + first read, which piggybacks the leader: one I/O of two
     sectors (leader + data page 0)."""
@@ -372,6 +410,8 @@ def all_scripts(assume: ModelAssumptions | None = None) -> dict[str, Script]:
         cfs_small_create, cfs_open, cfs_open_read, cfs_read_page,
         cfs_small_delete, cfs_list_per_file, cfs_large_create,
         fsd_small_create, fsd_open, fsd_open_read, fsd_read_page,
+        fsd_sequential_page_read,
+        lambda a: fsd_sequential_page_read(a, DEFAULT_READAHEAD_PAGES),
         fsd_small_delete, fsd_list_per_file, fsd_large_create,
     ]
     return {script.name: script for script in (b(assume) for b in builders)}

@@ -93,19 +93,18 @@ def cmd_stats(args) -> int:
             f"({_fmt_value(nt.get('nt.prefetch_gap_sectors', 0))} gap "
             f"sectors)"
         )
-    if getattr(args, "data_cache_pages", 0) <= 0:
-        # A disabled cache records no lookups: say so instead of
-        # printing a meaningless 0/0 ratio (or nothing at all).
-        print("data cache: disabled (--data-cache-pages 0)")
-    elif "cache.data.hits" in cache or "cache.data.misses" in cache:
-        hit_ratio = cache.get("cache.data.hit_ratio", 0.0)
-        accuracy = cache.get("cache.data.readahead_accuracy", 0.0)
+    data_hits = cache.get("cache.data.hits", 0)
+    data_lookups = data_hits + cache.get("cache.data.misses", 0)
+    if data_lookups:
         print(
-            f"data cache: hit ratio {hit_ratio:.1%}, "
-            f"read-ahead accuracy {accuracy:.1%}"
+            f"data cache: hit ratio {cache['cache.data.hit_ratio']:.1%} "
+            f"({_fmt_value(data_hits)} of {_fmt_value(data_lookups)} "
+            f"sectors), read-ahead accuracy "
+            f"{cache.get('cache.data.readahead_accuracy', 0.0):.1%} "
+            f"({_fmt_value(cache.get('cache.data.readahead_used', 0))} of "
+            f"{_fmt_value(cache.get('cache.data.readahead_issued', 0))} "
+            f"prefetched)"
         )
-    else:
-        print("data cache: enabled, no lookups recorded")
     commit = snapshot.layers().get("commit", {})
     absorbed = commit.get("commit.ops_absorbed")
     if isinstance(absorbed, HistogramSnapshot) and absorbed.count:
@@ -201,6 +200,27 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _add_mount_arguments(p) -> None:
+    """``--save`` and the mount options ``stats`` and ``trace`` share."""
+    p.add_argument("--save", action="store_true",
+                   help="save the image back after the workload")
+    p.add_argument("--sched", choices=["fifo", "scan", "deadline"],
+                   default="fifo",
+                   help="I/O scheduler policy for the mount")
+    p.add_argument("--data-cache-pages", type=int, default=0, metavar="N",
+                   help="demanded and written data sectors kept cached "
+                        "(default 0: read-ahead only)")
+    p.add_argument("--readahead", type=int,
+                   default=DEFAULT_READAHEAD_PAGES, metavar="N",
+                   help="sequential read-ahead window in pages "
+                        f"(default: {DEFAULT_READAHEAD_PAGES}; 0: the "
+                        "paper's mount)")
+    p.add_argument("--checkpoint-ms", type=float, default=None,
+                   metavar="MS",
+                   help="run the background checkpointer every MS "
+                        "simulated ms (default: off)")
+
+
 def add_subparsers(sub) -> None:
     """Register ``stats`` and ``trace`` on the main argument parser."""
     p = sub.add_parser(
@@ -212,22 +232,7 @@ def add_subparsers(sub) -> None:
                    help="scripted operations to run (default 100)")
     p.add_argument("--json", action="store_true",
                    help="emit one JSONL record per metric")
-    p.add_argument("--save", action="store_true",
-                   help="save the image back after the workload")
-    p.add_argument("--sched", choices=["fifo", "scan", "deadline"],
-                   default="fifo",
-                   help="I/O scheduler policy for the mount")
-    p.add_argument("--data-cache-pages", type=int, default=0, metavar="N",
-                   help="data-page cache capacity in sectors "
-                        "(0 disables; default: 0)")
-    p.add_argument("--readahead", type=int,
-                   default=DEFAULT_READAHEAD_PAGES, metavar="N",
-                   help="sequential read-ahead window in pages "
-                        f"(default: {DEFAULT_READAHEAD_PAGES})")
-    p.add_argument("--checkpoint-ms", type=float, default=None,
-                   metavar="MS",
-                   help="run the background checkpointer every MS "
-                        "simulated ms (default: off)")
+    _add_mount_arguments(p)
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser(
@@ -244,20 +249,5 @@ def add_subparsers(sub) -> None:
                         "simulated time per span path, microseconds)")
     p.add_argument("--out",
                    help="with --json/--folded, write to this file")
-    p.add_argument("--save", action="store_true",
-                   help="save the image back after the workload")
-    p.add_argument("--sched", choices=["fifo", "scan", "deadline"],
-                   default="fifo",
-                   help="I/O scheduler policy for the mount")
-    p.add_argument("--data-cache-pages", type=int, default=0, metavar="N",
-                   help="data-page cache capacity in sectors "
-                        "(0 disables; default: 0)")
-    p.add_argument("--readahead", type=int,
-                   default=DEFAULT_READAHEAD_PAGES, metavar="N",
-                   help="sequential read-ahead window in pages "
-                        f"(default: {DEFAULT_READAHEAD_PAGES})")
-    p.add_argument("--checkpoint-ms", type=float, default=None,
-                   metavar="MS",
-                   help="run the background checkpointer every MS "
-                        "simulated ms (default: off)")
+    _add_mount_arguments(p)
     p.set_defaults(fn=cmd_trace)

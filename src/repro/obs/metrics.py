@@ -23,6 +23,17 @@ from repro.errors import FsError
 DEFAULT_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
+#: gauges that are ratios of counters, worked out when a snapshot is
+#: taken rather than on every increment: gauge -> (part, whole...),
+#: the gauge being ``part / sum(whole)`` once the whole is non-zero.
+DERIVED_RATIOS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "cache.data.hit_ratio":
+        ("cache.data.hits", ("cache.data.hits", "cache.data.misses")),
+    "cache.data.readahead_accuracy":
+        ("cache.data.readahead_used", ("cache.data.readahead_issued",)),
+}
+
+
 def percentile(values: list[float], q: float) -> float:
     """Exact linear-interpolated percentile of raw samples (``q`` in
     ``[0, 1]``); 0.0 for an empty list."""
@@ -290,6 +301,10 @@ class MetricsRegistry:
                     counts=tuple(metric.counts),
                     total=metric.total,
                 )
+        for name, (part, whole) in DERIVED_RATIOS.items():
+            total = sum(counters.get(key, 0.0) for key in whole)
+            if total:
+                gauges[name] = round(counters.get(part, 0.0) / total, 4)
         return Snapshot(
             counters=counters, gauges=gauges, histograms=histograms
         )

@@ -53,6 +53,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 
+from repro.core.data_cache import DEFAULT_READAHEAD_PAGES
 from repro.core.fsd import FSD
 from repro.core.layout import VolumeParams
 from repro.core.salvage import salvage_volume
@@ -825,6 +826,7 @@ def run_chaos(
     params: VolumeParams | None = None,
     sched: str = "fifo",
     data_cache_pages: int = 0,
+    readahead_pages: int = DEFAULT_READAHEAD_PAGES,
     checkpoint_interval_ms: float | None = None,
     observer=None,
 ) -> ChaosReport:
@@ -846,6 +848,7 @@ def run_chaos(
         "obs": obs,
         "sched": sched,
         "data_cache_pages": data_cache_pages,
+        "readahead_pages": readahead_pages,
         "checkpoint_interval_ms": checkpoint_interval_ms,
     }
     fs = FSD.mount(disk, **mount_kwargs)

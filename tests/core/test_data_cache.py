@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.data_cache import DataPageCache
+from repro.core.data_cache import BUFFER_WINDOWS, DataPageCache
 from repro.core.fsd import FSD
 from repro.disk.disk import SimDisk
 from repro.workloads.generators import payload
-from tests.conftest import TEST_FSD_PARAMS, TEST_GEOMETRY
+from tests.conftest import TEST_FSD_PARAMS
 
 SECTOR = 512
 
@@ -34,45 +34,55 @@ def paged_read(fs: FSD, handle, pages: int) -> bytes:
 # ----------------------------------------------------------------------
 # unit behavior
 # ----------------------------------------------------------------------
+def page(fill: int) -> bytes:
+    return bytes([fill]) * SECTOR
+
+
 class TestUnit:
     def test_disabled_cache_is_inert(self):
-        dc = DataPageCache(capacity_pages=0)
-        assert not dc.enabled
-        dc.put(7, b"x" * SECTOR)
+        dc = DataPageCache(capacity_pages=0, readahead_pages=0)
+        dc.store(7, [page(1)], uid=1)
         assert dc.lookup(7) is None
-        assert dc.hits == 0 and dc.misses == 0
-        assert not dc.note_read(1, 1, 1)
+        assert dc.hits == 0 and dc.misses == 0 and len(dc) == 0
+        assert not dc.readahead(1, 1, 1, 8)
 
     def test_lookup_counts_and_lru_eviction(self):
         dc = DataPageCache(capacity_pages=2)
-        dc.put(1, b"a" * SECTOR)
-        dc.put(2, b"b" * SECTOR)
-        assert dc.lookup(1) == b"a" * SECTOR  # 1 is now most recent
-        dc.put(3, b"c" * SECTOR)              # evicts 2, not 1
+        dc.store(1, [page(1), page(2)], uid=1)
+        assert dc.lookup(1) == [page(1)]        # 1 is now most recent
+        dc.store(3, [page(3)], uid=1)           # evicts 2, not 1
         assert dc.lookup(2) is None
         assert dc.lookup(1) is not None
         assert dc.evictions == 1
         assert dc.hits == 2 and dc.misses == 1
         assert dc.hit_ratio == pytest.approx(2 / 3)
 
+    def test_span_lookup_reports_each_sector(self):
+        dc = DataPageCache(capacity_pages=8)
+        dc.store(10, [page(0)], uid=1)
+        dc.store(12, [page(2)], uid=1)
+        assert dc.lookup(10, 4) == [page(0), None, page(2), None]
+        assert dc.hits == 2 and dc.misses == 2
+        assert dc.lookup(20, 3) is None
+        assert dc.misses == 5
+
     def test_short_sector_padded(self):
         dc = DataPageCache(capacity_pages=4, sector_bytes=SECTOR)
-        dc.put(9, b"tail")
-        assert dc.lookup(9) == b"tail" + b"\x00" * (SECTOR - 4)
+        dc.store(9, [b"tail"], uid=1)
+        assert dc.lookup(9) == [b"tail" + b"\x00" * (SECTOR - 4)]
 
     def test_sequential_detection(self):
         dc = DataPageCache(capacity_pages=4)
-        assert not dc.note_read(uid=5, first_page=0, page_count=2)
-        assert dc.note_read(uid=5, first_page=2, page_count=2)
-        assert not dc.note_read(uid=5, first_page=7, page_count=1)  # jump
-        assert dc.note_read(uid=5, first_page=8, page_count=1)
+        assert not dc.readahead(5, 0, 2, 100)
+        assert dc.readahead(5, 2, 2, 100)
+        assert not dc.readahead(5, 7, 1, 100)  # jump
+        assert dc.readahead(5, 8, 1, 100)
         dc.forget_file(5)
-        assert not dc.note_read(uid=5, first_page=9, page_count=1)
+        assert not dc.readahead(5, 9, 1, 100)
 
     def test_readahead_accuracy_tracking(self):
         dc = DataPageCache(capacity_pages=8)
-        dc.put(1, b"x" * SECTOR, prefetched=True)
-        dc.put(2, b"y" * SECTOR, prefetched=True)
+        dc.store(1, [page(1), page(2)], uid=1, prefetched=True)
         assert dc.readahead_issued == 2
         assert dc.lookup(1) is not None
         assert dc.readahead_used == 1
@@ -81,12 +91,22 @@ class TestUnit:
         assert dc.lookup(1) is not None
         assert dc.readahead_used == 1
 
+    def test_window_stops_at_the_cap_and_at_a_held_sector(self):
+        dc = DataPageCache(capacity_pages=32, readahead_pages=8)
+
+        def window() -> int:
+            dc.readahead(7, 0, 1, 99)            # a new pass...
+            return dc.readahead(7, 1, 1, 100)    # ...continued
+
+        assert window() == 8
+        dc.store(102, [page(0)], uid=1)
+        assert window() == 2
+
     def test_invalidate_and_discard(self):
         dc = DataPageCache(capacity_pages=8)
-        for address in range(4):
-            dc.put(address, bytes([address]) * SECTOR)
+        dc.store(0, [page(a) for a in range(4)], uid=1)
         assert dc.invalidate(1, 2) == 2
-        assert dc.lookup(1) is None and dc.lookup(2) is None
+        assert dc.lookup(1, 2) is None
         assert dc.lookup(0) is not None
         dc.discard_all()
         assert len(dc) == 0
@@ -98,15 +118,71 @@ class TestUnit:
             DataPageCache(capacity_pages=4, readahead_pages=-1)
 
 
+class TestBufferUnit:
+    """``capacity_pages == 0``: prefetched sectors only, until used."""
+
+    def test_holds_prefetched_sectors_until_their_first_demand(self):
+        dc = DataPageCache(readahead_pages=4)
+        dc.store(1, [page(1)], uid=1)               # demanded: not kept
+        assert len(dc) == 0
+        dc.store(2, [page(2), page(3)], uid=1, prefetched=True)
+        assert len(dc) == 2
+        assert dc.lookup(2) == [page(2)]
+        assert len(dc) == 1 and not dc.contains(2)  # the client's now
+        assert dc.lookup(2) is None
+        assert dc.hits == 1 and dc.misses == 1 and dc.readahead_used == 1
+
+    def test_write_drops_the_prefetched_image(self):
+        dc = DataPageCache(readahead_pages=4)
+        dc.store(5, [page(5), page(6), page(7)], uid=1, prefetched=True)
+        dc.store(6, [page(9)], uid=1)               # a write to sector 6
+        assert not dc.contains(6) and dc.contains(5) and dc.contains(7)
+        assert dc.invalidations == 1
+
+    def test_room_is_a_few_windows(self):
+        dc = DataPageCache(readahead_pages=4)
+        for uid in range(BUFFER_WINDOWS + 1):
+            dc.store(100 * uid, [page(uid)] * 4, uid=uid, prefetched=True)
+        assert len(dc) == BUFFER_WINDOWS * 4
+        assert not dc.contains(0) and dc.contains(100)
+        assert dc.evictions == 4
+
+    def test_wasted_window_backs_the_stream_off_until_it_hits(self):
+        dc = DataPageCache(readahead_pages=4)
+        assert not dc.readahead(1, 0, 1, 7000)
+        assert dc.readahead(1, 1, 1, 7000)
+        dc.store(10, [page(1)] * 4, uid=1, prefetched=True)
+        # other streams push half of stream 1's window out unused
+        for uid in range(2, BUFFER_WINDOWS + 1):
+            dc.store(100 * uid, [page(uid)] * 4, uid=uid, prefetched=True)
+        dc.store(900, [page(9)] * 2, uid=9, prefetched=True)
+        assert not dc.contains(11) and dc.contains(12)
+        assert not dc.readahead(1, 2, 1, 7000)
+        assert dc.lookup(10) is None                # evicted: a miss
+        assert not dc.readahead(1, 3, 1, 7000)
+        assert dc.lookup(12) == [page(1)]           # a survivor: a hit
+        assert dc.readahead(1, 4, 1, 7000)
+
+    def test_new_pass_clears_the_back_off(self):
+        dc = DataPageCache(readahead_pages=2)
+        dc.readahead(1, 0, 1, 7000)
+        dc.store(10, [page(1)] * 2, uid=1, prefetched=True)
+        for uid in range(2, BUFFER_WINDOWS + 2):
+            dc.store(100 * uid, [page(uid)] * 2, uid=uid, prefetched=True)
+        assert not dc.readahead(1, 1, 1, 7000)
+        assert not dc.readahead(1, 0, 1, 7000)
+        assert dc.readahead(1, 1, 1, 7000)
+
+
 # ----------------------------------------------------------------------
 # FSD integration
 # ----------------------------------------------------------------------
 class TestFsdIntegration:
     def test_cache_off_by_default(self, fsd):
-        assert not fsd.data_cache.enabled
+        assert fsd.data_cache.capacity == 0
         fsd.create("d/f", payload(3_000, 1))
         assert fsd.read(fsd.open("d/f")) == payload(3_000, 1)
-        assert fsd.data_cache.hits == 0 and fsd.data_cache.misses == 0
+        assert fsd.data_cache.hits == 0 and len(fsd.data_cache) == 0
 
     def test_cached_reads_match_platter(self, cached_fsd):
         blob = payload(9_000, 7)

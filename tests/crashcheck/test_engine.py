@@ -123,6 +123,22 @@ class TestSweeps:
         assert summary.checked + summary.deduplicated == summary.selected
         assert summary.selected <= 36
 
+    @pytest.mark.parametrize("name", ["quickstart", "concurrent_burst"])
+    def test_default_mount_sweep_reads_through_the_buffer(self, name):
+        """No flag needed: the cache-coherence oracle meets the
+        read-ahead buffer of every default remount."""
+        from repro.obs import Observer
+
+        obs = Observer()
+        summary = explore(name, max_points=12, obs=obs)
+        assert summary.ok, [str(v) for v in summary.violations]
+        counters = obs.snapshot().counters
+        assert counters["cache.data.readahead_used"] > 0
+        assert (
+            counters["cache.data.readahead_used"]
+            == counters["cache.data.readahead_issued"]
+        )
+
     def test_concurrent_burst_clean_with_data_cache(self):
         """The multi-client scenario passes the full oracle stack —
         including cache coherence — with the data-page cache live in

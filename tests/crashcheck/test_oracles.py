@@ -217,9 +217,44 @@ class TestCacheCoherenceOracle:
         recovered = FSD.mount(crash_disk, data_cache_pages=32)
         assert CacheCoherenceOracle().check(recovered, ctx_for([])) == []
 
-    def test_cache_off_mount_passes_trivially(self, fsd):
-        fsd.create("a", b"x")
-        assert CacheCoherenceOracle().check(fsd, ctx_for([])) == []
+    def test_cache_off_mount_passes_trivially(self, crash_disk):
+        from repro.crashcheck.scenarios import CRASH_SCALE
+
+        FSD.format(crash_disk, CRASH_SCALE.fsd_params)
+        fs = FSD.mount(crash_disk, readahead_pages=0)
+        fs.create("a", b"alpha" * 300)
+        reads = fs.ops.reads
+        assert CacheCoherenceOracle().check(fs, ctx_for([])) == []
+        assert fs.ops.reads == reads  # nothing is ever held: nothing to read
+
+    def test_default_mount_is_checked_through_the_buffer(self, crash_disk):
+        fs = self.make_cached_fs(crash_disk)
+        fs.create("a", b"alpha" * 900)
+        fs.force()
+        fs.crash()
+        recovered = FSD.mount(crash_disk)
+        assert CacheCoherenceOracle().check(recovered, ctx_for([])) == []
+        buffer = recovered.data_cache
+        assert buffer.readahead_used == buffer.readahead_issued > 0
+
+    def test_flags_a_buffer_that_serves_a_stale_image(
+        self, crash_disk, monkeypatch
+    ):
+        fs = self.make_cached_fs(crash_disk)
+        fs.create("a", b"alpha" * 900)
+        fs.force()
+        fs.crash()
+        recovered = FSD.mount(crash_disk)
+        keep = recovered.data_cache.store
+        monkeypatch.setattr(
+            recovered.data_cache,
+            "store",
+            lambda address, sectors, uid, prefetched=False: keep(
+                address, [b"stale"] * len(sectors), uid, prefetched
+            ),
+        )
+        problems = CacheCoherenceOracle().check(recovered, ctx_for([]))
+        assert any("diverges from the platter" in p for p in problems)
 
     def test_flags_pages_surviving_into_the_checked_mount(self, crash_disk):
         """A warm cache at oracle time means pre-crash pages crossed

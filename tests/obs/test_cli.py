@@ -95,11 +95,27 @@ class TestStats:
         assert pages > 20
 
     def test_cache_off_run_has_no_cache_summary(self, image, capsys):
+        """The paper's mount (no read-ahead, nothing retained) records
+        no lookup, so there is no ratio to print."""
+        capsys.readouterr()
+        assert main(["stats", image, "--ops", "20", "--readahead", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "data cache:" not in out
+        assert "cache.data." not in out
+
+    def test_default_mount_reports_buffer_hits_and_accuracy(
+        self, image, capsys
+    ):
         capsys.readouterr()
         assert main(["stats", image, "--ops", "20"]) == 0
         out = capsys.readouterr().out
-        assert "data cache: hit ratio" not in out
-        assert "cache.data.hits" not in out
+        assert "cache.data.readahead_accuracy" in out
+        line = next(
+            line for line in out.splitlines()
+            if line.startswith("data cache: hit ratio")
+        )
+        assert "sectors), read-ahead accuracy" in line
+        assert "prefetched)" in line
 
     def test_probe_does_not_save_image(self, image, capsys):
         from pathlib import Path

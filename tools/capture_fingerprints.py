@@ -1,15 +1,19 @@
 """Capture bit-identity fingerprints for the three canonical scenarios.
 
 Usage: PYTHONPATH=src python tools/capture_fingerprints.py [out.json]
+           [--readahead N]
 
 Run before and after a speed refactor; the two JSON documents must be
 byte-identical (the contract harness/fingerprint.py encodes).
+``--readahead 0`` mounts every scenario as the paper's mount (a disk
+request per page read), whose fingerprints predate the read-ahead
+buffer of the default mount and must never move.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
-import sys
 
 from repro.core.fsd import FSD
 from repro.disk.disk import SimDisk
@@ -20,11 +24,13 @@ from repro.workloads.chaos import run_chaos
 from repro.workloads.traffic import TrafficConfig, TrafficEngine
 
 
-def traffic_fingerprint(clients: int = 1000, ops_per_client: int = 2) -> dict:
+def traffic_fingerprint(
+    clients: int = 1000, ops_per_client: int = 2, **mount
+) -> dict:
     disk = SimDisk(geometry=FULL.geometry)
     FSD.format(disk, FULL.fsd_params)
     obs = Observer(disk.clock)
-    fs = FSD.mount(disk, obs=obs)
+    fs = FSD.mount(disk, obs=obs, **mount)
     config = TrafficConfig(
         clients=clients,
         ops_per_client=ops_per_client,
@@ -45,11 +51,20 @@ def traffic_fingerprint(clients: int = 1000, ops_per_client: int = 2) -> dict:
 
 
 def main() -> None:
-    out = sys.argv[1] if len(sys.argv) > 1 else "fingerprints.json"
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", nargs="?", default="fingerprints.json")
+    parser.add_argument("--readahead", type=int, default=None, metavar="N",
+                        help="mount with this read-ahead window "
+                             "(default: the mount's own)")
+    args = parser.parse_args()
+    mount = (
+        {} if args.readahead is None else {"readahead_pages": args.readahead}
+    )
+    out = args.out
     doc = {
-        "makedo": makedo_fingerprint().as_dict(),
-        "traffic_1000": traffic_fingerprint(),
-        "chaos_default": run_chaos().as_dict(),
+        "makedo": makedo_fingerprint(**mount).as_dict(),
+        "traffic_1000": traffic_fingerprint(**mount),
+        "chaos_default": run_chaos(**mount).as_dict(),
     }
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
