@@ -13,8 +13,17 @@ therefore distinguishes, per page:
 The third-entry writeback ("dirty but logged" pages) writes the
 *logged* image home, never the possibly newer unlogged one: writing an
 uncommitted image home would break the atomicity the log provides
-(a multi-page B-tree split could reach disk half-done).  Pages with
-any pending obligation are pinned; only fully clean pages are evicted.
+(a multi-page B-tree split could reach disk half-done).
+
+The cache holds two populations.  *Pinned* entries (``needs_log``, or a
+logged image that differs from home) are obligations: their number is
+set by the log — how much was modified since the third now being
+overwritten was last entered — not by ``capacity``.  *Clean* entries
+are the cache proper: they are evicted least recently used first, but
+never below a reserve of ``capacity // CLEAN_RESERVE_SHARE``, so that
+however much the log pins there is room for the B-tree root and the
+interior nodes every lookup descends through.  Resident entries are
+therefore bounded by ``max(capacity, pinned + reserve)``.
 
 The cache itself never touches the disk: writeback goes through the
 injected ``nt_writer``/``leader_writer``/``vam_writer`` callables,
@@ -34,11 +43,20 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from repro.core.wal import PAGE_LEADER, PAGE_NAME_TABLE, PAGE_VAM, LoggedPage
 from repro.errors import CorruptMetadata
 from repro.obs import NULL_OBS
+
+#: clean entries the cache keeps whatever the log pins, as a share of
+#: ``capacity``: the same quarter a name-table prefetch may fill
+#: (``name_table.PREFETCH_CACHE_SHARE``).  EXPERIMENTS.md "§5.3 —
+#: clean-page reserve" has the sweep behind the value.
+CLEAN_RESERVE_SHARE = 4
+
+_BY_TICK = attrgetter("lru_tick")
 
 
 @dataclass(slots=True)
@@ -51,6 +69,9 @@ class CacheEntry:
     home_image: bytes | None = None
     last_logged_third: int | None = None
     lru_tick: int = 0
+    #: ``not evictable``, maintained by the cache at every transition
+    #: that can change it so that eviction never compares page images.
+    pinned: bool = False
 
     @property
     def home_stale(self) -> bool:
@@ -93,6 +114,8 @@ class MetadataCache:
         vam_writer: Callable[[int, bytes], None] | None = None,
     ):
         self.capacity = capacity_pages
+        #: clean entries eviction never goes below.
+        self.reserve = capacity_pages // CLEAN_RESERVE_SHARE
         self._nt_reader = nt_reader
         self._nt_writer = nt_writer
         self._leader_writer = leader_writer
@@ -102,11 +125,15 @@ class MetadataCache:
         #: the admission/pressure checks on every operation are O(1)
         #: instead of a full cache scan.
         self._dirty: dict[tuple[int, int], CacheEntry] = {}
-        #: recency order (oldest first), kept in lockstep with
-        #: ``lru_tick``: iterating from the front visits entries in
-        #: exactly ascending-tick order, so eviction walks a prefix
-        #: instead of sorting the whole cache on every miss.
+        #: the clean entries (exactly those with ``pinned`` unset) in
+        #: recency order, oldest first: eviction pops the front and
+        #: never sees a pinned entry.
         self._lru: OrderedDict[tuple[int, int], CacheEntry] = OrderedDict()
+        #: while entries released from their pin sit at the tail of
+        #: ``_lru`` rather than where ``lru_tick`` puts them, the oldest
+        #: ``lru_tick`` among them (else None); the next eviction
+        #: restores the order first.
+        self._released_from: int | None = None
         #: lazily bound handle for the ``cache.hits`` counter (the
         #: hottest metric in the system); ``read_nt`` binds it on the
         #: first hit with a live observer attached.
@@ -115,6 +142,10 @@ class MetadataCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: evictions the reserve withheld (see ``_evict_if_needed``).
+        self.reserve_holds = 0
+        #: most pinned entries seen at a force.
+        self.pinned_peak = 0
         self.home_writes = 0
         #: observability attach point (``FSD.mount`` rebinds it).
         self.obs = NULL_OBS
@@ -128,6 +159,17 @@ class MetadataCache:
         # Rebinding the observer invalidates any bound counter handle.
         self._obs = value
         self._hit_counter = None
+
+    @property
+    def pinned_pages(self) -> int:
+        """Entries the log holds here: modified and not yet logged, or
+        logged and not yet written home."""
+        return len(self._entries) - len(self._lru)
+
+    @property
+    def clean_pages(self) -> int:
+        """Entries equal to their home copies (the evictable ones)."""
+        return len(self._lru)
 
     # ------------------------------------------------------------------
     # name-table pages
@@ -151,41 +193,24 @@ class MetadataCache:
                     self._hit_counter = obs.metrics.counter("cache.hits")
                 else:
                     self._hit_counter = _NullCounter()
-            # _touch inlined: this is the hottest cache path.  Every
-            # entry in ``_entries`` is also in ``_lru`` (both are
-            # populated by ``_touch`` and pruned together by
-            # ``_evict_if_needed``), so a bare move_to_end suffices;
-            # the fallback re-inserts if that invariant ever breaks.
+            # The hottest cache path (NameTablePager.read carries a
+            # copy of these statements): a pinned entry has no place
+            # in the recency order until it is released.
             self._tick += 1
             entry.lru_tick = self._tick
-            lru = self._lru
-            try:
-                lru.move_to_end(key)
-            except KeyError:
-                lru[key] = entry
+            if not entry.pinned:
+                self._lru.move_to_end(key)
             return entry.data
         self.misses += 1
         self.obs.count("cache.misses")
         data = self._nt_reader(page_no)
-        entry = CacheEntry(
-            kind=PAGE_NAME_TABLE, page_id=page_no, data=data, home_image=data
-        )
-        self._entries[key] = entry
-        self._touch(entry)
+        self._add_clean(key, data)
         self._evict_if_needed()
         return data
 
     def write_nt(self, page_no: int, data: bytes) -> None:
         """Apply an update to a cached name-table page (dirty until logged)."""
-        key = (PAGE_NAME_TABLE, page_no)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = CacheEntry(kind=PAGE_NAME_TABLE, page_id=page_no, data=data)
-            self._entries[key] = entry
-        entry.data = data
-        entry.needs_log = True
-        self._dirty[key] = entry
-        self._touch(entry)
+        self._stage(PAGE_NAME_TABLE, page_no, data)
 
     def resident_nt(self, page_no: int) -> bytes | None:
         """Current image of a resident name-table page, else None.
@@ -200,11 +225,22 @@ class MetadataCache:
     def clean_nt_pages(self) -> list[tuple[int, bytes]]:
         """Resident name-table pages with no pending obligation, as
         ``(page_no, data)``.  Each must equal both of its home copies;
-        the verifier holds the cache to that."""
+        the verifier holds the cache to that.  Decided from the images
+        (``CacheEntry.evictable``), not from the maintained flag."""
         return [
             (entry.page_id, entry.data)
             for entry in self._entries.values()
             if entry.kind == PAGE_NAME_TABLE and entry.evictable
+        ]
+
+    def misaccounted(self) -> list[tuple[int, int]]:
+        """Keys of entries whose maintained ``pinned`` flag, or place
+        in the clean list, disagrees with their images.  Always empty;
+        the verifier holds the cache to that too."""
+        return [
+            key for key, entry in self._entries.items()
+            if entry.pinned == entry.evictable
+            or (key in self._lru) == entry.pinned
         ]
 
     def install_clean(self, pages: list[tuple[int, bytes]]) -> int:
@@ -219,12 +255,7 @@ class MetadataCache:
             key = (PAGE_NAME_TABLE, page_no)
             if key in self._entries:
                 continue
-            entry = CacheEntry(
-                kind=PAGE_NAME_TABLE, page_id=page_no, data=data,
-                home_image=data,
-            )
-            self._entries[key] = entry
-            self._touch(entry)
+            self._add_clean(key, data)
             installed += 1
         self._evict_if_needed()
         return installed
@@ -234,15 +265,7 @@ class MetadataCache:
     # ------------------------------------------------------------------
     def write_leader(self, address: int, data: bytes) -> None:
         """Stage a leader page image (logged at the next commit)."""
-        key = (PAGE_LEADER, address)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = CacheEntry(kind=PAGE_LEADER, page_id=address, data=data)
-            self._entries[key] = entry
-        entry.data = data
-        entry.needs_log = True
-        self._dirty[key] = entry
-        self._touch(entry)
+        self._stage(PAGE_LEADER, address, data)
 
     def leader_pending_piggyback(self, address: int) -> bytes | None:
         """If this leader's home copy is stale, return the bytes to
@@ -257,9 +280,11 @@ class MetadataCache:
 
     def note_leader_home(self, address: int) -> None:
         """The piggybacked write carried the leader home."""
-        entry = self._entries.get((PAGE_LEADER, address))
+        key = (PAGE_LEADER, address)
+        entry = self._entries.get(key)
         if entry is not None:
             entry.home_image = entry.data
+            self._settle(key, entry)
 
     def drop_leader(self, address: int) -> None:
         """Forget a leader (its file was deleted before writeback)."""
@@ -272,15 +297,7 @@ class MetadataCache:
     # ------------------------------------------------------------------
     def write_vam(self, page_index: int, data: bytes) -> None:
         """Stage a VAM bitmap page image (log_vam mode only)."""
-        key = (PAGE_VAM, page_index)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = CacheEntry(kind=PAGE_VAM, page_id=page_index, data=data)
-            self._entries[key] = entry
-        entry.data = data
-        entry.needs_log = True
-        self._dirty[key] = entry
-        self._touch(entry)
+        self._stage(PAGE_VAM, page_index, data)
 
     # ------------------------------------------------------------------
     # group-commit interface
@@ -297,27 +314,38 @@ class MetadataCache:
     def note_logged(self, pages: Iterable[LoggedPage], third: int) -> None:
         """Mark pages as carried by a record starting in ``third``."""
         for page in pages:
-            entry = self._entries.get((page.kind, page.page_id))
+            key = (page.kind, page.page_id)
+            entry = self._entries.get(key)
             if entry is None:
-                raise CorruptMetadata(
-                    f"logged page {(page.kind, page.page_id)} not in cache"
-                )
+                raise CorruptMetadata(f"logged page {key} not in cache")
             if entry.data == page.data:
                 entry.needs_log = False
-                self._dirty.pop((page.kind, page.page_id), None)
+                self._dirty.pop(key, None)
             # else: modified again while the force was in progress —
             # it stays dirty for the next commit.
             entry.logged_image = page.data
             entry.last_logged_third = third
+            self._settle(key, entry)
         self._evict_if_needed()
+        pinned = self.pinned_pages
+        if pinned > self.pinned_peak:
+            self.pinned_peak = pinned
+        obs = self.obs
+        obs.gauge("cache.pinned_pages", pinned)
+        obs.gauge("cache.pinned_peak", self.pinned_peak)
+        obs.gauge("cache.clean_pages", len(self._lru))
 
     def flush_third(self, third: int) -> None:
         """The paper's writeback: write home every page whose newest
         log copy lives in ``third`` (it is about to be overwritten)."""
         writes_before = self.home_writes
         nt_batch: list[tuple[int, bytes]] = []
-        for entry in self._entries.values():
-            if entry.last_logged_third != third or not entry.home_stale:
+        for key, entry in self._entries.items():
+            if (
+                entry.last_logged_third != third
+                or not entry.pinned
+                or not entry.home_stale
+            ):
                 continue
             assert entry.logged_image is not None
             if entry.kind == PAGE_NAME_TABLE:
@@ -331,6 +359,7 @@ class MetadataCache:
                 self._leader_writer(entry.page_id, entry.logged_image)
                 self.home_writes += 1
             entry.home_image = entry.logged_image
+            self._settle(key, entry)
         if nt_batch:
             nt_batch.sort()
             self._nt_writer(nt_batch)
@@ -357,6 +386,7 @@ class MetadataCache:
         self._entries.clear()
         self._dirty.clear()
         self._lru.clear()
+        self._released_from = None
 
     def rollback_uncommitted(self) -> int:
         """Degraded-mode switch: abandon every update not yet logged.
@@ -373,11 +403,12 @@ class MetadataCache:
         for key, entry in list(self._dirty.items()):
             rolled_back += 1
             if entry.logged_image is None:
+                # Dirty, hence pinned: it has no place in ``_lru``.
                 del self._entries[key]
-                self._lru.pop(key, None)
             else:
                 entry.data = entry.logged_image
                 entry.needs_log = False
+                self._settle(key, entry)
         self._dirty.clear()
         self.obs.count("cache.rollbacks", rolled_back)
         return rolled_back
@@ -385,36 +416,95 @@ class MetadataCache:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _touch(self, entry: CacheEntry) -> None:
+    def _add_clean(self, key: tuple[int, int], data: bytes) -> None:
+        """A name-table image straight from home joins the clean
+        population as its most recently used entry."""
+        self._tick += 1
+        entry = CacheEntry(
+            kind=PAGE_NAME_TABLE, page_id=key[1], data=data,
+            home_image=data, lru_tick=self._tick,
+        )
+        self._entries[key] = entry
+        self._lru[key] = entry
+
+    def _stage(self, kind: int, page_id: int, data: bytes) -> None:
+        """A modified image: pinned until it is logged *and* home."""
+        key = (kind, page_id)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = CacheEntry(kind=kind, page_id=page_id, data=data,
+                               pinned=True)
+            self._entries[key] = entry
+        elif not entry.pinned:
+            entry.pinned = True
+            del self._lru[key]
+        entry.data = data
+        entry.needs_log = True
+        self._dirty[key] = entry
         self._tick += 1
         entry.lru_tick = self._tick
-        key = (entry.kind, entry.page_id)
+
+    def _settle(self, key: tuple[int, int], entry: CacheEntry) -> None:
+        """Re-derive ``entry.pinned`` (``not entry.evictable``, inline)
+        after ``needs_log`` or one of its images changed: the one place
+        the maintained state looks at page images."""
+        pinned = entry.needs_log or (
+            entry.logged_image is not None
+            and entry.logged_image != entry.home_image
+        )
+        if pinned == entry.pinned:
+            return
+        entry.pinned = pinned
+        if pinned:
+            del self._lru[key]
+        else:
+            # Released: its place in the recency order is wherever
+            # its last use puts it, not the tail it joins here.
+            self._lru[key] = entry
+            oldest = self._released_from
+            if oldest is None or entry.lru_tick < oldest:
+                self._released_from = entry.lru_tick
+
+    def _restore_order(self) -> None:
+        """Move released entries from the tail of ``_lru`` to where
+        ``lru_tick`` places them.  Entries last used before the oldest
+        of them are in order already, so only the tail from there on
+        is sorted."""
         lru = self._lru
-        lru[key] = entry
-        lru.move_to_end(key)
+        oldest = self._released_from
+        tail = []
+        for entry in reversed(lru.values()):
+            if entry.lru_tick < oldest:
+                break
+            tail.append(entry)
+        tail.sort(key=_BY_TICK)
+        for entry in tail:
+            lru.move_to_end((entry.kind, entry.page_id))
+        self._released_from = None
 
     def _evict_if_needed(self) -> None:
         excess = len(self._entries) - self.capacity
         if excess <= 0:
             return
-        # Walk the recency order oldest-first, skipping pinned entries
-        # (inline evictable predicate: no property dispatch).  This
-        # selects exactly the entries a sort by ``lru_tick`` would,
-        # without scanning the whole cache on every miss.
-        victims = []
-        for key, entry in self._lru.items():
-            if not entry.needs_log and (
-                entry.logged_image is None
-                or entry.logged_image == entry.home_image
-            ):
-                victims.append(key)
-                if len(victims) == excess:
-                    break
-        for key in victims:
+        lru = self._lru
+        spare = len(lru) - self.reserve
+        if spare < excess:
+            # The log pins more than ``capacity - reserve`` entries:
+            # the reserve stays, and the cache runs over capacity.
+            held = min(excess, len(lru)) - max(spare, 0)
+            if held:
+                self.reserve_holds += held
+                self.obs.count("cache.reserve_holds", held)
+            if spare <= 0:
+                return
+            excess = spare
+        if self._released_from is not None:
+            self._restore_order()
+        for _ in range(excess):
+            key, _entry = lru.popitem(last=False)
             del self._entries[key]
-            del self._lru[key]
-            self.evictions += 1
-            self.obs.count("cache.evictions")
+        self.evictions += excess
+        self.obs.count("cache.evictions", excess)
 
     def __len__(self) -> int:
         return len(self._entries)

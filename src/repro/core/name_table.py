@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.btree import BTree
+from repro.btree import INTERNAL, LEAF, BTree
 from repro.core.cache import MetadataCache, _NullCounter
 from repro.core.wal import PAGE_NAME_TABLE
 from repro.core.layout import VolumeLayout
@@ -320,23 +320,30 @@ class NameTablePager:
             else:
                 self._read_counter = _NullCounter()
         # cache.read_nt's hit path inlined (same statements, one frame
-        # for the whole pager read); misses fall through to the method.
+        # for the whole pager read); a miss, and the first hit of a
+        # mount (which binds the counter), go through the method.
         cache = self.cache
         key = (PAGE_NAME_TABLE, page_no)
         entry = cache._entries.get(key)
-        if entry is not None:
-            hit_counter = cache._hit_counter
-            if hit_counter is not None:
-                cache.hits += 1
-                hit_counter.value += 1
-                cache._tick += 1
-                entry.lru_tick = cache._tick
-                try:
-                    cache._lru.move_to_end(key)
-                except KeyError:
-                    cache._lru[key] = entry
-                return entry.data
-        return cache.read_nt(page_no)
+        if entry is None:
+            data = cache.read_nt(page_no)
+            # A demand miss: say which level of the tree paid for it
+            # (the meta page is neither).
+            if data[0] == LEAF:
+                self._obs.count("cache.misses_leaf")
+            elif data[0] == INTERNAL:
+                self._obs.count("cache.misses_interior")
+            return data
+        hit_counter = cache._hit_counter
+        if hit_counter is None:
+            return cache.read_nt(page_no)
+        cache.hits += 1
+        hit_counter.value += 1
+        cache._tick += 1
+        entry.lru_tick = cache._tick
+        if not entry.pinned:
+            cache._lru.move_to_end(key)
+        return entry.data
 
     def write(self, page_no: int, data: bytes) -> None:
         """B-tree pager write: stage the page for the next commit."""

@@ -63,8 +63,14 @@ def verify_volume(fs: FSD, strict_vam: bool = False) -> VerifyReport:
 
 def _check_cache_coherence(fs: FSD, report: VerifyReport) -> None:
     """A cached page that owes nothing to the log or to home must *be*
-    the home image.  Runs first, so after a mount it sees the cache
-    exactly as recovery's warm-up left it."""
+    the home image, and the cache's own account of which pages those
+    are must agree with the images.  Runs first, so after a mount it
+    sees the cache exactly as recovery's warm-up left it."""
+    for key in fs.cache.misaccounted():
+        report.add(
+            f"metadata cache entry {key}: pinned flag disagrees with "
+            f"its images"
+        )
     for page_no, data in fs.cache.clean_nt_pages():
         try:
             home = fs.nt_home.read_page(page_no)

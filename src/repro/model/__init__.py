@@ -10,7 +10,9 @@ from repro.model.primitives import (
     Revolution,
     Script,
     Seek,
+    SeekOver,
     ShortSeek,
+    SlotAhead,
     Step,
     Transfer,
 )
@@ -33,7 +35,9 @@ __all__ = [
     "Revolution",
     "Script",
     "Seek",
+    "SeekOver",
     "ShortSeek",
+    "SlotAhead",
     "Step",
     "Transfer",
     "ValidationRow",

@@ -96,6 +96,41 @@ class MinusTransfer(Step):
 
 
 @dataclass(frozen=True)
+class SeekOver(Step):
+    """A seek across ``sectors`` consecutive sectors of the disk: known
+    radial locality, such as the distance between the two copies of a
+    name-table page."""
+
+    label: str = "seek over"
+    sectors: int = 0
+
+    def evaluate(self, timing: DiskTiming, geometry: DiskGeometry) -> float:
+        return timing.seek_ms(-(-self.sectors // geometry.sectors_per_cylinder))
+
+
+@dataclass(frozen=True)
+class SlotAhead(Step):
+    """Known rotational locality: ``after`` (CPU, a seek), then the
+    wait for a sector that starts ``sectors`` sector times after the
+    end of the previous transfer and once a revolution from then on.
+    When ``after`` fits in that gap the whole step costs the gap;
+    otherwise the slot has gone by and every further revolution
+    ``after`` runs into is lost: the gap plus that many revolutions."""
+
+    label: str = "slot ahead"
+    sectors: int = 0
+    after: tuple[Step, ...] = ()
+
+    def evaluate(self, timing: DiskTiming, geometry: DiskGeometry) -> float:
+        busy = sum(step.evaluate(timing, geometry) for step in self.after)
+        gap = timing.transfer_ms(
+            self.sectors % geometry.sectors_per_track,
+            geometry.sectors_per_track,
+        )
+        return busy + (gap - busy) % timing.rotation_ms
+
+
+@dataclass(frozen=True)
 class Cpu(Step):
     """Fixed CPU time.  The paper's model deliberately ignored CPU; the
     scripts include it optionally so the validation bench can show both

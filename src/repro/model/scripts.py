@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.data_cache import DEFAULT_READAHEAD_PAGES
+from repro.core.layout import VolumeParams
 from repro.disk.clock import CpuCostModel
 from repro.model.primitives import (
     Cpu,
@@ -26,7 +27,9 @@ from repro.model.primitives import (
     Revolution,
     Script,
     Seek,
+    SeekOver,
     ShortSeek,
+    SlotAhead,
     Step,
     Transfer,
 )
@@ -43,13 +46,15 @@ class ModelAssumptions:
     """
 
     #: FSD name-table leaf misses: FSD entries are fat (run tables
-    #: inline) so its tree has many more leaf pages than CFS's.
-    leaf_miss_probability: float = 0.30
+    #: inline) so its tree has many more leaf pages than CFS's.  The
+    #: Table 2 open phase misses 0.25 pages per open.
+    leaf_miss_probability: float = 0.25
     #: creates append adjacent keys, so they nearly always hit the
     #: leaf they dirtied moments ago.
     create_miss_probability: float = 0.05
-    #: deletes touch more pages (leaf + allocation bitmap + rebalance).
-    delete_miss_probability: float = 0.45
+    #: deletes touch more pages (leaf + allocation bitmap + rebalance):
+    #: 0.33 misses per delete in the Table 2 delete phase.
+    delete_miss_probability: float = 0.33
     #: CFS entries are tiny (uid + header address); its whole name
     #: table fits the page cache, so leaf misses are rare.
     cfs_leaf_miss_probability: float = 0.05
@@ -67,6 +72,11 @@ class ModelAssumptions:
 #: client compute between two page reads of a sequential pass (the
 #: mean of the 0-2 ms the ``makedo_build`` client draws).
 SEQUENTIAL_THINK_MS = 1.0
+
+
+#: sectors from copy A of a name-table page to its copy B: the size of
+#: one copy of the table (``layout.nt_b_start - layout.nt_a_start``).
+NT_COPY_SECTORS = VolumeParams().nt_pages
 
 
 def _io_cpu(cpu: CpuCostModel, sectors: float) -> Cpu:
@@ -209,6 +219,34 @@ def _fsd_commit_share(assume: ModelAssumptions) -> Fraction:
     )
 
 
+def fsd_nt_page_miss(assume: ModelAssumptions) -> Script:
+    """A name-table page miss: both home copies are read and compared.
+
+    Copy A is a seek, a latency and a transfer.  Copy B is the same
+    page of the second extent, ``NT_COPY_SECTORS`` further on: its
+    slot starts ``(NT_COPY_SECTORS - 1) mod sectors_per_track`` sector
+    times after copy A's transfer ends (15 slots, 8.3 ms, on the
+    Trident with 4096 pages) and the request cannot be there by then —
+    the I/O set-up plus the seek over those sectors (6 cylinders,
+    9.3 ms) overshoot the gap, so the read waits for the
+    slot's next pass.  Every copy-B read therefore costs the gap plus
+    one lost revolution, 25.0 ms, and not the short seek and latency
+    (17.5 ms) a script without the rotational locality would say."""
+    cpu = assume.cpu
+    return Script(
+        name="fsd name-table page miss",
+        steps=[
+            _io_cpu(cpu, 1), Seek(), Latency(), Transfer(sectors=1),
+            SlotAhead(
+                label="copy B: seek, rest of a revolution",
+                sectors=NT_COPY_SECTORS - 1,
+                after=(_io_cpu(cpu, 1), SeekOver(sectors=NT_COPY_SECTORS)),
+            ),
+            Transfer(sectors=1),
+        ],
+    )
+
+
 def fsd_small_create(assume: ModelAssumptions) -> Script:
     """Two free pages from the (memory) VAM, a cached name-table
     update, one combined leader+data write, and a share of the log.
@@ -224,11 +262,7 @@ def fsd_small_create(assume: ModelAssumptions) -> Script:
             _io_cpu(cpu, 2), Latency(), Transfer(sectors=2),
             _fsd_commit_share(assume),
         ],
-        miss_steps=[
-            # leaf miss: double read of the name-table page (two copies)
-            _io_cpu(cpu, 1), ShortSeek(), Latency(), Transfer(sectors=1),
-            _io_cpu(cpu, 1), ShortSeek(), Latency(), Transfer(sectors=1),
-        ],
+        miss_steps=fsd_nt_page_miss(assume).steps,
         miss_probability=assume.create_miss_probability,
     )
 
@@ -239,10 +273,7 @@ def fsd_open(assume: ModelAssumptions) -> Script:
     return Script(
         name="fsd open",
         steps=[Cpu(ms=4 * cpu.btree_node_ms + 2 * cpu.entry_interpret_ms)],
-        miss_steps=[
-            _io_cpu(cpu, 1), Seek(), Latency(), Transfer(sectors=1),
-            _io_cpu(cpu, 1), ShortSeek(), Latency(), Transfer(sectors=1),
-        ],
+        miss_steps=fsd_nt_page_miss(assume).steps,
         miss_probability=assume.leaf_miss_probability,
     )
 
@@ -312,10 +343,7 @@ def fsd_small_delete(assume: ModelAssumptions) -> Script:
             Cpu(ms=6 * cpu.btree_node_ms + 2 * cpu.entry_interpret_ms),
             _fsd_commit_share(assume),
         ],
-        miss_steps=[
-            _io_cpu(cpu, 1), Seek(), Latency(), Transfer(sectors=1),
-            _io_cpu(cpu, 1), ShortSeek(), Latency(), Transfer(sectors=1),
-        ],
+        miss_steps=fsd_nt_page_miss(assume).steps,
         miss_probability=assume.delete_miss_probability,
     )
 
@@ -409,7 +437,8 @@ def all_scripts(assume: ModelAssumptions | None = None) -> dict[str, Script]:
     builders = [
         cfs_small_create, cfs_open, cfs_open_read, cfs_read_page,
         cfs_small_delete, cfs_list_per_file, cfs_large_create,
-        fsd_small_create, fsd_open, fsd_open_read, fsd_read_page,
+        fsd_nt_page_miss, fsd_small_create, fsd_open, fsd_open_read,
+        fsd_read_page,
         fsd_sequential_page_read,
         lambda a: fsd_sequential_page_read(a, DEFAULT_READAHEAD_PAGES),
         fsd_small_delete, fsd_list_per_file, fsd_large_create,

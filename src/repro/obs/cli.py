@@ -28,7 +28,7 @@ from repro.obs.workload import run_scripted_workload
 
 def _run(args, trace_io: bool):
     """Mount with an observer, run the workload, unmount; returns
-    ``(observer, tracer)``."""
+    ``(fs, observer, tracer)``."""
     disk = load_disk(args.image)
     obs, tracer = instrument(disk, trace=trace_io)
     fs = FSD.mount(
@@ -43,7 +43,7 @@ def _run(args, trace_io: bool):
     fs.unmount()
     if args.save:
         save_disk(disk, args.image)
-    return obs, tracer
+    return fs, obs, tracer
 
 
 def _fmt_value(value: float) -> str:
@@ -70,7 +70,7 @@ def _print_stats_table(snapshot: Snapshot) -> None:
 
 def cmd_stats(args) -> int:
     """Run the scripted workload and report per-layer metrics."""
-    obs, _ = _run(args, trace_io=False)
+    fs, obs, _ = _run(args, trace_io=False)
     snapshot = obs.snapshot()
     if args.json:
         print(to_jsonl(metric_dicts(snapshot)))
@@ -92,6 +92,17 @@ def cmd_stats(args) -> int:
             f"{_fmt_value(nt.get('nt.prefetch_transfers', 0))} transfers "
             f"({_fmt_value(nt.get('nt.prefetch_gap_sectors', 0))} gap "
             f"sectors)"
+        )
+    if "cache.pinned_pages" in cache:
+        # Pinned pages are the log's, not the cache's: they do not
+        # count against the reserve of clean pages eviction keeps.
+        print(
+            f"metadata cache: {_fmt_value(cache['cache.pinned_pages'])} "
+            f"pinned (peak {_fmt_value(cache['cache.pinned_peak'])}) of "
+            f"{fs.cache.capacity}, reserve {fs.cache.reserve} held "
+            f"{_fmt_value(cache.get('cache.reserve_holds', 0))} times, "
+            f"{_fmt_value(cache.get('cache.misses_interior', 0))} of "
+            f"{_fmt_value(misses)} misses interior"
         )
     data_hits = cache.get("cache.data.hits", 0)
     data_lookups = data_hits + cache.get("cache.data.misses", 0)
@@ -173,7 +184,7 @@ def _print_span_tree(records) -> None:
 
 def cmd_trace(args) -> int:
     """Run the scripted workload and dump the span/I-O timeline."""
-    obs, tracer = _run(args, trace_io=True)
+    _, obs, tracer = _run(args, trace_io=True)
     if args.folded:
         lines = folded_stacks(obs.span_records())
         text = "\n".join(lines)

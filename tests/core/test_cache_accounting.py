@@ -1,0 +1,317 @@
+"""Property tests for the metadata cache's pinned/clean accounting.
+
+``MetadataCache`` keeps, per entry, a ``pinned`` flag and, per cache, a
+recency list of the clean entries only, both updated at the transitions
+that can change them, so that eviction never looks at a page image.
+Here arbitrary operation sequences are run and, after every step, the
+maintained state is compared with the one recomputed from the images
+(``CacheEntry.evictable``, the reference predicate), and the eviction
+rule with its definition:
+
+* no pinned entry is ever evicted;
+* an eviction pass removes ``min(len − capacity, clean − capacity // 4)``
+  entries, the least recently used clean ones;
+* so after a pass ``len ≤ max(capacity, pinned + capacity // 4)`` (a
+  staged write does not run a pass — it did not before either — so
+  between passes the cache can be over by the writes since);
+* while the log pins at most ``capacity − capacity // 4`` entries the
+  survivors are exactly those of the rule this one replaced: evict the
+  least recently used evictable entries until ``len ≤ capacity``.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core.cache import CLEAN_RESERVE_SHARE, MetadataCache
+from repro.core.wal import PAGE_LEADER, PAGE_NAME_TABLE
+
+CAPACITIES = [4, 16, 96]
+LEADER_BASE = 10_000
+
+
+def image(page_id: int, variant: int) -> bytes:
+    return f"{page_id}:{variant}".encode().ljust(64, b".")
+
+
+class Home:
+    """The home copies: every name-table page starts as variant 0."""
+
+    def __init__(self):
+        self.pages: dict[int, bytes] = {}
+        self.leaders: dict[int, bytes] = {}
+
+    def read_page(self, page_no: int) -> bytes:
+        return self.pages.get(page_no, image(page_no, 0))
+
+    def write_pages(self, batch) -> None:
+        self.pages.update(batch)
+
+    def write_leader(self, address: int, data: bytes) -> None:
+        self.leaders[address] = data
+
+
+class ParentRuleCache(MetadataCache):
+    """The eviction rule before the reserve, as its comment defined it:
+    the entries a sort by ``lru_tick`` over the evictable ones selects,
+    until the cache is back at capacity.  Decided from the images."""
+
+    def _evict_if_needed(self) -> None:
+        excess = len(self._entries) - self.capacity
+        if excess <= 0:
+            return
+        victims = sorted(
+            (entry for entry in self._entries.values() if entry.evictable),
+            key=lambda entry: entry.lru_tick,
+        )[:excess]
+        for entry in victims:
+            key = (entry.kind, entry.page_id)
+            del self._entries[key]
+            self._lru.pop(key, None)
+
+
+def build(cls, capacity: int):
+    home = Home()
+    cache = cls(
+        capacity_pages=capacity,
+        nt_reader=home.read_page,
+        nt_writer=home.write_pages,
+        leader_writer=home.write_leader,
+    )
+    return cache, home
+
+
+def apply(cache: MetadataCache, home: Home, op: tuple) -> None:
+    """Run one generated operation against ``cache``."""
+    kind = op[0]
+    if kind == "read":
+        cache.read_nt(op[1])
+    elif kind == "write_nt":
+        cache.write_nt(op[1], image(op[1], op[2]))
+    elif kind == "write_run":
+        for page_no in range(op[1], op[1] + op[2]):
+            cache.write_nt(page_no, image(page_no, op[3]))
+    elif kind == "write_leader":
+        cache.write_leader(LEADER_BASE + op[1], image(op[1], op[2]))
+    elif kind == "force":
+        pages = cache.pages_needing_log()
+        if pages and op[2] is not None:
+            # A page modified again while the force is in progress
+            # stays dirty although its older image is now logged.
+            victim = pages[op[2] % len(pages)]
+            again = victim.data + b"+"
+            if victim.kind == PAGE_NAME_TABLE:
+                cache.write_nt(victim.page_id, again)
+            else:
+                cache.write_leader(victim.page_id, again)
+        cache.note_logged(pages, op[1])
+    elif kind == "flush":
+        cache.flush_third(op[1])
+    elif kind == "install":
+        # Only images equal to home may be installed; a resident page
+        # is skipped, so home is the right image for every other one.
+        cache.install_clean(
+            [(page_no, home.read_page(page_no)) for page_no in op[1]]
+        )
+    elif kind == "leader_home":
+        cache.note_leader_home(LEADER_BASE + op[1])
+    elif kind == "drop_leader":
+        cache.drop_leader(LEADER_BASE + op[1])
+    elif kind == "rollback":
+        cache.rollback_uncommitted()
+    else:
+        raise AssertionError(kind)
+
+
+#: operations that end in an eviction pass; so does a read that misses.
+EVICTING = {"force", "flush", "install"}
+
+
+def removed_on_purpose(before: dict, op: tuple) -> set:
+    """Keys ``op`` removes by definition (not by eviction)."""
+    if op[0] == "drop_leader":
+        return {(PAGE_LEADER, LEADER_BASE + op[1])}
+    if op[0] == "rollback":
+        return {
+            key for key, entry in before.items()
+            if entry.needs_log and entry.logged_image is None
+        }
+    return set()
+
+
+def check_accounting(cache: MetadataCache) -> None:
+    """Maintained flags, counts and lists against the images."""
+    entries = cache._entries
+    clean = {key for key, entry in entries.items() if entry.evictable}
+    for key, entry in entries.items():
+        assert entry.pinned == (not entry.evictable), key
+    assert set(cache._lru) == clean
+    assert cache.clean_pages == len(clean)
+    assert cache.pinned_pages == len(entries) - len(clean)
+    assert set(cache._dirty) == {
+        key for key, entry in entries.items() if entry.needs_log
+    }
+
+
+def check_eviction(
+    cache: MetadataCache, before: dict, op: tuple, ran_pass: bool
+) -> None:
+    """What left the cache during ``op``, against the rule."""
+    after = cache._entries
+    dropped = removed_on_purpose(before, op)
+    evicted = [
+        entry for key, entry in before.items()
+        if key not in after and key not in dropped
+    ]
+    if not ran_pass:
+        assert not evicted
+        return
+    reserve = cache.capacity // CLEAN_RESERVE_SHARE
+    clean = [entry for entry in after.values() if entry.evictable]
+    # never a pinned entry (an evicted entry's fields are final)
+    assert all(entry.evictable for entry in evicted)
+    # the least recently used clean ones
+    if evicted and clean:
+        assert max(e.lru_tick for e in evicted) < min(
+            e.lru_tick for e in clean
+        )
+    # exactly min(len - capacity, clean - reserve) of them: the pass
+    # stopped no earlier ...
+    assert len(after) <= cache.capacity or len(clean) <= reserve
+    # ... and no later than that
+    if evicted:
+        assert len(after) >= cache.capacity and len(clean) >= reserve
+    assert len(after) <= max(
+        cache.capacity, cache.pinned_pages + reserve
+    )
+
+
+def operations(capacity: int):
+    pages = st.integers(0, 2 * capacity + 4)
+    leaders = st.integers(0, max(2, capacity // 2))
+    variants = st.integers(0, 2)
+    thirds = st.integers(0, 2)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("read"), pages),
+            st.tuples(st.just("write_nt"), pages, variants),
+            st.tuples(
+                st.just("write_run"), pages,
+                st.integers(1, capacity), variants,
+            ),
+            st.tuples(st.just("write_leader"), leaders, variants),
+            st.tuples(
+                st.just("force"), thirds,
+                st.one_of(st.none(), st.integers(0, 1000)),
+            ),
+            st.tuples(st.just("flush"), thirds),
+            st.tuples(
+                st.just("install"),
+                st.lists(pages, max_size=capacity + 2, unique=True),
+            ),
+            st.tuples(st.just("leader_home"), leaders),
+            st.tuples(st.just("drop_leader"), leaders),
+            st.tuples(st.just("rollback")),
+        ),
+        max_size=120,
+    )
+
+
+@pytest.mark.parametrize("capacity", CAPACITIES)
+@settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_accounting_and_eviction_rule(capacity, data):
+    ops = data.draw(operations(capacity))
+    cache, home = build(MetadataCache, capacity)
+    reference, reference_home = build(ParentRuleCache, capacity)
+    #: True while no eviction pass has yet run with more than
+    #: ``capacity - reserve`` entries pinned: until then the reserve
+    #: cannot have withheld anything.
+    same_as_parent = True
+    for op in ops:
+        before, misses = dict(cache._entries), cache.misses
+        apply(cache, home, op)
+        ran_pass = op[0] in EVICTING or cache.misses > misses
+        check_accounting(cache)
+        check_eviction(cache, before, op, ran_pass)
+        apply(reference, reference_home, op)
+        if ran_pass and cache.pinned_pages > (
+            capacity - capacity // CLEAN_RESERVE_SHARE
+        ):
+            same_as_parent = False
+        if same_as_parent:
+            assert set(cache._entries) == set(reference._entries)
+            assert cache.reserve_holds == 0
+
+
+def run_burst(cls, capacity: int, pinned: int):
+    """``pinned`` pages logged and not home, then lookups that each
+    descend root -> interior -> a fresh leaf: returns the misses on the
+    root and the cache."""
+    cache, home = build(cls, capacity)
+    for page_no in range(100, 100 + pinned):
+        cache.write_nt(page_no, image(page_no, 1))
+    cache.note_logged(cache.pages_needing_log(), third=0)
+    root_reads = 0
+    real_reader = cache._nt_reader
+
+    def reader(page_no: int) -> bytes:
+        nonlocal root_reads
+        root_reads += page_no == 0
+        return real_reader(page_no)
+
+    cache._nt_reader = reader
+    for lookup in range(50):
+        cache.read_nt(0)
+        cache.read_nt(1 + lookup % 3)
+        cache.read_nt(1000 + lookup)
+    return root_reads, cache
+
+
+@pytest.mark.parametrize("capacity", [16, 96])
+def test_pinned_pages_cannot_push_out_the_root(capacity):
+    """The case the reserve exists for: the log pins as many entries as
+    the cache holds.  The replaced rule re-reads the root on every
+    lookup; with the reserve (at least the three pages a lookup
+    touches) it is read once."""
+    reserve = capacity // CLEAN_RESERVE_SHARE
+    root_reads, cache = run_burst(MetadataCache, capacity, pinned=capacity)
+    assert root_reads == 1
+    assert cache.pinned_pages == capacity
+    assert cache.clean_pages == reserve
+    assert len(cache) == capacity + reserve
+    assert cache.reserve_holds > 0
+    assert cache.evictions == cache.misses - reserve
+    parent_root_reads, _ = run_burst(ParentRuleCache, capacity, pinned=capacity)
+    assert parent_root_reads == 50
+
+
+@pytest.mark.parametrize("capacity", CAPACITIES)
+def test_identical_to_the_replaced_rule_below_the_threshold(capacity):
+    """With at most ``capacity - reserve`` entries pinned the reserve
+    withholds nothing: same survivors, same eviction count."""
+    pinned = capacity - capacity // CLEAN_RESERVE_SHARE
+    root_reads, cache = run_burst(MetadataCache, capacity, pinned)
+    parent_root_reads, parent = run_burst(ParentRuleCache, capacity, pinned)
+    assert set(cache._entries) == set(parent._entries)
+    assert root_reads == parent_root_reads
+    assert len(cache) == capacity
+    assert cache.reserve_holds == 0
+
+
+def test_released_entry_rejoins_by_last_use_not_by_release_time():
+    """A page released from its pin takes the place in the recency
+    order its last use gives it (as a sort by ``lru_tick`` would)."""
+    cache, _ = build(MetadataCache, 4)
+    cache.write_nt(1, image(1, 1))          # oldest use of all
+    cache.note_logged(cache.pages_needing_log(), third=0)
+    for page_no in (2, 3, 4):
+        cache.read_nt(page_no)
+    cache.flush_third(0)                    # page 1 released, now clean
+    cache.read_nt(5)                        # one over: page 1 must go
+    assert (PAGE_NAME_TABLE, 1) not in cache._entries
+    assert {key[1] for key in cache._entries} == {2, 3, 4, 5}

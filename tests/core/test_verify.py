@@ -136,3 +136,13 @@ class TestSeededCorruption:
         assert any(
             "<metadata>" in p and "d/meta-thief!1" in p for p in offenders
         )
+
+    def test_seeded_cache_misaccounting_reported(self, populated):
+        # A page the log still holds, flagged clean: the next eviction
+        # could drop a logged update that is not home yet.
+        populated.create("d/pending", b"x")
+        key, entry = next(iter(populated.cache._dirty.items()))
+        entry.pinned = False
+        populated.cache._lru[key] = entry
+        report = verify_volume(populated)
+        assert any("pinned flag disagrees" in p for p in report.problems)

@@ -14,7 +14,9 @@ from repro.model.primitives import (
     Revolution,
     Script,
     Seek,
+    SeekOver,
     ShortSeek,
+    SlotAhead,
     Transfer,
 )
 
@@ -49,6 +51,31 @@ class TestSteps:
     def test_minus_transfer_is_negative(self):
         assert ev(MinusTransfer(sectors=3)) == pytest.approx(
             -ev(Transfer(sectors=3))
+        )
+
+    def test_seek_over_rounds_up_to_whole_cylinders(self):
+        per_cylinder = TRIDENT_T300.sectors_per_cylinder
+        assert ev(SeekOver(sectors=per_cylinder)) == pytest.approx(
+            TRIDENT_TIMING.seek_ms(1)
+        )
+        assert ev(SeekOver(sectors=4096)) == pytest.approx(
+            TRIDENT_TIMING.seek_ms(6)
+        )
+
+    def test_slot_ahead_costs_the_gap_when_the_head_is_in_time(self):
+        step = SlotAhead(sectors=15, after=(Cpu(ms=0.5),))
+        assert ev(step) == pytest.approx(ev(Transfer(sectors=15)))
+        # whole revolutions in the sector distance do not change the slot
+        assert ev(SlotAhead(sectors=4095, after=(Cpu(ms=0.5),))) == (
+            pytest.approx(ev(step))
+        )
+
+    def test_slot_ahead_loses_a_revolution_when_it_is_late(self):
+        late = SlotAhead(
+            sectors=15, after=(Cpu(ms=0.55), SeekOver(sectors=4096))
+        )
+        assert ev(late) == pytest.approx(
+            ev(Transfer(sectors=15)) + ev(Revolution())
         )
 
     def test_cpu(self):

@@ -11,8 +11,10 @@ from repro.model.scripts import (
     ModelAssumptions,
     all_scripts,
     cfs_small_create,
+    fsd_nt_page_miss,
     fsd_open,
     fsd_small_create,
+    fsd_small_delete,
 )
 
 
@@ -86,3 +88,23 @@ class TestPaperShapeInModel:
         prediction = predict(fsd_open(assume), TRIDENT_TIMING, TRIDENT_T300)
         assert prediction.cpu_free_ms == pytest.approx(0.0)
         assert prediction.predicted_ms < 1.0
+
+    def test_name_table_miss_loses_a_revolution_on_copy_b(self):
+        """Copy B starts 15 slots after copy A ends; set-up plus the
+        six-cylinder seek take longer, so its read (seek, wait and
+        transfer) is the gap plus a revolution plus a sector less the
+        set-up: 25.0 ms, not the 17.5 of a short seek and a latency."""
+        assume = ModelAssumptions()
+        rows = fsd_nt_page_miss(assume).breakdown(TRIDENT_TIMING, TRIDENT_T300)
+        sector = TRIDENT_TIMING.sector_time_ms(TRIDENT_T300.sectors_per_track)
+        copy_b = rows[-2][1] - 0.55 + rows[-1][1]
+        assert copy_b == pytest.approx(
+            15 * sector + TRIDENT_TIMING.rotation_ms + sector - 0.55
+        )
+        assert copy_b == pytest.approx(25.0, abs=0.05)
+
+    def test_every_fsd_miss_is_the_page_miss_script(self):
+        assume = ModelAssumptions()
+        miss = fsd_nt_page_miss(assume).steps
+        for build in (fsd_open, fsd_small_create, fsd_small_delete):
+            assert build(assume).miss_steps == miss

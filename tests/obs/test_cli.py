@@ -94,13 +94,44 @@ class TestStats:
         pages = int(line.split("prefetch: ")[1].split()[0])
         assert pages > 20
 
+    def test_metadata_cache_line_reports_pinned_and_reserve(
+        self, image, capsys
+    ):
+        import re
+
+        capsys.readouterr()
+        assert main(["stats", image, "--ops", "60"]) == 0
+        out = capsys.readouterr().out
+        for metric in ("cache.pinned_pages", "cache.pinned_peak",
+                       "cache.clean_pages", "cache.misses_leaf"):
+            assert metric in out
+        line = next(
+            line for line in out.splitlines()
+            if line.startswith("metadata cache:")
+        )
+        match = re.fullmatch(
+            r"metadata cache: (\d+) pinned \(peak (\d+)\) of (\d+), "
+            r"reserve (\d+) held (\d+) times, "
+            r"(\d+) of (\d+) misses interior",
+            line,
+        )
+        assert match, line
+        pinned, peak, capacity, reserve, _, interior, misses = map(
+            int, match.groups()
+        )
+        assert 0 < pinned <= peak
+        assert reserve == capacity // 4
+        assert interior <= misses
+
     def test_cache_off_run_has_no_cache_summary(self, image, capsys):
         """The paper's mount (no read-ahead, nothing retained) records
         no lookup, so there is no ratio to print."""
         capsys.readouterr()
         assert main(["stats", image, "--ops", "20", "--readahead", "0"]) == 0
         out = capsys.readouterr().out
-        assert "data cache:" not in out
+        assert not any(
+            line.startswith("data cache:") for line in out.splitlines()
+        )
         assert "cache.data." not in out
 
     def test_default_mount_reports_buffer_hits_and_accuracy(

@@ -247,3 +247,71 @@ class TestLatencyBuckets:
         fs.unmount()
         assert hist.bounds == TRAFFIC_MS_BUCKETS
         assert hist.count == 20
+
+
+class TestSaturatedBurst:
+    """The paper's mount under a saturated mutation burst: the log pins
+    more pages than the metadata cache's nominal capacity, and the
+    clean-page reserve must still keep the top of the B-tree resident
+    (``benchmarks/e2e``'s ``traffic_burst`` at the test suite's scale).
+    """
+
+    @pytest.fixture(scope="class")
+    def burst(self):
+        from repro.core.fsd import FSD
+        from repro.disk.disk import SimDisk
+        from repro.harness.scenarios import SMALL
+        from repro.obs import Observer
+
+        disk = SimDisk(geometry=SMALL.geometry)
+        FSD.format(disk, SMALL.fsd_params)
+        fs = FSD.mount(disk, obs=Observer(disk.clock), readahead_pages=0)
+        tree = fs.name_table.tree
+        root_misses = []
+        read_home = fs.cache._nt_reader
+
+        def counting_reader(page_no: int) -> bytes:
+            if page_no == tree._root:
+                root_misses.append(page_no)
+            return read_home(page_no)
+
+        fs.cache._nt_reader = counting_reader
+        report = TrafficEngine(fs, TrafficConfig(
+            clients=1000, ops_per_client=3, seed=1, arrival="poisson",
+            mean_think_ms=200.0, hold_ms=1.0, sync_fraction=0.1,
+            population=40, shared_fraction=0.5,
+            weights={"create": 0.4, "write": 0.4, "delete": 0.2,
+                     "read": 0.0, "list": 0.0},
+        )).run()
+        return fs, report, root_misses
+
+    def test_admission_is_saturated(self, burst):
+        _, report, _ = burst
+        assert report.ops_completed == 3000
+        assert report.admission_waits > report.ops_completed
+
+    def test_root_is_demand_missed_at_most_once(self, burst):
+        _, _, root_misses = burst
+        assert len(root_misses) <= 1
+
+    def test_interior_misses_are_rare(self, burst):
+        fs, _, _ = burst
+        counters = fs.obs.snapshot().counters
+        interior = counters.get("cache.misses_interior", 0)
+        leaf = counters.get("cache.misses_leaf", 0)
+        assert interior + leaf <= counters["cache.misses"]
+        # The tree here has three levels; without the reserve more than
+        # a third of these misses are interior nodes (and more than
+        # half on the full-scale volume's deeper tree).
+        assert 4 * interior < leaf
+
+    def test_volume_verifies_while_over_capacity(self, burst):
+        from repro.core.verify import verify_volume
+
+        fs, _, _ = burst
+        cache = fs.cache
+        assert len(cache) > cache.capacity
+        assert cache.pinned_pages > cache.capacity - cache.reserve
+        assert cache.clean_pages >= cache.reserve
+        report = verify_volume(fs)
+        assert report.clean, report.problems
