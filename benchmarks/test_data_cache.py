@@ -5,7 +5,7 @@ compiler streams sources one 512-byte page at a time) on three mounts
 under the fifo scheduler and writes the comparison to
 ``BENCH_data_cache.json``:
 
-* ``paper``   — ``readahead_pages=0``: a disk request per page read.
+* ``paper``   — ``PAPER``: a disk request per page read.
   Must reproduce the seed ``BENCH_sched.json`` makedo/fifo numbers
   bit-for-bit (that file's builds run on the same mount).
 * ``default`` — what ``FSD.mount`` gives with no arguments: nothing
@@ -33,7 +33,7 @@ import os
 from pathlib import Path
 
 from repro.core.data_cache import DEFAULT_DATA_CACHE_PAGES
-from repro.core.fsd import FSD
+from repro.core.fsd import FSD, PAPER
 from repro.disk.disk import SimDisk
 from repro.harness.adapters import FsdAdapter
 from repro.harness.batches import measure_makedo
@@ -63,7 +63,7 @@ REGRESSION_TOLERANCE = 0.02
 
 #: arm -> mount options.
 MOUNTS = {
-    "paper": {"readahead_pages": 0},
+    "paper": {"options": PAPER},
     "default": {},
     "cached": {"data_cache_pages": CACHE_PAGES},
 }

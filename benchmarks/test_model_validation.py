@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 
-from repro.core.fsd import FSD
+from repro.core.fsd import FSD, PAPER
 from repro.disk.geometry import TRIDENT_T300
 from repro.disk.timing import TRIDENT_TIMING
 from repro.harness.ops import (
@@ -91,13 +91,13 @@ def measure_nt_page_miss() -> float:
     open repeated warm.  Before each, one raw sector read puts the
     head a third of the stroke from the name table, the distance the
     model's ``Seek`` stands for."""
-    disk, fs, adapter = fsd_volume(FULL, readahead_pages=0)
+    disk, fs, adapter = fsd_volume(FULL, options=PAPER)
     names = [
         name for name in populate_recovery_volume(adapter, FULL)
         if name.startswith("aged/")
     ]
     fs.unmount()
-    fs = FSD.mount(disk, readahead_pages=0)
+    fs = FSD.mount(disk, options=PAPER)
     geometry = disk.geometry
     away = geometry.cylinder_start(
         geometry.cylinder_of(fs.layout.nt_a_start) - geometry.cylinders // 3
@@ -122,7 +122,7 @@ def test_model_validation(once):
             **fsd.ms,
             **cfs.ms,
             "fsd sequential page read": measure_sequential_page_read(
-                readahead_pages=0
+                options=PAPER
             ),
             "fsd sequential page read (read-ahead)":
                 measure_sequential_page_read(),

@@ -24,7 +24,8 @@ Environment knobs (CI sets these):
 * ``BENCH_RUNTIME_MODULES`` — translation units (default 300 / 20)
 * ``BENCH_RUNTIME_CLIENTS`` — traffic clients (default 1000 / 100)
 * ``BENCH_RUNTIME_ROUNDS`` — timing rounds, best-of (default 3)
-* ``BENCH_RUNTIME_OUT`` — output path (default BENCH_runtime.json)
+* ``BENCH_RUNTIME_OUT`` — output path (default BENCH_runtime_ci.json,
+  git-ignored; name ``BENCH_runtime.json`` to re-capture the baseline)
 * ``BENCH_RUNTIME_SEED_WALL_S`` — optional wall seconds of the
   pre-batching seed's makedo on this machine; when set, the document
   records the honest speedup next to the measurement.
@@ -60,7 +61,7 @@ CLIENTS = int(
 )
 ROUNDS = int(os.environ.get("BENCH_RUNTIME_ROUNDS", "3"))
 OUT_PATH = Path(
-    os.environ.get("BENCH_RUNTIME_OUT", REPO_ROOT / "BENCH_runtime.json")
+    os.environ.get("BENCH_RUNTIME_OUT", REPO_ROOT / "BENCH_runtime_ci.json")
 )
 SEED_WALL_S = os.environ.get("BENCH_RUNTIME_SEED_WALL_S")
 

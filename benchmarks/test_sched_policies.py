@@ -29,7 +29,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.core.fsd import FSD
+from repro.core.fsd import FSD, PAPER
 from repro.disk.disk import SimDisk
 from repro.disk.sched import IoScheduler
 from repro.harness.adapters import FsdAdapter
@@ -59,14 +59,14 @@ OUT_PATH = Path(
 
 
 def _mounted(sched: str):
-    """The paper's mount (``readahead_pages=0``) under ``sched``: the
+    """The paper's mount (``PAPER``) under ``sched``: the
     policies are compared on the page-per-request build of Table 3, and
     ``benchmarks/test_data_cache.py`` checks its paper row against the
     makedo/fifo numbers written here."""
     disk = SimDisk(geometry=SCALE.geometry)
     FSD.format(disk, SCALE.fsd_params)
     kit = instrument(disk)
-    fs = FSD.mount(disk, obs=kit.obs, sched=sched, readahead_pages=0)
+    fs = FSD.mount(disk, obs=kit.obs, options=PAPER, sched=sched)
     return disk, fs, FsdAdapter(fs), kit.obs
 
 

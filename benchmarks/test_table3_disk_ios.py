@@ -13,7 +13,7 @@ combined leader+data write plus an amortized share of the log) and
 from properties living in the name table (list does almost no I/O).
 
 The paper's rows are measured on the paper's mount
-(``readahead_pages=0``): the MakeDo ratio is only 1.52 *because* both
+(``fsd.PAPER``): the MakeDo ratio is only 1.52 *because* both
 systems pay one I/O per page the compiler reads
 (``MakeDoWorkload.read_page_bytes``).  One more row shows the same
 build on a default mount, whose read-ahead fetches each source file's
@@ -22,7 +22,7 @@ disk run in a few transfers.
 
 from __future__ import annotations
 
-from repro.core.fsd import FSD
+from repro.core.fsd import FSD, PAPER as PAPER_MOUNT
 from repro.harness.batches import measure_batches, measure_makedo
 from repro.harness.report import Table, ratio
 from repro.harness.runner import measure
@@ -44,7 +44,7 @@ COLD_LIST_IOS_PAGE_AT_A_TIME = 60
 
 def test_table3_disk_ios(once):
     def run():
-        disk_f, fs_f, fsd_adapter = fsd_volume(FULL, readahead_pages=0)
+        disk_f, fs_f, fsd_adapter = fsd_volume(FULL, options=PAPER_MOUNT)
         aged = populate(fsd_adapter, 200)
         fsd = measure_batches(disk_f, fsd_adapter, pollute=aged[:80])
         fsd_makedo, _ = measure_makedo(disk_f, fsd_adapter)

@@ -8,13 +8,14 @@ intensively use the file system" (paper §7, Table 3).  The synthetic
 build compiles 30 modules — page-at-a-time source reads, scratch and
 object file creates, scratch deletes — and reports disk I/Os and
 simulated wall clock per file system.  FSD runs twice: on the paper's
-mount (``readahead_pages=0``, a disk request per page read, which is
+mount (``PAPER``: a disk request per page read, which is
 what Table 3 compares) and on the default mount, whose read-ahead
 fetches each source file's disk run in a few transfers.
 """
 
 from functools import partial
 
+from repro.core.fsd import PAPER
 from repro.harness.batches import measure_makedo
 from repro.harness.scenarios import (
     FULL,
@@ -28,7 +29,7 @@ from repro.harness.scenarios import (
 def main() -> None:
     rows = []
     for name, factory in (
-        ("FSD", partial(fsd_volume, readahead_pages=0)),
+        ("FSD", partial(fsd_volume, options=PAPER)),
         ("FSD r-a", fsd_volume),
         ("CFS", cfs_volume),
         ("4.3BSD", ffs_volume),

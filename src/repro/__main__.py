@@ -30,30 +30,19 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.core.data_cache import DEFAULT_READAHEAD_PAGES
 from repro.core.fsd import FSD
 from repro.core.layout import VolumeParams
 from repro.core.verify import verify_volume
 from repro.disk.disk import SimDisk
-from repro.disk.geometry import DiskGeometry, TRIDENT_T300
+from repro.disk.geometry import TRIDENT_T300
 from repro.disk.image import load_disk, save_disk
 from repro.errors import ReproError
-
-SMALL_GEOMETRY = DiskGeometry(cylinders=200, heads=8, sectors_per_track=48)
-SMALL_PARAMS = VolumeParams(
-    nt_pages=1024, log_record_sectors=600, cache_pages=96
-)
+from repro.mount_cli import add_mount_arguments, mount_options
 
 
-def _mount(path: str, args=None) -> tuple[SimDisk, FSD]:
-    disk = load_disk(path)
-    fs = FSD.mount(
-        disk,
-        sched=getattr(args, "sched", "fifo"),
-        data_cache_pages=getattr(args, "data_cache_pages", 0),
-        readahead_pages=getattr(args, "readahead", DEFAULT_READAHEAD_PAGES),
-        checkpoint_interval_ms=getattr(args, "checkpoint_ms", None),
-    )
+def _mount(args, obs=None) -> tuple[SimDisk, FSD]:
+    disk = load_disk(args.image)
+    fs = FSD.mount(disk, obs=obs, options=mount_options(args))
     report = fs.mount_report
     if report.log_records_replayed or report.vam_rebuild_entries:
         print(
@@ -77,7 +66,9 @@ def cmd_mkfs(args) -> int:
     if args.size == "t300":
         geometry, params = TRIDENT_T300, VolumeParams()
     else:
-        geometry, params = SMALL_GEOMETRY, SMALL_PARAMS
+        from repro.harness.scenarios import SMALL
+
+        geometry, params = SMALL.geometry, SMALL.fsd_params
     if args.log_vam:
         from dataclasses import replace
 
@@ -94,7 +85,7 @@ def cmd_mkfs(args) -> int:
 
 def cmd_put(args) -> int:
     data = Path(args.local).read_bytes()
-    disk, fs = _mount(args.image, args)
+    disk, fs = _mount(args)
     handle = fs.create(args.name, data)
     print(
         f"wrote {args.name}!{handle.version} "
@@ -105,7 +96,7 @@ def cmd_put(args) -> int:
 
 
 def cmd_get(args) -> int:
-    disk, fs = _mount(args.image, args)
+    disk, fs = _mount(args)
     handle = fs.open(args.name)
     data = fs.read(handle)
     if args.local:
@@ -118,7 +109,7 @@ def cmd_get(args) -> int:
 
 
 def cmd_ls(args) -> int:
-    disk, fs = _mount(args.image, args)
+    disk, fs = _mount(args)
     entries = fs.list(args.prefix or "")
     for props in entries:
         print(
@@ -131,7 +122,7 @@ def cmd_ls(args) -> int:
 
 
 def cmd_rm(args) -> int:
-    disk, fs = _mount(args.image, args)
+    disk, fs = _mount(args)
     props = fs.delete(args.name)
     print(f"deleted {props.name}!{props.version}")
     _finish(disk, fs, args.image)
@@ -139,7 +130,7 @@ def cmd_rm(args) -> int:
 
 
 def cmd_info(args) -> int:
-    disk, fs = _mount(args.image, args)
+    disk, fs = _mount(args)
     geo = disk.geometry
     print(f"geometry : {geo.cylinders} cyl x {geo.heads} heads x "
           f"{geo.sectors_per_track} sectors ({geo.total_bytes // 2**20} MB)")
@@ -156,7 +147,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    disk, fs = _mount(args.image, args)
+    disk, fs = _mount(args)
     report = verify_volume(fs)
     print(
         f"checked {report.files_checked} files, "
@@ -192,6 +183,7 @@ def cmd_traffic(args) -> int:
         sync_fraction=args.sync_fraction,
         slo_ms=args.slo_ms,
     )
+    obs = None
     if args.attrib:
         # Attribution rides a fresh detached observer (metrics stay
         # off): the recorder alone is attached, so the run's simulated
@@ -201,17 +193,7 @@ def cmd_traffic(args) -> int:
 
         obs = NullObserver()
         obs.attribution = AttributionRecorder()
-        disk = load_disk(args.image)
-        fs = FSD.mount(
-            disk,
-            obs=obs,
-            sched=args.sched,
-            data_cache_pages=args.data_cache_pages,
-            readahead_pages=args.readahead,
-            checkpoint_interval_ms=args.checkpoint_ms,
-        )
-    else:
-        disk, fs = _mount(args.image, args)
+    disk, fs = _mount(args, obs)
     engine = TrafficEngine(fs, config)
     report = engine.run()
     if args.json:
@@ -300,13 +282,7 @@ def cmd_chaos(args) -> int:
         mirror=args.mirror,
         slo_ms=args.slo_ms if args.slo_ms is not None else 50.0,
     )
-    report = run_chaos(
-        traffic,
-        chaos,
-        sched=args.sched,
-        data_cache_pages=args.data_cache_pages,
-        checkpoint_interval_ms=args.checkpoint_ms,
-    )
+    report = run_chaos(traffic, chaos, options=mount_options(args))
     if not args.quiet:
         for line in report.summary_lines():
             print(line)
@@ -332,30 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _sched_arg(p) -> None:
-        p.add_argument(
-            "--sched", choices=["fifo", "scan", "deadline"],
-            default="fifo",
-            help="I/O scheduler policy for the mount (default: fifo)",
-        )
-        p.add_argument(
-            "--data-cache-pages", type=int, default=0, metavar="N",
-            help="demanded and written data sectors kept cached "
-                 "(default 0: read-ahead only)",
-        )
-        p.add_argument(
-            "--readahead", type=int, default=DEFAULT_READAHEAD_PAGES,
-            metavar="N",
-            help="sequential read-ahead window in pages (default: "
-                 f"{DEFAULT_READAHEAD_PAGES}; 0: the paper's mount)",
-        )
-        p.add_argument(
-            "--checkpoint-ms", type=float, default=None, metavar="MS",
-            help="run the background checkpointer every MS simulated "
-                 "ms (default: off — third entries write home "
-                 "synchronously)",
-        )
-
     p = sub.add_parser("mkfs", help="format a new volume image")
     p.add_argument("image")
     p.add_argument("--size", choices=["small", "t300"], default="small")
@@ -369,36 +321,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.add_argument("--crash", action="store_true",
                    help="simulate a crash instead of unmounting")
-    _sched_arg(p)
+    add_mount_arguments(p)
     p.set_defaults(fn=cmd_put)
 
     p = sub.add_parser("get", help="copy a file out of the volume")
     p.add_argument("image")
     p.add_argument("name")
     p.add_argument("local", nargs="?")
-    _sched_arg(p)
+    add_mount_arguments(p)
     p.set_defaults(fn=cmd_get)
 
     p = sub.add_parser("ls", help="list files")
     p.add_argument("image")
     p.add_argument("prefix", nargs="?")
-    _sched_arg(p)
+    add_mount_arguments(p)
     p.set_defaults(fn=cmd_ls)
 
     p = sub.add_parser("rm", help="delete a file")
     p.add_argument("image")
     p.add_argument("name")
-    _sched_arg(p)
+    add_mount_arguments(p)
     p.set_defaults(fn=cmd_rm)
 
     p = sub.add_parser("info", help="volume information")
     p.add_argument("image")
-    _sched_arg(p)
+    add_mount_arguments(p)
     p.set_defaults(fn=cmd_info)
 
     p = sub.add_parser("verify", help="offline integrity check")
     p.add_argument("image")
-    _sched_arg(p)
+    add_mount_arguments(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser(
@@ -448,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the full report as JSON")
     p.add_argument("--save", action="store_true",
                    help="save the image back after the run")
-    _sched_arg(p)
+    add_mount_arguments(p)
     p.set_defaults(fn=cmd_traffic)
 
     p = sub.add_parser(
@@ -503,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the flat bench-gating doc as JSON")
     p.add_argument("--quiet", action="store_true",
                    help="suppress the summary lines")
-    _sched_arg(p)
+    add_mount_arguments(p)
     p.set_defaults(fn=cmd_chaos)
 
     from repro.crashcheck.cli import add_subparser as add_crashcheck

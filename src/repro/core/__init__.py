@@ -3,7 +3,7 @@ metadata is protected by a physical redo log with group commit."""
 
 from repro.core.allocator import AllocatorStats, RunAllocator
 from repro.core.cache import CacheEntry, MetadataCache
-from repro.core.fsd import FSD, FsdFile, FsdOpCounts
+from repro.core.fsd import FSD, PAPER, TUNED, FsdFile, FsdOpCounts, MountOptions
 from repro.core.group_commit import CommitCoordinator
 from repro.core.layout import RootPage, VolumeLayout, VolumeParams
 from repro.core.leader import encode_leader, verify_leader
@@ -42,16 +42,19 @@ __all__ = [
     "LogRecord",
     "LoggedPage",
     "MetadataCache",
+    "MountOptions",
     "MountReport",
     "NameTableHome",
     "NameTablePager",
     "PAGE_LEADER",
     "PAGE_NAME_TABLE",
+    "PAPER",
     "RemoteFileServer",
     "RootPage",
     "Run",
     "RunAllocator",
     "RunTable",
+    "TUNED",
     "VerifyReport",
     "VolumeAllocationMap",
     "VolumeLayout",

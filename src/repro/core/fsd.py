@@ -18,7 +18,7 @@ single-threaded simulation runs the half-second commit daemon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.allocator import RunAllocator
 from repro.core.cache import MetadataCache
@@ -94,6 +94,39 @@ class FsdOpCounts:
     extra: dict[str, int] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class MountOptions:
+    """How a volume is mounted.  These are choices of one mount, not
+    parameters of the volume (those are in the root page), so the same
+    volume can be remounted differently; :meth:`FSD.mount` keeps the
+    value it resolved as ``fs.options``.  docs/INTERNALS.md "Mounting a
+    volume" says which benchmark runs on which value."""
+
+    #: I/O scheduler policy: ``fifo`` / ``scan`` / ``deadline``.
+    sched: str = "fifo"
+    #: demanded and written data sectors kept cached (0: none — the
+    #: data cache holds read-ahead only).
+    data_cache_pages: int = 0
+    #: cap on the sequential prefetch window; 0 makes every read
+    #: exactly the disk requests the client asked for.
+    readahead_pages: int = DEFAULT_READAHEAD_PAGES
+    #: simulated-clock cadence of the background checkpointer
+    #: (:mod:`repro.core.checkpoint`); None keeps the paper's
+    #: synchronous third-entry writeback.
+    checkpoint_interval_ms: float | None = None
+
+
+#: the paper's mount — fifo, no data cache, no read-ahead, no
+#: checkpointer: what Table 3, the model validation and
+#: ``BENCH_sched.json`` are measured on.
+PAPER = MountOptions(readahead_pages=0)
+#: the mount the ``traffic_steady`` end-to-end workload is benchmarked
+#: on (``read_stream``: the same less the checkpointer).
+TUNED = MountOptions(
+    sched="scan", data_cache_pages=4096, checkpoint_interval_ms=250.0
+)
+
+
 class FSD:
     """One mounted FSD volume."""
 
@@ -109,14 +142,14 @@ class FSD:
         name_table: FsdNameTable,
         vam: VolumeAllocationMap,
         mount_report: MountReport,
-        obs=NULL_OBS,
-        io: IoScheduler | None = None,
-        nt_home: NameTableHome | None = None,
-        data_cache: DataPageCache | None = None,
-        checkpoint_interval_ms: float | None = None,
+        obs,
+        io: IoScheduler,
+        nt_home: NameTableHome,
+        options: MountOptions,
     ):
         self.disk = disk
-        self.io = io if io is not None else as_scheduler(disk)
+        self.io = io
+        self.options = options
         self.clock = disk.clock
         self.layout = layout
         self.params = layout.params
@@ -155,17 +188,18 @@ class FSD:
                 wal,
                 cache,
                 self.io,
-                interval_ms=checkpoint_interval_ms,
+                interval_ms=options.checkpoint_interval_ms,
                 obs=obs,
             )
-            if checkpoint_interval_ms is not None
+            if options.checkpoint_interval_ms is not None
             else None
         )
         self.mount_report = mount_report
-        self.data_cache = (
-            data_cache
-            if data_cache is not None
-            else DataPageCache(sector_bytes=disk.geometry.sector_bytes)
+        self.data_cache = DataPageCache(
+            capacity_pages=options.data_cache_pages,
+            readahead_pages=options.readahead_pages,
+            sector_bytes=disk.geometry.sector_bytes,
+            obs=obs,
         )
         self.ops = FsdOpCounts()
         #: geometry is frozen; cache the sector size the data paths
@@ -180,8 +214,7 @@ class FSD:
         #: every :class:`DegradedVolumeError` the volume raises.
         self.degraded_site: int | None = None
         self.nt_home = nt_home
-        if nt_home is not None:
-            nt_home.on_degraded = self._note_degraded
+        nt_home.on_degraded = self._note_degraded
         self.attach_observer(obs)
 
     def attach_observer(self, obs) -> None:
@@ -198,8 +231,7 @@ class FSD:
         if self.checkpointer is not None:
             self.checkpointer.obs = obs
         self.name_table.tree.pager.obs = obs
-        if self.nt_home is not None:
-            self.nt_home.obs = obs
+        self.nt_home.obs = obs
         if hasattr(self.disk, "obs"):
             # MirroredDisk carries its own attach point (plain SimDisk
             # does not): the mirror-fallback rung reports through it.
@@ -252,10 +284,8 @@ class FSD:
         disk: SimDisk,
         params: VolumeParams | None = None,
         obs=None,
-        sched: str = "fifo",
-        data_cache_pages: int = 0,
-        readahead_pages: int = DEFAULT_READAHEAD_PAGES,
-        checkpoint_interval_ms: float | None = None,
+        options: MountOptions | None = None,
+        **fields,
     ) -> "FSD":
         """Mount (and, if needed, recover) the FSD volume on ``disk``.
 
@@ -263,23 +293,17 @@ class FSD:
         page; authoritative parameters come from the root itself.
         ``obs`` attaches an :class:`~repro.obs.Observer` across every
         layer; recovery phases (log scan, redo, VAM load/rebuild) emit
-        nested spans under ``fsd.mount``.  ``sched`` selects the I/O
-        scheduler policy (``fifo``/``scan``/``deadline``); like the
-        data-cache knobs it is a mount-time choice, not a volume
-        parameter, so the same volume can be remounted differently.
-        ``data_cache_pages`` is how many demanded and written data
-        sectors stay cached (0, the default: none — the data cache
-        holds read-ahead only); ``readahead_pages`` caps the sequential
-        prefetch window, and 0 is the paper's mount: every read is
-        exactly the disk requests the client asked for.
-        ``checkpoint_interval_ms`` enables the background checkpointer
-        (:mod:`repro.core.checkpoint`) at that simulated-clock cadence;
-        None (the default) keeps the synchronous third-entry writeback
-        of the paper — the bit-compatibility mode.
+        nested spans under ``fsd.mount``.  ``options`` is the
+        :class:`MountOptions` value (default: ``MountOptions()``);
+        ``fields`` replace individual fields of it, so
+        ``mount(disk, sched="scan")`` and
+        ``mount(disk, options=MountOptions(sched="scan"))`` are the
+        same mount.
         """
+        options = replace(options or MountOptions(), **fields)
         obs = obs if obs is not None else NULL_OBS
         obs.bind_clock(disk.clock)
-        io = as_scheduler(disk, policy=sched, obs=obs)
+        io = as_scheduler(disk, policy=options.sched, obs=obs)
         start_ms = disk.clock.now_ms
         with obs.span("fsd.mount") as mount_span:
             report = MountReport()
@@ -374,13 +398,7 @@ class FSD:
             obs=obs,
             io=io,
             nt_home=home,
-            data_cache=DataPageCache(
-                capacity_pages=data_cache_pages,
-                readahead_pages=readahead_pages,
-                sector_bytes=disk.geometry.sector_bytes,
-                obs=obs,
-            ),
-            checkpoint_interval_ms=checkpoint_interval_ms,
+            options=options,
         )
         if report.log_records_lost:
             # Committed records sit beyond a damage hole the scan could

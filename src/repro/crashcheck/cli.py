@@ -12,6 +12,7 @@ import time
 
 from repro.crashcheck.engine import explore
 from repro.crashcheck.scenarios import SCENARIOS, get_scenario
+from repro.mount_cli import add_mount_arguments, mount_options
 from repro.obs import Observer
 from repro.obs.instrument import instrument
 
@@ -54,15 +55,8 @@ def add_subparser(sub) -> None:
         action="store_true",
         help="print recovery metrics aggregated across all mounts",
     )
-    p.add_argument(
-        "--data-cache-pages",
-        type=int,
-        default=0,
-        metavar="N",
-        help="keep N demanded and written data sectors cached in the "
-        "recorded run and every post-crash remount (default 0: the "
-        "cache-coherence oracle checks the read-ahead buffer)",
-    )
+    # The mount of the recorded run and of every post-crash remount.
+    add_mount_arguments(p)
     p.set_defaults(fn=cmd_crashcheck)
 
 
@@ -124,7 +118,7 @@ def cmd_crashcheck(args) -> int:
         max_points=args.max_points,
         progress=progress,
         obs=obs,
-        data_cache_pages=args.data_cache_pages,
+        options=mount_options(args),
     )
     elapsed = time.monotonic() - started
 

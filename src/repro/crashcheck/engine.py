@@ -267,18 +267,18 @@ def check_image(
     oracles: Iterable[Oracle],
     point: CrashPoint,
     obs=NULL_OBS,
-    data_cache_pages: int = 0,
+    **mount,
 ) -> list[Violation]:
     """Mount one crash image through real recovery and run the oracles.
 
     ``obs`` aggregates recovery metrics/spans across every mount in a
     sweep (``FSD.mount`` rebinds the observer's clock per image).
-    ``data_cache_pages`` sizes the remount's data cache (0: the
+    ``mount`` is what :meth:`FSD.mount` takes (nothing: the
     cache-coherence oracle checks the default read-ahead buffer).
     """
     disk = materialize(image)
     try:
-        fs = FSD.mount(disk, obs=obs, data_cache_pages=data_cache_pages)
+        fs = FSD.mount(disk, obs=obs, **mount)
     except Exception as error:
         return [
             Violation(point, "mount", f"recovery failed: {error!r}")
@@ -298,7 +298,7 @@ def explore(
     progress: Callable[[int, int], None] | None = None,
     recording: Recording | None = None,
     obs=NULL_OBS,
-    data_cache_pages: int = 0,
+    **mount,
 ) -> SweepSummary:
     """Run the crash-point sweep for ``scenario``.
 
@@ -308,13 +308,15 @@ def explore(
     pre-made ``recording`` may be supplied to amortize the baseline
     run across sweeps.  ``obs`` receives the recovery metrics and
     spans of every mounted crash image (see ``crashcheck --metrics``).
-    ``data_cache_pages`` sizes the data cache both in the recorded
-    baseline run and in every post-crash remount.
+    ``mount`` — what :meth:`FSD.mount` takes: ``options=TUNED``,
+    ``sched="scan"`` — is the mount of the recorded baseline run
+    (where a scenario's own checkpoint interval overrides that one
+    field) and of every post-crash remount.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     if recording is None:
-        recording = record_scenario(scenario, data_cache_pages=data_cache_pages)
+        recording = record_scenario(scenario, **mount)
     if oracles is None:
         oracles = default_oracles()
 
@@ -363,10 +365,7 @@ def explore(
                 seen.add(key)
                 ctx = OracleContext.at(recording, boundary, point.label)
                 summary.violations.extend(
-                    check_image(
-                        image, ctx, oracles, point, obs=obs,
-                        data_cache_pages=data_cache_pages,
-                    )
+                    check_image(image, ctx, oracles, point, obs=obs, **mount)
                 )
                 summary.checked += 1
             done += 1

@@ -46,7 +46,8 @@ def model_apply(stacks: dict[str, list[bytes]], op: Op) -> None:
 
     Mirrors FSD semantics: a create pushes the next version (trimming
     the oldest past ``keep`` when retention is bounded); a delete pops
-    the newest version, exposing the previous one if any.
+    the newest version, exposing the previous one if any; an in-place
+    write replaces the newest version's content.
     """
     if op.kind == "create":
         stack = stacks.setdefault(op.name, [])
@@ -59,6 +60,9 @@ def model_apply(stacks: dict[str, list[bytes]], op: Op) -> None:
             stack.pop()
             if not stack:
                 del stacks[op.name]
+    elif op.kind == "write":
+        if op.name in stacks:
+            stacks[op.name][-1] = op.data
     # "force" and "checkpoint" have no namespace effect
 
 

@@ -8,39 +8,29 @@ permanent 1–2-sector damage, transient read failures, latent faults
 that surface on the next read, wild writes into the name-table extents
 and leader sectors, and mid-run crash/remount cycles.
 
-The oracle is the robustness claim itself: every run must end in
-exactly one of three honest states —
-
-* ``recovered``  — the final mount is clean and every committed file
-  reads back exactly (or fails with an *explicit* error where its data
-  sectors were destroyed),
-* ``degraded``   — the escalation ladder was exhausted or committed
-  log records were lost; the volume says so and refuses writes, and a
-  salvage pass must then succeed,
-* ``salvaged``   — the volume would not even mount; the salvager must
-  rebuild a volume whose surviving files are byte-faithful.
-
-What is *never* acceptable is **silent corruption**: a committed file
-absent or altered while the mount claims to be healthy, or any file
-whose content was never written to it.  Runs are seeded and fully
-deterministic, so a campaign is a reproducible regression artifact
-(``python -m repro soak --json``).
+The oracle is the robustness claim itself, judged by
+:class:`~repro.crashcheck.outcome.OutcomeOracle`: every run must end
+``recovered``, ``degraded`` or ``salvaged``, never in silent
+corruption.  A run only creates and deletes — a create writes fresh
+sectors and the shadow bitmap keeps freed ones unallocatable until
+commit — so a crash rolls uncommitted operations back without tearing
+any name.  Runs are seeded and fully deterministic, so a campaign is a
+reproducible regression artifact (``python -m repro soak --json``).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.fsd import FSD
-from repro.core.salvage import SalvageReport, salvage_volume
+from repro.crashcheck.outcome import VERDICTS, Outcome, OutcomeOracle
 from repro.crashcheck.scenarios import CRASH_SCALE
 from repro.disk.disk import SimDisk
 from repro.errors import (
     CorruptMetadata,
     DegradedVolumeError,
     DiskError,
-    FileNotFound,
     FsError,
 )
 
@@ -57,8 +47,6 @@ FAULT_KINDS = (
     ("wild_write", 0.20),
     ("nt_pair", 0.15),
 )
-
-_FAULT_KINDS = FAULT_KINDS  # backwards-compatible alias
 
 
 @dataclass(frozen=True)
@@ -80,22 +68,15 @@ class SoakConfig:
 
 
 @dataclass
-class RunResult:
-    """Outcome of one seeded run."""
+class RunResult(Outcome):
+    """One seeded run: what it did, and how the oracle judged it."""
 
     index: int
     seed: int
-    verdict: str = ""  # "recovered" | "degraded" | "salvaged"
     ops: int = 0
     crashes: int = 0
     faults: dict[str, int] = field(default_factory=dict)
     op_errors: int = 0
-    files_expected: int = 0
-    files_verified: int = 0
-    files_honestly_lost: int = 0
-    #: descriptions of silent-corruption findings; MUST stay empty.
-    silent_corruptions: list[str] = field(default_factory=list)
-    salvage_summary: str | None = None
 
     @property
     def faults_injected(self) -> int:
@@ -133,8 +114,7 @@ class CampaignReport:
     @property
     def ok(self) -> bool:
         return not self.silent_corruptions and all(
-            result.verdict in ("recovered", "degraded", "salvaged")
-            for result in self.results
+            result.verdict in VERDICTS for result in self.results
         )
 
     def to_json(self) -> dict:
@@ -182,55 +162,6 @@ class CampaignReport:
 # ----------------------------------------------------------------------
 # one run
 # ----------------------------------------------------------------------
-class _RunState:
-    """Everything a run tracks to judge its own outcome honestly."""
-
-    def __init__(self) -> None:
-        #: op log: ("create", name, data) / ("delete", name, b"").
-        self.oplog: list[tuple[str, str, bytes]] = []
-        #: every payload ever written per name — the only contents a
-        #: read may ever return for it.
-        self.history: dict[str, set[bytes]] = {}
-        #: ops covered by a returned group commit.
-        self.committed_ops = 0
-        #: leader sectors of live files (wild-write targets).
-        self.leader_addrs: dict[tuple[str, int], int] = {}
-        #: any mount reported log damage / lost records, or the volume
-        #: marked itself degraded: absence of a committed file is then
-        #: an honest loss, not a silent one.
-        self.honesty_flag = False
-
-    def expected_visible(self, keep: int = 2) -> dict[str, bytes]:
-        """Replay the committed op prefix: name -> newest content."""
-        stacks: dict[str, list[bytes]] = {}
-        for kind, name, data in self.oplog[: self.committed_ops]:
-            if kind == "create":
-                stack = stacks.setdefault(name, [])
-                stack.append(data)
-                del stack[:-keep]
-            elif kind == "delete" and stacks.get(name):
-                stacks[name].pop()
-        return {
-            name: stack[-1] for name, stack in stacks.items() if stack
-        }
-
-    def uncommitted_touches(self, name: str) -> bool:
-        return any(
-            op_name == name for _, op_name, _ in self.oplog[self.committed_ops :]
-        )
-
-
-def _install_watermark(fs: FSD, state: _RunState) -> list[int]:
-    """Commit hook: ops finished before a commit returned are durable."""
-    ops_done = [len(state.oplog)]
-
-    def hook() -> None:
-        state.committed_ops = max(state.committed_ops, ops_done[0])
-
-    fs.coordinator.add_commit_hook(hook)
-    return ops_done
-
-
 def nt_page(layout, rng: random.Random) -> int:
     """A name-table page number, biased toward the low pages a small
     volume actually uses (uniform hits over thousands of blank pages
@@ -321,29 +252,17 @@ def inject_fault(
     return kind
 
 
-def _inject_fault(
-    disk: SimDisk, fs: FSD, state: _RunState, rng: random.Random
-) -> str:
-    return inject_fault(disk, fs.layout, state.leader_addrs, rng)
-
-
-def _note_mount_honesty(fs: FSD, state: _RunState) -> None:
-    report = fs.mount_report
-    if report.log_damage or report.log_records_lost or fs.degraded:
-        state.honesty_flag = True
-
-
 def run_soak(index: int, config: SoakConfig) -> RunResult:
     """One seeded workload-plus-faults run, judged honestly."""
     seed = config.seed * 100_003 + index
     rng = random.Random(seed)
     result = RunResult(index=index, seed=seed)
-    state = _RunState()
+    oracle = OutcomeOracle()
 
     disk = SimDisk(geometry=CRASH_SCALE.geometry)
     FSD.format(disk, CRASH_SCALE.fsd_params)
     fs = FSD.mount(disk)
-    ops_done = _install_watermark(fs, state)
+    oracle.watch(fs)
 
     names = [f"soak/file-{n:02d}" for n in range(10)]
     faults_left = config.faults_per_run
@@ -352,7 +271,7 @@ def run_soak(index: int, config: SoakConfig) -> RunResult:
     for op_index in range(config.ops_per_run):
         remaining_ops = config.ops_per_run - op_index
         while faults_left > 0 and rng.random() < faults_left / remaining_ops:
-            kind = _inject_fault(disk, fs, state, rng)
+            kind = inject_fault(disk, fs.layout, oracle.leader_addrs, rng)
             result.faults[kind] = result.faults.get(kind, 0) + 1
             faults_left -= 1
 
@@ -363,159 +282,38 @@ def run_soak(index: int, config: SoakConfig) -> RunResult:
                 payload_counter += 1
                 stamp = f"{name}#{seed}#{payload_counter}|".encode()
                 data = stamp * (1 + rng.randrange(40))
-                handle = fs.create(name, data)
-                state.history.setdefault(name, set()).add(data)
-                state.oplog.append(("create", name, data))
-                version = handle.props.version
-                state.leader_addrs[(name, version)] = (
-                    handle.props.leader_addr
-                )
-                # Versions beyond the keep limit were trimmed by the
-                # create: their leader sectors are free again and must
-                # never be wild-write targets (they may be reallocated
-                # as plain data, where a scribble would be silent).
-                for key in [
-                    k
-                    for k in state.leader_addrs
-                    if k[0] == name and k[1] <= version - FSD.DEFAULT_KEEP
-                ]:
-                    del state.leader_addrs[key]
+                oracle.created(name, data, fs.create(name, data).props)
             elif roll < 0.75:
                 name = rng.choice(names)
-                props = fs.delete(name)
-                state.oplog.append(("delete", name, b""))
-                state.leader_addrs.pop((name, props.version), None)
+                oracle.deleted(name, fs.delete(name).version)
             else:
                 fs.force()
             result.ops += 1
-            ops_done[0] = len(state.oplog)
         except DegradedVolumeError:
-            state.honesty_flag = True
+            oracle.honesty_flag = True
             break
         except (FsError, DiskError):
             result.op_errors += 1
         if fs.degraded:
-            state.honesty_flag = True
+            oracle.honesty_flag = True
             break
 
         if rng.random() < config.crash_probability:
             fs.crash()
             result.crashes += 1
-            # Ops not covered by a returned commit died with the crash;
-            # they must never be counted committed by a *later* commit.
-            # (If an in-flight force secretly made one durable, the
-            # content-history check still accepts what it reads back.)
-            del state.oplog[state.committed_ops :]
+            oracle.crashed(tear=False)
             try:
                 fs = FSD.mount(disk)
             except (DegradedVolumeError, CorruptMetadata):
-                state.honesty_flag = True
+                oracle.honesty_flag = True
                 fs = None
                 break
-            ops_done = _install_watermark(fs, state)
-            ops_done[0] = len(state.oplog)
-            _note_mount_honesty(fs, state)
-            # Creates lost in the crash leave stale leader addresses
-            # whose sectors are free for data reallocation; re-derive
-            # the wild-write targets from what actually survived.
-            try:
-                state.leader_addrs = {
-                    (props.name, props.version): props.leader_addr
-                    for props in fs.list()
-                }
-            except (FsError, DiskError):
-                state.leader_addrs.clear()
+            oracle.watch(fs)
+            oracle.resync_leaders(fs)
 
     if fs is not None:
         fs.crash()
-
-    _classify(disk, state, result)
-    return result
-
-
-# ----------------------------------------------------------------------
-# classification + verification
-# ----------------------------------------------------------------------
-def _classify(disk: SimDisk, state: _RunState, result: RunResult) -> None:
-    try:
-        fs = FSD.mount(disk)
-    except (DegradedVolumeError, CorruptMetadata):
-        result.verdict = "salvaged"
-        _verify_salvage(disk, state, result)
-        return
-    _note_mount_honesty(fs, state)
-    result.verdict = "degraded" if fs.degraded else "recovered"
-    _verify_mounted(fs, state, result)
-    fs.crash()
-    if result.verdict == "degraded":
-        # A degraded volume must still be salvageable.
-        _verify_salvage(disk, state, result)
-
-
-def _verify_mounted(fs: FSD, state: _RunState, result: RunResult) -> None:
-    expected = state.expected_visible()
-    result.files_expected = len(expected)
-    for name, want in sorted(expected.items()):
-        try:
-            handle = fs.open(name)
-            got = fs.read(handle)
-        except FileNotFound:
-            if (
-                state.honesty_flag
-                or state.uncommitted_touches(name)
-            ):
-                result.files_honestly_lost += 1
-            else:
-                result.silent_corruptions.append(
-                    f"committed file {name} vanished from a mount that "
-                    "claims to be healthy"
-                )
-            continue
-        except (DiskError, CorruptMetadata):
-            # Explicit failure: destroyed data sectors / wild-written
-            # leaders are reported, never papered over.
-            result.files_honestly_lost += 1
-            continue
-        if got == want or got in state.history.get(name, ()):
-            result.files_verified += 1
-        else:
-            result.silent_corruptions.append(
-                f"file {name} returned {len(got)} bytes that were "
-                "never written to it"
-            )
-
-
-def _verify_salvage(
-    disk: SimDisk, state: _RunState, result: RunResult
-) -> None:
-    try:
-        destination, report = salvage_volume(disk)
-    except (DegradedVolumeError, CorruptMetadata) as error:
-        result.silent_corruptions.append(f"salvage failed: {error}")
-        return
-    result.salvage_summary = report.summary()
-    fs = FSD.mount(destination)
-    expected = state.expected_visible()
-    if not result.files_expected:
-        result.files_expected = len(expected)
-    for name, want in sorted(expected.items()):
-        try:
-            handle = fs.open(name)
-            got = fs.read(handle)
-        except (FileNotFound, DiskError, CorruptMetadata):
-            # Salvage is best-effort: a file whose every trace was
-            # destroyed is honestly absent (and the lost list says so
-            # when any trace survived).
-            result.files_honestly_lost += 1
-            continue
-        if got == want or got in state.history.get(name, ()):
-            result.files_verified += 1
-        else:
-            result.silent_corruptions.append(
-                f"salvaged file {name} returned {len(got)} bytes that "
-                "were never written to it"
-            )
-    fs.crash()
+    return replace(result, **vars(oracle.classify(disk, FSD.mount)))
 
 
 def run_campaign(config: SoakConfig | None = None, progress=None) -> CampaignReport:

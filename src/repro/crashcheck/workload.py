@@ -41,10 +41,14 @@ class Op:
 
     ``kind`` is ``"create"`` (next version of ``name`` holding
     ``data``), ``"delete"`` (newest version of ``name``), ``"force"``
-    (an explicit group commit; the script's durability points) or
+    (an explicit group commit; the script's durability points),
     ``"checkpoint"`` (one background checkpointer tick: write-home of
     every logged image plus the anchor advance — only legal in
-    scenarios mounted with a checkpoint interval).
+    scenarios mounted with a checkpoint interval) or ``"write"`` (the
+    newest version of ``name`` now holds ``data``, rewritten in place:
+    data sectors are not logged, so this is no crash-atomic step and
+    only the campaign oracle of :mod:`repro.crashcheck.outcome` models
+    it — explorer scenarios cannot script it).
     """
 
     kind: str
@@ -53,7 +57,9 @@ class Op:
     keep: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("create", "delete", "force", "checkpoint"):
+        if self.kind not in (
+            "create", "delete", "force", "checkpoint", "write"
+        ):
             raise ValueError(f"unknown op kind {self.kind!r}")
 
 
@@ -242,15 +248,14 @@ class Recording:
 # executors
 # ----------------------------------------------------------------------
 def _build_volume(
-    scenario: "CrashScenario", data_cache_pages: int = 0
+    scenario: "CrashScenario", **mount
 ) -> tuple[SimDisk, FSD, FsdAdapter]:
     disk = SimDisk(geometry=scenario.scale.geometry)
     FSD.format(disk, scenario.scale.fsd_params)
-    fs = FSD.mount(
-        disk,
-        data_cache_pages=data_cache_pages,
-        checkpoint_interval_ms=scenario.checkpoint_interval_ms,
-    )
+    if scenario.checkpoint_interval_ms is not None:
+        # The scenario drives its checkpointer by ``"checkpoint"`` ops.
+        mount["checkpoint_interval_ms"] = scenario.checkpoint_interval_ms
+    fs = FSD.mount(disk, **mount)
     return disk, fs, FsdAdapter(fs)
 
 
@@ -262,15 +267,18 @@ def apply_op(adapter, op: Op) -> None:
         adapter.delete(op.name)
     elif op.kind == "checkpoint":
         adapter.fs.checkpointer.tick()
-    else:  # force
+    elif op.kind == "force":
         adapter.settle()
+    else:
+        raise ValueError(f"op kind {op.kind!r} cannot be scripted")
 
 
-def record_scenario(
-    scenario: "CrashScenario", data_cache_pages: int = 0
-) -> Recording:
-    """Run ``scenario`` once, uncrashed, and record its body."""
-    disk, fs, adapter = _build_volume(scenario, data_cache_pages)
+def record_scenario(scenario: "CrashScenario", **mount) -> Recording:
+    """Run ``scenario`` once, uncrashed, and record its body.  ``mount``
+    is what :meth:`FSD.mount` takes (``options=TUNED``,
+    ``sched="scan"``); a scenario's own checkpoint interval
+    overrides that one field."""
+    disk, fs, adapter = _build_volume(scenario, **mount)
     for op in scenario.setup:
         apply_op(adapter, op)
     adapter.settle()
@@ -308,13 +316,13 @@ def run_with_armed_crash(
     after_ios: int,
     surviving_sectors: int | None = None,
     damage_tail: int = 1,
-    data_cache_pages: int = 0,
+    **mount,
 ) -> SimDisk:
     """Live replay: re-run the scenario with a real armed crash at body
     I/O ``after_ios``; returns the crashed disk.  Used to cross-check
     that synthesized crash images match what the fault injector
     actually leaves behind."""
-    disk, fs, adapter = _build_volume(scenario, data_cache_pages)
+    disk, fs, adapter = _build_volume(scenario, **mount)
     for op in scenario.setup:
         apply_op(adapter, op)
     adapter.settle()

@@ -7,7 +7,6 @@ from repro.harness.runner import (
     build_disk,
     drain_clock,
     measure,
-    small_disk,
 )
 from repro.harness.scenarios import (
     FULL,
@@ -40,5 +39,4 @@ __all__ = [
     "populate_recovery_volume",
     "ratio",
     "shape_holds",
-    "small_disk",
 ]

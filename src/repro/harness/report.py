@@ -70,22 +70,6 @@ class Table:
         print(self.render())
 
 
-def layer_breakdown(snapshot) -> str:
-    """One-line per-layer counter totals from an obs ``Snapshot``.
-
-    Duck-typed on ``snapshot.counters`` so benchmark scripts can pass
-    either a full snapshot or a delta of two; histograms and gauges are
-    levels/distributions rather than event totals and are left out.
-    """
-    totals: dict[str, float] = {}
-    for name, value in snapshot.counters.items():
-        layer = name.split(".", 1)[0]
-        totals[layer] = totals.get(layer, 0.0) + value
-    return " ".join(
-        f"{layer}={totals[layer]:g}" for layer in sorted(totals)
-    )
-
-
 def ratio(numerator: float, denominator: float) -> float:
     """Safe speed-up ratio."""
     if denominator == 0:

@@ -25,7 +25,7 @@ class Measurement:
     io: DiskStats
     result: object = None
     #: obs metrics delta over the window (when ``measure`` got an
-    #: observer); layer totals via ``report.layer_breakdown``.
+    #: observer).
     obs_delta: object = None
 
     @property
@@ -52,11 +52,6 @@ def build_disk(
 ) -> SimDisk:
     """A fresh simulated drive (default: the ~306 MB Trident-class)."""
     return SimDisk(geometry=geometry or TRIDENT_T300, timing=timing)
-
-
-def small_disk() -> SimDisk:
-    """A ~38 MB drive for fast unit-style benches."""
-    return SimDisk(geometry=DiskGeometry(cylinders=200, heads=8, sectors_per_track=48))
 
 
 def measure(

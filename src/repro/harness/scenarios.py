@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from repro.bsd.ffs import FFS
 from repro.bsd.layout import FfsParams
 from repro.cfs.cfs import CFS, CfsParams
-from repro.core.data_cache import DEFAULT_READAHEAD_PAGES
 from repro.core.fsd import FSD
 from repro.core.layout import VolumeParams
 from repro.disk.disk import SimDisk
@@ -77,27 +76,15 @@ FULL = Scale(
 # volume factories
 # ----------------------------------------------------------------------
 def fsd_volume(
-    scale: Scale = SMALL,
-    sched: str = "fifo",
-    data_cache_pages: int = 0,
-    readahead_pages: int = DEFAULT_READAHEAD_PAGES,
+    scale: Scale = SMALL, **mount
 ) -> tuple[SimDisk, FSD, FsdAdapter]:
-    """A freshly formatted, mounted FSD volume at ``scale``.
-
-    ``sched`` selects the I/O scheduler policy for the mount
-    (``fifo``/``scan``/``deadline``); ``data_cache_pages`` and
-    ``readahead_pages`` size the data cache (0 pages, the default, keeps
-    read-ahead only; a 0 window on top is the paper's mount).  Benchmarks
-    use these to compare dispatch orders and cache policies.
-    """
+    """A freshly formatted FSD volume at ``scale``, mounted with
+    ``mount`` — what :meth:`FSD.mount` takes: ``options=PAPER``,
+    ``sched="scan"``.  Benchmarks use it to compare dispatch orders and
+    cache policies."""
     disk = SimDisk(geometry=scale.geometry)
     FSD.format(disk, scale.fsd_params)
-    fs = FSD.mount(
-        disk,
-        sched=sched,
-        data_cache_pages=data_cache_pages,
-        readahead_pages=readahead_pages,
-    )
+    fs = FSD.mount(disk, **mount)
     return disk, fs, FsdAdapter(fs)
 
 

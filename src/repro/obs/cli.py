@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.core.data_cache import DEFAULT_READAHEAD_PAGES
 from repro.core.fsd import FSD
 from repro.disk.image import load_disk, save_disk
+from repro.mount_cli import add_mount_arguments, mount_options
 from repro.obs.export import folded_stacks, metric_dicts, timeline, to_jsonl
 from repro.obs.instrument import instrument
 from repro.obs.metrics import HistogramSnapshot, Snapshot
@@ -31,14 +31,7 @@ def _run(args, trace_io: bool):
     ``(fs, observer, tracer)``."""
     disk = load_disk(args.image)
     obs, tracer = instrument(disk, trace=trace_io)
-    fs = FSD.mount(
-        disk,
-        obs=obs,
-        sched=args.sched,
-        data_cache_pages=getattr(args, "data_cache_pages", 0),
-        readahead_pages=getattr(args, "readahead", DEFAULT_READAHEAD_PAGES),
-        checkpoint_interval_ms=getattr(args, "checkpoint_ms", None),
-    )
+    fs = FSD.mount(disk, obs=obs, options=mount_options(args))
     run_scripted_workload(fs, ops=args.ops)
     fs.unmount()
     if args.save:
@@ -211,25 +204,11 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _add_mount_arguments(p) -> None:
+def _add_shared_arguments(p) -> None:
     """``--save`` and the mount options ``stats`` and ``trace`` share."""
     p.add_argument("--save", action="store_true",
                    help="save the image back after the workload")
-    p.add_argument("--sched", choices=["fifo", "scan", "deadline"],
-                   default="fifo",
-                   help="I/O scheduler policy for the mount")
-    p.add_argument("--data-cache-pages", type=int, default=0, metavar="N",
-                   help="demanded and written data sectors kept cached "
-                        "(default 0: read-ahead only)")
-    p.add_argument("--readahead", type=int,
-                   default=DEFAULT_READAHEAD_PAGES, metavar="N",
-                   help="sequential read-ahead window in pages "
-                        f"(default: {DEFAULT_READAHEAD_PAGES}; 0: the "
-                        "paper's mount)")
-    p.add_argument("--checkpoint-ms", type=float, default=None,
-                   metavar="MS",
-                   help="run the background checkpointer every MS "
-                        "simulated ms (default: off)")
+    add_mount_arguments(p)
 
 
 def add_subparsers(sub) -> None:
@@ -243,7 +222,7 @@ def add_subparsers(sub) -> None:
                    help="scripted operations to run (default 100)")
     p.add_argument("--json", action="store_true",
                    help="emit one JSONL record per metric")
-    _add_mount_arguments(p)
+    _add_shared_arguments(p)
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser(
@@ -260,5 +239,5 @@ def add_subparsers(sub) -> None:
                         "simulated time per span path, microseconds)")
     p.add_argument("--out",
                    help="with --json/--folded, write to this file")
-    _add_mount_arguments(p)
+    _add_shared_arguments(p)
     p.set_defaults(fn=cmd_trace)

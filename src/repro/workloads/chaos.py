@@ -30,16 +30,17 @@ chaos engine adds what only a crash needs:
   resolves immediately with a ``degraded`` error — clients never hang
   — and the campaign ends in the salvage oracle.
 
-The oracle is the soak campaign's, extended for in-place writes: FSD
-logs *metadata* only, so a file's data sectors are not crash-atomic.
-Any name touched by an operation that failed with an explicit error,
-was interrupted by a crash, or sat in the uncommitted oplog suffix
-when a crash hit is marked **torn**: its content may honestly be a
-blend, because the client was *told* the op did not cleanly succeed.
-Everything else must read back exactly (or a historical value, or
-fail with an explicit error).  Silent corruption — junk content or a
-vanished file on a mount that claims health, with no explicit error
-anywhere in its story — is the one verdict that fails a campaign.
+The oracle is the soak campaign's
+(:class:`~repro.crashcheck.outcome.OutcomeOracle`), with the one thing
+in-place writes add: FSD logs *metadata* only, so a file's data sectors
+are not crash-atomic.  Any name touched by an operation that failed
+with an explicit error, was interrupted by a crash, or sat in the
+uncommitted oplog suffix when a crash hit — the final power-off
+included — is **torn**.  Everything else must read back exactly (or a
+historical value, or fail with an explicit error).  Silent corruption
+— junk content or a vanished file on a mount that claims health, with
+no explicit error anywhere in its story — is the one verdict that
+fails a campaign.
 
 Everything is deterministic: faults come from one seeded RNG, crashes
 from deterministic I/O countdowns, backoff jitter from per-(client,
@@ -53,10 +54,9 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 
-from repro.core.data_cache import DEFAULT_READAHEAD_PAGES
 from repro.core.fsd import FSD
 from repro.core.layout import VolumeParams
-from repro.core.salvage import salvage_volume
+from repro.crashcheck.outcome import VERDICTS, Outcome, OutcomeOracle
 from repro.crashcheck.soak import inject_fault
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
@@ -64,14 +64,13 @@ from repro.disk.mirror import MirroredDisk
 from repro.errors import (
     CorruptMetadata,
     DegradedVolumeError,
-    DiskError,
-    FileNotFound,
     FsError,
     NotMounted,
     SimulatedCrash,
 )
 from repro.harness.adapters import FsdAdapter
 from repro.harness.fingerprint import fingerprint
+from repro.harness.scenarios import SMALL
 from repro.obs import Observer
 from repro.workloads.generators import payload
 from repro.workloads.traffic import (
@@ -82,22 +81,12 @@ from repro.workloads.traffic import (
 )
 
 __all__ = [
-    "CHAOS_GEOMETRY",
-    "CHAOS_PARAMS",
     "ChaosConfig",
     "ChaosEngine",
     "ChaosReport",
     "chaos_bench_doc",
     "run_chaos",
 ]
-
-#: default volume scale for chaos campaigns: the CLI's SMALL drive
-#: (enough data area for dozens of clients), with the crashcheck
-#: scale's appetite for log wrap.
-CHAOS_GEOMETRY = DiskGeometry(cylinders=200, heads=8, sectors_per_track=48)
-CHAOS_PARAMS = VolumeParams(
-    nt_pages=1024, log_record_sectors=600, cache_pages=96
-)
 
 #: report schema version for ``BENCH_chaos.json`` / ``--json`` output.
 CHAOS_SCHEMA_VERSION = 1
@@ -159,15 +148,10 @@ class ChaosEngine(TrafficEngine):
         fs: FSD,
         config: TrafficConfig,
         chaos: ChaosConfig,
-        mount_kwargs: dict | None = None,
     ):
         super().__init__(fs, config)
         self.disk = disk
         self.chaos = chaos
-        #: kwargs every post-crash remount reuses, so recovery comes
-        #: back with the same scheduler/cache/checkpoint posture.
-        self.mount_kwargs = dict(mount_kwargs or {})
-        self.mount_kwargs.setdefault("obs", self.obs)
         self._chaos_rng = random.Random(f"{config.seed}:chaos")
         # fault campaign state
         self._faults_injected = 0
@@ -178,89 +162,14 @@ class ChaosEngine(TrafficEngine):
         self._volume_lost = False
         self._lost_reason: str | None = None
         self._run_start_ms = 0.0
-        # the soak oracle, grown a torn-name set for in-place writes
-        self.oplog: list[tuple[str, str, bytes]] = []
-        self.history: dict[str, set[bytes]] = {}
-        self.committed = 0
-        self.honesty_flag = False
-        self._torn: set[str] = set()
-        self._content: dict[str, list[bytes]] = {}
-        self._leader_addrs: dict[tuple[str, int], int] = {}
-        fs.coordinator.add_commit_hook(self._commit_hook)
+        self.oracle = OutcomeOracle()
+        self.oracle.watch(fs)
 
-    # ------------------------------------------------------------------
-    # oracle bookkeeping
-    # ------------------------------------------------------------------
-    def _commit_hook(self) -> None:
-        # Operation bodies are atomic and a force runs between them, so
-        # every oplog entry present when a commit returns is durable.
-        self.committed = max(self.committed, len(self.oplog))
-
-    def _replay_content(self) -> None:
-        """Rebuild the live content model from the (truncated) oplog."""
-        stacks: dict[str, list[bytes]] = {}
-        for kind, name, data in self.oplog:
-            if kind == "create":
-                stack = stacks.setdefault(name, [])
-                stack.append(data)
-                del stack[: -FSD.DEFAULT_KEEP]
-            elif kind == "write":
-                if stacks.get(name):
-                    stacks[name][-1] = data
-            elif kind == "delete" and stacks.get(name):
-                stacks[name].pop()
-        self._content = stacks
-
-    def expected_visible(self) -> dict[str, bytes]:
-        """Replay the committed oplog prefix: name -> newest content."""
-        saved = self.oplog
-        try:
-            self.oplog = saved[: self.committed]
-            self._replay_content()
-            return {
-                name: stack[-1]
-                for name, stack in self._content.items()
-                if stack
-            }
-        finally:
-            self.oplog = saved
-            self._replay_content()
-
-    def uncommitted_touches(self, name: str) -> bool:
-        """True when ``name`` appears in the oplog's uncommitted
-        suffix — its on-disk content was never acknowledged durable."""
-        return any(
-            entry[1] == name for entry in self.oplog[self.committed:]
-        )
-
-    def _oracle_create(self, name: str, data: bytes, handle) -> None:
-        self.oplog.append(("create", name, data))
-        stack = self._content.setdefault(name, [])
-        stack.append(data)
-        del stack[: -FSD.DEFAULT_KEEP]
-        props = handle.props
-        self._leader_addrs[(name, props.version)] = props.leader_addr
-        # Versions past the keep limit were trimmed: their leaders are
-        # free and must never be wild-write targets again.
-        for key in [
-            k
-            for k in self._leader_addrs
-            if k[0] == name and k[1] <= props.version - FSD.DEFAULT_KEEP
-        ]:
-            del self._leader_addrs[key]
-
-    def _oracle_write(self, name: str, result: bytes) -> None:
-        self.oplog.append(("write", name, result))
-        if self._content.get(name):
-            self._content[name][-1] = result
-
-    def _oracle_delete(self, name: str) -> None:
-        self.oplog.append(("delete", name, b""))
-        if self._content.get(name):
-            self._content[name].pop()
-        live = [k for k in self._leader_addrs if k[0] == name]
-        if live:
-            del self._leader_addrs[max(live, key=lambda k: k[1])]
+    def remount(self, disk: SimDisk) -> FSD:
+        """Mount ``disk`` the way the crashed volume was mounted, so
+        recovery comes back with the same scheduler/cache/checkpoint
+        posture."""
+        return FSD.mount(disk, self.fs.params, self.obs, self.fs.options)
 
     # ------------------------------------------------------------------
     # population + bodies (oracle-recording variants)
@@ -275,11 +184,10 @@ class ChaosEngine(TrafficEngine):
         for rank in range(self.config.population):
             name = self._pop_name(rank)
             data = payload(self._sample_size(rng), seed=rank)
-            self.history.setdefault(name, set()).add(data)
-            handle = self.adapter.create(name, data)
-            self._oracle_create(name, data, handle)
+            self.oracle.created(
+                name, data, self.adapter.create(name, data).props
+            )
         self.adapter.settle()
-        self.committed = len(self.oplog)
         self._prepared = True
 
     def _body(self, op) -> None:
@@ -287,20 +195,21 @@ class ChaosEngine(TrafficEngine):
             data = payload(op.size, op.seed)
             # Record the payload *before* the call: a create that fails
             # after materializing is then still a known content.
-            self.history.setdefault(op.name, set()).add(data)
-            handle = self.adapter.create(op.name, data)
-            self._oracle_create(op.name, data, handle)
+            self.oracle.offered(op.name, data)
+            self.oracle.created(
+                op.name, data, self.adapter.create(op.name, data).props
+            )
         elif op.kind == "write":
             handle = self.adapter.open(op.name)
             data = payload(op.size, op.seed)
-            old = (self._content.get(op.name) or [b""])[-1]
+            old = self.oracle.live(op.name) or b""
             result = data + old[len(data):]
-            self.history.setdefault(op.name, set()).add(result)
+            self.oracle.offered(op.name, result)
             self.adapter.write(handle, 0, data)
-            self._oracle_write(op.name, result)
+            self.oracle.wrote(op.name, result)
         elif op.kind == "delete":
             self.adapter.delete(op.name)
-            self._oracle_delete(op.name)
+            self.oracle.deleted(op.name)
         else:
             super()._body(op)
 
@@ -333,7 +242,7 @@ class ChaosEngine(TrafficEngine):
         if in_bracket and op.kind in MUTATING:
             # The body raised partway: FSD logs metadata, not data, so
             # this name's content is no longer pinned by the oracle.
-            self._torn.add(op.name)
+            self.oracle.tear(op.name)
         return super()._op_failed(client, op, error, in_bracket=in_bracket)
 
     def _resolve_lost(self, client) -> None:
@@ -371,7 +280,7 @@ class ChaosEngine(TrafficEngine):
             )
         clock.tick()
         kind = inject_fault(
-            self.disk, self.fs.layout, self._leader_addrs,
+            self.disk, self.fs.layout, self.oracle.leader_addrs,
             self._chaos_rng,
         )
         self._faults_injected += 1
@@ -431,25 +340,19 @@ class ChaosEngine(TrafficEngine):
         # The armed plan *was* this crash; it dies with the machine.
         self.disk.faults.disarm_crash()
         self._parked = 0
-        # Ops past the committed watermark died with the crash — and
-        # because data sectors are written in place outside the log,
-        # their names' contents are torn, not merely rolled back.
-        for _, name, _ in self.oplog[self.committed:]:
-            self._torn.add(name)
-        del self.oplog[self.committed:]
-        self._replay_content()
+        self.oracle.crashed(tear=True)
         interrupted = [c for c in self.clients if c.inflight]
         for client in interrupted:
             client.token += 1
             op = client.ops[client.index]
             if op.kind in MUTATING:
-                self._torn.add(op.name)
+                self.oracle.tear(op.name)
         try:
-            fs = FSD.mount(self.disk, **self.mount_kwargs)
+            fs = self.remount(self.disk)
         except (DegradedVolumeError, CorruptMetadata) as error:
             self._volume_lost = True
             self._lost_reason = str(error)
-            self.honesty_flag = True
+            self.oracle.honesty_flag = True
             self.obs.count("chaos.volume_lost")
             self._recoveries.append(
                 {
@@ -471,13 +374,7 @@ class ChaosEngine(TrafficEngine):
                 "records_replayed": fs.mount_report.log_records_replayed,
             }
         )
-        try:
-            self._leader_addrs = {
-                (props.name, props.version): props.leader_addr
-                for props in fs.list()
-            }
-        except (FsError, DiskError):
-            self._leader_addrs = {}
+        self.oracle.resync_leaders(fs)
         if isinstance(self.disk, MirroredDisk) and self.disk.degraded:
             self._schedule(
                 clock.now_ms + self.chaos.resilver_delay_ms,
@@ -498,10 +395,7 @@ class ChaosEngine(TrafficEngine):
         self.adapter = FsdAdapter(fs)
         if self.recorder is not None:
             self.recorder.bind(fs)
-        fs.coordinator.add_commit_hook(self._commit_hook)
-        report = fs.mount_report
-        if report.log_damage or report.log_records_lost or fs.degraded:
-            self.honesty_flag = True
+        self.oracle.watch(fs)
 
     # ------------------------------------------------------------------
     # availability reporting
@@ -599,7 +493,7 @@ class ChaosEngine(TrafficEngine):
 # campaign report
 # ----------------------------------------------------------------------
 @dataclass
-class ChaosReport:
+class ChaosReport(Outcome):
     """One chaos campaign: the traffic run, the fault story, and the
     oracle's verdict."""
 
@@ -611,12 +505,6 @@ class ChaosReport:
     faults_by_kind: dict[str, int]
     crashes: int
     volume_lost: bool
-    verdict: str = ""  # "recovered" | "degraded" | "salvaged"
-    files_expected: int = 0
-    files_verified: int = 0
-    files_honestly_lost: int = 0
-    silent_corruptions: list[str] = field(default_factory=list)
-    salvage_summary: str | None = None
     traffic: dict = field(default_factory=dict)
     fingerprint: dict = field(default_factory=dict)
     schema_version: int = CHAOS_SCHEMA_VERSION
@@ -631,7 +519,7 @@ class ChaosReport:
         return (
             not self.silent_corruptions
             and self.hung_ops == 0
-            and self.verdict in ("recovered", "degraded", "salvaged")
+            and self.verdict in VERDICTS
         )
 
     def as_dict(self) -> dict:
@@ -705,117 +593,6 @@ class ChaosReport:
 
 
 # ----------------------------------------------------------------------
-# final verification (the soak oracle, torn-aware)
-# ----------------------------------------------------------------------
-def _honest_absence(engine: ChaosEngine, name: str) -> bool:
-    return (
-        engine.honesty_flag
-        or engine.uncommitted_touches(name)
-        or name in engine._torn
-    )
-
-
-def _acceptable(engine: ChaosEngine, name: str, got: bytes,
-                want: bytes) -> bool:
-    # An op past the committed watermark died with the final power-off;
-    # like a mid-run crash (the torn set) it leaves unlogged data
-    # sectors half-applied, so the name's content is honestly
-    # indeterminate — the client never saw that op acknowledged as
-    # durable.
-    return (
-        got == want
-        or got in engine.history.get(name, ())
-        or name in engine._torn
-        or engine.uncommitted_touches(name)
-    )
-
-
-def _verify_mounted(fs: FSD, engine: ChaosEngine,
-                    report: ChaosReport) -> None:
-    expected = engine.expected_visible()
-    report.files_expected = len(expected)
-    for name, want in sorted(expected.items()):
-        try:
-            handle = fs.open(name)
-            got = fs.read(handle)
-        except FileNotFound:
-            if _honest_absence(engine, name):
-                report.files_honestly_lost += 1
-            else:
-                report.silent_corruptions.append(
-                    f"committed file {name} vanished from a mount that "
-                    "claims to be healthy"
-                )
-            continue
-        except (DiskError, CorruptMetadata):
-            report.files_honestly_lost += 1
-            continue
-        if _acceptable(engine, name, got, want):
-            report.files_verified += 1
-        else:
-            report.silent_corruptions.append(
-                f"file {name} returned {len(got)} bytes that were "
-                "never written to it"
-            )
-
-
-def _verify_salvage(disk: SimDisk, engine: ChaosEngine,
-                    report: ChaosReport,
-                    params: VolumeParams | None = None) -> None:
-    # params_hint lets salvage locate the layout even when chaos has
-    # destroyed both root-page copies (the worst allowed outcome).
-    try:
-        destination, salvage_report = salvage_volume(disk, params_hint=params)
-    except (DegradedVolumeError, CorruptMetadata) as error:
-        report.silent_corruptions.append(f"salvage failed: {error}")
-        return
-    report.salvage_summary = salvage_report.summary()
-    fs = FSD.mount(destination)
-    expected = engine.expected_visible()
-    if not report.files_expected:
-        report.files_expected = len(expected)
-    for name, want in sorted(expected.items()):
-        try:
-            handle = fs.open(name)
-            got = fs.read(handle)
-        except (FileNotFound, DiskError, CorruptMetadata):
-            report.files_honestly_lost += 1
-            continue
-        if _acceptable(engine, name, got, want):
-            report.files_verified += 1
-        else:
-            report.silent_corruptions.append(
-                f"salvaged file {name} returned {len(got)} bytes that "
-                "were never written to it"
-            )
-    fs.crash()
-
-
-def _classify(disk: SimDisk, engine: ChaosEngine,
-              report: ChaosReport, mount_kwargs: dict) -> None:
-    params = mount_kwargs.get("params")
-    if engine._volume_lost:
-        report.verdict = "salvaged"
-        _verify_salvage(disk, engine, report, params)
-        return
-    try:
-        fs = FSD.mount(disk, **mount_kwargs)
-    except (DegradedVolumeError, CorruptMetadata):
-        report.verdict = "salvaged"
-        engine.honesty_flag = True
-        _verify_salvage(disk, engine, report, params)
-        return
-    mount_report = fs.mount_report
-    if mount_report.log_damage or mount_report.log_records_lost or fs.degraded:
-        engine.honesty_flag = True
-    report.verdict = "degraded" if fs.degraded else "recovered"
-    _verify_mounted(fs, engine, report)
-    fs.crash()
-    if report.verdict == "degraded":
-        _verify_salvage(disk, engine, report, params)
-
-
-# ----------------------------------------------------------------------
 # the campaign
 # ----------------------------------------------------------------------
 def run_chaos(
@@ -824,41 +601,42 @@ def run_chaos(
     *,
     geometry: DiskGeometry | None = None,
     params: VolumeParams | None = None,
-    sched: str = "fifo",
-    data_cache_pages: int = 0,
-    readahead_pages: int = DEFAULT_READAHEAD_PAGES,
-    checkpoint_interval_ms: float | None = None,
     observer=None,
+    **mount,
 ) -> ChaosReport:
-    """One seeded chaos campaign: traffic + faults + final oracle."""
+    """One seeded chaos campaign: traffic + faults + final oracle, on
+    the :data:`~repro.harness.scenarios.SMALL` drive unless told
+    otherwise.  ``mount`` is what :meth:`FSD.mount` takes
+    (``options=TUNED``, ``sched="scan"``); every post-crash remount and
+    the final verification mount reuse what it resolved to."""
     traffic = traffic or TrafficConfig(max_retries=4)
     chaos = chaos or ChaosConfig()
     if traffic.settle:
         # The engine must never force a volume that may be degraded or
         # lost; the final classification settles things its own way.
         traffic = replace(traffic, settle=False)
-    geometry = geometry or CHAOS_GEOMETRY
-    params = params or CHAOS_PARAMS
+    geometry = geometry or SMALL.geometry
+    params = params or SMALL.fsd_params
     disk_cls = MirroredDisk if chaos.mirror else SimDisk
     disk = disk_cls(geometry=geometry)
     FSD.format(disk, params)
     obs = observer if observer is not None else Observer()
-    mount_kwargs = {
-        "params": params,
-        "obs": obs,
-        "sched": sched,
-        "data_cache_pages": data_cache_pages,
-        "readahead_pages": readahead_pages,
-        "checkpoint_interval_ms": checkpoint_interval_ms,
-    }
-    fs = FSD.mount(disk, **mount_kwargs)
-    engine = ChaosEngine(disk, fs, traffic, chaos, mount_kwargs)
+    fs = FSD.mount(disk, params, obs, **mount)
+    engine = ChaosEngine(disk, fs, traffic, chaos)
     traffic_report = engine.run()
     if not engine._volume_lost:
         engine.fs.crash()
     # A still-armed crash died with the final power-off; the oracle's
     # classification mounts must not trip over it.
     disk.faults.disarm_crash()
+    # An op past the committed watermark died with the final power-off;
+    # like a mid-run crash it leaves unlogged data sectors half-applied,
+    # so its name's content is honestly indeterminate — the client never
+    # saw that op acknowledged as durable.
+    engine.oracle.crashed(tear=True)
+    outcome = engine.oracle.classify(
+        disk, None if engine._volume_lost else engine.remount, params
+    )
     report = ChaosReport(
         seed=traffic.seed,
         clients=traffic.clients,
@@ -869,8 +647,8 @@ def run_chaos(
         crashes=engine._crashes,
         volume_lost=engine._volume_lost,
         traffic=traffic_report.as_dict(),
+        **vars(outcome),
     )
-    _classify(disk, engine, report, mount_kwargs)
     report.fingerprint = fingerprint(disk, obs).as_dict()
     return report
 
@@ -879,7 +657,9 @@ def chaos_bench_doc(report: ChaosReport) -> dict:
     """Flat gating document for ``BENCH_chaos.json``.  Key names are
     chosen for the bench-diff direction table: ``goodput_ops_per_s``
     gates higher-is-better, ``*_ms`` and ``errors_per_1k_ops`` gate
-    lower-is-better, counts stay neutral."""
+    lower-is-better, counts stay neutral.  A mean over nothing — no
+    recovery, or none that restored the SLO — is None, which bench diff
+    reports as a vanished metric, never as 0 ms."""
     avail = report.traffic.get("availability") or {}
     elapsed_ms = report.traffic.get("elapsed_ms", 0.0)
     ok_ops = avail.get("ops_ok", report.ops_completed)
@@ -913,10 +693,10 @@ def chaos_bench_doc(report: ChaosReport) -> dict:
         "retry_amplification": avail.get("retry_amplification", 1.0),
         "mean_recover_ms": (
             round(sum(recover_ms) / len(recover_ms), 3)
-            if recover_ms else 0.0
+            if recover_ms else None
         ),
         "mean_time_to_restored_slo_ms": (
-            round(sum(ttrs) / len(ttrs), 3) if ttrs else 0.0
+            round(sum(ttrs) / len(ttrs), 3) if ttrs else None
         ),
         "files_verified_share": (
             round(report.files_verified / report.files_expected, 4)

@@ -18,7 +18,16 @@ from repro.crashcheck.engine import (
     enumerate_points,
     variants_for,
 )
+from repro.core.fsd import TUNED
 from repro.crashcheck.workload import DiskState, IoRec
+
+#: the bounded sweeps: every scenario on the default mount, and the
+#: three quick ones on the mount ``traffic_steady`` is benchmarked on
+#: (scan, data cache, 250 ms checkpointer), whose I/O stream differs.
+BOUNDED_SWEEPS = [pytest.param(name, {}, id=name) for name in sorted(SCENARIOS)] + [
+    pytest.param(name, {"options": TUNED}, id=f"{name}-tuned")
+    for name in ("concurrent_burst", "mid_checkpoint", "quickstart")
+]
 
 
 class TestSynthesis:
@@ -116,12 +125,20 @@ class TestEnumeration:
 
 
 class TestSweeps:
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_bounded_sweep_is_clean(self, name):
-        summary = explore(name, max_points=36)
+    @pytest.mark.parametrize("name,mount", BOUNDED_SWEEPS)
+    def test_bounded_sweep_is_clean(self, name, mount):
+        summary = explore(name, max_points=36, **mount)
         assert summary.ok, [str(v) for v in summary.violations]
         assert summary.checked + summary.deduplicated == summary.selected
         assert summary.selected <= 36
+
+    def test_tuned_mount_records_a_different_io_stream(self):
+        from repro.crashcheck.workload import record_scenario
+
+        scenario = get_scenario("quickstart")
+        default = record_scenario(scenario)
+        tuned = record_scenario(scenario, options=TUNED)
+        assert tuned.io_total != default.io_total
 
     @pytest.mark.parametrize("name", ["quickstart", "concurrent_burst"])
     def test_default_mount_sweep_reads_through_the_buffer(self, name):

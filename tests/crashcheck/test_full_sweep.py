@@ -10,13 +10,21 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.fsd import TUNED
 from repro.crashcheck import SCENARIOS, explore
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_full_sweep_is_clean(name, crashcheck_full):
+@pytest.mark.parametrize(
+    "name,mount",
+    [pytest.param(name, {}, id=name) for name in sorted(SCENARIOS)]
+    + [
+        pytest.param(name, {"options": TUNED}, id=f"{name}-tuned")
+        for name in sorted(SCENARIOS)
+    ],
+)
+def test_full_sweep_is_clean(name, mount, crashcheck_full):
     if not crashcheck_full:
         pytest.skip("pass --crashcheck-full for the exhaustive sweep")
-    summary = explore(name)
+    summary = explore(name, **mount)
     assert summary.checked + summary.deduplicated == summary.candidates
     assert summary.ok, [str(v) for v in summary.violations[:20]]

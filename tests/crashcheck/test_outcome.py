@@ -1,0 +1,231 @@
+"""The outcome oracle, judged on its own.
+
+The soak and chaos campaigns exercise
+:class:`~repro.crashcheck.outcome.OutcomeOracle` only through whole
+seeded runs; these tests pin each rule of the judgement on a small
+real volume, telling the oracle (where a rule needs it) something the
+volume never got.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.fsd import FSD
+from repro.crashcheck.oracles import model_state
+from repro.crashcheck.outcome import OutcomeOracle
+from repro.crashcheck.scenarios import CRASH_SCALE
+from repro.crashcheck.workload import Op
+from repro.disk.disk import SimDisk
+
+#: what a create the volume never saw "returned".
+GHOST = SimpleNamespace(version=1, keep=2, leader_addr=0)
+
+
+def _volume() -> tuple[SimDisk, FSD, OutcomeOracle]:
+    disk = SimDisk(geometry=CRASH_SCALE.geometry)
+    FSD.format(disk, CRASH_SCALE.fsd_params)
+    fs = FSD.mount(disk)
+    oracle = OutcomeOracle()
+    oracle.watch(fs)
+    return disk, fs, oracle
+
+
+def _create(fs: FSD, oracle: OutcomeOracle, name: str, data: bytes) -> None:
+    oracle.created(name, data, fs.create(name, data).props)
+
+
+class TestAbsence:
+    def _ghost_committed(self):
+        disk, fs, oracle = _volume()
+        _create(fs, oracle, "kept", b"k" * 700)
+        oracle.created("ghost", b"boo", GHOST)
+        fs.force()
+        return disk, fs, oracle
+
+    def test_committed_file_missing_from_a_healthy_mount_is_silent(self):
+        disk, fs, oracle = self._ghost_committed()
+        fs.crash()
+        outcome = oracle.classify(disk, FSD.mount)
+        assert outcome.verdict == "recovered"
+        assert (outcome.files_expected, outcome.files_verified) == (2, 1)
+        assert outcome.files_honestly_lost == 0
+        assert outcome.silent_corruptions == [
+            "committed file ghost vanished from a mount that claims to "
+            "be healthy"
+        ]
+
+    @pytest.mark.parametrize("excuse", ["honesty", "uncommitted", "torn"])
+    def test_the_same_absence_with_an_excuse_is_an_honest_loss(self, excuse):
+        disk, fs, oracle = self._ghost_committed()
+        if excuse == "honesty":
+            oracle.honesty_flag = True
+        elif excuse == "uncommitted":
+            oracle.deleted("ghost")
+            assert oracle.uncommitted_touches("ghost")
+        else:
+            oracle.tear("ghost")
+        fs.crash()
+        outcome = oracle.classify(disk, FSD.mount)
+        assert outcome.silent_corruptions == []
+        assert (outcome.files_verified, outcome.files_honestly_lost) == (1, 1)
+
+
+class TestContent:
+    def _mismatch(self):
+        disk, fs, oracle = _volume()
+        props = fs.create("f", b"what the disk got").props
+        oracle.created("f", b"what the oracle was told", props)
+        fs.force()
+        fs.crash()
+        return disk, oracle
+
+    def test_content_never_written_is_silent(self):
+        disk, oracle = self._mismatch()
+        outcome = oracle.classify(disk, FSD.mount)
+        assert outcome.silent_corruptions == [
+            "file f returned 17 bytes that were never written to it"
+        ]
+        assert outcome.files_verified == 0
+
+    def test_unless_the_name_is_torn(self):
+        disk, oracle = self._mismatch()
+        oracle.tear("f")
+        outcome = oracle.classify(disk, FSD.mount)
+        assert outcome.silent_corruptions == []
+        assert outcome.files_verified == 1
+
+    def test_or_it_was_once_offered(self):
+        disk, oracle = self._mismatch()
+        oracle.offered("f", b"what the disk got")
+        outcome = oracle.classify(disk, FSD.mount)
+        assert outcome.silent_corruptions == []
+        assert outcome.files_verified == 1
+
+
+class TestWatermark:
+    def _one_committed_one_not(self):
+        disk, fs, oracle = _volume()
+        _create(fs, oracle, "a", b"a" * 600)
+        fs.force()
+        _create(fs, oracle, "b", b"b" * 600)
+        assert (oracle.committed, len(oracle.oplog)) == (1, 2)
+        fs.crash()
+        return disk, oracle
+
+    def test_ops_lost_in_a_crash_are_never_committed_later(self):
+        disk, oracle = self._one_committed_one_not()
+        oracle.crashed(tear=False)
+        assert [op.name for op in oracle.oplog] == ["a"]
+        fs = FSD.mount(disk)
+        oracle.watch(fs)
+        _create(fs, oracle, "c", b"c" * 600)
+        fs.force()
+        assert oracle.committed == 2
+        assert sorted(oracle.expected_visible()) == ["a", "c"]
+        fs.crash()
+
+    def test_only_a_tearing_crash_tears(self):
+        disk, oracle = self._one_committed_one_not()
+        oracle.crashed(tear=False)
+        assert oracle.torn == set()
+        disk, oracle = self._one_committed_one_not()
+        oracle.crashed(tear=True)
+        assert oracle.torn == {"b"}
+
+    def test_a_force_on_the_verification_mount_moves_nothing(self):
+        disk, oracle = self._one_committed_one_not()
+
+        def mount_and_commit(disk: SimDisk) -> FSD:
+            fs = FSD.mount(disk)
+            fs.create("noise", b"n")
+            fs.force()
+            return fs
+
+        outcome = oracle.classify(disk, mount_and_commit)
+        assert oracle.committed == 1
+        assert sorted(oracle.expected_visible()) == ["a"]
+        assert outcome.silent_corruptions == []
+        assert (outcome.files_expected, outcome.files_verified) == (1, 1)
+
+
+class _Commits:
+    """Just enough of a mounted volume for ``watch``."""
+
+    degraded = False
+    mount_report = SimpleNamespace(log_damage=False, log_records_lost=0)
+
+    def __init__(self) -> None:
+        self.coordinator = self
+        self.hooks = []
+
+    def add_commit_hook(self, hook) -> None:
+        self.hooks.append(hook)
+
+    def commit(self) -> None:
+        for hook in self.hooks:
+            hook()
+
+
+_NAMES = st.sampled_from(["x", "y", "z"])
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("create"), _NAMES, st.binary(max_size=6)),
+        st.tuples(st.just("write"), _NAMES, st.binary(max_size=6)),
+        st.tuples(st.just("delete"), _NAMES, st.just(b"")),
+        st.tuples(st.just("commit"), st.just(""), st.just(b"")),
+        st.tuples(st.just("crash"), st.just(""), st.booleans()),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=_STEPS)
+def test_expected_visible_is_the_model_of_the_committed_prefix(steps):
+    oracle = OutcomeOracle()
+    volume = _Commits()
+    oracle.watch(volume)
+    committed: list[Op] = []
+    pending: list[Op] = []
+    torn: set[str] = set()
+    versions: dict[str, int] = {}
+    for kind, name, arg in steps:
+        if kind == "create":
+            versions[name] = versions.get(name, 0) + 1
+            props = SimpleNamespace(
+                version=versions[name], keep=2, leader_addr=versions[name]
+            )
+            oracle.created(name, arg, props)
+            pending.append(Op("create", name, arg, keep=2))
+        elif kind == "write":
+            oracle.wrote(name, arg)
+            pending.append(Op("write", name, arg))
+        elif kind == "delete":
+            oracle.deleted(name)
+            pending.append(Op("delete", name))
+        elif kind == "commit":
+            volume.commit()
+            committed += pending
+            pending = []
+        else:
+            oracle.crashed(tear=arg)
+            if arg:
+                torn |= {op.name for op in pending}
+            pending = []
+            volume = _Commits()  # the old mount's hooks died with it
+            oracle.watch(volume)
+        assert oracle.expected_visible() == {
+            name: stack[-1] for name, stack in model_state(committed).items()
+        }
+        assert oracle.torn == torn
+        for name in "xyz":
+            assert oracle.uncommitted_touches(name) == any(
+                op.name == name for op in pending
+            )
+            stack = model_state(committed + pending).get(name)
+            assert oracle.live(name) == (stack[-1] if stack else None)

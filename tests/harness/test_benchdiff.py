@@ -87,6 +87,34 @@ class TestDiff:
         verdicts = {row["metric"]: row["verdict"] for row in rows}
         assert verdicts == {"gone": "removed", "new": "added"}
 
+    def test_null_leaf_is_removed_or_added_never_judged(self):
+        """``None`` means "no such measurement" (a mean over nothing):
+        it must not read as 0 and so as a -100 % improvement."""
+        measured, never = {"mean_ttr_ms": 8085.0}, {"mean_ttr_ms": None}
+        [gone] = diff(measured, never)
+        assert (gone["verdict"], gone["change"]) == ("removed", None)
+        [back] = diff(never, measured)
+        assert (back["verdict"], back["change"]) == ("added", None)
+        assert diff(never, never) == []
+
+    def test_chaos_doc_without_a_restored_slo_is_no_improvement(self):
+        from repro.workloads.chaos import ChaosReport, chaos_bench_doc
+
+        def doc(ttr):
+            recovery = {"recover_ms": 1500.0, "time_to_restored_slo_ms": ttr}
+            return chaos_bench_doc(ChaosReport(
+                seed=1, clients=1, ops_issued=10, ops_completed=10,
+                faults_injected=0, faults_by_kind={}, crashes=1,
+                volume_lost=False,
+                traffic={"availability": {"recoveries": [recovery]}},
+            ))
+
+        assert doc(None)["mean_time_to_restored_slo_ms"] is None
+        verdicts = {
+            row["metric"]: row["verdict"] for row in diff(doc(8085.0), doc(None))
+        }
+        assert verdicts == {"mean_time_to_restored_slo_ms": "removed"}
+
     def test_regressions_sort_first_by_magnitude(self):
         rows = diff(
             {"a_ms": 10.0, "b_ms": 10.0, "c_ms": 10.0},

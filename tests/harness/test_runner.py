@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.disk.geometry import TRIDENT_T300
-from repro.harness.runner import build_disk, drain_clock, measure, small_disk
+from repro.harness.runner import build_disk, drain_clock, measure
+from repro.harness.scenarios import SMALL
+
+
+def small_disk():
+    return build_disk(SMALL.geometry)
 
 
 class TestBuilders:

@@ -153,3 +153,49 @@ class TestCrashcheck:
         out = capsys.readouterr().out
         assert "VIOLATION" in out
         assert "violation(s)" in out
+
+
+class TestMountFlags:
+    """Every mounting subcommand takes the four mount flags through the
+    one ``add_mount_arguments`` / ``mount_options`` pair."""
+
+    MOUNTING = {
+        "put": ["put", "v.img", "local", "name"],
+        "get": ["get", "v.img", "name"],
+        "ls": ["ls", "v.img"],
+        "rm": ["rm", "v.img", "name"],
+        "info": ["info", "v.img"],
+        "verify": ["verify", "v.img"],
+        "traffic": ["traffic", "v.img"],
+        "chaos": ["chaos"],
+        "stats": ["stats", "v.img"],
+        "trace": ["trace", "v.img"],
+        "crashcheck": ["crashcheck"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(MOUNTING))
+    def test_namespace_maps_onto_mount_options(self, command):
+        from repro.__main__ import build_parser
+        from repro.core.fsd import MountOptions
+        from repro.mount_cli import mount_options
+
+        parser = build_parser()
+        argv = self.MOUNTING[command]
+        assert mount_options(parser.parse_args(argv)) == MountOptions()
+        flags = ["--sched", "scan", "--data-cache-pages", "8",
+                 "--readahead", "0", "--checkpoint-ms", "250"]
+        assert mount_options(parser.parse_args(argv + flags)) == MountOptions(
+            sched="scan",
+            data_cache_pages=8,
+            readahead_pages=0,
+            checkpoint_interval_ms=250.0,
+        )
+
+    def test_chaos_readahead_reaches_the_mount(self, tmp_path):
+        """``repro chaos --readahead N`` used to be parsed and dropped."""
+        campaign = ["chaos", "--quiet", "--clients", "6", "--ops", "6",
+                    "--faults", "10", "--crashes", "1"]
+        default, paper = tmp_path / "default.json", tmp_path / "paper.json"
+        assert main(campaign + ["--json", str(default)]) == 0
+        assert main(campaign + ["--readahead", "0", "--json", str(paper)]) == 0
+        assert default.read_bytes() != paper.read_bytes()

@@ -5,9 +5,9 @@ Usage: PYTHONPATH=src python tools/capture_fingerprints.py [out.json]
 
 Run before and after a speed refactor; the two JSON documents must be
 byte-identical (the contract harness/fingerprint.py encodes).
-``--readahead 0`` mounts every scenario as the paper's mount (a disk
-request per page read), whose fingerprints predate the read-ahead
-buffer of the default mount and must never move.
+``--readahead 0`` mounts every scenario as ``PAPER``, the paper's mount
+(a disk request per page read), whose fingerprints predate the
+read-ahead buffer of the default mount and must never move.
 """
 
 from __future__ import annotations
