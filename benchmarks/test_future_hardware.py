@@ -29,7 +29,6 @@ TRIDENT = DiskTiming()
 OPTICAL = DiskTiming(
     seek_settle_ms=22.0,
     seek_coeff_ms=6.0,
-    head_switch_ms=0.3,
 )
 OPTICAL_GEOMETRY = DiskGeometry(
     cylinders=FULL.geometry.cylinders,

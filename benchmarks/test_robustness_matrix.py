@@ -115,7 +115,7 @@ def error2_partial_page_write() -> tuple[bool, bool]:
     disk, fs, contents = _fsd_volume()
     # FSD pages are one sector; the analogous fault damages the sector
     # of one home copy mid-writeback — the twin and the log cover it.
-    victim = fs.layout.nt_a_start + fs.name_table.tree._root
+    victim, _ = fs.layout.nt_page_addresses(fs.name_table.tree._root)
     fs.unmount()
     disk.faults.damage(victim)
     fsd_ok = _fsd_intact(disk, contents)
@@ -133,7 +133,8 @@ def error3_bad_name_table_page() -> tuple[bool, bool]:
     """A media fault lands on a name-table sector."""
     disk, fs, contents = _fsd_volume()
     fs.unmount()
-    disk.faults.damage(fs.layout.nt_b_start + fs.name_table.tree._root)
+    _, victim = fs.layout.nt_page_addresses(fs.name_table.tree._root)
+    disk.faults.damage(victim)
     fsd_ok = _fsd_intact(disk, contents)
 
     disk_c, cfs, contents_c = _cfs_volume()

@@ -57,7 +57,7 @@ def fsd_demo(scale) -> None:
     print("  committed work intact; torn record correctly discarded")
 
     # Single-sector failure: damage one copy of a name-table page.
-    victim = fs.layout.nt_a_start + 5
+    victim, _ = fs.layout.nt_page_addresses(5)
     disk.faults.damage(victim)
     files = fs.list("work/")
     print(f"  damaged NT sector repaired from twin; list sees {len(files)} files")

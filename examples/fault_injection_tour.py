@@ -30,7 +30,7 @@ def main() -> None:
     # first so the page really is read back from disk.
     fs.unmount()
     fs = FSD.mount(disk)
-    victim = fs.layout.nt_a_start + fs.name_table.tree._root
+    victim, _ = fs.layout.nt_page_addresses(fs.name_table.tree._root)
     disk.faults.damage(victim)
     fs.list("files/")  # double read notices, repairs in place
     assert not disk.faults.is_damaged(victim)

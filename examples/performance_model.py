@@ -65,7 +65,6 @@ def main() -> None:
         rotation_ms=16.67,
         seek_settle_ms=20.0,   # much slower positioning
         seek_coeff_ms=4.0,
-        head_switch_ms=0.3,
     )
     rank_alternatives(future, "a slow-seek / fast-transfer future drive")
     print(

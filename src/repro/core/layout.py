@@ -2,10 +2,19 @@
 
 The paper's locality principle (§5): "Information that is needed,
 generated, recovered, or retrieved together benefits from proximity on
-the disk."  The layout therefore clusters all metadata — the log, both
-copies of the file name table, and the VAM save area — around the
+the disk."  The layout therefore clusters all metadata — both copies
+of the file name table, the log, and the VAM save area — around the
 central cylinder of the volume, minimizing head motion between data
 I/O and metadata I/O.
+
+The name table comes first, cut into one-cylinder *stripes*: the
+front of each cylinder holds copy A of consecutive pages, and copy B
+of each page is :attr:`VolumeLayout.twin_offset` sectors further on in
+the same cylinder — half the heads away and ``NT_TWIN_SKEW`` slots
+round the track, so the double read of a cache miss (§5.1) needs no
+seek and loses no revolution.  :meth:`VolumeLayout.nt_page_addresses`
+and :meth:`VolumeLayout.nt_extents` are the only page → address
+functions; nothing else may add a page number to an address.
 
 Boot-critical pages are replicated ("two kinds of pages needed in
 booting could become bad: they are now replicated"): the volume root
@@ -21,13 +30,35 @@ the central metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.core.types import Run
 from repro.disk.geometry import DiskGeometry
-from repro.errors import CorruptMetadata, FsError
+from repro.errors import CorruptMetadata, FsError, UnsupportedFormat
 from repro.serial import Packer, Unpacker, checksum
 
-_ROOT_MAGIC = 0x46534431  # "FSD1"
+#: The on-disk format, stamped on both root pages: name-table twins
+#: share a cylinder.
+FORMAT = "FSD2"
+#: The format before it: copy B of the name table was a second extent,
+#: ``nt_pages`` sectors after copy A.  Refused by name, never misread.
+PREVIOUS_FORMAT = "FSD1"
+_ROOT_MAGIC = int.from_bytes(FORMAT.encode("ascii"), "big")
+_PREVIOUS_ROOT_MAGIC = int.from_bytes(PREVIOUS_FORMAT.encode("ascii"), "big")
+
+#: Rotational slots from copy A of a name-table page to its copy B
+#: (beyond the whole tracks of :attr:`VolumeLayout.twin_offset`).
+#: After copy A's transfer the head is one slot past A's; issuing the
+#: copy-B read costs 0.30 ms of I/O set-up plus 0.25 ms of sector copy,
+#: 0.99 of a slot on the Trident (0.556 ms a slot).  A twin 2 slots on
+#: would be caught with 0.01 slot (6 µs) to spare — and missed outright
+#: by the 0.30 ms a real drive takes to select another head, which this
+#: simulator does not charge (DESIGN §2).  3 slots on is caught either
+#: way with at least 0.47 slot in hand, and costs one more sector time
+#: than the least possible.  Measured (EXPERIMENTS.md, "§5.1 — where
+#: the twin sits"): skew 1 loses a revolution on every miss, 2–4 are
+#: within 2 % of each other, 6 is slower again.
+NT_TWIN_SKEW = 3
 
 
 @dataclass(frozen=True)
@@ -68,10 +99,12 @@ class VolumeLayout:
     params: VolumeParams
     root_a: int
     root_b: int
+    nt_start: int           # first stripe; the central cylinder's sector 0
+    nt_sectors: int         # whole cylinders, one per stripe
+    stripe_pages: int       # name-table pages per stripe
+    twin_offset: int        # copy B = copy A + this (0: single copy)
     log_start: int          # anchor page; records begin at log_start + 3
     log_sectors: int        # 3 anchor/spacer pages + record area
-    nt_a_start: int
-    nt_b_start: int
     vam_start: int
     vam_sectors: int
     big_area: Run           # allocated descending from big_area.end
@@ -85,28 +118,49 @@ class VolumeLayout:
         vam_sectors = 1 + bitmap_sectors  # header + bitmap
         log_sectors = 3 + params.log_record_sectors
 
-        meta_needed = log_sectors + 2 * params.nt_pages + vam_sectors
+        # Copy A fills the low heads of a cylinder and copy B the high
+        # ones (the half rounded up, so an odd head count still gives
+        # disjoint head sets): no run of consecutive sectors shorter
+        # than twin_offset, no track and no surface holds both copies
+        # of any page.
+        per_cylinder = geometry.sectors_per_cylinder
+        if params.single_nt_copy:
+            twin_offset = 0
+        else:
+            twin_offset = (
+                (geometry.heads + 1) // 2 * geometry.sectors_per_track
+                + NT_TWIN_SKEW
+            )
+        stripe_pages = per_cylinder - twin_offset
+        if stripe_pages < 1:
+            raise FsError(
+                "the two copies of a name-table page lie on different "
+                f"heads of one cylinder, {twin_offset} sectors apart; a "
+                f"cylinder of {geometry.heads} head(s) x "
+                f"{geometry.sectors_per_track} sectors has no room for "
+                "both (single_nt_copy is the only layout it can hold)"
+            )
+        nt_sectors = -(-params.nt_pages // stripe_pages) * per_cylinder
+
         meta_start = geometry.cylinder_start(geometry.central_cylinder)
-        meta_end = meta_start + meta_needed
+        meta_end = meta_start + nt_sectors + log_sectors + vam_sectors
         data_start = geometry.cylinder_start(2)  # cyls 0–1 are boot region
         if meta_end >= geometry.total_sectors or meta_start <= data_start:
             raise FsError("volume too small for the metadata layout")
 
-        log_start = meta_start
-        nt_a_start = log_start + log_sectors
-        nt_b_start = nt_a_start + params.nt_pages
-        vam_start = nt_b_start + params.nt_pages
-
+        log_start = meta_start + nt_sectors
         return cls(
             geometry=geometry,
             params=params,
             root_a=0,
             root_b=geometry.cylinder_start(1),
+            nt_start=meta_start,
+            nt_sectors=nt_sectors,
+            stripe_pages=stripe_pages,
+            twin_offset=twin_offset,
             log_start=log_start,
             log_sectors=log_sectors,
-            nt_a_start=nt_a_start,
-            nt_b_start=nt_b_start,
-            vam_start=vam_start,
+            vam_start=log_start + log_sectors,
             vam_sectors=vam_sectors,
             big_area=Run(data_start, meta_start - data_start),
             small_area=Run(meta_end, geometry.total_sectors - meta_end),
@@ -116,15 +170,41 @@ class VolumeLayout:
     # address helpers
     # ------------------------------------------------------------------
     def nt_page_addresses(self, page_no: int) -> tuple[int, int]:
-        """Disk addresses of both copies of name-table page ``page_no``."""
+        """Disk addresses of both copies of name-table page ``page_no``
+        (the same sector twice on a ``single_nt_copy`` volume)."""
         if not (0 <= page_no < self.params.nt_pages):
             raise FsError(f"name-table page {page_no} out of range")
-        return self.nt_a_start + page_no, self.nt_b_start + page_no
+        stripe, index = divmod(page_no, self.stripe_pages)
+        addr_a = (
+            self.nt_start + stripe * self.geometry.sectors_per_cylinder + index
+        )
+        return addr_a, addr_a + self.twin_offset
+
+    def nt_extents(
+        self, first_page: int, count: int
+    ) -> Iterator[tuple[int, int, int, int]]:
+        """Cut the run of ``count`` pages from ``first_page`` into
+        ``(first_page, count, addr_a, addr_b)`` pieces, each contiguous
+        on disk in both copies: one piece per stripe the run touches.
+        The whole run is range-checked before the first piece."""
+        end = first_page + count
+        if count < 1 or not (0 <= first_page and end <= self.params.nt_pages):
+            raise FsError(
+                f"name-table pages [{first_page}, {end}) out of range"
+            )
+        while first_page < end:
+            piece = min(
+                end - first_page,
+                self.stripe_pages - first_page % self.stripe_pages,
+            )
+            yield (first_page, piece, *self.nt_page_addresses(first_page))
+            first_page += piece
 
     def metadata_runs(self) -> list[Run]:
-        """Every sector reserved for metadata (marked used in the VAM)."""
+        """Every sector reserved for metadata (marked used in the VAM),
+        the unused tail of each name-table stripe included."""
         boot_region = Run(0, self.geometry.cylinder_start(2))
-        meta = Run(self.log_start, self.vam_start + self.vam_sectors - self.log_start)
+        meta = Run(self.nt_start, self.meta_end - self.nt_start)
         return [boot_region, meta]
 
     @property
@@ -169,7 +249,16 @@ class RootPage:
     @classmethod
     def decode(cls, data: bytes) -> "RootPage":
         reader = Unpacker(data)
-        if reader.u32() != _ROOT_MAGIC:
+        magic = reader.u32()
+        if magic == _PREVIOUS_ROOT_MAGIC:
+            raise UnsupportedFormat(
+                f'volume root carries format "{PREVIOUS_FORMAT}" '
+                "(name-table copy B in a second extent); this build "
+                f'reads and writes "{FORMAT}" (copy B in copy A\'s '
+                "cylinder) and places every name-table page elsewhere: "
+                "re-format the volume"
+            )
+        if magic != _ROOT_MAGIC:
             raise CorruptMetadata("bad root page magic")
         expect = reader.u32()
         length = reader.u16()

@@ -9,7 +9,8 @@ table."
 Robustness: "the file name table is written twice: every page is
 written on two different sectors with independent failure modes...
 When a page is read, both copies are read and checked."  The two
-copies live in two separate extents near the central cylinder.
+copies of a page live in one cylinder near the centre of the volume,
+on different heads (:mod:`repro.core.layout` decides where).
 """
 
 from __future__ import annotations
@@ -121,8 +122,13 @@ class NameTableHome:
                     fault_site=addr_a,
                 )
             return data
+        clock = self.io.clock
+        start_ms = clock.now_ms
         copy_a = self._read_copy(addr_a)
         copy_b = self._read_copy(addr_b)
+        # What a cache miss costs, set-up and any retry included; the
+        # model's "fsd name-table page miss" script predicts its mean.
+        self.obs.observe("nt.double_read_ms", clock.now_ms - start_ms)
         if copy_a is not None and copy_b is not None:
             if copy_a != copy_b:
                 raise self._degrade(
@@ -146,8 +152,8 @@ class NameTableHome:
         self, first_page: int, count: int, holes: frozenset[int] = frozenset()
     ) -> list[bytes | None]:
         """Bulk double read of ``count`` consecutive pages: one
-        multi-sector transfer per copy instead of two single-sector
-        I/Os per page.
+        multi-sector transfer per copy (and per stripe the run
+        touches) instead of two single-sector I/Os per page.
 
         The cross-check is still page by page.  A page whose copies
         are both present and equal is served from the transfer; any
@@ -162,16 +168,18 @@ class NameTableHome:
         they come back as ``None`` — never compared, never re-read,
         whatever state their sectors are in.
         """
-        addr_a, addr_b = self.layout.nt_page_addresses(first_page)
-        # Range check on the far end of the run as well.
-        self.layout.nt_page_addresses(first_page + count - 1)
-        copies_a = self.io.read_maybe(addr_a, count)
+        copies_a: list[bytes | None] = []
+        copies_b: list[bytes | None] = []
+        for _, piece, addr_a, addr_b in self.layout.nt_extents(
+            first_page, count
+        ):
+            copies_a += self.io.read_maybe(addr_a, piece)
+            self.bulk_reads += 1
+            if not self.single_copy:
+                copies_b += self.io.read_maybe(addr_b, piece)
+                self.bulk_reads += 1
         if self.single_copy:
             copies_b = copies_a
-            self.bulk_reads += 1
-        else:
-            copies_b = self.io.read_maybe(addr_b, count)
-            self.bulk_reads += 2
         pages: list[bytes | None] = []
         for page_no, (copy_a, copy_b) in enumerate(
             zip(copies_a, copies_b), first_page
@@ -187,21 +195,24 @@ class NameTableHome:
 
     def write_pages(self, pages: list[tuple[int, bytes]]) -> None:
         """Write pages home, to both copies, batching contiguous page
-        numbers into single multi-sector I/Os per copy.
+        numbers into single multi-sector I/Os per copy (a group that
+        crosses a stripe boundary is one per stripe).
 
         The per-copy writes are *submitted*, not dispatched: under the
-        elevator policies all A-copy groups land in one arm sweep and
-        all B-copy groups in the next, instead of ping-ponging between
-        the two extents once per group.  Callers with an ordering
-        obligation (the WAL anchor advance, recovery) barrier the
-        scheduler afterwards."""
+        elevator policies the queued groups are written in arm-sweep
+        order.  Callers with an ordering obligation (the WAL anchor
+        advance, recovery) barrier the scheduler afterwards."""
         for group in _contiguous_groups(pages):
             first_page = group[0][0]
-            sectors = [data for _, data in group]
-            addr_a, addr_b = self.layout.nt_page_addresses(first_page)
-            self.io.submit_write(addr_a, sectors)
-            if not self.single_copy:
-                self.io.submit_write(addr_b, sectors)
+            images = [data for _, data in group]
+            for start, piece, addr_a, addr_b in self.layout.nt_extents(
+                first_page, len(group)
+            ):
+                offset = start - first_page
+                sectors = images[offset : offset + piece]
+                self.io.submit_write(addr_a, sectors)
+                if not self.single_copy:
+                    self.io.submit_write(addr_b, sectors)
 
 
 def _contiguous_groups(
@@ -406,8 +417,9 @@ class NameTablePager:
             return
         wanted = sorted(wanted[: self._prefetch_pages])
         fetched: list[tuple[int, bytes]] = []
-        transfers = gap_sectors = 0
+        gap_sectors = 0
         copies = 1 if self.home.single_copy else 2
+        bulk_reads = self.home.bulk_reads
         for run in _prefetch_runs(
             wanted, PREFETCH_MAX_GAP, self._prefetch_window
         ):
@@ -419,13 +431,13 @@ class NameTablePager:
             fetched.extend(
                 (page_no, images[page_no - run[0]]) for page_no in run
             )
-            transfers += copies
             gap_sectors += copies * len(holes)
         if not fetched:
             return
         obs = self._obs
         obs.count("nt.prefetch_pages", self.cache.install_clean(fetched))
-        obs.count("nt.prefetch_transfers", transfers)
+        # A run that crosses a stripe boundary is two transfers a copy.
+        obs.count("nt.prefetch_transfers", self.home.bulk_reads - bulk_reads)
         obs.count("nt.prefetch_gap_sectors", gap_sectors)
 
     # -- bitmap plumbing -------------------------------------------------

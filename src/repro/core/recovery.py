@@ -73,7 +73,10 @@ class MountReport:
 # ----------------------------------------------------------------------
 def read_root(disk: SimDisk, layout: VolumeLayout) -> RootPage:
     """Read the volume root, tolerating damage to either copy and
-    repairing the bad one from the survivor."""
+    repairing the bad one from the survivor.  A root of the previous
+    on-disk format is not damage: ``RootPage.decode`` raises
+    :class:`~repro.errors.UnsupportedFormat`, which passes straight
+    through — before any repair write."""
     io = as_scheduler(disk)
     survivors: list[tuple[int, RootPage]] = []
     for address in (layout.root_a, layout.root_b):

@@ -212,12 +212,15 @@ def _harvest_entries(
     """
     params = layout.params
     bitmap_pages = -(-params.nt_pages // (8 * layout.geometry.sector_bytes))
-    copies_a = _sweep_read(io, layout.nt_a_start, params.nt_pages)
-    copies_b = (
-        [None] * params.nt_pages
-        if params.single_nt_copy
-        else _sweep_read(io, layout.nt_b_start, params.nt_pages)
-    )
+    copies_a: list[bytes | None] = []
+    copies_b: list[bytes | None] = []
+    for _, count, addr_a, addr_b in layout.nt_extents(0, params.nt_pages):
+        copies_a += _sweep_read(io, addr_a, count)
+        copies_b += (
+            [None] * count
+            if params.single_nt_copy
+            else _sweep_read(io, addr_b, count)
+        )
     entries: dict[tuple[str, int, int], tuple[int, bytes]] = {}
     harvested = 0
     for page_no in range(params.nt_pages):
@@ -483,7 +486,9 @@ def _read_params(
     io, geometry, params_hint: VolumeParams | None
 ) -> VolumeParams:
     """Recover the volume parameters from either root copy — without
-    the mount path's repair write; salvage never writes the source."""
+    the mount path's repair write; salvage never writes the source.
+    A root of the previous format raises ``UnsupportedFormat`` (every
+    sweep below would read this format's addresses), hint or no hint."""
     probe = VolumeLayout.compute(geometry, params_hint or VolumeParams())
     survivors: list[RootPage] = []
     for address in (probe.root_a, probe.root_b):

@@ -194,9 +194,9 @@ def fault_target(
     sectors."""
     choice = rng.random()
     if choice < 0.3:
-        return layout.nt_a_start + nt_page(layout, rng)
+        return layout.nt_page_addresses(nt_page(layout, rng))[0]
     if choice < 0.5 and not layout.params.single_nt_copy:
-        return layout.nt_b_start + nt_page(layout, rng)
+        return layout.nt_page_addresses(nt_page(layout, rng))[1]
     if choice < 0.75:
         return layout.log_start + rng.randrange(
             3 + layout.params.log_record_sectors
@@ -215,12 +215,8 @@ def wild_write_target(
     read-protection motivation)."""
     if leader_addrs and rng.random() < 0.4:
         return rng.choice(sorted(leader_addrs.values()))
-    base = (
-        layout.nt_a_start
-        if layout.params.single_nt_copy or rng.random() < 0.5
-        else layout.nt_b_start
-    )
-    return base + nt_page(layout, rng)
+    copy = 0 if layout.params.single_nt_copy or rng.random() < 0.5 else 1
+    return layout.nt_page_addresses(nt_page(layout, rng))[copy]
 
 
 def inject_fault(

@@ -25,7 +25,6 @@ class DiskTiming:
     rotation_ms: float = 16.67
     seek_settle_ms: float = 5.5       # fixed cost of any head motion
     seek_coeff_ms: float = 1.55       # multiplies sqrt(cylinder distance)
-    head_switch_ms: float = 0.30      # select a different head, same cylinder
     #: Cylinder distance at or under which a seek counts as "short"
     #: in the paper's model ("a few cylinders").
     short_seek_cylinders: int = 4

@@ -106,6 +106,13 @@ class DegradedVolumeError(CorruptMetadata):
         self.fault_site = fault_site
 
 
+class UnsupportedFormat(FsError):
+    """The volume was formatted by a build with a different on-disk
+    format: its root is intact, but every other address would be
+    misread.  Not corruption — neither mount nor salvage may proceed;
+    the volume has to be re-formatted."""
+
+
 class LogFull(FsError):
     """A single log record would not fit in the log file.
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.data_cache import DEFAULT_READAHEAD_PAGES
-from repro.core.layout import VolumeParams
+from repro.core.layout import NT_TWIN_SKEW
 from repro.disk.clock import CpuCostModel
 from repro.model.primitives import (
     Cpu,
@@ -27,7 +27,6 @@ from repro.model.primitives import (
     Revolution,
     Script,
     Seek,
-    SeekOver,
     ShortSeek,
     SlotAhead,
     Step,
@@ -72,11 +71,6 @@ class ModelAssumptions:
 #: client compute between two page reads of a sequential pass (the
 #: mean of the 0-2 ms the ``makedo_build`` client draws).
 SEQUENTIAL_THINK_MS = 1.0
-
-
-#: sectors from copy A of a name-table page to its copy B: the size of
-#: one copy of the table (``layout.nt_b_start - layout.nt_a_start``).
-NT_COPY_SECTORS = VolumeParams().nt_pages
 
 
 def _io_cpu(cpu: CpuCostModel, sectors: float) -> Cpu:
@@ -222,25 +216,22 @@ def _fsd_commit_share(assume: ModelAssumptions) -> Fraction:
 def fsd_nt_page_miss(assume: ModelAssumptions) -> Script:
     """A name-table page miss: both home copies are read and compared.
 
-    Copy A is a seek, a latency and a transfer.  Copy B is the same
-    page of the second extent, ``NT_COPY_SECTORS`` further on: its
-    slot starts ``(NT_COPY_SECTORS - 1) mod sectors_per_track`` sector
-    times after copy A's transfer ends (15 slots, 8.3 ms, on the
-    Trident with 4096 pages) and the request cannot be there by then —
-    the I/O set-up plus the seek over those sectors (6 cylinders,
-    9.3 ms) overshoot the gap, so the read waits for the
-    slot's next pass.  Every copy-B read therefore costs the gap plus
-    one lost revolution, 25.0 ms, and not the short seek and latency
-    (17.5 ms) a script without the rotational locality would say."""
+    Copy A is a seek, a latency and a transfer.  Copy B is in the same
+    cylinder on another head, ``NT_TWIN_SKEW`` slots round the track
+    from copy A (:mod:`repro.core.layout`): when copy A's transfer
+    ends its slot starts ``NT_TWIN_SKEW - 1`` sector times later, the
+    I/O set-up fits inside that gap, and the read costs the gap and a
+    transfer — no seek, no lost revolution (1.7 ms on the Trident,
+    where a twin in an extent of its own cost 25.0)."""
     cpu = assume.cpu
     return Script(
         name="fsd name-table page miss",
         steps=[
             _io_cpu(cpu, 1), Seek(), Latency(), Transfer(sectors=1),
             SlotAhead(
-                label="copy B: seek, rest of a revolution",
-                sectors=NT_COPY_SECTORS - 1,
-                after=(_io_cpu(cpu, 1), SeekOver(sectors=NT_COPY_SECTORS)),
+                label="copy B: set-up, rest of the skew",
+                sectors=NT_TWIN_SKEW - 1,
+                after=(_io_cpu(cpu, 1),),
             ),
             Transfer(sectors=1),
         ],

@@ -77,6 +77,12 @@ def cmd_stats(args) -> int:
         # are demand misses only; the prefetch figure says how many of
         # the hits were bought with a bulk transfer.
         nt = snapshot.layers().get("nt", {})
+        double_read = nt.get("nt.double_read_ms")
+        miss_cost = (
+            f"; double read: mean {double_read.mean:.1f} ms over "
+            f"{double_read.count} pages"
+            if isinstance(double_read, HistogramSnapshot) else ""
+        )
         print(
             f"name table: {_fmt_value(hits + misses)} page reads through "
             f"the metadata cache, {hits / (hits + misses):.1%} hits, "
@@ -84,7 +90,7 @@ def cmd_stats(args) -> int:
             f"{_fmt_value(nt.get('nt.prefetch_pages', 0))} pages in "
             f"{_fmt_value(nt.get('nt.prefetch_transfers', 0))} transfers "
             f"({_fmt_value(nt.get('nt.prefetch_gap_sectors', 0))} gap "
-            f"sectors)"
+            f"sectors){miss_cost}"
         )
     if "cache.pinned_pages" in cache:
         # Pinned pages are the log's, not the cache's: they do not

@@ -128,13 +128,20 @@ class TestStallElimination:
         ahead of the append cursor, third entries find the third clean
         and the anchor already advanced — commits never block.
 
-        The 500 ms interval was sized against this seed on the paper's
-        mount (a disk request per page read).  With read-ahead the same
-        clients finish 12 % sooner and one of the five third entries
-        arrives 20 ms before its tick, so the mount is pinned."""
+        The interval is sized against this seed on the paper's mount
+        (a disk request per page read; with read-ahead the same clients
+        finish 12 % sooner and meet other ticks, so the mount is
+        pinned).  What it has to avoid is a coincidence, not a slow
+        checkpointer: at 500 ms, on the "FSD2" placement, the tick
+        before the fourth third entry finds the append cursor exactly
+        on the boundary (offset 200 of 600), leaves the anchor on the
+        first sector of the third about to be entered, and the entry
+        re-writes it — one 27 ms anchor write on the commit path.  At
+        400 ms no tick of the run lands on a boundary (200 and 470 ms
+        are clean too; 250, 300 and 450 meet the same coincidence)."""
         obs = Observer()
         _, fs = _volume(
-            checkpoint_interval_ms=500.0, obs=obs, readahead_pages=0
+            checkpoint_interval_ms=400.0, obs=obs, readahead_pages=0
         )
         engine = TrafficEngine(
             fs,

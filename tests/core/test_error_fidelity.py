@@ -10,7 +10,10 @@ where the media failed, not just that it did.  Three cases:
   the same typed error with the site attached, and a later read heals,
 * a double-copy metadata loss -> ``DegradedVolumeError`` whose
   ``fault_site`` names one of the two dead copies, and every later
-  write is rejected with that same site.
+  write is rejected with that same site,
+* a volume of the previous on-disk format -> ``UnsupportedFormat``
+  from mount and from salvage alike, naming both formats: never a
+  "both root copies unreadable", never a harvest of misplaced pages.
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ from repro.core.fsd import FSD
 from repro.core.layout import VolumeParams
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
-from repro.errors import DamagedSectorError, DegradedVolumeError
+from repro.core.salvage import salvage_volume
+from repro.errors import (
+    CorruptMetadata,
+    DamagedSectorError,
+    DegradedVolumeError,
+    UnsupportedFormat,
+    classify_error,
+)
+from repro.serial import Packer
 
 GEO = DiskGeometry(cylinders=120, heads=8, sectors_per_track=24)
 PARAMS = VolumeParams(nt_pages=512, log_record_sectors=231, cache_pages=32)
@@ -65,8 +76,7 @@ def test_double_copy_loss_degrades_with_fault_site():
     for index in range(12):
         fs.create(f"fid/f{index:02d}", b"z" * 500)
     root_page = fs.name_table.tree._root
-    site_a = fs.layout.nt_a_start + root_page
-    site_b = fs.layout.nt_b_start + root_page
+    site_a, site_b = fs.layout.nt_page_addresses(root_page)
     # Clean unmount first: the log then holds nothing to redo, so the
     # remount cannot repair the damaged page by replaying over it.
     fs.unmount()
@@ -83,3 +93,34 @@ def test_double_copy_loss_degrades_with_fault_site():
     with pytest.raises(DegradedVolumeError) as excinfo:
         fs.create("fid/late", b"w")
     assert excinfo.value.fault_site == fs.degraded_site
+
+
+def test_previous_format_is_refused_by_mount_and_salvage():
+    disk, fs = _volume()
+    fs.create("fid/old", b"o" * 700)
+    fs.unmount()
+    # What a pre-"FSD2" build left behind: intact roots, old magic.
+    for address in (fs.layout.root_a, fs.layout.root_b):
+        body = disk.peek(address)[4:]
+        disk.poke(address, Packer().u32(0x46534431).bytes() + body)
+    writes = disk.stats.writes
+    for refuse in (
+        lambda: FSD.mount(disk),
+        lambda: FSD.mount(disk, params=PARAMS),
+        lambda: salvage_volume(disk),
+        lambda: salvage_volume(disk, params_hint=PARAMS),
+    ):
+        with pytest.raises(UnsupportedFormat) as excinfo:
+            refuse()
+        message = str(excinfo.value)
+        assert "FSD1" in message and "FSD2" in message
+        assert "re-format" in message
+        # Not corruption, not retryable: nothing on the media is bad.
+        assert not isinstance(excinfo.value, CorruptMetadata)
+        assert classify_error(excinfo.value) == "fatal"
+    # One old root is enough, even beside a damaged twin.
+    disk.faults.damage(fs.layout.root_a)
+    with pytest.raises(UnsupportedFormat):
+        FSD.mount(disk)
+    # Neither path "repaired" a root or wrote anything else.
+    assert disk.stats.writes == writes

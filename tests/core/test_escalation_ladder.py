@@ -13,13 +13,17 @@ import pytest
 from repro.core.fsd import FSD
 from repro.core.layout import VolumeLayout, VolumeParams
 from repro.core.name_table import NameTableHome
+from repro.core.verify import verify_volume
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
 from repro.errors import DegradedVolumeError
 from repro.obs import Observer
+from repro.workloads.generators import payload
 
 GEO = DiskGeometry(cylinders=120, heads=8, sectors_per_track=24)
 PARAMS = VolumeParams(nt_pages=512, log_record_sectors=300, cache_pages=48)
+#: pages per one-cylinder stripe of the name table (93 on ``GEO``).
+STRIPE_PAGES = VolumeLayout.compute(GEO, PARAMS).stripe_pages
 
 
 @pytest.fixture
@@ -125,6 +129,118 @@ class TestDegradedRung:
         assert fs.degraded
         with pytest.raises(DegradedVolumeError):
             fs.create("deg/new", b"refused")
+
+
+@pytest.mark.parametrize(
+    "page_no",
+    [40, STRIPE_PAGES - 1, STRIPE_PAGES],
+    ids=["mid-stripe", "last of a stripe", "first of the next"],
+)
+class TestLadderAtAStripeBoundary:
+    """The same rungs wherever the page lies: copy B of a stripe's
+    last page is the last sector of its cylinder, copy A of the next
+    page the first sector of the next cylinder."""
+
+    def _neighbours_intact(self, home, page_no):
+        for other in (page_no - 1, page_no + 1):
+            assert home.read_page(other) == page(other % 251)
+
+    def _write_around(self, home, page_no):
+        home.write_pages(
+            [(no, page(no % 251)) for no in range(page_no - 1, page_no + 2)]
+        )
+
+    def test_retry_rung(self, world, page_no):
+        disk, layout, home = world
+        self._write_around(home, page_no)
+        for address in layout.nt_page_addresses(page_no):
+            disk.faults.damage_transient(address)
+        assert home.read_page(page_no) == page(page_no % 251)
+        assert (home.retries, home.repairs) == (2, 0)
+
+    @pytest.mark.parametrize("copy", [0, 1])
+    def test_repair_rung(self, world, page_no, copy):
+        disk, layout, home = world
+        self._write_around(home, page_no)
+        bad = layout.nt_page_addresses(page_no)[copy]
+        disk.faults.damage(bad)
+        assert home.read_page(page_no) == page(page_no % 251)
+        assert not disk.faults.is_damaged(bad)
+        assert disk.peek(bad) == page(page_no % 251)
+        self._neighbours_intact(home, page_no)
+        assert home.repairs == 1
+
+    def test_degraded_rung(self, world, page_no):
+        disk, layout, home = world
+        self._write_around(home, page_no)
+        addr_a, addr_b = layout.nt_page_addresses(page_no)
+        disk.faults.damage(addr_a)
+        disk.faults.damage(addr_b)
+        with pytest.raises(DegradedVolumeError, match="both copies") as caught:
+            home.read_page(page_no)
+        assert caught.value.fault_site == addr_a
+        # The loss is that page's alone.
+        self._neighbours_intact(home, page_no)
+
+
+class TestIndependentFailureModes:
+    """§5.1: "two different sectors with independent failure modes".
+    The copies of a page share a cylinder but neither a track nor a
+    surface, so the loss of a whole track — or of every copy-A sector
+    of a cylinder at once — costs no page both its copies."""
+
+    def _volume(self) -> tuple[SimDisk, FSD, dict[str, bytes]]:
+        disk = SimDisk(geometry=GEO)
+        FSD.format(disk, PARAMS)
+        fs = FSD.mount(disk)
+        contents = {
+            f"ind/f{index:03d}": payload(300 + index, index)
+            for index in range(400)
+        }
+        for name, data in contents.items():
+            fs.create(name, data)
+        # The tree spans two stripes.
+        runs = fs.name_table.tree.pager.allocated_runs()
+        assert max(first + count for first, count in runs) > STRIPE_PAGES + 8
+        fs.unmount()
+        return disk, fs, contents
+
+    def _mounts_healthy_with_every_file(self, disk, contents) -> None:
+        obs = Observer()
+        fs = FSD.mount(disk, obs=obs)
+        assert sorted(props.name for props in fs.list()) == sorted(contents)
+        for name, data in contents.items():
+            assert fs.read(fs.open(name)) == data
+        assert not fs.degraded
+        assert obs.snapshot().counters["ladder.copy_repairs"] > 0
+        assert verify_volume(fs).clean
+        fs.create("ind/after", b"still writable")
+        fs.unmount()
+
+    @pytest.mark.parametrize("copy", [0, 1], ids=["copy A", "copy B"])
+    def test_a_whole_track_lost(self, copy):
+        disk, fs, contents = self._volume()
+        # The track under the tree's root: every page with a copy on it
+        # loses that copy.
+        address = fs.layout.nt_page_addresses(fs.name_table.tree._root)[copy]
+        cylinder, head, _ = GEO.chs(address)
+        track = GEO.address(cylinder, head, 0)
+        disk.faults.damaged.update(
+            range(track, track + GEO.sectors_per_track)
+        )
+        self._mounts_healthy_with_every_file(disk, contents)
+
+    def test_the_copy_a_half_of_a_cylinder_lost(self):
+        """Heads 0-3 of the first stripe's cylinder: copy A of all of
+        its 93 pages, meta page, bitmap and root included."""
+        disk, fs, contents = self._volume()
+        layout = fs.layout
+        half = (GEO.heads + 1) // 2 * GEO.sectors_per_track
+        assert layout.stripe_pages <= half < layout.twin_offset
+        disk.faults.damaged.update(
+            range(layout.nt_start, layout.nt_start + half)
+        )
+        self._mounts_healthy_with_every_file(disk, contents)
 
 
 class TestStaleLeaderReplay:

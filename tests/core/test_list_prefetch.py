@@ -142,6 +142,71 @@ class TestTransfers:
         }
 
 
+#: pages per one-cylinder stripe of the name table (93 on ``GEO``).
+STRIPE_PAGES = VolumeLayout.compute(GEO, PARAMS).stripe_pages
+either_side = pytest.mark.parametrize(
+    "page_no", [STRIPE_PAGES - 1, STRIPE_PAGES],
+    ids=["last of a stripe", "first of the next"],
+)
+
+
+class TestAcrossAStripeBoundary:
+    """A prefetch run that crosses into the next stripe (the next
+    cylinder) installs what page-at-a-time reads return; it just takes
+    one transfer per copy on each side."""
+
+    @pytest.fixture
+    def edge(self, world):
+        disk, layout, home, cache, pager = world
+        pages = range(STRIPE_PAGES - 8, STRIPE_PAGES + 8)
+        home.write_pages([(no, page(no)) for no in pages])
+        return disk, layout, home, cache, pager
+
+    def test_contiguous_children_either_side(self, edge):
+        disk, _, home, cache, pager = edge
+        wanted = list(range(STRIPE_PAGES - 3, STRIPE_PAGES + 3))
+        before = disk.stats.total_ios
+        pager.prefetch(wanted)
+        assert disk.stats.total_ios - before == 4
+        assert counters(pager) == {
+            "pages": 6, "transfers": 4, "gap_sectors": 0,
+        }
+        assert resident(
+            cache, range(STRIPE_PAGES - 8, STRIPE_PAGES + 8)
+        ) == wanted
+        for no in wanted:
+            assert cache.resident_nt(no) == page(no) == home.read_page(no)
+
+    @either_side
+    def test_a_gap_on_the_boundary_is_bridged_and_inert(self, edge, page_no):
+        disk, layout, home, cache, pager = edge
+        for address in layout.nt_page_addresses(page_no):
+            disk.faults.damage(address)
+        home.on_degraded = lambda *_: pytest.fail("a gap sector degraded")
+        wanted = [
+            no for no in range(STRIPE_PAGES - 3, STRIPE_PAGES + 3)
+            if no != page_no
+        ]
+        pager.prefetch(wanted)
+        assert resident(
+            cache, range(STRIPE_PAGES - 8, STRIPE_PAGES + 8)
+        ) == wanted
+        assert counters(pager) == {
+            "pages": 5, "transfers": 4, "gap_sectors": 2,
+        }
+        assert (home.ladder_fallbacks, home.repairs) == (0, 0)
+
+    @either_side
+    def test_ladder_on_the_boundary(self, edge, page_no):
+        disk, layout, home, cache, pager = edge
+        bad = layout.nt_page_addresses(page_no)[1]
+        disk.faults.damage(bad)
+        pager.prefetch(list(range(STRIPE_PAGES - 3, STRIPE_PAGES + 3)))
+        assert (home.ladder_fallbacks, home.repairs) == (1, 1)
+        assert not disk.faults.is_damaged(bad)
+        assert cache.resident_nt(page_no) == page(page_no)
+
+
 class TestWindow:
     def test_at_most_a_quarter_of_the_cache_per_call(self, world):
         _, _, _, cache, pager = world
@@ -331,6 +396,35 @@ def test_cold_list_equals_warm_list(cache_pages):
             assert cold_fs.list(prefix) == cold
             assert disk.stats.total_ios == ios
         cold_fs.unmount()
+
+
+def test_cold_list_whose_prefetch_crosses_a_stripe_boundary():
+    """Enough files for the tree to spill into a second stripe: some
+    prefetch transfer straddles the boundary, and the listing is still
+    the listing."""
+    disk = SimDisk(geometry=GEO)
+    FSD.format(disk, PARAMS)
+    fs = FSD.mount(disk)
+    names = [f"wide/m{index:03d}.mesa" for index in range(420)]
+    for index, name in enumerate(names):
+        fs.create(name, payload(300 + index, index))
+    fs.unmount()
+    obs = Observer()
+    fs = FSD.mount(disk, obs=obs)
+    straddling = []
+    read_run = fs.nt_home.read_run
+
+    def spy(first, count, holes=frozenset()):
+        if first < STRIPE_PAGES < first + count:
+            straddling.append((first, count))
+        return read_run(first, count, holes)
+
+    fs.nt_home.read_run = spy
+    cold = fs.list("wide/")
+    assert [props.name for props in cold] == names
+    assert straddling
+    assert fs.list("wide/") == cold
+    assert verify_volume(fs).clean
 
 
 def test_a_list_reads_the_pages_the_demand_path_read_plus_gaps():

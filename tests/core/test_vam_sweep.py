@@ -296,6 +296,77 @@ class TestBulkReadLadder:
         assert caught.value.fault_site == addr_a
 
 
+#: pages per one-cylinder stripe of the name table (93 on ``GEO``).
+STRIPE_PAGES = VolumeLayout.compute(GEO, params()).stripe_pages
+#: a ten-page run with the stripe boundary in the middle of it.
+EDGE_FIRST = STRIPE_PAGES - 5
+EDGE_PAGES = [(EDGE_FIRST + index, page(index + 1)) for index in range(10)]
+either_side = pytest.mark.parametrize(
+    "page_no", [STRIPE_PAGES - 1, STRIPE_PAGES],
+    ids=["last of a stripe", "first of the next"],
+)
+
+
+@pytest.fixture
+def edge_world(home_world):
+    disk, layout, home = home_world
+    home.write_pages(EDGE_PAGES)
+    return disk, layout, home
+
+
+class TestBulkReadAcrossAStripeBoundary:
+    """A run that crosses from one stripe into the next is one transfer
+    per copy *per stripe*, and otherwise nothing new: what it returns,
+    repairs and refuses is what page-at-a-time reads do."""
+
+    def test_write_pages_splits_at_the_boundary(self, home_world):
+        disk, layout, home = home_world
+        before = disk.stats.writes
+        home.write_pages(EDGE_PAGES)
+        assert disk.stats.writes - before == 4
+        for page_no, image in EDGE_PAGES:
+            for address in layout.nt_page_addresses(page_no):
+                assert disk.peek(address) == image
+
+    def test_run_equals_page_at_a_time_reads(self, edge_world):
+        disk, _, home = edge_world
+        before = disk.stats.total_ios
+        images = home.read_run(EDGE_FIRST, 10)
+        assert disk.stats.total_ios - before == 4
+        assert home.bulk_reads == 4
+        assert home.ladder_fallbacks == 0
+        assert images == [image for _, image in EDGE_PAGES]
+        assert images == [home.read_page(no) for no, _ in EDGE_PAGES]
+
+    @pytest.mark.parametrize("copy", [0, 1])
+    @either_side
+    def test_one_damaged_copy_is_served_from_its_twin(
+        self, edge_world, page_no, copy
+    ):
+        disk, layout, home = edge_world
+        bad = layout.nt_page_addresses(page_no)[copy]
+        disk.faults.damage(bad)
+        assert home.read_run(EDGE_FIRST, 10) == [
+            image for _, image in EDGE_PAGES
+        ]
+        assert (home.ladder_fallbacks, home.repairs) == (1, 1)
+        assert not disk.faults.is_damaged(bad)
+        assert disk.peek(bad) == dict(EDGE_PAGES)[page_no]
+
+    @either_side
+    def test_both_copies_damaged_degrades_at_the_page(
+        self, edge_world, page_no
+    ):
+        disk, layout, home = edge_world
+        addr_a, addr_b = layout.nt_page_addresses(page_no)
+        disk.faults.damage(addr_a)
+        disk.faults.damage(addr_b)
+        with pytest.raises(DegradedVolumeError) as caught:
+            home.read_run(EDGE_FIRST, 10)
+        assert caught.value.fault_site == addr_a
+        assert f"page {page_no}:" in str(caught.value)
+
+
 class TestMountThroughDamage:
     def test_damaged_leaf_copy_is_repaired_during_the_sweep(self):
         disk, fs = fragmented_volume()
@@ -334,6 +405,51 @@ class TestMountThroughDamage:
         with pytest.raises(DegradedVolumeError) as caught:
             FSD.mount(disk)
         assert caught.value.fault_site == addr_a
+
+
+class TestSweepAcrossAStripeBoundary:
+    def _two_stripe_volume(self) -> tuple[SimDisk, FSD]:
+        disk = SimDisk(geometry=GEO)
+        FSD.format(disk, params())
+        fs = FSD.mount(disk)
+        for index in range(400):
+            fs.create(f"wide/f{index:03d}", payload(300 + index, index))
+        fs.unmount()
+        fs = FSD.mount(disk)
+        fs.crash()  # dirty root, empty log: the next mount sweeps home
+        return disk, fs
+
+    def test_sweep_equals_walk_and_splits_its_transfer(self):
+        disk, fs = self._two_stripe_volume()
+        runs = fs.name_table.tree.pager.allocated_runs()
+        assert any(
+            first < STRIPE_PAGES < first + count for first, count in runs
+        )
+        recovered = FSD.mount(disk)
+        report = recovered.mount_report
+        mount_bulk_reads = recovered.nt_home.bulk_reads
+        assert not report.vam_loaded
+        assert report.vam_sweep_pages == len(allocated_pages(recovered))
+        assert report.vam_rebuild_entries == 400
+        assert recovered.nt_home.ladder_fallbacks == 0
+        # One run of allocated pages, under max_io_sectors, cut once.
+        assert mount_bulk_reads == 4
+        assert bytes(recovered.vam._bits) == walk_bits(recovered)
+
+    def test_damage_either_side_of_the_boundary_is_repaired(self):
+        disk, fs = self._two_stripe_volume()
+        bad = [
+            fs.layout.nt_page_addresses(STRIPE_PAGES - 1)[0],
+            fs.layout.nt_page_addresses(STRIPE_PAGES)[1],
+        ]
+        for address in bad:
+            disk.faults.damage(address)
+        obs = Observer()
+        recovered = FSD.mount(disk, obs=obs)
+        assert recovered.nt_home.ladder_fallbacks == 2
+        assert obs.snapshot().counters["ladder.copy_repairs"] == 2
+        assert not any(disk.faults.is_damaged(address) for address in bad)
+        assert bytes(recovered.vam._bits) == walk_bits(recovered)
 
 
 # ----------------------------------------------------------------------

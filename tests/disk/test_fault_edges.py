@@ -160,3 +160,50 @@ class TestTornCoalescedWrites:
         assert after[1] is None  # tail of the first merged request
         assert after[2] is None  # head of the second: seam straddled
         assert after[3] == page(0xAA)
+
+    @pytest.mark.parametrize("damage_tail", [0, 1, 2])
+    @pytest.mark.parametrize("surviving", [0, 1, 2])
+    def test_torn_write_over_a_stripe_seam_costs_no_page_both_copies(
+        self, world, surviving, damage_tail
+    ):
+        """Copy B of a stripe's last page is the last sector of its
+        cylinder and copy A of the next page the first sector of the
+        next, so under scan the two writes coalesce into one — a torn
+        one may damage both sectors.  They belong to different pages:
+        each page keeps its other copy, untouched by that write."""
+        disk, layout, _ = world
+        io = IoScheduler(disk, policy="scan")
+        home = NameTableHome(io, layout)
+        last, first = layout.stripe_pages - 1, layout.stripe_pages
+        seam_b = layout.nt_page_addresses(last)[1]
+        seam_a = layout.nt_page_addresses(first)[0]
+        assert seam_a == seam_b + 1
+        home.write_pages([(last, page(0x11)), (first, page(0x22))])
+        io.barrier()
+        # The arm rests on the first stripe's cylinder, so all four
+        # writes are on the upward sweep: A(last), then B(last) and
+        # A(first) as one write, then B(first).
+        disk.read(layout.nt_start, 1)
+        coalesced = io.sched_stats.coalesced
+
+        home.write_pages([(last, page(0x33)), (first, page(0x44))])
+        assert io.queue_depth == 4
+        disk.faults.arm_crash(
+            after_ios=1, surviving_sectors=surviving, damage_tail=damage_tail
+        )
+        with pytest.raises(SimulatedCrash):
+            io.barrier()
+        assert io.sched_stats.coalesced - coalesced == 1
+        for page_no, old, new in (
+            (last, page(0x11), page(0x33)), (first, page(0x22), page(0x44))
+        ):
+            copies = [
+                disk.read_maybe(address, 1)[0]
+                for address in layout.nt_page_addresses(page_no)
+            ]
+            assert copies.count(None) <= 1
+            assert all(copy in (None, old, new) for copy in copies)
+        # The copies the torn write did not cover: A(last) landed
+        # before it, B(first) was still queued behind it.
+        assert disk.peek(layout.nt_page_addresses(last)[0]) == page(0x33)
+        assert disk.peek(layout.nt_page_addresses(first)[1]) == page(0x22)

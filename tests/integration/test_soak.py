@@ -115,8 +115,8 @@ def test_soak_survives_background_media_faults():
         if step % 25 == 24:
             # Damage one sector of NT copy A or B (never both of a pair).
             page = rng.randrange(PARAMS.nt_pages)
-            side = rng.choice([layout.nt_a_start, layout.nt_b_start])
-            disk.faults.damage(side + page)
+            copy = rng.choice([0, 1])
+            disk.faults.damage(layout.nt_page_addresses(page)[copy])
     fs.force()
     for name, data in contents.items():
         assert fs.read(fs.open(name)) == data

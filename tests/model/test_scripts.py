@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.layout import NT_TWIN_SKEW
 from repro.disk.geometry import TRIDENT_T300
 from repro.disk.timing import TRIDENT_TIMING
 from repro.model.evaluate import predict, predict_all
@@ -89,19 +90,22 @@ class TestPaperShapeInModel:
         assert prediction.cpu_free_ms == pytest.approx(0.0)
         assert prediction.predicted_ms < 1.0
 
-    def test_name_table_miss_loses_a_revolution_on_copy_b(self):
-        """Copy B starts 15 slots after copy A ends; set-up plus the
-        six-cylinder seek take longer, so its read (seek, wait and
-        transfer) is the gap plus a revolution plus a sector less the
-        set-up: 25.0 ms, not the 17.5 of a short seek and a latency."""
+    def test_name_table_miss_reads_copy_b_in_the_same_pass(self):
+        """Copy B is ``NT_TWIN_SKEW`` slots round copy A's cylinder:
+        when copy A's transfer ends its slot is two sector times away,
+        the 0.55 ms of set-up fit inside that gap, and the read is the
+        gap and a transfer, 1.7 ms — no seek, no lost revolution (a
+        twin in an extent of its own cost 25.0 ms)."""
         assume = ModelAssumptions()
         rows = fsd_nt_page_miss(assume).breakdown(TRIDENT_TIMING, TRIDENT_T300)
         sector = TRIDENT_TIMING.sector_time_ms(TRIDENT_T300.sectors_per_track)
-        copy_b = rows[-2][1] - 0.55 + rows[-1][1]
-        assert copy_b == pytest.approx(
-            15 * sector + TRIDENT_TIMING.rotation_ms + sector - 0.55
-        )
-        assert copy_b == pytest.approx(25.0, abs=0.05)
+        assert 0.55 < (NT_TWIN_SKEW - 1) * sector
+        copy_b = rows[-2][1] + rows[-1][1]
+        assert copy_b == pytest.approx(NT_TWIN_SKEW * sector)
+        assert copy_b == pytest.approx(1.67, abs=0.01)
+        # One slot less and the set-up would still fit — by 6 µs, which
+        # the head switch of a real drive (0.30 ms) overruns.
+        assert 0.0 < (NT_TWIN_SKEW - 2) * sector - 0.55 < 0.01
 
     def test_every_fsd_miss_is_the_page_miss_script(self):
         assume = ModelAssumptions()

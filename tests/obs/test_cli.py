@@ -93,6 +93,10 @@ class TestStats:
         assert "demand misses; prefetch:" in line
         pages = int(line.split("prefetch: ")[1].split()[0])
         assert pages > 20
+        # What a demand miss cost: mean and count of nt.double_read_ms.
+        assert "nt.double_read_ms" in out
+        mean_ms, _, _, count = line.split("double read: mean ")[1].split()[:4]
+        assert 0.0 < float(mean_ms) < 50.0 and int(count) > 0
 
     def test_metadata_cache_line_reports_pinned_and_reserve(
         self, image, capsys

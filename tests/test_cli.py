@@ -5,6 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.__main__ import main
+from repro.core.layout import VolumeLayout
+from repro.disk.image import load_disk, save_disk
+from repro.harness.scenarios import SMALL
+from repro.serial import Packer
 
 
 @pytest.fixture
@@ -118,6 +122,26 @@ class TestCliEdges:
         path = tmp_path / "junk.img"
         path.write_bytes(b"not an image")
         assert main(["ls", str(path)]) == 2
+
+    def test_previous_format_image_is_refused(self, image, tmp_path, capsys):
+        """An image formatted before the "FSD2" placement: every
+        mounting command and ``salvage`` say so and exit 2."""
+        disk = load_disk(image)
+        layout = VolumeLayout.compute(disk.geometry, SMALL.fsd_params)
+        for address in (layout.root_a, layout.root_b):
+            body = disk.peek(address)[4:]
+            disk.poke(address, Packer().u32(0x46534431).bytes() + body)
+        save_disk(disk, image)
+        rebuilt = tmp_path / "rebuilt.img"
+        for command in (
+            ["ls", image], ["info", image], ["verify", image],
+            ["stats", image], ["salvage", image, str(rebuilt)],
+        ):
+            capsys.readouterr()
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert "FSD1" in err and "FSD2" in err and "re-format" in err
+        assert not rebuilt.exists()
 
     def test_t300_size(self, tmp_path, capsys):
         path = str(tmp_path / "big.img")
