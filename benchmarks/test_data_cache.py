@@ -2,12 +2,11 @@
 
 Runs the MakeDo build (the paper's software-build workload, whose
 compiler streams sources one 512-byte page at a time) on three mounts
-under the fifo scheduler and writes the comparison to
-``BENCH_data_cache.json``:
+and writes the comparison to ``BENCH_data_cache.json``:
 
 * ``paper``   — ``PAPER``: a disk request per page read.
-  Must reproduce the seed ``BENCH_sched.json`` makedo/fifo numbers
-  bit-for-bit (that file's builds run on the same mount).
+  Must reproduce the ``paper`` row of the committed
+  ``BENCH_data_cache.json`` bit-for-bit.
 * ``default`` — what ``FSD.mount`` gives with no arguments: nothing
   retained but the read-ahead buffer.
 * ``cached``  — a retaining cache of ``BENCH_DATA_CACHE_PAGES``.
@@ -54,7 +53,7 @@ OUT_PATH = Path(
     )
 )
 BASELINE_PATH = os.environ.get("BENCH_DATA_CACHE_BASELINE")
-SEED_SCHED_PATH = REPO_ROOT / "BENCH_sched.json"
+COMMITTED_PATH = REPO_ROOT / "BENCH_data_cache.json"
 
 #: the target: read-ahead elapsed <= 70% of the paper mount's.
 TARGET_RATIO = 0.70
@@ -70,11 +69,11 @@ MOUNTS = {
 
 
 def makedo(mount: dict) -> dict:
-    """The MakeDo build on a fresh fifo-scheduled volume."""
+    """The MakeDo build on a fresh volume."""
     disk = SimDisk(geometry=SCALE.geometry)
     FSD.format(disk, SCALE.fsd_params)
     kit = instrument(disk)
-    fs = FSD.mount(disk, obs=kit.obs, sched="fifo", **mount)
+    fs = FSD.mount(disk, obs=kit.obs, **mount)
     ios, elapsed = measure_makedo(
         disk, FsdAdapter(fs), modules=MAKEDO_MODULES
     )
@@ -116,6 +115,8 @@ def test_data_cache(once):
 
     results = once(run)
     paper = results["paper"]
+    # Read before OUT_PATH (by default the same file) is overwritten.
+    committed = json.loads(COMMITTED_PATH.read_text())
 
     document = {
         "benchmark": "data_cache",
@@ -127,7 +128,7 @@ def test_data_cache(once):
     }
     OUT_PATH.write_text(json.dumps(document, indent=2) + "\n")
 
-    table = Table("Data cache + read-ahead (MakeDo, fifo)")
+    table = Table("Data cache + read-ahead (MakeDo)")
     for arm, m in results.items():
         table.add(
             f"{arm} mount",
@@ -159,24 +160,22 @@ def test_data_cache(once):
     assert default["hits"] == default["readahead_used"]
     assert default["readahead_used"] == default["readahead_issued"]
 
-    # -- bit-compat: the paper mount must reproduce the seed numbers ---
+    # -- bit-compat: the paper mount must reproduce the committed row --
     assert paper["cache"]["hits"] == 0 and paper["cache"]["misses"] == 0
-    if SEED_SCHED_PATH.exists():
-        seed = json.loads(SEED_SCHED_PATH.read_text())
-        if (
-            seed.get("scale") == SCALE.name
-            and seed.get("makedo_modules") == MAKEDO_MODULES
+    if (
+        committed.get("scale") == SCALE.name
+        and committed.get("makedo_modules") == MAKEDO_MODULES
+    ):
+        expected = committed["workloads"]["makedo"]["paper"]
+        for key in (
+            "total_ios", "writes", "reads", "seek_ms",
+            "rotational_ms", "transfer_ms", "elapsed_ms",
+            "makedo_ios", "makedo_ms",
         ):
-            expected = seed["workloads"]["makedo"]["fifo"]
-            for key in (
-                "total_ios", "writes", "reads", "seek_ms",
-                "rotational_ms", "transfer_ms", "elapsed_ms",
-                "makedo_ios", "makedo_ms",
-            ):
-                assert paper[key] == expected[key], (
-                    f"paper-mount {key} drifted from the seed: "
-                    f"{paper[key]} != {expected[key]}"
-                )
+            assert paper[key] == expected[key], (
+                f"paper-mount {key} drifted from the committed row: "
+                f"{paper[key]} != {expected[key]}"
+            )
 
     # -- CI gate: elapsed within 2% of the committed baseline ----------
     if BASELINE_PATH:

@@ -6,9 +6,8 @@ reproduction; only the pager differs:
 * CFS uses a write-through pager over multi-sector pages written in
   place (non-atomically — the corruption source the paper fixes),
 * FSD uses a pager over the logged, double-written page cache, whose
-  writeback is submitted to the volume's I/O scheduler
-  (:mod:`repro.disk.sched`) rather than written in place — queued
-  pages land elevator-sorted behind the log records that cover them.
+  writeback goes home through the volume's I/O port
+  (:mod:`repro.disk.sched`) only after the log records that cover it.
 
 ``MemoryPager`` exists for unit and property tests.
 """

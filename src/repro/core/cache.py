@@ -28,10 +28,8 @@ therefore bounded by ``max(capacity, pinned + reserve)``.
 The cache itself never touches the disk: writeback goes through the
 injected ``nt_writer``/``leader_writer``/``vam_writer`` callables,
 which a mounted volume points at the shared
-:class:`~repro.disk.sched.IoScheduler`.  Under a queueing policy the
-writebacks are *submitted* — elevator-sorted and coalesced at the next
-barrier (the log force or anchor write that makes them safe) — while
-under ``fifo`` they dispatch immediately in program order.
+:class:`~repro.disk.sched.IoScheduler`; each writeback is on the
+platter, in program order, when the callable returns.
 
 Cached name-table pages are conceptually read-only between updates —
 the paper keeps them read-protected to catch wild stores.  Here the

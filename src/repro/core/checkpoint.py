@@ -23,17 +23,13 @@ fuzzy checkpoint:
   absorbed (per-page incremental REDO — the replay coalesces to the
   newest image per page within that bounded window).
 
-Ordering stays sound without new machinery: the anchor advance is a
-synchronous write, which the scheduler treats as a full barrier — the
-checkpoint's home writes are durable before the anchor abandons the
-log records that cover them.  A crash between the home writes and the
-anchor write merely replays those records again; redo is idempotent
-(the ``mid_checkpoint`` crashcheck scenario exercises exactly this
-window).
-
-Home writes are submitted in *background* mode: under the queueing
-policies they yield to any foreground (deadline-carrying) write in the
-same flush, so a checkpoint burst cannot delay a log force.
+Ordering stays sound without new machinery: every write is on the
+platter when the call that issued it returns, so the checkpoint's home
+writes are durable before the anchor write that follows them abandons
+the log records that cover them.  A crash between the home writes and
+the anchor write merely replays those records again; redo is
+idempotent (the ``mid_checkpoint`` crashcheck scenario exercises
+exactly this window).
 
 The checkpointer is a mount-time option (``FSD.mount(...,
 checkpoint_interval_ms=...)``), off by default: its background I/O
@@ -59,14 +55,12 @@ class Checkpointer:
         clock,
         wal,
         cache,
-        io,
         interval_ms: float = DEFAULT_CHECKPOINT_INTERVAL_MS,
         obs=NULL_OBS,
     ):
         self.clock = clock
         self.wal = wal
         self.cache = cache
-        self.io = io
         self.interval_ms = interval_ms
         self.obs = obs
         self.ticks = 0
@@ -95,15 +89,10 @@ class Checkpointer:
         ):
             return 0
         before = cache.home_writes
-        self.io.background_mode = True
-        try:
-            # Install every logged image (the *logged* image, never a
-            # newer uncommitted one — same rule as the synchronous
-            # writeback), then advance the anchor.  The anchor write is
-            # synchronous, so it barriers the home writes it vouches for.
-            cache.flush_all_home()
-        finally:
-            self.io.background_mode = False
+        # Install every logged image (the *logged* image, never a
+        # newer uncommitted one — same rule as the synchronous
+        # writeback), then advance the anchor past them.
+        cache.flush_all_home()
         wal.checkpoint()
         written = cache.home_writes - before
         self.pages_written += written

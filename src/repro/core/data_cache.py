@@ -38,7 +38,7 @@ Design rules:
   which is written through a path this cache never sees); their images
   are dropped immediately.  Rename drops the file's pages too — cheaper
   to be strict than to prove each exception safe.  A crash or unmount
-  discards everything, exactly like the scheduler queue.
+  discards everything, exactly like the metadata cache.
 """
 
 from __future__ import annotations
@@ -301,7 +301,7 @@ class DataPageCache:
 
     def discard_all(self) -> None:
         """A crash (or unmount): volatile state vanishes, exactly like
-        the scheduler queue and the metadata cache."""
+        the metadata cache."""
         self._pages.clear()
         self._prefetched.clear()
         self._seq.clear()

@@ -102,8 +102,6 @@ class MountOptions:
     value it resolved as ``fs.options``.  docs/INTERNALS.md "Mounting a
     volume" says which benchmark runs on which value."""
 
-    #: I/O scheduler policy: ``fifo`` / ``scan`` / ``deadline``.
-    sched: str = "fifo"
     #: demanded and written data sectors kept cached (0: none — the
     #: data cache holds read-ahead only).
     data_cache_pages: int = 0
@@ -116,15 +114,12 @@ class MountOptions:
     checkpoint_interval_ms: float | None = None
 
 
-#: the paper's mount — fifo, no data cache, no read-ahead, no
-#: checkpointer: what Table 3, the model validation and
-#: ``BENCH_sched.json`` are measured on.
+#: the paper's mount — no data cache, no read-ahead, no checkpointer:
+#: what Table 3 and the model validation are measured on.
 PAPER = MountOptions(readahead_pages=0)
 #: the mount the ``traffic_steady`` end-to-end workload is benchmarked
 #: on (``read_stream``: the same less the checkpointer).
-TUNED = MountOptions(
-    sched="scan", data_cache_pages=4096, checkpoint_interval_ms=250.0
-)
+TUNED = MountOptions(data_cache_pages=4096, checkpoint_interval_ms=250.0)
 
 
 class FSD:
@@ -187,7 +182,6 @@ class FSD:
                 self.clock,
                 wal,
                 cache,
-                self.io,
                 interval_ms=options.checkpoint_interval_ms,
                 obs=obs,
             )
@@ -296,14 +290,16 @@ class FSD:
         nested spans under ``fsd.mount``.  ``options`` is the
         :class:`MountOptions` value (default: ``MountOptions()``);
         ``fields`` replace individual fields of it, so
-        ``mount(disk, sched="scan")`` and
-        ``mount(disk, options=MountOptions(sched="scan"))`` are the
-        same mount.
+        ``mount(disk, data_cache_pages=64)`` and
+        ``mount(disk, options=MountOptions(data_cache_pages=64))`` are
+        the same mount.
         """
+        # benchmarks/e2e/workloads.py still passes "sched": "scan".
+        fields.pop("sched", None)
         options = replace(options or MountOptions(), **fields)
         obs = obs if obs is not None else NULL_OBS
         obs.bind_clock(disk.clock)
-        io = as_scheduler(disk, policy=options.sched, obs=obs)
+        io = as_scheduler(disk, obs=obs)
         start_ms = disk.clock.now_ms
         with obs.span("fsd.mount") as mount_span:
             report = MountReport()
@@ -336,8 +332,8 @@ class FSD:
             cache.obs = obs
             if redone_nt:
                 # The pages the log carried are the most recently
-                # updated ones, already in memory, and (after the redo
-                # barrier) identical to both home copies: start the
+                # updated ones, already in memory, and (after the redo)
+                # identical to both home copies: start the
                 # cache warm with them instead of re-reading them.
                 report.cache_warm_pages = cache.install_clean(redone_nt)
                 obs.count("recovery.cache_warm_pages", report.cache_warm_pages)
@@ -442,7 +438,6 @@ class FSD:
     def crash(self) -> None:
         """Simulated crash: all volatile state vanishes; the disk keeps
         whatever it had.  Mount again to recover."""
-        self.io.discard()
         self.cache.discard_all()
         self.data_cache.discard_all()
         self.txn.discard_waiters()
@@ -879,9 +874,9 @@ class FSD:
         """The data read path: serve what the data cache holds, then
         read the rest extent by extent in ``max_io_sectors`` chunks.  A
         read that continues the file sequentially carries a read-ahead
-        of the current disk run on its last transfer (merged by the
-        scheduler: one rotational wait for the span instead of one per
-        page); the first read of an unverified file carries the leader
+        of the current disk run on its last transfer (merged by
+        ``merge_reads``: one rotational wait for the span instead of one
+        per page); the first read of an unverified file carries the leader
         in front of its first (paper §5.7)."""
         dc = self.data_cache
         props = handle.props

@@ -3,15 +3,12 @@
 "A set of updates are grouped together in one log write to amortize
 the cost of the log write disk I/O over several updates...  FSD forces
 its log twice a second."  The coordinator owns the group-commit
-*deadline*: the first update after a force must be durable within one
-commit interval, and the half-second timer is the alarm that fires at
-that deadline.  A force batches every page dirtied since the last one
-into as few log records as possible, submits them to the volume's I/O
-scheduler stamped with the deadline they must meet (the deadline
-policy dispatches them ahead of opportunistic writebacks), and ends
-with a scheduler barrier — the durability point.  Because pages freed
-by a delete are not really free until the delete commits, the shadow
-bitmap is applied to the VAM only after that barrier.
+timer: an update is durable within one commit interval of being made.
+A force batches every page dirtied since the last one into as few log
+records as possible and writes them through the volume's I/O port;
+the last record's write returning is the durability point.  Because
+pages freed by a delete are not really free until the delete commits,
+the shadow bitmap is applied to the VAM only after that point.
 """
 
 from __future__ import annotations
@@ -55,8 +52,6 @@ class CommitCoordinator:
         self.interval_ms = interval_ms
         self.log_vam = log_vam
         self.obs = obs
-        #: the shared I/O scheduler (the WAL's); force() barriers it.
-        self.io = wal.io
         #: force early once this many pages await logging — "the log is
         #: forced long before [an oversized entry] should occur" (§5.3).
         self.pressure_pages = 2 * wal.layout.params.max_record_pages
@@ -79,9 +74,6 @@ class CommitCoordinator:
         self.txn = None
         self._forcing = False
         self.last_force_ms = clock.now_ms
-        #: when the oldest unforced update must be durable (the
-        #: group-commit deadline the submitted log writes carry).
-        self.deadline_ms = clock.now_ms + interval_ms
         wal.flush_third = cache.flush_third
         self._timer = clock.add_timer(
             interval_ms, self._on_timer, name="group-commit"
@@ -149,9 +141,7 @@ class CommitCoordinator:
                 for index, image in self.vam.take_dirty_pages():
                     self.cache.write_vam(index, image)
             pages = self.cache.pages_needing_log()
-            deadline = self.deadline_ms
             self.last_force_ms = self.clock.now_ms
-            self.deadline_ms = self.clock.now_ms + self.interval_ms
             absorbed, self.updates_since_force = self.updates_since_force, 0
             self.updates_absorbed += absorbed
             update_times, self._update_times = self._update_times, []
@@ -173,15 +163,13 @@ class CommitCoordinator:
             start_ms = self.clock.now_ms
             written = 0
             records = 0
-            for record_number, third, record_pages in self.wal.append_records(
-                pages, deadline_ms=deadline
-            ):
+            appended = self.wal.append_records(pages)
+            for record_number, third, record_pages in appended:
                 self.cache.note_logged(record_pages, third)
                 written += len(record_pages)
                 records += 1
             # Durability point: every record of this commit is on the
             # platter before the updates it carries become final.
-            self.io.barrier()
             if recorder is not None:
                 recorder.force_logged(self.clock.now_ms)
             obs.observe(
@@ -199,12 +187,6 @@ class CommitCoordinator:
     def note_update(self) -> None:
         """An FSD entry point performed a metadata update; the next
         force will report it as absorbed by that commit."""
-        if self.updates_since_force == 0:
-            # First update of the batch starts the commit-deadline
-            # countdown (never later than the periodic force).
-            self.deadline_ms = min(
-                self.deadline_ms, self.clock.now_ms + self.interval_ms
-            )
         self.updates_since_force += 1
         if self.obs.enabled:
             self._update_times.append(self.clock.now_ms)

@@ -64,8 +64,8 @@ class NameTableHome:
     """
 
     def __init__(self, disk: SimDisk, layout: VolumeLayout):
-        #: home-copy I/O goes through the volume's shared scheduler (a
-        #: raw disk gets a pass-through fifo wrapper).
+        #: home-copy I/O goes through the volume's shared I/O port (a
+        #: raw disk gets a pass-through wrapper).
         self.io = as_scheduler(disk)
         self.layout = layout
         self.single_copy = layout.params.single_nt_copy
@@ -196,12 +196,8 @@ class NameTableHome:
     def write_pages(self, pages: list[tuple[int, bytes]]) -> None:
         """Write pages home, to both copies, batching contiguous page
         numbers into single multi-sector I/Os per copy (a group that
-        crosses a stripe boundary is one per stripe).
-
-        The per-copy writes are *submitted*, not dispatched: under the
-        elevator policies the queued groups are written in arm-sweep
-        order.  Callers with an ordering obligation (the WAL anchor
-        advance, recovery) barrier the scheduler afterwards."""
+        crosses a stripe boundary is one per stripe).  Every copy is
+        on the platter when this returns."""
         for group in _contiguous_groups(pages):
             first_page = group[0][0]
             images = [data for _, data in group]

@@ -103,9 +103,8 @@ def read_root(disk: SimDisk, layout: VolumeLayout) -> RootPage:
 def write_root(disk: SimDisk, layout: VolumeLayout, root: RootPage) -> None:
     """Write both replicas of the volume root page.
 
-    The copies must land A-then-B (recovery prefers A on a tie), so
-    each goes out as a sync write: a full barrier that flushes any
-    queued writes first and never reorders.
+    The copies land A-then-B (recovery prefers A on a tie): writes
+    reach the platter in program order.
     """
     io = as_scheduler(disk)
     encoded = root.encode(io.geometry.sector_bytes)
@@ -127,7 +126,7 @@ def replay_log(
 
     Returns the name-table images just redone as ``(page_no, data)``,
     ordered by their last appearance in the log (newest last).  After
-    the closing barrier each equals both of its home copies, and they
+    the redo each equals both of its home copies, and they
     are by construction the most recently updated pages of the table,
     so the mount seeds its metadata cache with them.
 
@@ -176,9 +175,6 @@ def replay_log(
                     io.submit_write(
                         layout.vam_start + 1 + page_id, [data]
                     )
-            # Redo must be home before the mount proceeds to rebuild
-            # or load the VAM against the recovered images.
-            io.barrier()
         replay_span.set(records=len(records), pages=len(newest))
     report.log_damage = wal.scan_damage
     report.log_records_lost = wal.lost_records_detected

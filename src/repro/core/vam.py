@@ -243,11 +243,8 @@ class VolumeAllocationMap:
     # ------------------------------------------------------------------
     def save(self, disk: SimDisk, layout: VolumeLayout, boot_count: int) -> None:
         """Write the bitmap to the VAM save area (one header sector plus
-        the raw bitmap), submitted as one batch to the I/O scheduler.
-
-        Under a coalescing policy the adjacent chunks merge into the
-        fewest I/Os the coalesce limit allows; the closing barrier
-        makes the save durable before the caller marks the root.
+        the raw bitmap), one write per ``max_io_sectors`` chunk; the
+        save is home before the caller marks the root.
         """
         if self._shadow:
             raise FsError("cannot save a VAM with uncommitted shadow frees")
@@ -272,7 +269,6 @@ class VolumeAllocationMap:
             ]
             io.submit_write(address, sectors)
             address += len(sectors)
-        io.barrier()
         # The full image is now home; nothing is pending for logging.
         self._dirty_pages = set()
         self.obs.count("vam.saves")

@@ -96,8 +96,8 @@ class WriteAheadLog:
     """The circular redo log of one FSD volume."""
 
     def __init__(self, disk: SimDisk, layout: VolumeLayout, io=None):
-        #: all log I/O goes through the volume's shared scheduler; a
-        #: raw disk is wrapped in a pass-through fifo scheduler.
+        #: all log I/O goes through the volume's shared I/O port; a
+        #: raw disk is wrapped in one of its own.
         self.io = io if io is not None else as_scheduler(disk)
         self.disk = disk
         self.layout = layout
@@ -174,8 +174,8 @@ class WriteAheadLog:
     def _write_anchor(self, offset: int, record_number: int) -> None:
         page = self._encode_anchor(offset, record_number)
         blank = b""
-        # A synchronous write is a barrier: the anchor cannot advance
-        # past home writes (or records) still sitting in the queue.
+        # Every home write and record issued before this is already on
+        # the platter, so the anchor cannot advance past them.
         self.io.write(self.layout.log_start, [page, blank, page])
         self.anchor_offset = offset
         self.anchor_record_number = record_number
@@ -203,23 +203,19 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # appending
     # ------------------------------------------------------------------
-    def append(self, pages: list[LoggedPage], deadline_ms=None) -> int:
+    def append(self, pages: list[LoggedPage]) -> int:
         """Write one or more records carrying ``pages``; returns sectors
         written.  Splits batches larger than the per-record page cap."""
-        records = self.append_records(pages, deadline_ms=deadline_ms)
+        records = self.append_records(pages)
         return sum(record_sectors(len(chunk)) for _, _, chunk in records)
 
     def append_records(
-        self, pages: list[LoggedPage], deadline_ms=None
+        self, pages: list[LoggedPage]
     ) -> list[tuple[int, int, list[LoggedPage]]]:
         """Write ``pages`` as one or more records; returns
         ``(record_number, start_third, pages)`` per record so the cache
-        can track which third holds each page's newest log copy.
-
-        ``deadline_ms`` rides on the submitted writes: the group-commit
-        deadline this batch must meet (the deadline scheduling policy
-        services it ahead of opportunistic writebacks).  The caller
-        owns the durability barrier (``io.barrier()``).
+        can track which third holds each page's newest log copy.  Every
+        record is on the platter when this returns.
         """
         if not pages:
             return []
@@ -227,13 +223,11 @@ class WriteAheadLog:
         out: list[tuple[int, int, list[LoggedPage]]] = []
         for start in range(0, len(pages), cap):
             chunk = pages[start : start + cap]
-            record_number, third = self._append_record(chunk, deadline_ms)
+            record_number, third = self._append_record(chunk)
             out.append((record_number, third, chunk))
         return out
 
-    def _append_record(
-        self, pages: list[LoggedPage], deadline_ms=None
-    ) -> tuple[int, int]:
+    def _append_record(self, pages: list[LoggedPage]) -> tuple[int, int]:
         pages = [self._normalize(page) for page in pages]
         size = record_sectors(len(pages))
         if size > self.third_sectors:
@@ -248,14 +242,7 @@ class WriteAheadLog:
         record_number = self.next_record_number
         self._note_record_start(offset, record_number)
         sectors = self._encode_record(record_number, pages)
-        self.io.submit_write(
-            self._disk_addr(offset),
-            sectors,
-            deadline_ms=(
-                deadline_ms if deadline_ms is not None
-                else self.io.clock.now_ms
-            ),
-        )
+        self.io.submit_write(self._disk_addr(offset), sectors)
         self.write_offset = offset + size
         self.current_third = self.third_of(self.write_offset - 1)
         self.next_record_number += 1
@@ -281,9 +268,7 @@ class WriteAheadLog:
             self._note_record_start(self.write_offset, record_number)
             header = self._encode_header(RECORD_SKIP, record_number, [])
             self.io.submit_write(
-                self._disk_addr(self.write_offset),
-                [header, b"", header],
-                deadline_ms=self.io.clock.now_ms,
+                self._disk_addr(self.write_offset), [header, b"", header]
             )
             self.next_record_number += 1
             self.records_written += 1

@@ -309,7 +309,7 @@ def explore(
     run across sweeps.  ``obs`` receives the recovery metrics and
     spans of every mounted crash image (see ``crashcheck --metrics``).
     ``mount`` — what :meth:`FSD.mount` takes: ``options=TUNED``,
-    ``sched="scan"`` — is the mount of the recorded baseline run
+    ``data_cache_pages=16`` — is the mount of the recorded baseline run
     (where a scenario's own checkpoint interval overrides that one
     field) and of every post-crash remount.
     """

@@ -276,7 +276,7 @@ def apply_op(adapter, op: Op) -> None:
 def record_scenario(scenario: "CrashScenario", **mount) -> Recording:
     """Run ``scenario`` once, uncrashed, and record its body.  ``mount``
     is what :meth:`FSD.mount` takes (``options=TUNED``,
-    ``sched="scan"``); a scenario's own checkpoint interval
+    ``data_cache_pages=16``); a scenario's own checkpoint interval
     overrides that one field."""
     disk, fs, adapter = _build_volume(scenario, **mount)
     for op in scenario.setup:

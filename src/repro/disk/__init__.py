@@ -10,12 +10,7 @@ from repro.disk.disk import FREE_LABEL, LABEL_BYTES, SimDisk
 from repro.disk.faults import CrashPlan, FaultInjector
 from repro.disk.mirror import MirroredDisk
 from repro.disk.geometry import DiskGeometry, SMALL_DISK, TRIDENT_T300
-from repro.disk.sched import (
-    IoRequest,
-    IoScheduler,
-    POLICIES,
-    as_scheduler,
-)
+from repro.disk.sched import IoScheduler, as_scheduler
 from repro.disk.stats import DiskStats, StatsWindow
 from repro.disk.trace import IoEvent, IoTracer
 from repro.disk.timing import DiskTiming, TRIDENT_TIMING
@@ -28,13 +23,11 @@ __all__ = [
     "DiskTiming",
     "FaultInjector",
     "IoEvent",
-    "IoRequest",
     "IoScheduler",
     "IoTracer",
     "FREE_LABEL",
     "LABEL_BYTES",
     "MirroredDisk",
-    "POLICIES",
     "SMALL_DISK",
     "SimClock",
     "SimDisk",

@@ -1,274 +1,72 @@
-"""The explicit I/O scheduler between storage components and the disk.
+"""The volume's one I/O port between storage components and the disk.
 
 Every storage layer (WAL, group commit writeback, recovery redo, VAM
 save, the FSD data path) talks to one :class:`IoScheduler` instead of
 calling :class:`~repro.disk.disk.SimDisk` directly.  Writes that have
 no client waiting on them — the paper's §4 *asynchronous* writes:
 writeback of logged metadata pages, redo writes during recovery, the
-VAM bitmap save — are *submitted* to a queue; a pluggable policy picks
-the dispatch order when the queue is flushed:
+VAM bitmap save — go through :meth:`IoScheduler.submit_write`, which
+counts them (``sched.submitted`` / ``sched.dispatched``) and writes
+them at once, in program order: op counts and simulated times are
+exactly those of direct disk calls.
 
-* ``fifo``     — dispatch immediately on submit, in program order.
-  This is the bit-compatibility policy: op counts and simulated times
-  are exactly those of direct disk calls (the ``NULL_OBS`` pattern).
-* ``scan``     — elevator: at flush time, service requests at or above
-  the head's cylinder in ascending address order, then the rest
-  descending, so the arm sweeps instead of ping-ponging.
-* ``deadline`` — requests whose deadline has expired (log forces carry
-  ``deadline_ms``) dispatch first in ascending order; opportunistic
-  writebacks follow in elevator order.
+There is one ordering rule: a write is on the platter when the call
+that issued it returns.  Nothing is held back, merged or reordered, so
+"what the disk did" is "what the code said" — the paper's §6 prices
+every operation as such a script — and a crash can lose only the write
+it interrupts.  (An elevator and a deadline policy once sat here; they
+lost to program order on every workload that measured them: see
+EXPERIMENTS.md, "I/O dispatch order — the elevator's verdict".)
 
-Under ``scan``/``deadline`` the scheduler also *coalesces* adjacent
-requests: queued writes whose sector ranges abut are merged into one
-disk operation (one I/O, one rotational wait), up to
-``coalesce_limit`` sectors.
-
-Reads merge too, on a different path: reads are synchronous, so there
-is no read queue to reorder — instead :meth:`IoScheduler.merge_reads`
-takes the *batch* of read requests a caller is about to issue (the
-FSD data path's demand misses plus its read-ahead prefetch) and plans
-the minimal sequence of physical transfers: address-adjacent requests
-fuse into one multi-sector read, and oversized spans split at the
-caller's transfer limit.  Every fused request is one rotational wait
-saved, mirrored in ``sched.coalesced_reads``.
-
-Ordering rules keep the redo log honest:
-
-* a **synchronous write** (:meth:`IoScheduler.write`) is a barrier: the
-  whole queue is flushed first, then the write dispatches.  The WAL's
-  anchor advance therefore cannot pass the home writes it depends on,
-  and a log force cannot complete before the records it covers.
-* a **read** flushes the queue only when it overlaps a queued write
-  (read-after-write consistency); non-overlapping reads pass the queue.
-* requests whose sector ranges overlap are never reordered relative to
-  each other: the flush splits the queue into overlap-free batches and
-  only reorders within a batch.
-
-Queued-but-undispatched writes are volatile: a
-:class:`~repro.errors.SimulatedCrash` during dispatch drops the rest of
-the queue, exactly as a machine crash loses writes the driver had not
-started.  Durability points (log forces, anchor writes, unmount) are
-all barriers, so nothing the log has promised can be lost.
+Reads merge on the caller's side: :meth:`IoScheduler.merge_reads`
+takes the *batch* of read requests a caller is about to issue (the FSD
+data path's demand misses plus its read-ahead prefetch) and plans the
+fewest physical transfers: address-adjacent requests fuse into one
+multi-sector read, and oversized spans split at the caller's transfer
+limit.  Every fused request is one rotational wait saved, counted in
+``sched.coalesced_reads``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.disk.disk import SimDisk
-from repro.errors import SimulatedCrash
 from repro.obs import NULL_OBS
 
-#: histogram bounds for dispatch batch sizes (requests per flush).
-DISPATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
-#: histogram bounds for deadline lateness at dispatch (ms past due).
-LATENESS_BUCKETS = (1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0)
-
-#: default cap on a coalesced write, in sectors.  Two max-sized data
-#: transfers (``VolumeParams.max_io_sectors`` = 120) can merge; beyond
-#: that the transfer monopolizes the arm for too long.
+#: default cap on a merged read, in sectors: two max-sized data
+#: transfers (``VolumeParams.max_io_sectors`` = 120); beyond that the
+#: transfer monopolizes the arm for too long.
 DEFAULT_COALESCE_LIMIT = 240
-
-
-@dataclass(slots=True)
-class IoRequest:
-    """One queued write: everything needed to replay it on the disk."""
-
-    tag: int
-    address: int
-    sectors: list[bytes]
-    set_labels: list[bytes] | None = None
-    expect_labels: list[bytes] | None = None
-    cpu_overlap: bool = False
-    #: when this write must be durable (group-commit deadline); None
-    #: marks an opportunistic write (writeback) with no client waiting.
-    deadline_ms: float | None = None
-    #: background work (checkpointer write-home): yields to every
-    #: foreground request in the same flush under scan/deadline.
-    background: bool = False
-    submitted_ms: float = 0.0
-    #: number of submitted requests merged into this one at dispatch.
-    merged: int = 1
-    #: the client operation that submitted this write (latency
-    #: attribution); None outside an attributed operation body.
-    trace_id: int | None = None
-
-    @property
-    def count(self) -> int:
-        return len(self.sectors)
-
-    @property
-    def end(self) -> int:
-        return self.address + self.count
-
-    def overlaps(self, address: int, count: int) -> bool:
-        """True when this request's sector range intersects
-        ``[address, address + count)``."""
-        return self.address < address + count and address < self.end
-
-
-# ----------------------------------------------------------------------
-# policies
-# ----------------------------------------------------------------------
-class FifoPolicy:
-    """Program order; dispatch on submit.  The bit-compat baseline."""
-
-    name = "fifo"
-    #: dispatch each submission immediately (queue depth never exceeds 0).
-    immediate = True
-    #: merging adjacent writes would change op counts; off for bit-compat.
-    coalesce = False
-
-    def order(
-        self, batch: list[IoRequest], head_cylinder: int, geometry, now_ms: float
-    ) -> list[IoRequest]:
-        """Keep submission order untouched."""
-        return list(batch)
-
-
-class ScanPolicy:
-    """Elevator: sweep up from the head, then back down."""
-
-    name = "scan"
-    immediate = False
-    coalesce = True
-
-    def order(
-        self, batch: list[IoRequest], head_cylinder: int, geometry, now_ms: float
-    ) -> list[IoRequest]:
-        """Sort ascending from the head's cylinder, then the rest
-        descending — one sweep up, one sweep back.  Background requests
-        (checkpointer write-home) take their own sweep after every
-        foreground request has been serviced."""
-        foreground = [r for r in batch if not r.background]
-        background = [r for r in batch if r.background]
-        ordered = self._sweep(foreground, head_cylinder, geometry)
-        if background:
-            ordered += self._sweep(background, head_cylinder, geometry)
-        return ordered
-
-    @staticmethod
-    def _sweep(
-        batch: list[IoRequest], head_cylinder: int, geometry
-    ) -> list[IoRequest]:
-        ahead = [
-            r for r in batch
-            if geometry.cylinder_of(r.address) >= head_cylinder
-        ]
-        behind = [
-            r for r in batch
-            if geometry.cylinder_of(r.address) < head_cylinder
-        ]
-        ahead.sort(key=lambda r: r.address)
-        behind.sort(key=lambda r: -r.address)
-        return ahead + behind
-
-
-class DeadlinePolicy:
-    """Expired deadlines first (ascending), then elevator order.
-
-    Log forces submit with ``deadline_ms`` (the group-commit deadline);
-    writebacks submit without one.  At a flush the forced writes are
-    serviced before any opportunistic writeback can delay them.
-    """
-
-    name = "deadline"
-    immediate = False
-    coalesce = True
-
-    def __init__(self) -> None:
-        self._elevator = ScanPolicy()
-
-    def order(
-        self, batch: list[IoRequest], head_cylinder: int, geometry, now_ms: float
-    ) -> list[IoRequest]:
-        """Expired-deadline requests first (by deadline, then address);
-        everything else in elevator order."""
-        expired = [
-            r for r in batch
-            if r.deadline_ms is not None and r.deadline_ms <= now_ms
-        ]
-        rest = [
-            r for r in batch
-            if r.deadline_ms is None or r.deadline_ms > now_ms
-        ]
-        expired.sort(key=lambda r: (r.deadline_ms, r.address))
-        return expired + self._elevator.order(
-            rest, head_cylinder, geometry, now_ms
-        )
-
-
-POLICIES = {
-    "fifo": FifoPolicy,
-    "scan": ScanPolicy,
-    "deadline": DeadlinePolicy,
-}
-
-
-def make_policy(policy):
-    """Resolve a policy name (or pass an instance through)."""
-    if isinstance(policy, str):
-        try:
-            return POLICIES[policy]()
-        except KeyError:
-            raise ValueError(
-                f"unknown I/O scheduling policy {policy!r} "
-                f"(expected one of {sorted(POLICIES)})"
-            ) from None
-    return policy
 
 
 @dataclass
 class SchedStats:
-    """Cumulative scheduler counters (the obs metrics mirror these)."""
+    """Cumulative port counters (the obs metrics mirror these)."""
 
     submitted: int = 0
     dispatched: int = 0
-    coalesced: int = 0
-    flushes: int = 0
-    read_flushes: int = 0
-    max_queue_depth: int = 0
     #: read requests fused into a preceding one by :meth:`merge_reads`.
     read_merged: int = 0
-    #: deadline-carrying writes dispatched, and how many of those
-    #: dispatched after their deadline had already passed.
-    deadline_dispatches: int = 0
-    deadline_misses: int = 0
-    #: worst lateness (dispatch time minus deadline) seen, in ms.
-    max_lateness_ms: float = 0.0
 
 
-# ----------------------------------------------------------------------
-# the scheduler
-# ----------------------------------------------------------------------
 class IoScheduler:
-    """Submission queue + policy-ordered dispatch over one ``SimDisk``.
+    """In-order I/O port over one ``SimDisk``.
 
-    The scheduler duck-types as a disk for I/O purposes — it exposes
+    The port duck-types as a disk for I/O purposes — it exposes
     ``read``/``read_maybe``/``write``/``read_labels``/``write_labels``
     plus the ``geometry``/``clock``/``stats``/``faults`` attributes —
     so components written against ``SimDisk`` port by substitution.
     """
 
-    def __init__(
-        self,
-        disk: SimDisk,
-        policy="fifo",
-        coalesce_limit: int = DEFAULT_COALESCE_LIMIT,
-        obs=NULL_OBS,
-    ):
+    #: nothing is ever queued; benchmarks/e2e/layers.py reads this
+    #: after every traced ``submit_write`` (goes with that file).
+    queue_depth = 0
+
+    def __init__(self, disk: SimDisk, obs=NULL_OBS):
         self.disk = disk
-        self.policy = make_policy(policy)
-        self.coalesce_limit = coalesce_limit
         self.obs = obs
         self.sched_stats = SchedStats()
-        self._queue: list[IoRequest] = []
-        self._next_tag = 1
-        #: while set, every submitted write is tagged background (the
-        #: checkpointer flips this around its write-home pass, so the
-        #: cache's writeback callables need no extra plumbing).
-        self.background_mode = False
 
     # -- disk passthrough ----------------------------------------------
     @property
@@ -284,56 +82,60 @@ class IoScheduler:
         return self.disk.stats
 
     @property
-    def timing(self):
-        return self.disk.timing
-
-    @property
     def faults(self):
         return self.disk.faults
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
-    # ------------------------------------------------------------------
-    # synchronous operations
-    # ------------------------------------------------------------------
     def read(self, address, count=1, expect_labels=None, cpu_overlap=False):
-        """Read through the queue (flushes first on overlap)."""
-        self._flush_for_read(address, count)
-        return self.disk.read(
-            address, count, expect_labels=expect_labels,
-            cpu_overlap=cpu_overlap,
-        )
+        """Read ``count`` sectors; damaged sectors raise."""
+        return self.disk.read(address, count, expect_labels=expect_labels,
+                              cpu_overlap=cpu_overlap)
 
     def read_maybe(self, address, count=1, expect_labels=None,
                    cpu_overlap=False):
-        """Damage-tolerant read through the queue."""
-        self._flush_for_read(address, count)
-        return self.disk.read_maybe(
-            address, count, expect_labels=expect_labels,
-            cpu_overlap=cpu_overlap,
-        )
+        """Damage-tolerant read."""
+        return self.disk.read_maybe(address, count,
+                                    expect_labels=expect_labels,
+                                    cpu_overlap=cpu_overlap)
 
     def read_labels(self, address, count=1):
-        """Label read through the queue."""
-        self._flush_for_read(address, count)
+        """Label read."""
         return self.disk.read_labels(address, count)
 
+    def write(self, address, sectors, expect_labels=None, set_labels=None,
+              cpu_overlap=False):
+        """Synchronous write: one the caller (a client, the anchor
+        advance, the root page) blocks on."""
+        self.disk.write(address, sectors, expect_labels=expect_labels,
+                        set_labels=set_labels, cpu_overlap=cpu_overlap)
+
+    def write_labels(self, address, labels):
+        """Synchronous label write."""
+        self.disk.write_labels(address, labels)
+
+    def submit_write(self, address, sectors, set_labels=None,
+                     expect_labels=None, cpu_overlap=False) -> None:
+        """A §4 asynchronous write (no client waits on it): counted,
+        then written right here, in program order."""
+        self.sched_stats.submitted += 1
+        self.obs.count("sched.submitted")
+        self.sched_stats.dispatched += 1
+        self.obs.count("sched.dispatched")
+        self.disk.write(address, sectors, expect_labels=expect_labels,
+                        set_labels=set_labels, cpu_overlap=cpu_overlap)
+
+    # -- read planning -------------------------------------------------
     def merge_reads(
-        self, requests: list[tuple[int, int]], limit: int | None = None
+        self, requests: list[tuple[int, int]],
+        limit: int = DEFAULT_COALESCE_LIMIT,
     ) -> list[tuple[int, int]]:
         """Plan physical transfers for a batch of read requests.
 
         ``requests`` is ``(address, count)`` per intended read, in the
         order the caller would issue them.  Address-adjacent requests
         fuse into one transfer; anything longer than ``limit`` sectors
-        (default ``coalesce_limit``) splits.  Returns the planned
-        ``(address, count)`` transfers; the caller dispatches them via
-        :meth:`read` (which still flushes overlapping queued writes, so
-        merging never weakens read-after-write consistency).
+        splits.  Returns the planned ``(address, count)`` transfers;
+        the caller dispatches them via :meth:`read`.
         """
-        limit = self.coalesce_limit if limit is None else limit
         spans: list[list[int]] = []
         for address, count in requests:
             if count <= 0:
@@ -353,220 +155,14 @@ class IoScheduler:
                 cursor += take
         return out
 
-    def write(self, address, sectors, expect_labels=None, set_labels=None,
-              cpu_overlap=False):
-        """Synchronous write: a full barrier, then dispatch.
 
-        Used for writes with ordering obligations (anchor advance, root
-        page) and for client data writes the caller blocks on.
-        """
-        self.flush()
-        self.disk.write(
-            address, sectors,
-            expect_labels=expect_labels, set_labels=set_labels,
-            cpu_overlap=cpu_overlap,
-        )
-
-    def write_labels(self, address, labels):
-        """Synchronous label write (barrier, like :meth:`write`)."""
-        self.flush()
-        self.disk.write_labels(address, labels)
-
-    # ------------------------------------------------------------------
-    # queued operations
-    # ------------------------------------------------------------------
-    def submit_write(
-        self,
-        address,
-        sectors,
-        set_labels=None,
-        expect_labels=None,
-        cpu_overlap=False,
-        deadline_ms=None,
-        background=None,
-    ) -> int:
-        """Queue a write for policy-ordered dispatch; returns its tag.
-
-        Under an ``immediate`` policy (fifo) the write dispatches right
-        here, preserving program order exactly.  ``background`` (default:
-        the scheduler's ``background_mode``) marks checkpoint write-home
-        traffic that must yield to foreground requests at the flush.
-        """
-        tag = self._next_tag
-        self._next_tag += 1
-        self.sched_stats.submitted += 1
-        self.obs.count("sched.submitted")
-        if self.policy.immediate:
-            self.sched_stats.dispatched += 1
-            self.obs.count("sched.dispatched")
-            self.disk.write(
-                address, sectors,
-                expect_labels=expect_labels, set_labels=set_labels,
-                cpu_overlap=cpu_overlap,
-            )
-            return tag
-        recorder = getattr(self.obs, "attribution", None)
-        current = recorder.current if recorder is not None else None
-        self._queue.append(
-            IoRequest(
-                tag=tag,
-                address=address,
-                sectors=list(sectors),
-                set_labels=list(set_labels) if set_labels else None,
-                expect_labels=list(expect_labels) if expect_labels else None,
-                cpu_overlap=cpu_overlap,
-                deadline_ms=deadline_ms,
-                background=(
-                    self.background_mode if background is None else background
-                ),
-                submitted_ms=self.clock.now_ms,
-                trace_id=current.trace_id if current is not None else None,
-            )
-        )
-        depth = len(self._queue)
-        if depth > self.sched_stats.max_queue_depth:
-            self.sched_stats.max_queue_depth = depth
-        self.obs.gauge("sched.queue_depth", depth)
-        return tag
-
-    def flush(self) -> int:
-        """Dispatch the whole queue in policy order; returns the number
-        of disk operations issued.  This is the ordering barrier."""
-        if not self._queue:
-            return 0
-        queue, self._queue = self._queue, []
-        self.sched_stats.flushes += 1
-        self.obs.count("sched.flushes")
-        issued = 0
-        for batch in _overlap_batches(queue):
-            ordered = self.policy.order(
-                batch, self.disk.head_cylinder, self.geometry,
-                self.clock.now_ms,
-            )
-            if self.policy.coalesce:
-                ordered = self._coalesce(ordered)
-            self.obs.observe(
-                f"sched.dispatch_{self.policy.name}",
-                len(ordered),
-                bounds=DISPATCH_BUCKETS,
-            )
-            for request in ordered:
-                self._dispatch(request)
-                issued += 1
-        self.obs.gauge("sched.queue_depth", 0)
-        return issued
-
-    #: alias making call sites read as what they mean.
-    barrier = flush
-
-    def discard(self) -> int:
-        """A crash: queued writes vanish with the machine; returns how
-        many were lost."""
-        lost, self._queue = len(self._queue), []
-        if lost:
-            self.obs.count("sched.discarded", lost)
-            self.obs.gauge("sched.queue_depth", 0)
-        return lost
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _flush_for_read(self, address: int, count: int) -> None:
-        if self._queue and any(
-            r.overlaps(address, count) for r in self._queue
-        ):
-            self.sched_stats.read_flushes += 1
-            self.obs.count("sched.read_flushes")
-            self.flush()
-
-    def _dispatch(self, request: IoRequest) -> None:
-        self.sched_stats.dispatched += request.merged
-        self.obs.count("sched.dispatched", request.merged)
-        if request.trace_id is not None:
-            recorder = getattr(self.obs, "attribution", None)
-            if recorder is not None:
-                recorder.note_queue_wait(
-                    request.trace_id,
-                    self.clock.now_ms - request.submitted_ms,
-                )
-        if request.deadline_ms is not None:
-            lateness = max(0.0, self.clock.now_ms - request.deadline_ms)
-            self.sched_stats.deadline_dispatches += 1
-            if lateness > 0.0:
-                self.sched_stats.deadline_misses += 1
-                if lateness > self.sched_stats.max_lateness_ms:
-                    self.sched_stats.max_lateness_ms = lateness
-            self.obs.observe(
-                "sched.deadline_lateness_ms", lateness,
-                bounds=LATENESS_BUCKETS,
-            )
-        try:
-            self.disk.write(
-                request.address,
-                request.sectors,
-                expect_labels=request.expect_labels,
-                set_labels=request.set_labels,
-                cpu_overlap=request.cpu_overlap,
-            )
-        except SimulatedCrash:
-            # The machine stopped: whatever else was queued is gone.
-            self._queue.clear()
-            raise
-
-    def _coalesce(self, ordered: list[IoRequest]) -> list[IoRequest]:
-        """Merge runs of address-adjacent requests into single I/Os."""
-        out: list[IoRequest] = []
-        for request in ordered:
-            previous = out[-1] if out else None
-            if (
-                previous is not None
-                and previous.end == request.address
-                and previous.count + request.count <= self.coalesce_limit
-                and previous.cpu_overlap == request.cpu_overlap
-                and previous.expect_labels is None
-                and request.expect_labels is None
-                and (previous.set_labels is None) == (request.set_labels is None)
-            ):
-                previous.sectors.extend(request.sectors)
-                if request.set_labels is not None:
-                    assert previous.set_labels is not None
-                    previous.set_labels.extend(request.set_labels)
-                if request.deadline_ms is not None:
-                    previous.deadline_ms = (
-                        request.deadline_ms
-                        if previous.deadline_ms is None
-                        else min(previous.deadline_ms, request.deadline_ms)
-                    )
-                previous.merged += request.merged
-                self.sched_stats.coalesced += 1
-                self.obs.count("sched.coalesced_writes")
-                continue
-            out.append(request)
-        return out
-
-
-def _overlap_batches(queue: list[IoRequest]):
-    """Split the queue, in submission order, into batches with no
-    internal overlap, so reordering within a batch is always safe."""
-    batch: list[IoRequest] = []
-    for request in queue:
-        if any(
-            r.overlaps(request.address, request.count) for r in batch
-        ):
-            yield batch
-            batch = []
-        batch.append(request)
-    if batch:
-        yield batch
-
-
-def as_scheduler(disk, policy="fifo", obs=NULL_OBS) -> IoScheduler:
-    """Wrap ``disk`` in a scheduler unless it already is one.
+def as_scheduler(disk, obs=NULL_OBS) -> IoScheduler:
+    """Wrap ``disk`` in an I/O port unless it already is one.
 
     Components accept either a raw :class:`SimDisk` (tests, tools) or a
-    shared :class:`IoScheduler` (a mounted volume); the fifo wrapper a
-    raw disk gets here is a pure pass-through.
+    shared :class:`IoScheduler` (a mounted volume); the wrapper a raw
+    disk gets here is a pure pass-through.
     """
     if isinstance(disk, IoScheduler):
         return disk
-    return IoScheduler(disk, policy=policy, obs=obs)
+    return IoScheduler(disk, obs=obs)

@@ -80,8 +80,7 @@ def fsd_volume(
 ) -> tuple[SimDisk, FSD, FsdAdapter]:
     """A freshly formatted FSD volume at ``scale``, mounted with
     ``mount`` — what :meth:`FSD.mount` takes: ``options=PAPER``,
-    ``sched="scan"``.  Benchmarks use it to compare dispatch orders and
-    cache policies."""
+    ``data_cache_pages=64``.  Benchmarks use it to compare mounts."""
     disk = SimDisk(geometry=scale.geometry)
     FSD.format(disk, scale.fsd_params)
     fs = FSD.mount(disk, **mount)

@@ -2,25 +2,19 @@
 
 Every subcommand that mounts a volume (``put`` … ``verify``,
 ``traffic``, ``chaos``, ``stats``, ``trace``, ``crashcheck``) takes the
-same four flags; they are declared here once, with the defaults of
+same three flags; they are declared here once, with the defaults of
 :class:`~repro.core.fsd.MountOptions`.
 """
 
 from __future__ import annotations
 
 from repro.core.fsd import MountOptions
-from repro.disk.sched import POLICIES
 
 
 def add_mount_arguments(parser) -> None:
-    """Add ``--sched``, ``--data-cache-pages``, ``--readahead`` and
+    """Add ``--data-cache-pages``, ``--readahead`` and
     ``--checkpoint-ms`` to ``parser``."""
     defaults = MountOptions()
-    parser.add_argument(
-        "--sched", choices=list(POLICIES),
-        default=defaults.sched,
-        help=f"I/O scheduler policy for the mount (default: {defaults.sched})",
-    )
     parser.add_argument(
         "--data-cache-pages", type=int, default=defaults.data_cache_pages,
         metavar="N",
@@ -45,7 +39,6 @@ def mount_options(args) -> MountOptions:
     """The :class:`MountOptions` a namespace parsed with
     :func:`add_mount_arguments` asks for."""
     return MountOptions(
-        sched=args.sched,
         data_cache_pages=args.data_cache_pages,
         readahead_pages=args.readahead,
         checkpoint_interval_ms=args.checkpoint_ms,

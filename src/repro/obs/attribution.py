@@ -5,9 +5,9 @@ milliseconds went* — seeks, rotations, transfers, log forces — yet
 the multi-client traffic engine could only report opaque end-to-end
 percentiles.  This module closes that gap: every client operation
 gets a **trace id** at issue time, the id propagates through the
-transaction brackets, the I/O scheduler's submission queue, the data
-cache and the group-commit machinery, and the operation's end-to-end
-latency is partitioned into named **phases** on the simulated clock:
+transaction brackets, the data cache and the group-commit machinery,
+and the operation's end-to-end latency is partitioned into named
+**phases** on the simulated clock:
 
 =============  =====================================================
 ``retry``      issue → final attempt start: failed attempts plus the
@@ -30,8 +30,7 @@ tests pin ``sum(phases) == latency`` to float precision.  Beneath the
 exact partition, a ``detail`` dict sub-attributes where it can:
 seek/rotation/transfer milliseconds inside ``service`` (disk-stats
 deltas around the body), commit-batch wait / log-append / publish
-inside ``commit`` (force timing notes from the coordinator),
-scheduler queue wait of the writebacks the operation submitted, data
+inside ``commit`` (force timing notes from the coordinator), data
 cache hits/misses, and the txn-admission block reasons.
 
 Attachment follows the ``NULL_OBS`` pattern: an
@@ -62,7 +61,6 @@ DETAIL_KEYS = (
     "commit_batch_wait_ms",
     "commit_log_append_ms",
     "commit_publish_ms",
-    "queue_wait_ms",
     "cache_hits",
     "cache_misses",
 )
@@ -118,7 +116,6 @@ class OpTrace:
     commit_batch_wait_ms: float = 0.0
     commit_log_append_ms: float = 0.0
     commit_publish_ms: float = 0.0
-    queue_wait_ms: float = 0.0
     cache_hits: float = 0.0
     cache_misses: float = 0.0
 
@@ -205,7 +202,7 @@ class AttributionRecorder:
     """Collects :class:`OpTrace` records for one traffic run.
 
     The traffic engine calls the ``op_*`` lifecycle methods; the
-    instrumented layers (scheduler, data cache, group commit, txn)
+    instrumented layers (data cache, group commit, txn)
     call the ``note_*`` methods, keyed off :attr:`current` — the trace
     whose body is executing right now (operation bodies are atomic in
     the single-threaded simulation, so one slot suffices).
@@ -268,7 +265,7 @@ class AttributionRecorder:
     def measure(self, trace: OpTrace) -> "_Segment":
         """Measure one service segment (an op body or one streamed
         chunk): accumulates service time, sets :attr:`current` so the
-        scheduler/data-cache/commit layers can stamp this trace, and
+        data-cache/commit layers can stamp this trace, and
         charges the segment's disk seek/rotation/transfer deltas.
 
         Returns a context manager.  A slotted object reading the disk
@@ -372,24 +369,8 @@ class AttributionRecorder:
         trace.service_other_ms = max(0.0, service - disk)
 
     # ------------------------------------------------------------------
-    # layer notes (called by sched / data cache / group commit)
+    # layer notes (called by data cache / group commit)
     # ------------------------------------------------------------------
-    @property
-    def current_trace_id(self) -> int | None:
-        return self.current.trace_id if self.current is not None else None
-
-    def note_queue_wait(self, trace_id: int, wait_ms: float) -> None:
-        """A write this trace submitted just dispatched after
-        ``wait_ms`` in the scheduler queue (background debt — not part
-        of the latency partition).  Trace ids are issued sequentially
-        from 1 and :attr:`traces` appends in issue order, so the id
-        indexes the list directly."""
-        index = trace_id - 1
-        if 0 <= index < len(self.traces):
-            trace = self.traces[index]
-            if trace.trace_id == trace_id:
-                trace.queue_wait_ms += max(0.0, wait_ms)
-
     def note_cache(self, hit: bool) -> None:
         """A data-cache demand lookup inside the current body."""
         trace = self.current
@@ -406,8 +387,7 @@ class AttributionRecorder:
         self._force_logged_ms = None
 
     def force_logged(self, now_ms: float) -> None:
-        """The force's log records (and durability barrier) are on the
-        platter."""
+        """The force's log records are on the platter."""
         self._force_logged_ms = now_ms
 
     def force_done(self, now_ms: float) -> None:

@@ -167,8 +167,7 @@ class ChaosEngine(TrafficEngine):
 
     def remount(self, disk: SimDisk) -> FSD:
         """Mount ``disk`` the way the crashed volume was mounted, so
-        recovery comes back with the same scheduler/cache/checkpoint
-        posture."""
+        recovery comes back with the same cache/checkpoint posture."""
         return FSD.mount(disk, self.fs.params, self.obs, self.fs.options)
 
     # ------------------------------------------------------------------
@@ -607,8 +606,8 @@ def run_chaos(
     """One seeded chaos campaign: traffic + faults + final oracle, on
     the :data:`~repro.harness.scenarios.SMALL` drive unless told
     otherwise.  ``mount`` is what :meth:`FSD.mount` takes
-    (``options=TUNED``, ``sched="scan"``); every post-crash remount and
-    the final verification mount reuse what it resolved to."""
+    (``options=TUNED``, ``data_cache_pages=64``); every post-crash remount
+    and the final verification mount reuse what it resolved to."""
     traffic = traffic or TrafficConfig(max_retries=4)
     chaos = chaos or ChaosConfig()
     if traffic.settle:

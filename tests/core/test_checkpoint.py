@@ -1,5 +1,5 @@
 """Background checkpointer: stall elimination, incremental REDO,
-idempotence of the install/anchor window, and scheduler yielding."""
+and idempotence of the install/anchor window."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.fsd import FSD
 from repro.disk.disk import SimDisk
-from repro.disk.sched import IoRequest, IoScheduler
 from repro.harness.scenarios import SMALL
 from repro.obs import Observer
 from repro.workloads.generators import payload
@@ -101,7 +100,6 @@ class TestCheckpointerTick:
         # First half of a checkpoint only: install every logged image
         # and make it durable, but crash before the anchor advances.
         fs.cache.flush_all_home()
-        fs.io.barrier()
         fs.crash()
         recovered = FSD.mount(disk)
         assert recovered.mount_report.log_records_replayed > 0
@@ -174,51 +172,3 @@ class TestStallElimination:
         engine.run()
         fs.unmount()
         assert obs.snapshot().counters["wal.stall_ms"] > 0
-
-
-class TestBackgroundYield:
-    def _flush_order(self, policy: str) -> list[int]:
-        disk = SimDisk(geometry=SMALL.geometry)
-        io = IoScheduler(disk, policy=policy)
-        sector = b"\x00" * disk.geometry.sector_bytes
-        # Background writeback lands in the queue first, at low
-        # addresses the elevator would otherwise prefer.
-        io.background_mode = True
-        io.submit_write(100, [sector])
-        io.submit_write(200, [sector])
-        io.background_mode = False
-        io.submit_write(5_000, [sector])
-        io.submit_write(6_000, [sector], deadline_ms=0.0)
-        order: list[int] = []
-        original = disk.write
-
-        def spy(address, sectors, **kwargs):
-            order.append(address)
-            return original(address, sectors, **kwargs)
-
-        disk.write = spy
-        io.flush()
-        return order
-
-    def test_scan_services_foreground_first(self):
-        order = self._flush_order("scan")
-        assert order.index(5_000) < order.index(100)
-        assert order.index(5_000) < order.index(200)
-
-    def test_deadline_services_foreground_first(self):
-        order = self._flush_order("deadline")
-        assert order[0] == 6_000  # expired deadline leads
-        assert order.index(5_000) < order.index(100)
-
-    def test_explicit_flag_overrides_mode(self):
-        disk = SimDisk(geometry=SMALL.geometry)
-        io = IoScheduler(disk, policy="scan")
-        sector = b"\x00" * disk.geometry.sector_bytes
-        io.submit_write(100, [sector], background=True)
-        assert io._queue[-1].background
-        io.submit_write(200, [sector])
-        assert not io._queue[-1].background
-
-    def test_request_default_is_foreground(self):
-        request = IoRequest(tag=1, address=0, sectors=[b""])
-        assert not request.background

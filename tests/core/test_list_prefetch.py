@@ -488,13 +488,13 @@ def test_list_over_a_leaf_lost_on_both_copies_degrades_the_volume():
 
 @pytest.mark.parametrize(
     "mount",
-    [{}, {"sched": "scan"}, {"sched": "scan", "checkpoint_interval_ms": 50.0}],
-    ids=["fifo", "scan", "scan+checkpointer"],
+    [{}, {"checkpoint_interval_ms": 50.0}],
+    ids=["default", "checkpointer"],
 )
 def test_list_under_pending_commits_keeps_the_cache_coherent(mount):
     """Dirty and logged-but-not-home pages are resident and pinned, so
     a prefetch passes over them; what it installs around them must be
-    the home image, also while writebacks sit in the scheduler queue."""
+    the home image, also while the checkpointer writes pages home."""
     disk, fs, names = volume(48, **mount)
     fs.unmount()
     fs = FSD.mount(disk, **mount)

@@ -1,21 +1,13 @@
-"""Unit tests for the I/O scheduler (repro.disk.sched)."""
+"""Unit tests for the volume's I/O port (repro.disk.sched)."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
-from repro.disk.sched import (
-    DEFAULT_COALESCE_LIMIT,
-    DeadlinePolicy,
-    FifoPolicy,
-    IoRequest,
-    IoScheduler,
-    ScanPolicy,
-    as_scheduler,
-    make_policy,
-)
+from repro.disk.sched import IoScheduler, as_scheduler
 from repro.errors import SimulatedCrash
 from repro.obs import Observer
 
@@ -26,58 +18,8 @@ def sector(byte: int, geo: DiskGeometry = GEO) -> bytes:
     return bytes([byte]) * geo.sector_bytes
 
 
-def request(address: int, count: int = 1, **kwargs) -> IoRequest:
-    return IoRequest(
-        tag=address, address=address,
-        sectors=[sector(address % 251)] * count, **kwargs,
-    )
-
-
-class TestPolicies:
-    def test_make_policy_resolves_names(self):
-        assert isinstance(make_policy("fifo"), FifoPolicy)
-        assert isinstance(make_policy("scan"), ScanPolicy)
-        assert isinstance(make_policy("deadline"), DeadlinePolicy)
-        with pytest.raises(ValueError):
-            make_policy("cfq")
-
-    def test_make_policy_passes_instances(self):
-        policy = ScanPolicy()
-        assert make_policy(policy) is policy
-
-    def test_fifo_keeps_submission_order(self):
-        batch = [request(500), request(20), request(300)]
-        ordered = FifoPolicy().order(batch, 0, GEO, 0.0)
-        assert [r.address for r in ordered] == [500, 20, 300]
-
-    def test_scan_sweeps_up_then_down(self):
-        # Head at cylinder of sector 320 (cylinder 5 with 64/cyl).
-        head = GEO.cylinder_of(320)
-        batch = [request(a) for a in (600, 100, 320, 5000, 64)]
-        ordered = ScanPolicy().order(batch, head, GEO, 0.0)
-        assert [r.address for r in ordered] == [320, 600, 5000, 100, 64]
-
-    def test_deadline_expired_jump_the_elevator(self):
-        head = GEO.cylinder_of(0)
-        batch = [
-            request(600),
-            request(5000, deadline_ms=10.0),
-            request(64, deadline_ms=5.0),
-            request(100),
-        ]
-        ordered = DeadlinePolicy().order(batch, head, GEO, now_ms=20.0)
-        # Expired deadlines first (by deadline), rest in elevator order.
-        assert [r.address for r in ordered] == [64, 5000, 100, 600]
-
-    def test_deadline_unexpired_ride_the_elevator(self):
-        head = GEO.cylinder_of(0)
-        batch = [request(600, deadline_ms=999.0), request(100)]
-        ordered = DeadlinePolicy().order(batch, head, GEO, now_ms=0.0)
-        assert [r.address for r in ordered] == [100, 600]
-
-
 class TestFifoPassThrough:
-    """fifo must be byte- and time-identical to direct disk calls."""
+    """The port must be byte- and time-identical to direct disk calls."""
 
     def test_identical_stats_and_time(self):
         workload = [(10, 3), (500, 2), (10, 1), (2000, 4)]
@@ -88,7 +30,7 @@ class TestFifoPassThrough:
         direct.read(10, 2)
 
         disk = SimDisk(geometry=GEO)
-        io = IoScheduler(disk, policy="fifo")
+        io = IoScheduler(disk)
         for address, count in workload:
             io.submit_write(address, [sector(7)] * count)
         io.read(10, 2)
@@ -108,264 +50,85 @@ class TestFifoPassThrough:
         assert io.faults is disk.faults
 
 
-class TestQueueing:
-    def test_submit_queues_until_flush(self):
+#: one write: (synchronous?, address, sector count).  Addresses are
+#: drawn from a narrow band so writes overlap and land out of order.
+WRITES = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 400), st.integers(1, 4)),
+    min_size=1, max_size=12,
+)
+
+
+def issue(io: IoScheduler, index: int, write: tuple[bool, int, int]) -> None:
+    synchronous, address, count = write
+    call = io.write if synchronous else io.submit_write
+    call(address, [sector(index + 1)] * count)
+
+
+class TestNoVolatileWriteState:
+    """A write is on the platter when the call that issued it returns:
+    the sentence the module docstring rests on."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(writes=WRITES)
+    def test_every_write_is_home_on_return(self, writes):
         disk = SimDisk(geometry=GEO)
-        io = IoScheduler(disk, policy="scan")
-        io.submit_write(100, [sector(1)])
-        io.submit_write(50, [sector(2)])
-        assert io.queue_depth == 2
-        assert disk.stats.writes == 0
-        issued = io.flush()
-        assert issued == 2
-        assert io.queue_depth == 0
-        assert disk.read(100, 1)[0] == sector(1)
-        assert disk.read(50, 1)[0] == sector(2)
+        io = IoScheduler(disk)
+        for index, write in enumerate(writes):
+            issue(io, index, write)
+            _, address, count = write
+            for offset in range(count):
+                assert disk.peek(address + offset) == sector(index + 1)
+        assert disk.stats.writes == len(writes)
 
-    def test_flush_orders_by_policy(self):
+    @settings(max_examples=60, deadline=None)
+    @given(writes=WRITES, data=st.data())
+    def test_crash_on_write_n_keeps_every_earlier_write(self, writes, data):
+        crash_at = data.draw(st.integers(0, len(writes) - 1))
+        expected: dict[int, bytes] = {}
         disk = SimDisk(geometry=GEO)
-        io = IoScheduler(disk, policy="scan")
-        order: list[int] = []
-        real_write = disk.write
-
-        def spy(address, sectors, **kwargs):
-            order.append(address)
-            return real_write(address, sectors, **kwargs)
-
-        disk.write = spy  # type: ignore[method-assign]
-        for address in (5000, 100, 2000):
-            io.submit_write(address, [sector(3)])
-        io.flush()
-        assert order == sorted(order)
-
-    def test_sync_write_is_a_barrier(self):
-        disk = SimDisk(geometry=GEO)
-        io = IoScheduler(disk, policy="scan")
-        order: list[int] = []
-        real_write = disk.write
-
-        def spy(address, sectors, **kwargs):
-            order.append(address)
-            return real_write(address, sectors, **kwargs)
-
-        disk.write = spy  # type: ignore[method-assign]
-        io.submit_write(5000, [sector(1)])
-        io.write(7, [sector(2)])  # barrier: queue first, then this
-        assert order == [5000, 7]
-
-    def test_read_flushes_only_on_overlap(self):
-        disk = SimDisk(geometry=GEO)
-        io = IoScheduler(disk, policy="scan")
-        io.submit_write(100, [sector(1)] * 2)
-        io.read(500, 1)  # disjoint: queue stays
-        assert io.queue_depth == 1
-        assert io.read(101, 1)[0] == sector(1)  # overlap: flushed
-        assert io.queue_depth == 0
-        assert io.sched_stats.read_flushes == 1
-
-    def test_overlapping_writes_never_reorder(self):
-        disk = SimDisk(geometry=GEO)
-        io = IoScheduler(disk, policy="scan")
-        # Two writes to the same sector, last-submitted must win even
-        # though the elevator would happily swap equal addresses.
-        io.submit_write(4000, [sector(1)])
-        io.submit_write(10, [sector(9)])
-        io.submit_write(4000, [sector(2)])
-        io.flush()
-        assert disk.read(4000, 1)[0] == sector(2)
-
-    def test_discard_drops_queued_writes(self):
-        disk = SimDisk(geometry=GEO)
-        io = IoScheduler(disk, policy="scan")
-        io.submit_write(100, [sector(1)])
-        io.submit_write(200, [sector(2)])
-        assert io.discard() == 2
-        assert io.queue_depth == 0
-        assert disk.stats.writes == 0
-
-    def test_crash_mid_flush_drops_the_rest(self):
-        disk = SimDisk(geometry=GEO)
-        io = IoScheduler(disk, policy="scan")
-        io.submit_write(100, [sector(1)])
-        io.submit_write(6000, [sector(2)])
-        disk.faults.arm_crash(after_ios=0)  # first dispatch crashes
-        with pytest.raises(SimulatedCrash):
-            io.flush()
-        assert io.queue_depth == 0  # the machine is gone, queue too
-
-
-class TestCoalescing:
-    def test_adjacent_writes_merge(self):
-        disk = SimDisk(geometry=GEO)
-        io = IoScheduler(disk, policy="scan")
-        io.submit_write(100, [sector(1), sector(2)])
-        io.submit_write(102, [sector(3)])
-        issued = io.flush()
-        assert issued == 1
-        assert disk.stats.writes == 1
-        assert disk.stats.sectors_written == 3
-        assert disk.read(100, 3) == [sector(1), sector(2), sector(3)]
-        assert io.sched_stats.coalesced == 1
-
-    def test_coalesce_respects_limit(self):
-        disk = SimDisk(geometry=GEO)
-        io = IoScheduler(disk, policy="scan", coalesce_limit=3)
-        io.submit_write(100, [sector(1)] * 2)
-        io.submit_write(102, [sector(2)] * 2)  # would make 4 > limit
-        assert io.flush() == 2
-
-    def test_non_adjacent_do_not_merge(self):
-        disk = SimDisk(geometry=GEO)
-        io = IoScheduler(disk, policy="scan")
-        io.submit_write(100, [sector(1)])
-        io.submit_write(102, [sector(2)])  # gap at 101
-        assert io.flush() == 2
-
-    def test_default_limit_fits_two_max_transfers(self):
-        assert DEFAULT_COALESCE_LIMIT == 240
-
-    def test_torn_write_inside_coalesced_batch(self):
-        """A crash mid-dispatch of a coalesced write follows the weak-
-        atomic model: the surviving prefix persists, the boundary is
-        damaged, everything after (including other merged requests)
-        never happened."""
-        disk = SimDisk(geometry=GEO)
-        io = IoScheduler(disk, policy="scan")
-        disk.write(100, [sector(0xAA)] * 4)  # old values
-        io.submit_write(100, [sector(1), sector(2)])
-        io.submit_write(102, [sector(3), sector(4)])  # merges: one 4-sector IO
-        disk.faults.arm_crash(after_ios=0, surviving_sectors=1, damage_tail=1)
-        with pytest.raises(SimulatedCrash):
-            io.flush()
-        after = disk.read_maybe(100, 4)
-        assert after[0] == sector(1)       # survived
-        assert after[1] is None            # damaged boundary
-        assert after[2] == sector(0xAA)    # merged tail never transferred
-        assert after[3] == sector(0xAA)
-
-    def test_fifo_never_coalesces(self):
-        disk = SimDisk(geometry=GEO)
-        io = IoScheduler(disk, policy="fifo")
-        io.submit_write(100, [sector(1)])
-        io.submit_write(101, [sector(2)])
-        assert disk.stats.writes == 2
-        assert io.sched_stats.coalesced == 0
+        io = IoScheduler(disk)
+        disk.faults.arm_crash(after_ios=crash_at)
+        for index, write in enumerate(writes):
+            _, address, count = write
+            span = range(address, address + count)
+            if index == crash_at:
+                with pytest.raises(SimulatedCrash):
+                    issue(io, index, write)
+                # The torn write may hit only the sectors it addressed.
+                for torn in span:
+                    expected.pop(torn, None)
+                break
+            issue(io, index, write)
+            expected.update(dict.fromkeys(span, sector(index + 1)))
+        for address, image in expected.items():
+            assert disk.peek(address) == image
 
 
 class TestReadMerging:
     def test_adjacent_reads_fuse(self):
-        io = IoScheduler(SimDisk(geometry=GEO), policy="scan")
+        io = IoScheduler(SimDisk(geometry=GEO))
         merged = io.merge_reads([(100, 2), (102, 1), (200, 1)])
         assert merged == [(100, 3), (200, 1)]
         assert io.sched_stats.read_merged == 1
 
     def test_gap_keeps_transfers_apart(self):
-        io = IoScheduler(SimDisk(geometry=GEO), policy="scan")
+        io = IoScheduler(SimDisk(geometry=GEO))
         assert io.merge_reads([(100, 1), (102, 1)]) == [(100, 1), (102, 1)]
         assert io.sched_stats.read_merged == 0
 
     def test_limit_splits_long_spans(self):
-        io = IoScheduler(SimDisk(geometry=GEO), policy="scan")
+        io = IoScheduler(SimDisk(geometry=GEO))
         merged = io.merge_reads([(100, 2), (102, 2)], limit=3)
         assert merged == [(100, 3), (103, 1)]
 
     def test_empty_and_zero_counts_skipped(self):
-        io = IoScheduler(SimDisk(geometry=GEO), policy="scan")
+        io = IoScheduler(SimDisk(geometry=GEO))
         assert io.merge_reads([]) == []
         assert io.merge_reads([(100, 0), (100, 2)]) == [(100, 2)]
 
     def test_obs_counter(self):
         disk = SimDisk(geometry=GEO)
         obs = Observer(disk.clock)
-        io = IoScheduler(disk, policy="scan", obs=obs)
+        io = IoScheduler(disk, obs=obs)
         io.merge_reads([(10, 1), (11, 1), (12, 1)])
         assert obs.snapshot().counter("sched.coalesced_reads") == 2
-
-
-class TestDeadlineAging:
-    def test_expired_deadline_preempts_elevator_order(self):
-        """A request past its deadline must dispatch before elevator-
-        preferred traffic even when the elevator would visit it last."""
-        disk = SimDisk(geometry=GEO)
-        io = IoScheduler(disk, policy="deadline")
-        order: list[int] = []
-        real_write = disk.write
-
-        def spy(address, sectors, **kwargs):
-            order.append(address)
-            return real_write(address, sectors, **kwargs)
-
-        disk.write = spy  # type: ignore[method-assign]
-        # Move the head high so the elevator prefers the writebacks.
-        disk.read(5000, 1)
-        io.submit_write(5200, [sector(1)])          # ahead of the head
-        io.submit_write(10, [sector(2)], deadline_ms=disk.clock.now_ms + 1.0)
-        io.submit_write(5400, [sector(3)])          # ahead of the head
-        disk.clock.advance_idle(50.0)               # the deadline expires
-        io.flush()
-        assert order[-3:] == [10, 5200, 5400]
-
-    def test_unexpired_deadline_rides_the_elevator(self):
-        disk = SimDisk(geometry=GEO)
-        io = IoScheduler(disk, policy="deadline")
-        order: list[int] = []
-        real_write = disk.write
-
-        def spy(address, sectors, **kwargs):
-            order.append(address)
-            return real_write(address, sectors, **kwargs)
-
-        disk.write = spy  # type: ignore[method-assign]
-        disk.read(5000, 1)
-        io.submit_write(5200, [sector(1)])
-        io.submit_write(10, [sector(2)], deadline_ms=disk.clock.now_ms + 1e9)
-        io.flush()
-        assert order[-2:] == [5200, 10]
-
-    def test_lateness_stats(self):
-        disk = SimDisk(geometry=GEO)
-        obs = Observer(disk.clock)
-        io = IoScheduler(disk, policy="deadline", obs=obs)
-        io.submit_write(100, [sector(1)], deadline_ms=disk.clock.now_ms + 5.0)
-        disk.clock.advance_idle(30.0)
-        io.flush()
-        assert io.sched_stats.deadline_dispatches == 1
-        assert io.sched_stats.deadline_misses == 1
-        assert io.sched_stats.max_lateness_ms >= 25.0
-        snap = obs.snapshot()
-        layers = snap.layers()["sched"]
-        assert "sched.deadline_lateness_ms" in layers
-
-    def test_on_time_dispatch_is_not_a_miss(self):
-        disk = SimDisk(geometry=GEO)
-        io = IoScheduler(disk, policy="deadline")
-        io.submit_write(100, [sector(1)], deadline_ms=disk.clock.now_ms + 1e9)
-        io.flush()
-        assert io.sched_stats.deadline_dispatches == 1
-        assert io.sched_stats.deadline_misses == 0
-        assert io.sched_stats.max_lateness_ms == 0.0
-
-
-class TestInstrumentation:
-    def test_obs_counters_and_gauge(self):
-        disk = SimDisk(geometry=GEO)
-        obs = Observer(disk.clock)
-        io = IoScheduler(disk, policy="scan", obs=obs)
-        io.submit_write(100, [sector(1)])
-        io.submit_write(101, [sector(2)])
-        io.flush()
-        snap = obs.snapshot()
-        assert snap.counter("sched.submitted") == 2
-        assert snap.counter("sched.dispatched") == 2
-        assert snap.counter("sched.coalesced_writes") == 1
-        assert snap.counter("sched.flushes") == 1
-        assert io.sched_stats.max_queue_depth == 2
-
-    def test_dispatch_histogram_is_per_policy(self):
-        disk = SimDisk(geometry=GEO)
-        obs = Observer(disk.clock)
-        io = IoScheduler(disk, policy="deadline", obs=obs)
-        io.submit_write(100, [sector(1)])
-        io.flush()
-        layers = obs.snapshot().layers()["sched"]
-        assert "sched.dispatch_deadline" in layers

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from repro.core.fsd import FSD
 from repro.disk.disk import SimDisk
+from repro.harness.batches import measure_batches
+from repro.harness.scenarios import SMALL, fsd_volume, populate
 from repro.workloads.generators import OperationMix, payload
 from tests.conftest import TEST_FSD_PARAMS, TEST_GEOMETRY
 
@@ -47,3 +49,73 @@ def test_bit_identical_replay():
     assert first[1] == second[1]
     assert first[2] == second[2]  # identical on-disk bytes
     assert first[3] == second[3]
+
+
+#: What the direct-disk path produced for the exact workload in
+#: ``golden_workload`` below.  First captured on the pre-scheduler tree
+#: (commit f94857a); re-captured when the volume format moved copy B
+#: of the name table into copy A's cylinder ("FSD2": 18 fewer seeks,
+#: 241 ms less seek time, and a group commit that closes at a
+#: different moment — one more write, nine fewer sectors).  The I/O
+#: port must reproduce every one of these, bit for bit.
+GOLDEN = dict(
+    reads=112,
+    writes=233,
+    label_reads=0,
+    label_writes=0,
+    sectors_read=334,
+    sectors_written=1661,
+    seeks=17,
+    short_seeks=31,
+    seek_ms=469.85959102351075,
+    rotational_ms=3286.9648256433975,
+    transfer_ms=692.8468750000026,
+    now_ms=9935.667291666668,
+    create_ios=108,
+    list_ios=0,
+    read_ios=100,
+)
+
+
+def golden_workload():
+    """The deterministic mixed workload the golden numbers pin."""
+    disk, fs, adapter = fsd_volume(SMALL)
+    names = populate(adapter, 60)
+    result = measure_batches(disk, adapter)
+    for name in names[:20]:
+        adapter.delete(name)
+    for index in range(20):
+        adapter.create(f"bulk/u-{index:03d}", payload(1400, 100 + index))
+    fs.force()
+    fs.unmount()
+    return disk, result
+
+
+class TestFifoBitCompat:
+    def test_fifo_matches_pre_refactor_golden_numbers(self):
+        """``GOLDEN`` pins a *format*, not a refactor: a change to
+        ``core/layout.py`` that moves a metadata sector legitimately
+        moves these numbers and re-captures them; a change anywhere
+        else must not.  Since the reordering policies went, program
+        order is *the* dispatch order, so this pins every mount's
+        writes, not one policy's."""
+        disk, result = golden_workload()
+        st = disk.stats
+        got = dict(
+            reads=st.reads,
+            writes=st.writes,
+            label_reads=st.label_reads,
+            label_writes=st.label_writes,
+            sectors_read=st.sectors_read,
+            sectors_written=st.sectors_written,
+            seeks=st.seeks,
+            short_seeks=st.short_seeks,
+            seek_ms=st.seek_ms,
+            rotational_ms=st.rotational_ms,
+            transfer_ms=st.transfer_ms,
+            now_ms=disk.clock.now_ms,
+            create_ios=result.create_ios,
+            list_ios=result.list_ios,
+            read_ios=result.read_ios,
+        )
+        assert got == GOLDEN

@@ -112,14 +112,6 @@ class TestRecorderLifecycle:
         assert trace.cache_hits == 1
         assert trace.cache_misses == 1
 
-    def test_note_queue_wait_indexes_by_trace_id(self):
-        recorder = AttributionRecorder(clock=_FakeClock())
-        trace = recorder.op_issued(0, _FakeOp, 0.0)
-        recorder.note_queue_wait(trace.trace_id, 4.0)
-        recorder.note_queue_wait(trace.trace_id, 1.5)
-        recorder.note_queue_wait(999, 7.0)  # unknown id: ignored
-        assert trace.queue_wait_ms == pytest.approx(5.5)
-
     def test_commit_sub_attribution_from_force_timing(self):
         clock = _FakeClock()
         recorder = AttributionRecorder(clock=clock)

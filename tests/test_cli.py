@@ -180,8 +180,8 @@ class TestCrashcheck:
 
 
 class TestMountFlags:
-    """Every mounting subcommand takes the four mount flags through the
-    one ``add_mount_arguments`` / ``mount_options`` pair."""
+    """Every mounting subcommand takes the three mount flags through
+    the one ``add_mount_arguments`` / ``mount_options`` pair."""
 
     MOUNTING = {
         "put": ["put", "v.img", "local", "name"],
@@ -206,14 +206,39 @@ class TestMountFlags:
         parser = build_parser()
         argv = self.MOUNTING[command]
         assert mount_options(parser.parse_args(argv)) == MountOptions()
-        flags = ["--sched", "scan", "--data-cache-pages", "8",
+        flags = ["--data-cache-pages", "8",
                  "--readahead", "0", "--checkpoint-ms", "250"]
         assert mount_options(parser.parse_args(argv + flags)) == MountOptions(
-            sched="scan",
             data_cache_pages=8,
             readahead_pages=0,
             checkpoint_interval_ms=250.0,
         )
+
+    def test_declared_flags_are_exactly_the_three(self):
+        import argparse
+
+        from repro.mount_cli import add_mount_arguments
+
+        parser = argparse.ArgumentParser(add_help=False)
+        add_mount_arguments(parser)
+        declared = {
+            flag for action in parser._actions
+            for flag in action.option_strings
+        }
+        assert declared == {
+            "--data-cache-pages", "--readahead", "--checkpoint-ms",
+        }
+
+    @pytest.mark.parametrize(
+        "command", ["ls", "traffic", "chaos", "crashcheck"]
+    )
+    def test_no_dispatch_order_flag(self, command, capsys):
+        """``--sched`` went with the reordering policies: argparse
+        refuses it on every subcommand that mounts."""
+        with pytest.raises(SystemExit) as refused:
+            main(self.MOUNTING[command] + ["--sched", "scan"])
+        assert refused.value.code == 2
+        assert "--sched" in capsys.readouterr().err
 
     def test_chaos_readahead_reaches_the_mount(self, tmp_path):
         """``repro chaos --readahead N`` used to be parsed and dropped."""
