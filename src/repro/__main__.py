@@ -155,6 +155,8 @@ def cmd_verify(args) -> int:
         f"{report.nt_pages_checked} name-table pages; "
         f"{report.leaked_sectors} leaked sectors"
     )
+    if report.nt_shape is not None:
+        print(f"name table: {report.nt_shape}")
     if report.clean:
         print("volume is clean")
         status = 0

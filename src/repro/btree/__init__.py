@@ -1,6 +1,6 @@
 """Page-based B-tree substrate shared by the CFS and FSD name tables."""
 
-from repro.btree.btree import BTree
+from repro.btree.btree import BTree, TreeShape
 from repro.btree.node import INTERNAL, LEAF, Node, max_entry_bytes
 from repro.btree.pager import MemoryPager, Pager
 
@@ -11,5 +11,6 @@ __all__ = [
     "MemoryPager",
     "Node",
     "Pager",
+    "TreeShape",
     "max_entry_bytes",
 ]

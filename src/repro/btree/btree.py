@@ -4,7 +4,13 @@ Both file name tables in the reproduction (CFS' and FSD's) are this
 tree over different pagers.  The tree is a classic B+-tree variant:
 values live only in leaves, internal nodes hold separator keys, splits
 are size-based (entries are variable length), and deletion rebalances
-by merging or evenly redistributing siblings.
+by merging or evenly redistributing siblings.  Two rules keep pages
+full under the ascending key order directories are created in: a node
+that overflows because of an entry in its last slot splits *there*
+(the old page keeps everything it had), and an underfull node merges
+into a sibling only when the result is at most three quarters of a
+page, so an append/delete cycle at a full page's edge cannot split and
+merge it each time round.
 
 The tree never caches node *pages* itself: every node touch is a
 ``pager.read``/``pager.write``, so the owning file system sees and
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import struct
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.btree.node import INTERNAL, LEAF, Node, max_entry_bytes
@@ -39,6 +46,29 @@ _PARSE_MEMO_LIMIT = 512
 _PAGE_MEMO_LIMIT = 2048
 
 
+@dataclass(frozen=True)
+class TreeShape:
+    """What :meth:`BTree.shape` found: how many nodes of each kind the
+    tree has and what share of their pages they fill."""
+
+    entries: int
+    height: int
+    leaves: int
+    interior_nodes: int
+    #: mean ``serialized_size / page_size`` over the nodes of a kind
+    #: (0.0 when there is none).
+    leaf_fill: float
+    interior_fill: float
+
+    def __str__(self) -> str:
+        return (
+            f"{self.entries} entries on {self.leaves} leaves, "
+            f"{self.leaf_fill:.0%} full, height {self.height} "
+            f"({self.interior_nodes} interior nodes, "
+            f"{self.interior_fill:.0%} full)"
+        )
+
+
 class BTree:
     """A B-tree rooted in ``pager`` page 0 (the meta page)."""
 
@@ -48,6 +78,9 @@ class BTree:
         self._height = 0
         self._count = 0
         self._min_node_bytes = pager.page_size // 4
+        #: a merge must leave room for the next insert, or it is undone
+        #: by a split straight away.
+        self._max_merged_bytes = pager.page_size * 3 // 4
         self._max_entry = max_entry_bytes(pager.page_size)
         #: bytes -> parsed Node template.  Keyed by page *value* (two
         #: pages with identical bytes share one template, which is why
@@ -276,9 +309,9 @@ class BTree:
                 node.values.insert(index, value)
                 was_new = True
         else:
-            child_index = bisect.bisect_right(template.keys, key)
+            index = bisect.bisect_right(template.keys, key)
             was_new, split = self._insert(
-                template.children[child_index], key, value
+                template.children[index], key, value
             )
             if split is None:
                 return was_new, None
@@ -291,17 +324,21 @@ class BTree:
                 template.children.copy(),
             )
             separator, right_page = split
-            node.keys.insert(child_index, separator)
-            node.children.insert(child_index + 1, right_page)
+            node.keys.insert(index, separator)
+            node.children.insert(index + 1, right_page)
 
         if node.fits(self.pager.page_size):
             self._write_node(page_no, node)
             return was_new, None
-        return was_new, self._split_and_write(page_no, node)
+        return was_new, self._split_and_write(page_no, node, index)
 
-    def _split_and_write(self, page_no: int, node: Node) -> tuple[bytes, int]:
-        """Split an oversized node in two; returns (separator, right page)."""
-        left, separator, right = _split_node(node)
+    def _split_and_write(
+        self, page_no: int, node: Node, slot: int | None
+    ) -> tuple[bytes, int]:
+        """Split an oversized node in two; returns (separator, right
+        page).  ``slot`` is the key slot whose insert overflowed it
+        (None: split evenly wherever it landed)."""
+        left, separator, right = _split_node(node, slot)
         right_page = self.pager.allocate()
         self._write_node(page_no, left)
         self._write_node(right_page, right)
@@ -338,8 +375,9 @@ class BTree:
         """Rebalance ``parent.children[child_index]`` if underfull.
 
         Returns True when the parent itself was modified.  Merges the
-        child with a sibling when the combination fits in one page,
-        otherwise redistributes entries evenly between the two.
+        child with a sibling when the combination fills at most three
+        quarters of a page, otherwise redistributes entries evenly
+        between the two.
         """
         child_page = parent.children[child_index]
         # Templates suffice throughout: the rebalance builds fresh
@@ -363,7 +401,7 @@ class BTree:
         separator = parent.keys[left_index]
 
         merged = _merge_nodes(left, separator, right)
-        if merged.fits(self.pager.page_size):
+        if merged.serialized_size() <= self._max_merged_bytes:
             self._write_node(left_page, merged)
             self.pager.free(right_page)
             del parent.keys[left_index]
@@ -514,21 +552,56 @@ class BTree:
         """Current tree height (1 = a single leaf)."""
         return self._height
 
+    def shape(self) -> TreeShape:
+        """Node counts and mean page fill, from a walk of every node
+        (each one a pager read): a diagnostic to call on demand, never
+        from an operation."""
+        nodes = {LEAF: 0, INTERNAL: 0}
+        used = {LEAF: 0, INTERNAL: 0}
+        stack = [self._root]
+        while stack:
+            node = self._load_template(stack.pop())
+            nodes[node.kind] += 1
+            used[node.kind] += node.serialized_size()
+            stack.extend(node.children)
+        page_size = self.pager.page_size
+        return TreeShape(
+            entries=self._count,
+            height=self._height,
+            leaves=nodes[LEAF],
+            interior_nodes=nodes[INTERNAL],
+            leaf_fill=used[LEAF] / (nodes[LEAF] * page_size),
+            interior_fill=(
+                used[INTERNAL] / (nodes[INTERNAL] * page_size)
+                if nodes[INTERNAL] else 0.0
+            ),
+        )
+
 
 # ----------------------------------------------------------------------
 # node surgery shared by split and rebalance
 # ----------------------------------------------------------------------
-def _split_node(node: Node) -> tuple[Node, bytes, Node]:
-    """Split ``node`` into two of roughly equal serialized size.
+def _split_node(
+    node: Node, slot: int | None = None
+) -> tuple[Node, bytes, Node]:
+    """Split ``node`` in two; returns (left, separator, right).
 
-    Returns (left, separator, right).  For leaves the separator is the
-    first right key (and stays in the leaf); for internal nodes the
+    The halves are of roughly equal serialized size, unless ``slot`` —
+    the key slot an insert has just filled — is the node's last: keys
+    arriving in ascending order would never touch the left half again,
+    so the left node keeps every key it had and the right one starts
+    with the new key alone.  For leaves the separator is the first
+    right key (and stays in the leaf); for internal nodes the
     separator is promoted out.
     """
+    last = len(node.keys) - 1
     if node.is_leaf:
-        split = _even_split_index(
-            [4 + len(k) + len(v) for k, v in zip(node.keys, node.values)]
-        )
+        if slot == last and slot > 0:
+            split = slot
+        else:
+            split = _even_split_index(
+                [4 + len(k) + len(v) for k, v in zip(node.keys, node.values)]
+            )
         left = Node(
             kind=LEAF, keys=node.keys[:split], values=node.values[:split]
         )
@@ -537,9 +610,12 @@ def _split_node(node: Node) -> tuple[Node, bytes, Node]:
         )
         return left, right.keys[0], right
 
-    split = _even_split_index([6 + len(k) for k in node.keys])
-    # Promote keys[split]; it must leave at least one key on each side.
-    split = min(max(split, 1), len(node.keys) - 1)
+    if slot == last and slot > 1:
+        split = slot - 1
+    else:
+        split = _even_split_index([6 + len(k) for k in node.keys])
+        # Promote keys[split]; it must leave at least one key on each side.
+        split = min(max(split, 1), len(node.keys) - 1)
     left = Node(
         kind=INTERNAL,
         keys=node.keys[:split],

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.btree import TreeShape
 from repro.core.fsd import FSD
 from repro.core.leader import verify_leader
 from repro.core.recovery import MountReport, rebuild_vam
@@ -39,6 +40,9 @@ class VerifyReport:
     nt_pages_checked: int = 0
     problems: list[str] = field(default_factory=list)
     leaked_sectors: int = 0
+    #: the name table's node counts and page fill (None when its
+    #: invariants did not hold and it could not be walked).
+    nt_shape: TreeShape | None = None
 
     @property
     def clean(self) -> bool:
@@ -87,6 +91,7 @@ def _check_cache_coherence(fs: FSD, report: VerifyReport) -> None:
 def _check_tree(fs: FSD, report: VerifyReport) -> None:
     try:
         fs.name_table.tree.check_invariants()
+        report.nt_shape = fs.name_table.tree.shape()
     except CorruptMetadata as error:
         report.add(f"name-table B-tree invariant: {error}")
 

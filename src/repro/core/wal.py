@@ -307,7 +307,11 @@ class WriteAheadLog:
                 if successor is not None:
                     new_anchor = successor
                     break
-            self._write_anchor(*new_anchor)
+            # A checkpoint that left the cursor exactly on this third's
+            # boundary has already put the anchor on the record about
+            # to be written: nothing to move.
+            if new_anchor != (self.anchor_offset, self.anchor_record_number):
+                self._write_anchor(*new_anchor)
         self._third_first[third] = None
         # Commit-path stall: the appender (and therefore the commit in
         # progress) was blocked behind this write-home + anchor advance.

@@ -15,6 +15,7 @@ mutations — pass ``--save`` to keep the workload's effects.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.core.fsd import FSD
@@ -65,6 +66,12 @@ def cmd_stats(args) -> int:
     """Run the scripted workload and report per-layer metrics."""
     fs, obs, _ = _run(args, trace_io=False)
     snapshot = obs.snapshot()
+    # The shape walk reads pages too: taken after the snapshot, so the
+    # counters describe the workload alone.
+    shape = fs.name_table.tree.shape()
+    snapshot.gauges.update(
+        (f"btree.shape_{name}", value) for name, value in asdict(shape).items()
+    )
     if args.json:
         print(to_jsonl(metric_dicts(snapshot)))
         return 0
@@ -84,7 +91,8 @@ def cmd_stats(args) -> int:
             if isinstance(double_read, HistogramSnapshot) else ""
         )
         print(
-            f"name table: {_fmt_value(hits + misses)} page reads through "
+            f"name table: {shape}; "
+            f"{_fmt_value(hits + misses)} page reads through "
             f"the metadata cache, {hits / (hits + misses):.1%} hits, "
             f"{_fmt_value(misses)} demand misses; prefetch: "
             f"{_fmt_value(nt.get('nt.prefetch_pages', 0))} pages in "

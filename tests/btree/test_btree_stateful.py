@@ -26,13 +26,31 @@ class BTreeMachine(RuleBasedStateMachine):
         self.pager = MemoryPager(page_size=256)
         self.tree = BTree.create(self.pager)
         self.model: dict[bytes, bytes] = {}
-        self.steps = 0
 
     @rule(key=keys, value=values)
     def insert(self, key, value):
         was_new = self.tree.insert(key, value)
         assert was_new == (key not in self.model)
         self.model[key] = value
+
+    @rule(length=st.integers(min_value=1, max_value=12), value=values)
+    def append_run(self, length, value):
+        """Ascending keys after the largest so far — the order a
+        directory is created in, and the one that splits a node at its
+        last slot."""
+        first = max((int(key[4:]) for key in self.model), default=-1) + 1
+        for index in range(first, first + length):
+            key = f"key-{index:03d}".encode()
+            assert self.tree.insert(key, value)
+            self.model[key] = value
+
+    @rule(value=values)
+    def insert_then_delete_the_maximum(self, value):
+        """A scratch name at the right edge: a split of a full page,
+        then the rebalance that must not simply undo it."""
+        key = max(self.model, default=b"key-") + b"~"
+        assert self.tree.insert(key, value)
+        assert self.tree.delete(key)
 
     @rule(key=keys)
     def delete(self, key):
@@ -59,10 +77,8 @@ class BTreeMachine(RuleBasedStateMachine):
         assert len(self.tree) == len(self.model)
 
     @invariant()
-    def structure_valid_periodically(self):
-        self.steps += 1
-        if self.steps % 10 == 0:
-            self.tree.check_invariants()
+    def structure_valid(self):
+        self.tree.check_invariants()
 
 
 BTreeMachine.TestCase.settings = settings(

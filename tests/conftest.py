@@ -11,6 +11,8 @@ from repro.core.fsd import FSD
 from repro.core.layout import VolumeParams
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
+from repro.workloads.generators import payload
+
 
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
@@ -30,6 +32,21 @@ TEST_CFS_PARAMS = CfsParams(nt_pages=256, cache_pages=32)
 TEST_FFS_PARAMS = FfsParams(
     cylinders_per_group=12, inodes_per_group=128, buffer_cache_blocks=32
 )
+
+
+def create_until_nt_pages(fs: FSD, prefix: str, pages: int) -> dict[str, bytes]:
+    """Create ``<prefix>0000``, ``<prefix>0001``, ... until the name
+    table has allocated more than ``pages`` pages; returns name ->
+    contents.  A boundary test is sized by the page it must reach, not
+    by a file count that stops reaching it when the tree gets denser."""
+    pager = fs.name_table.tree.pager
+    contents: dict[str, bytes] = {}
+    while pager.allocated_pages() <= pages:
+        index = len(contents)
+        name = f"{prefix}{index:04d}"
+        contents[name] = payload(300 + index, index)
+        fs.create(name, contents[name])
+    return contents
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
 from repro.errors import DegradedVolumeError
 from repro.obs import Observer
-from repro.workloads.generators import payload
+from tests.conftest import create_until_nt_pages
 
 GEO = DiskGeometry(cylinders=120, heads=8, sectors_per_track=24)
 PARAMS = VolumeParams(nt_pages=512, log_record_sectors=300, cache_pages=48)
@@ -193,12 +193,7 @@ class TestIndependentFailureModes:
         disk = SimDisk(geometry=GEO)
         FSD.format(disk, PARAMS)
         fs = FSD.mount(disk)
-        contents = {
-            f"ind/f{index:03d}": payload(300 + index, index)
-            for index in range(400)
-        }
-        for name, data in contents.items():
-            fs.create(name, data)
+        contents = create_until_nt_pages(fs, "ind/f", STRIPE_PAGES + 8)
         # The tree spans two stripes.
         runs = fs.name_table.tree.pager.allocated_runs()
         assert max(first + count for first, count in runs) > STRIPE_PAGES + 8

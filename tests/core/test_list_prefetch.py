@@ -28,6 +28,7 @@ from repro.disk.geometry import DiskGeometry
 from repro.errors import DegradedVolumeError
 from repro.obs import Observer
 from repro.workloads.generators import payload
+from tests.conftest import create_until_nt_pages
 
 GEO = DiskGeometry(cylinders=120, heads=8, sectors_per_track=24)
 PARAMS = VolumeParams(nt_pages=512, log_record_sectors=300, cache_pages=64)
@@ -405,9 +406,7 @@ def test_cold_list_whose_prefetch_crosses_a_stripe_boundary():
     disk = SimDisk(geometry=GEO)
     FSD.format(disk, PARAMS)
     fs = FSD.mount(disk)
-    names = [f"wide/m{index:03d}.mesa" for index in range(420)]
-    for index, name in enumerate(names):
-        fs.create(name, payload(300 + index, index))
+    names = list(create_until_nt_pages(fs, "wide/m", STRIPE_PAGES + WINDOW))
     fs.unmount()
     obs = Observer()
     fs = FSD.mount(disk, obs=obs)

@@ -35,6 +35,7 @@ from repro.disk.geometry import DiskGeometry
 from repro.errors import DegradedVolumeError, FileNotFound, VolumeFull
 from repro.obs import Observer
 from repro.workloads.generators import payload
+from tests.conftest import create_until_nt_pages
 
 GEO = DiskGeometry(cylinders=120, heads=8, sectors_per_track=24)
 
@@ -408,19 +409,18 @@ class TestMountThroughDamage:
 
 
 class TestSweepAcrossAStripeBoundary:
-    def _two_stripe_volume(self) -> tuple[SimDisk, FSD]:
+    def _two_stripe_volume(self) -> tuple[SimDisk, FSD, int]:
         disk = SimDisk(geometry=GEO)
         FSD.format(disk, params())
         fs = FSD.mount(disk)
-        for index in range(400):
-            fs.create(f"wide/f{index:03d}", payload(300 + index, index))
+        files = len(create_until_nt_pages(fs, "wide/f", STRIPE_PAGES + 8))
         fs.unmount()
         fs = FSD.mount(disk)
         fs.crash()  # dirty root, empty log: the next mount sweeps home
-        return disk, fs
+        return disk, fs, files
 
     def test_sweep_equals_walk_and_splits_its_transfer(self):
-        disk, fs = self._two_stripe_volume()
+        disk, fs, files = self._two_stripe_volume()
         runs = fs.name_table.tree.pager.allocated_runs()
         assert any(
             first < STRIPE_PAGES < first + count for first, count in runs
@@ -430,14 +430,14 @@ class TestSweepAcrossAStripeBoundary:
         mount_bulk_reads = recovered.nt_home.bulk_reads
         assert not report.vam_loaded
         assert report.vam_sweep_pages == len(allocated_pages(recovered))
-        assert report.vam_rebuild_entries == 400
+        assert report.vam_rebuild_entries == files
         assert recovered.nt_home.ladder_fallbacks == 0
         # One run of allocated pages, under max_io_sectors, cut once.
         assert mount_bulk_reads == 4
         assert bytes(recovered.vam._bits) == walk_bits(recovered)
 
     def test_damage_either_side_of_the_boundary_is_repaired(self):
-        disk, fs = self._two_stripe_volume()
+        disk, fs, _ = self._two_stripe_volume()
         bad = [
             fs.layout.nt_page_addresses(STRIPE_PAGES - 1)[0],
             fs.layout.nt_page_addresses(STRIPE_PAGES)[1],

@@ -222,6 +222,25 @@ class TestThirdsProtocol:
         assert (wal.anchor_offset, wal.anchor_record_number) != first_anchor
         assert wal.anchor_record_number > 1
 
+    def test_no_anchor_write_when_the_anchor_is_already_there(self):
+        """A checkpoint that leaves the cursor exactly on a third
+        boundary has put the anchor on the record about to be written;
+        entering that third moves nothing and writes nothing."""
+        disk, wal = fresh_wal()
+        wal.flush_third = lambda third: None
+        for fill in range(4):  # 4 x 25 sectors: one third exactly
+            wal.append([nt_page(i, fill) for i in range(10)])
+        assert wal.write_offset == wal.third_sectors
+        wal.checkpoint()
+        writes = disk.stats.writes
+        wal.append([nt_page(7, 0x77)])
+        assert wal.third_entries == 1
+        assert wal.stall_ms == 0.0
+        assert disk.stats.writes == writes + 1  # the record alone
+        assert wal.read_anchor() == (wal.third_sectors, 5)
+        (record,) = WriteAheadLog(disk, wal.layout).scan()
+        assert record.record_number == 5
+
     def test_scan_after_many_wraps(self):
         disk, wal = fresh_wal()
         wal.flush_third = lambda third: None

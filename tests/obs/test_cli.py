@@ -98,6 +98,56 @@ class TestStats:
         mean_ms, _, _, count = line.split("double read: mean ")[1].split()[:4]
         assert 0.0 < float(mean_ms) < 50.0 and int(count) > 0
 
+    def test_name_table_line_reports_the_shape_a_hand_walk_finds(
+        self, image, capsys
+    ):
+        """``stats --save`` and ``verify`` print ``BTree.shape()``; the
+        same image walked by hand, node by node, gives the same
+        numbers."""
+        import re
+
+        from repro.btree.node import Node
+        from repro.core.fsd import FSD
+        from repro.disk.image import load_disk, save_disk
+
+        disk = load_disk(image)
+        fs = FSD.mount(disk)
+        for index in range(300):
+            fs.create(f"obs/old-{index:03d}", b"x" * 100)
+        fs.unmount()
+        save_disk(disk, image)
+        capsys.readouterr()
+        assert main(["stats", image, "--ops", "10", "--save"]) == 0
+        stats_out = capsys.readouterr().out
+        assert main(["verify", image]) == 0
+        verify_out = capsys.readouterr().out
+
+        fs = FSD.mount(load_disk(image))
+        tree = fs.name_table.tree
+        sizes: dict[bool, list[int]] = {True: [], False: []}
+        height, level = 0, [tree._root]
+        while level:
+            height += 1
+            nodes = [Node.from_bytes(tree.pager.read(page)) for page in level]
+            for node in nodes:
+                sizes[node.is_leaf].append(node.serialized_size())
+            level = [child for node in nodes for child in node.children]
+        leaves, interior = sizes[True], sizes[False]
+        expected = (
+            f"name table: {len(fs.list())} entries on {len(leaves)} leaves, "
+            f"{sum(leaves) / (512 * len(leaves)):.0%} full, height {height} "
+            f"({len(interior)} interior nodes, "
+            f"{sum(interior) / (512 * len(interior)):.0%} full)"
+        )
+        assert height >= 2 and len(leaves) > 30
+        assert expected in verify_out.splitlines()
+        assert any(
+            line.startswith(expected + "; ") for line in stats_out.splitlines()
+        )
+        gauges = dict(re.findall(r"btree\.shape_(\w+) +([\d.]+)", stats_out))
+        assert int(gauges["leaves"]) == len(leaves)
+        assert int(gauges["height"]) == height
+
     def test_metadata_cache_line_reports_pinned_and_reserve(
         self, image, capsys
     ):
