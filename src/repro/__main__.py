@@ -1,6 +1,6 @@
 """Command-line interface: an FSD volume in a disk-image file.
 
-    python -m repro mkfs vol.img [--size {small,t300}] [--log-vam]
+    python -m repro mkfs vol.img [--size {small,t300}]
     python -m repro put vol.img LOCAL_FILE FSD_NAME [--crash]
     python -m repro get vol.img FSD_NAME [LOCAL_FILE]
     python -m repro ls vol.img [PREFIX]
@@ -69,10 +69,6 @@ def cmd_mkfs(args) -> int:
         from repro.harness.scenarios import SMALL
 
         geometry, params = SMALL.geometry, SMALL.fsd_params
-    if args.log_vam:
-        from dataclasses import replace
-
-        params = replace(params, log_vam=True)
     disk = SimDisk(geometry=geometry)
     FSD.format(disk, params)
     written = save_disk(disk, args.image)
@@ -138,8 +134,7 @@ def cmd_info(args) -> int:
     print(f"free     : {fs.vam.free_count} of {geo.total_sectors} sectors")
     print(f"params   : nt_pages={fs.params.nt_pages} "
           f"log={fs.params.log_record_sectors} sectors "
-          f"commit={fs.params.commit_interval_ms:.0f} ms "
-          f"log_vam={fs.params.log_vam}")
+          f"commit={fs.params.commit_interval_ms:.0f} ms")
     files = fs.list()
     print(f"files    : {len(files)}")
     _finish(disk, fs, args.image)
@@ -313,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mkfs", help="format a new volume image")
     p.add_argument("image")
     p.add_argument("--size", choices=["small", "t300"], default="small")
-    p.add_argument("--log-vam", action="store_true",
-                   help="enable the §5.3 VAM-logging extension")
     p.set_defaults(fn=cmd_mkfs)
 
     p = sub.add_parser("put", help="copy a local file into the volume")

@@ -26,7 +26,7 @@ interior nodes every lookup descends through.  Resident entries are
 therefore bounded by ``max(capacity, pinned + reserve)``.
 
 The cache itself never touches the disk: writeback goes through the
-injected ``nt_writer``/``leader_writer``/``vam_writer`` callables,
+injected ``nt_writer``/``leader_writer`` callables,
 which a mounted volume points at the shared
 :class:`~repro.disk.sched.IoScheduler`; each writeback is on the
 platter, in program order, when the callable returns.
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable
 
-from repro.core.wal import PAGE_LEADER, PAGE_NAME_TABLE, PAGE_VAM, LoggedPage
+from repro.core.wal import PAGE_LEADER, PAGE_NAME_TABLE, LoggedPage
 from repro.errors import CorruptMetadata
 from repro.obs import NULL_OBS
 
@@ -109,7 +109,6 @@ class MetadataCache:
         nt_reader: Callable[[int], bytes],
         nt_writer: Callable[[list[tuple[int, bytes]]], None],
         leader_writer: Callable[[int, bytes], None],
-        vam_writer: Callable[[int, bytes], None] | None = None,
     ):
         self.capacity = capacity_pages
         #: clean entries eviction never goes below.
@@ -117,7 +116,6 @@ class MetadataCache:
         self._nt_reader = nt_reader
         self._nt_writer = nt_writer
         self._leader_writer = leader_writer
-        self._vam_writer = vam_writer
         self._entries: dict[tuple[int, int], CacheEntry] = {}
         #: entries with ``needs_log`` set, maintained incrementally so
         #: the admission/pressure checks on every operation are O(1)
@@ -291,13 +289,6 @@ class MetadataCache:
         self._lru.pop((PAGE_LEADER, address), None)
 
     # ------------------------------------------------------------------
-    # VAM pages (§5.3 extension, only used when log_vam is enabled)
-    # ------------------------------------------------------------------
-    def write_vam(self, page_index: int, data: bytes) -> None:
-        """Stage a VAM bitmap page image (log_vam mode only)."""
-        self._stage(PAGE_VAM, page_index, data)
-
-    # ------------------------------------------------------------------
     # group-commit interface
     # ------------------------------------------------------------------
     def pages_needing_log(self) -> list[LoggedPage]:
@@ -348,11 +339,6 @@ class MetadataCache:
             assert entry.logged_image is not None
             if entry.kind == PAGE_NAME_TABLE:
                 nt_batch.append((entry.page_id, entry.logged_image))
-            elif entry.kind == PAGE_VAM:
-                if self._vam_writer is None:
-                    raise CorruptMetadata("VAM page cached without a writer")
-                self._vam_writer(entry.page_id, entry.logged_image)
-                self.home_writes += 1
             else:
                 self._leader_writer(entry.page_id, entry.logged_image)
                 self.home_writes += 1

@@ -41,23 +41,13 @@ from __future__ import annotations
 
 from repro.obs import NULL_OBS
 
-#: default checkpoint cadence: every two seconds of simulated time
-#: (four group-commit intervals) — frequent enough that the appender
-#: never laps a full log third between ticks at realistic load.
-DEFAULT_CHECKPOINT_INTERVAL_MS = 2000.0
-
 
 class Checkpointer:
-    """Periodic fuzzy checkpoint for one mounted FSD volume."""
+    """Periodic fuzzy checkpoint for one mounted FSD volume, every
+    ``interval_ms`` of simulated time (the mount's
+    ``checkpoint_interval_ms``)."""
 
-    def __init__(
-        self,
-        clock,
-        wal,
-        cache,
-        interval_ms: float = DEFAULT_CHECKPOINT_INTERVAL_MS,
-        obs=NULL_OBS,
-    ):
+    def __init__(self, clock, wal, cache, interval_ms: float, obs=NULL_OBS):
         self.clock = clock
         self.wal = wal
         self.cache = cache

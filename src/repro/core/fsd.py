@@ -162,7 +162,6 @@ class FSD:
             cache,
             vam,
             layout.params.commit_interval_ms,
-            log_vam=layout.params.log_vam,
             obs=obs,
         )
         #: the transaction brackets every mutating entry point runs
@@ -325,9 +324,6 @@ class FSD:
                 leader_writer=lambda addr, data: io.submit_write(
                     addr, [data]
                 ),
-                vam_writer=lambda index, data: io.submit_write(
-                    layout.vam_start + 1 + index, [data]
-                ),
             )
             cache.obs = obs
             if redone_nt:
@@ -345,15 +341,7 @@ class FSD:
             vam.obs = obs
             vam_loaded = False
             with obs.span("recovery.vam_load") as vam_span:
-                if layout.params.log_vam:
-                    # §5.3 extension: the save-area base image plus the
-                    # VAM pages just replayed from the log *is* the
-                    # free map.
-                    vam_loaded = vam.load(
-                        io, layout, expect_boot_count=root.boot_count,
-                        logged_mode=True,
-                    )
-                if not vam_loaded and root.vam_saved:
+                if root.vam_saved:
                     vam_loaded = vam.load(
                         io, layout, expect_boot_count=root.boot_count
                     )
@@ -363,10 +351,6 @@ class FSD:
                     disk, layout, name_table, home, report, obs=obs
                 )
             report.vam_loaded = vam_loaded
-            if layout.params.log_vam:
-                # Write this boot's base image; subsequent commits log
-                # only the changed bitmap pages on top of it.
-                vam.save(io, layout, boot_count=new_boot)
 
             new_root = RootPage(
                 params=root.params,

@@ -42,7 +42,6 @@ class CommitCoordinator:
         cache: MetadataCache,
         vam: VolumeAllocationMap,
         interval_ms: float,
-        log_vam: bool = False,
         obs=NULL_OBS,
     ):
         self.clock = clock
@@ -50,7 +49,6 @@ class CommitCoordinator:
         self.cache = cache
         self.vam = vam
         self.interval_ms = interval_ms
-        self.log_vam = log_vam
         self.obs = obs
         #: force early once this many pages await logging — "the log is
         #: forced long before [an oversized entry] should occur" (§5.3).
@@ -68,11 +66,9 @@ class CommitCoordinator:
         self.updates_absorbed = 0
         #: issue time of each unforced update, for durable latency.
         self._update_times: list[float] = []
-        #: the volume's TxnManager, when transaction brackets are
-        #: active (set by TxnManager.__init__); None keeps the
-        #: pre-bracket behaviour: every force runs immediately.
+        #: the volume's TxnManager: set by TxnManager.__init__, which
+        #: every FSD runs right after building the coordinator.
         self.txn = None
-        self._forcing = False
         self.last_force_ms = clock.now_ms
         wal.flush_third = cache.flush_third
         self._timer = clock.add_timer(
@@ -89,40 +85,27 @@ class CommitCoordinator:
         Clients may call this directly ("Clients may force the log");
         otherwise the timer does, twice a (virtual) second.
 
-        With transaction brackets active, a force that arrives while
-        client operations are outstanding (or while another force is
-        already committing — a second client arriving mid-force) does
-        not run: it is *deferred*, new admissions stop, and the last
-        ``end_op`` of the drain commits on behalf of every waiting
-        client.  A re-entrant call from a commit hook is likewise
-        absorbed by the force already in progress.
+        A force that arrives while client operations are outstanding
+        (or while another force is already committing — a second client
+        arriving mid-force, or a commit hook calling back in) does not
+        run: it is *deferred*, new admissions stop, and the last
+        ``end_op`` of the drain — or the force in progress — commits on
+        behalf of every waiting client.
         """
         txn = self.txn
-        if txn is not None and not txn.can_commit():
+        if not txn.can_commit():
             txn.request_commit()
             self.deferred_forces += 1
             self.obs.count("commit.deferred_forces")
             return 0
-        if self._forcing:
-            # Re-entrant force (a commit hook, or a second caller
-            # arriving during the commit): the enclosing force IS the
-            # commit in progress; running another would double-apply
-            # the shadow bitmap.
-            self.obs.count("commit.reentrant_forces")
-            return 0
-        self._forcing = True
-        if txn is not None:
-            txn.committing = True
+        txn.committing = True
         try:
             written = self._commit()
         finally:
-            self._forcing = False
-            if txn is not None:
-                txn.committing = False
-        if txn is not None:
-            # Wake parked clients only after `committing` has cleared,
-            # so a woken client may immediately retry begin_op.
-            txn.after_force(self.clock.now_ms)
+            txn.committing = False
+        # Wake parked clients only after `committing` has cleared, so a
+        # woken client may immediately retry begin_op.
+        txn.after_force(self.clock.now_ms)
         return written
 
     def _commit(self) -> int:
@@ -132,14 +115,6 @@ class CommitCoordinator:
         if recorder is not None:
             recorder.force_begin(self.clock.now_ms)
         with obs.span("commit.force") as span:
-            if self.log_vam:
-                # §5.3 extension: changed VAM bitmap pages join the batch.
-                # Allocation bits for this batch's creates are already set,
-                # so they commit atomically with the name-table updates;
-                # frees applied after the commit ride the *next* record
-                # (a crash can only leak, never double-allocate).
-                for index, image in self.vam.take_dirty_pages():
-                    self.cache.write_vam(index, image)
             pages = self.cache.pages_needing_log()
             self.last_force_ms = self.clock.now_ms
             absorbed, self.updates_since_force = self.updates_since_force, 0

@@ -73,11 +73,6 @@ class VolumeParams:
     big_file_threshold_bytes: int = 64 * 1024
     max_record_pages: int = 36     # logged pages per record (83-sector cap)
     max_file_runs: int = 512       # beyond this the volume is too fragmented
-    #: §5.3 extension: also log VAM bitmap pages, trading a little log
-    #: traffic for crash recovery without the ~20 s VAM rebuild.  The
-    #: paper chose not to build this ("a complicated modification");
-    #: we build it behind a flag and measure the trade.
-    log_vam: bool = False
     #: ablation knob: keep only ONE home copy of each name-table page,
     #: the "no double write" design alternative §6 discarded.  Cheaper
     #: on cache misses, but a single damaged sector can now lose
@@ -236,7 +231,9 @@ class RootPage:
         body.u32(p.big_file_threshold_bytes)
         body.u32(p.max_record_pages)
         body.u32(p.max_file_runs)
-        body.u8(1 if p.log_vam else 0)
+        # Reserved, always 0: nonzero marks a volume formatted with VAM
+        # logging, which decode refuses.
+        body.u8(0)
         body.u8(1 if p.single_nt_copy else 0)
         payload = body.bytes()
         out = Packer(capacity=sector_bytes)
@@ -269,7 +266,7 @@ class RootPage:
         total_sectors = body.u32()
         boot_count = body.u32()
         vam_saved = body.u8() == 1
-        params = VolumeParams(
+        fields = dict(
             nt_pages=body.u32(),
             log_record_sectors=body.u32(),
             cache_pages=body.u32(),
@@ -278,9 +275,15 @@ class RootPage:
             big_file_threshold_bytes=body.u32(),
             max_record_pages=body.u32(),
             max_file_runs=body.u32(),
-            log_vam=body.u8() == 1,
-            single_nt_copy=body.u8() == 1,
         )
+        if body.u8() != 0:
+            raise UnsupportedFormat(
+                "volume root says it was formatted with VAM logging, "
+                "which this build does not implement (its log would "
+                "carry VAM pages no recovery here replays): re-format "
+                "the volume"
+            )
+        params = VolumeParams(**fields, single_nt_copy=body.u8() == 1)
         return cls(
             params=params,
             total_sectors=total_sectors,

@@ -27,7 +27,7 @@ from repro.core.types import (
     decode_main_entry,
 )
 from repro.core.vam import VolumeAllocationMap
-from repro.core.wal import PAGE_LEADER, PAGE_NAME_TABLE, PAGE_VAM, WriteAheadLog
+from repro.core.wal import PAGE_LEADER, PAGE_NAME_TABLE, WriteAheadLog
 from repro.disk.disk import SimDisk
 from repro.disk.sched import as_scheduler
 from repro.errors import CorruptMetadata, DegradedVolumeError
@@ -130,7 +130,7 @@ def replay_log(
     are by construction the most recently updated pages of the table,
     so the mount seeds its metadata cache with them.
 
-    Name-table and VAM pages live in fixed extents, so their redo is
+    Name-table pages live in fixed extents, so their redo is
     unconditional.  Leader pages are different: their sectors return to
     the allocator when a file is deleted and may since have been
     reallocated as plain *data* — blindly redoing a stale leader image
@@ -167,14 +167,6 @@ def replay_log(
             )
             if nt_images:
                 home.write_pages(sorted(nt_images.items()))
-            for (kind, page_id), data in newest.items():
-                if kind == PAGE_VAM:
-                    # §5.3 extension: bitmap pages go to the VAM save
-                    # area so the logged-mode load sees
-                    # base-plus-replayed state.
-                    io.submit_write(
-                        layout.vam_start + 1 + page_id, [data]
-                    )
         replay_span.set(records=len(records), pages=len(newest))
     report.log_damage = wal.scan_damage
     report.log_records_lost = wal.lost_records_detected

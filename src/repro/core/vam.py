@@ -32,16 +32,9 @@ class VolumeAllocationMap:
     Bit semantics: 1 = allocated (or reserved), 0 = free.
     """
 
-    #: bytes of bitmap per save-area sector (the granularity at which
-    #: dirty pages are tracked for VAM logging).
-    PAGE_BYTES = 512
-
     def __init__(self, total_sectors: int):
         self.total_sectors = total_sectors
         self._bits = bytearray(-(-total_sectors // 8))
-        #: bitmap pages changed since they were last logged (only
-        #: consumed when VAM logging is enabled).
-        self._dirty_pages: set[int] = set()
         # Sectors past the end of the disk are permanently "allocated".
         for sector in range(total_sectors, len(self._bits) * 8):
             self._set(sector)
@@ -55,11 +48,6 @@ class VolumeAllocationMap:
     # ------------------------------------------------------------------
     def _set(self, sector: int) -> None:
         self._bits[sector >> 3] |= 1 << (sector & 7)
-        self._dirty_pages.add((sector >> 3) // self.PAGE_BYTES)
-
-    def _clear(self, sector: int) -> None:
-        self._bits[sector >> 3] &= ~(1 << (sector & 7))
-        self._dirty_pages.add((sector >> 3) // self.PAGE_BYTES)
 
     def _is_set(self, sector: int) -> bool:
         return bool(self._bits[sector >> 3] & (1 << (sector & 7)))
@@ -85,11 +73,6 @@ class VolumeAllocationMap:
         mask = ((1 << run.count) - 1) << (run.start - (first_byte << 3))
         return first_byte, byte_count, segment, mask
 
-    def _note_dirty_range(self, first_byte: int, byte_count: int) -> None:
-        first_page = first_byte // self.PAGE_BYTES
-        last_page = (first_byte + byte_count - 1) // self.PAGE_BYTES
-        self._dirty_pages.update(range(first_page, last_page + 1))
-
     def mark_allocated(self, run: Run) -> None:
         """Claim every sector of ``run`` (double allocation raises)."""
         first_byte, byte_count, segment, mask = self._run_segment(run)
@@ -102,7 +85,6 @@ class VolumeAllocationMap:
         self._bits[first_byte:first_byte + byte_count] = (
             segment | mask
         ).to_bytes(byte_count, "little")
-        self._note_dirty_range(first_byte, byte_count)
         self.free_count -= run.count
         self.obs.count("vam.allocs")
         self.obs.count("vam.sectors_allocated", run.count)
@@ -118,7 +100,6 @@ class VolumeAllocationMap:
         self._bits[first_byte:first_byte + byte_count] = (
             segment & ~mask
         ).to_bytes(byte_count, "little")
-        self._note_dirty_range(first_byte, byte_count)
         self.free_count += run.count
         self.obs.count("vam.frees")
         self.obs.count("vam.sectors_freed", run.count)
@@ -214,31 +195,6 @@ class VolumeAllocationMap:
         return None
 
     # ------------------------------------------------------------------
-    # VAM logging support (§5.3 extension)
-    # ------------------------------------------------------------------
-    @property
-    def page_count(self) -> int:
-        return -(-len(self._bits) // self.PAGE_BYTES)
-
-    def page_image(self, index: int) -> bytes:
-        """One save-area-sector-sized slice of the bitmap."""
-        start = index * self.PAGE_BYTES
-        return bytes(self._bits[start : start + self.PAGE_BYTES]).ljust(
-            self.PAGE_BYTES, b"\xff"
-        )
-
-    def take_dirty_pages(self) -> list[tuple[int, bytes]]:
-        """Images of every bitmap page changed since the last call."""
-        dirty, self._dirty_pages = self._dirty_pages, set()
-        return [(index, self.page_image(index)) for index in sorted(dirty)]
-
-    def recount_free(self) -> None:
-        """Recompute free_count from the bits (after a logged load)."""
-        allocated = sum(bin(byte).count("1") for byte in self._bits)
-        padding = len(self._bits) * 8 - self.total_sectors
-        self.free_count = self.total_sectors - (allocated - padding)
-
-    # ------------------------------------------------------------------
     # save / load (controlled shutdown and boot)
     # ------------------------------------------------------------------
     def save(self, disk: SimDisk, layout: VolumeLayout, boot_count: int) -> None:
@@ -269,26 +225,13 @@ class VolumeAllocationMap:
             ]
             io.submit_write(address, sectors)
             address += len(sectors)
-        # The full image is now home; nothing is pending for logging.
-        self._dirty_pages = set()
         self.obs.count("vam.saves")
 
     def load(
-        self,
-        disk: SimDisk,
-        layout: VolumeLayout,
-        expect_boot_count: int,
-        logged_mode: bool = False,
+        self, disk: SimDisk, layout: VolumeLayout, expect_boot_count: int
     ) -> bool:
         """Try to load a saved VAM; returns False when the save is
-        missing, stale, or damaged (caller then reconstructs).
-
-        ``logged_mode`` is the §5.3 extension path: the base image was
-        written at mount time and log replay has since overwritten
-        individual bitmap pages in place, so the whole-image checksum
-        no longer applies — instead the free count is recomputed and
-        per-sector damage flags guard integrity.
-        """
+        missing, stale, or damaged (caller then reconstructs)."""
         io = as_scheduler(disk)
         header_sectors = io.read_maybe(layout.vam_start, 1)
         if header_sectors[0] is None:
@@ -316,18 +259,11 @@ class VolumeAllocationMap:
             for sector in sectors:
                 payload.extend(sector)
         payload = payload[: len(self._bits)]
-        if not logged_mode and checksum(bytes(payload)) != expect_sum:
+        if checksum(bytes(payload)) != expect_sum:
             return False
         self._bits = bytearray(payload)
         self._shadow = []
-        self._dirty_pages = set()
-        if logged_mode:
-            io.clock.advance_cpu(
-                io.clock.cpu.entry_interpret_ms * self.page_count
-            )
-            self.recount_free()
-        else:
-            self.free_count = free_count
+        self.free_count = free_count
         self.obs.count("vam.loads")
         self.obs.gauge("vam.free_count", self.free_count)
         return True

@@ -52,9 +52,6 @@ RECORD_SKIP = 2
 
 PAGE_NAME_TABLE = 1
 PAGE_LEADER = 2
-#: VAM bitmap pages (only when VolumeParams.log_vam is enabled: the
-#: §5.3 extension the paper describes but did not build).
-PAGE_VAM = 3
 
 #: sectors that are pure overhead in every data record.
 RECORD_OVERHEAD_SECTORS = 5

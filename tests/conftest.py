@@ -11,6 +11,7 @@ from repro.core.fsd import FSD
 from repro.core.layout import VolumeParams
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
+from repro.serial import checksum
 from repro.workloads.generators import payload
 
 
@@ -47,6 +48,24 @@ def create_until_nt_pages(fs: FSD, prefix: str, pages: int) -> dict[str, bytes]:
         contents[name] = payload(300 + index, index)
         fs.create(name, contents[name])
     return contents
+
+
+#: where the root page's reserved byte sits: after the sector's magic,
+#: checksum and payload length (10 bytes) and the payload's 45 bytes of
+#: counts and volume parameters.
+ROOT_RESERVED_OFFSET = 10 + 45
+
+
+def vam_logging_root(sector: bytes) -> bytes:
+    """An encoded volume root as a build with VAM logging wrote it: the
+    reserved byte set and the checksum re-sealed, so the root is intact
+    rather than corrupt."""
+    image = bytearray(sector)
+    assert image[ROOT_RESERVED_OFFSET] == 0
+    image[ROOT_RESERVED_OFFSET] = 1
+    length = int.from_bytes(image[8:10], "little")
+    image[4:8] = checksum(bytes(image[10 : 10 + length])).to_bytes(4, "little")
+    return bytes(image)
 
 
 @pytest.fixture

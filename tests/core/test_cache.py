@@ -85,7 +85,7 @@ class TestDirtyLifecycle:
         assert cache.pages_needing_log() == []
         assert cache.pending_log_pages() == 0
 
-    def test_dirty_pages_are_pinned(self, cache):
+    def test_dirty_entries_are_pinned(self, cache):
         cache.write_nt(3, b"x" * 512)
         for page in range(10, 20):
             cache.read_nt(page)

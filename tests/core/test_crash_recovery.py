@@ -149,6 +149,11 @@ class TestCrashPointSweep:
             assert extra in pending
             assert recovered.read(recovered.open(extra)) == pending[extra]
         recovered.name_table.tree.check_invariants()
+        # The rebuilt free map hands out no sector a committed file holds.
+        recovered.create("probe", payload(500, 999))
+        recovered.force()
+        for name, data in committed.items():
+            assert recovered.read(recovered.open(name)) == data
 
     def test_crash_during_recovery_itself(self):
         """Redo is idempotent: a crash in the middle of recovery's home

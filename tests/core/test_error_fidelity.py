@@ -2,7 +2,7 @@
 
 The client contract classifies errors by *type*; for that to be
 trustworthy the errors surfacing from FSD's read path must identify
-where the media failed, not just that it did.  Three cases:
+where the media failed, not just that it did.  The cases:
 
 * permanent data damage -> ``DamagedSectorError`` whose ``address`` is
   the injected sector,
@@ -13,7 +13,9 @@ where the media failed, not just that it did.  Three cases:
   write is rejected with that same site,
 * a volume of the previous on-disk format -> ``UnsupportedFormat``
   from mount and from salvage alike, naming both formats: never a
-  "both root copies unreadable", never a harvest of misplaced pages.
+  "both root copies unreadable", never a harvest of misplaced pages,
+* a volume formatted with VAM logging (its root's reserved byte set)
+  -> the same ``UnsupportedFormat``, before any write.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.errors import (
     classify_error,
 )
 from repro.serial import Packer
+from tests.conftest import vam_logging_root
 
 GEO = DiskGeometry(cylinders=120, heads=8, sectors_per_track=24)
 PARAMS = VolumeParams(nt_pages=512, log_record_sectors=231, cache_pages=32)
@@ -123,4 +126,29 @@ def test_previous_format_is_refused_by_mount_and_salvage():
     with pytest.raises(UnsupportedFormat):
         FSD.mount(disk)
     # Neither path "repaired" a root or wrote anything else.
+    assert disk.stats.writes == writes
+
+
+def test_vam_logging_volume_is_refused_by_mount_and_salvage():
+    disk, fs = _volume()
+    fs.create("fid/logged", b"l" * 700)
+    fs.unmount()
+    for address in (fs.layout.root_a, fs.layout.root_b):
+        disk.poke(address, vam_logging_root(disk.peek(address)))
+    writes = disk.stats.writes
+    for refuse in (
+        lambda: FSD.mount(disk),
+        lambda: salvage_volume(disk),
+        lambda: salvage_volume(disk, params_hint=PARAMS),
+    ):
+        with pytest.raises(UnsupportedFormat) as excinfo:
+            refuse()
+        message = str(excinfo.value)
+        assert "VAM logging" in message and "re-format" in message
+        assert not isinstance(excinfo.value, CorruptMetadata)
+        assert classify_error(excinfo.value) == "fatal"
+    # One such root is enough, even beside a damaged twin.
+    disk.faults.damage(fs.layout.root_b)
+    with pytest.raises(UnsupportedFormat):
+        FSD.mount(disk)
     assert disk.stats.writes == writes

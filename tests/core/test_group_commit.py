@@ -126,16 +126,21 @@ class TestMultiClientForce:
 
     def test_force_during_force_does_not_recurse(self, fs):
         """A commit hook that calls force again (the old re-entrancy
-        hazard) must not run a second commit inside the first."""
+        hazard) must not run a second commit inside the first: the
+        inner call is deferred like any force arriving mid-commit, and
+        the commit in progress satisfies it."""
         fs.create("r/a", b"x")
         records = []
         fs.coordinator.add_commit_hook(
             lambda: records.append(fs.coordinator.force())
         )
+        deferred = fs.coordinator.deferred_forces
         written = fs.force()
         assert written > 0
-        assert records == [0]          # inner call was a guarded no-op
+        assert records == [0]          # inner call ran no commit
         assert fs.coordinator.forces == 1
+        assert fs.coordinator.deferred_forces == deferred + 1
+        assert not fs.txn.commit_pending
 
     def test_force_mid_bracket_defers_not_commits(self, fs):
         fs.create("r/b", b"x")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from zlib import crc32
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from repro.core.layout import (
 from repro.disk.geometry import DiskGeometry, TRIDENT_T300
 from repro.errors import CorruptMetadata, FsError, UnsupportedFormat
 from repro.serial import Packer
+from tests.conftest import vam_logging_root
 
 
 def layout_for(geometry=TRIDENT_T300, **param_overrides) -> VolumeLayout:
@@ -276,4 +279,27 @@ class TestRootPage:
         message = str(caught.value)
         assert "FSD1" in message and "FSD2" in message
         assert "re-format" in message
+        assert not isinstance(caught.value, CorruptMetadata)
+
+    def test_encoding_is_pinned(self):
+        """The reserved byte is written as 0, so an "FSD2" root is the
+        same sector it was while the byte was the VAM-logging flag."""
+        root = RootPage(
+            params=VolumeParams(
+                nt_pages=1024, cache_pages=33, single_nt_copy=True
+            ),
+            total_sectors=999,
+            boot_count=7,
+            vam_saved=True,
+        )
+        assert crc32(root.encode(512)) == 0x0A0A0FD1
+
+    def test_reserved_byte_set_is_refused(self):
+        """A root a VAM-logging build wrote is intact, not corrupt: it
+        is refused by name, like a previous format."""
+        root = RootPage(params=VolumeParams(), total_sectors=10)
+        with pytest.raises(UnsupportedFormat) as caught:
+            RootPage.decode(vam_logging_root(root.encode(512)))
+        message = str(caught.value)
+        assert "VAM logging" in message and "re-format" in message
         assert not isinstance(caught.value, CorruptMetadata)

@@ -11,6 +11,7 @@ from repro.core.recovery import read_root, write_root
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
 from repro.errors import CorruptMetadata
+from repro.workloads.generators import payload
 
 GEO = DiskGeometry(cylinders=120, heads=8, sectors_per_track=24)
 PARAMS = VolumeParams(nt_pages=512, log_record_sectors=300, cache_pages=48)
@@ -118,6 +119,66 @@ class TestMountPaths:
         recovered = FSD.mount(disk)
         assert bytes(recovered.vam._bits) == live_bits
         assert recovered.vam.free_count == live_free
+
+    def test_crash_mount_sweeps_once_per_copy(self):
+        """The rebuild reads the name table as one transfer per home
+        copy, and is not what a crash mount spends its time on."""
+        disk = formatted_disk()
+        fs = FSD.mount(disk)
+        for index in range(60):
+            fs.create(f"d/f{index:02d}", payload(700, index))
+        fs.force()
+        fs.crash()
+        recovered = FSD.mount(disk)
+        report = recovered.mount_report
+        assert not report.vam_loaded
+        assert report.vam_rebuild_entries == 60
+        assert report.vam_sweep_pages > 0
+        assert recovered.nt_home.bulk_reads == 2
+        assert report.vam_ms < 0.2 * report.total_ms
+
+    def test_damaged_vam_save_falls_back_to_rebuild(self):
+        """A cleanly unmounted volume whose VAM save area lost a bitmap
+        sector: the mount rebuilds the free map from the name table and
+        every file is intact; the next clean unmount's save rewrites
+        the area, and the mount after it loads it again."""
+        disk = formatted_disk()
+        fs = FSD.mount(disk)
+        contents = {f"d/f{index:02d}": payload(700, index) for index in range(20)}
+        for name, data in contents.items():
+            fs.create(name, data)
+        fs.unmount()
+        saved_bits = bytes(fs.vam._bits)
+        disk.faults.damage(fs.layout.vam_start + 2)
+        recovered = FSD.mount(disk)
+        report = recovered.mount_report
+        assert not report.vam_loaded
+        assert report.log_records_replayed == 0
+        assert report.vam_rebuild_entries == len(contents)
+        assert bytes(recovered.vam._bits) == saved_bits
+        for name, data in contents.items():
+            assert recovered.read(recovered.open(name)) == data
+        recovered.unmount()
+        assert FSD.mount(disk).mount_report.vam_loaded
+
+    def test_rebuilt_vam_never_double_allocates(self):
+        """Allocations commit with their creates, so the free map a
+        crash mount rebuilds never hands out a sector a live file
+        holds."""
+        disk = formatted_disk()
+        fs = FSD.mount(disk)
+        contents = {f"d/f{index:02d}": payload(900, index) for index in range(15)}
+        for name, data in contents.items():
+            fs.create(name, data)
+        fs.force()
+        fs.crash()
+        recovered = FSD.mount(disk)
+        assert not recovered.mount_report.vam_loaded
+        for index in range(30):
+            recovered.create(f"post/p{index:02d}", payload(800, 100 + index))
+        recovered.force()
+        for name, data in contents.items():
+            assert recovered.read(recovered.open(name)) == data
 
     def test_replay_is_idempotent(self):
         """Mounting twice after the same crash replays to the same

@@ -9,6 +9,7 @@ from repro.core.layout import VolumeLayout
 from repro.disk.image import load_disk, save_disk
 from repro.harness.scenarios import SMALL
 from repro.serial import Packer
+from tests.conftest import vam_logging_root
 
 
 @pytest.fixture
@@ -24,12 +25,6 @@ class TestMkfs:
         assert main(["mkfs", path]) == 0
         out = capsys.readouterr().out
         assert "formatted" in out
-
-    def test_log_vam_flag(self, tmp_path, capsys):
-        path = str(tmp_path / "lv.img")
-        assert main(["mkfs", path, "--log-vam"]) == 0
-        assert main(["info", path]) == 0
-        assert "log_vam=True" in capsys.readouterr().out
 
 
 class TestPutGetLsRm:
@@ -142,6 +137,24 @@ class TestCliEdges:
             err = capsys.readouterr().err
             assert "FSD1" in err and "FSD2" in err and "re-format" in err
         assert not rebuilt.exists()
+
+    def test_vam_logging_image_is_refused(self, image, capsys):
+        """An image formatted with VAM logging: the mounting commands
+        say so and exit 2, and the image is left as it was."""
+        disk = load_disk(image)
+        layout = VolumeLayout.compute(disk.geometry, SMALL.fsd_params)
+        for address in (layout.root_a, layout.root_b):
+            disk.poke(address, vam_logging_root(disk.peek(address)))
+        save_disk(disk, image)
+        with open(image, "rb") as handle:
+            before = handle.read()
+        for command in (["ls", image], ["info", image], ["verify", image]):
+            capsys.readouterr()
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert "VAM logging" in err and "re-format" in err
+        with open(image, "rb") as handle:
+            assert handle.read() == before
 
     def test_t300_size(self, tmp_path, capsys):
         path = str(tmp_path / "big.img")
