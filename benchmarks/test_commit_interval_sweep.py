@@ -17,7 +17,7 @@ from dataclasses import replace
 from repro.core.fsd import FSD
 from repro.disk.disk import SimDisk
 from repro.harness.report import Table
-from repro.harness.runner import drain_clock, measure
+from repro.harness.runner import measure
 from repro.harness.scenarios import FULL
 from repro.workloads.generators import payload
 
@@ -38,7 +38,7 @@ def _run(interval_ms: float, log_sectors: int) -> tuple[int, int]:
     for index in range(40):
         fs.create(f"bulk/m-{index:03d}", payload(1_500, index))
     fs.force()
-    drain_clock(disk.clock, 1_000)
+    disk.clock.drain(1_000)
 
     operations = 0
 
@@ -51,7 +51,7 @@ def _run(interval_ms: float, log_sectors: int) -> tuple[int, int]:
                     payload(1_500, index + round_index * 7),
                 )
                 operations += 1
-                drain_clock(disk.clock, THINK_MS)
+                disk.clock.drain(THINK_MS)
         fs.force()
 
     took = measure(disk, body)

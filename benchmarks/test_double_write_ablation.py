@@ -22,7 +22,7 @@ from repro.core.fsd import FSD
 from repro.disk.disk import SimDisk
 from repro.errors import CorruptMetadata, DamagedSectorError
 from repro.harness.report import Table
-from repro.harness.runner import drain_clock, measure
+from repro.harness.runner import measure
 from repro.harness.scenarios import FULL
 from repro.workloads.generators import payload
 
@@ -53,14 +53,14 @@ def _run_workload(
     def body() -> None:
         for index in range(files):
             fs.create(f"w/f-{index:04d}", payload(900, index))
-            drain_clock(disk.clock, 30.0)
+            disk.clock.drain(30.0)
         for index in rng.sample(range(files), opens):
             fs.open(f"w/f-{index:04d}")
         if opens:
             fs.list("w/")
         for index in range(0, files, 3):
             fs.delete(f"w/f-{index:04d}")
-            drain_clock(disk.clock, 30.0)
+            disk.clock.drain(30.0)
         fs.force()
 
     took = measure(disk, body)

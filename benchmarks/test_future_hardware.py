@@ -19,7 +19,7 @@ from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
 from repro.disk.timing import DiskTiming
 from repro.harness.report import Table, ratio
-from repro.harness.runner import drain_clock, measure
+from repro.harness.runner import measure
 from repro.harness.scenarios import FULL
 from repro.workloads.generators import payload
 
@@ -49,14 +49,14 @@ def _workload_ms(system: str, timing: DiskTiming, geometry: DiskGeometry) -> flo
     def body() -> None:
         for index in range(60):
             fs.create(f"w/f-{index:02d}", payload(1_200, index))
-            drain_clock(disk.clock, 30.0)
+            disk.clock.drain(30.0)
         for index in range(0, 60, 2):
             handle = fs.open(f"w/f-{index:02d}")
             fs.read(handle, 0, 512)
-            drain_clock(disk.clock, 30.0)
+            disk.clock.drain(30.0)
         for index in range(0, 60, 3):
             fs.delete(f"w/f-{index:02d}")
-            drain_clock(disk.clock, 30.0)
+            disk.clock.drain(30.0)
 
     took = measure(disk, body)
     return took.elapsed_ms

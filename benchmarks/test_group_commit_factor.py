@@ -14,7 +14,7 @@ exactly what batching buys.
 from __future__ import annotations
 
 from repro.harness.report import Table, ratio
-from repro.harness.runner import drain_clock, measure
+from repro.harness.runner import measure
 from repro.harness.scenarios import FULL, fsd_volume
 from repro.workloads.generators import BulkUpdateWorkload
 
@@ -30,7 +30,7 @@ def _run_bulk(force_every_op: bool) -> tuple[int, int]:
     workload = BulkUpdateWorkload(files=40, rounds=3)
     workload.setup(adapter)
     adapter.settle()
-    drain_clock(disk.clock, 1_000)
+    disk.clock.drain(1_000)
 
     operations = 0
 
@@ -48,7 +48,7 @@ def _run_bulk(force_every_op: bool) -> tuple[int, int]:
                 if force_every_op:
                     fs.force()
                 else:
-                    drain_clock(disk.clock, THINK_MS)
+                    disk.clock.drain(THINK_MS)
         fs.force()
 
     took = measure(disk, body)

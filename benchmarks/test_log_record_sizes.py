@@ -13,7 +13,6 @@ import statistics
 
 from repro.core.wal import RECORD_OVERHEAD_SECTORS, record_sectors
 from repro.harness.report import Table
-from repro.harness.runner import drain_clock
 from repro.harness.scenarios import FULL, fsd_volume
 from repro.workloads.generators import BulkUpdateWorkload, payload
 
@@ -33,7 +32,7 @@ def test_log_record_sizes(once):
         fs.create("remote/cached.df", b"df", kind=FileKind.CACHED)
         fs.force()
         before = fs.wal.record_sizes[-1] if fs.wal.record_sizes else 0
-        drain_clock(disk.clock, 1_000)
+        disk.clock.drain(1_000)
         fs.open("remote/cached.df")  # updates last-used-time: one page
         count_before = len(fs.wal.record_sizes)
         fs.force()
@@ -50,7 +49,7 @@ def test_log_record_sizes(once):
                     f"{workload.directory}/module-{index:03d}",
                     payload(workload.size_bytes, index + round_index),
                 )
-                drain_clock(disk.clock, 25.0)
+                disk.clock.drain(25.0)
                 utilization_samples.append(fs.wal.utilization())
         fs.force()
         sizes = fs.wal.record_sizes[high_load_start:]

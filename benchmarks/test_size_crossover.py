@@ -15,7 +15,7 @@ and checks the crossover shape.
 from __future__ import annotations
 
 from repro.harness.report import Table, ratio
-from repro.harness.runner import drain_clock, measure
+from repro.harness.runner import measure
 from repro.harness.scenarios import FULL, cfs_volume, fsd_volume
 from repro.workloads.generators import payload
 
@@ -34,12 +34,12 @@ def _sweep(factory) -> dict[int, tuple[float, float]]:
             create_total += measure(
                 disk, lambda: adapter.create(name, blob)
             ).elapsed_ms
-            drain_clock(disk.clock, 40.0)
+            disk.clock.drain(40.0)
             handle = adapter.open(name)
             read_total += measure(
                 disk, lambda: adapter.read(handle)
             ).elapsed_ms
-            drain_clock(disk.clock, 40.0)
+            disk.clock.drain(40.0)
         out[size] = (create_total / 3, read_total / 3)
     return out
 

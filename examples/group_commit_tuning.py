@@ -12,7 +12,7 @@ window of work at risk — the trade the paper describes.
 
 from repro import FSD, SimDisk, VolumeParams
 from repro.disk.geometry import TRIDENT_T300
-from repro.harness.runner import drain_clock, measure
+from repro.harness.runner import measure
 from repro.workloads.generators import BulkUpdateWorkload, payload
 
 INTERVALS_MS = [0.0, 100.0, 250.0, 500.0, 1000.0, 2000.0]
@@ -33,7 +33,7 @@ def run_interval(interval_ms: float) -> dict[str, float]:
             payload(workload.size_bytes, index),
         )
     fs.force()
-    drain_clock(disk.clock, 1_000)
+    disk.clock.drain(1_000)
 
     operations = 0
 
@@ -49,7 +49,7 @@ def run_interval(interval_ms: float) -> dict[str, float]:
                 if interval_ms == 0.0:
                     fs.force()
                 else:
-                    drain_clock(disk.clock, THINK_MS)
+                    disk.clock.drain(THINK_MS)
         fs.force()
 
     took = measure(disk, body)

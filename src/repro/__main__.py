@@ -11,7 +11,6 @@
     python -m repro stats vol.img [--ops N] [--json]
     python -m repro trace vol.img [--ops N] [--json|--folded] [--out FILE]
     python -m repro traffic vol.img [--clients N] [--attrib] [--slo-ms MS]
-    python -m repro profile {makedo,traffic,scripted} [--out FILE]
     python -m repro bench diff BEFORE.json AFTER.json [--fail-over FRAC]
     python -m repro salvage vol.img rebuilt.img
     python -m repro soak [--seed N] [--runs N] [--json FILE]
@@ -456,11 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.crashcheck.cli import add_subparser as add_crashcheck
     from repro.harness.benchdiff import add_subparser as add_bench
     from repro.obs.cli import add_subparsers as add_obs
-    from repro.obs.profile import add_subparser as add_profile
 
     add_crashcheck(sub)
     add_obs(sub)
-    add_profile(sub)
     add_bench(sub)
     return parser
 

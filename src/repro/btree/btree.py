@@ -261,30 +261,12 @@ class BTree:
             template.children.copy(),
         )
 
-    def _read_node_ro(self, page_no: int) -> Node:
-        """Read a node for read-only traversal: returns the shared
-        parse-memo template directly, skipping the per-call list
-        copies.  Callers must never mutate the result — mutation paths
-        (insert/delete/rebalance) go through :meth:`_read_node`."""
-        return self._load_template(page_no)
-
     def _write_node(self, page_no: int, node: Node) -> None:
         # Drop the identity entry: the page's bytes are changing, so
         # the next read must re-derive its template (usually via the
         # content memo, or a fresh parse).
         self._page_memo.pop(page_no, None)
         self.pager.write(page_no, node.to_bytes(self.pager.page_size))
-
-    # ------------------------------------------------------------------
-    # descent helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _child_index(node: Node, key: bytes) -> int:
-        """Index of the child subtree that may contain ``key``."""
-        return bisect.bisect_right(node.keys, key)
-
-    def _child_for(self, node: Node, key: bytes) -> int:
-        return node.children[self._child_index(node, key)]
 
     # ------------------------------------------------------------------
     # insert

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.errors import CorruptMetadata, DegradedVolumeError
+from repro.errors import CorruptMetadata
 from repro.obs import NULL_OBS
 
 
@@ -75,21 +75,13 @@ class MemoryPager:
         self._next = 1  # page 0 is the meta page
         self.reads = 0
         self.writes = 0
-        self._poisoned: set[int] = set()
         #: observability attach point (no-op unless a test attaches one).
         self.obs = NULL_OBS
-
-    def poison(self, page_no: int) -> None:
-        """Make ``page_no`` unreadable (tests: a page whose backing
-        store exhausted the escalation ladder)."""
-        self._poisoned.add(page_no)
 
     def read(self, page_no: int) -> bytes:
         """Return the page; raises for never-allocated non-meta pages."""
         self.reads += 1
         self.obs.count("btree.page_reads")
-        if page_no in self._poisoned:
-            raise DegradedVolumeError(f"memory pager page {page_no} dead")
         if page_no != 0 and page_no not in self._pages:
             raise CorruptMetadata(f"read of unallocated page {page_no}")
         return self._pages.get(page_no, b"\x00" * self.page_size)

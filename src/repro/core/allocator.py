@@ -132,32 +132,3 @@ class RunAllocator:
             else:
                 end_limit = run.start
         return remaining
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def fragmentation_report(self) -> dict[str, float]:
-        """Free-space fragmentation of both areas: count and mean size
-        of maximal free runs (used by the allocator ablation bench)."""
-        report = {}
-        for name, bounds, in (
-            ("small", self.layout.small_area),
-            ("big", self.layout.big_area),
-        ):
-            runs = []
-            cursor = bounds.start
-            while cursor < bounds.end:
-                run = self.vam.find_free_run(
-                    cursor, bounds.end, bounds.count, ascending=True
-                )
-                if run is None:
-                    break
-                runs.append(run)
-                cursor = run.end
-            total_free = sum(run.count for run in runs)
-            report[f"{name}_free_runs"] = len(runs)
-            report[f"{name}_free_sectors"] = total_free
-            report[f"{name}_mean_free_run"] = (
-                total_free / len(runs) if runs else 0.0
-            )
-        return report

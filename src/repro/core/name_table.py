@@ -685,8 +685,3 @@ class FsdNameTable:
                     raise CorruptMetadata(
                         f"orphan continuation entry for {name}!{version}"
                     )
-
-    def __len__(self) -> int:
-        """Number of chunk-0 entries is not tracked; len(tree) counts
-        all entries including continuations."""
-        return len(self.tree)

@@ -68,10 +68,6 @@ class RemoteFileServer:
         versions = self._files.get(path)
         return len(versions) if versions else None
 
-    def exists(self, path: str) -> bool:
-        """True when the server has any version of ``path``."""
-        return path in self._files
-
 
 @dataclass
 class CacheStats:
@@ -97,10 +93,6 @@ class CachingFS:
         self.fs = fs
         self.servers = dict(servers or {})
         self.stats = CacheStats()
-
-    def add_server(self, server: RemoteFileServer) -> None:
-        """Register a file server by its name."""
-        self.servers[server.name] = server
 
     # ------------------------------------------------------------------
     # links

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
 from repro.errors import CorruptMetadata, FsError
-from repro.serial import Packer, Unpacker
+from repro.serial import Packer
 
 #: Longest permitted file name (bytes of UTF-8).
 MAX_NAME_BYTES = 64
@@ -242,11 +242,6 @@ def _pack_runs(packer: Packer, runs: list[Run]) -> None:
     for run in runs:
         packer.u32(run.start)
         packer.u16(run.count)
-
-
-def _unpack_runs(reader: Unpacker) -> list[Run]:
-    count = reader.u8()
-    return [Run(reader.u32(), reader.u16()) for _ in range(count)]
 
 
 def encode_main_entry(props: FileProperties, runs: RunTable) -> bytes:

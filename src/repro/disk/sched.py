@@ -54,9 +54,9 @@ class IoScheduler:
     """In-order I/O port over one ``SimDisk``.
 
     The port duck-types as a disk for I/O purposes — it exposes
-    ``read``/``read_maybe``/``write``/``read_labels``/``write_labels``
-    plus the ``geometry``/``clock``/``stats``/``faults`` attributes —
-    so components written against ``SimDisk`` port by substitution.
+    ``read``/``read_maybe``/``write`` plus the
+    ``geometry``/``clock``/``stats``/``faults`` attributes — so
+    components written against ``SimDisk`` port by substitution.
     """
 
     #: nothing is ever queued; benchmarks/e2e/layers.py reads this
@@ -97,20 +97,12 @@ class IoScheduler:
                                     expect_labels=expect_labels,
                                     cpu_overlap=cpu_overlap)
 
-    def read_labels(self, address, count=1):
-        """Label read."""
-        return self.disk.read_labels(address, count)
-
     def write(self, address, sectors, expect_labels=None, set_labels=None,
               cpu_overlap=False):
         """Synchronous write: one the caller (a client, the anchor
         advance, the root page) blocks on."""
         self.disk.write(address, sectors, expect_labels=expect_labels,
                         set_labels=set_labels, cpu_overlap=cpu_overlap)
-
-    def write_labels(self, address, labels):
-        """Synchronous label write."""
-        self.disk.write_labels(address, labels)
 
     def submit_write(self, address, sectors, set_labels=None,
                      expect_labels=None, cpu_overlap=False) -> None:

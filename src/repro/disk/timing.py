@@ -73,10 +73,6 @@ class DiskTiming:
         """Average rotational latency: half a revolution."""
         return self.rotation_ms / 2.0
 
-    @property
-    def revolution_ms(self) -> float:
-        return self.rotation_ms
-
     def sector_time_ms(self, sectors_per_track: int) -> float:
         """Time for one sector to pass under the head."""
         return self.rotation_ms / sectors_per_track

@@ -1,13 +1,8 @@
 """Experiment harness: adapters, measurement, scenarios, reporting."""
 
 from repro.harness.adapters import CfsAdapter, FfsAdapter, FsdAdapter
-from repro.harness.report import Row, Table, ratio, shape_holds
-from repro.harness.runner import (
-    Measurement,
-    build_disk,
-    drain_clock,
-    measure,
-)
+from repro.harness.report import Row, Table, ratio
+from repro.harness.runner import Measurement, measure
 from repro.harness.scenarios import (
     FULL,
     SMALL,
@@ -29,14 +24,11 @@ __all__ = [
     "SMALL",
     "Scale",
     "Table",
-    "build_disk",
     "cfs_volume",
-    "drain_clock",
     "ffs_volume",
     "fsd_volume",
     "measure",
     "populate",
     "populate_recovery_volume",
     "ratio",
-    "shape_holds",
 ]

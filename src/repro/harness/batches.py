@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.harness.runner import drain_clock, measure
+from repro.harness.runner import measure
 from repro.workloads.generators import payload
 from repro.workloads.makedo import MakeDoWorkload
 
@@ -51,7 +51,7 @@ def measure_batches(
     def create_phase() -> None:
         for index, name in enumerate(names):
             adapter.create(name, payload(SMALL_BYTES, index))
-            drain_clock(disk.clock, think_ms)
+            disk.clock.drain(think_ms)
         adapter.settle()
 
     creates = measure(disk, create_phase)
@@ -69,7 +69,7 @@ def measure_batches(
             handle = adapter.open(name)
             data = adapter.read(handle)
             assert len(data) == SMALL_BYTES
-            drain_clock(disk.clock, think_ms)
+            disk.clock.drain(think_ms)
 
     reads = measure(disk, read_phase)
 
@@ -91,7 +91,7 @@ def measure_makedo(
     workload = MakeDoWorkload(modules=modules)
     workload.setup(adapter)
     adapter.settle()
-    drain_clock(disk.clock, 1_000)
+    disk.clock.drain(1_000)
     took = measure(disk, lambda: workload.run(adapter))
     adapter.settle()
     return took.io.total_ios, took.elapsed_ms

@@ -8,8 +8,8 @@ same seed.  A fingerprint collapses all of that into a few stable
 hashes so a before/after comparison is one string compare instead of
 an eyeball diff.
 
-``repro profile`` commits the wall-clock numbers; this module commits
-the *correctness* side of the same bargain.
+``BENCH_runtime.json`` commits the wall-clock numbers; this module
+commits the *correctness* side of the same bargain.
 """
 
 from __future__ import annotations

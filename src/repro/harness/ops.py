@@ -20,7 +20,7 @@ from typing import Callable
 
 from repro.cfs.scavenger import scavenge
 from repro.core.fsd import FSD
-from repro.harness.runner import drain_clock, measure
+from repro.harness.runner import measure
 from repro.harness.scenarios import (
     Scale,
     SMALL,
@@ -67,7 +67,7 @@ def _avg_ops(
         if before is not None:
             before(index)
         total += measure(disk, lambda: fn(index)).elapsed_ms
-        background = measure(disk, lambda: drain_clock(disk.clock, think_ms))
+        background = measure(disk, lambda: disk.clock.drain(think_ms))
         total += background.disk_ms + background.cpu_ms
     return total / count
 
@@ -88,7 +88,7 @@ def _measure_table2_ops(
     rng = random.Random(11)
     names = populate_recovery_volume(adapter, scale)
     small_names = [n for n in names if n.startswith("aged/")]
-    drain_clock(disk.clock, 1_000)
+    disk.clock.drain(1_000)
 
     ms: dict[str, float] = {}
     ms[f"{prefix} small create"] = _avg_ops(
@@ -198,12 +198,6 @@ def measure_cfs_table2(
         )
         recovery_ms = took.elapsed_ms
     return Table2Result(ms=ms, recovery_ms=recovery_ms, recovery_note=note)
-
-
-def measure_fsd_recovery(scale: Scale = SMALL) -> tuple[float, str]:
-    """Standalone FSD crash-recovery measurement."""
-    result = measure_fsd_table2(scale, include_recovery=True)
-    return result.recovery_ms, result.recovery_note
 
 
 def measure_cfs_recovery(scale: Scale = SMALL) -> tuple[float, str]:

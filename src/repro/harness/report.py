@@ -75,19 +75,3 @@ def ratio(numerator: float, denominator: float) -> float:
     if denominator == 0:
         return float("inf")
     return numerator / denominator
-
-
-def shape_holds(
-    paper_ratio: float,
-    measured_ratio: float,
-    tolerance_factor: float = 3.0,
-) -> bool:
-    """True when the measured ratio preserves the paper's shape: same
-    winner, and within ``tolerance_factor`` of the paper's factor."""
-    if paper_ratio <= 0 or measured_ratio <= 0:
-        return False
-    if (paper_ratio >= 1.0) != (measured_ratio >= 1.0):
-        # Different winner; allow near-unity ties.
-        return abs(paper_ratio - measured_ratio) < 0.3
-    larger = max(paper_ratio / measured_ratio, measured_ratio / paper_ratio)
-    return larger <= tolerance_factor

@@ -10,11 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.disk.clock import SimClock
 from repro.disk.disk import SimDisk
-from repro.disk.geometry import DiskGeometry, TRIDENT_T300
 from repro.disk.stats import DiskStats
-from repro.disk.timing import DiskTiming
 
 
 @dataclass
@@ -27,31 +24,6 @@ class Measurement:
     #: obs metrics delta over the window (when ``measure`` got an
     #: observer).
     obs_delta: object = None
-
-    @property
-    def total_ios(self) -> int:
-        return self.io.total_ios
-
-    def per(self, count: int) -> "Measurement":
-        """Scale to a per-operation average."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        return Measurement(
-            elapsed_ms=self.elapsed_ms / count,
-            cpu_ms=self.cpu_ms / count,
-            disk_ms=self.disk_ms / count,
-            io=self.io,
-            result=self.result,
-            obs_delta=self.obs_delta,
-        )
-
-
-def build_disk(
-    geometry: DiskGeometry | None = None,
-    timing: DiskTiming | None = None,
-) -> SimDisk:
-    """A fresh simulated drive (default: the ~306 MB Trident-class)."""
-    return SimDisk(geometry=geometry or TRIDENT_T300, timing=timing)
 
 
 def measure(
@@ -79,10 +51,3 @@ def measure(
             obs.snapshot() - obs_start if obs_start is not None else None
         ),
     )
-
-
-def drain_clock(clock: SimClock, ms: float, step_ms: float = 100.0) -> None:
-    """Advance virtual time in idle steps, firing due timers — lets the
-    group-commit daemon run between measured phases.  Thin wrapper over
-    :meth:`SimClock.drain`, kept for the existing harness call sites."""
-    clock.drain(ms, step_ms=step_ms)

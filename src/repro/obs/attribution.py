@@ -132,30 +132,6 @@ class OpTrace:
             return "service"
         return max(PHASES, key=lambda p: self.phases.get(p, 0.0))
 
-    def as_dict(self) -> dict:
-        """JSON-ready form (raw marks + derived phases + detail)."""
-        return {
-            "trace_id": self.trace_id,
-            "client": self.client,
-            "kind": self.kind,
-            "name": self.name,
-            "sync": self.sync,
-            "error": self.error,
-            "error_class": self.error_class,
-            "attempts": self.attempts,
-            "issue_ms": self.issue_ms,
-            "admitted_ms": self.admitted_ms,
-            "body_end_ms": self.body_end_ms,
-            "end_op_ms": self.end_op_ms,
-            "durable_ms": self.durable_ms,
-            "finish_ms": self.finish_ms,
-            "latency_ms": self.latency_ms,
-            "admission_blocks": self.admission_blocks,
-            "block_reasons": dict(self.block_reasons or {}),
-            "phases": dict(self.phases),
-            "detail": self.detail,
-        }
-
 
 class _Segment:
     """One measured service segment (see
@@ -226,9 +202,6 @@ class AttributionRecorder:
         stats (the stats feed the seek/rotation/transfer detail)."""
         self.clock = fs.clock
         self.disk_stats = fs.io.stats
-
-    def _now(self) -> float:
-        return self.clock.now_ms if self.clock is not None else 0.0
 
     # ------------------------------------------------------------------
     # operation lifecycle (called by the traffic engine)
@@ -404,12 +377,6 @@ class AttributionRecorder:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.traces)
-
-    def report(self, slo_ms: float | None = None) -> dict:
-        """Aggregate every finished trace into the attribution report
-        (see :func:`build_report`)."""
-        finished = [t for t in self.traces if t.finish_ms is not None]
-        return build_report(finished, slo_ms=slo_ms)
 
 
 def _pct(ordered: list[float], q: float) -> float:

@@ -10,7 +10,6 @@ the disk, and hands both back.
     kit = instrument(disk, trace=True)
     fs = FSD.mount(disk, obs=kit.obs)
     ...
-    kit.detach()          # stop tracing; the observer keeps its data
 """
 
 from __future__ import annotations
@@ -24,16 +23,10 @@ from repro.obs import NULL_OBS, Observer
 @dataclass
 class Instrumentation:
     """What :func:`instrument` attached: an observer and, when tracing
-    was requested, the tracer plus the disk it is attached to."""
+    was requested, the tracer."""
 
     obs: object
     tracer: IoTracer | None = None
-    disk: object = None
-
-    def detach(self) -> None:
-        """Detach the tracer from the disk (observer data survives)."""
-        if self.disk is not None and getattr(self.disk, "tracer", None) is self.tracer:
-            self.disk.tracer = None
 
     def __iter__(self):
         """Unpack as ``obs, tracer`` (the shape the old copies built)."""
@@ -62,4 +55,4 @@ def instrument(
             raise ValueError("trace=True needs a disk to attach to")
         tracer = IoTracer()
         disk.tracer = tracer
-    return Instrumentation(obs=obs, tracer=tracer, disk=disk)
+    return Instrumentation(obs=obs, tracer=tracer)

@@ -140,7 +140,3 @@ class SpanLog:
     @property
     def open_depth(self) -> int:
         return len(self._stack)
-
-    def clear(self) -> None:
-        """Drop all finished spans (open spans are unaffected)."""
-        self.records.clear()

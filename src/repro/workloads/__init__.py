@@ -1,15 +1,7 @@
 """Synthetic workloads with the paper's distributions and hot spots."""
 
-from repro.workloads.activities import (
-    InterleavedActivities,
-    compiler_activity,
-    editor_activity,
-    mailer_activity,
-)
-
 from repro.workloads.generators import (
     BulkUpdateWorkload,
-    NameGenerator,
     OperationMix,
     PaperFileSizes,
     payload,
@@ -25,12 +17,7 @@ from repro.workloads.traffic import (
 
 __all__ = [
     "BulkUpdateWorkload",
-    "InterleavedActivities",
-    "compiler_activity",
-    "editor_activity",
-    "mailer_activity",
     "MakeDoWorkload",
-    "NameGenerator",
     "OperationMix",
     "PaperFileSizes",
     "payload",

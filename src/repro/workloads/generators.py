@@ -57,20 +57,6 @@ def small_fraction_stats(sizes: list[int]) -> tuple[float, float]:
     return count_fraction, byte_fraction
 
 
-@dataclass
-class NameGenerator:
-    """Deterministic hierarchical file names, Cedar-style."""
-
-    prefix: str = "cedar"
-    counter: int = 0
-
-    def next(self, directory: str | None = None) -> str:
-        """The next unique file name."""
-        self.counter += 1
-        directory = directory or self.prefix
-        return f"{directory}/file-{self.counter:05d}"
-
-
 def payload(size: int, seed: int = 0) -> bytes:
     """Deterministic file contents of ``size`` bytes (cheap, repeating
     pattern keyed by seed so reads can be verified)."""

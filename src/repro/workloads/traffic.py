@@ -340,50 +340,6 @@ class TrafficReport:
             "availability": self.availability,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrafficReport":
-        """Rebuild a report from :meth:`as_dict` output (the
-        round-trip the ``--json``/``--save`` consumers rely on)."""
-        version = data.get("schema_version", 1)
-        if version > TRAFFIC_SCHEMA_VERSION:
-            raise FsError(
-                f"traffic report schema {version} is newer than this "
-                f"reader ({TRAFFIC_SCHEMA_VERSION})"
-            )
-        commit = data["commit"]
-        txn = data["txn"]
-        return cls(
-            clients=data["clients"],
-            arrival=data["arrival"],
-            seed=data["seed"],
-            ops_issued=data["ops_issued"],
-            ops_completed=data["ops_completed"],
-            errors=data["errors"],
-            elapsed_ms=data["elapsed_ms"],
-            throughput_ops_per_s=data["throughput_ops_per_s"],
-            ops_by_kind=dict(data["ops_by_kind"]),
-            latency=dict(data["latency"]),
-            latency_by_kind={
-                kind: dict(summary)
-                for kind, summary in data["latency_by_kind"].items()
-            },
-            sync_latency=dict(data["sync_latency"]),
-            forces=commit["forces"],
-            empty_forces=commit["empty_forces"],
-            pressure_forces=commit["pressure_forces"],
-            deferred_forces=commit["deferred_forces"],
-            updates_absorbed=commit["updates_absorbed"],
-            batching_factor=commit["batching_factor"],
-            admission_waits=txn["admission_waits"],
-            commit_waits=txn["commit_waits"],
-            wal_stall_ms=data.get("wal", {}).get("stall_ms", 0.0),
-            wal_third_entries=data.get("wal", {}).get("third_entries", 0),
-            clock=dict(data.get("clock", {})),
-            attribution=data.get("attribution"),
-            availability=data.get("availability"),
-            schema_version=version,
-        )
-
     def to_json(self, indent: int = 2) -> str:
         """Serialize :meth:`as_dict` as JSON."""
         return json.dumps(self.as_dict(), indent=indent)

@@ -135,11 +135,3 @@ class TestStats:
         assert stats.allocations == 2
         assert stats.sectors_handed_out == 10
         assert stats.runs_handed_out >= 2
-
-    def test_fragmentation_report_keys(self, setup):
-        _, _, allocator = setup
-        allocator.allocate(4, big=False)
-        report = allocator.fragmentation_report()
-        assert "small_free_runs" in report
-        assert "big_free_sectors" in report
-        assert report["big_free_sectors"] > 0

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.core.types import (
     FileKind,
     FileProperties,
     MAX_INLINE_RUNS,
+    MAX_NAME_BYTES,
     Run,
     RunTable,
     decode_continuation,
@@ -20,6 +21,7 @@ from repro.core.types import (
     make_uid,
     name_prefix,
     validate_name,
+    _reference_encode_main_entry,
 )
 from repro.errors import FsError
 
@@ -203,6 +205,65 @@ class TestEntryCodecs:
         updated = props.with_updates(byte_size=1)
         assert updated.byte_size == 1
         assert props.byte_size == 12345  # original untouched
+
+
+def _utf8_prefix(text: str, limit: int) -> str:
+    """The longest prefix of ``text`` whose UTF-8 encoding fits
+    ``limit`` bytes."""
+    return text.encode("utf-8")[:limit].decode("utf-8", "ignore")
+
+
+properties = st.builds(
+    FileProperties,
+    name=st.just("dir/file"),
+    version=st.integers(0, 0xFFFF),
+    uid=st.integers(0, 2**64 - 1),
+    kind=st.sampled_from(FileKind),
+    byte_size=st.integers(0, 2**64 - 1),
+    create_time_ms=st.floats(width=64),
+    last_used_ms=st.floats(width=64),
+    keep=st.integers(0, 0xFF),
+    leader_addr=st.integers(0, 2**32 - 1),
+    remote_target=st.text(max_size=MAX_NAME_BYTES).map(
+        lambda text: _utf8_prefix(text, MAX_NAME_BYTES)
+    ),
+)
+run_tables = st.lists(
+    st.builds(Run, st.integers(0, 2**32 - 1), st.integers(1, 0xFFFF)),
+    max_size=MAX_INLINE_RUNS + 24,
+).map(RunTable)
+
+
+class TestMainEntryEncoder:
+    """``encode_main_entry`` packs with precompiled structs and must
+    emit exactly the bytes of the Packer-based reference.  A round trip
+    alone cannot tell: two same-width fields swapped in both the encoder
+    and the decoder still read back."""
+
+    @given(props=properties, runs=run_tables)
+    @example(
+        props=FileProperties(
+            "dir/file", 1, 1, FileKind.SYMLINK, 0, 0.0, 0.0, 0, 0,
+            "\u00e9" * (MAX_NAME_BYTES // 2),
+        ),
+        runs=RunTable([Run(index, 1) for index in range(MAX_INLINE_RUNS + 1)]),
+    )
+    def test_fast_encoder_matches_reference(self, props, runs):
+        assert encode_main_entry(props, runs) == _reference_encode_main_entry(
+            props, runs
+        )
+
+    @given(
+        props=properties,
+        runs=run_tables,
+        target=st.text(min_size=MAX_NAME_BYTES + 1, max_size=2 * MAX_NAME_BYTES),
+    )
+    def test_overlong_target_is_refused_by_both(self, props, runs, target):
+        props = props.with_updates(remote_target=target)
+        with pytest.raises(ValueError):
+            encode_main_entry(props, runs)
+        with pytest.raises(ValueError):
+            _reference_encode_main_entry(props, runs)
 
 
 class TestUid:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.harness.report import Table, ratio, shape_holds
+from repro.harness.report import Table, ratio
 
 
 class TestTable:
@@ -31,23 +31,3 @@ class TestRatio:
 
     def test_zero_denominator(self):
         assert ratio(5, 0) == float("inf")
-
-
-class TestShapeHolds:
-    def test_same_winner_within_factor(self):
-        assert shape_holds(3.77, 6.0)
-        assert shape_holds(3.77, 1.5)
-
-    def test_too_far_off(self):
-        assert not shape_holds(3.77, 50.0)
-
-    def test_different_winner_rejected(self):
-        assert not shape_holds(2.0, 0.4)
-
-    def test_near_unity_ties_allowed(self):
-        assert shape_holds(1.0, 0.95)
-        assert shape_holds(0.95, 1.05)
-
-    def test_degenerate(self):
-        assert not shape_holds(0.0, 1.0)
-        assert not shape_holds(1.0, -1.0)

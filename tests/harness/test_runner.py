@@ -4,22 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.disk.geometry import TRIDENT_T300
-from repro.harness.runner import build_disk, drain_clock, measure
+from repro.disk.disk import SimDisk
+from repro.harness.runner import measure
 from repro.harness.scenarios import SMALL
 
 
 def small_disk():
-    return build_disk(SMALL.geometry)
-
-
-class TestBuilders:
-    def test_default_disk_is_trident(self):
-        disk = build_disk()
-        assert disk.geometry == TRIDENT_T300
-
-    def test_small_disk_is_smaller(self):
-        assert small_disk().geometry.total_sectors < build_disk().geometry.total_sectors
+    return SimDisk(geometry=SMALL.geometry)
 
 
 class TestMeasure:
@@ -37,24 +28,12 @@ class TestMeasure:
         took = measure(disk, lambda: "hello")
         assert took.result == "hello"
 
-    def test_per_scales(self):
-        disk = small_disk()
-        took = measure(disk, lambda: disk.read(0, 1))
-        per = took.per(4)
-        assert per.elapsed_ms == pytest.approx(took.elapsed_ms / 4)
-
-    def test_per_rejects_zero(self):
-        disk = small_disk()
-        took = measure(disk, lambda: None)
-        with pytest.raises(ValueError):
-            took.per(0)
-
 
 class TestDrainClock:
     def test_advances_idle_time(self):
         disk = small_disk()
         before = disk.clock.now_ms
-        drain_clock(disk.clock, 500.0)
+        disk.clock.drain(500.0)
         assert disk.clock.now_ms - before == pytest.approx(500.0)
         assert disk.clock.cpu_busy_ms == 0.0
 
@@ -62,5 +41,5 @@ class TestDrainClock:
         disk = small_disk()
         fired = []
         disk.clock.add_timer(100.0, lambda c: fired.append(c.now_ms))
-        drain_clock(disk.clock, 1_000.0, step_ms=50.0)
+        disk.clock.drain(1_000.0, step_ms=50.0)
         assert len(fired) >= 9

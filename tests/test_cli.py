@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
+import hashlib
+
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 from repro.core.layout import VolumeLayout
 from repro.disk.image import load_disk, save_disk
 from repro.harness.scenarios import SMALL
@@ -212,7 +215,6 @@ class TestMountFlags:
 
     @pytest.mark.parametrize("command", sorted(MOUNTING))
     def test_namespace_maps_onto_mount_options(self, command):
-        from repro.__main__ import build_parser
         from repro.core.fsd import MountOptions
         from repro.mount_cli import mount_options
 
@@ -261,3 +263,74 @@ class TestMountFlags:
         assert main(campaign + ["--json", str(default)]) == 0
         assert main(campaign + ["--readahead", "0", "--json", str(paper)]) == 0
         assert default.read_bytes() != paper.read_bytes()
+
+
+def _interface(
+    parser: argparse.ArgumentParser, command: str = "", summary: str = ""
+) -> dict:
+    """Subcommand (``"bench diff"`` for a nested one) -> sha256 prefix
+    of what it declares: its one-line help, description and every
+    argument's flags, destination, arity, choices, default, type,
+    metavar and help.  Unlike ``--help`` text this does not vary with
+    the Python version."""
+    rows, out = [summary, parser.description], {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            helps = {c.dest: c.help for c in action._choices_actions}
+            for name, child in action.choices.items():
+                out.update(_interface(
+                    child, f"{command} {name}".strip(), helps[name]
+                ))
+            rows.append(sorted(action.choices))
+            continue
+        rows.append((
+            type(action).__name__, action.option_strings, action.dest,
+            action.nargs, sorted(action.choices) if action.choices else None,
+            action.default, getattr(action.type, "__name__", None),
+            action.metavar, action.help,
+        ))
+    if command:
+        out[command] = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    return out
+
+
+class TestSubcommands:
+    """``repro profile`` was deleted: the traced ``benchmarks/e2e`` run
+    reports host time per layer, and ``python -m cProfile`` is in the
+    standard library.  No other subcommand changed."""
+
+    #: ``_interface(build_parser())`` of the last commit that had
+    #: ``profile``, less that one entry.
+    INTERFACE = {
+        "mkfs": "8ea9183f2e281398",
+        "put": "8070a620714c410d",
+        "get": "3247944f95e0a6b7",
+        "ls": "bfde052043bd12b4",
+        "rm": "8c4e0d646d11dc8e",
+        "info": "609f756af5068493",
+        "verify": "cecf1fe4a08e2b2e",
+        "salvage": "fc43f319302b1b74",
+        "traffic": "fa2c829555834e75",
+        "soak": "8cec63d05898064b",
+        "chaos": "3fa90ba893502aed",
+        "crashcheck": "b4b880ccbbe7b9e7",
+        "stats": "76cc6aff0b41a805",
+        "trace": "fb3058b2c235f4e3",
+        "bench": "0364525dcac157d1",
+        "bench diff": "b7037bfe6d6d9b3d",
+    }
+
+    def test_profile_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["profile", "makedo"])
+        assert refused.value.code == 2
+        assert "'profile'" in capsys.readouterr().err
+
+    def test_help_does_not_list_profile(self, capsys):
+        with pytest.raises(SystemExit) as shown:
+            main(["--help"])
+        assert shown.value.code == 0
+        assert "profile" not in capsys.readouterr().out
+
+    def test_other_subcommands_are_unchanged(self):
+        assert _interface(build_parser()) == self.INTERFACE

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.harness.scenarios import SMALL, fsd_volume
 from repro.workloads.generators import (
     BulkUpdateWorkload,
-    NameGenerator,
     OperationMix,
     PaperFileSizes,
     payload,
@@ -42,17 +41,6 @@ class TestPayload:
     def test_deterministic_and_seed_sensitive(self):
         assert payload(100, 5) == payload(100, 5)
         assert payload(100, 5) != payload(100, 6)
-
-
-class TestNameGenerator:
-    def test_unique_sequential(self):
-        gen = NameGenerator()
-        names = [gen.next() for _ in range(10)]
-        assert len(set(names)) == 10
-
-    def test_directory_override(self):
-        gen = NameGenerator()
-        assert gen.next("other").startswith("other/")
 
 
 class TestBulkUpdate:
