@@ -276,7 +276,6 @@ def cmd_chaos(args) -> int:
         fault_interval_ms=args.fault_interval_ms,
         crash_cycles=args.crashes,
         mirror=args.mirror,
-        slo_ms=args.slo_ms if args.slo_ms is not None else 50.0,
     )
     report = run_chaos(traffic, chaos, options=mount_options(args))
     if not args.quiet:

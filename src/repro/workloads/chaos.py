@@ -17,12 +17,11 @@ On top of the traffic engine's client error contract (typed error
 classes, capped-backoff retries, deadlines, degraded fast-fail) the
 chaos engine adds what only a crash needs:
 
-* every scheduled client continuation is **token-guarded**, so a
-  pre-crash hold timer, read chunk, or retry never fires against the
-  post-crash mount;
 * a :class:`~repro.errors.SimulatedCrash` unwinds to the event loop,
   which crashes the volume (discarding every parked waiter), truncates
-  the oracle to the committed watermark, remounts, and re-drives each
+  the oracle to the committed watermark, bumps the token of every
+  interrupted client (the base event loop then drops their pre-crash
+  hold timers, read chunks and retries), remounts, and re-drives each
   interrupted client through the ordinary retry path with a typed
   :class:`~repro.errors.NotMounted` failure;
 * if the remount itself refuses (the volume is past mounting), the
@@ -72,12 +71,12 @@ from repro.harness.adapters import FsdAdapter
 from repro.harness.fingerprint import fingerprint
 from repro.harness.scenarios import SMALL
 from repro.obs import Observer
-from repro.workloads.generators import payload
 from repro.workloads.traffic import (
     MUTATING,
     TrafficConfig,
     TrafficEngine,
     TrafficReport,
+    failure_text,
 )
 
 __all__ = [
@@ -91,6 +90,17 @@ __all__ = [
 #: report schema version for ``BENCH_chaos.json`` / ``--json`` output.
 CHAOS_SCHEMA_VERSION = 1
 
+#: an armed crash fires after 1 to CRASH_IO_WINDOW - 1 more I/Os.
+CRASH_IO_WINDOW = 40
+#: simulated ms from losing a mirror unit (or remounting with one
+#: lost) to resilvering it.
+RESILVER_DELAY_MS = 2_500.0
+#: service is "restored" after a recovery once SLO_WINDOW consecutive
+#: ops finish ok within the SLO: ``TrafficConfig.slo_ms``, else
+#: DEFAULT_SLO_MS.
+SLO_WINDOW = 5
+DEFAULT_SLO_MS = 50.0
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
@@ -99,11 +109,7 @@ class ChaosConfig:
     faults: int = 60                 # total faults to inject
     fault_interval_ms: float = 120.0  # simulated ms between injections
     crash_cycles: int = 2            # mid-run crash/recover cycles
-    crash_io_window: int = 40        # crash arms 1..window I/Os out
     mirror: bool = False             # run on a shadowed pair
-    resilver_delay_ms: float = 2_500.0  # unit loss -> resilver start
-    slo_ms: float = 50.0             # "restored" latency bar
-    slo_window: int = 5              # consecutive ok ops under the bar
 
     def __post_init__(self) -> None:
         if self.faults < 0:
@@ -112,12 +118,6 @@ class ChaosConfig:
             raise FsError("fault_interval_ms must be positive")
         if self.crash_cycles < 0:
             raise FsError("crash_cycles must be >= 0")
-        if self.crash_io_window < 2:
-            raise FsError("crash_io_window must be at least 2")
-        if self.resilver_delay_ms < 0.0:
-            raise FsError("resilver_delay_ms must be >= 0")
-        if self.slo_ms <= 0.0 or self.slo_window < 1:
-            raise FsError("slo_ms must be positive, slo_window >= 1")
 
     @property
     def crash_points(self) -> frozenset[int]:
@@ -162,6 +162,9 @@ class ChaosEngine(TrafficEngine):
         self._volume_lost = False
         self._lost_reason: str | None = None
         self._run_start_ms = 0.0
+        # Faults make availability worth reporting in every campaign,
+        # not only when the retry knobs are set.
+        self._reports_availability = True
         self.oracle = OutcomeOracle()
         self.oracle.watch(fs)
 
@@ -171,59 +174,30 @@ class ChaosEngine(TrafficEngine):
         return FSD.mount(disk, self.fs.params, self.obs, self.fs.options)
 
     # ------------------------------------------------------------------
-    # population + bodies (oracle-recording variants)
+    # body steps, recorded in the oracle (the population included)
     # ------------------------------------------------------------------
-    def prepare(self) -> None:
-        """Create the shared population and record it as the oracle's
-        committed baseline (same RNG draws as the base engine)."""
-        if self._prepared or self.config.population == 0:
-            self._prepared = True
-            return
-        rng = random.Random(f"{self.config.seed}:population")
-        for rank in range(self.config.population):
-            name = self._pop_name(rank)
-            data = payload(self._sample_size(rng), seed=rank)
-            self.oracle.created(
-                name, data, self.adapter.create(name, data).props
-            )
-        self.adapter.settle()
-        self._prepared = True
+    def _create(self, name, data):
+        # Record the payload *before* the call: a create that fails
+        # after materializing is then still a known content.
+        self.oracle.offered(name, data)
+        handle = super()._create(name, data)
+        self.oracle.created(name, data, handle.props)
+        return handle
 
-    def _body(self, op) -> None:
-        if op.kind == "create":
-            data = payload(op.size, op.seed)
-            # Record the payload *before* the call: a create that fails
-            # after materializing is then still a known content.
-            self.oracle.offered(op.name, data)
-            self.oracle.created(
-                op.name, data, self.adapter.create(op.name, data).props
-            )
-        elif op.kind == "write":
-            handle = self.adapter.open(op.name)
-            data = payload(op.size, op.seed)
-            old = self.oracle.live(op.name) or b""
-            result = data + old[len(data):]
-            self.oracle.offered(op.name, result)
-            self.adapter.write(handle, 0, data)
-            self.oracle.wrote(op.name, result)
-        elif op.kind == "delete":
-            self.adapter.delete(op.name)
-            self.oracle.deleted(op.name)
-        else:
-            super()._body(op)
+    def _write(self, name, handle, data) -> None:
+        old = self.oracle.live(name) or b""
+        result = data + old[len(data):]
+        self.oracle.offered(name, result)
+        super()._write(name, handle, data)
+        self.oracle.wrote(name, result)
+
+    def _delete(self, name) -> None:
+        super()._delete(name)
+        self.oracle.deleted(name)
 
     # ------------------------------------------------------------------
-    # crash-safe event plumbing
+    # crashes and the lost volume
     # ------------------------------------------------------------------
-    def _client_event(self, client, due_ms, fn) -> None:
-        token = client.token
-
-        def guarded() -> None:
-            if client.token == token:
-                fn()
-
-        self._schedule(due_ms, guarded)
-
     def _loop(self) -> None:
         while self._heap:
             try:
@@ -233,26 +207,17 @@ class ChaosEngine(TrafficEngine):
 
     def _attempt(self, client) -> None:
         if self._volume_lost:
-            self._resolve_lost(client)
+            error = DegradedVolumeError(self._lost_reason)
+            self._fail(client, client.ops[client.index], error)
             return
         super()._attempt(client)
 
     def _op_failed(self, client, op, error, in_bracket=False) -> bool:
-        if in_bracket and op.kind in MUTATING:
+        if in_bracket:
             # The body raised partway: FSD logs metadata, not data, so
             # this name's content is no longer pinned by the oracle.
             self.oracle.tear(op.name)
         return super()._op_failed(client, op, error, in_bracket=in_bracket)
-
-    def _resolve_lost(self, client) -> None:
-        op = client.ops[client.index]
-        error = DegradedVolumeError(
-            self._lost_reason or "volume lost under chaos"
-        )
-        if not self._op_failed(client, op, error):
-            self._finish(
-                client, op, self.fs.clock.now_ms - client.issue_ms
-            )
 
     # ------------------------------------------------------------------
     # the fault campaign tick
@@ -291,9 +256,7 @@ class ChaosEngine(TrafficEngine):
             and self.disk.faults.crash_plan is None
         ):
             self.disk.faults.arm_crash(
-                after_ios=self._chaos_rng.randrange(
-                    1, self.chaos.crash_io_window
-                )
+                after_ios=self._chaos_rng.randrange(1, CRASH_IO_WINDOW)
             )
             self.obs.count("chaos.crashes_armed")
         if self._faults_injected == self.chaos.mirror_fail_point:
@@ -308,14 +271,11 @@ class ChaosEngine(TrafficEngine):
         self._mirror_events.append(
             {"event": "unit_b_lost", "at_ms": round(clock.now_ms, 3)}
         )
-        self._schedule(
-            clock.now_ms + self.chaos.resilver_delay_ms, self._resilver
-        )
+        self._schedule(clock.now_ms + RESILVER_DELAY_MS, self._resilver)
 
     def _resilver(self) -> None:
-        if self._volume_lost or not isinstance(self.disk, MirroredDisk):
-            return
-        if not self.disk.degraded:
+        if (self._volume_lost or not isinstance(self.disk, MirroredDisk)
+                or not self.disk.degraded):
             return
         copied = self.disk.resilver()
         self.obs.count("chaos.resilvers")
@@ -349,58 +309,46 @@ class ChaosEngine(TrafficEngine):
         try:
             fs = self.remount(self.disk)
         except (DegradedVolumeError, CorruptMetadata) as error:
+            fs = None
             self._volume_lost = True
             self._lost_reason = str(error)
             self.oracle.honesty_flag = True
             self.obs.count("chaos.volume_lost")
-            self._recoveries.append(
-                {
-                    "at_ms": at_ms,
-                    "recover_ms": clock.now_ms - at_ms,
-                    "mounted": 0,
-                    "records_replayed": 0,
-                }
-            )
-            for client in interrupted:
-                self._resolve_lost(client)
-            return
-        self._rebind(fs)
+        else:
+            self.fs = fs
+            self.adapter = FsdAdapter(fs)
+            if self.recorder is not None:
+                self.recorder.bind(fs)
+            self.oracle.watch(fs)
         self._recoveries.append(
             {
                 "at_ms": at_ms,
                 "recover_ms": clock.now_ms - at_ms,
-                "mounted": 1,
-                "records_replayed": fs.mount_report.log_records_replayed,
+                "mounted": int(fs is not None),
+                "records_replayed": (
+                    0 if fs is None else fs.mount_report.log_records_replayed
+                ),
             }
         )
+        if fs is None:
+            # Volume-lost mode: a fresh attempt resolves it degraded.
+            for client in interrupted:
+                self._attempt(client)
+            return
         self.oracle.resync_leaders(fs)
         if isinstance(self.disk, MirroredDisk) and self.disk.degraded:
-            self._schedule(
-                clock.now_ms + self.chaos.resilver_delay_ms,
-                self._resilver,
-            )
+            self._schedule(clock.now_ms + RESILVER_DELAY_MS, self._resilver)
         # Re-drive every interrupted client through the contract: the
         # crash is a retryable, *typed* failure, never a hang.
         for client in interrupted:
-            op = client.ops[client.index]
-            error = NotMounted("crash interrupted the operation")
-            if not self._op_failed(client, op, error):
-                self._finish(
-                    client, op, clock.now_ms - client.issue_ms
-                )
-
-    def _rebind(self, fs: FSD) -> None:
-        self.fs = fs
-        self.adapter = FsdAdapter(fs)
-        if self.recorder is not None:
-            self.recorder.bind(fs)
-        self.oracle.watch(fs)
+            self._fail(client, client.ops[client.index],
+                       NotMounted("crash interrupted the operation"))
 
     # ------------------------------------------------------------------
     # availability reporting
     # ------------------------------------------------------------------
-    def _availability_section(self) -> dict:
-        section = self._availability_body()
+    def _availability(self) -> dict:
+        section = super()._availability()
         section["faults"] = {
             "injected": self._faults_injected,
             "by_kind": dict(sorted(self._faults_by_kind.items())),
@@ -425,16 +373,18 @@ class ChaosEngine(TrafficEngine):
         return section
 
     def _ttr_slo(self, at_ms: float) -> float | None:
-        """Simulated ms from a recovery until ``slo_window``
-        consecutive ops finished ok under ``slo_ms``; None when the
-        run ended before service was restored to SLO."""
+        """Simulated ms from a recovery until :data:`SLO_WINDOW`
+        consecutive ops finished ok within the SLO; None when the run
+        ended before service was restored to SLO."""
+        slo_ms = (DEFAULT_SLO_MS if self.config.slo_ms is None
+                  else self.config.slo_ms)
         streak = 0
         for finish_ms, _, outcome, latency in self._outcomes:
             if finish_ms < at_ms:
                 continue
-            if outcome == "ok" and latency <= self.chaos.slo_ms:
+            if outcome == "ok" and latency <= slo_ms:
                 streak += 1
-                if streak >= self.chaos.slo_window:
+                if streak >= SLO_WINDOW:
                     return round(finish_ms - at_ms, 3)
             else:
                 streak = 0
@@ -552,17 +502,13 @@ class ChaosReport(Outcome):
     def summary_lines(self) -> list[str]:
         """Human-readable campaign summary (the CLI's default output)."""
         avail = self.traffic.get("availability") or {}
-        failed = avail.get("ops_failed", {})
-        failed_parts = ", ".join(
-            f"{cls} x{count}" for cls, count in sorted(failed.items())
-        ) or "none"
         status = "OK" if self.ok else "FAILED"
         lines = [
             f"chaos seed={self.seed}: {self.clients} clients, "
             f"{self.faults_injected} faults, {self.crashes} crashes "
             f"— {status}",
             f"ops {self.ops_completed}/{self.ops_issued} resolved "
-            f"({self.hung_ops} hung), failures: {failed_parts}, "
+            f"({self.hung_ops} hung), failures: {failure_text(avail)}, "
             f"{avail.get('retries', 0)} retries",
             f"verdict {self.verdict}: {self.files_verified}/"
             f"{self.files_expected} files verified, "
@@ -578,9 +524,7 @@ class ChaosReport(Outcome):
                 f"({recovery['records_replayed']} records), "
                 f"SLO back in {ttr_text}"
             )
-        for event in (self.traffic.get("availability") or {}).get(
-            "mirror", []
-        ):
+        for event in avail.get("mirror", []):
             lines.append(
                 f"  mirror: {event['event']} at {event['at_ms']:.0f} ms"
             )

@@ -45,15 +45,15 @@ The engine also carries the **client error contract** the chaos
 campaigns (:mod:`repro.workloads.chaos`) exercise: every operation
 failure is classified (:func:`repro.errors.classify_error` —
 ``retryable`` / ``fatal`` / ``degraded``), retryable failures are
-retried with capped exponential backoff and deterministic jitter on
-the simulated clock (``max_retries``, ``retry_base_ms``,
-``retry_cap_ms``, ``retry_jitter``), an optional per-op
+retried ``max_retries`` times with capped exponential backoff and
+deterministic jitter on the simulated clock (:data:`RETRY_BASE_MS`,
+:data:`RETRY_CAP_MS`, :data:`RETRY_JITTER`), an optional per-op
 ``deadline_ms`` bounds the total attempt budget (exceeding it resolves
 the op as a typed ``timeout``), and a volume degraded to read-only
 rejects mutations *fast* — before entering a bracket — so writers
-never park against a log that will refuse them.  With the knobs at
-their defaults (``max_retries=0``, no deadline) the contract is inert
-and runs are bit-identical to earlier versions.
+never park against a log that will refuse them.  With
+``max_retries=0`` and no deadline the contract is inert and the report
+carries no ``availability`` section.
 """
 
 from __future__ import annotations
@@ -103,6 +103,17 @@ TRAFFIC_MS_BUCKETS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
 
 ARRIVALS = ("poisson", "bursty", "uniform")
 
+#: bursty arrivals: ops per burst, and the idle gap between bursts
+#: (drawn from 0.5x to 1.5x of it).
+BURST_SIZE = 8
+BURST_GAP_MS = 2_000.0
+
+#: retry backoff: the first wait, doubling per attempt up to the cap,
+#: then scaled by a jitter factor drawn from [1 - RETRY_JITTER, 1].
+RETRY_BASE_MS = 5.0
+RETRY_CAP_MS = 200.0
+RETRY_JITTER = 0.5
+
 #: operation kinds that mutate the volume (and therefore bracket).
 MUTATING = frozenset({"create", "write", "delete"})
 
@@ -139,8 +150,6 @@ class TrafficConfig:
     seed: int = 1987
     arrival: str = "poisson"        # poisson | bursty | uniform
     mean_think_ms: float = 200.0
-    burst_size: int = 8             # bursty: ops per burst
-    burst_gap_ms: float = 2_000.0   # bursty: idle gap between bursts
     zipf_theta: float = 0.8         # popularity skew over shared files
     population: int = 40            # shared files created before the run
     shared_fraction: float = 0.5    # reads/writes aimed at shared files
@@ -154,9 +163,6 @@ class TrafficConfig:
     slo_ms: float | None = None     # per-op latency SLO (attribution)
     # --- client error contract (all inert at the defaults) ---
     max_retries: int = 0            # retry budget per op (0: no retries)
-    retry_base_ms: float = 5.0      # first backoff; doubles per attempt
-    retry_cap_ms: float = 200.0     # backoff ceiling
-    retry_jitter: float = 0.5       # backoff spread: factor in [1-j, 1]
     deadline_ms: float | None = None  # per-op budget issue -> resolution
 
     def __post_init__(self) -> None:
@@ -166,8 +172,6 @@ class TrafficConfig:
             raise FsError("traffic needs at least one op per client")
         if self.arrival not in ARRIVALS:
             raise FsError(f"unknown arrival process: {self.arrival!r}")
-        if self.burst_size < 1:
-            raise FsError("burst_size must be positive")
         if not 0.0 <= self.shared_fraction <= 1.0:
             raise FsError("shared_fraction must be in [0, 1]")
         if not 0.0 <= self.sync_fraction <= 1.0:
@@ -176,10 +180,6 @@ class TrafficConfig:
             raise FsError("read_chunk_bytes must be positive")
         if self.max_retries < 0:
             raise FsError("max_retries must be >= 0")
-        if self.retry_base_ms <= 0.0 or self.retry_cap_ms <= 0.0:
-            raise FsError("retry backoff bounds must be positive")
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise FsError("retry_jitter must be in [0, 1]")
         if self.deadline_ms is not None and self.deadline_ms <= 0.0:
             raise FsError("deadline_ms must be positive")
 
@@ -260,6 +260,14 @@ def _latency_summary(values: list[float]) -> dict[str, float]:
         "p99_ms": round(percentile(values, 0.99), 3),
         "max_ms": round(max(values), 3),
     }
+
+
+def failure_text(availability: dict) -> str:
+    """An availability section's failed ops as ``"class xN, ..."``."""
+    failed = availability.get("ops_failed", {})
+    return ", ".join(
+        f"{cls} x{count}" for cls, count in sorted(failed.items())
+    ) or "none"
 
 
 @dataclass
@@ -377,24 +385,12 @@ class TrafficReport:
             lines.extend(report_lines(self.attribution))
         if self.availability is not None:
             avail = self.availability
-            failed = avail.get("ops_failed", {})
-            failed_parts = ", ".join(
-                f"{cls} x{count}" for cls, count in sorted(failed.items())
-            ) or "none"
             lines.append(
                 f"availability: {avail.get('ops_ok', 0)} ok ops, "
-                f"failures: {failed_parts}; "
+                f"failures: {failure_text(avail)}; "
                 f"{avail.get('retries', 0)} retries "
                 f"(amplification {avail.get('retry_amplification', 1.0):.3f})"
             )
-            for recovery in avail.get("recoveries", []):
-                ttr = recovery.get("time_to_restored_slo_ms")
-                ttr_text = (f"{ttr:.0f} ms" if ttr is not None
-                            else "not restored")
-                lines.append(
-                    f"  recovery at {recovery['at_ms']:.0f} ms: "
-                    f"SLO restored in {ttr_text}"
-                )
         return lines
 
 
@@ -413,7 +409,7 @@ class _Client:
         self.attempts = 1       # attempts made on the op in flight
         self.failed = None      # error class when the op resolved failed
         self.inflight = False   # an op is issued and unresolved
-        self.token = 0          # invalidates stale continuations (chaos)
+        self.token = 0          # a crash bumps it: drops queued events
 
 
 class TrafficEngine:
@@ -455,8 +451,8 @@ class TrafficEngine:
         self.scripts = [self._generate(cid)
                         for cid in range(self.config.clients)]
         self._prepared = False
-        # event loop state
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        # event loop state: (due_ms, seq, fn, client or None, token)
+        self._heap: list[tuple] = []
         self._eventseq = 0
         self._parked = 0
         self.clients: list[_Client] = []
@@ -473,6 +469,9 @@ class TrafficEngine:
         #: every resolved op: (finish_ms, kind, "ok" | error class,
         #: latency_ms) — the availability timeline's raw material.
         self._outcomes: list[tuple[float, str, str, float]] = []
+        #: whether the report carries an ``availability`` section; a
+        #: plain run's report has none while its contract is inert.
+        self._reports_availability = self.config.contract_active
 
     # ------------------------------------------------------------------
     # script generation (content rng only — arrival-independent)
@@ -505,8 +504,8 @@ class TrafficEngine:
         if cfg.arrival == "uniform":
             return trng.uniform(0.0, 2.0 * cfg.mean_think_ms)
         if cfg.arrival == "bursty":
-            if index % cfg.burst_size == 0:
-                return cfg.burst_gap_ms * trng.uniform(0.5, 1.5)
+            if index % BURST_SIZE == 0:
+                return BURST_GAP_MS * trng.uniform(0.5, 1.5)
             return trng.uniform(0.5, 2.0)
         return trng.expovariate(1.0 / cfg.mean_think_ms)
 
@@ -580,7 +579,7 @@ class TrafficEngine:
             return
         rng = random.Random(f"{self.config.seed}:population")
         for rank in range(self.config.population):
-            self.adapter.create(
+            self._create(
                 self._pop_name(rank),
                 payload(self._sample_size(rng), seed=rank),
             )
@@ -590,18 +589,16 @@ class TrafficEngine:
     # ------------------------------------------------------------------
     # event loop
     # ------------------------------------------------------------------
-    def _schedule(self, due_ms: float, fn: Callable[[], None]) -> None:
+    def _schedule(self, due_ms: float, fn: Callable[[], None],
+                  client: _Client | None = None) -> None:
+        """Run ``fn`` at ``due_ms``; a continuation of ``client`` is
+        dropped unrun if the client's token moved on meanwhile (a crash
+        interrupted it, and the remounted volume is not its mount)."""
         self._eventseq += 1
-        heapq.heappush(self._heap, (due_ms, self._eventseq, fn))
-
-    def _client_event(self, client: _Client, due_ms: float,
-                      fn: Callable[[], None]) -> None:
-        """Schedule a continuation belonging to ``client``.  The base
-        engine schedules directly; the chaos engine overrides this to
-        token-guard the callback so continuations of a pre-crash mount
-        (a stale bracket close, a read chunk against a dead handle)
-        never fire after a crash/recover cycle."""
-        self._schedule(due_ms, fn)
+        heapq.heappush(self._heap, (
+            due_ms, self._eventseq, fn, client,
+            client.token if client is not None else 0,
+        ))
 
     def run(self) -> TrafficReport:
         """Interleave every client script to completion."""
@@ -617,10 +614,10 @@ class TrafficEngine:
         self.clients = [_Client(cid, self.scripts[cid])
                         for cid in range(cfg.clients)]
         for client in self.clients:
-            self._client_event(
-                client,
+            self._schedule(
                 start_ms + client.ops[0].think_ms,
                 lambda c=client: self._arrive(c),
+                client,
             )
         self._loop()
         if self.fs.txn.outstanding or self.fs.txn.waiting:
@@ -636,13 +633,15 @@ class TrafficEngine:
             self._pump()
 
     def _pump(self) -> None:
-        """Pop one event, advance idle to its due time, run it, and
-        walk parked clients forward when it drained the heap."""
+        """Pop one event, advance idle to its due time, run it unless
+        it is a stale client continuation, and walk parked clients
+        forward when it drained the heap."""
         clock = self.fs.clock
-        due_ms, _, fn = heapq.heappop(self._heap)
+        due_ms, _, fn, client, token = heapq.heappop(self._heap)
         if due_ms > clock.now_ms:
             clock.advance_idle(due_ms - clock.now_ms)
-        fn()
+        if client is None or client.token == token:
+            fn()
         if not self._heap and self._parked:
             self._drain_parked()
 
@@ -666,13 +665,7 @@ class TrafficEngine:
                 else:
                     self._body(op)
             except (FsError, DiskError) as exc:
-                cls = classify_error(exc)
-                self._errors += 1
-                self._errors_by_class[cls] = (
-                    self._errors_by_class.get(cls, 0) + 1
-                )
-                self.obs.count("traffic.errors")
-                self.obs.count(f"traffic.errors.{cls}")
+                self._count_error(classify_error(exc))
             self._record(op, clock.now_ms - issue_ms)
         if cfg.settle:
             self.adapter.settle()
@@ -736,31 +729,31 @@ class TrafficEngine:
                 # Degraded-mode contract: the volume is read-only and
                 # says so — reject the write *before* it parks on
                 # admission or holds a bracket open.
-                error = DegradedVolumeError(
+                self._fail(client, op, DegradedVolumeError(
                     self.fs.degraded_reason,
                     fault_site=self.fs.degraded_site,
-                )
-                if not self._op_failed(client, op, error):
-                    self._finish(client, op,
-                                 clock.now_ms - client.issue_ms)
+                ))
                 return
             self._attempt_mutation(client, op)
         elif op.kind == "read":
             self._start_read(client, op)
         else:
-            trace = client.trace
-            if trace is not None:
-                self.recorder.op_admitted(trace, clock.now_ms)
+            if client.trace is not None:
+                self.recorder.op_admitted(client.trace, clock.now_ms)
             try:
-                if trace is not None:
-                    with self.recorder.measure(trace):
-                        self.adapter.list(op.name)
-                else:
-                    self.adapter.list(op.name)
+                self._measured(client, self.adapter.list, op.name)
             except (FsError, DiskError) as exc:
-                if self._op_failed(client, op, exc):
-                    return
+                self._fail(client, op, exc)
+                return
             self._finish(client, op, clock.now_ms - client.issue_ms)
+
+    def _measured(self, client: _Client, fn, *args):
+        """``fn(*args)``, charged to ``client``'s op as one service
+        segment when the run is attributed."""
+        if client.trace is None:
+            return fn(*args)
+        with self.recorder.measure(client.trace):
+            return fn(*args)
 
     def _attempt_mutation(self, client: _Client, op: ClientOp) -> None:
         txn = self.fs.txn
@@ -768,8 +761,8 @@ class TrafficEngine:
         if self.config.clients > 1:
             def waiter() -> None:
                 self._parked -= 1
-                self._client_event(client, self.fs.clock.now_ms,
-                                   lambda: self._attempt(client))
+                self._schedule(self.fs.clock.now_ms,
+                               lambda: self._attempt(client), client)
         else:
             # Uncontended: nobody else can free log space for us, so
             # blocking is meaningless — take the serial no-wait path.
@@ -783,21 +776,17 @@ class TrafficEngine:
         if trace is not None:
             self.recorder.op_admitted(trace, clock.now_ms)
         try:
-            if trace is not None:
-                with txn.passthrough(), self.recorder.measure(trace):
-                    self._body(op)
-            else:
-                with txn.passthrough():
-                    self._body(op)
+            with txn.passthrough():
+                self._measured(client, self._body, op)
         except (FsError, DiskError) as exc:
             if self._op_failed(client, op, exc, in_bracket=True):
                 return
         latency = clock.now_ms - client.issue_ms
         if self.config.hold_ms > 0.0:
-            self._client_event(
-                client,
+            self._schedule(
                 clock.now_ms + self.config.hold_ms,
                 lambda: self._close_bracket(client, op, latency),
+                client,
             )
         else:
             self._close_bracket(client, op, latency)
@@ -806,108 +795,96 @@ class TrafficEngine:
         self, client: _Client, op: ClientOp, latency: float
     ) -> None:
         coord = self.fs.coordinator
-        trace = client.trace
         forces_before = coord.forces + coord.empty_forces
-        if trace is not None:
-            self.recorder.op_end(trace, self.fs.clock.now_ms)
+        if client.trace is not None:
+            self.recorder.op_end(client.trace, self.fs.clock.now_ms)
         self.fs.txn.end_op()
-        if op.sync:
-            if coord.forces + coord.empty_forces > forces_before:
-                # Our own end_op ran the deferred force, so the update
-                # is already durable — no need to wait for the next one.
-                now_ms = self.fs.clock.now_ms
-                if trace is not None:
-                    self.recorder.op_durable(trace, now_ms)
-                self._sync_lat.append(now_ms - client.issue_ms)
-                self.obs.observe(
-                    "traffic.sync_ms",
-                    now_ms - client.issue_ms,
-                    TRAFFIC_MS_BUCKETS,
-                )
-                self._finish(client, op, now_ms - client.issue_ms)
-                return
+        if not op.sync:
+            self._finish(client, op, latency)
+        elif coord.forces + coord.empty_forces > forces_before:
+            # Our own end_op ran the deferred force, so the update is
+            # already durable — no need to wait for the next one.
+            self._durable(client, op, self.fs.clock.now_ms)
+        else:
             self._parked += 1
 
             def durable(now_ms: float) -> None:
                 self._parked -= 1
-                if trace is not None:
-                    self.recorder.op_durable(trace, now_ms)
-                self._sync_lat.append(now_ms - client.issue_ms)
-                self.obs.observe(
-                    "traffic.sync_ms",
-                    now_ms - client.issue_ms,
-                    TRAFFIC_MS_BUCKETS,
-                )
-                self._finish(client, op, now_ms - client.issue_ms)
+                self._durable(client, op, now_ms)
 
             self.fs.txn.await_commit(durable)
-            return
-        self._finish(client, op, latency)
+
+    def _durable(self, client: _Client, op: ClientOp,
+                 now_ms: float) -> None:
+        """A sync mutation's update reached the log at ``now_ms``."""
+        if client.trace is not None:
+            self.recorder.op_durable(client.trace, now_ms)
+        self._sync_lat.append(now_ms - client.issue_ms)
+        self.obs.observe("traffic.sync_ms", now_ms - client.issue_ms,
+                         TRAFFIC_MS_BUCKETS)
+        self._finish(client, op, now_ms - client.issue_ms)
+
+    # Named steps of an operation body, which a subclass can extend
+    # (the chaos engine records each one in its outcome oracle).
+    def _create(self, name: str, data: bytes):
+        return self.adapter.create(name, data)
+
+    def _write(self, name: str, handle, data: bytes) -> None:
+        self.adapter.write(handle, 0, data)
+
+    def _delete(self, name: str) -> None:
+        self.adapter.delete(name)
 
     def _body(self, op: ClientOp) -> None:
         if op.kind == "create":
-            self.adapter.create(op.name, payload(op.size, op.seed))
+            self._create(op.name, payload(op.size, op.seed))
         elif op.kind == "write":
-            handle = self.adapter.open(op.name)
-            self.adapter.write(handle, 0, payload(op.size, op.seed))
+            self._write(op.name, self.adapter.open(op.name),
+                        payload(op.size, op.seed))
         elif op.kind == "delete":
-            self.adapter.delete(op.name)
+            self._delete(op.name)
         elif op.kind == "list":
             self.adapter.list(op.name)
         else:
             raise FsError(f"no inline body for op kind {op.kind!r}")
 
     def _start_read(self, client: _Client, op: ClientOp) -> None:
-        trace = client.trace
-        if trace is not None:
-            self.recorder.op_admitted(trace, self.fs.clock.now_ms)
+        if client.trace is not None:
+            self.recorder.op_admitted(client.trace, self.fs.clock.now_ms)
         try:
-            if trace is not None:
-                with self.recorder.measure(trace):
-                    handle = self.adapter.open(op.name)
-            else:
-                handle = self.adapter.open(op.name)
+            handle = self._measured(client, self.adapter.open, op.name)
         except (FsError, DiskError) as exc:
-            if self._op_failed(client, op, exc):
-                return
-            self._finish(client, op,
-                         self.fs.clock.now_ms - client.issue_ms)
+            self._fail(client, op, exc)
             return
         self._read_chunk(client, op, handle, 0)
 
     def _read_chunk(self, client: _Client, op: ClientOp, handle,
                     offset: int) -> None:
         clock = self.fs.clock
-        trace = client.trace
         total = handle.byte_size
         if offset >= total:
             self._finish(client, op, clock.now_ms - client.issue_ms)
             return
         length = min(self.config.read_chunk_bytes, total - offset)
         try:
-            if trace is not None:
-                with self.recorder.measure(trace):
-                    self.adapter.read_at(handle, offset, length)
-            else:
-                self.adapter.read_at(handle, offset, length)
+            self._measured(client, self.adapter.read_at, handle, offset,
+                           length)
         except (FsError, DiskError) as exc:
             # A concurrent delete/recreate can invalidate the handle
             # mid-stream (like a Cedar client whose remote file
             # vanished), and under fault injection the media itself
             # can fail the read; a retry restarts the whole op from
             # open, never reusing the stale handle.
-            if self._op_failed(client, op, exc):
-                return
-            self._finish(client, op, clock.now_ms - client.issue_ms)
+            self._fail(client, op, exc)
             return
         offset += length
         if offset >= total:
             self._finish(client, op, clock.now_ms - client.issue_ms)
             return
-        self._client_event(
-            client,
+        self._schedule(
             clock.now_ms + self.config.chunk_think_ms,
             lambda: self._read_chunk(client, op, handle, offset),
+            client,
         )
 
     # ------------------------------------------------------------------
@@ -946,37 +923,43 @@ class TrafficEngine:
                     self.obs.count(f"retry.attempts.{op.kind}")
                     self.obs.observe("retry.backoff_ms", delay,
                                      TRAFFIC_MS_BUCKETS)
-                    self._client_event(
-                        client, resume,
-                        lambda: self._retry_fire(client),
+                    self._schedule(
+                        resume, lambda: self._retry_fire(client), client
                     )
                     return True
                 cls = "timeout"
             else:
                 self.obs.count("retry.exhausted")
         client.failed = cls
+        self._count_error(cls)
+        if client.trace is not None:
+            self.recorder.op_error(client.trace, error_class=cls)
+        return False
+
+    def _fail(self, client: _Client, op: ClientOp, error: Exception) -> None:
+        """An unbracketed attempt failed: resolve the op as failed
+        unless the contract scheduled another attempt."""
+        if not self._op_failed(client, op, error):
+            self._finish(client, op, self.fs.clock.now_ms - client.issue_ms)
+
+    def _count_error(self, cls: str) -> None:
         self._errors += 1
         self._errors_by_class[cls] = self._errors_by_class.get(cls, 0) + 1
         self.obs.count("traffic.errors")
         self.obs.count(f"traffic.errors.{cls}")
-        if client.trace is not None:
-            self.recorder.op_error(client.trace, error_class=cls)
-        return False
 
     def _backoff_ms(self, client: _Client) -> float:
         """Capped exponential backoff with deterministic jitter: the
         RNG is keyed by (seed, client, op index, attempt), so the same
         seed replays the same waits regardless of interleaving."""
-        cfg = self.config
         backoff = min(
-            cfg.retry_cap_ms,
-            cfg.retry_base_ms * (2.0 ** (client.attempts - 1)),
+            RETRY_CAP_MS, RETRY_BASE_MS * (2.0 ** (client.attempts - 1))
         )
         rng = random.Random(
-            f"{cfg.seed}:{client.cid}:retry:{client.index}:"
+            f"{self.config.seed}:{client.cid}:retry:{client.index}:"
             f"{client.attempts}"
         )
-        return backoff * (1.0 - cfg.retry_jitter * rng.random())
+        return backoff * (1.0 - RETRY_JITTER * rng.random())
 
     def _retry_fire(self, client: _Client) -> None:
         """The backoff elapsed: start the next attempt from scratch
@@ -1002,10 +985,10 @@ class TrafficEngine:
         if client.index >= len(client.ops):
             return
         next_op = client.ops[client.index]
-        self._client_event(
-            client,
+        self._schedule(
             self.fs.clock.now_ms + next_op.think_ms,
             lambda: self._arrive(client),
+            client,
         )
 
     def _record(self, op: ClientOp, latency: float) -> None:
@@ -1023,19 +1006,12 @@ class TrafficEngine:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def _availability_section(self) -> dict | None:
-        """The error-contract section of the report; ``None`` while the
-        contract is inert (keeps pre-contract reports byte-identical).
-        The chaos engine extends this with the fault/recovery
-        timeline."""
-        if not self.config.contract_active:
+    def _availability(self) -> dict | None:
+        """The report's ``availability`` section: the error contract,
+        ok and failed ops by class, retries and retry amplification
+        (``None`` unless the run reports availability)."""
+        if not self._reports_availability:
             return None
-        return self._availability_body()
-
-    def _availability_body(self) -> dict:
-        """The error-contract numbers themselves, computed
-        unconditionally (the chaos engine reports them even when the
-        retry knobs are at their inert defaults)."""
         cfg = self.config
         ok_ops = sum(
             1 for _, _, outcome, _ in self._outcomes if outcome == "ok"
@@ -1043,8 +1019,8 @@ class TrafficEngine:
         return {
             "contract": {
                 "max_retries": cfg.max_retries,
-                "retry_base_ms": cfg.retry_base_ms,
-                "retry_cap_ms": cfg.retry_cap_ms,
+                "retry_base_ms": RETRY_BASE_MS,
+                "retry_cap_ms": RETRY_CAP_MS,
                 "deadline_ms": cfg.deadline_ms,
             },
             "ops_ok": ok_ops,
@@ -1118,5 +1094,5 @@ class TrafficEngine:
             wal_third_entries=int(delta["wal_third_entries"]),
             clock=self.fs.clock.snapshot(),
             attribution=attribution,
-            availability=self._availability_section(),
+            availability=self._availability(),
         )

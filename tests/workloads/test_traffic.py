@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import FsError
 from repro.obs.metrics import bucket_index
+from repro.workloads import traffic
 from repro.workloads.traffic import (
     MUTATING,
     TRAFFIC_MS_BUCKETS,
@@ -105,10 +106,11 @@ class TestScripts:
             for op in script:
                 assert op.sync == (op.kind in MUTATING)
 
-    def test_bursty_thinks_cluster(self, fsd):
+    def test_bursty_thinks_cluster(self, fsd, monkeypatch):
+        monkeypatch.setattr(traffic, "BURST_SIZE", 8)
+        monkeypatch.setattr(traffic, "BURST_GAP_MS", 5_000.0)
         engine = TrafficEngine(fsd, TrafficConfig(
-            clients=1, ops_per_client=32, arrival="bursty",
-            burst_size=8, burst_gap_ms=5_000.0, seed=5,
+            clients=1, ops_per_client=32, arrival="bursty", seed=5,
         ))
         thinks = [op.think_ms for op in engine.scripts[0]]
         gaps = thinks[::8]          # burst boundaries

@@ -22,6 +22,7 @@ from repro.errors import (
     classify_error,
 )
 from repro.obs import Observer
+from repro.workloads import traffic
 from repro.workloads.traffic import TrafficConfig, TrafficEngine
 
 GEO = DiskGeometry(cylinders=120, heads=8, sectors_per_track=24)
@@ -59,6 +60,15 @@ def _one_reader(**overrides) -> TrafficConfig:
     )
     knobs.update(overrides)
     return TrafficConfig(**knobs)
+
+
+def _backoff(monkeypatch, *, base_ms: float = traffic.RETRY_BASE_MS,
+             cap_ms: float = traffic.RETRY_CAP_MS,
+             jitter: float = traffic.RETRY_JITTER) -> None:
+    """Set the engine's backoff constants for one test."""
+    monkeypatch.setattr(traffic, "RETRY_BASE_MS", base_ms)
+    monkeypatch.setattr(traffic, "RETRY_CAP_MS", cap_ms)
+    monkeypatch.setattr(traffic, "RETRY_JITTER", jitter)
 
 
 def _population_data_sector(engine: TrafficEngine) -> int:
@@ -112,11 +122,9 @@ class TestRetry:
         metrics = fs.obs.metrics.snapshot().counters
         assert metrics["retry.exhausted"] == 1
 
-    def test_deadline_converts_retry_to_timeout(self):
-        _, fs, engine = _engine(_one_reader(
-            max_retries=8, retry_base_ms=50.0, retry_jitter=0.0,
-            deadline_ms=60.0,
-        ))
+    def test_deadline_converts_retry_to_timeout(self, monkeypatch):
+        _backoff(monkeypatch, base_ms=50.0, jitter=0.0)
+        _, fs, engine = _engine(_one_reader(max_retries=8, deadline_ms=60.0))
         site = _population_data_sector(engine)
         engine.fs.disk.faults.damage(site)
         report = engine.run()
@@ -152,20 +160,18 @@ class TestBackoff:
     def _client(self, attempts: int) -> SimpleNamespace:
         return SimpleNamespace(cid=0, index=0, attempts=attempts)
 
-    def test_doubles_then_caps_without_jitter(self):
-        _, fs, engine = _engine(_one_reader(
-            retry_base_ms=5.0, retry_cap_ms=40.0, retry_jitter=0.0,
-        ))
+    def test_doubles_then_caps_without_jitter(self, monkeypatch):
+        _backoff(monkeypatch, base_ms=5.0, cap_ms=40.0, jitter=0.0)
+        _, fs, engine = _engine(_one_reader())
         delays = [
             engine._backoff_ms(self._client(n)) for n in range(1, 7)
         ]
         fs.crash()
         assert delays == [5.0, 10.0, 20.0, 40.0, 40.0, 40.0]
 
-    def test_jitter_bounded_and_deterministic(self):
-        _, fs, engine = _engine(_one_reader(
-            retry_base_ms=8.0, retry_cap_ms=100.0, retry_jitter=0.5,
-        ))
+    def test_jitter_bounded_and_deterministic(self, monkeypatch):
+        _backoff(monkeypatch, base_ms=8.0, cap_ms=100.0, jitter=0.5)
+        _, fs, engine = _engine(_one_reader())
         first = engine._backoff_ms(self._client(2))
         second = engine._backoff_ms(self._client(2))
         fs.crash()
