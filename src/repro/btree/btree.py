@@ -391,6 +391,15 @@ class BTree:
             return True
 
         new_left, new_separator, new_right = _split_node(merged)
+        if (
+            len(new_separator) > len(separator)
+            and parent.serialized_size() - len(separator) + len(new_separator)
+            > self.pager.page_size
+        ):
+            # A delete never splits the parent: when the separator the
+            # even split would hand it does not fit, the pair stays as
+            # it is (the child underfull) rather than overflow the page.
+            return False
         self._write_node(left_page, new_left)
         self._write_node(right_page, new_right)
         parent.keys[left_index] = new_separator

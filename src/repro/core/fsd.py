@@ -19,6 +19,7 @@ single-threaded simulation runs the half-second commit daemon.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from repro.core.allocator import RunAllocator
 from repro.core.cache import MetadataCache
@@ -454,35 +455,23 @@ class FSD:
                 self.coordinator.note_update()
                 keep = self.DEFAULT_KEEP if keep is None else keep
                 version = (self.name_table.highest_version(name) or 0) + 1
-                sector_bytes = self._sector_bytes
-                data_sectors = -(-len(data) // sector_bytes)
-                big = len(data) >= self.params.big_file_threshold_bytes
-                table = self.allocator.allocate(1 + data_sectors, big=big)
-                leader_addr, runs = _split_leader(table)
 
-                self._uid_sequence += 1
-                props = FileProperties(
-                    name=name,
-                    version=version,
-                    uid=make_uid(self.boot_count, self._uid_sequence),
-                    kind=kind,
-                    byte_size=len(data),
-                    create_time_ms=self.clock.now_ms,
-                    last_used_ms=self.clock.now_ms,
-                    keep=keep,
-                    leader_addr=leader_addr,
-                    remote_target=remote_target,
-                )
-                self.name_table.insert(props, runs)
-                self.cache.write_leader(
-                    leader_addr, encode_leader(props, runs, sector_bytes)
-                )
-                handle = FsdFile(props=props, runs=runs, leader_verified=True)
-                # A zero-byte create has no data write to piggyback on:
-                # its leader stays cached until the logging code writes
-                # it during entry into its third (paper §5.3).
-                if data:
-                    self._write_data(handle, 0, data)
+                def identity(leader_addr: int) -> FileProperties:
+                    self._uid_sequence += 1
+                    return FileProperties(
+                        name=name,
+                        version=version,
+                        uid=make_uid(self.boot_count, self._uid_sequence),
+                        kind=kind,
+                        byte_size=len(data),
+                        create_time_ms=self.clock.now_ms,
+                        last_used_ms=self.clock.now_ms,
+                        keep=keep,
+                        leader_addr=leader_addr,
+                        remote_target=remote_target,
+                    )
+
+                handle = place_file(self, data, identity)
                 if keep > 0:
                     self._trim_versions(name, keep)
                 return handle
@@ -1015,14 +1004,31 @@ def _spans(addresses) -> list[tuple[int, int]]:
     return [(start, count) for start, count in out]
 
 
-def _split_leader(table: RunTable) -> tuple[int, RunTable]:
-    """Split an allocation into (leader sector, data run table): the
-    leader is the first allocated sector; data pages follow."""
+def place_file(
+    fs: FSD, data: bytes, identity: Callable[[int], FileProperties]
+) -> FsdFile:
+    """Place a new file holding ``data`` on ``fs``: allocate a leader
+    sector with the data pages after it, enter the file in the name
+    table, stage its leader and write the data.  ``identity(leader
+    address)`` returns the file's properties: :meth:`FSD.create` mints
+    a new uid and version there, salvage passes on the ones the file
+    had."""
+    sector_bytes = fs._sector_bytes
+    big = len(data) >= fs.params.big_file_threshold_bytes
+    table = fs.allocator.allocate(1 + -(-len(data) // sector_bytes), big=big)
+    # The leader is the first allocated sector; data pages follow.
     first = table.runs[0]
-    leader_addr = first.start
     runs = RunTable()
     if first.count > 1:
         runs.append(Run(first.start + 1, first.count - 1))
     for run in table.runs[1:]:
         runs.append(run)
-    return leader_addr, runs
+    handle = FsdFile(props=identity(first.start), runs=runs)
+    fs.name_table.insert(handle.props, runs)
+    fs._refresh_leader(handle)
+    # A zero-byte file has no data write to piggyback on: its leader
+    # stays cached until the logging code writes it during entry into
+    # its third (paper §5.3).
+    if data:
+        fs._write_data(handle, 0, data)
+    return handle

@@ -120,6 +120,15 @@ class SalvagedLeader:
         """True when the leader stores the whole run table verbatim."""
         return len(self.runs.runs) == self.total_runs
 
+    @property
+    def runs_intact(self) -> bool:
+        """True when the stored run table is the whole table and matches
+        its digest: a run table salvage may restore the file from."""
+        return (
+            self.complete_runs
+            and _run_table_digest(self.runs) == self.run_digest
+        )
+
 
 def decode_leader(data: bytes) -> SalvagedLeader:
     """Parse a leader sector on its own terms (no name-table entry to

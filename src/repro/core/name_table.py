@@ -15,9 +15,9 @@ on different heads (:mod:`repro.core.layout` decides where).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
-from repro.btree import INTERNAL, LEAF, BTree
+from repro.btree import INTERNAL, LEAF, BTree, Node
 from repro.core.cache import MetadataCache, _NullCounter
 from repro.core.wal import PAGE_NAME_TABLE
 from repro.core.layout import VolumeLayout
@@ -45,6 +45,66 @@ from repro.errors import (
     VolumeFull,
 )
 from repro.obs import NULL_OBS
+
+
+def bitmap_pages(layout: VolumeLayout) -> int:
+    """Pages of the allocation bitmap, which follows the meta page
+    (page 0): one bit per name-table page."""
+    return -(-layout.params.nt_pages // (8 * layout.geometry.sector_bytes))
+
+
+def bitmap_location(page_no: int, page_size: int) -> tuple[int, int, int]:
+    """Where ``page_no``'s allocation bit lives: (bitmap page, byte, bit)."""
+    bits = 8 * page_size
+    return 1 + page_no // bits, (page_no % bits) // 8, page_no % 8
+
+
+def page_allocated(
+    read_page: Callable[[int], bytes], page_no: int, page_size: int
+) -> bool:
+    """True when the bitmap, read through ``read_page(page_no)``, marks
+    ``page_no`` allocated."""
+    bitmap_page, byte_index, bit = bitmap_location(page_no, page_size)
+    return bool(read_page(bitmap_page)[byte_index] & (1 << bit))
+
+
+def leaf_entries(image: bytes) -> list[tuple[tuple[str, int, int], bytes]]:
+    """``((name, version, chunk), value)`` for every entry of a page read
+    on its own terms, skipping keys that do not decode; nothing for a
+    page that is not a parseable leaf.  For readers that cannot trust
+    the tree around the page: recovery's leader check and salvage."""
+    try:
+        node = Node.from_bytes(image)
+    except CorruptMetadata:
+        return []
+    if node.kind != LEAF:
+        return []
+    entries = []
+    for key, value in zip(node.keys, node.values):
+        try:
+            entries.append((decode_key(key), value))
+        except (CorruptMetadata, UnicodeDecodeError):
+            continue
+    return entries
+
+
+def gather_runs(
+    name: str, version: int, runs: RunTable, total_runs: int,
+    chunk_value: Callable[[int], bytes | None],
+) -> None:
+    """Complete ``runs``, a chunk-0 entry's inline runs, to ``total_runs``
+    from continuation chunks 1, 2, ... (``chunk_value(n)``: chunk ``n``'s
+    value or None); raises :class:`CorruptMetadata` if one is missing."""
+    chunk = 1
+    while len(runs.runs) < total_runs:
+        more = chunk_value(chunk)
+        if more is None:
+            raise CorruptMetadata(
+                f"missing run-table continuation {chunk} for {name}!{version}"
+            )
+        runs.runs.extend(decode_continuation(more))
+        chunk += 1
+    del runs.runs[total_runs:]
 
 
 class NameTableHome:
@@ -288,7 +348,7 @@ class NameTablePager:
         self._node_ms = clock.cpu.btree_node_ms
         self.page_size = layout.geometry.sector_bytes
         self.nt_pages = layout.params.nt_pages
-        self.bitmap_pages = -(-self.nt_pages // (8 * self.page_size))
+        self.bitmap_pages = bitmap_pages(layout)
         self._alloc_cursor = 1 + self.bitmap_pages
         #: observability attach point (``FSD.mount`` rebinds it).
         self.obs = NULL_OBS
@@ -378,7 +438,7 @@ class NameTablePager:
                 (self._alloc_cursor - reserved + probe - reserved)
                 % (self.nt_pages - reserved)
             )
-            if not self._bit(page_no):
+            if not page_allocated(self.cache.read_nt, page_no, self.page_size):
                 self._set_bit(page_no, True)
                 self._alloc_cursor = page_no + 1
                 self.obs.count("btree.page_allocs")
@@ -387,7 +447,7 @@ class NameTablePager:
 
     def free(self, page_no: int) -> None:
         """Return a name-table page to the logged bitmap."""
-        if not self._bit(page_no):
+        if not page_allocated(self.cache.read_nt, page_no, self.page_size):
             raise CorruptMetadata(f"double free of name-table page {page_no}")
         self._set_bit(page_no, False)
         self.obs.count("btree.page_frees")
@@ -444,19 +504,8 @@ class NameTablePager:
         for reserved in range(0, 1 + self.bitmap_pages):
             self._set_bit(reserved, True)
 
-    def _locate(self, page_no: int) -> tuple[int, int, int]:
-        bitmap_page = 1 + page_no // (8 * self.page_size)
-        byte_index = (page_no % (8 * self.page_size)) // 8
-        bit = page_no % 8
-        return bitmap_page, byte_index, bit
-
-    def _bit(self, page_no: int) -> bool:
-        bitmap_page, byte_index, bit = self._locate(page_no)
-        data = self.cache.read_nt(bitmap_page)
-        return bool(data[byte_index] & (1 << bit))
-
     def _set_bit(self, page_no: int, value: bool) -> None:
-        bitmap_page, byte_index, bit = self._locate(page_no)
+        bitmap_page, byte_index, bit = bitmap_location(page_no, self.page_size)
         data = bytearray(self.cache.read_nt(bitmap_page))
         if value:
             data[byte_index] |= 1 << bit
@@ -563,17 +612,11 @@ class FsdNameTable:
         if value is None:
             return None
         props, runs, total_runs = decode_main_entry(name, version, value)
-        chunk = 1
-        while len(runs.runs) < total_runs:
-            more = self.tree.get(encode_key(name, version, chunk))
-            if more is None:
-                raise CorruptMetadata(
-                    f"missing run-table continuation {chunk} for "
-                    f"{name}!{version}"
-                )
-            for run in decode_continuation(more):
-                runs.runs.append(run)
-            chunk += 1
+        if len(runs.runs) < total_runs:
+            gather_runs(
+                name, version, runs, total_runs,
+                lambda chunk: self.tree.get(encode_key(name, version, chunk)),
+            )
         return props, runs
 
     def delete(self, name: str, version: int) -> tuple[FileProperties, RunTable]:

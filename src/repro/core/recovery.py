@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from repro.btree.node import LEAF, Node
 from repro.core.layout import RootPage, VolumeLayout
 from repro.core.leader import decode_leader
-from repro.core.name_table import FsdNameTable, NameTableHome
+from repro.core.name_table import (
+    FsdNameTable,
+    NameTableHome,
+    bitmap_pages,
+    leaf_entries,
+    page_allocated,
+)
 from repro.core.types import (
     Run,
     decode_continuation,
@@ -162,8 +168,13 @@ def replay_log(
                 for (kind, page_id), data in newest.items()
                 if kind == PAGE_NAME_TABLE
             }
-            stale_leaders = _redo_live_leaders(
-                io, home, layout, newest, nt_images
+            # A scan stopped short of committed records knows an older
+            # state: a leader it calls live may since have been deleted
+            # and its sector reused for data, so no leader goes home.
+            stale_leaders = (
+                0
+                if wal.lost_records_detected
+                else _redo_live_leaders(io, home, layout, newest, nt_images)
             )
             if nt_images:
                 home.write_pages(sorted(nt_images.items()))
@@ -214,35 +225,21 @@ def _redo_live_leaders(
     if not pending:
         return 0
     page_size = layout.geometry.sector_bytes
-    bitmap_pages = -(-layout.params.nt_pages // (8 * page_size))
-    home_bitmaps: dict[int, bytes] = {}
+    last_bitmap_page = bitmap_pages(layout)
+    bitmaps: dict[int, bytes] = {}
 
-    def allocated(page_no: int) -> bool:
-        bitmap_page = 1 + page_no // (8 * page_size)
-        image = nt_images.get(bitmap_page)
-        if image is None:
-            image = home_bitmaps.get(bitmap_page)
-        if image is None:
-            image = home.read_page(bitmap_page)
-            home_bitmaps[bitmap_page] = image
-        byte_index = (page_no % (8 * page_size)) // 8
-        return bool(image[byte_index] & (1 << (page_no % 8)))
+    def bitmap(page_no: int) -> bytes:
+        if page_no not in bitmaps:
+            bitmaps[page_no] = nt_images.get(page_no) or home.read_page(page_no)
+        return bitmaps[page_no]
 
     live: dict[tuple[str, int], tuple[int, int]] = {}
     for page_no, data in nt_images.items():
-        if page_no <= bitmap_pages or not allocated(page_no):
+        if page_no <= last_bitmap_page or not page_allocated(
+            bitmap, page_no, page_size
+        ):
             continue
-        try:
-            node = Node.from_bytes(data)
-        except CorruptMetadata:
-            continue
-        if node.kind != LEAF:
-            continue
-        for key, value in zip(node.keys, node.values):
-            try:
-                name, version, chunk = decode_key(key)
-            except (CorruptMetadata, UnicodeDecodeError):
-                continue
+        for (name, version, chunk), value in leaf_entries(data):
             if chunk != 0:
                 continue
             try:

@@ -7,28 +7,28 @@ copies of a name-table page gone, the log third that covered them
 overwritten or destroyed): the FSD analogue of the CFS scavenger
 (`repro.cfs.scavenger`), rebuilt around FSD's own redundancy.
 
-The salvager never trusts volume-level structure.  It sweeps:
+The salvager never trusts volume-level structure, and reads each
+on-disk format through the module that owns it.  It sweeps:
 
-1. the **log record area**, with no anchor and no record-number chain:
-   any sector that parses as a record header yields page images
-   validated by their *per-page checksums* (each image appears twice
-   on non-adjacent sectors, so the single-fault model can never cost
-   both), newest record number wins per page;
+1. the **log record area**, with no anchor and no record-number chain
+   (:func:`repro.core.wal.salvage_pages`): the newest checksum-valid
+   image of every logged page;
 2. the **name-table home extents**, page by page, preferring the log's
    image (always at least as new as home), then agreeing home copies,
-   then any single survivor — and harvests B-tree *leaf entries*
-   directly from each image, deliberately ignoring tree structure
-   (interior pages may be gone);
+   then any single survivor — and harvests *leaf entries* from each
+   image (:func:`repro.core.name_table.leaf_entries`), ignoring tree
+   structure (interior pages may be gone);
 3. the **data areas**, sector by sector, for self-describing v2 leader
-   pages (full name, properties, and run table under a body checksum).
+   pages (:func:`repro.core.leader.decode_leader`).
 
 Harvested name-table entries win over leaders; orphan leaders (their
 entry lost with the name table) are readmitted unless their sectors
 conflict with a surviving entry — conflicts mean the leader is stale
 (its file was deleted and the space reallocated), and newer claims
 (higher uid) win among orphans.  Every accepted file's data is read
-from the damaged volume and rewritten into a freshly formatted volume
-on the destination disk; both disks share one simulated clock, so the
+from the damaged volume and placed on a freshly formatted volume by
+create's own placement step (:func:`repro.core.fsd.place_file`), under
+the identity it had; both disks share one simulated clock, so the
 :class:`SalvageReport` is directly comparable to the paper's scavenge
 measurements.
 
@@ -41,36 +41,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.btree.node import LEAF, Node
-from repro.core.fsd import FSD, FsdFile, _split_leader
+from repro.core.fsd import FSD, place_file
 from repro.core.layout import RootPage, VolumeLayout, VolumeParams
-from repro.core.leader import (
-    SalvagedLeader,
-    decode_leader,
-    encode_leader,
-    _run_table_digest,
-)
+from repro.core.leader import SalvagedLeader, decode_leader
+from repro.core.name_table import bitmap_pages, gather_runs, leaf_entries
 from repro.core.types import (
     FileKind,
     FileProperties,
     Run,
     RunTable,
-    decode_continuation,
-    decode_key,
     decode_main_entry,
 )
-from repro.core.wal import (
-    PAGE_LEADER,
-    PAGE_NAME_TABLE,
-    RECORD_DATA,
-    _HEADER_MAGIC,
-    record_sectors,
-)
+from repro.core.wal import PAGE_LEADER, PAGE_NAME_TABLE, salvage_pages
 from repro.disk.disk import SimDisk
 from repro.disk.sched import as_scheduler
 from repro.errors import CorruptMetadata, DegradedVolumeError
 from repro.obs import NULL_OBS
-from repro.serial import Unpacker, checksum
 
 #: sectors per salvage sweep read (one arm pass reads a whole chunk).
 _SWEEP_CHUNK = 120
@@ -124,79 +110,6 @@ def _sweep_read(io, start: int, count: int) -> list[bytes | None]:
     return out
 
 
-def _sweep_log(
-    io, layout: VolumeLayout, report: SalvageReport
-) -> dict[tuple[int, int], bytes]:
-    """Tolerant log sweep: newest checksum-valid image per page.
-
-    No anchor, no expected record number: every sector that parses as
-    a data-record header is tried, and each carried page is accepted
-    iff one of its two copies matches the header's per-page checksum.
-    Returns ``{(kind, page_id): data}`` plus stores the winning record
-    number per page for later conflict resolution.
-    """
-    area_start = layout.log_start + 3
-    area_sectors = layout.params.log_record_sectors
-    sectors = _sweep_read(io, area_start, area_sectors)
-    newest: dict[tuple[int, int], tuple[int, bytes]] = {}
-    for index, data in enumerate(sectors):
-        meta = _parse_any_header(data)
-        if meta is None:
-            continue
-        record_number, page_meta = meta
-        count = len(page_meta)
-        if record_sectors(count) > area_sectors:
-            continue
-        # ``index`` may be the first header (pages at +3) or its copy
-        # two sectors later (pages at +1): per-page checksums decide.
-        for first_data in (index + 3, index + 1):
-            for page_index, (kind, page_id, expect_sum) in enumerate(
-                page_meta
-            ):
-                for position in (
-                    first_data + page_index,
-                    first_data + count + 1 + page_index,
-                ):
-                    if not 0 <= position < area_sectors:
-                        continue
-                    candidate = sectors[position]
-                    if candidate is None:
-                        continue
-                    if checksum(candidate) != expect_sum:
-                        continue
-                    key = (kind, page_id)
-                    held = newest.get(key)
-                    if held is None or held[0] < record_number:
-                        newest[key] = (record_number, candidate)
-                    break
-    report.log_pages_harvested = len(newest)
-    return {key: data for key, (_, data) in newest.items()}
-
-
-def _parse_any_header(
-    data: bytes | None,
-) -> tuple[int, list[tuple[int, int, int]]] | None:
-    if data is None:
-        return None
-    try:
-        reader = Unpacker(data)
-        if reader.u32() != _HEADER_MAGIC:
-            return None
-        if reader.u8() != RECORD_DATA:
-            return None
-        record_number = reader.u64()
-        reader.u32()  # boot count: unused here
-        count = reader.u16()
-        if count > 512:
-            return None
-        meta = [
-            (reader.u8(), reader.u64(), reader.u32()) for _ in range(count)
-        ]
-        return record_number, meta
-    except CorruptMetadata:
-        return None
-
-
 def _harvest_entries(
     io,
     layout: VolumeLayout,
@@ -211,7 +124,7 @@ def _harvest_entries(
     entries survive even when every interior page is gone.
     """
     params = layout.params
-    bitmap_pages = -(-params.nt_pages // (8 * layout.geometry.sector_bytes))
+    last_bitmap_page = bitmap_pages(layout)
     copies_a: list[bytes | None] = []
     copies_b: list[bytes | None] = []
     for _, count, addr_a, addr_b in layout.nt_extents(0, params.nt_pages):
@@ -224,7 +137,7 @@ def _harvest_entries(
     entries: dict[tuple[str, int, int], tuple[int, bytes]] = {}
     harvested = 0
     for page_no in range(params.nt_pages):
-        if page_no <= bitmap_pages:
+        if page_no <= last_bitmap_page:
             continue  # meta page + allocation bitmap: no entries
         logged = log_images.get((PAGE_NAME_TABLE, page_no))
         candidates: list[tuple[int, bytes]] = []
@@ -241,36 +154,15 @@ def _harvest_entries(
                     candidates.append((1, survivor))
         page_yielded = False
         for precedence, image in candidates:
-            if _harvest_leaf(image, precedence, entries):
-                page_yielded = True
+            for key, value in leaf_entries(image):
+                held = entries.get(key)
+                if held is None or held[0] < precedence:
+                    entries[key] = (precedence, value)
+                    page_yielded = True
         if page_yielded:
             harvested += 1
     report.nt_pages_harvested = harvested
     return entries
-
-
-def _harvest_leaf(
-    image: bytes,
-    precedence: int,
-    entries: dict[tuple[str, int, int], tuple[int, bytes]],
-) -> bool:
-    try:
-        node = Node.from_bytes(image)
-    except CorruptMetadata:
-        return False
-    if node.kind != LEAF:
-        return False
-    yielded = False
-    for key, value in zip(node.keys, node.values):
-        try:
-            name, version, chunk = decode_key(key)
-        except (CorruptMetadata, UnicodeDecodeError):
-            continue
-        held = entries.get((name, version, chunk))
-        if held is None or held[0] < precedence:
-            entries[(name, version, chunk)] = (precedence, value)
-            yielded = True
-    return yielded
 
 
 def _sweep_leaders(
@@ -329,33 +221,23 @@ def _assemble_candidates(
             props, runs, total_runs = decode_main_entry(name, version, value)
         except (CorruptMetadata, ValueError):
             continue
-        complete = True
-        next_chunk = 1
-        while len(runs.runs) < total_runs:
-            more = entries.get((name, version, next_chunk))
-            if more is None:
-                complete = False
-                break
-            try:
-                runs.runs.extend(decode_continuation(more[1]))
-            except CorruptMetadata:
-                complete = False
-                break
-            next_chunk += 1
-        if len(runs.runs) > total_runs:
-            del runs.runs[total_runs:]
-        if not complete:
+        try:
+            gather_runs(
+                name, version, runs, total_runs,
+                lambda n: entries.get((name, version, n), (0, None))[1],
+            )
+            complete = True
+        except CorruptMetadata:
             # Continuation chunks gone: the leader keeps the whole run
             # table (up to its capacity) and can fill the gap.
             leader = leaders.get(props.leader_addr)
-            if (
+            complete = (
                 leader is not None
                 and leader.uid == props.uid
-                and leader.complete_runs
-                and _run_table_digest(leader.runs) == leader.run_digest
-            ):
+                and leader.runs_intact
+            )
+            if complete:
                 runs = RunTable([Run(r.start, r.count) for r in leader.runs.runs])
-                complete = True
         if not complete:
             report.lost.append(
                 (f"{name}!{version}", "run-table continuations lost")
@@ -383,7 +265,7 @@ def _assemble_candidates(
                 )
             )
             continue
-        if _run_table_digest(leader.runs) != leader.run_digest:
+        if not leader.runs_intact:
             continue  # internally inconsistent: not a real leader state
         if leader.kind != FileKind.LOCAL:
             # A symlink / cached-copy target lives only in the name
@@ -457,28 +339,6 @@ def _read_file_data(io, candidate: _Candidate) -> bytes | None:
     return blob[: candidate.props.byte_size]
 
 
-def _restore_file(
-    fs: FSD, props: FileProperties, data: bytes
-) -> None:
-    """Recreate one file on the fresh volume, preserving its identity
-    (uid, version, kind, keep, create time) — ``FSD.create`` would mint
-    new ones.  Placement is reallocated; content is byte-identical."""
-    sector_bytes = fs.disk.geometry.sector_bytes
-    data_sectors = -(-len(data) // sector_bytes)
-    big = len(data) >= fs.params.big_file_threshold_bytes
-    table = fs.allocator.allocate(1 + data_sectors, big=big)
-    leader_addr, runs = _split_leader(table)
-    restored = props.with_updates(leader_addr=leader_addr)
-    fs.coordinator.note_update()
-    fs.name_table.insert(restored, runs)
-    fs.cache.write_leader(
-        leader_addr, encode_leader(restored, runs, sector_bytes)
-    )
-    handle = FsdFile(props=restored, runs=runs, leader_verified=True)
-    if data:
-        fs._write_data(handle, 0, data)
-
-
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
@@ -537,7 +397,10 @@ def salvage_volume(
         layout = VolumeLayout.compute(source.geometry, params)
 
         with obs.span("salvage.log_sweep"):
-            log_images = _sweep_log(io, layout, report)
+            log_images = salvage_pages(
+                lambda start, count: _sweep_read(io, start, count), layout
+            )
+            report.log_pages_harvested = len(log_images)
         with obs.span("salvage.nt_sweep"):
             entries = _harvest_entries(io, layout, log_images, report)
         with obs.span("salvage.leader_sweep"):
@@ -563,7 +426,15 @@ def salvage_volume(
                 if data is None:
                     report.lost.append((label, "data pages damaged"))
                     continue
-                _restore_file(fs, candidate.props, data)
+                # The file keeps its identity; only its placement is new.
+                fs.coordinator.note_update()
+                place_file(
+                    fs,
+                    data,
+                    lambda leader_addr: candidate.props.with_updates(
+                        leader_addr=leader_addr
+                    ),
+                )
                 report.files_recovered += 1
                 report.bytes_recovered += len(data)
                 if candidate.origin == "nt":

@@ -413,7 +413,7 @@ class WriteAheadLog:
             if head is None:
                 suspicious = self._reads_damaged
                 break
-            kind, page_meta, boot_count = head
+            kind, _, page_meta, boot_count = head
             if kind == RECORD_SKIP:
                 self._note_record_start(offset, expected)
                 scanned += self.area_sectors - offset
@@ -468,57 +468,30 @@ class WriteAheadLog:
             count = min(chunk, self.area_sectors - start)
             sectors = self.io.read_maybe(self._disk_addr(start), count)
             for data in sectors:
-                if data is None:
-                    continue
-                try:
-                    reader = Unpacker(data)
-                    magic = reader.u32()
-                    if magic == _HEADER_MAGIC:
-                        reader.u8()  # kind
-                        if reader.u64() > expected:
+                head = _parse_header(data)
+                if head is not None:
+                    if head[1] > expected:
+                        return True
+                elif data is not None:
+                    try:
+                        reader = Unpacker(data)
+                        if reader.u32() == _END_MAGIC and reader.u64() > expected:
                             return True
-                    elif magic == _END_MAGIC:
-                        if reader.u64() > expected:
-                            return True
-                except CorruptMetadata:
-                    continue
+                    except CorruptMetadata:
+                        continue
         return False
 
     def _read_header_pair(
         self, offset: int, expected: int
-    ) -> tuple[int, list[tuple[int, int, int]], int] | None:
+    ) -> tuple[int, int, list[tuple[int, int, int]], int] | None:
         sectors = self.io.read_maybe(self._disk_addr(offset), 3)
         if sectors[0] is None or sectors[2] is None:
             self._reads_damaged = True
         for candidate in (sectors[0], sectors[2]):
-            parsed = self._parse_header(candidate, expected)
+            parsed = _parse_header(candidate, expected)
             if parsed is not None:
                 return parsed
         return None
-
-    def _parse_header(
-        self, data: bytes | None, expected: int
-    ) -> tuple[int, list[tuple[int, int, int]], int] | None:
-        if data is None:
-            return None
-        try:
-            reader = Unpacker(data)
-            if reader.u32() != _HEADER_MAGIC:
-                return None
-            kind = reader.u8()
-            if kind not in (RECORD_DATA, RECORD_SKIP):
-                return None
-            record_number = reader.u64()
-            boot_count = reader.u32()
-            if record_number != expected:
-                return None
-            count = reader.u16()
-            meta = [
-                (reader.u8(), reader.u64(), reader.u32()) for _ in range(count)
-            ]
-            return kind, meta, boot_count
-        except CorruptMetadata:
-            return None
 
     def _read_record_body(
         self,
@@ -541,14 +514,7 @@ class WriteAheadLog:
         ):
             return None
         pages: list[LoggedPage] = []
-        for index, (kind, page_id, expect_sum) in enumerate(page_meta):
-            primary = sectors[3 + index]
-            copy = sectors[3 + count + 1 + index]
-            data = None
-            for candidate in (primary, copy):
-                if candidate is not None and checksum(candidate) == expect_sum:
-                    data = candidate
-                    break
+        for kind, page_id, data in _record_pages(sectors, 0, page_meta):
             if data is None:
                 return None  # both copies bad: treat as torn record
             pages.append(LoggedPage(kind=kind, page_id=page_id, data=data))
@@ -605,3 +571,74 @@ class WriteAheadLog:
         self.obs.count("wal.checkpoints")
         self._write_anchor(self.write_offset, self.next_record_number)
         self._third_first = [None, None, None]
+
+
+def _parse_header(
+    data: bytes | None, expected: int | None = None
+) -> tuple[int, int, list[tuple[int, int, int]], int] | None:
+    """A record header as ``(kind, record number, [(page kind, page id,
+    checksum)], boot count)``, carrying record ``expected`` unless that
+    is None; None for any other sector."""
+    if data is None:
+        return None
+    try:
+        reader = Unpacker(data)
+        if reader.u32() != _HEADER_MAGIC:
+            return None
+        kind = reader.u8()
+        if kind not in (RECORD_DATA, RECORD_SKIP):
+            return None
+        record_number = reader.u64()
+        boot_count = reader.u32()
+        if expected is not None and record_number != expected:
+            return None
+        count = reader.u16()
+        meta = [
+            (reader.u8(), reader.u64(), reader.u32()) for _ in range(count)
+        ]
+        return kind, record_number, meta, boot_count
+    except CorruptMetadata:
+        return None
+
+
+def _record_pages(
+    sectors: list[bytes | None], start: int, page_meta: list[tuple[int, int, int]]
+) -> list[tuple[int, int, bytes | None]]:
+    """``(kind, page_id, data)`` per page of the record whose header is
+    ``sectors[start]``: ``data`` is the first of its two copies to match
+    the header's checksum, None if neither does or both lie outside."""
+    count = len(page_meta)
+    pages = []
+    for index, (kind, page_id, expect_sum) in enumerate(page_meta):
+        data = None
+        for position in (start + 3 + index, start + 4 + count + index):
+            if 0 <= position < len(sectors):
+                candidate = sectors[position]
+                if candidate is not None and checksum(candidate) == expect_sum:
+                    data = candidate
+                    break
+        pages.append((kind, page_id, data))
+    return pages
+
+
+def salvage_pages(read, layout: VolumeLayout) -> dict[tuple[int, int], bytes]:
+    """The newest checksum-valid image of every page in the record area,
+    found without the anchor or the record-number chain (``read(address,
+    count)`` returns sectors, None where unreadable).  Any sector that
+    parses as a data-record header is tried as the first header and as
+    its copy two sectors on; the highest record number wins per page."""
+    area = read(layout.log_start + 3, layout.params.log_record_sectors)
+    newest: dict[tuple[int, int], tuple[int, bytes]] = {}
+    for index, sector in enumerate(area):
+        head = _parse_header(sector)
+        if head is None or head[0] != RECORD_DATA:
+            continue
+        _, record_number, page_meta, _ = head
+        if record_sectors(len(page_meta)) > len(area):
+            continue
+        for start in (index, index - 2):
+            for kind, page_id, data in _record_pages(area, start, page_meta):
+                held = newest.get((kind, page_id))
+                if data is not None and (held is None or held[0] < record_number):
+                    newest[(kind, page_id)] = (record_number, data)
+    return {key: data for key, (_, data) in newest.items()}

@@ -140,7 +140,10 @@ class DiskRecorder:
                     "write",
                     address,
                     len(sectors),
-                    payloads=tuple(disk._pad(s) for s in sectors),
+                    payloads=tuple(
+                        s.ljust(disk.geometry.sector_bytes, b"\x00")
+                        for s in sectors
+                    ),
                     set_labels=(
                         None
                         if set_labels is None

@@ -11,7 +11,7 @@ the scan goes on to read, in the order it was handed.
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.btree import BTree, MemoryPager
 from repro.core.name_table import FsdNameTable, _prefix_range
@@ -106,9 +106,17 @@ def flatten(leaves) -> list[tuple[bytes, bytes]]:
 
 @settings(max_examples=60, deadline=None)
 @given(history=operations, low=bounds, high=bounds)
+# A delete whose redistribute would hand the parent a longer separator
+# than it has room for (the parent of a delete never splits).
+@example(
+    history=[("rename", "a/f01", "b/f25"), ("delete", "b/f38", 0)],
+    low="",
+    high="zz",
+)
 def test_bounded_scan_is_the_unbounded_scan_filtered(history, low, high):
     table, _ = build(history)
     tree = table.tree
+    tree.check_invariants()
     everything = flatten(tree.scan_leaves())
     assert [key for key, _ in everything] == sorted(k for k, _ in everything)
     assert len(everything) == len(tree)

@@ -5,14 +5,27 @@ from __future__ import annotations
 
 import pytest
 
+from repro.btree import INTERNAL, LEAF, Node
 from repro.core.cache import MetadataCache
 from repro.core.layout import VolumeLayout, VolumeParams
 from repro.core.name_table import (
     FsdNameTable,
     NameTableHome,
     NameTablePager,
+    bitmap_pages,
+    gather_runs,
+    leaf_entries,
+    page_allocated,
 )
-from repro.core.types import FileKind, FileProperties, Run, RunTable, make_uid
+from repro.core.types import (
+    FileKind,
+    FileProperties,
+    Run,
+    RunTable,
+    encode_continuation,
+    encode_key,
+    make_uid,
+)
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
 from repro.errors import CorruptMetadata, FileNotFound, VolumeFull
@@ -142,6 +155,70 @@ class TestPagerBitmap:
         pager.allocate()
         pager.allocate()
         assert pager.allocated_pages() == base + 2
+
+    def test_page_allocated_reads_the_pager_bitmap(self, world):
+        _, layout, _, cache, pager = world
+        pager.format_bitmap()
+        taken = {pager.allocate() for _ in range(20)}
+        pager.free(min(taken))
+        taken.discard(min(taken))
+        assert pager.bitmap_pages == bitmap_pages(layout)
+        for page_no in range(1 + pager.bitmap_pages, PARAMS.nt_pages):
+            assert page_allocated(
+                cache.read_nt, page_no, layout.geometry.sector_bytes
+            ) == (page_no in taken), page_no
+
+
+class TestLeafEntries:
+    """The tolerant page reader recovery and salvage share: it reads a
+    page on its own terms and never raises."""
+
+    @staticmethod
+    def leaf(keys: list[bytes]) -> bytes:
+        values = [bytes([index]) * 3 for index in range(len(keys))]
+        return Node(LEAF, keys, values).to_bytes(512)
+
+    def test_entries_of_a_leaf(self):
+        keys = [
+            encode_key("a", 1, 0), encode_key("a", 1, 1), encode_key("b", 2)
+        ]
+        assert leaf_entries(self.leaf(keys)) == [
+            (("a", 1, 0), b"\x00" * 3),
+            (("a", 1, 1), b"\x01" * 3),
+            (("b", 2, 0), b"\x02" * 3),
+        ]
+
+    def test_junk_page_has_no_entries(self):
+        assert leaf_entries(b"\xa5" * 512) == []
+        assert leaf_entries(bytes([LEAF, 200, 0]) + b"\x00" * 509) == []
+
+    def test_interior_page_has_no_entries(self):
+        node = Node(INTERNAL, [encode_key("m", 1)], children=[5, 6])
+        assert leaf_entries(node.to_bytes(512)) == []
+
+    def test_undecodable_key_is_skipped_not_fatal(self):
+        keys = [
+            encode_key("a", 1),
+            b"\xff\xfe\x00\x00\x01\x00\x00",  # name is not UTF-8
+            b"no-separator",
+            encode_key("c", 1),
+        ]
+        assert [key for key, _ in leaf_entries(self.leaf(keys))] == [
+            ("a", 1, 0),
+            ("c", 1, 0),
+        ]
+
+
+class TestGatherRuns:
+    def test_completes_from_chunks_and_trims(self):
+        runs = RunTable([Run(100, 1)])
+        chunks = {1: encode_continuation([Run(200, 2), Run(300, 3)])}
+        gather_runs("f", 1, runs, 2, chunks.get)
+        assert runs.runs == [Run(100, 1), Run(200, 2)]
+
+    def test_missing_chunk_is_corruption(self):
+        with pytest.raises(CorruptMetadata, match="continuation 1 for f!1"):
+            gather_runs("f", 1, RunTable([Run(100, 1)]), 3, {}.get)
 
 
 class TestTypedTable:

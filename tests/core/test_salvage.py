@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.fsd import FSD
 from repro.core.layout import VolumeLayout, VolumeParams
+from repro.core.leader import encode_leader
 from repro.core.salvage import salvage_volume
 from repro.core.types import FileKind
 from repro.disk.disk import SimDisk
@@ -80,6 +81,52 @@ class TestCleanVolume:
         link = fs2.open("id/link")
         assert link.props.kind == FileKind.SYMLINK
         assert link.props.remote_target == "[x]<y>z"
+
+    def test_restored_file_is_placed_as_create_places_it(self):
+        """Salvage restores through create's own placement step: the
+        file keeps uid, version, kind, keep and create time, and lands
+        where a create of the same bytes on a fresh volume would, with
+        the leader create would have written for it."""
+        disk = SimDisk(geometry=GEO)
+        FSD.format(disk, PARAMS)
+        fs = FSD.mount(disk)
+        originals = []
+        for index, size in enumerate((0, 1, 700, 9_000, 3_000)):
+            fs.clock.advance_cpu(17.0)
+            originals.append(
+                fs.create(f"place/f{index}", payload(size, index), keep=index)
+            )
+        fs.unmount()
+
+        rebuilt, report = salvage_volume(disk)
+        assert report.lost == []
+        twin_disk = SimDisk(geometry=GEO)
+        FSD.format(twin_disk, PARAMS)
+        twin = FSD.mount(twin_disk)
+        restored_fs = FSD.mount(rebuilt)
+        sector_bytes = GEO.sector_bytes
+        for index, original in enumerate(originals):
+            data = payload(original.byte_size, index)
+            restored = restored_fs.open(original.name)
+            fresh = twin.create(original.name, data, keep=index)
+            got = restored.props
+            want = original.props
+            assert (
+                got.uid, got.version, got.kind, got.keep, got.create_time_ms
+            ) == (
+                want.uid, want.version, want.kind, want.keep,
+                want.create_time_ms,
+            )
+            assert got.leader_addr == fresh.props.leader_addr
+            assert restored.runs.runs == fresh.runs.runs
+            assert rebuilt.read(got.leader_addr, 1)[0] == encode_leader(
+                got, restored.runs, sector_bytes
+            )
+            on_disk = b"".join(
+                b"".join(rebuilt.read(run.start, run.count))
+                for run in restored.runs.runs
+            )
+            assert on_disk == data.ljust(len(on_disk), b"\x00")
 
     def test_source_is_never_written(self):
         disk, _ = _populated_volume(files=4)

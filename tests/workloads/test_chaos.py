@@ -248,3 +248,30 @@ class TestVolumeLost:
         assert report.salvage_summary
         assert not report.silent_corruptions
         assert report.ok
+
+
+class TestLostLogRecords:
+    def test_stale_leaders_are_not_redone_over_newer_data(self):
+        """``repro chaos --seed 3 --max-retries 0``: mid-log damage
+        stops the final mount's scan short of committed records.  The
+        truncated log still calls live two files whose deletion those
+        records held, and their leaders must not go home: the sectors
+        were reused for data committed since, which salvage then
+        restores as it finds it."""
+        config = TrafficConfig(
+            clients=32,
+            ops_per_client=12,
+            seed=3,
+            mean_think_ms=150.0,
+            sync_fraction=0.25,
+            max_file_bytes=8_000,
+            settle=False,
+            max_retries=0,
+        )
+        report = run_chaos(
+            config, ChaosConfig(faults=120, fault_interval_ms=60.0,
+                                crash_cycles=3)
+        )
+        assert report.verdict == "salvaged"
+        assert report.silent_corruptions == []
+        assert report.files_verified == report.files_expected
