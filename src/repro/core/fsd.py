@@ -307,6 +307,9 @@ class FSD:
                 disk.geometry, params or VolumeParams()
             )
             root = read_root(io, probe_layout)
+            # Phase stamps: each phase runs from the previous stamp.
+            stamp = disk.clock.now_ms
+            report.root_read_ms = stamp - start_ms
             layout = VolumeLayout.compute(disk.geometry, root.params)
             new_boot = root.boot_count + 1
             report.boot_count = new_boot
@@ -337,6 +340,10 @@ class FSD:
             pager = NameTablePager(cache, layout, disk.clock, home)
             pager.obs = obs
             name_table = FsdNameTable.open(pager, disk.clock)
+            # replay_log timed the scan from ``stamp``; the redo phase
+            # runs from the scan's end to here.
+            report.redo_ms = disk.clock.now_ms - (stamp + report.scan_ms)
+            stamp = disk.clock.now_ms
 
             vam = VolumeAllocationMap(disk.geometry.total_sectors)
             vam.obs = obs
@@ -352,6 +359,8 @@ class FSD:
                     disk, layout, name_table, home, report, obs=obs
                 )
             report.vam_loaded = vam_loaded
+            report.vam_ms = disk.clock.now_ms - stamp
+            stamp = disk.clock.now_ms
 
             new_root = RootPage(
                 params=root.params,
@@ -360,6 +369,7 @@ class FSD:
                 vam_saved=False,
             )
             write_root(io, layout, new_root)
+            report.root_write_ms = disk.clock.now_ms - stamp
             report.total_ms = disk.clock.now_ms - start_ms
             mount_span.set(
                 boot=new_boot,

@@ -253,11 +253,14 @@ class NameTableHome:
             pages.append(copy_a)
         return pages
 
-    def write_pages(self, pages: list[tuple[int, bytes]]) -> None:
-        """Write pages home, to both copies, batching contiguous page
-        numbers into single multi-sector I/Os per copy (a group that
-        crosses a stripe boundary is one per stripe).  Every copy is
-        on the platter when this returns."""
+    def page_writes(
+        self, pages: list[tuple[int, bytes]]
+    ) -> list[tuple[int, list[bytes]]]:
+        """The home writes, ``(address, sectors)`` each, that put
+        ``pages`` in both copies: contiguous page numbers batch into
+        one multi-sector write per copy (a group that crosses a stripe
+        boundary is one per stripe), copy A's before copy B's."""
+        writes: list[tuple[int, list[bytes]]] = []
         for group in _contiguous_groups(pages):
             first_page = group[0][0]
             images = [data for _, data in group]
@@ -266,9 +269,16 @@ class NameTableHome:
             ):
                 offset = start - first_page
                 sectors = images[offset : offset + piece]
-                self.io.submit_write(addr_a, sectors)
+                writes.append((addr_a, sectors))
                 if not self.single_copy:
-                    self.io.submit_write(addr_b, sectors)
+                    writes.append((addr_b, sectors))
+        return writes
+
+    def write_pages(self, pages: list[tuple[int, bytes]]) -> None:
+        """Write pages home: :meth:`page_writes`, in that order.  Every
+        copy is on the platter when this returns."""
+        for address, sectors in self.page_writes(pages):
+            self.io.submit_write(address, sectors)
 
 
 def _contiguous_groups(

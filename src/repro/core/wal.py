@@ -389,6 +389,12 @@ class WriteAheadLog:
         Damage to one copy of any page is corrected from the other; a
         torn final record (crash during the log write itself) fails the
         end-page check and cleanly terminates the scan.
+
+        The first read is the anchor's header pair alone, so an empty
+        log costs one 3-sector read.  Once a record is found the scan
+        streams: it reads on in windows of ``max_io_sectors``
+        (:class:`_ScanWindow`).  Each record is still parsed, and its
+        damage judged, from its own sectors only.
         """
         anchor_offset, anchor_record = self.read_anchor()
         self.anchor_offset, self.anchor_record_number = (
@@ -403,16 +409,21 @@ class WriteAheadLog:
         expected = anchor_record
         scanned = 0
         suspicious = False
+        window = _ScanWindow(
+            self.io, self.area_start, self.area_sectors,
+            self.layout.params.max_io_sectors,
+        )
         while scanned < self.area_sectors:
             if self.area_sectors - offset < SKIP_RECORD_SECTORS:
                 scanned += self.area_sectors - offset
                 offset = 0
                 continue
             self._reads_damaged = False
-            head = self._read_header_pair(offset, expected)
+            head = self._read_header_pair(window.get(offset, 3), expected)
             if head is None:
                 suspicious = self._reads_damaged
                 break
+            window.streaming = True
             kind, _, page_meta, boot_count = head
             if kind == RECORD_SKIP:
                 self._note_record_start(offset, expected)
@@ -422,7 +433,7 @@ class WriteAheadLog:
                 continue
             self._reads_damaged = False
             record = self._read_record_body(
-                offset, expected, boot_count, page_meta
+                window, offset, expected, boot_count, page_meta
             )
             if record is None:
                 suspicious = self._reads_damaged
@@ -482,9 +493,10 @@ class WriteAheadLog:
         return False
 
     def _read_header_pair(
-        self, offset: int, expected: int
+        self, sectors: list[bytes | None], expected: int
     ) -> tuple[int, int, list[tuple[int, int, int]], int] | None:
-        sectors = self.io.read_maybe(self._disk_addr(offset), 3)
+        """The record header carried by ``sectors`` (header, blank,
+        header copy), if either copy holds record ``expected``."""
         if sectors[0] is None or sectors[2] is None:
             self._reads_damaged = True
         for candidate in (sectors[0], sectors[2]):
@@ -495,6 +507,7 @@ class WriteAheadLog:
 
     def _read_record_body(
         self,
+        window: "_ScanWindow",
         offset: int,
         record_number: int,
         boot_count: int,
@@ -504,7 +517,7 @@ class WriteAheadLog:
         size = record_sectors(count)
         if offset + size > self.area_sectors:
             return None
-        sectors = self.io.read_maybe(self._disk_addr(offset), size)
+        sectors = window.get(offset, size)
         if any(sector is None for sector in sectors):
             self._reads_damaged = True
         end_a = sectors[3 + count]
@@ -571,6 +584,43 @@ class WriteAheadLog:
         self.obs.count("wal.checkpoints")
         self._write_anchor(self.write_offset, self.next_record_number)
         self._third_first = [None, None, None]
+
+
+class _ScanWindow:
+    """The record-area sectors a scan holds, and how it reads more.
+
+    Until :attr:`streaming` is set a read fetches exactly the span
+    asked for (the anchor's header pair); from then on it fetches a
+    window of ``window`` sectors, or the span if that is longer, capped
+    at the end of the record area.  A span that starts inside the held
+    sectors reads only its missing tail.
+    """
+
+    def __init__(self, io, area_start: int, area_sectors: int, window: int):
+        self.io = io
+        self.area_start = area_start
+        self.area_sectors = area_sectors
+        self.window = window
+        self.streaming = False
+        self.start = 0
+        self.held: list[bytes | None] = []
+
+    def get(self, offset: int, count: int) -> list[bytes | None]:
+        """Sectors ``[offset, offset + count)`` of the record area."""
+        if self.start <= offset < self.start + len(self.held):
+            del self.held[: offset - self.start]
+        else:
+            self.held = []
+        self.start = offset
+        missing = count - len(self.held)
+        if missing > 0:
+            end = offset + len(self.held)
+            if self.streaming:
+                missing = max(
+                    missing, min(self.window, self.area_sectors - end)
+                )
+            self.held += self.io.read_maybe(self.area_start + end, missing)
+        return self.held[:count]
 
 
 def _parse_header(

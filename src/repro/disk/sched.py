@@ -8,15 +8,27 @@ writeback of logged metadata pages, redo writes during recovery, the
 VAM bitmap save — go through :meth:`IoScheduler.submit_write`, which
 counts them (``sched.submitted`` / ``sched.dispatched``) and writes
 them at once, in program order: op counts and simulated times are
-exactly those of direct disk calls.
+exactly those of direct disk calls.  (Recovery's redo writes arrive as
+one :meth:`IoScheduler.write_batch`; see below.)
 
 There is one ordering rule: a write is on the platter when the call
-that issued it returns.  Nothing is held back, merged or reordered, so
-"what the disk did" is "what the code said" — the paper's §6 prices
-every operation as such a script — and a crash can lose only the write
-it interrupts.  (An elevator and a deadline policy once sat here; they
+that issued it returns.  Nothing is held back or merged, so "what the
+disk did" is "what the code said" — the paper's §6 prices every
+operation as such a script — and a crash can lose only the write it
+interrupts.  (An elevator and a deadline policy once sat here; they
 lost to program order on every workload that measured them: see
 EXPERIMENTS.md, "I/O dispatch order — the elevator's verdict".)
+
+The one reordering is a batch handed over whole.  Recovery's redo
+knows every write it will issue before it issues the first, no client
+waits on any of them, and redo is idempotent, so
+:meth:`IoScheduler.write_batch` dispatches such a batch in the order
+:func:`plan_writes` picks: cylinders swept from the nearer end, and
+within a cylinder the write that would finish first under the disk's
+own charge.  The rule still holds — the call is the batch.  A sort by
+(cylinder, slot) is not the same thing: neighbours one slot apart each
+cost a full revolution, because the per-I/O set-up outlasts the gap
+(EXPERIMENTS.md, "§5.9 — recovery in streams").
 
 Reads merge on the caller's side: :meth:`IoScheduler.merge_reads`
 takes the *batch* of read requests a caller is about to issue (the FSD
@@ -115,6 +127,15 @@ class IoScheduler:
         self.disk.write(address, sectors, expect_labels=expect_labels,
                         set_labels=set_labels, cpu_overlap=cpu_overlap)
 
+    def write_batch(self, writes: list[tuple[int, list[bytes]]]) -> None:
+        """Write a batch of §4 asynchronous writes, ``(address,
+        sectors)`` each, in the order :func:`plan_writes` picks.  Each
+        is counted and written as :meth:`submit_write` does it; all are
+        on the platter when this returns, and the disk holds what
+        program order would have left."""
+        for index, _ in plan_writes(self.disk, writes):
+            self.submit_write(*writes[index])
+
     # -- read planning -------------------------------------------------
     def merge_reads(
         self, requests: list[tuple[int, int]],
@@ -146,6 +167,91 @@ class IoScheduler:
                 out.append((address + cursor, take))
                 cursor += take
         return out
+
+
+def plan_writes(
+    disk: SimDisk, writes: list[tuple[int, list[bytes]]]
+) -> list[tuple[int, float]]:
+    """Order a batch of writes for the least positioning time.
+
+    Returns ``(index into writes, clock when it finishes)`` per write,
+    in dispatch order.  Cylinders are swept from the end nearer the
+    head; within a cylinder the next write is the one that would finish
+    first, charged as :meth:`SimDisk.write` charges it — set-up,
+    per-sector copy, seek, rotational wait, transfer — from where the
+    previous write left the clock and the arm.  A write that overlaps
+    an earlier one of the batch waits for it, so the final image is
+    program order's.  Planning advances no clock.
+    """
+    geometry, timing, cpu = disk.geometry, disk.timing, disk.clock.cpu
+    spc, spt = geometry.sectors_per_cylinder, geometry.sectors_per_track
+    setup_ms = cpu.io_setup_ms if disk.charge_cpu else None
+    # Per write, what does not depend on when it goes: (cylinder, slot,
+    # copy ms, transfer ms, cylinder the arm ends on).
+    costs = [
+        (
+            address // spc, address % spt,
+            cpu.per_sector_copy_ms * len(sectors),
+            timing.transfer_ms(len(sectors), spt),
+            (address + len(sectors) - 1) // spc,
+        )
+        for address, sectors in writes
+    ]
+    waits_for = _earlier_overlaps(writes)
+    by_cylinder: dict[int, list[int]] = {}
+    for index, cost in enumerate(costs):
+        by_cylinder.setdefault(cost[0], []).append(index)
+    now, head = disk.clock.now_ms, disk.head_cylinder
+    done: set[int] = set()
+    plan: list[tuple[int, float]] = []
+    while by_cylinder:
+        sweep = sorted(by_cylinder)
+        if abs(sweep[-1] - head) < abs(sweep[0] - head):
+            sweep.reverse()
+        for cylinder in sweep:
+            pending = by_cylinder[cylinder]
+            while pending:
+                best, best_ms = -1, 0.0
+                for index in pending:
+                    waits = waits_for[index]
+                    if waits and not done.issuperset(waits):
+                        continue
+                    # SimDisk.write's float operations, in its order.
+                    _, slot, copy_ms, transfer_ms, _ = costs[index]
+                    ms = now
+                    if setup_ms is not None:
+                        ms += setup_ms
+                        ms += copy_ms
+                    if cylinder != head:
+                        ms += timing.seek_ms(abs(cylinder - head))
+                    ms += timing.rotational_wait_ms(ms, slot, spt)
+                    ms += transfer_ms
+                    if best < 0 or ms < best_ms:
+                        best, best_ms = index, ms
+                if best < 0:
+                    break  # what is left here waits on another cylinder
+                pending.remove(best)
+                done.add(best)
+                plan.append((best, best_ms))
+                now, head = best_ms, costs[best][4]
+            if not pending:
+                del by_cylinder[cylinder]
+    return plan
+
+
+def _earlier_overlaps(writes: list[tuple[int, list[bytes]]]) -> list[list[int]]:
+    """Per write, the earlier writes of the batch that share a sector
+    with it."""
+    waits_for: list[list[int]] = [[] for _ in writes]
+    by_address = sorted(range(len(writes)), key=lambda index: writes[index][0])
+    for position, index in enumerate(by_address):
+        end = writes[index][0] + len(writes[index][1])
+        later = position + 1
+        while later < len(by_address) and writes[by_address[later]][0] < end:
+            pair = sorted((index, by_address[later]))
+            waits_for[pair[1]].append(pair[0])
+            later += 1
+    return waits_for
 
 
 def as_scheduler(disk, obs=NULL_OBS) -> IoScheduler:

@@ -163,6 +163,13 @@ def cmd_stats(args) -> int:
             f"{_fmt_value(recovery.get('recovery.cache_warm_pages', 0))} "
             f"pages left warm in the metadata cache"
         )
+    mount = fs.mount_report
+    print(
+        f"mount: {mount.total_ms:.1f} ms = root read "
+        f"{mount.root_read_ms:.1f} + log scan {mount.scan_ms:.1f} + redo "
+        f"{mount.redo_ms:.1f} + VAM {mount.vam_ms:.1f} + root write "
+        f"{mount.root_write_ms:.1f}"
+    )
     durable = commit.get("commit.durable_latency_ms")
     if isinstance(durable, HistogramSnapshot) and durable.count:
         print(

@@ -208,6 +208,33 @@ class TestMountPaths:
         assert report.log_records_replayed >= 1
         assert report.pages_replayed >= 1
 
+    @pytest.mark.parametrize("crashed", [True, False], ids=["crash", "clean"])
+    def test_mount_phases_sum_to_total(self, crashed):
+        """Root read, log scan, redo, VAM and root write come from
+        consecutive clock stamps: together they are the whole mount."""
+        disk = formatted_disk()
+        fs = FSD.mount(disk)
+        for index in range(20):
+            fs.create(f"d/f{index:02d}", payload(700, index))
+        fs.force()
+        if crashed:
+            fs.crash()
+        else:
+            fs.unmount()
+        report = FSD.mount(disk).mount_report
+        phases = [
+            report.root_read_ms, report.scan_ms, report.redo_ms,
+            report.vam_ms, report.root_write_ms,
+        ]
+        assert min(phases) >= 0
+        assert sum(phases) == pytest.approx(report.total_ms, rel=1e-12)
+        assert report.vam_loaded is not crashed
+        assert report.vam_ms > 0  # loaded or rebuilt, it is read
+        assert (report.log_records_replayed > 0) is crashed
+        # replay_log's own span is the scan and the home writes.
+        assert report.scan_ms <= report.replay_ms
+        assert report.replay_ms <= report.scan_ms + report.redo_ms + 1e-9
+
 
 class TestRecoveryIdempotence:
     """Recovery must be a fixed point: recovering an already-recovered

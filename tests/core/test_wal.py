@@ -62,6 +62,26 @@ class TestAppendScan:
         assert wal.next_record_number == 1
         assert wal.write_offset == 0
 
+    def test_empty_scan_reads_only_the_header_pair(self):
+        """A clean or fresh mount's scan: the anchor, then the 3-sector
+        header pair at it — no window."""
+        disk, wal = fresh_wal()
+        reads, sectors = disk.stats.reads, disk.stats.sectors_read
+        assert WriteAheadLog(disk, wal.layout).scan() == []
+        assert disk.stats.reads - reads == 2
+        assert disk.stats.sectors_read - sectors == 6
+
+    def test_scan_streams_in_windows(self):
+        """After the first header the scan reads on in windows of
+        ``max_io_sectors``: ten 7-sector records (70 sectors) and the
+        end of the log all fit one window after the header pair."""
+        disk, wal = fresh_wal()
+        for index in range(10):
+            wal.append([nt_page(index, index)])
+        reads = disk.stats.reads
+        assert len(WriteAheadLog(disk, wal.layout).scan()) == 10
+        assert disk.stats.reads - reads == 3  # anchor, header pair, window
+
     def test_single_record_roundtrip(self):
         disk, wal = fresh_wal()
         pages = [nt_page(3, 0xAA), nt_page(9, 0xBB)]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
-from repro.disk.sched import IoScheduler, as_scheduler
+from repro.disk.sched import IoScheduler, as_scheduler, plan_writes
 from repro.errors import SimulatedCrash
 from repro.obs import Observer
 
@@ -102,6 +102,95 @@ class TestNoVolatileWriteState:
             expected.update(dict.fromkeys(span, sector(index + 1)))
         for address, image in expected.items():
             assert disk.peek(address) == image
+
+
+#: a batch for write_batch: (address, sector count) per write, over a
+#: few cylinders of GEO (64 sectors each) so that some writes overlap.
+BATCH = st.lists(
+    st.tuples(st.integers(0, 400), st.integers(1, 4)), max_size=24
+)
+
+
+def batch_writes(spec) -> list[tuple[int, list[bytes]]]:
+    return [
+        (address, [sector(index + 1)] * count)
+        for index, (address, count) in enumerate(spec)
+    ]
+
+
+def disk_at(head: int, idle_ms: float, charge_cpu: bool = True) -> SimDisk:
+    """A drive whose arm rests on cylinder ``head`` at ``idle_ms``."""
+    disk = SimDisk(geometry=GEO, charge_cpu=charge_cpu)
+    disk.head_cylinder = head
+    disk.clock.advance_idle(idle_ms)
+    return disk
+
+
+class TestWriteBatch:
+    """The one reordering: a batch is planned for the least positioning
+    and still leaves what program order would have left."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=BATCH, head=st.integers(0, 99))
+    def test_final_image_is_program_orders(self, spec, head):
+        writes = batch_writes(spec)
+        in_order = disk_at(head, 0.0)
+        for address, sectors in writes:
+            in_order.write(address, sectors)
+        batched = disk_at(head, 0.0)
+        io = IoScheduler(batched)
+        io.write_batch(writes)
+        assert batched._data == in_order._data
+        assert batched.stats.writes == len(writes)
+        assert io.sched_stats.submitted == io.sched_stats.dispatched == len(writes)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=BATCH, head=st.integers(0, 99),
+        idle_ms=st.floats(0.0, 1000.0), charge_cpu=st.booleans(),
+    )
+    def test_predicted_finish_is_the_disks_clock(
+        self, spec, head, idle_ms, charge_cpu
+    ):
+        """The planner and the disk cannot drift apart: each write ends
+        exactly, bit for bit, when the plan said it would."""
+        writes = batch_writes(spec)
+        disk = disk_at(head, idle_ms, charge_cpu)
+        start_ms = disk.clock.now_ms
+        plan = plan_writes(disk, writes)
+        assert disk.clock.now_ms == start_ms  # planning is free
+        assert sorted(index for index, _ in plan) == list(range(len(writes)))
+        for index, finish_ms in plan:
+            disk.write(*writes[index])
+            assert disk.clock.now_ms == finish_ms
+
+    def test_empty_and_single_batches_are_program_order(self):
+        disk = disk_at(3, 5.0)
+        assert plan_writes(disk, []) == []
+        IoScheduler(disk).write_batch([])
+        assert disk.stats.writes == 0
+        (only,) = plan_writes(disk, [(300, [sector(1)])])
+        assert only[0] == 0
+
+    def test_overlapping_writes_keep_their_order(self):
+        # The later write starts on a cylinder the sweep reaches first.
+        writes = [(60, [sector(1)] * 8), (64, [sector(2)])]
+        disk = disk_at(1, 0.0)
+        assert [index for index, _ in plan_writes(disk, writes)] == [0, 1]
+
+    def test_beats_ascending_slots_on_one_track(self):
+        """Neighbours one slot apart cost a revolution each in address
+        order (set-up outlasts the gap); the plan takes them in about
+        two passes."""
+        writes = [(address, [sector(address)]) for address in range(16)]
+        ascending = disk_at(0, 0.0)
+        for address, sectors in writes:
+            ascending.write(address, sectors)
+        planned = disk_at(0, 0.0)
+        IoScheduler(planned).write_batch(writes)
+        revolution = planned.timing.rotation_ms
+        assert ascending.clock.now_ms > 14 * revolution
+        assert planned.clock.now_ms < 3 * revolution
 
 
 class TestReadMerging:

@@ -71,6 +71,31 @@ class TestStats:
             by_name["cache.data.readahead_accuracy"]["type"] == "gauge"
         )
 
+    def test_mount_line_splits_a_recovery_into_its_phases(self, image, capsys):
+        import re
+
+        from repro.core.fsd import FSD
+        from repro.disk.image import load_disk, save_disk
+
+        disk = load_disk(image)
+        fs = FSD.mount(disk)
+        for index in range(40):
+            fs.create(f"obs/crash-{index:02d}", b"x" * 700)
+        fs.force()
+        fs.crash()
+        save_disk(disk, image)
+        capsys.readouterr()
+        assert main(["stats", image, "--ops", "5"]) == 0
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("mount: ")
+        )
+        total, *phases = (float(v) for v in re.findall(r"[\d.]+", line))
+        assert len(phases) == 5
+        assert sum(phases) == pytest.approx(total, abs=0.3)
+        root_read, scan, redo, vam, root_write = phases
+        assert scan > 0 and redo > 0 and vam > 0
+
     def test_name_table_line_reports_the_list_prefetch(self, image, capsys):
         from repro.core.fsd import FSD
         from repro.disk.image import load_disk, save_disk
