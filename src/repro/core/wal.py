@@ -446,6 +446,10 @@ class WriteAheadLog:
             expected += 1
             if offset >= self.area_sectors:
                 offset = 0
+        else:
+            # Records fill the whole area: the last read decides, as it
+            # does at a stop (the per-record scan's rule).
+            suspicious = self._reads_damaged
         self.write_offset = offset
         self.next_record_number = expected
         if records or offset:

@@ -217,8 +217,10 @@ def cmd_trace(args) -> int:
             print(text)
         return 0
     spans = obs.span_records()
+    lost = tracer.totals()["lost_revolutions"]
     print(
-        f"{len(spans)} spans, {len(tracer.events)} disk I/Os over "
+        f"{len(spans)} spans, {len(tracer.events)} disk I/Os "
+        f"({lost} lost revolutions) over "
         f"{args.ops} scripted ops on {args.image}:\n"
     )
     _print_span_tree(spans)

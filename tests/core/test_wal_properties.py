@@ -316,6 +316,22 @@ damage_strategy = st.lists(
     ),
     damage=damage_strategy,
 )
+# Records that fill the whole area, the last one with a damaged
+# header copy: with no stop, the last read decides scan_damage.
+@example(
+    batches=(
+        [[(0, 0)]] * 5
+        + [[(0, 0), (1, 0)]] * 4
+        + [[(0, 0), (1, 0), (2, 0)]] * 4
+        + [[(0, 0), (1, 0), (2, 7)]]
+        + [[(0, 0), (1, 0), (2, 0), (3, 0)]] * 2
+        + [[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]]
+        + [[(5, 0), (0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]]
+        + [[(i, 0) for i in range(8)], [(i, 0) for i in range(10)]]
+    ),
+    crash=None,
+    damage=[("last", 0, 1)],
+)
 def test_windowed_scan_equals_per_record_reference(batches, crash, damage):
     """Reading the record area in windows changes what is read at once,
     never what the scan concludes: records, append position, third and

@@ -234,8 +234,8 @@ class TestSaturatedBurst:
     (``benchmarks/e2e``'s ``traffic_burst`` at the test suite's scale).
     """
 
-    @pytest.fixture(scope="class")
-    def burst(self):
+    @staticmethod
+    def _engine():
         from repro.core.fsd import FSD
         from repro.disk.disk import SimDisk
         from repro.harness.scenarios import SMALL
@@ -244,6 +244,17 @@ class TestSaturatedBurst:
         disk = SimDisk(geometry=SMALL.geometry)
         FSD.format(disk, SMALL.fsd_params)
         fs = FSD.mount(disk, obs=Observer(disk.clock), readahead_pages=0)
+        return fs, TrafficEngine(fs, TrafficConfig(
+            clients=1000, ops_per_client=3, seed=1, arrival="poisson",
+            mean_think_ms=200.0, hold_ms=1.0, sync_fraction=0.1,
+            population=40, shared_fraction=0.5,
+            weights={"create": 0.4, "write": 0.4, "delete": 0.2,
+                     "read": 0.0, "list": 0.0},
+        ))
+
+    @pytest.fixture(scope="class")
+    def burst(self):
+        fs, engine = self._engine()
         tree = fs.name_table.tree
         root_misses = []
         read_home = fs.cache._nt_reader
@@ -254,13 +265,7 @@ class TestSaturatedBurst:
             return read_home(page_no)
 
         fs.cache._nt_reader = counting_reader
-        report = TrafficEngine(fs, TrafficConfig(
-            clients=1000, ops_per_client=3, seed=1, arrival="poisson",
-            mean_think_ms=200.0, hold_ms=1.0, sync_fraction=0.1,
-            population=40, shared_fraction=0.5,
-            weights={"create": 0.4, "write": 0.4, "delete": 0.2,
-                     "read": 0.0, "list": 0.0},
-        )).run()
+        report = engine.run()
         return fs, report, root_misses
 
     def test_admission_is_saturated(self, burst):
@@ -283,13 +288,32 @@ class TestSaturatedBurst:
         # half on the full-scale volume's deeper tree).
         assert 4 * interior < leaf
 
-    def test_volume_verifies_while_over_capacity(self, burst):
+    def test_volume_verifies_while_over_capacity(self):
+        """The same burst, verified at the first operation boundary at
+        which the log's pins hold the cache over its capacity: more
+        pages than the capacity, more of them pinned than the
+        unreserved share.  How long the burst stays there depends on
+        where its data lands, so the check does not wait for the end
+        of the run."""
         from repro.core.verify import verify_volume
 
-        fs, _, _ = burst
+        fs, engine = self._engine()
         cache = fs.cache
-        assert len(cache) > cache.capacity
-        assert cache.pinned_pages > cache.capacity - cache.reserve
-        assert cache.clean_pages >= cache.reserve
-        report = verify_volume(fs)
+        seen = []
+        finish = engine._finish
+
+        def finish_then_check(client, op, latency):
+            finish(client, op, latency)
+            if (
+                not seen
+                and len(cache) > cache.capacity
+                and cache.pinned_pages > cache.capacity - cache.reserve
+            ):
+                seen.append((cache.clean_pages, verify_volume(fs)))
+
+        engine._finish = finish_then_check
+        engine.run()
+        assert seen, "the burst never pinned the cache over capacity"
+        clean, report = seen[0]
+        assert clean >= cache.reserve
         assert report.clean, report.problems
