@@ -138,6 +138,8 @@ class SimDisk:
         if marker is None or self.tracer is None:
             return
         seek0, rot0, xfer0, distance, start_ms = marker
+        rotational_ms = self.stats.rotational_ms - rot0
+        events = self.tracer.events
         self.tracer.record(
             IoEvent(
                 kind=kind,
@@ -145,9 +147,17 @@ class SimDisk:
                 sectors=count,
                 cylinder_distance=distance,
                 seek_ms=self.stats.seek_ms - seek0,
-                rotational_ms=self.stats.rotational_ms - rot0,
+                rotational_ms=rotational_ms,
                 transfer_ms=self.stats.transfer_ms - xfer0,
                 start_ms=start_ms,
+                # Started where the last traced I/O ended, on its
+                # cylinder, and still waited: a lost revolution.
+                lost_revolution=(
+                    distance == 0
+                    and rotational_ms > self.timing.rotation_ms / 2
+                    and bool(events)
+                    and events[-1].address + events[-1].sectors == address
+                ),
             )
         )
 
