@@ -146,7 +146,7 @@ def cmd_verify(args) -> int:
     print(
         f"checked {report.files_checked} files, "
         f"{report.leaders_verified} leaders, "
-        f"{report.nt_pages_checked} name-table pages; "
+        f"{report.nt_shape.nodes if report.nt_shape else 0} name-table pages; "
         f"{report.leaked_sectors} leaked sectors"
     )
     if report.nt_shape is not None:

@@ -37,19 +37,18 @@ _META_MAGIC = 0x42543031  # "BT01"
 #: meta page layout: magic u32, root u32, height u32, count u64.
 _META = struct.Struct("<IIIQ")
 
-#: parsed-node memo entries kept before wholesale eviction; sized to
-#: cover a working set of hot pages without growing unboundedly on
-#: scan-heavy workloads.
-_PARSE_MEMO_LIMIT = 512
-
-#: per-page identity memo entries kept before wholesale eviction.
-_PAGE_MEMO_LIMIT = 2048
+#: parsed-node memo entries kept; past it the oldest entry goes (a
+#: rewritten page leaves its old content behind, so clearing the memo
+#: wholesale would re-parse every hot page at once).  Sized to cover a
+#: working set of hot pages without growing unboundedly on scan-heavy
+#: workloads.
+_PARSE_MEMO_LIMIT = 2048
 
 
 @dataclass(frozen=True)
 class TreeShape:
-    """What :meth:`BTree.shape` found: how many nodes of each kind the
-    tree has and what share of their pages they fill."""
+    """What :meth:`BTree.check_invariants` found: how many nodes of each
+    kind the tree has and what share of their pages they fill."""
 
     entries: int
     height: int
@@ -59,6 +58,11 @@ class TreeShape:
     #: (0.0 when there is none).
     leaf_fill: float
     interior_fill: float
+
+    @property
+    def nodes(self) -> int:
+        """Pages the tree's nodes occupy (the meta page not counted)."""
+        return self.leaves + self.interior_nodes
 
     def __str__(self) -> str:
         return (
@@ -82,19 +86,13 @@ class BTree:
         #: by a split straight away.
         self._max_merged_bytes = pager.page_size * 3 // 4
         self._max_entry = max_entry_bytes(pager.page_size)
-        #: bytes -> parsed Node template.  Keyed by page *value* (two
-        #: pages with identical bytes share one template, which is why
-        #: :meth:`_read_node` always hands out a copy — callers mutate
-        #: nodes in place before writing them back).
+        #: bytes -> parsed Node template.  Keyed by page *value*: a
+        #: page whose bytes changed misses, and two pages with identical
+        #: bytes share one template, which is why :meth:`_read_node`
+        #: always hands out a copy (callers mutate nodes in place before
+        #: writing them back).  A pager that keeps handing back the same
+        #: bytes object makes a probe cheap: ``bytes`` caches its hash.
         self._parse_memo: dict[bytes, Node] = {}
-        #: page_no -> (bytes object, template).  First-level cache in
-        #: front of :attr:`_parse_memo`: while the pager keeps handing
-        #: back the *same* bytes object for a page, the template is
-        #: reused on an ``is`` check alone — no 512-byte hash, no
-        #: re-parse.  A write (or cache eviction + re-read) yields a
-        #: fresh bytes object, so identity misses are exactly the
-        #: pages whose content may have changed.
-        self._page_memo: dict[int, tuple[bytes, Node]] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -124,18 +122,16 @@ class BTree:
     def get(self, key: bytes) -> bytes | None:
         """Return the value for ``key`` or ``None``."""
         # Point lookups dominate name-table traffic; the descent binds
-        # the pager read once and inlines the template identity-hit
-        # check (keep in sync with ``_load_template``).
+        # the pager read once and inlines the parse-memo hit (keep in
+        # sync with ``_load_template``).
         read = self.pager.read
-        page_memo = self._page_memo
+        memo = self._parse_memo
         page_no = self._root
         while True:
             data = read(page_no)
-            entry = page_memo.get(page_no)
-            if entry is not None and entry[0] is data:
-                node = entry[1]
-            else:
-                node = self._template_for(page_no, data)
+            node = memo.get(data)
+            if node is None:
+                node = self._parse(data)
             if node.kind == LEAF:
                 break
             page_no = node.children[bisect.bisect_right(node.keys, key)]
@@ -188,15 +184,17 @@ class BTree:
         self._write_meta()
         return True
 
+    # ``benchmarks/e2e`` counts a lookup's entry points by these two
+    # names, so they stay, as views of :meth:`scan_leaves`; nothing in
+    # the program calls them.
     def scan(self, start: bytes | None = None) -> Iterator[tuple[bytes, bytes]]:
-        """Iterate entries in key order, beginning at ``start``."""
-        # Return the inner iterator directly: a ``yield from`` wrapper
-        # would add one generator resume per yielded entry.
-        return self._scan(self._root, start)
+        """Entries from ``start`` on, in key order."""
+        for keys, values in self.scan_leaves(start):
+            yield from zip(keys, values)
 
     def scan_prefix(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Iterate entries whose key begins with ``prefix``."""
-        for key, value in self._scan(self._root, prefix):
+        """Entries whose key begins with ``prefix``."""
+        for key, value in self.scan(prefix):
             if not key.startswith(prefix):
                 return
             yield key, value
@@ -229,27 +227,20 @@ class BTree:
     def _load_template(self, page_no: int) -> Node:
         """Shared parse-memo template for a page (never mutate it)."""
         data = self.pager.read(page_no)
-        entry = self._page_memo.get(page_no)
-        if entry is not None and entry[0] is data:
-            return entry[1]
-        return self._template_for(page_no, data)
-
-    def _template_for(self, page_no: int, data: bytes) -> Node:
-        """Memo-miss half of :meth:`_load_template`: derive the template
-        from already-read page bytes and refresh both memo layers.  The
-        hot descent loops inline the read + identity-hit check and fall
-        back here, so keep this in sync with ``_load_template``."""
-        memo = self._parse_memo
-        template = memo.get(data)
+        template = self._parse_memo.get(data)
         if template is None:
-            if len(memo) >= _PARSE_MEMO_LIMIT:
-                memo.clear()
-            template = Node.from_bytes(data)
-            memo[data] = template
-        page_memo = self._page_memo
-        if len(page_memo) >= _PAGE_MEMO_LIMIT:
-            page_memo.clear()
-        page_memo[page_no] = (data, template)
+            template = self._parse(data)
+        return template
+
+    def _parse(self, data: bytes) -> Node:
+        """Memo-miss half of :meth:`_load_template`: parse page bytes the
+        memo has not seen and remember the template.  The hot descent
+        loops inline the read + memo hit and fall back here, so keep
+        this in sync with ``_load_template``."""
+        memo = self._parse_memo
+        if len(memo) >= _PARSE_MEMO_LIMIT:
+            del memo[next(iter(memo))]
+        template = memo[data] = Node.from_bytes(data)
         return template
 
     def _read_node(self, page_no: int) -> Node:
@@ -262,10 +253,6 @@ class BTree:
         )
 
     def _write_node(self, page_no: int, node: Node) -> None:
-        # Drop the identity entry: the page's bytes are changing, so
-        # the next read must re-derive its template (usually via the
-        # content memo, or a fresh parse).
-        self._page_memo.pop(page_no, None)
         self.pager.write(page_no, node.to_bytes(self.pager.page_size))
 
     # ------------------------------------------------------------------
@@ -414,31 +401,33 @@ class BTree:
         """Yield (keys, values) per leaf for keys in ``[start, stop)``,
         in key order.
 
-        Batch counterpart of :meth:`scan` for bulk readers (the name
-        table's ``enumerate``): one generator resume per *leaf* instead
-        of per entry.  The yielded lists belong to the shared parse
-        templates — callers must never mutate them.
+        The tree's one range walk: listings, version lookups and
+        recovery's fallback walk all read their key range through it,
+        one generator resume per *leaf* rather than per entry.  The
+        yielded lists belong to the shared parse templates — callers
+        must never mutate them.
 
         ``stop`` bounds the descent: a subtree whose keys are all
-        ``>= stop`` is never read.  At each interior node the children
-        the scan is about to visit, in key order, are handed to
-        ``pager.prefetch`` before the first of them is read; the reads
-        themselves (and so the pager's per-node accounting) are the
-        same with or without a pager that acts on the hint.
+        ``>= stop`` is never read.  At each interior node where the scan
+        is about to visit two or more children, they are handed, in key
+        order, to ``pager.prefetch`` before the first of them is read (a
+        lone child is no transfer to plan: it is read as the demand miss
+        it would be anyway, which is what a version lookup does at every
+        level).  The reads themselves (and so the pager's per-node
+        accounting) are the same with or without a pager that acts on
+        the hint.
         """
         stack: list[tuple[int, bytes | None]] = [(self._root, start)]
         read = self.pager.read
         prefetch = self.pager.prefetch
-        page_memo = self._page_memo
+        memo = self._parse_memo
         while stack:
             page_no, start = stack.pop()
-            # _load_template inlined (identity-hit path); keep in sync.
+            # _load_template inlined (memo-hit path); keep in sync.
             data = read(page_no)
-            entry = page_memo.get(page_no)
-            if entry is not None and entry[0] is data:
-                node = entry[1]
-            else:
-                node = self._template_for(page_no, data)
+            node = memo.get(data)
+            if node is None:
+                node = self._parse(data)
             keys = node.keys
             if node.kind == LEAF:
                 first = 0 if start is None else bisect.bisect_left(keys, start)
@@ -459,61 +448,56 @@ class BTree:
                 len(children) - 1 if stop is None
                 else bisect.bisect_left(keys, stop)
             )
-            prefetch(children[first : last + 1])
+            if last > first:
+                prefetch(children[first : last + 1])
             for index in range(last, first, -1):
-                stack.append((children[index], None))
-            stack.append((children[first], start))
-
-    def _scan(
-        self, page_no: int, start: bytes | None
-    ) -> Iterator[tuple[bytes, bytes]]:
-        # Iterative depth-first walk (explicit stack, leftmost subtree
-        # on top): same node-read order as the recursive form, without
-        # a generator frame per level per item.
-        stack: list[tuple[int, bytes | None]] = [(page_no, start)]
-        read = self.pager.read
-        page_memo = self._page_memo
-        while stack:
-            page_no, start = stack.pop()
-            # _load_template inlined (identity-hit path); keep in sync.
-            data = read(page_no)
-            entry = page_memo.get(page_no)
-            if entry is not None and entry[0] is data:
-                node = entry[1]
-            else:
-                node = self._template_for(page_no, data)
-            keys = node.keys
-            if node.kind == LEAF:
-                if start is None:
-                    yield from zip(keys, node.values)
-                else:
-                    first = bisect.bisect_left(keys, start)
-                    yield from zip(keys[first:], node.values[first:])
-                continue
-            first = 0 if start is None else bisect.bisect_right(keys, start)
-            children = node.children
-            for index in range(len(children) - 1, first, -1):
                 stack.append((children[index], None))
             stack.append((children[first], start))
 
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
-    def check_invariants(self) -> None:
-        """Verify structural invariants; raises CorruptMetadata on any
-        violation.  Used by tests and by FSD's software cross-checks."""
-        count = self._check(self._root, None, None, depth=1)
+    def check_invariants(self) -> TreeShape:
+        """Verify structural invariants and measure the tree, in one walk
+        of every node (each one a pager read).  Raises CorruptMetadata
+        on any violation; else returns the node counts and mean page
+        fill.  A diagnostic for tests, ``repro verify`` and ``repro
+        stats``, never called from an operation."""
+        nodes = {LEAF: 0, INTERNAL: 0}
+        used = {LEAF: 0, INTERNAL: 0}
+        count = self._check(self._root, None, None, 1, nodes, used)
         if count != self._count:
             raise CorruptMetadata(
                 f"meta count {self._count} != actual entries {count}"
             )
+        page_size = self.pager.page_size
+        return TreeShape(
+            entries=self._count,
+            height=self._height,
+            leaves=nodes[LEAF],
+            interior_nodes=nodes[INTERNAL],
+            leaf_fill=used[LEAF] / (nodes[LEAF] * page_size),
+            interior_fill=(
+                used[INTERNAL] / (nodes[INTERNAL] * page_size)
+                if nodes[INTERNAL] else 0.0
+            ),
+        )
 
     def _check(
-        self, page_no: int, low: bytes | None, high: bytes | None, depth: int
+        self,
+        page_no: int,
+        low: bytes | None,
+        high: bytes | None,
+        depth: int,
+        nodes: dict[int, int],
+        used: dict[int, int],
     ) -> int:
-        node = self._read_node(page_no)
-        if not node.fits(self.pager.page_size):
+        node = self._load_template(page_no)
+        size = node.serialized_size()
+        if size > self.pager.page_size:
             raise CorruptMetadata(f"page {page_no} oversized")
+        nodes[node.kind] += 1
+        used[node.kind] += size
         if node.keys != sorted(node.keys):
             raise CorruptMetadata(f"page {page_no} keys out of order")
         if len(set(node.keys)) != len(node.keys):
@@ -535,38 +519,13 @@ class BTree:
         bounds = [low, *node.keys, high]
         for index, child in enumerate(node.children):
             total += self._check(
-                child, bounds[index], bounds[index + 1], depth + 1
+                child, bounds[index], bounds[index + 1], depth + 1, nodes, used
             )
         return total
 
     def depth(self) -> int:
         """Current tree height (1 = a single leaf)."""
         return self._height
-
-    def shape(self) -> TreeShape:
-        """Node counts and mean page fill, from a walk of every node
-        (each one a pager read): a diagnostic to call on demand, never
-        from an operation."""
-        nodes = {LEAF: 0, INTERNAL: 0}
-        used = {LEAF: 0, INTERNAL: 0}
-        stack = [self._root]
-        while stack:
-            node = self._load_template(stack.pop())
-            nodes[node.kind] += 1
-            used[node.kind] += node.serialized_size()
-            stack.extend(node.children)
-        page_size = self.pager.page_size
-        return TreeShape(
-            entries=self._count,
-            height=self._height,
-            leaves=nodes[LEAF],
-            interior_nodes=nodes[INTERNAL],
-            leaf_fill=used[LEAF] / (nodes[LEAF] * page_size),
-            interior_fill=(
-                used[INTERNAL] / (nodes[INTERNAL] * page_size)
-                if nodes[INTERNAL] else 0.0
-            ),
-        )
 
 
 # ----------------------------------------------------------------------

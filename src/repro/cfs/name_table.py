@@ -28,7 +28,8 @@ from repro.core.types import (
     FileProperties,
     decode_key,
     encode_key,
-    name_prefix,
+    prefix_range,
+    version_range,
 )
 from repro.disk.clock import SimClock
 from repro.disk.disk import SimDisk
@@ -218,10 +219,11 @@ class CfsNameTable:
     def versions(self, name: str) -> list[int]:
         """All versions of ``name``, ascending."""
         out = []
-        for key, _ in self.tree.scan_prefix(name_prefix(name)):
-            _, version, chunk = decode_key(key)
-            if chunk == 0:
-                out.append(version)
+        for keys, _ in self.tree.scan_leaves(*version_range(name)):
+            for key in keys:
+                _, version, chunk = decode_key(key)
+                if chunk == 0:
+                    out.append(version)
         return out
 
     def highest_version(self, name: str) -> int | None:
@@ -233,12 +235,12 @@ class CfsNameTable:
         self, prefix: str = ""
     ) -> Iterator[tuple[str, int, int, int, int]]:
         """Yield (name, version, uid, keep, header_addr) in name order."""
-        start = prefix.encode("utf-8") if prefix else None
-        for key, value in self.tree.scan(start):
-            name, version, chunk = decode_key(key)
-            if prefix and not name.startswith(prefix):
-                break
-            if chunk != 0:
-                continue
-            uid, keep, header_addr = decode_cfs_entry(value)
-            yield name, version, uid, keep, header_addr
+        for keys, values in self.tree.scan_leaves(*prefix_range(prefix)):
+            for key, value in zip(keys, values):
+                name, version, chunk = decode_key(key)
+                if prefix and not name.startswith(prefix):
+                    return
+                if chunk != 0:
+                    continue
+                uid, keep, header_addr = decode_cfs_entry(value)
+                yield name, version, uid, keep, header_addr

@@ -33,7 +33,8 @@ from repro.core.types import (
     encode_continuation,
     encode_key,
     encode_main_entry,
-    name_prefix,
+    prefix_range,
+    version_range,
 )
 from repro.disk.clock import SimClock
 from repro.disk.disk import SimDisk
@@ -554,17 +555,6 @@ class NameTablePager:
         return runs
 
 
-def _prefix_range(prefix: str) -> tuple[bytes | None, bytes | None]:
-    """Key range ``[start, stop)`` holding every entry whose name
-    begins with ``prefix``; ``(None, None)`` for the whole table.
-    0xFF occurs in no UTF-8 string, so ``prefix + 0xFF`` sorts above
-    every key that extends the prefix and below every later key."""
-    if not prefix:
-        return None, None
-    start = prefix.encode("utf-8")
-    return start, start + b"\xff"
-
-
 class FsdNameTable:
     """Typed operations over the raw B-tree: the FS-facing name table."""
 
@@ -646,10 +636,11 @@ class FsdNameTable:
     def versions(self, name: str) -> list[int]:
         """All existing versions of ``name``, ascending."""
         out = []
-        for key, _ in self.tree.scan_prefix(name_prefix(name)):
-            _, version, chunk = decode_key(key)
-            if chunk == 0:
-                out.append(version)
+        for keys, _ in self.tree.scan_leaves(*version_range(name)):
+            for key in keys:
+                _, version, chunk = decode_key(key)
+                if chunk == 0:
+                    out.append(version)
         return out
 
     def highest_version(self, name: str) -> int | None:
@@ -670,7 +661,7 @@ class FsdNameTable:
         """
         current: tuple[FileProperties, RunTable] | None = None
         expected_runs = 0
-        start, stop = _prefix_range(prefix)
+        start, stop = prefix_range(prefix)
         clock = self.clock
         interpret_ms = clock.cpu.entry_interpret_ms
         # decode_key memo-hit inlined: one dict probe per entry, with
@@ -716,7 +707,7 @@ class FsdNameTable:
         through the properties memo.
         """
         have_main = False
-        start, stop = _prefix_range(prefix)
+        start, stop = prefix_range(prefix)
         clock = self.clock
         interpret_ms = clock.cpu.entry_interpret_ms
         key_memo = types._KEY_MEMO

@@ -205,9 +205,27 @@ def encode_key(name: str, version: int, chunk: int = 0) -> bytes:
     )
 
 
-def name_prefix(name: str) -> bytes:
-    """Key prefix matching every version of ``name``."""
-    return validate_name(name) + b"\x00"
+# ----------------------------------------------------------------------
+# B-tree key ranges: what a ``BTree.scan_leaves(start, stop)`` reads.
+# ----------------------------------------------------------------------
+def version_range(name: str) -> tuple[bytes, bytes]:
+    """Key range ``[start, stop)`` holding every version (and run-table
+    chunk) of ``name`` and nothing else.  A key of any other name that
+    begins with ``name`` goes on with a byte >= 0x01 (names hold no
+    NUL), so it sorts at or above ``name . 0x01``."""
+    encoded = validate_name(name)
+    return encoded + b"\x00", encoded + b"\x01"
+
+
+def prefix_range(prefix: str) -> tuple[bytes | None, bytes | None]:
+    """Key range ``[start, stop)`` holding every entry whose name
+    begins with ``prefix``; ``(None, None)`` for the whole table.
+    0xFF occurs in no UTF-8 string, so ``prefix + 0xFF`` sorts above
+    every key that extends the prefix and below every later key."""
+    if not prefix:
+        return None, None
+    start = prefix.encode("utf-8")
+    return start, start + b"\xff"
 
 
 #: parse memo for name-table keys: every ``list`` re-decodes the same

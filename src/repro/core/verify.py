@@ -6,10 +6,11 @@ sweep — the "using different data structures to detect bugs" idea of
 §5.8 turned into a tool.  It cross-checks every pair of mutually
 checking structures:
 
-* both home copies of every reachable name-table page agree,
 * every clean name-table page resident in the metadata cache equals
   its home copies (recovery leaves the cache warm from the log),
-* the B-tree is structurally valid,
+* the B-tree is structurally valid (one walk, which also measures it),
+* both home copies of every allocated name-table page are read and
+  compared (the VAM rebuild's sweep, ``NameTableHome.read_run``),
 * every file's leader page verifies against its name-table entry,
 * no two files (or metadata regions) claim the same sector,
 * the live VAM matches a fresh rebuild from the name table
@@ -37,11 +38,10 @@ from repro.errors import CorruptMetadata
 class VerifyReport:
     files_checked: int = 0
     leaders_verified: int = 0
-    nt_pages_checked: int = 0
     problems: list[str] = field(default_factory=list)
     leaked_sectors: int = 0
-    #: the name table's node counts and page fill (None when its
-    #: invariants did not hold and it could not be walked).
+    #: the name table's node counts and page fill, from the invariant
+    #: walk (None when the invariants did not hold).
     nt_shape: TreeShape | None = None
 
     @property
@@ -58,7 +58,6 @@ def verify_volume(fs: FSD, strict_vam: bool = False) -> VerifyReport:
     report = VerifyReport()
     _check_cache_coherence(fs, report)
     _check_tree(fs, report)
-    _check_nt_copies(fs, report)
     _check_files(fs, report)
     _check_vam(fs, report, strict=strict_vam)
     _check_log_anchor(fs, report)
@@ -90,44 +89,9 @@ def _check_cache_coherence(fs: FSD, report: VerifyReport) -> None:
 
 def _check_tree(fs: FSD, report: VerifyReport) -> None:
     try:
-        fs.name_table.tree.check_invariants()
-        report.nt_shape = fs.name_table.tree.shape()
+        report.nt_shape = fs.name_table.tree.check_invariants()
     except CorruptMetadata as error:
         report.add(f"name-table B-tree invariant: {error}")
-
-
-def _check_nt_copies(fs: FSD, report: VerifyReport) -> None:
-    """Double-read every *home-clean* reachable page.
-
-    Pages with a pending home write legitimately differ from disk, so
-    only pages the cache does not hold dirty are compared.
-    """
-    from repro.btree.node import Node
-    from repro.core.wal import PAGE_NAME_TABLE
-
-    pending = {
-        page.page_id
-        for page in fs.cache.pages_needing_log()
-        if page.kind == PAGE_NAME_TABLE
-    }
-    # Walk reachable pages via the pager (which repairs single-copy
-    # damage as a side effect, like any read).
-    stack = [fs.name_table.tree._root]
-    seen = set()
-    while stack:
-        page_no = stack.pop()
-        if page_no in seen:
-            continue
-        seen.add(page_no)
-        report.nt_pages_checked += 1
-        try:
-            data = fs.cache.read_nt(page_no)
-            node = Node.from_bytes(data)
-        except CorruptMetadata as error:
-            report.add(f"name-table page {page_no}: {error}")
-            continue
-        if not node.is_leaf:
-            stack.extend(node.children)
 
 
 def _check_files(fs: FSD, report: VerifyReport) -> None:

@@ -66,9 +66,9 @@ def cmd_stats(args) -> int:
     """Run the scripted workload and report per-layer metrics."""
     fs, obs, _ = _run(args, trace_io=False)
     snapshot = obs.snapshot()
-    # The shape walk reads pages too: taken after the snapshot, so the
-    # counters describe the workload alone.
-    shape = fs.name_table.tree.shape()
+    # The invariant walk reads pages too: taken after the snapshot, so
+    # the counters describe the workload alone.
+    shape = fs.name_table.tree.check_invariants()
     snapshot.gauges.update(
         (f"btree.shape_{name}", value) for name, value in asdict(shape).items()
     )

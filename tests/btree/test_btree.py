@@ -16,11 +16,22 @@ def tree() -> BTree:
     return BTree.create(MemoryPager(page_size=256))
 
 
+def entries(
+    tree: BTree, start: bytes | None = None, stop: bytes | None = None
+) -> list[tuple[bytes, bytes]]:
+    """``scan_leaves(start, stop)``'s leaves, flattened to entries."""
+    return [
+        pair
+        for keys, values in tree.scan_leaves(start, stop)
+        for pair in zip(keys, values)
+    ]
+
+
 class TestBasics:
     def test_empty(self, tree):
         assert len(tree) == 0
         assert tree.get(b"missing") is None
-        assert list(tree.scan()) == []
+        assert entries(tree) == []
         assert not tree.delete(b"missing")
 
     def test_insert_get(self, tree):
@@ -44,19 +55,29 @@ class TestBasics:
     def test_scan_sorted(self, tree):
         for key in [b"m", b"a", b"z", b"c"]:
             tree.insert(key, key)
-        assert [k for k, _ in tree.scan()] == [b"a", b"c", b"m", b"z"]
+        assert [k for k, _ in entries(tree)] == [b"a", b"c", b"m", b"z"]
 
     def test_scan_from_start_key(self, tree):
         for i in range(20):
             tree.insert(f"{i:03d}".encode(), b"v")
-        keys = [k for k, _ in tree.scan(start=b"010")]
+        keys = [k for k, _ in entries(tree, b"010")]
         assert keys[0] == b"010"
         assert len(keys) == 10
 
     def test_scan_prefix(self, tree):
         for name in [b"dir/a", b"dir/b", b"dir2/c", b"other"]:
             tree.insert(name, b"v")
-        assert [k for k, _ in tree.scan_prefix(b"dir/")] == [b"dir/a", b"dir/b"]
+        # "/" + 1 == "0": the key range of every key under "dir/".
+        assert [k for k, _ in entries(tree, b"dir/", b"dir0")] == [
+            b"dir/a", b"dir/b"
+        ]
+
+    def test_named_views_flatten_scan_leaves(self, tree):
+        for name in [b"dir/a", b"dir/b", b"dir2/c", b"other"]:
+            tree.insert(name, b"v")
+        assert list(tree.scan()) == entries(tree)
+        assert list(tree.scan(b"dir2")) == entries(tree, b"dir2")
+        assert list(tree.scan_prefix(b"dir/")) == entries(tree, b"dir/", b"dir0")
 
     def test_oversized_entry_rejected(self, tree):
         with pytest.raises(ValueError):
@@ -94,7 +115,7 @@ class TestSplitsAndMerges:
         for i in reversed(range(150)):
             tree.insert(f"{i:04d}".encode(), b"w" * 10)
         tree.check_invariants()
-        assert [k for k, _ in tree.scan()] == [
+        assert [k for k, _ in entries(tree)] == [
             f"{i:04d}".encode() for i in range(150)
         ]
 
@@ -107,7 +128,7 @@ class TestSplitsAndMerges:
             tree.insert(key, value)
             ref[key] = value
         tree.check_invariants()
-        assert dict(tree.scan()) == ref
+        assert dict(entries(tree)) == ref
 
 
 class TestPersistence:
@@ -147,7 +168,7 @@ class TestRandomizedAgainstDict:
             if step % 250 == 0:
                 tree.check_invariants()
         tree.check_invariants()
-        assert dict(tree.scan()) == ref
+        assert dict(entries(tree)) == ref
         assert len(tree) == len(ref)
 
 
@@ -177,4 +198,4 @@ def test_property_tree_equals_dict(ops):
             assert tree.delete(key) == (key in ref)
             ref.pop(key, None)
     tree.check_invariants()
-    assert dict(tree.scan()) == ref
+    assert dict(entries(tree)) == ref

@@ -54,7 +54,7 @@ def build(cls, page_size: int, keys) -> BTree:
 
 
 def leaves(cls, page_size: int, keys) -> int:
-    return build(cls, page_size, keys).shape().leaves
+    return build(cls, page_size, keys).check_invariants().leaves
 
 
 def round_robin(directories: int, total: int = KEYS) -> list[bytes]:
@@ -69,7 +69,7 @@ def round_robin(directories: int, total: int = KEYS) -> list[bytes]:
 class TestFillByInsertionOrder:
     def test_ascending_keys_leave_full_pages(self, page_size):
         keys = [key(0, index) for index in range(KEYS)]
-        shape = build(BTree, page_size, keys).shape()
+        shape = build(BTree, page_size, keys).check_invariants()
         assert shape.leaf_fill >= 0.90
         assert shape.interior_fill >= 0.85
         assert shape.leaves <= 0.70 * leaves(EvenSplitTree, page_size, keys)
@@ -95,8 +95,8 @@ class TestFillByInsertionOrder:
         insert lands in slot 0 and splits evenly, in both trees."""
         keys = [key(0, index) for index in reversed(range(KEYS))]
         tree = build(BTree, page_size, keys)
-        assert tree.shape() == build(EvenSplitTree, page_size, keys).shape()
-        assert 0.45 <= tree.shape().leaf_fill <= 0.50
+        assert tree.check_invariants() == build(EvenSplitTree, page_size, keys).check_invariants()
+        assert 0.45 <= tree.check_invariants().leaf_fill <= 0.50
 
 
 @settings(max_examples=15, deadline=None)

@@ -66,10 +66,16 @@ class BTreeMachine(RuleBasedStateMachine):
         """Close and reopen from the pager: all state is in the pages."""
         self.tree = BTree.open(self.pager)
 
-    @rule(start=keys)
-    def scan_from(self, start):
-        got = [k for k, _ in self.tree.scan(start=start)]
-        expected = sorted(k for k in self.model if k >= start)
+    @rule(start=keys, stop=st.none() | keys)
+    def scan_range(self, start, stop):
+        got = [
+            key
+            for keys, _ in self.tree.scan_leaves(start, stop)
+            for key in keys
+        ]
+        expected = sorted(
+            k for k in self.model if start <= k and (stop is None or k < stop)
+        )
         assert got == expected
 
     @invariant()

@@ -1,12 +1,11 @@
-"""Invalidation tests for the B-tree's two-level parse memo.
+"""Invalidation tests for the B-tree's parse memo.
 
-The tree keeps a per-page identity memo (page_no -> (bytes, template))
-in front of a content-keyed parse memo.  The safety argument is that a
-write drops the identity entry, and a pager that re-reads changed bytes
-hands back a different object — so a stale template can only be reused
-while the page bytes are provably unchanged.  These tests pin that
-contract down: an edit forces a re-derive, a remount starts cold, and
-shared templates are never mutated by the write paths.
+The tree keeps one memo from page *bytes* to a parsed template.  The
+safety argument is that it is keyed by content: a page whose bytes
+changed misses and is parsed afresh, so a stale template can only be
+reused while the page bytes are provably unchanged.  These tests pin
+that contract down: an edit forces a re-derive, a remount starts cold,
+and shared templates are never mutated by the write paths.
 """
 
 from __future__ import annotations
@@ -22,19 +21,18 @@ def _fill(tree: BTree, count: int = 120) -> None:
 
 class TestIdentityHits:
     def test_repeated_reads_reuse_one_template(self):
-        tree = BTree.create(MemoryPager(page_size=256))
+        pager = MemoryPager(page_size=256)
+        tree = BTree.create(pager)
         _fill(tree)
         tree.get(b"key-0000")
-        before = dict(tree._page_memo)
+        before = dict(tree._parse_memo)
         tree.get(b"key-0000")
         tree.get(b"key-0000")
-        # Same pages, same bytes objects: the identity memo is stable
-        # and the templates are the very same objects.
-        for page_no, (data, template) in before.items():
-            entry = tree._page_memo.get(page_no)
-            assert entry is not None
-            assert entry[0] is data
-            assert entry[1] is template
+        # Same pages, same bytes: no new parse, and the templates are
+        # the very same objects.
+        assert tree._parse_memo.keys() == before.keys()
+        for data, template in before.items():
+            assert tree._parse_memo[data] is template
 
     def test_pager_reads_are_never_skipped(self):
         pager = MemoryPager(page_size=256)
@@ -52,18 +50,6 @@ class TestIdentityHits:
 
 
 class TestEditInvalidates:
-    def test_write_drops_identity_entry(self):
-        tree = BTree.create(MemoryPager(page_size=256))
-        _fill(tree)
-        tree.get(b"key-0000")
-        touched = set(tree._page_memo)
-        assert touched
-        tree.insert(b"key-0000", b"NEWVALUE")
-        # Every page rewritten by the insert lost its identity entry or
-        # re-derived a template matching the new bytes.
-        value = tree.get(b"key-0000")
-        assert value == b"NEWVALUE"
-
     def test_edited_page_serves_new_content(self):
         pager = MemoryPager(page_size=256)
         tree = BTree.create(pager)
@@ -73,11 +59,9 @@ class TestEditInvalidates:
         tree.insert(b"alpha", b"three")  # in-place edit of the leaf
         assert tree.get(b"alpha") == b"three"
         assert tree.get(b"beta") == b"two"
-        # The stale pre-edit template must not linger for the page.
-        root_entry = tree._page_memo.get(tree._root)
-        if root_entry is not None:
-            data, template = root_entry
-            assert data is pager.read(tree._root)
+        # The page's current bytes map to a template of those bytes.
+        template = tree._parse_memo[pager.read(tree._root)]
+        assert template.values == [b"three", b"two"]
 
     def test_delete_invalidates_like_insert(self):
         tree = BTree.create(MemoryPager(page_size=256))
@@ -94,10 +78,9 @@ class TestRemountStartsCold:
         tree = BTree.create(pager)
         _fill(tree)
         tree.get(b"key-0000")
-        assert tree._page_memo or tree._parse_memo
+        assert tree._parse_memo
 
         reopened = BTree.open(pager)
-        assert reopened._page_memo == {}
         assert reopened._parse_memo == {}
         # And the cold tree still reads everything correctly.
         assert reopened.get(b"key-0000") == b"value" * 3
@@ -110,7 +93,9 @@ class TestRemountStartsCold:
         tree.insert(b"key-0001", b"EDITED")
         reopened = BTree.open(pager)
         assert reopened.get(b"key-0001") == b"EDITED"
-        assert [k for k, _ in reopened.scan(start=b"key-0000")][0] == b"key-0000"
+        keys, values = next(reopened.scan_leaves(b"key-0000", b"key-0002"))
+        assert keys == [b"key-0000", b"key-0001"]
+        assert values[1] == b"EDITED"
 
 
 class TestTemplatesAreNeverMutated:
@@ -135,3 +120,18 @@ class TestTemplatesAreNeverMutated:
             assert template.keys == fresh.keys
             assert template.values == fresh.values
             assert template.children == fresh.children
+
+
+class TestBounded:
+    def test_a_full_memo_drops_its_oldest_entry(self, monkeypatch):
+        monkeypatch.setattr("repro.btree.btree._PARSE_MEMO_LIMIT", 4)
+        pager = MemoryPager(page_size=256)
+        tree = BTree.create(pager)
+        _fill(tree)
+        assert len(tree._parse_memo) == 4
+        # The newest entry is the page the last insert wrote and read.
+        newest = list(tree._parse_memo)[-1]
+        tree.get(b"key-0119")
+        assert newest in tree._parse_memo
+        assert tree.get(b"key-0000") == b"value" * 3
+        assert len(tree._parse_memo) == 4

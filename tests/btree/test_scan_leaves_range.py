@@ -6,21 +6,25 @@ and rename histories over (name, version, chunk) keys, with run tables
 long enough to spill into continuation entries — and checked against
 the unbounded scan: the bounded scan yields exactly its entries in
 ``[start, stop)``, and every page handed to ``Pager.prefetch`` is one
-the scan goes on to read, in the order it was handed.
+the scan goes on to read, in the order it was handed.  The version
+lookups of both name tables read ``version_range(name)`` through it;
+names that are each other's neighbours in key order check its edges.
 """
 
 from __future__ import annotations
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.btree import BTree, MemoryPager
-from repro.core.name_table import FsdNameTable, _prefix_range
+from repro.btree import BTree, MemoryPager, Node
+from repro.cfs.name_table import NT_PAGE_SECTORS, CfsNameTable
+from repro.core.name_table import FsdNameTable
 from repro.core.types import (
     MAX_INLINE_RUNS,
     FileProperties,
     Run,
     RunTable,
     make_uid,
+    prefix_range,
 )
 from repro.disk.clock import SimClock
 
@@ -138,7 +142,7 @@ def test_prefix_range_selects_exactly_the_names_with_the_prefix(
     history, prefix
 ):
     table, _ = build(history)
-    start, stop = _prefix_range(prefix)
+    start, stop = prefix_range(prefix)
     got = [key for key, _ in flatten(table.tree.scan_leaves(start, stop))]
     assert got == [
         key for key, _ in flatten(table.tree.scan_leaves())
@@ -154,7 +158,7 @@ def test_prefix_range_selects_exactly_the_names_with_the_prefix(
 def test_prefetch_is_handed_only_what_the_scan_then_reads(history, prefix):
     table, pager = build(history)
     del pager.events[:]
-    for _ in table.tree.scan_leaves(*_prefix_range(prefix)):
+    for _ in table.tree.scan_leaves(*prefix_range(prefix)):
         pass
     events = pager.events
     reads = [page for kind, page in events if kind == "read"]
@@ -167,6 +171,69 @@ def test_prefetch_is_handed_only_what_the_scan_then_reads(history, prefix):
         # Every hinted page is read afterwards, in the order handed:
         # the children of one node, left to right, hence in key order.
         assert [page for page in later if page in pages] == pages
+        assert len(pages) >= 2  # a lone child is no transfer to plan
         hinted.extend(pages)
-    # Every page but the root was announced by its parent, once.
-    assert sorted(hinted) == sorted(reads[1:])
+    assert len(hinted) == len(set(hinted))
+    # Every page but the root was announced by its parent, unless it is
+    # the one child of that parent the scan visits.
+    parent_of = {}
+    for page in reads:
+        node = Node.from_bytes(pager.read(page))
+        for child in node.children:
+            parent_of[child] = node
+    for page in set(reads[1:]).difference(hinted):
+        visited = [c for c in parent_of[page].children if c in reads]
+        assert visited == [page]
+
+
+#: Names that are each other's neighbours in key order: "a\x01" sorts
+#: right after every version of "a" and "a0" / "ab" after that, "a/"
+#: starts a directory, and "`" (one below "a") and "b" frame them.
+NEIGHBOURS = ["`", "a", "a\x01", "a/", "a/x", "a0", "ab", "b"]
+neighbour_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["create", "delete"]),
+        st.sampled_from(NEIGHBOURS),
+        st.integers(min_value=1, max_value=300),
+        st.sampled_from([1, 3, MAX_INLINE_RUNS + 40]),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(history=neighbour_ops)
+def test_versions_of_neighbouring_names_equal_the_model(history):
+    """Each name's ``versions`` and ``highest_version`` on both name
+    tables equal a dict model, however the neighbours' versions and
+    run-table chunks fall on leaf edges."""
+    fsd = FsdNameTable(BTree.create(MemoryPager(page_size=512)), SimClock())
+    cfs_pager = MemoryPager(page_size=NT_PAGE_SECTORS * 512)
+    cfs = CfsNameTable(BTree.create(cfs_pager), cfs_pager)
+    model: dict[str, set[int]] = {name: set() for name in NEIGHBOURS}
+    # Start from a populated table, so the histories cross leaves.
+    population = [
+        ("create", name, version, 3)
+        for version in range(400, 430)
+        for name in NEIGHBOURS
+    ]
+    for op, name, version, runs in population + history:
+        if op == "delete":
+            if version in model[name]:
+                model[name].discard(version)
+                fsd.delete(name, version)
+                assert cfs.delete(name, version)
+            continue
+        model[name].add(version)
+        props = FileProperties(
+            name=name, version=version, uid=make_uid(2, version), keep=2,
+            leader_addr=1000,
+        )
+        fsd.insert(props, RunTable([Run(2000 + 4 * i, 2) for i in range(runs)]))
+        cfs.insert(props, 3000 + version)
+    assert fsd.tree.depth() >= 2
+    for name, versions in model.items():
+        want = sorted(versions)
+        for table in (fsd, cfs):
+            assert table.versions(name) == want, name
+            assert table.highest_version(name) == (want[-1] if want else None)

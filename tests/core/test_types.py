@@ -19,8 +19,8 @@ from repro.core.types import (
     encode_key,
     encode_main_entry,
     make_uid,
-    name_prefix,
     validate_name,
+    version_range,
     _reference_encode_main_entry,
 )
 from repro.errors import FsError
@@ -127,10 +127,12 @@ class TestKeyCodec:
         assert main < chunk < next_version
 
     def test_prefix_matches_all_versions(self):
-        prefix = name_prefix("f")
-        assert encode_key("f", 1).startswith(prefix)
-        assert encode_key("f", 9).startswith(prefix)
-        assert not encode_key("fx", 1).startswith(prefix)
+        start, stop = version_range("f")
+        for key in (encode_key("f", 0), encode_key("f", 0xFFFF, 0xFFFF)):
+            assert start <= key < stop
+        for other in ("e", "f\x01", "f0", "fx", "g"):
+            key = encode_key(other, 1)
+            assert not start <= key < stop, other
 
     def test_out_of_range_version(self):
         with pytest.raises(FsError):

@@ -126,9 +126,9 @@ class TestStats:
     def test_name_table_line_reports_the_shape_a_hand_walk_finds(
         self, image, capsys
     ):
-        """``stats --save`` and ``verify`` print ``BTree.shape()``; the
-        same image walked by hand, node by node, gives the same
-        numbers."""
+        """``stats --save`` and ``verify`` print the shape that
+        ``BTree.check_invariants()`` measures; the same image walked by
+        hand, node by node, gives the same numbers."""
         import re
 
         from repro.btree.node import Node
