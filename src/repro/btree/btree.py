@@ -88,10 +88,10 @@ class BTree:
         self._max_entry = max_entry_bytes(pager.page_size)
         #: bytes -> parsed Node template.  Keyed by page *value*: a
         #: page whose bytes changed misses, and two pages with identical
-        #: bytes share one template, which is why :meth:`_read_node`
-        #: always hands out a copy (callers mutate nodes in place before
-        #: writing them back).  A pager that keeps handing back the same
-        #: bytes object makes a probe cheap: ``bytes`` caches its hash.
+        #: bytes share one template, which is why a template is never
+        #: mutated (the write paths build fresh nodes from it).  A pager
+        #: that keeps handing back the same bytes object makes a probe
+        #: cheap: ``bytes`` caches its hash.
         self._parse_memo: dict[bytes, Node] = {}
 
     # ------------------------------------------------------------------
@@ -242,15 +242,6 @@ class BTree:
             del memo[next(iter(memo))]
         template = memo[data] = Node.from_bytes(data)
         return template
-
-    def _read_node(self, page_no: int) -> Node:
-        template = self._load_template(page_no)
-        return Node(
-            template.kind,
-            template.keys.copy(),
-            template.values.copy(),
-            template.children.copy(),
-        )
 
     def _write_node(self, page_no: int, node: Node) -> None:
         self.pager.write(page_no, node.to_bytes(self.pager.page_size))
