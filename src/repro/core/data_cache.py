@@ -12,11 +12,13 @@ this cache deliberately does not share.
 
 Design rules:
 
-* **Sequential read-ahead.**  When two consecutive extents of a file
-  are read in order (tracked per file uid), the read also fetches the
-  rest of the file's current disk run, capped by ``readahead_pages``,
-  in the same transfer (:meth:`~repro.disk.sched.IoScheduler.merge_reads`)
-  — one rotational wait instead of one per page.
+* **Sequential read-ahead.**  A read of a file's page 0, or one that
+  continues the previous read of the file (tracked per file uid), also
+  fetches the rest of the file's current disk run, capped by
+  ``readahead_pages``, in the same transfer
+  (:meth:`~repro.disk.sched.IoScheduler.merge_reads`) — one rotational
+  wait instead of one per page.  Page 0's window rides behind the
+  leader the first read carries (paper §5.7).
 * **What is retained is a matter of capacity.**  With
   ``capacity_pages > 0`` demanded, written and prefetched sectors share
   one LRU.  With ``capacity_pages == 0`` (every mount's default) this
@@ -27,8 +29,9 @@ Design rules:
 * **A stream that wastes its window stops prefetching.**  A prefetched
   sector evicted before any demand means its stream over-subscribes the
   cache; it plans no further prefetch until one of its remaining
-  sectors is hit or it starts a new pass, so interleaved readers that
-  do not fit fall back to demand reads, not to evicting each other.
+  sectors is hit or it starts a new pass (reads page 0 again, or
+  jumps), so interleaved readers that do not fit fall back to demand
+  reads, not to evicting each other.
 * **Write-through, never write-behind.**  Data pages are not logged
   (paper §5.3), so the platter copy is the only durable copy: a write
   goes to the disk first, then :meth:`DataPageCache.store` replaces —
@@ -52,14 +55,19 @@ from repro.obs import NULL_OBS
 #: beside the Dorado's real memory, large beside one file's run).
 DEFAULT_DATA_CACHE_PAGES = 256
 
-#: default read-ahead window, in pages (sectors).  Two windows fit one
-#: ``VolumeParams.max_io_sectors`` transfer with room for the demand
-#: read that triggers them.  EXPERIMENTS.md "Read-ahead on every mount"
-#: has the 8 / 16 / 32 sweep.
-DEFAULT_READAHEAD_PAGES = 16
+#: default read-ahead window, in pages (sectors): one track of the
+#: Trident T-300.  A window then transfers in at most one revolution,
+#: so the read that pays for it waits about two — at most one for its
+#: first sector to come round, one to transfer, ≈ 34 ms at 16.67 ms a
+#: turn — level with the slowest cold random page reads (the 99th
+#: percentile of ``read_stream``'s one-page reads is 32 ms).  A 24-page
+#: MakeDo source file is then one transfer: leader, page 0 and its
+#: window.  EXPERIMENTS.md "Read-ahead from page 0, a track at a time"
+#: has the wider windows and ramps measured against it.
+DEFAULT_READAHEAD_PAGES = 30
 
-#: read-ahead windows a capacity-0 mount may hold at once (same
-#: section of EXPERIMENTS.md for the client-count sweep behind it).
+#: read-ahead windows a capacity-0 mount may hold at once (EXPERIMENTS.md
+#: "Read-ahead on every mount" has the client-count sweep behind it).
 BUFFER_WINDOWS = 4
 
 #: sequential-detection states tracked at once; beyond this the oldest
@@ -175,6 +183,7 @@ class DataPageCache:
         kept images are padded exactly as they lie on the platter."""
         if prefetched:
             self.readahead_issued += len(sectors)
+            self.obs.count("cache.data.readahead_windows")
             self.obs.count("cache.data.readahead_issued", len(sectors))
         elif not self.capacity:
             if self._pages:
@@ -228,22 +237,25 @@ class DataPageCache:
         """Record one read of file ``uid`` covering logical pages
         ``[first_page, first_page + page_count)``; returns how many
         sectors from ``next_address`` on may be prefetched behind it:
-        none unless the read directly continues the previous one and
-        the stream has not backed off, then ``readahead_pages``, less
-        what is already held.  The caller cuts that to what is left of
-        the disk run and of the file."""
+        none unless the read starts at page 0 or directly continues the
+        previous one, and a continuing stream has not backed off; then
+        ``readahead_pages``, less what is already held.  The caller
+        cuts that to what is left of the disk run and of the file."""
         if not self.readahead_pages:
             return 0
         seq = self._seq
-        sequential = first_page > 0 and seq.get(uid) == first_page
+        sequential = seq.get(uid) == first_page
         seq[uid] = first_page + page_count
         seq.move_to_end(uid)
         if len(seq) > _MAX_SEQ_STREAMS:
             self._backed_off.discard(seq.popitem(last=False)[0])
-        if not sequential:
+        if first_page == 0 or not sequential:
+            # A new pass clears the back-off: page 0 starts a stream,
+            # a jump anywhere else starts none.
             self._backed_off.discard(uid)
-            return 0
-        if uid in self._backed_off:
+            if first_page:
+                return 0
+        elif uid in self._backed_off:
             return 0
         pages, limit = self._pages, self.readahead_pages
         count = 0

@@ -858,11 +858,11 @@ class FSD:
     ) -> list[bytes]:
         """The data read path: serve what the data cache holds, then
         read the rest extent by extent in ``max_io_sectors`` chunks.  A
-        read that continues the file sequentially carries a read-ahead
-        of the current disk run on its last transfer (merged by
-        ``merge_reads``: one rotational wait for the span instead of one
-        per page); the first read of an unverified file carries the leader
-        in front of its first (paper §5.7)."""
+        read of page 0, or one that continues the file sequentially,
+        carries a read-ahead of the current disk run on its last
+        transfer (merged by ``merge_reads``: one rotational wait for the
+        span instead of one per page); the first read of an unverified
+        file carries the leader in front of its first (paper §5.7)."""
         dc = self.data_cache
         props = handle.props
         uid = props.uid

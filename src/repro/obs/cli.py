@@ -114,14 +114,16 @@ def cmd_stats(args) -> int:
     data_hits = cache.get("cache.data.hits", 0)
     data_lookups = data_hits + cache.get("cache.data.misses", 0)
     if data_lookups:
+        issued = cache.get("cache.data.readahead_issued", 0)
+        windows = cache.get("cache.data.readahead_windows", 0)
         print(
             f"data cache: hit ratio {cache['cache.data.hit_ratio']:.1%} "
             f"({_fmt_value(data_hits)} of {_fmt_value(data_lookups)} "
             f"sectors), read-ahead accuracy "
             f"{cache.get('cache.data.readahead_accuracy', 0.0):.1%} "
             f"({_fmt_value(cache.get('cache.data.readahead_used', 0))} of "
-            f"{_fmt_value(cache.get('cache.data.readahead_issued', 0))} "
-            f"prefetched)"
+            f"{_fmt_value(issued)} prefetched) in {_fmt_value(windows)} "
+            f"windows of {issued / max(windows, 1):.1f} sectors"
         )
     commit = snapshot.layers().get("commit", {})
     absorbed = commit.get("commit.ops_absorbed")

@@ -82,6 +82,16 @@ class BufferTwinMachine(RuleBasedStateMachine):
     def read_pages_in_order(self, data, first, count):
         """Page-at-a-time sequential reads: what triggers read-ahead
         (a pass that stops mid-window leaves sectors buffered)."""
+        self._read_in_order(data, first, count)
+
+    @precondition(lambda self: self._live())
+    @rule(data=st.data(), count=st.integers(1, 12))
+    def read_from_page_zero(self, data, count):
+        """A fresh open read from its first page: page 0 starts the
+        stream, and its transfer carries the leader and the window."""
+        self._read_in_order(data, 0, count)
+
+    def _read_in_order(self, data, first, count):
         name = data.draw(st.sampled_from(self._live()))
         handles = self._both(lambda fs: fs.open(name))
         pages = -(-handles[1].byte_size // SECTOR)
@@ -231,12 +241,13 @@ class TestFaults:
     def test_damage_in_the_prefetch_span_never_fails_the_demand_read(self):
         fs, obs, handle, blob = self._sequential_file()
         fs.disk.faults.damage(handle.runs.sector_of_page(5))
+        # page 0 starts the stream: its transfer would carry the leader,
+        # page 0 and pages 1-11
         assert fs.read(handle, 0, SECTOR) == blob[:SECTOR]
-        # page 1 continues the file: its transfer would carry pages 2-11
-        assert fs.read(handle, SECTOR, SECTOR) == blob[SECTOR : 2 * SECTOR]
         assert obs.snapshot().counter("cache.data.readahead_aborted") == 1
         assert len(fs.data_cache) == 0
-        for page in (2, 3, 4):
+        assert handle.leader_verified
+        for page in (1, 2, 3, 4):
             at = page * SECTOR
             assert fs.read(handle, at, SECTOR) == blob[at : at + SECTOR]
 
@@ -250,49 +261,102 @@ class TestFaults:
 
 
 # ----------------------------------------------------------------------
+# (c) the window of a default mount, seen from the disk
+# ----------------------------------------------------------------------
+def _recording(fs: FSD, monkeypatch) -> list[tuple[int, int]]:
+    """Every ``(address, count)`` the mount's data path reads from now
+    on, in order."""
+    requests: list[tuple[int, int]] = []
+    read = fs.io.read
+
+    def recording(address, count, **kwargs):
+        requests.append((address, count))
+        return read(address, count, **kwargs)
+
+    monkeypatch.setattr(fs.io, "read", recording)
+    return requests
+
+
+class TestDefaultWindow:
+    def test_a_source_file_read_page_by_page_is_one_transfer(
+        self, monkeypatch
+    ):
+        """A MakeDo source file (24 pages, one run) on a cold default
+        mount: page 0's transfer carries the leader and pages 1-23,
+        which then are buffer hits."""
+        fs = _volume()
+        blob = payload(24 * SECTOR, 5)
+        fs.create("d/src", blob)
+        fs = _remounted(fs)
+        handle = fs.open("d/src")
+        requests = _recording(fs, monkeypatch)
+        for page in range(24):
+            at = page * SECTOR
+            assert fs.read(handle, at, SECTOR) == blob[at : at + SECTOR]
+        assert requests == [(handle.props.leader_addr, 25)]
+        assert fs.data_cache.readahead_used == 23 == len(blob) // SECTOR - 1
+
+
+# ----------------------------------------------------------------------
 # (d) the per-stream waste rule, seen from the disk
 # ----------------------------------------------------------------------
 class TestWasteRule:
+    def _two_readers(self, monkeypatch):
+        """Files A (30 pages) and B (6 pages) on a cold mount whose
+        buffer holds one 8-page window.  ``page(name, n)`` reads page n
+        and returns the transfers that read issued."""
+        monkeypatch.setattr(data_cache, "BUFFER_WINDOWS", 1)
+        fs = _volume(readahead_pages=8)
+        blobs = {"a": payload(30 * SECTOR, 1), "b": payload(6 * SECTOR, 2)}
+        for name, blob in blobs.items():
+            fs.create(f"d/{name}", blob)
+        fs = _remounted(fs, readahead_pages=8)
+        handles = {name: fs.open(f"d/{name}") for name in blobs}
+        requests = _recording(fs, monkeypatch)
+
+        def page(name, number):
+            at = number * SECTOR
+            assert fs.read(handles[name], at, SECTOR) == (
+                blobs[name][at : at + SECTOR]
+            )
+            done = list(requests)
+            requests.clear()
+            return done
+
+        return fs, handles["a"].runs.sector_of_page(0), page
+
     def test_wasted_window_stops_prefetch_until_the_stream_hits_again(
         self, monkeypatch
     ):
         """Two interleaved sequential readers on a one-window buffer:
         B's prefetch pushes half of A's window out unused, A falls back
         to one-sector demand reads, and prefetches again once one of
-        its surviving sectors has been hit."""
-        monkeypatch.setattr(data_cache, "BUFFER_WINDOWS", 1)
-        fs = _volume(readahead_pages=8)
-        blob_a, blob_b = payload(30 * SECTOR, 1), payload(6 * SECTOR, 2)
-        fs.create("d/a", blob_a)
-        fs.create("d/b", blob_b)
-        fs = _remounted(fs, readahead_pages=8)
-        a, b = fs.open("d/a"), fs.open("d/b")
-        first_a = a.runs.sector_of_page(0)
-
-        requests: list[tuple[int, int]] = []
-        read = fs.io.read
-
-        def recording(address, count, **kwargs):
-            requests.append((address, count))
-            return read(address, count, **kwargs)
-
-        monkeypatch.setattr(fs.io, "read", recording)
-
-        def page(handle, blob, number):
-            at = number * SECTOR
-            assert fs.read(handle, at, SECTOR) == blob[at : at + SECTOR]
-            done = list(requests)
-            requests.clear()
-            return done
-
-        page(a, blob_a, 0)
-        assert page(a, blob_a, 1) == [(first_a + 1, 9)]   # page 1 + 2..9
-        page(b, blob_b, 0)
-        assert [count for _, count in page(b, blob_b, 1)] == [5]
+        its surviving sectors has been hit.  Each stream's page 0 read
+        carries its leader and its first window."""
+        fs, first_a, page = self._two_readers(monkeypatch)
+        assert page("a", 0) == [(first_a - 1, 10)]        # leader, 0, 1..8
+        assert page("a", 1) == []                          # a hit
+        assert [count for _, count in page("b", 0)] == [7]
         assert fs.data_cache.evictions == 4                # a's 2..5, unused
         for number in (2, 3, 4, 5):                        # backed off
-            assert page(a, blob_a, number) == [(first_a + number, 1)]
-        assert page(a, blob_a, 6) == []                    # a survivor: a hit
-        assert page(a, blob_a, 7) == [] and page(a, blob_a, 8) == []
-        assert page(a, blob_a, 9) == [(first_a + 10, 8)]   # prefetching again
-        assert page(a, blob_a, 10) == []
+            assert page("a", number) == [(first_a + number, 1)]
+        assert page("a", 6) == []                          # a survivor: a hit
+        assert page("a", 7) == []
+        assert page("a", 8) == [(first_a + 9, 8)]          # prefetching again
+        assert page("a", 9) == []
+
+    def test_a_page_zero_read_then_a_jump_wastes_one_window(
+        self, monkeypatch
+    ):
+        """A reads its first page and jumps: the window page 0 carried
+        is all A wastes.  Once B's window has pushed it out unused, A's
+        reads from the jump on are one-sector demand reads."""
+        fs, first_a, page = self._two_readers(monkeypatch)
+        assert page("a", 0) == [(first_a - 1, 10)]        # leader, 0, 1..8
+        assert page("a", 20) == [(first_a + 20, 1)]       # a jump
+        assert [count for _, count in page("b", 0)] == [7]
+        assert fs.data_cache.evictions == 5                # a's 1..5, unused
+        for number in (21, 22, 23):                        # backed off
+            assert page("a", number) == [(first_a + number, 1)]
+        assert fs.data_cache.readahead_issued == 8 + 5
+        assert fs.data_cache.readahead_used == 0

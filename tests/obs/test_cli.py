@@ -227,6 +227,35 @@ class TestStats:
         assert "sectors), read-ahead accuracy" in line
         assert "prefetched)" in line
 
+    def test_data_cache_line_gives_the_mean_window(self, image, capsys):
+        """Prefetch transfers are counted apart from the sectors they
+        fetch, so the data-cache line gives the mean window without a
+        tracer."""
+        import re
+
+        capsys.readouterr()
+        assert main(["stats", image, "--ops", "40"]) == 0
+        out = capsys.readouterr().out
+        counters = dict(
+            line.split() for line in out.splitlines()
+            if line.strip().startswith("cache.data.readahead_")
+        )
+        issued = int(counters["cache.data.readahead_issued"])
+        windows = int(counters["cache.data.readahead_windows"])
+        assert 0 < windows < issued
+        line = next(
+            line for line in out.splitlines()
+            if line.startswith("data cache: hit ratio")
+        )
+        match = re.search(
+            r"of (\d+) prefetched\) in (\d+) windows "
+            r"of ([\d.]+) sectors$",
+            line,
+        )
+        assert match, line
+        assert (int(match[1]), int(match[2])) == (issued, windows)
+        assert float(match[3]) == pytest.approx(issued / windows, abs=0.05)
+
     def test_probe_does_not_save_image(self, image, capsys):
         from pathlib import Path
 

@@ -300,22 +300,24 @@ class TestSubcommands:
     standard library.  No other subcommand changed."""
 
     #: ``_interface(build_parser())`` of the last commit that had
-    #: ``profile``, less that one entry.
+    #: ``profile``, less that one entry, with the default of every
+    #: mounting subcommand's ``--readahead`` since moved from 16 to 30
+    #: (``DEFAULT_READAHEAD_PAGES``, one track).
     INTERFACE = {
         "mkfs": "8ea9183f2e281398",
-        "put": "8070a620714c410d",
-        "get": "3247944f95e0a6b7",
-        "ls": "bfde052043bd12b4",
-        "rm": "8c4e0d646d11dc8e",
-        "info": "609f756af5068493",
-        "verify": "cecf1fe4a08e2b2e",
+        "put": "ee5d3617c2482127",
+        "get": "c588e62002354845",
+        "ls": "8d56ab26c871f5f5",
+        "rm": "9b504e05aa5ca8fd",
+        "info": "ca60a116ee5a5161",
+        "verify": "2f6e437f0d272438",
         "salvage": "fc43f319302b1b74",
-        "traffic": "fa2c829555834e75",
+        "traffic": "4602bdc6694291b1",
         "soak": "8cec63d05898064b",
-        "chaos": "3fa90ba893502aed",
-        "crashcheck": "b4b880ccbbe7b9e7",
-        "stats": "76cc6aff0b41a805",
-        "trace": "fb3058b2c235f4e3",
+        "chaos": "78bf00a74e6e7d54",
+        "crashcheck": "5140f2e6396cfa55",
+        "stats": "8bf4b3fcd7b98173",
+        "trace": "eddd5fa8a1315791",
         "bench": "0364525dcac157d1",
         "bench diff": "b7037bfe6d6d9b3d",
     }
