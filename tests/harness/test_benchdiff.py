@@ -105,7 +105,7 @@ class TestDiff:
             return chaos_bench_doc(ChaosReport(
                 seed=1, clients=1, ops_issued=10, ops_completed=10,
                 faults_injected=0, faults_by_kind={}, crashes=1,
-                volume_lost=False,
+                crashes_armed=1, volume_lost=False,
                 traffic={"availability": {"recoveries": [recovery]}},
             ))
 
