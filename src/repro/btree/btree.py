@@ -400,13 +400,19 @@ class BTree:
 
         ``stop`` bounds the descent: a subtree whose keys are all
         ``>= stop`` is never read.  At each interior node where the scan
-        is about to visit two or more children, they are handed, in key
-        order, to ``pager.prefetch`` before the first of them is read (a
-        lone child is no transfer to plan: it is read as the demand miss
-        it would be anyway, which is what a version lookup does at every
-        level).  The reads themselves (and so the pager's per-node
-        accounting) are the same with or without a pager that acts on
-        the hint.
+        is about to visit two or more children, it hands
+        ``pager.prefetch`` its known *frontier* before the first of them
+        is read: those children in key order, then the pages already on
+        its stack, in the order it will pop them (so a leaf-parent's
+        hint ends with the next leaf-parent, which usually lies a page
+        or three past its last child).  A lone child is no transfer to
+        plan: it is read as the demand miss it would be anyway, which is
+        what a version lookup does at every level.  Every hinted page is
+        one the scan reads later, in hint order, so a drained scan reads
+        every page it hinted and a pager that fetches only hinted pages
+        fetches none a page-at-a-time scan would not read.  The reads
+        themselves (and so the pager's per-node accounting) are the same
+        with or without a pager that acts on the hint.
         """
         stack: list[tuple[int, bytes | None]] = [(self._root, start)]
         read = self.pager.read
@@ -440,7 +446,11 @@ class BTree:
                 else bisect.bisect_left(keys, stop)
             )
             if last > first:
-                prefetch(children[first : last + 1])
+                # The frontier: these children, then the stack in the
+                # order it will pop.
+                frontier = children[first : last + 1]
+                frontier.extend(page for page, _ in reversed(stack))
+                prefetch(frontier)
             for index in range(last, first, -1):
                 stack.append((children[index], None))
             stack.append((children[first], start))

@@ -54,8 +54,11 @@ class Pager(Protocol):
         ...
 
     def prefetch(self, page_nos: list[int]) -> None:
-        """Hint from a range scan: ``page_nos`` are exactly the pages
-        it will ``read`` next, in that order.
+        """Hint from a range scan: ``page_nos`` are pages it will
+        ``read``, in the order it reads them: the current node's
+        children, then the rest of the scan's frontier (a page may be
+        hinted again by a later call).  Other reads may come between
+        them; a scan that is drained reads every page it hinted.
 
         A pager may use the hint to fetch them in fewer, larger
         transfers; it must not change what a later ``read`` returns or

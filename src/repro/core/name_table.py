@@ -464,9 +464,10 @@ class NameTablePager:
         self.obs.count("btree.page_frees")
 
     def prefetch(self, page_nos: list[int]) -> None:
-        """Fetch the pages a scan is about to read, in bulk.
+        """Fetch pages a scan will read, in bulk.
 
-        Of ``page_nos`` (the scan's read order) the first
+        Of ``page_nos`` (the scan's frontier, in its read order: the
+        node's children, then the pages it pops after them) the first
         ``capacity // 4`` that are not resident are sorted by page
         number and cut into transfers (:func:`_prefetch_runs`); every
         transfer holding at least two of them is read with

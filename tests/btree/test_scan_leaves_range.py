@@ -160,20 +160,29 @@ def test_prefetch_is_handed_only_what_the_scan_then_reads(history, prefix):
     del pager.events[:]
     for _ in table.tree.scan_leaves(*prefix_range(prefix)):
         pass
-    events = pager.events
+    events = list(pager.events)
     reads = [page for kind, page in events if kind == "read"]
     assert len(reads) == len(set(reads))  # a scan reads no page twice
     hinted: list[int] = []
+    node_page = None
     for index, (kind, pages) in enumerate(events):
-        if kind != "prefetch":
+        if kind == "read":
+            node_page = pages
             continue
         later = [p for k, p in events[index + 1:] if k == "read"]
         # Every hinted page is read afterwards, in the order handed:
-        # the children of one node, left to right, hence in key order.
+        # the hint is a subsequence of the reads that follow it.
         assert [page for page in later if page in pages] == pages
         assert len(pages) >= 2  # a lone child is no transfer to plan
+        # It begins with the in-range children, left to right, of the
+        # node the scan read just before it.
+        node = Node.from_bytes(pager.read(node_page))
+        children = [page for page in node.children if page in reads]
+        assert pages[: len(children)] == children
         hinted.extend(pages)
-    assert len(hinted) == len(set(hinted))
+    # A drained walk reads every page it hinted (a sibling may be hinted
+    # twice: by its parent and again by its left sibling's node).
+    assert set(hinted) <= set(reads)
     # Every page but the root was announced by its parent, unless it is
     # the one child of that parent the scan visits.
     parent_of = {}

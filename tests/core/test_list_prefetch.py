@@ -1,9 +1,9 @@
-"""Child-directed bulk prefetch under ``list``: what
+"""Scan-directed bulk prefetch under ``list``: what
 ``NameTablePager.prefetch`` may fetch, what it must leave alone, and
 that a listing served through it is the listing served without it.
 
-The contract (DESIGN.md "Name table"): exact children only, a bounded
-window, clean installs only, gap sectors inert.
+The contract (DESIGN.md "Name table"): the scan's frontier only, a
+bounded window, clean installs only, gap sectors inert.
 """
 
 from __future__ import annotations
@@ -483,6 +483,69 @@ def test_list_over_a_leaf_lost_on_both_copies_degrades_the_volume():
         fs.list()
     assert fs.degraded
     assert fs.list("doc/")  # reads elsewhere still work
+
+
+# ----------------------------------------------------------------------
+# the frontier: the next leaf-parent rides in the leaf transfers
+# ----------------------------------------------------------------------
+#: Long names keep a leaf-parent's children (about a dozen) inside one
+#: prefetch window (``WINDOW`` = 16 pages), with room for the next
+#: leaf-parent behind them.
+WIDE = "sources-of-the-build/"
+
+
+@pytest.fixture
+def wide_directory():
+    """A one-directory volume of height 3 whose listing visits three or
+    more leaf-parents; returns (disk, leaf-parent pages in key order,
+    names)."""
+    disk = SimDisk(geometry=GEO)
+    FSD.format(disk, PARAMS)
+    fs = FSD.mount(disk)
+    names = sorted(create_until_nt_pages(fs, WIDE + "module-", 80))
+    tree = fs.name_table.tree
+    assert tree.depth() == 3
+    leaf_parents = Node.from_bytes(fs.cache.read_nt(tree._root)).children
+    assert len(leaf_parents) >= 3
+    fs.unmount()
+    return disk, leaf_parents, names
+
+
+def test_a_cold_list_reads_few_leaf_parents_on_demand(wide_directory):
+    """Each leaf-parent's hint ends with the next leaf-parent, a page
+    or three past its last child: it arrives in the leaf transfers, so
+    a cold list's interior demand misses (the root and the first
+    leaf-parent) are fewer than its leaf-parents."""
+    disk, leaf_parents, names = wide_directory
+    obs = Observer()
+    fs = FSD.mount(disk, obs=obs)
+    before = obs.snapshot().counters
+    assert [p.name for p in fs.list(WIDE)] == names
+    count = obs.snapshot().counters
+    misses_interior = count.get("cache.misses_interior", 0) - before.get(
+        "cache.misses_interior", 0
+    )
+    assert misses_interior < len(leaf_parents)
+
+
+def test_a_damaged_frontier_page_is_repaired_inside_the_transfer(
+    wide_directory,
+):
+    """Copy A of the second leaf-parent is damaged: the page rides in
+    the first leaf-parent's transfer, drops to ``read_run``'s per-page
+    ladder there, and is repaired from its twin."""
+    disk, leaf_parents, names = wide_directory
+    layout = VolumeLayout.compute(GEO, PARAMS)
+    bad = layout.nt_page_addresses(leaf_parents[1])[0]
+    disk.faults.damage(bad)
+    obs = Observer()
+    fs = FSD.mount(disk, obs=obs)
+    assert [p.name for p in fs.list(WIDE)] == names
+    assert not disk.faults.is_damaged(bad)
+    assert obs.snapshot().counters["ladder.copy_repairs"] == 1
+    assert fs.nt_home.ladder_fallbacks == 1  # met in a bulk transfer
+    assert not fs.degraded
+    assert verify_volume(fs).clean
 
 
 @pytest.mark.parametrize(
