@@ -10,6 +10,7 @@ Paper, 300 MB moderately full volumes:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 
 from repro.bsd.fsck import fsck
@@ -29,12 +30,9 @@ from repro.harness.scenarios import (
 from repro.workloads.generators import payload
 
 
-def _fsd_recovery_split() -> tuple[float, float, float]:
-    """(log-redo-only ms, vam-rebuild ms, total worst-case ms).
-
-    Best case: the VAM was saved (clean shutdown then dirty restart);
-    recovery is just the log scan + redo.  Worst case: VAM rebuilt.
-    """
+def _crashed_recovery_volume() -> SimDisk:
+    """The bench's volume, crashed with a little committed work in the
+    log: the next mount replays it and rebuilds the VAM."""
     # Best case: unmount (saves VAM), remount, do a little committed
     # work, crash.  Recovery replays the log and loads the saved VAM...
     disk, fs, adapter = fsd_volume(FULL)
@@ -48,6 +46,16 @@ def _fsd_recovery_split() -> tuple[float, float, float]:
         fs.create(f"post/f-{index}", payload(600, index))
     fs.force()
     fs.crash()
+    return disk
+
+
+def _fsd_recovery_split() -> tuple[float, float, float]:
+    """(log-redo-only ms, vam-rebuild ms, total worst-case ms).
+
+    Best case: the VAM was saved (clean shutdown then dirty restart);
+    recovery is just the log scan + redo.  Worst case: VAM rebuilt.
+    """
+    disk = _crashed_recovery_volume()
     took = measure(disk, lambda: FSD.mount(disk))
     mounted: FSD = took.result  # type: ignore[assignment]
     report = mounted.mount_report
@@ -91,6 +99,50 @@ def test_recovery_times(once):
     assert cfs_ms > 20 * total_ms
     assert cfs_ms > 1_000_000
     assert total_ms < fsck_ms < cfs_ms
+
+
+# ----------------------------------------------------------------------
+# host cost of the VAM rebuild, counted rather than timed
+# ----------------------------------------------------------------------
+#: Python-level calls per swept entry of one crash mount of the bench's
+#: volume (1 240 entries on 190 pages).  The bulk claim and the one
+#: checked parse make it 5.43; before them, with a one-run claim per
+#: leader and run and a full properties decode per entry, it was 26.71.
+#: The bound sits about 30 % above the current number.
+MOUNT_CALLS_PER_ENTRY_BOUND = 7.0
+
+
+def test_vam_rebuild_python_calls_per_entry():
+    """A host-cost gate that does not read a clock: the calls a crash
+    mount makes (``sys.setprofile`` ``call`` events), per entry the VAM
+    rebuild swept.  Wall time on a shared box moves by tens of percent;
+    a call count moves only when the code does."""
+    disk = _crashed_recovery_volume()
+    calls = 0
+
+    def count(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        mounted = FSD.mount(disk)
+    finally:
+        sys.setprofile(None)
+    report = mounted.mount_report
+    assert report.vam_sweep_pages > 0  # the sweep, not the walk, ran
+    per_entry = calls / report.vam_rebuild_entries
+    table = Table("VAM rebuild host cost (one crash mount)")
+    table.add(
+        "Python calls per swept entry",
+        "-",
+        f"{per_entry:.2f}",
+        note=f"{calls} calls / {report.vam_rebuild_entries} entries, "
+        f"bound {MOUNT_CALLS_PER_ENTRY_BOUND}",
+    )
+    table.print()
+    assert per_entry <= MOUNT_CALLS_PER_ENTRY_BOUND
 
 
 # ----------------------------------------------------------------------

@@ -30,10 +30,9 @@ from repro.core.name_table import (
     page_allocated,
 )
 from repro.core.types import (
-    Run,
     decode_continuation,
     decode_key,
-    decode_main_entry,
+    parse_main_entry,
 )
 from repro.core.vam import VolumeAllocationMap
 from repro.core.wal import PAGE_LEADER, PAGE_NAME_TABLE, WriteAheadLog
@@ -260,10 +259,10 @@ def _redo_live_leaders(
             if chunk != 0:
                 continue
             try:
-                props, _, _ = decode_main_entry(name, version, value)
+                entry = parse_main_entry(value)
             except (CorruptMetadata, ValueError):
                 continue
-            live[(name, version)] = (props.leader_addr, props.uid)
+            live[(name, version)] = (entry.leader_addr, entry.uid)
 
     writes: list[tuple[int, list[bytes]]] = []
     for address, data in sorted(pending.items()):
@@ -318,7 +317,8 @@ def rebuild_vam(
             files = 0
             for props, runs in name_table.enumerate():
                 files += 1
-                _mark_file(vam, props.leader_addr, runs.runs)
+                claims = [(props.leader_addr, 1)] if props.leader_addr else []
+                vam.claim(claims + [(run.start, run.count) for run in runs.runs])
         else:
             vam, files, report.vam_sweep_pages = swept
             obs.count("recovery.vam_sweep_pages", report.vam_sweep_pages)
@@ -339,16 +339,8 @@ def _metadata_vam(
 ) -> VolumeAllocationMap:
     vam = VolumeAllocationMap(disk.geometry.total_sectors)
     vam.obs = obs
-    for run in layout.metadata_runs():
-        vam.mark_allocated(run)
+    vam.claim([(run.start, run.count) for run in layout.metadata_runs()])
     return vam
-
-
-def _mark_file(vam: VolumeAllocationMap, leader_addr: int, runs) -> None:
-    if leader_addr:
-        vam.mark_allocated(Run(leader_addr, 1))
-    for run in runs:
-        vam.mark_allocated(run)
 
 
 def _sweep_name_table(
@@ -368,7 +360,9 @@ def _sweep_name_table(
     because on a live mount (``verify_volume``) the newest pages are
     dirty or logged-but-not-home.  CPU is charged as the key-order walk
     charged it: one B-tree node visit per page, one entry
-    interpretation per leaf entry.
+    interpretation per leaf entry.  On the host each chunk-0 entry is
+    one :func:`parse_main_entry`, and each leaf one
+    :meth:`VolumeAllocationMap.claim` of its leaders and runs.
     """
     pager = name_table.tree.pager
     cache = pager.cache
@@ -392,17 +386,21 @@ def _sweep_name_table(
                     continue
                 clock.advance_cpu(interpret_ms * len(node.keys))
                 entries += len(node.keys)
+                # The leaf's leaders and runs, in entry order, as one claim.
+                claims: list[tuple[int, int]] = []
                 for key, value in zip(node.keys, node.values):
-                    name, version, chunk = decode_key(key)
-                    if chunk:
-                        for run in decode_continuation(value):
-                            vam.mark_allocated(run)
-                    else:
-                        props, runs, _ = decode_main_entry(
-                            name, version, value
+                    if decode_key(key)[2]:
+                        claims.extend(
+                            (run.start, run.count)
+                            for run in decode_continuation(value)
                         )
+                    else:
+                        entry = parse_main_entry(value)
                         files += 1
-                        _mark_file(vam, props.leader_addr, runs.runs)
+                        if entry.leader_addr:
+                            claims.append((entry.leader_addr, 1))
+                        claims.extend(entry.runs)
+                vam.claim(claims)
     if entries != len(name_table.tree):
         return None
     return vam, files, pages

@@ -13,9 +13,12 @@ two boots share a boot count, so uniqueness survives any crash.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from itertools import starmap
+from typing import NamedTuple
 
 from repro.errors import CorruptMetadata, FsError
 from repro.serial import Packer
@@ -320,6 +323,71 @@ _MAIN_PREFIX = struct.Struct("<BQQddBIH")
 #: one (start u32, count u16) run record.
 _RUN_RECORD = struct.Struct("<IH")
 
+#: where a chunk-0 entry's remote-target length byte sits.
+_TARGET_AT = _MAIN_PREFIX.size
+#: kind byte -> kind; any other byte is refused as ``FileKind`` refuses it.
+_KIND_OF_BYTE = {int(kind): kind for kind in FileKind}
+
+
+@functools.cache
+def _run_records(count: int) -> struct.Struct:
+    """The struct of ``count`` inline (start, count) run records (a
+    count is one byte, so at most 256 are ever built)."""
+    return struct.Struct("<" + "IH" * count)
+
+
+class MainEntry(NamedTuple):
+    """A chunk-0 entry's fields, as :func:`parse_main_entry` reads them."""
+
+    kind: FileKind
+    uid: int
+    byte_size: int
+    create_time_ms: float
+    last_used_ms: float
+    keep: int
+    leader_addr: int
+    #: runs in the whole table; more than ``len(runs)`` means the rest
+    #: are in continuation chunks.
+    total_runs: int
+    remote_target: str
+    #: the inline runs as ``(start, count)`` pairs.
+    runs: tuple[tuple[int, int], ...]
+
+
+def parse_main_entry(value: bytes) -> MainEntry:
+    """The one checked parse of a chunk-0 entry's bytes.
+
+    Raises :class:`CorruptMetadata` on a truncated entry, and
+    ``ValueError`` on a bad remote-target encoding, a zero-length run or
+    a bad kind byte, in that order.  :func:`decode_main_entry` builds
+    the properties and run table on top of it; the recovery sweep and
+    the leader veto take only the leader, uid and runs, and build
+    nothing.  Structs, one per inline run count, and no per-run Python:
+    the sweep parses every entry of the table on every rebuild.
+    """
+    try:
+        prefix = _MAIN_PREFIX.unpack_from(value)
+        # ``runs_at`` is the inline run count's byte, after the target.
+        runs_at = _TARGET_AT + 1 + value[_TARGET_AT]
+        if runs_at > len(value):
+            raise struct.error
+        remote_target = value[_TARGET_AT + 1:runs_at].decode("utf-8")
+        flat = _run_records(value[runs_at]).unpack_from(value, runs_at + 1)
+    except (struct.error, IndexError):
+        raise CorruptMetadata(
+            f"truncated main entry of {len(value)} bytes"
+        ) from None
+    counts = flat[1::2]
+    if 0 in counts:
+        raise ValueError(f"bad run ({flat[2 * counts.index(0)]}, 0)")
+    kind = _KIND_OF_BYTE.get(prefix[0])
+    if kind is None:
+        raise ValueError(f"{prefix[0]} is not a valid {FileKind.__name__}")
+    return MainEntry(
+        kind, *prefix[1:], remote_target, tuple(zip(flat[::2], counts))
+    )
+
+
 #: parse memo for chunk-0 entries, keyed by entry bytes: every ``list``
 #: re-decodes the same entries, so the decoded FileProperties is cached
 #: whole and only the RunTable wrapper (whose ``runs`` list callers
@@ -339,59 +407,28 @@ def decode_main_entry(
     total exceeds the inline count, the caller must read continuation
     chunks to complete the run table.
 
-    Parsed with precompiled structs rather than an :class:`Unpacker`
-    and memoised by entry bytes: this runs once per entry of every
-    ``enumerate``, making it one of the hottest metadata parses in the
-    system.
+    Built on :func:`parse_main_entry` and memoised by entry bytes: this
+    runs once per entry of every ``enumerate``, making it one of the
+    hottest metadata parses in the system.
     """
     fields = _MAIN_MEMO.get(value)
     if fields is None:
-        try:
-            (
-                kind_byte,
-                uid,
-                byte_size,
-                create_time,
-                last_used,
-                keep,
-                leader_addr,
-                total_runs,
-            ) = _MAIN_PREFIX.unpack_from(value, 0)
-            offset = _MAIN_PREFIX.size
-            name_len = value[offset]
-            offset += 1
-            if offset + name_len > len(value):
-                raise struct.error
-            remote_target = value[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            run_count = value[offset]
-            offset += 1
-            unpack_run = _RUN_RECORD.unpack_from
-            if offset + 6 * run_count > len(value):
-                raise struct.error
-            run_tuple = tuple(
-                Run(*unpack_run(value, offset + 6 * index))
-                for index in range(run_count)
-            )
-        except (struct.error, IndexError):
-            raise CorruptMetadata(
-                f"truncated main entry of {len(value)} bytes"
-            ) from None
+        entry = parse_main_entry(value)
         # Positional construction: this pairs with the field order of
         # FileProperties and skips per-call keyword processing.
         props = FileProperties(
             name,
             version,
-            uid,
-            FileKind(kind_byte),
-            byte_size,
-            create_time,
-            last_used,
-            keep,
-            leader_addr,
-            remote_target,
+            entry.uid,
+            entry.kind,
+            entry.byte_size,
+            entry.create_time_ms,
+            entry.last_used_ms,
+            entry.keep,
+            entry.leader_addr,
+            entry.remote_target,
         )
-        fields = (props, run_tuple, total_runs)
+        fields = (props, tuple(starmap(Run, entry.runs)), entry.total_runs)
         if len(_MAIN_MEMO) >= _MAIN_MEMO_LIMIT:
             _MAIN_MEMO.clear()
         _MAIN_MEMO[value] = fields

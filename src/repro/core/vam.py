@@ -9,9 +9,18 @@ name table, which is compact and local enough to process quickly.
 Pages of deleted files are not really free until the delete commits,
 so they first enter a *shadow bitmap*; when a group commit succeeds,
 :meth:`commit_shadow` folds them into the free map.
+
+Runs are claimed in bulk: :meth:`VolumeAllocationMap.claim` takes a
+sequence of ``(start, count)`` pairs (the rebuild claims a whole
+name-table leaf per call) and :meth:`~VolumeAllocationMap.mark_allocated`
+is its one-run case.  Every claim and free is checked: a sector already
+allocated (already free), or a run outside the volume, raises
+:class:`~repro.errors.CorruptMetadata`.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from repro.core.layout import VolumeLayout
 from repro.core.types import Run
@@ -61,49 +70,90 @@ class VolumeAllocationMap:
     # ------------------------------------------------------------------
     # allocation bookkeeping
     # ------------------------------------------------------------------
-    def _run_segment(self, run: Run) -> tuple[int, int, int, int]:
-        """Byte window and bit mask covering ``run`` for whole-extent
-        bit surgery: (first_byte, byte_count, segment_value, mask)."""
-        first_byte = run.start >> 3
-        last_byte = (run.end - 1) >> 3
-        byte_count = last_byte - first_byte + 1
-        segment = int.from_bytes(
-            self._bits[first_byte:first_byte + byte_count], "little"
-        )
-        mask = ((1 << run.count) - 1) << (run.start - (first_byte << 3))
-        return first_byte, byte_count, segment, mask
+    def claim(self, runs: Sequence[tuple[int, int]]) -> None:
+        """Claim every sector of each ``(start, count)`` run, in order.
+
+        The bulk form of :meth:`mark_allocated`, for callers that claim
+        many runs at once (the recovery sweep claims a whole leaf's
+        leaders and runs in one call).  It is exactly the one-run claims
+        made in turn: a run that leaves ``[0, total_sectors)`` or meets
+        an allocated sector (including one claimed earlier in the same
+        call) raises :class:`CorruptMetadata` with the runs before it
+        claimed and counted, and nothing after it.  The counters move
+        once per call: ``vam.allocs`` by the number of runs claimed.
+        """
+        claimed, sectors = self._flip(runs, allocate=True)
+        if claimed:
+            self.free_count -= sectors
+            self.obs.count("vam.allocs", claimed)
+            self.obs.count("vam.sectors_allocated", sectors)
+            self.obs.gauge("vam.free_count", self.free_count)
+        if claimed < len(runs):
+            raise self._refusal(*runs[claimed], allocate=True)
 
     def mark_allocated(self, run: Run) -> None:
-        """Claim every sector of ``run`` (double allocation raises)."""
-        first_byte, byte_count, segment, mask = self._run_segment(run)
-        if segment & mask:
-            for sector in range(run.start, run.end):
-                if self._is_set(sector):
-                    raise CorruptMetadata(
-                        f"double allocation of sector {sector}"
-                    )
-        self._bits[first_byte:first_byte + byte_count] = (
-            segment | mask
-        ).to_bytes(byte_count, "little")
-        self.free_count -= run.count
-        self.obs.count("vam.allocs")
-        self.obs.count("vam.sectors_allocated", run.count)
-        self.obs.gauge("vam.free_count", self.free_count)
+        """Claim every sector of ``run``: the one-run :meth:`claim`."""
+        self.claim(((run.start, run.count),))
 
     def mark_free(self, run: Run) -> None:
-        """Release every sector of ``run`` (double free raises)."""
-        first_byte, byte_count, segment, mask = self._run_segment(run)
-        if (segment & mask) != mask:
-            for sector in range(run.start, run.end):
-                if not self._is_set(sector):
-                    raise CorruptMetadata(f"double free of sector {sector}")
-        self._bits[first_byte:first_byte + byte_count] = (
-            segment & ~mask
-        ).to_bytes(byte_count, "little")
+        """Release every sector of ``run`` (a double free, or a run
+        outside the volume, raises)."""
+        if not self._flip(((run.start, run.count),), allocate=False)[0]:
+            raise self._refusal(run.start, run.count, allocate=False)
         self.free_count += run.count
         self.obs.count("vam.frees")
         self.obs.count("vam.sectors_freed", run.count)
         self.obs.gauge("vam.free_count", self.free_count)
+
+    def _flip(
+        self, runs: Sequence[tuple[int, int]], allocate: bool
+    ) -> tuple[int, int]:
+        """Flip the bits of each run, in order, whole-extent at a time,
+        stopping before the first run that is outside the volume or not
+        entirely free (``allocate``) / entirely allocated (not).
+        Returns (runs flipped, sectors flipped)."""
+        bits = self._bits
+        total = self.total_sectors
+        sectors = 0
+        for index, (start, count) in enumerate(runs):
+            end = start + count
+            if start < 0 or count <= 0 or end > total:
+                return index, sectors
+            first = start >> 3
+            if count == 1:
+                # One bit of one byte, no integer round trip: a leader
+                # is one sector, and half the runs a rebuild claims.
+                byte = bits[first]
+                bit = 1 << (start & 7)
+                if (byte if allocate else ~byte) & bit:
+                    return index, sectors
+                bits[first] = byte ^ bit
+                sectors += 1
+                continue
+            stop = (end + 7) >> 3
+            segment = int.from_bytes(bits[first:stop], "little")
+            mask = ((1 << count) - 1) << (start & 7)
+            if (segment if allocate else ~segment) & mask:
+                return index, sectors
+            # Every bit under the mask is known, so XOR sets or clears.
+            bits[first:stop] = (segment ^ mask).to_bytes(stop - first, "little")
+            sectors += count
+        return len(runs), sectors
+
+    def _refusal(
+        self, start: int, count: int, allocate: bool
+    ) -> CorruptMetadata:
+        """The error for the run that :meth:`_flip` stopped before."""
+        if start < 0 or count <= 0 or start + count > self.total_sectors:
+            return CorruptMetadata(
+                f"run ({start}, {count}) outside volume of "
+                f"{self.total_sectors} sectors"
+            )
+        for sector in range(start, start + count):
+            if self._is_set(sector) == allocate:
+                break
+        what = "allocation" if allocate else "free"
+        return CorruptMetadata(f"double {what} of sector {sector}")
 
     def shadow_free(self, run: Run) -> None:
         """Record pages of a deleted file; they become free at commit."""

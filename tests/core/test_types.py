@@ -19,11 +19,13 @@ from repro.core.types import (
     encode_key,
     encode_main_entry,
     make_uid,
+    parse_main_entry,
     validate_name,
     version_range,
     _reference_encode_main_entry,
 )
-from repro.errors import FsError
+from repro.errors import CorruptMetadata, FsError
+from repro.serial import Unpacker
 
 
 class TestRun:
@@ -266,6 +268,115 @@ class TestMainEntryEncoder:
             encode_main_entry(props, runs)
         with pytest.raises(ValueError):
             _reference_encode_main_entry(props, runs)
+
+
+def _reference_parse(value: bytes) -> tuple[int, int, list[tuple[int, int]]]:
+    """(leader, uid, inline runs) of a chunk-0 entry, read field by field
+    with an :class:`Unpacker` in the order the Packer reference encoder
+    wrote them: the independent check of the struct parse."""
+    reader = Unpacker(value)
+    kind = reader.u8()
+    uid = reader.u64()
+    reader.u64()  # byte size
+    reader.f64()  # create time
+    reader.f64()  # last used
+    reader.u8()  # keep
+    leader = reader.u32()
+    reader.u16()  # total runs
+    reader.string()  # remote target
+    pairs = [(reader.u32(), reader.u16()) for _ in range(reader.u8())]
+    for start, count in pairs:
+        Run(start, count)  # refuses a zero-length run
+    FileKind(kind)
+    return leader, uid, pairs
+
+
+#: bytes before a chunk-0 entry's remote-target length byte.
+_PREFIX_BYTES = 40
+
+
+def _mutate(value: bytes, how: str, data) -> bytes:
+    """The byte-level damage ``how`` (one the parse must refuse, or an
+    arbitrary byte, or none) at a position drawn from ``data``."""
+    target_len = value[_PREFIX_BYTES]
+    runs_at = _PREFIX_BYTES + 2 + target_len
+    inline = value[runs_at - 1]
+    out = bytearray(value)
+    if how == "truncate":
+        return value[: data.draw(st.integers(0, len(value) - 1))]
+    if how == "kind":
+        out[0] = data.draw(st.sampled_from([0, *range(4, 256)]))
+    elif how == "utf8" and target_len:
+        at = data.draw(st.integers(0, target_len - 1))
+        out[_PREFIX_BYTES + 1 + at] = 0xFF  # never valid in UTF-8
+    elif how == "zero run" and inline:
+        at = runs_at + 6 * data.draw(st.integers(0, inline - 1)) + 4
+        out[at:at + 2] = bytes(2)
+    elif how == "any byte":
+        at = data.draw(st.integers(0, len(value) - 1))
+        out[at] = data.draw(st.integers(0, 255))
+    return bytes(out)
+
+
+def _outcome(parse, value: bytes):
+    try:
+        return parse(value)
+    except (CorruptMetadata, ValueError) as error:
+        return type(error)
+
+
+class TestMainEntryParse:
+    """The one checked parse of a chunk-0 entry, which the recovery
+    sweep and the leader veto use alone and ``decode_main_entry`` builds
+    on: all three refuse exactly the entries the field-by-field
+    reference refuses, with the same error class, and read the same
+    leader, uid and runs from the rest."""
+
+    @pytest.mark.parametrize(
+        "how", ["none", "truncate", "kind", "utf8", "zero run", "any byte"]
+    )
+    @given(props=properties, runs=run_tables, data=st.data())
+    def test_parse_agrees_with_reference_and_decoder(
+        self, how, props, runs, data
+    ):
+        value = _mutate(encode_main_entry(props, runs), how, data)
+
+        def sweep(value):
+            entry = parse_main_entry(value)
+            return entry.leader_addr, entry.uid, list(entry.runs)
+
+        def decoder(value):
+            decoded, table, _ = decode_main_entry("dir/file", 2, value)
+            return (
+                decoded.leader_addr,
+                decoded.uid,
+                [(run.start, run.count) for run in table.runs],
+            )
+
+        expected = _outcome(_reference_parse, value)
+        assert _outcome(sweep, value) == expected
+        assert _outcome(decoder, value) == expected
+
+    @pytest.mark.parametrize("kind", [0, 4, 255])
+    def test_bad_kind_byte_is_refused(self, kind):
+        value = bytearray(
+            encode_main_entry(FileProperties("a", 1, 1), RunTable([Run(5, 2)]))
+        )
+        value[0] = kind
+        with pytest.raises(ValueError, match="not a valid FileKind"):
+            parse_main_entry(bytes(value))
+
+    def test_fields_in_encoder_order(self):
+        props = FileProperties(
+            "dir/file", 2, 77, FileKind.CACHED, 12345, 1.5, 2.5, 3, 778,
+            "srv/x",
+        )
+        runs = RunTable([Run(i * 10, i + 1) for i in range(MAX_INLINE_RUNS + 2)])
+        value = encode_main_entry(props, runs)
+        assert parse_main_entry(value) == (
+            FileKind.CACHED, 77, 12345, 1.5, 2.5, 3, 778, MAX_INLINE_RUNS + 2,
+            "srv/x", tuple((i * 10, i + 1) for i in range(MAX_INLINE_RUNS)),
+        )
 
 
 class TestUid:

@@ -11,6 +11,7 @@ from repro.core.vam import VolumeAllocationMap
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
 from repro.errors import CorruptMetadata, FsError
+from repro.obs import Observer
 
 
 class TestBitmap:
@@ -44,11 +45,117 @@ class TestBitmap:
         with pytest.raises(FsError):
             vam.is_free(100)
 
+    @pytest.mark.parametrize("run", [Run(995, 20), Run(5000, 8)])
+    def test_run_outside_the_volume_is_corruption(self, run):
+        """A run that leaves [0, total_sectors) is refused like a double
+        allocation, and the map is untouched: no grown bitmap, no
+        sectors counted that the volume does not have."""
+        vam = VolumeAllocationMap(1000)
+        with pytest.raises(CorruptMetadata, match="outside volume"):
+            vam.mark_allocated(run)
+        with pytest.raises(CorruptMetadata, match="outside volume"):
+            vam.claim([(10, 2), (run.start, run.count)])
+        with pytest.raises(CorruptMetadata, match="outside volume"):
+            vam.mark_free(run)
+        assert len(vam._bits) == 125
+        assert vam.free_count == 998  # only the claim's (10, 2)
+        assert not vam.is_free(10) and vam.is_free(12)
+
     def test_padding_bits_not_free(self):
         """Sectors past total (bitmap padding) stay allocated."""
         vam = VolumeAllocationMap(13)  # not a multiple of 8
         vam.mark_allocated(Run(0, 13))
         assert vam.free_count == 0
+
+
+def _counters(obs: Observer) -> dict:
+    return {
+        name: value
+        for name, value in obs.snapshot().counters.items()
+        if name.startswith("vam.")
+    }
+
+
+#: a small map whose size is not a multiple of 8, so runs meet the
+#: bitmap's padding bits as well as each other.
+_SECTORS = 61
+_runs = st.lists(
+    st.tuples(st.integers(0, _SECTORS + 6), st.integers(1, 20)), max_size=12
+)
+
+
+class TestBulkClaim:
+    """``claim(runs)`` is the one-run claims made in turn, checked
+    against a per-sector model as well as against ``mark_allocated``."""
+
+    @given(held=_runs, runs=_runs)
+    def test_bulk_claim_equals_one_run_claims(self, held, runs):
+        maps = []
+        for _ in range(2):
+            vam = VolumeAllocationMap(_SECTORS)
+            for start, count in held:
+                try:
+                    vam.mark_allocated(Run(start, count))
+                except CorruptMetadata:
+                    pass
+            vam.obs = Observer()
+            maps.append(vam)
+        bulk, single = maps
+        taken = {s for s in range(_SECTORS) if not bulk.is_free(s)}
+
+        bulk_error = single_error = None
+        try:
+            bulk.claim(runs)
+        except CorruptMetadata as error:
+            bulk_error = error
+        for start, count in runs:
+            try:
+                single.mark_allocated(Run(start, count))
+            except CorruptMetadata as error:
+                single_error = error
+                break
+
+        # The model: claim in order, stop at the first run that leaves
+        # the volume or meets a taken sector.
+        model_raises = False
+        for start, count in runs:
+            sectors = set(range(start, start + count))
+            if start + count > _SECTORS or sectors & taken:
+                model_raises = True
+                break
+            taken |= sectors
+
+        assert (bulk_error is None) == (single_error is None)
+        assert (bulk_error is not None) == model_raises
+        if bulk_error is not None:
+            assert str(bulk_error) == str(single_error)
+        assert bulk._bits == single._bits
+        assert {s for s in range(_SECTORS) if not bulk.is_free(s)} == taken
+        assert bulk.free_count == single.free_count == _SECTORS - len(taken)
+        assert _counters(bulk.obs) == _counters(single.obs)
+
+    def test_counters_move_once_per_call(self):
+        vam = VolumeAllocationMap(100)
+        vam.obs = Observer()
+        vam.claim([(0, 4), (10, 1), (20, 5)])
+        assert _counters(vam.obs) == {
+            "vam.allocs": 3, "vam.sectors_allocated": 10,
+        }
+        assert vam.obs.snapshot().gauges["vam.free_count"] == 90
+
+    def test_empty_claim_counts_nothing(self):
+        vam = VolumeAllocationMap(100)
+        vam.obs = Observer()
+        vam.claim([])
+        assert _counters(vam.obs) == {}
+        assert vam.free_count == 100
+
+    @pytest.mark.parametrize("clash", [(12, 1), (12, 2)], ids=["one", "two"])
+    def test_double_allocation_within_one_call(self, clash):
+        vam = VolumeAllocationMap(100)
+        with pytest.raises(CorruptMetadata, match="sector 12"):
+            vam.claim([(10, 5), (30, 2), clash])
+        assert vam.free_count == 93
 
 
 class TestShadow:

@@ -25,6 +25,7 @@ from repro.core.types import (
     FileProperties,
     Run,
     RunTable,
+    decode_main_entry,
     encode_key,
     encode_main_entry,
     make_uid,
@@ -32,7 +33,12 @@ from repro.core.types import (
 from repro.core.vam import VolumeAllocationMap
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
-from repro.errors import DegradedVolumeError, FileNotFound, VolumeFull
+from repro.errors import (
+    CorruptMetadata,
+    DegradedVolumeError,
+    FileNotFound,
+    VolumeFull,
+)
 from repro.obs import Observer
 from repro.workloads.generators import payload
 from tests.conftest import create_until_nt_pages
@@ -513,3 +519,33 @@ class TestEntryCountGuard:
         recovered = FSD.mount(disk, obs=obs)
         assert obs.snapshot().counters["recovery.vam_sweep_mismatch"] == 1
         assert bytes(recovered.vam._bits) == walk_bits(recovered)
+
+    def test_orphan_pointing_off_the_volume_is_detected_too(self):
+        disk, fs = self._crashed_clean_volume()
+        _plant_orphan(disk, fs, [Run(disk.geometry.total_sectors - 1, 2)])
+        obs = Observer()
+        recovered = FSD.mount(disk, obs=obs)
+        assert obs.snapshot().counters["recovery.vam_sweep_mismatch"] == 1
+        assert bytes(recovered.vam._bits) == walk_bits(recovered)
+
+    def test_live_entry_off_the_volume_fails_the_mount(self):
+        """The walk meets the same entry the sweep refused: the mount
+        fails rather than claim sectors the volume does not have."""
+        disk, fs = self._crashed_clean_volume()
+        home = NameTableHome(disk, fs.layout)
+        key = encode_key("frag/f01", 1, 0)
+        page_no, node = next(
+            (page_no, node)
+            for page_no in sorted(allocated_pages(fs))
+            for node in [Node.from_bytes(home.read_page(page_no))]
+            if node.kind == LEAF and key in node.keys
+        )
+        index = node.keys.index(key)
+        props, _, _ = decode_main_entry("frag/f01", 1, node.values[index])
+        off_end = Run(disk.geometry.total_sectors - 1, 2)
+        node.values[index] = encode_main_entry(props, RunTable([off_end]))
+        home.write_pages([(page_no, node.to_bytes(GEO.sector_bytes))])
+        obs = Observer()
+        with pytest.raises(CorruptMetadata, match="outside volume"):
+            FSD.mount(disk, obs=obs)
+        assert obs.snapshot().counters["recovery.vam_sweep_mismatch"] == 1
