@@ -63,9 +63,16 @@ class Outcome:
     (``soak.RunResult``, ``chaos.ChaosReport``) extend it."""
 
     verdict: str = ""  # one of VERDICTS
+    #: the read-back of the volume the verdict names: the recovered or
+    #: degraded mount, or the salvaged copy of one that would not mount.
     files_expected: int = 0
     files_verified: int = 0
     files_honestly_lost: int = 0
+    #: a degraded volume must also salvage: that copy's read-back,
+    #: counted apart from the mount's (zero for the other verdicts).
+    salvage_files_expected: int = 0
+    salvage_files_verified: int = 0
+    salvage_files_honestly_lost: int = 0
     #: descriptions of silent-corruption findings; MUST stay empty.
     silent_corruptions: list[str] = field(default_factory=list)
     salvage_summary: str | None = None
@@ -223,33 +230,53 @@ class OutcomeOracle:
                 self.honesty_flag = True
         if fs is None:
             outcome.verdict = "salvaged"
-            self._verify_salvage(disk, outcome, params_hint)
+            (
+                outcome.files_expected,
+                outcome.files_verified,
+                outcome.files_honestly_lost,
+            ) = self._verify_salvage(disk, outcome, params_hint)
             return outcome
         self._note_mount(fs)
         outcome.verdict = "degraded" if fs.degraded else "recovered"
-        self._read_back(fs, outcome, salvaged=False)
+        (
+            outcome.files_expected,
+            outcome.files_verified,
+            outcome.files_honestly_lost,
+        ) = self._read_back(fs, outcome, salvaged=False)
         fs.crash()
         if outcome.verdict == "degraded":
             # A degraded volume must still be salvageable.
-            self._verify_salvage(disk, outcome, params_hint)
+            (
+                outcome.salvage_files_expected,
+                outcome.salvage_files_verified,
+                outcome.salvage_files_honestly_lost,
+            ) = self._verify_salvage(disk, outcome, params_hint)
         return outcome
 
     def _verify_salvage(
         self, disk: SimDisk, outcome: Outcome, params_hint: VolumeParams | None
-    ) -> None:
+    ) -> tuple[int, int, int]:
+        """Salvage ``disk`` and read the copy back: (expected,
+        verified, honestly lost), all 0 when the salvage failed."""
         try:
             destination, report = salvage_volume(disk, params_hint=params_hint)
         except (DegradedVolumeError, CorruptMetadata) as error:
             outcome.silent_corruptions.append(f"salvage failed: {error}")
-            return
+            return 0, 0, 0
         outcome.salvage_summary = report.summary()
         fs = FSD.mount(destination)
-        self._read_back(fs, outcome, salvaged=True)
+        counts = self._read_back(fs, outcome, salvaged=True)
         fs.crash()
+        return counts
 
-    def _read_back(self, fs: FSD, outcome: Outcome, salvaged: bool) -> None:
+    def _read_back(
+        self, fs: FSD, outcome: Outcome, salvaged: bool
+    ) -> tuple[int, int, int]:
+        """One pass over every expected file: (expected, verified,
+        honestly lost); silent findings go to ``outcome``."""
         expected = self.expected_visible()
-        outcome.files_expected = len(expected)
+        verified = lost = 0
+        silent_before = len(outcome.silent_corruptions)
         for name, want in sorted(expected.items()):
             try:
                 got = fs.read(fs.open(name))
@@ -263,7 +290,7 @@ class OutcomeOracle:
                     or name in self.torn
                     or self.uncommitted_touches(name)
                 ):
-                    outcome.files_honestly_lost += 1
+                    lost += 1
                 else:
                     outcome.silent_corruptions.append(
                         f"committed file {name} vanished from a mount that "
@@ -273,16 +300,22 @@ class OutcomeOracle:
             except (DiskError, CorruptMetadata):
                 # Explicit failure: destroyed data sectors / wild-written
                 # leaders are reported, never papered over.
-                outcome.files_honestly_lost += 1
+                lost += 1
                 continue
             if (
                 got == want
                 or got in self.history.get(name, ())
                 or name in self.torn
             ):
-                outcome.files_verified += 1
+                verified += 1
             else:
                 outcome.silent_corruptions.append(
                     f"{'salvaged file' if salvaged else 'file'} {name} "
                     f"returned {len(got)} bytes that were never written to it"
                 )
+        silent = len(outcome.silent_corruptions) - silent_before
+        # A pass judges each expected file once.
+        assert verified + lost + silent <= len(expected), (
+            verified, lost, silent, len(expected)
+        )
+        return len(expected), verified, lost

@@ -139,6 +139,11 @@ class CampaignReport:
                     "files_expected": result.files_expected,
                     "files_verified": result.files_verified,
                     "files_honestly_lost": result.files_honestly_lost,
+                    "salvage_files_expected": result.salvage_files_expected,
+                    "salvage_files_verified": result.salvage_files_verified,
+                    "salvage_files_honestly_lost": (
+                        result.salvage_files_honestly_lost
+                    ),
                     "salvage": result.salvage_summary,
                 }
                 for result in self.results

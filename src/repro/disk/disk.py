@@ -13,6 +13,14 @@ past the head (the 4.2 BSD bandwidth problem of Table 5).
 One call to :meth:`read`/:meth:`write` is one disk I/O regardless of
 sector count, matching how the paper counts I/Os (a 33-sector log
 record write is one I/O).
+
+An I/O is priced in one place, :meth:`SimDisk.price`: CPU set-up and
+sector copy, seek, rotational wait, in that order, from the clock and
+the arm as they stand.  Every read, write and label I/O, and a mirrored
+pair's repair and resilver passes, charges that price plus its
+transfer; a traced I/O's :class:`IoEvent` carries those very
+components; and :func:`repro.disk.sched.plan_writes` predicts a batch's
+finish times with it.
 """
 
 from __future__ import annotations
@@ -61,144 +69,130 @@ class SimDisk:
         self._data: dict[int, bytes] = {}
         self._labels: dict[int, bytes] = {}
         self._zero_sector = b"\x00" * self.geometry.sector_bytes
-        # Geometry is frozen; cache the derived integers the per-I/O
-        # prologue needs so the hot path does no property dispatch.
-        geo = self.geometry
+        # Geometry and timing are frozen: the per-I/O price reads these
+        # once-built tables rather than re-deriving them.
+        geo, timing = self.geometry, self.timing
         self._spc = geo.sectors_per_cylinder
         self._spt = geo.sectors_per_track
         self._total = geo.total_sectors
         self._sector_bytes = geo.sector_bytes
-        #: count -> media transfer time.  Timing and geometry are both
-        #: frozen, so the entry is exactly what ``timing.transfer_ms``
-        #: returns for that count (computed through it once).
-        self._xfer_memo: dict[int, float] = {}
-        #: slot -> target rotational angle: the same ``slot / spt``
-        #: division ``timing.rotational_wait_ms`` performs, precomputed
-        #: for every slot of this (frozen) geometry.
+        self._rotation_ms = timing.rotation_ms
+        self._sector_ms = timing.sector_time_ms(self._spt)
+        #: cylinder distance -> seek time, for every distance the arm
+        #: can travel.
+        self._seeks = [timing.seek_ms(d) for d in range(geo.cylinders)]
+        #: slot -> angle (fraction of a revolution) where it starts.
         self._angles = [slot / self._spt for slot in range(self._spt)]
 
     # ------------------------------------------------------------------
-    # positioning and timing
+    # the price of an I/O
     # ------------------------------------------------------------------
-    def _position(self, address: int) -> None:
-        """Seek to the target cylinder and wait for the target sector.
+    def price(
+        self,
+        now_ms: float,
+        head: int,
+        address: int,
+        count: int,
+        cpu_overlap: bool = False,
+        cpu: bool = True,
+    ) -> tuple[float, float, float, float, float]:
+        """What an I/O of ``count`` sectors at ``address`` costs before
+        its transfer, started at ``now_ms`` with the arm on cylinder
+        ``head``: ``(setup_ms, copy_ms, seek_ms, wait_ms, start_ms)``.
 
-        ``address`` was range-checked by the caller's prologue, so the
-        cylinder/slot arithmetic is inlined (no re-validation).
+        The CPU sets the I/O up and copies its sectors (nothing when
+        ``charge_cpu`` or ``cpu`` is off; a ``cpu_overlap`` copy rides
+        under the transfer and delays nothing), the arm seeks, and the
+        platter turns until the first sector is under the head, at
+        ``start_ms``.  The transfer then takes ``count`` sector times,
+        ``timing.transfer_ms``.  Pricing changes nothing: every charge
+        to the clock applies this price, and
+        :func:`repro.disk.sched.plan_writes` predicts with it.
         """
-        timing = self.timing
+        if cpu and self.charge_cpu:
+            costs = self.clock.cpu
+            setup_ms = costs.io_setup_ms
+            copy_ms = costs.per_sector_copy_ms * count
+            now_ms += setup_ms
+            if not cpu_overlap:
+                now_ms += copy_ms
+        else:
+            setup_ms = copy_ms = 0.0
+        seek_ms = self._seeks[abs(address // self._spc - head)]
+        now_ms += seek_ms
+        rotation = self._rotation_ms
+        wait_ms = (
+            (self._angles[address % self._spt] - now_ms % rotation / rotation)
+            % 1.0
+        ) * rotation
+        return setup_ms, copy_ms, seek_ms, wait_ms, now_ms + wait_ms
+
+    def _charge(
+        self,
+        address: int,
+        count: int,
+        cpu_overlap: bool,
+        moved: int,
+        kind: str | None = None,
+        cpu: bool = True,
+    ) -> None:
+        """Charge one I/O at its :meth:`price` plus the transfer of
+        ``moved`` sectors (0 when it stops before transferring) to the
+        clock, the stats and the arm.  ``kind`` names the
+        :class:`IoEvent` an attached tracer records."""
         clock, stats = self.clock, self.stats
-        target_cylinder = address // self._spc
-        distance = abs(target_cylinder - self.head_cylinder)
-        # clock.advance_disk inlined below: seek and rotational waits
-        # are non-negative by construction and this prologue runs for
-        # every simulated I/O.
+        start_ms, head = clock.now_ms, self.head_cylinder
+        setup_ms, copy_ms, seek_ms, wait_ms, now_ms = self.price(
+            start_ms, head, address, count, cpu_overlap, cpu
+        )
+        transfer_ms = moved * self._sector_ms
+        clock.now_ms = now_ms + transfer_ms
+        clock.cpu_busy_ms += setup_ms
+        clock.cpu_busy_ms += copy_ms
+        clock.disk_busy_ms += seek_ms
+        clock.disk_busy_ms += wait_ms
+        clock.disk_busy_ms += transfer_ms
+        stats.seek_ms += seek_ms
+        stats.rotational_ms += wait_ms
+        stats.transfer_ms += transfer_ms
+        spc = self._spc
+        cylinder = address // spc
+        distance = abs(cylinder - head)
         if distance:
-            seek = timing.seek_ms(distance)
-            clock.now_ms += seek
-            clock.disk_busy_ms += seek
-            stats.seek_ms += seek
-            if distance <= timing.short_seek_cylinders:
+            if distance <= self.timing.short_seek_cylinders:
                 stats.short_seeks += 1
             else:
                 stats.seeks += 1
-            self.head_cylinder = target_cylinder
-        spt = self._spt
-        wait = timing.rotational_wait_ms(clock.now_ms, address % spt, spt)
-        clock.now_ms += wait
-        clock.disk_busy_ms += wait
-        stats.rotational_ms += wait
-
-    def _transfer(self, address: int, count: int) -> None:
-        memo = self._xfer_memo
-        time = memo.get(count)
-        if time is None:
-            time = self.timing.transfer_ms(count, self._spt)
-            memo[count] = time
-        clock = self.clock
-        clock.now_ms += time
-        clock.disk_busy_ms += time
-        self.stats.transfer_ms += time
-        self.head_cylinder = (address + count - 1) // self._spc
-
-    def _trace_begin(self, address: int) -> tuple[float, float, float, int, float] | None:
-        if self.tracer is None:
-            return None
-        return (
-            self.stats.seek_ms,
-            self.stats.rotational_ms,
-            self.stats.transfer_ms,
-            abs(self.geometry.cylinder_of(address) - self.head_cylinder),
-            self.clock.now_ms,
-        )
-
-    def _trace_end(
-        self, marker, kind: str, address: int, count: int
-    ) -> None:
-        if marker is None or self.tracer is None:
-            return
-        seek0, rot0, xfer0, distance, start_ms = marker
-        rotational_ms = self.stats.rotational_ms - rot0
-        events = self.tracer.events
-        self.tracer.record(
-            IoEvent(
-                kind=kind,
-                address=address,
-                sectors=count,
-                cylinder_distance=distance,
-                seek_ms=self.stats.seek_ms - seek0,
-                rotational_ms=rotational_ms,
-                transfer_ms=self.stats.transfer_ms - xfer0,
-                start_ms=start_ms,
-                # Started where the last traced I/O ended, on its
-                # cylinder, and still waited: a lost revolution.
-                lost_revolution=(
-                    distance == 0
-                    and rotational_ms > self.timing.rotation_ms / 2
-                    and bool(events)
-                    and events[-1].address + events[-1].sectors == address
-                ),
+        self.head_cylinder = (address + moved - 1) // spc if moved else cylinder
+        tracer = self.tracer
+        if kind is not None and tracer is not None:
+            events = tracer.events
+            tracer.record(
+                IoEvent(
+                    kind=kind,
+                    address=address,
+                    sectors=moved,
+                    cylinder_distance=distance,
+                    seek_ms=seek_ms,
+                    rotational_ms=wait_ms,
+                    transfer_ms=transfer_ms,
+                    start_ms=start_ms,
+                    # Started where the last traced I/O ended, on its
+                    # cylinder, and still waited: a lost revolution.
+                    lost_revolution=(
+                        distance == 0
+                        and wait_ms > self._rotation_ms / 2
+                        and bool(events)
+                        and events[-1].address + events[-1].sectors == address
+                    ),
+                )
             )
-        )
 
-    def _cpu_for_io(self, sectors: int, cpu_overlap: bool) -> None:
-        if not self.charge_cpu:
-            return
-        clock = self.clock
-        cpu = clock.cpu
-        setup_ms = cpu.io_setup_ms
-        clock.now_ms += setup_ms
-        clock.cpu_busy_ms += setup_ms
-        copy_ms = cpu.per_sector_copy_ms * sectors
-        if cpu_overlap:
-            # Streaming transfers: the copy overlaps the media transfer
-            # (DMA), so it costs CPU but not elapsed time.
-            clock.cpu_busy_ms += copy_ms
-        else:
-            clock.now_ms += copy_ms
-            clock.cpu_busy_ms += copy_ms
-
-    def _begin_io(
-        self, address: int, count: int, is_write: bool, cpu_overlap: bool
-    ):
-        """Common prologue: range check, crash countdown, CPU, positioning.
-
-        Returns the crash plan if this very operation must crash.
-        """
-        # check_range inlined for the in-bounds case; the slow call
-        # keeps the exact error text for the raising paths.
-        if count <= 0 or address < 0 or address + count > self._total:
-            self.geometry.check_range(address, count)
-        faults = self.faults
-        # crash_due() inlined for the unarmed case (every I/O pays it).
-        plan = None if faults.crash_plan is None else faults.crash_due()
-        self._cpu_for_io(count, cpu_overlap)
-        self._position(address)
-        if plan is not None and not is_write:
-            # A crash during a read destroys no state; it just stops
-            # the machine mid-operation.
-            raise SimulatedCrash(f"crash during read of sector {address}")
-        return plan
+    def _crash_read(self, address: int, count: int, cpu_overlap: bool) -> None:
+        """A crash during a read destroys no state: the machine stops
+        with the head in place, before the transfer."""
+        self._charge(address, count, cpu_overlap, 0)
+        raise SimulatedCrash(f"crash during read of sector {address}")
 
     # ------------------------------------------------------------------
     # data I/O
@@ -238,70 +232,16 @@ class SimDisk:
         """
         if expect_labels is not None and len(expect_labels) != count:
             raise DiskRangeError("expect_labels length != sector count")
-        marker = self._trace_begin(address) if self.tracer is not None else None
-        # The read prologue below is ``_begin_io`` + ``_transfer``
-        # inlined: reads are the hottest simulated operation, and one
-        # frame covers range check, crash countdown, CPU charge, seek,
-        # rotational wait and media transfer.  Keep in sync with the
-        # method bodies above (writes and label I/O still call them).
         if count <= 0 or address < 0 or address + count > self._total:
             self.geometry.check_range(address, count)
         faults = self.faults
-        plan = None if faults.crash_plan is None else faults.crash_due()
-        clock, stats, timing = self.clock, self.stats, self.timing
-        if self.charge_cpu:
-            cpu = clock.cpu
-            setup_ms = cpu.io_setup_ms
-            clock.now_ms += setup_ms
-            clock.cpu_busy_ms += setup_ms
-            copy_ms = cpu.per_sector_copy_ms * count
-            if cpu_overlap:
-                clock.cpu_busy_ms += copy_ms
-            else:
-                clock.now_ms += copy_ms
-                clock.cpu_busy_ms += copy_ms
-        target_cylinder = address // self._spc
-        distance = abs(target_cylinder - self.head_cylinder)
-        if distance:
-            # seek_ms memo-hit inlined; a miss computes (and caches)
-            # through the method, so values stay bit-identical.
-            seek = timing._seek_table.get(distance)
-            if seek is None:
-                seek = timing.seek_ms(distance)
-            clock.now_ms += seek
-            clock.disk_busy_ms += seek
-            stats.seek_ms += seek
-            if distance <= timing.short_seek_cylinders:
-                stats.short_seeks += 1
-            else:
-                stats.seeks += 1
-            self.head_cylinder = target_cylinder
-        # rotational_wait_ms inlined, float op for float op.
-        spt = self._spt
-        target_angle = self._angles[address % spt]
-        rotation = timing.rotation_ms
-        current_angle = (clock.now_ms % rotation) / rotation
-        wait = ((target_angle - current_angle) % 1.0) * rotation
-        clock.now_ms += wait
-        clock.disk_busy_ms += wait
-        stats.rotational_ms += wait
-        if plan is not None:
-            raise SimulatedCrash(f"crash during read of sector {address}")
-        memo = self._xfer_memo
-        time = memo.get(count)
-        if time is None:
-            time = timing.transfer_ms(count, spt)
-            memo[count] = time
-        clock.now_ms += time
-        clock.disk_busy_ms += time
-        stats.transfer_ms += time
-        self.head_cylinder = (address + count - 1) // self._spc
-        if marker is not None:
-            self._trace_end(marker, "read", address, count)
+        if faults.crash_plan is not None and faults.crash_due() is not None:
+            self._crash_read(address, count, cpu_overlap)
+        self._charge(address, count, cpu_overlap, count, "read")
+        stats = self.stats
         stats.reads += 1
         stats.sectors_read += count
         data = self._data
-        # any_read_faults inlined (same truth test, no property frame).
         if not (faults.damaged or faults.transient or faults.latent):
             # The batched fast path: no fault anywhere can fail a read,
             # so the extent needs no per-sector consult at all.
@@ -366,31 +306,25 @@ class SimDisk:
         if set_labels is not None and len(set_labels) != count:
             raise DiskRangeError("set_labels length != sector count")
 
-        marker = self._trace_begin(address)
-        plan = self._begin_io(
-            address, count, is_write=True, cpu_overlap=cpu_overlap
-        )
-
+        self.geometry.check_range(address, count)
+        plan = self.faults.crash_due()
         if expect_labels is not None:
-            for offset in range(count):
-                stored = self._labels.get(address + offset, FREE_LABEL)
-                expected = _pad_label(expect_labels[offset])
+            labels = self._labels
+            expected_labels = [_pad_label(label) for label in expect_labels]
+            for offset, expected in enumerate(expected_labels):
+                stored = labels.get(address + offset, FREE_LABEL)
                 if stored != expected:
+                    # The microcode compares each label as the head
+                    # reaches it: the mismatch costs the positioning
+                    # and moves no data.
+                    self._charge(address, count, cpu_overlap, 0)
                     raise LabelCheckError(address + offset, expected, stored)
-
         persist = count
-        if plan is not None:
-            persist = (
-                count
-                if plan.surviving_sectors is None
-                else min(plan.surviving_sectors, count)
-            )
-            # Time passes only for what actually hit the platter.
-            self._transfer(address, max(persist, 1))
-        else:
-            self._transfer(address, count)
-
-        self._trace_end(marker, "write", address, persist if plan else count)
+        if plan is not None and plan.surviving_sectors is not None:
+            persist = min(plan.surviving_sectors, count)
+        # Time passes only for what hit the platter, the torn sector
+        # included.
+        self._charge(address, count, cpu_overlap, max(persist, 1), "write")
         self.stats.writes += 1
         self.stats.sectors_written += persist
         # Extent-batched install: one dict update per extent, labels
@@ -425,10 +359,10 @@ class SimDisk:
     # ------------------------------------------------------------------
     def read_labels(self, address: int, count: int = 1) -> list[bytes]:
         """Read only the label fields of ``count`` sectors (one I/O)."""
-        marker = self._trace_begin(address)
-        self._begin_io(address, count, is_write=False, cpu_overlap=False)
-        self._transfer(address, count)
-        self._trace_end(marker, "label_read", address, count)
+        self.geometry.check_range(address, count)
+        if self.faults.crash_due() is not None:
+            self._crash_read(address, count, False)
+        self._charge(address, count, False, count, "label_read")
         self.stats.label_reads += 1
         return [
             self._labels.get(address + offset, FREE_LABEL)
@@ -440,10 +374,9 @@ class SimDisk:
         count = len(labels)
         if count == 0:
             raise DiskRangeError("empty label write")
-        marker = self._trace_begin(address)
-        plan = self._begin_io(address, count, is_write=True, cpu_overlap=False)
-        self._transfer(address, count)
-        self._trace_end(marker, "label_write", address, count)
+        self.geometry.check_range(address, count)
+        plan = self.faults.crash_due()
+        self._charge(address, count, False, count, "label_write")
         self.stats.label_writes += 1
         for offset in range(count):
             self._labels[address + offset] = _pad_label(labels[offset])

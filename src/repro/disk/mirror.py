@@ -74,8 +74,9 @@ class MirroredDisk(SimDisk):
         per_io = 120
         for start in range(0, geo.total_sectors, per_io):
             count = min(per_io, geo.total_sectors - start)
-            self._position(start)
-            self._transfer(start, count)  # read live + write dead, lock-step
+            # Read live + write dead, lock-step; the controller's pass
+            # costs the CPU nothing.
+            self._charge(start, count, False, count, cpu=False)
             copied += count
         if self._unit_a_dead:
             self._data = dict(self._mirror_data)
@@ -162,8 +163,7 @@ class MirroredDisk(SimDisk):
             # The primary is alive but had damaged sectors: one extra
             # positioning pass reads the mirror, and the good copies
             # are repaired onto the primary in place (extent-batched).
-            self._position(address)
-            self._transfer(address, count)
+            self._charge(address, count, False, count, cpu=False)
             self.mirror_recoveries += 1
             self.obs.count("mirror.recoveries")
             self._data.update(repairs)

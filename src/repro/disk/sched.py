@@ -24,8 +24,10 @@ knows every write it will issue before it issues the first, no client
 waits on any of them, and redo is idempotent, so
 :meth:`IoScheduler.write_batch` dispatches such a batch in the order
 :func:`plan_writes` picks: cylinders swept from the nearer end, and
-within a cylinder the write that would finish first under the disk's
-own charge.  The rule still holds — the call is the batch.  A sort by
+within a cylinder the write that would finish first at the disk's own
+price (:meth:`SimDisk.price`, the one the disk then charges, so each
+predicted finish is the clock after that write, bit for bit).  The
+rule still holds — the call is the batch.  A sort by
 (cylinder, slot) is not the same thing: neighbours one slot apart each
 cost a full revolution, because the per-I/O set-up outlasts the gap
 (EXPERIMENTS.md, "§5.9 — recovery in streams").
@@ -177,21 +179,18 @@ def plan_writes(
     Returns ``(index into writes, clock when it finishes)`` per write,
     in dispatch order.  Cylinders are swept from the end nearer the
     head; within a cylinder the next write is the one that would finish
-    first, charged as :meth:`SimDisk.write` charges it — set-up,
-    per-sector copy, seek, rotational wait, transfer — from where the
+    first, at :meth:`SimDisk.price` plus its transfer, from where the
     previous write left the clock and the arm.  A write that overlaps
     an earlier one of the batch waits for it, so the final image is
     program order's.  Planning advances no clock.
     """
-    geometry, timing, cpu = disk.geometry, disk.timing, disk.clock.cpu
-    spc, spt = geometry.sectors_per_cylinder, geometry.sectors_per_track
-    setup_ms = cpu.io_setup_ms if disk.charge_cpu else None
-    # Per write, what does not depend on when it goes: (cylinder, slot,
-    # copy ms, transfer ms, cylinder the arm ends on).
+    price, timing = disk.price, disk.timing
+    spc, spt = disk.geometry.sectors_per_cylinder, disk.geometry.sectors_per_track
+    # Per write, what does not depend on when it goes: (cylinder,
+    # address, sector count, transfer ms, cylinder the arm ends on).
     costs = [
         (
-            address // spc, address % spt,
-            cpu.per_sector_copy_ms * len(sectors),
+            address // spc, address, len(sectors),
             timing.transfer_ms(len(sectors), spt),
             (address + len(sectors) - 1) // spc,
         )
@@ -216,16 +215,8 @@ def plan_writes(
                     waits = waits_for[index]
                     if waits and not done.issuperset(waits):
                         continue
-                    # SimDisk.write's float operations, in its order.
-                    _, slot, copy_ms, transfer_ms, _ = costs[index]
-                    ms = now
-                    if setup_ms is not None:
-                        ms += setup_ms
-                        ms += copy_ms
-                    if cylinder != head:
-                        ms += timing.seek_ms(abs(cylinder - head))
-                    ms += timing.rotational_wait_ms(ms, slot, spt)
-                    ms += transfer_ms
+                    _, address, count, transfer_ms, _ = costs[index]
+                    ms = price(now, head, address, count)[4] + transfer_ms
                     if best < 0 or ms < best_ms:
                         best, best_ms = index, ms
                 if best < 0:

@@ -29,33 +29,18 @@ class DiskTiming:
     #: in the paper's model ("a few cylinders").
     short_seek_cylinders: int = 4
 
-    def __post_init__(self) -> None:
-        # Memo tables (plain dicts, not dataclass fields, so equality
-        # and repr are untouched).  Entries hold exactly the float the
-        # formula below would produce, so memoised timing is
-        # bit-identical to computed timing.
-        object.__setattr__(self, "_seek_table", {})
-        object.__setattr__(self, "_slot_angle_table", {})
-
     # ------------------------------------------------------------------
     # primitive times (the model's vocabulary)
     # ------------------------------------------------------------------
     def seek_ms(self, cylinder_distance: int) -> float:
         """Time to move the heads ``cylinder_distance`` cylinders."""
-        table = self._seek_table
-        cached = table.get(cylinder_distance)
-        if cached is not None:
-            return cached
         if cylinder_distance < 0:
             raise ValueError("negative cylinder distance")
         if cylinder_distance == 0:
-            value = 0.0
-        else:
-            value = self.seek_settle_ms + self.seek_coeff_ms * math.sqrt(
-                cylinder_distance
-            )
-        table[cylinder_distance] = value
-        return value
+            return 0.0
+        return self.seek_settle_ms + self.seek_coeff_ms * math.sqrt(
+            cylinder_distance
+        )
 
     @property
     def short_seek_ms(self) -> float:
@@ -93,29 +78,6 @@ class DiskTiming:
     ) -> float:
         """Raw media bandwidth: one track per revolution."""
         return sectors_per_track * sector_bytes / self.rotation_ms
-
-    # ------------------------------------------------------------------
-    # rotational position
-    # ------------------------------------------------------------------
-    def angle_at(self, now_ms: float) -> float:
-        """Angular position of the platter at ``now_ms``, in fractions
-        of a revolution (the platter never stops spinning)."""
-        return (now_ms % self.rotation_ms) / self.rotation_ms
-
-    def rotational_wait_ms(
-        self, now_ms: float, target_slot: int, sectors_per_track: int
-    ) -> float:
-        """Time until the start of sector ``target_slot`` is under the head."""
-        key = (target_slot, sectors_per_track)
-        table = self._slot_angle_table
-        target_angle = table.get(key)
-        if target_angle is None:
-            target_angle = target_slot / sectors_per_track
-            table[key] = target_angle
-        rotation = self.rotation_ms
-        current_angle = (now_ms % rotation) / rotation
-        wait = (target_angle - current_angle) % 1.0
-        return wait * rotation
 
 
 #: Timing used throughout the benchmarks.

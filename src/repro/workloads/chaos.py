@@ -492,6 +492,9 @@ class ChaosReport(Outcome):
             "files_expected": self.files_expected,
             "files_verified": self.files_verified,
             "files_honestly_lost": self.files_honestly_lost,
+            "salvage_files_expected": self.salvage_files_expected,
+            "salvage_files_verified": self.salvage_files_verified,
+            "salvage_files_honestly_lost": self.salvage_files_honestly_lost,
             "silent_corruptions": list(self.silent_corruptions),
             "salvage": self.salvage_summary,
             "ok": self.ok,
@@ -519,6 +522,12 @@ class ChaosReport(Outcome):
             f"{self.files_honestly_lost} honestly lost, "
             f"{len(self.silent_corruptions)} silent corruptions",
         ]
+        if self.verdict == "degraded":
+            lines.append(
+                f"salvaged copy: {self.salvage_files_verified}/"
+                f"{self.salvage_files_expected} files verified, "
+                f"{self.salvage_files_honestly_lost} honestly lost"
+            )
         for recovery in avail.get("recoveries", []):
             ttr = recovery.get("time_to_restored_slo_ms")
             ttr_text = f"{ttr:.0f} ms" if ttr is not None else "not restored"

@@ -153,6 +153,38 @@ class TestWatermark:
         assert (outcome.files_expected, outcome.files_verified) == (1, 1)
 
 
+class TestDegraded:
+    def test_the_mount_and_its_salvaged_copy_are_counted_apart(self):
+        """A degraded volume is read back on its mount, then salvaged
+        and read back again: each pass judges every expected file once,
+        in fields of its own."""
+        disk, fs, oracle = _volume()
+        _create(fs, oracle, "a", b"a" * 700)
+        _create(fs, oracle, "b", b"b" * 700)
+        fs.force()
+        fs.crash()
+
+        def mount_gives_up(disk: SimDisk) -> FSD:
+            fs = FSD.mount(disk)
+            fs._note_degraded("escalation ladder exhausted")
+            return fs
+
+        outcome = oracle.classify(disk, mount_gives_up)
+        assert outcome.verdict == "degraded"
+        assert outcome.silent_corruptions == []
+        assert outcome.salvage_summary is not None
+        assert (
+            outcome.files_expected,
+            outcome.files_verified,
+            outcome.files_honestly_lost,
+        ) == (2, 2, 0)
+        assert (
+            outcome.salvage_files_expected,
+            outcome.salvage_files_verified,
+            outcome.salvage_files_honestly_lost,
+        ) == (2, 2, 0)
+
+
 class _Commits:
     """Just enough of a mounted volume for ``watch``."""
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
+from repro.disk.mirror import MirroredDisk
 from repro.disk.sched import IoScheduler, as_scheduler, plan_writes
 from repro.errors import SimulatedCrash
 from repro.obs import Observer
@@ -118,9 +119,12 @@ def batch_writes(spec) -> list[tuple[int, list[bytes]]]:
     ]
 
 
-def disk_at(head: int, idle_ms: float, charge_cpu: bool = True) -> SimDisk:
+def disk_at(
+    head: int, idle_ms: float, charge_cpu: bool = True, mirrored: bool = False
+) -> SimDisk:
     """A drive whose arm rests on cylinder ``head`` at ``idle_ms``."""
-    disk = SimDisk(geometry=GEO, charge_cpu=charge_cpu)
+    make = MirroredDisk if mirrored else SimDisk
+    disk = make(geometry=GEO, charge_cpu=charge_cpu)
     disk.head_cylinder = head
     disk.clock.advance_idle(idle_ms)
     return disk
@@ -148,14 +152,16 @@ class TestWriteBatch:
     @given(
         spec=BATCH, head=st.integers(0, 99),
         idle_ms=st.floats(0.0, 1000.0), charge_cpu=st.booleans(),
+        mirrored=st.booleans(),
     )
     def test_predicted_finish_is_the_disks_clock(
-        self, spec, head, idle_ms, charge_cpu
+        self, spec, head, idle_ms, charge_cpu, mirrored
     ):
         """The planner and the disk cannot drift apart: each write ends
-        exactly, bit for bit, when the plan said it would."""
+        exactly, bit for bit, when the plan said it would, on a single
+        drive or a shadowed pair, with or without CPU charged."""
         writes = batch_writes(spec)
-        disk = disk_at(head, idle_ms, charge_cpu)
+        disk = disk_at(head, idle_ms, charge_cpu, mirrored)
         start_ms = disk.clock.now_ms
         plan = plan_writes(disk, writes)
         assert disk.clock.now_ms == start_ms  # planning is free

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.disk.disk import SimDisk
+from repro.disk.geometry import DiskGeometry, TRIDENT_T300
 from repro.disk.timing import DiskTiming, TRIDENT_TIMING
+
+#: the rotational wait is part of the disk's price of an I/O.
+T300 = SimDisk(geometry=TRIDENT_T300, timing=TRIDENT_TIMING, charge_cpu=False)
 
 
 class TestSeek:
@@ -60,16 +65,27 @@ class TestRotation:
         slot=st.integers(min_value=0, max_value=29),
     )
     def test_rotational_wait_bounds(self, now, slot):
-        wait = TRIDENT_TIMING.rotational_wait_ms(now, slot, 30)
+        wait = T300.price(now, 0, slot, 1)[3]
         assert 0.0 <= wait < TRIDENT_TIMING.rotation_ms + 1e-9
 
     def test_rotational_wait_exact_alignment(self):
-        timing = DiskTiming(rotation_ms=16.0)
+        disk = SimDisk(
+            geometry=DiskGeometry(cylinders=1, heads=1, sectors_per_track=16),
+            timing=DiskTiming(rotation_ms=16.0),
+            charge_cpu=False,
+        )
         # At t=0 the head is at slot 0; waiting for slot 8 of 16 is
         # exactly half a revolution.
-        assert timing.rotational_wait_ms(0.0, 8, 16) == pytest.approx(8.0)
-        assert timing.rotational_wait_ms(0.0, 0, 16) == pytest.approx(0.0)
+        assert disk.price(0.0, 0, 8, 1)[3] == pytest.approx(8.0)
+        assert disk.price(0.0, 0, 0, 1)[3] == pytest.approx(0.0)
 
     def test_angle_wraps(self):
-        timing = DiskTiming(rotation_ms=10.0)
-        assert timing.angle_at(25.0) == pytest.approx(0.5)
+        disk = SimDisk(
+            geometry=DiskGeometry(cylinders=1, heads=1, sectors_per_track=4),
+            timing=DiskTiming(rotation_ms=10.0),
+            charge_cpu=False,
+        )
+        # 25 ms into a 10 ms revolution the platter is half way round:
+        # slot 2 is under the head and slot 0 half a revolution away.
+        assert disk.price(25.0, 0, 2, 1)[3] == pytest.approx(0.0)
+        assert disk.price(25.0, 0, 0, 1)[3] == pytest.approx(5.0)

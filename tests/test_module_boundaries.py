@@ -12,10 +12,10 @@ walks ``src/repro`` with :mod:`ast` and fails on
   imported module (``module._PRIVATE``).
 
 ``self``, ``cls`` and ``super()`` are a module's own objects.  The
-allow-list holds the crossings that are settled: hand-inlined copies of
-another module's hot path (EXPERIMENTS "Fast-path audit" measures what
-the cache-hit and key-memo copies save in ``host.py_calls``) and three
-helper imports.  An entry that no longer crosses fails too, so the
+allow-list holds the crossings that are settled: two hand-inlined
+copies of the name table's hot path, the metadata cache's hit and the
+key memo's probe (EXPERIMENTS "Fast-path audit" measures what they save
+in ``host.py_calls``), and two helper imports.  An entry that no longer crosses fails too, so the
 list cannot outlive its reasons.
 """
 
@@ -35,8 +35,6 @@ ALLOWED = {
     ("repro.core.name_table", "_lru"),
     # decode_key's memo probe, inlined in the enumerate loops.
     ("repro.core.name_table", "_KEY_MEMO"),
-    # seek_ms's memo probe, inlined in the disk's service-time path.
-    ("repro.disk.disk", "_seek_table"),
     # The scripts' I/O CPU step, reused by the alternative designs.
     ("repro.model.alternatives", "_io_cpu"),
     # The disk's label padding, for the crash explorer's write record.

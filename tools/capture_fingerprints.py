@@ -11,6 +11,17 @@ read-ahead buffer of the default mount.  Fingerprints are per on-disk
 format: the document's first key is the format name
 (``core.layout.FORMAT``), so comparing captures from two formats fails
 on that one line instead of on every number.
+
+Both captures are committed, as ``benchmarks/baselines/fingerprints.json``
+and ``benchmarks/baselines/fingerprints_paper.json``; CI captures both
+again and compares them with ``cmp``.  A change that moves simulated
+time on purpose re-captures both, from the repository root, and says
+so::
+
+    PYTHONPATH=src python tools/capture_fingerprints.py benchmarks/baselines/fingerprints.json
+    PYTHONPATH=src python tools/capture_fingerprints.py benchmarks/baselines/fingerprints_paper.json --readahead 0
+
+The documents do not depend on the hash seed (``PYTHONHASHSEED``).
 """
 
 from __future__ import annotations
