@@ -265,16 +265,16 @@ class CFS:
         last_page = (offset + length - 1) // sector_bytes
         chunks: list[bytes] = []
         page = first_page
-        for extent in handle.runs.extents_for(
+        for start, extent_count in handle.runs.extents_for(
             first_page, last_page - first_page + 1
         ):
             cursor = 0
-            while cursor < extent.count:
-                count = min(extent.count - cursor, self.params.max_io_sectors)
+            while cursor < extent_count:
+                count = min(extent_count - cursor, self.params.max_io_sectors)
                 labels = data_labels(handle.props.uid, page, count)
                 chunks.extend(
                     self.disk.read(
-                        extent.start + cursor,
+                        start + cursor,
                         count,
                         expect_labels=labels,
                         cpu_overlap=True,
@@ -490,17 +490,17 @@ class CFS:
         ]
         page = first_page
         cursor = 0
-        for extent in handle.runs.extents_for(
+        for start, extent_count in handle.runs.extents_for(
             first_page, last_page - first_page + 1
         ):
             inner = 0
-            while inner < extent.count:
+            while inner < extent_count:
                 count = min(
-                    extent.count - inner, self.params.max_io_sectors
+                    extent_count - inner, self.params.max_io_sectors
                 )
                 labels = data_labels(handle.props.uid, page, count)
                 self.disk.write(
-                    extent.start + inner,
+                    start + inner,
                     sectors[cursor : cursor + count],
                     expect_labels=labels,
                     cpu_overlap=True,

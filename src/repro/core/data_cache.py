@@ -42,6 +42,12 @@ Design rules:
   are dropped immediately.  Rename drops the file's pages too — cheaper
   to be strict than to prove each exception safe.  A crash or unmount
   discards everything, exactly like the metadata cache.
+
+Layout: one LRU-ordered entry per held sector, ``address -> (uid,
+image, prefetched)``, plus the index ``uid -> addresses`` that
+:meth:`DataPageCache.invalidate_file` reads.  Each held address is in
+its entry's uid's index and no other; ``prefetched`` holds until the
+sector's first demand; at most ``room`` sectors are held.
 """
 
 from __future__ import annotations
@@ -96,18 +102,16 @@ class DataPageCache:
         self.sector_bytes = sector_bytes
         self.obs = obs
         #: most sectors held at once.
-        self._room = capacity_pages or BUFFER_WINDOWS * readahead_pages
-        self._pages: OrderedDict[int, bytes] = OrderedDict()
-        #: addresses prefetched by read-ahead and not yet demanded.
-        self._prefetched: set[int] = set()
+        self.room = capacity_pages or BUFFER_WINDOWS * readahead_pages
+        #: address -> (uid, image, prefetched), least recently used first.
+        self._pages: OrderedDict[int, tuple[int, bytes, bool]] = OrderedDict()
         #: per-file sequential detector: uid -> next expected page.
         self._seq: OrderedDict[int, int] = OrderedDict()
         #: streams that had a prefetched sector evicted unused.
         self._backed_off: set[int] = set()
-        #: file identity of each held address (and the reverse index)
-        #: so delete/rename can invalidate by uid even when the
-        #: caller's run list is stale under interleaved clients.
-        self._owner: dict[int, int] = {}
+        #: the held addresses of each uid, so delete/rename can
+        #: invalidate by uid even when the caller's run list is stale
+        #: under interleaved clients.
         self._by_uid: dict[int, set[int]] = {}
         self.hits = 0
         self.misses = 0
@@ -128,26 +132,30 @@ class DataPageCache:
         A hit refreshes its LRU position or, in the buffer, lets the
         sector go: a demanded page is the client's from then on."""
         pages = self._pages
-        found = None
         hits = 0
         if pages:
-            found = list(map(pages.get, range(address, address + count)))
-            hits = count - found.count(None)
+            held = list(map(pages.get, range(address, address + count)))
+            hits = count - held.count(None)
         recorder = getattr(self.obs, "attribution", None)
         if hits:
+            found: list[bytes | None] = []
             used = 0
-            for hit, data in enumerate(found, address):
-                if data is None:
+            for hit, entry in enumerate(held, address):
+                if entry is None:
+                    found.append(None)
                     continue
-                if hit in self._prefetched:
-                    self._prefetched.discard(hit)
-                    self._backed_off.discard(self._owner[hit])
+                uid, image, prefetched = entry
+                found.append(image)
+                if prefetched:
+                    self._backed_off.discard(uid)
                     used += 1
-                if self.capacity:
-                    pages.move_to_end(hit)
-                else:
+                if not self.capacity:
                     del pages[hit]
-                    self._disown(hit)
+                    self._disown(hit, uid)
+                else:
+                    if prefetched:
+                        pages[hit] = (uid, image, False)
+                    pages.move_to_end(hit)
                 if recorder is not None:
                     recorder.note_cache(hit=True)
             self.hits += hits
@@ -157,7 +165,7 @@ class DataPageCache:
                 self.obs.count("cache.data.readahead_used", used)
         else:
             found = None
-        if hits < count and self._room:
+        if hits < count and self.room:
             self.misses += count - hits
             self.obs.count("cache.data.misses", count - hits)
             if recorder is not None:
@@ -168,6 +176,11 @@ class DataPageCache:
     def contains(self, address: int) -> bool:
         """Presence probe (no hit/miss count, no LRU effect)."""
         return address in self._pages
+
+    def entries(self) -> list[tuple[int, int, bytes, bool]]:
+        """What is held, least recently used first, as ``(address, uid,
+        image, prefetched)``: a snapshot, no count, no LRU effect."""
+        return [(address, *entry) for address, entry in self._pages.items()]
 
     def store(
         self,
@@ -189,44 +202,41 @@ class DataPageCache:
             if self._pages:
                 self.invalidate(address, len(sectors))
             return
-        pages = self._pages
-        unused = self._prefetched
         sector_bytes = self.sector_bytes
-        room = self._room
-        owner = self._owner
-        owned = self._by_uid.setdefault(uid, set())
+        if min(map(len, sectors), default=sector_bytes) < sector_bytes:
+            sectors = [bytes(data).ljust(sector_bytes, b"\x00") for data in sectors]
+        pages = self._pages
+        room = self.room
+        by_uid = self._by_uid
+        owned = by_uid.setdefault(uid, set())
         evicted = 0
         for address, data in enumerate(sectors, address):
-            if len(data) < sector_bytes:
-                data = data + b"\x00" * (sector_bytes - len(data))
-            pages[address] = bytes(data)
-            pages.move_to_end(address)
-            if owner.get(address, uid) != uid:
-                self._disown(address)
-            owner[address] = uid
+            # Popped and re-inserted: the entry lands most recent.
+            old = pages.pop(address, None)
+            if old is not None and old[0] != uid:
+                self._disown(address, old[0])
+            pages[address] = (uid, bytes(data), prefetched)
             owned.add(address)
-            if prefetched:
-                unused.add(address)
-            else:
-                unused.discard(address)
-            while len(pages) > room:
-                victim, _ = pages.popitem(last=False)
-                if victim in unused:
-                    unused.discard(victim)
-                    self._backed_off.add(owner[victim])
-                self._disown(victim)
+            # At most one over: each sector adds at most one entry.
+            if len(pages) > room:
+                victim, (owner, _, unused) = pages.popitem(last=False)
+                if unused:
+                    self._backed_off.add(owner)
+                # _disown, inlined: a full cache evicts on every store.
+                held = by_uid[owner]
+                held.discard(victim)
+                if not held:
+                    del by_uid[owner]
                 evicted += 1
         if evicted:
             self.evictions += evicted
             self.obs.count("cache.data.evictions", evicted)
 
-    def _disown(self, address: int) -> None:
-        uid = self._owner.pop(address, None)
-        owned = self._by_uid.get(uid)
-        if owned is not None:
-            owned.discard(address)
-            if not owned:
-                del self._by_uid[uid]
+    def _disown(self, address: int, uid: int) -> None:
+        owned = self._by_uid[uid]
+        owned.discard(address)
+        if not owned:
+            del self._by_uid[uid]
 
     # ------------------------------------------------------------------
     # sequential detection and the prefetch window
@@ -278,10 +288,10 @@ class DataPageCache:
         dropped = 0
         if pages:
             for victim in range(address, address + count):
-                if pages.pop(victim, None) is not None:
+                entry = pages.pop(victim, None)
+                if entry is not None:
                     dropped += 1
-                    self._prefetched.discard(victim)
-                    self._disown(victim)
+                    self._disown(victim, entry[0])
         if dropped:
             self.invalidations += dropped
             self.obs.count("cache.data.invalidations", dropped)
@@ -315,10 +325,8 @@ class DataPageCache:
         """A crash (or unmount): volatile state vanishes, exactly like
         the metadata cache."""
         self._pages.clear()
-        self._prefetched.clear()
         self._seq.clear()
         self._backed_off.clear()
-        self._owner.clear()
         self._by_uid.clear()
 
     # ------------------------------------------------------------------

@@ -735,18 +735,16 @@ class FSD:
         that rung only exists for metadata — though a mirrored disk
         recovers transparently below this layer).
         """
-        try:
-            return self.io.read(address, count, cpu_overlap=cpu_overlap)
-        except DamagedSectorError:
+        sectors = self.io.read_maybe(address, count, cpu_overlap=cpu_overlap)
+        if None in sectors:
             self.obs.count("ladder.retries")
             sectors = self.io.read_maybe(
                 address, count, cpu_overlap=cpu_overlap
             )
-            for index, sector in enumerate(sectors):
-                if sector is None:
-                    raise DamagedSectorError(address + index) from None
+            if None in sectors:
+                raise DamagedSectorError(address + sectors.index(None))
             self.obs.count("ladder.retry_successes")
-            return sectors
+        return sectors
 
     def _write_data(self, handle: FsdFile, offset: int, data: bytes) -> None:
         sector_bytes = self._sector_bytes
@@ -774,13 +772,11 @@ class FSD:
 
         extents = handle.runs.extents_for(first_page, page_count)
         cursor = 0
-        first = True
-        for extent in extents:
-            chunk = sectors[cursor : cursor + extent.count]
-            piggyback = first and first_page == 0
-            self._write_extent(handle, extent, chunk, piggyback)
-            cursor += extent.count
-            first = False
+        for index, (start, count) in enumerate(extents):
+            chunk = sectors[cursor : cursor + count]
+            piggyback = index == 0 and first_page == 0
+            self._write_extent(handle, start, chunk, piggyback)
+            cursor += count
         if end > handle.props.byte_size:
             handle.props = handle.props.with_updates(byte_size=end)
             self.name_table.update(handle.props, handle.runs)
@@ -821,18 +817,17 @@ class FSD:
     def _write_extent(
         self,
         handle: FsdFile,
-        extent: Run,
+        start: int,
         sectors: list[bytes],
         allow_piggyback: bool,
     ) -> None:
-        """Write one extent in max_io_sectors chunks, piggybacking the
-        pending leader write when the extent directly follows it.  Every
-        chunk is written through: the platter copy just written is also
-        the freshest image the data cache can hold."""
+        """Write one extent from ``start`` in max_io_sectors chunks,
+        piggybacking the pending leader write when the extent directly
+        follows it.  Every chunk is written through: the platter copy
+        just written is also the freshest image the data cache can hold."""
         max_io = self.params.max_io_sectors
         leader_addr = handle.props.leader_addr
         uid = handle.props.uid
-        start = extent.start
         cursor = 0
         if (
             allow_piggyback
@@ -866,23 +861,27 @@ class FSD:
         dc = self.data_cache
         props = handle.props
         uid = props.uid
-        extents = handle.runs.extents_for(first_page, page_count)
         out: list[bytes | None] = []
-        #: (address, count, position in ``out``) of every missing span.
-        demands: list[tuple[int, int, int]] = []
-        for extent in extents:
-            start, count = extent.start, extent.count
+        #: (address, count) of every missing span; where in ``out`` each goes.
+        demands: list[tuple[int, int]] = []
+        positions: list[int] = []
+        for start, count in handle.runs.extents_for(first_page, page_count):
             found = dc.lookup(start, count)
             if found is None:
-                demands.append((start, count, len(out)))
+                demands.append((start, count))
+                positions.append(len(out))
                 out += [None] * count
                 continue
             if None in found:
-                missing = (start + i for i, x in enumerate(found) if x is None)
-                demands += [
-                    (at, span, len(out) + at - start)
-                    for at, span in _spans(missing)
-                ]
+                for offset, image in enumerate(found):
+                    if image is not None:
+                        continue
+                    if offset and found[offset - 1] is None:
+                        at, span = demands[-1]
+                        demands[-1] = (at, span + 1)
+                    else:
+                        demands.append((start + offset, 1))
+                        positions.append(len(out) + offset)
             out += found
 
         leader_addr = props.leader_addr
@@ -915,7 +914,7 @@ class FSD:
         if not demands and not ahead:
             return out
 
-        requests = [(address, count) for address, count, _ in demands]
+        requests = list(demands)
         if piggyback:
             requests[0] = (leader_addr, requests[0][1] + 1)
         if ahead:
@@ -945,7 +944,7 @@ class FSD:
             self._check_leader_bytes(handle, stream[0])
             self.ops.leader_piggyback_reads += 1
             cursor = 1
-        for address, count, position in demands:
+        for (address, count), position in zip(demands, positions):
             sectors = stream[cursor : cursor + count]
             out[position : position + count] = sectors
             dc.store(address, sectors, uid)
@@ -1003,17 +1002,6 @@ class FSD:
             "home_writes": self.cache.home_writes,
             "forces": self.coordinator.forces,
         }
-
-
-def _spans(addresses) -> list[tuple[int, int]]:
-    """Group ascending addresses into contiguous (start, count) spans."""
-    out: list[list[int]] = []
-    for address in addresses:
-        if out and out[-1][0] + out[-1][1] == address:
-            out[-1][1] += 1
-        else:
-            out.append([address, 1])
-    return [(start, count) for start, count in out]
 
 
 def place_file(

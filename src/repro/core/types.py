@@ -80,9 +80,11 @@ class RunTable:
             remaining -= run.count
         raise FsError(f"page {page} beyond run table ({self.total_sectors})")
 
-    def extents_for(self, page: int, count: int) -> list[Run]:
-        """Contiguous disk extents covering pages [page, page+count)."""
-        out: list[Run] = []
+    def extents_for(self, page: int, count: int) -> list[tuple[int, int]]:
+        """Contiguous disk extents covering pages [page, page+count), as
+        ``(start, count)`` pairs: slices of runs already validated, so
+        no :class:`Run` is built per read."""
+        out: list[tuple[int, int]] = []
         remaining = count
         skip = page
         for run in self.runs:
@@ -93,12 +95,7 @@ class RunTable:
                 continue
             avail = run.count - skip
             take = remaining if remaining < avail else avail
-            if skip == 0 and take == run.count:
-                # Whole run covered: Run is frozen, so share it rather
-                # than building an identical copy.
-                out.append(run)
-            else:
-                out.append(Run(run.start + skip, take))
+            out.append((run.start + skip, take))
             remaining -= take
             skip = 0
         if remaining > 0:

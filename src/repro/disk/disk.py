@@ -25,6 +25,8 @@ finish times with it.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.disk.clock import SimClock
 from repro.disk.faults import FaultInjector
 from repro.disk.geometry import DiskGeometry
@@ -254,8 +256,8 @@ class SimDisk:
                         raise LabelCheckError(
                             sector_address, expect_labels[offset], stored
                         )
-            zero = self._zero_sector
-            return [data.get(a, zero) for a in range(address, address + count)]
+            return list(map(data.get, range(address, address + count),
+                            repeat(self._zero_sector, count)))
         # Faults armed: consult per sector, label checks interleaved in
         # address order exactly as the microcode would hit them.
         out: list[bytes | None] = []

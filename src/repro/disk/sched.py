@@ -107,9 +107,7 @@ class IoScheduler:
     def read_maybe(self, address, count=1, expect_labels=None,
                    cpu_overlap=False):
         """Damage-tolerant read."""
-        return self.disk.read_maybe(address, count,
-                                    expect_labels=expect_labels,
-                                    cpu_overlap=cpu_overlap)
+        return self.disk.read_maybe(address, count, expect_labels, cpu_overlap)
 
     def write(self, address, sectors, expect_labels=None, set_labels=None,
               cpu_overlap=False):
@@ -149,8 +147,12 @@ class IoScheduler:
         order the caller would issue them.  Address-adjacent requests
         fuse into one transfer; anything longer than ``limit`` sectors
         splits.  Returns the planned ``(address, count)`` transfers;
-        the caller dispatches them via :meth:`read`.
+        the caller dispatches them via :meth:`read_maybe`.  A lone request
+        within ``limit`` — a random page read's one miss — is its own
+        plan: ``requests`` comes back as it is.
         """
+        if len(requests) == 1 and 0 < requests[0][1] <= limit:
+            return requests
         spans: list[list[int]] = []
         for address, count in requests:
             if count <= 0:
@@ -161,14 +163,11 @@ class IoScheduler:
                 self.obs.count("sched.coalesced_reads")
             else:
                 spans.append([address, count])
-        out: list[tuple[int, int]] = []
-        for address, count in spans:
-            cursor = 0
-            while cursor < count:
-                take = min(limit, count - cursor)
-                out.append((address + cursor, take))
-                cursor += take
-        return out
+        return [
+            (address + at, min(limit, count - at))
+            for address, count in spans
+            for at in range(0, count, limit)
+        ]
 
 
 def plan_writes(

@@ -118,8 +118,8 @@ def test_run_table_page_mapping_is_bijective(runs):
         window = table.extents_for(1, total - 1)
         flattened = [
             sector
-            for run in window
-            for sector in range(run.start, run.end)
+            for start, count in window
+            for sector in range(start, start + count)
         ]
         assert flattened == sectors[1:]
 

@@ -201,15 +201,15 @@ class BufferTwinMachine(RuleBasedStateMachine):
         fs = self.buffered
         cache = fs.data_cache
         live = {
-            address
+            address: props.uid
             for props in fs.list()
             for address in _addresses(fs.open(props.name, props.version))
         }
-        for address, image in cache._pages.items():
-            assert address in live, f"sector {address} outlived its file"
+        for address, uid, image, prefetched in cache.entries():
+            assert live.get(address) == uid, f"sector {address} outlived its file"
             assert image == fs.disk.peek(address), f"stale sector {address}"
-            assert address in cache._prefetched
-        assert len(cache) <= cache._room
+            assert prefetched
+        assert len(cache) <= cache.room
         assert len(self.paper.data_cache) == 0
 
     @invariant()
@@ -267,13 +267,13 @@ def _recording(fs: FSD, monkeypatch) -> list[tuple[int, int]]:
     """Every ``(address, count)`` the mount's data path reads from now
     on, in order."""
     requests: list[tuple[int, int]] = []
-    read = fs.io.read
+    read_maybe = fs.io.read_maybe
 
     def recording(address, count, **kwargs):
         requests.append((address, count))
-        return read(address, count, **kwargs)
+        return read_maybe(address, count, **kwargs)
 
-    monkeypatch.setattr(fs.io, "read", recording)
+    monkeypatch.setattr(fs.io, "read_maybe", recording)
     return requests
 
 

@@ -59,11 +59,11 @@ class TestRunTable:
     def test_extents_for_spans_runs(self):
         table = RunTable([Run(100, 3), Run(200, 4)])
         extents = table.extents_for(1, 4)
-        assert extents == [Run(101, 2), Run(200, 2)]
+        assert extents == [(101, 2), (200, 2)]
 
     def test_extents_for_whole_file(self):
         table = RunTable([Run(5, 2), Run(9, 1)])
-        assert table.extents_for(0, 3) == [Run(5, 2), Run(9, 1)]
+        assert table.extents_for(0, 3) == [(5, 2), (9, 1)]
 
     def test_append_coalesces_adjacent(self):
         table = RunTable()
