@@ -22,6 +22,8 @@ disk run in a few transfers.
 
 from __future__ import annotations
 
+import sys
+
 from repro.core.fsd import FSD, PAPER as PAPER_MOUNT
 from repro.harness.batches import measure_batches, measure_makedo
 from repro.harness.report import Table, ratio
@@ -40,6 +42,15 @@ PAPER = {
 #: reads (copy A, copy B) each.  The warm row above costs 0 I/Os either
 #: way, so only this row can see how a list fetches its pages.
 COLD_LIST_IOS_PAGE_AT_A_TIME = 60
+
+#: Python-level calls and builtin calls (``sys.setprofile`` ``call`` +
+#: ``c_call`` events) per entry of a warm 1 500-entry ``list``, the
+#: size of a MakeDo build's source directory.  Served from the leaves'
+#: decoded views it is 2.92; decoding every entry on every list (a
+#: generator resume, a key-memo probe and a properties-memo probe per
+#: entry) it was 7.92.  The bound sits about 20 % above the current
+#: number.
+LIST_CALLS_PER_ENTRY_BOUND = 3.5
 
 
 def test_table3_disk_ios(once):
@@ -109,3 +120,35 @@ def test_table3_disk_ios(once):
     # multi-sector transfers per copy, not as 60 single-sector reads.
     assert cold_list_ios <= 20
     assert 90 <= measured["read 100 small files"][1] <= 140
+
+
+def test_list_python_calls_per_entry():
+    """A host-cost gate that does not read a clock: the calls one warm
+    ``list`` of a 1 500-file directory makes, per file listed."""
+    _, fs, adapter = fsd_volume(FULL)
+    populate(adapter, 1500, directory="src", max_bytes=512)
+    fs.list("src/")
+    calls = 0
+
+    def count(frame, event, arg) -> None:
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        listed = fs.list("src/")
+    finally:
+        sys.setprofile(None)
+    assert len(listed) == 1500
+    per_entry = calls / len(listed)
+    table = Table("list host cost (one warm list)")
+    table.add(
+        "Python calls per listed entry",
+        "-",
+        f"{per_entry:.2f}",
+        note=f"{calls} calls / {len(listed)} entries, "
+        f"bound {LIST_CALLS_PER_ENTRY_BOUND}",
+    )
+    table.print()
+    assert per_entry <= LIST_CALLS_PER_ENTRY_BOUND

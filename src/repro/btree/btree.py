@@ -18,7 +18,12 @@ accounts for every page access (FSD's pager is its logged cache, CFS'
 pager is write-through to disk).  What it does keep is a host-side
 parse memo keyed by page bytes: re-reading an unchanged page skips the
 byte-level parse, but never the pager call, so simulated accounting is
-untouched.
+untouched.  The memo's entry for a page image, its *template*, is
+shared and never mutated, except for its ``view`` slot: whatever the
+tree's owner derives from the image (:meth:`BTree.scan_leaves` hands
+out leaf templates).  A rewritten page has new bytes and so a new
+template with no view; the old one, and its view, stay with the old
+bytes until the memo drops them.
 """
 
 from __future__ import annotations
@@ -189,8 +194,8 @@ class BTree:
     # the program calls them.
     def scan(self, start: bytes | None = None) -> Iterator[tuple[bytes, bytes]]:
         """Entries from ``start`` on, in key order."""
-        for keys, values in self.scan_leaves(start):
-            yield from zip(keys, values)
+        for leaf, first, last in self.scan_leaves(start):
+            yield from zip(leaf.keys[first:last], leaf.values[first:last])
 
     def scan_prefix(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Entries whose key begins with ``prefix``."""
@@ -337,7 +342,9 @@ class BTree:
         Returns True when the parent itself was modified.  Merges the
         child with a sibling when the combination fills at most three
         quarters of a page, otherwise redistributes entries evenly
-        between the two.
+        between the two; a pair of leaves whose even split hands the
+        parent a separator too long for it gets the shortest one that
+        separates the halves.
         """
         child_page = parent.children[child_index]
         # Templates suffice throughout: the rebalance builds fresh
@@ -369,14 +376,15 @@ class BTree:
             return True
 
         new_left, new_separator, new_right = _split_node(merged)
-        if (
-            len(new_separator) > len(separator)
-            and parent.serialized_size() - len(separator) + len(new_separator)
-            > self.pager.page_size
-        ):
-            # A delete never splits the parent: when the separator the
-            # even split would hand it does not fit, the pair stays as
-            # it is (the child underfull) rather than overflow the page.
+        room = self.pager.page_size - parent.serialized_size() + len(separator)
+        if len(new_separator) > room and merged.is_leaf:
+            # Suffix truncation: any key above the left half's last and
+            # at most the right half's first separates two leaves.
+            new_separator = _shortest_separator(new_left.keys[-1], new_separator)
+        if len(new_separator) > room:
+            # A delete never splits the parent: when no separator fits,
+            # the pair stays as it is (the child underfull) rather than
+            # overflow the page.
             return False
         self._write_node(left_page, new_left)
         self._write_node(right_page, new_right)
@@ -388,15 +396,19 @@ class BTree:
     # ------------------------------------------------------------------
     def scan_leaves(
         self, start: bytes | None = None, stop: bytes | None = None
-    ) -> Iterator[tuple[list[bytes], list[bytes]]]:
-        """Yield (keys, values) per leaf for keys in ``[start, stop)``,
-        in key order.
+    ) -> Iterator[tuple[Node, int, int]]:
+        """Yield ``(leaf, first, last)`` per leaf, in key order: the
+        leaf's entries ``first .. last - 1`` are those with keys in
+        ``[start, stop)``.
 
         The tree's one range walk: listings, version lookups and
         recovery's fallback walk all read their key range through it,
-        one generator resume per *leaf* rather than per entry.  The
-        yielded lists belong to the shared parse templates — callers
-        must never mutate them.
+        one generator resume per *leaf* rather than per entry.  ``leaf``
+        is the shared parse template of the page's bytes, handed out
+        rather than sliced so a caller reads only what it needs and can
+        keep what it derives from those bytes in the template's
+        ``view`` slot (the FSD name table keeps the decoded entries
+        there).  Callers must never mutate its keys or values.
 
         ``stop`` bounds the descent: a subtree whose keys are all
         ``>= stop`` is never read.  At each interior node where the scan
@@ -427,15 +439,12 @@ class BTree:
                 node = self._parse(data)
             keys = node.keys
             if node.kind == LEAF:
-                first = 0 if start is None else bisect.bisect_left(keys, start)
-                last = (
+                yield (
+                    node,
+                    0 if start is None else bisect.bisect_left(keys, start),
                     len(keys) if stop is None
-                    else bisect.bisect_left(keys, stop)
+                    else bisect.bisect_left(keys, stop),
                 )
-                if first == 0 and last == len(keys):
-                    yield keys, node.values
-                else:
-                    yield keys[first:last], node.values[first:last]
                 continue
             # children[i] holds keys in [keys[i-1], keys[i]): the scan
             # visits exactly children[first .. last].
@@ -596,6 +605,15 @@ def _merge_nodes(left: Node, separator: bytes, right: Node) -> Node:
         keys=left.keys + [separator] + right.keys,
         children=left.children + right.children,
     )
+
+
+def _shortest_separator(low: bytes, high: bytes) -> bytes:
+    """The shortest key above ``low`` and at most ``high`` (given
+    ``low < high``): the shortest prefix of ``high`` above ``low``."""
+    for length in range(1, len(high)):
+        if high[:length] > low:
+            return high[:length]
+    return high
 
 
 def _even_split_index(entry_sizes: list[int]) -> int:

@@ -40,12 +40,17 @@ class Node:
     ``keys`` as separators and ``children`` with one more element than
     ``keys``; subtree ``children[i]`` holds keys ``k`` with
     ``keys[i-1] <= k < keys[i]``.
+
+    ``view`` is derived state, never serialized: the tree's owner may
+    keep there what it decoded from a parse template's entries (see
+    :mod:`repro.btree.btree`).  A node built any other way has none.
     """
 
     kind: int
     keys: list[bytes] = field(default_factory=list)
     values: list[bytes] = field(default_factory=list)
     children: list[int] = field(default_factory=list)
+    view: object = field(default=None, compare=False, repr=False)
 
     @property
     def is_leaf(self) -> bool:

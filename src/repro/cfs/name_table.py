@@ -219,8 +219,8 @@ class CfsNameTable:
     def versions(self, name: str) -> list[int]:
         """All versions of ``name``, ascending."""
         out = []
-        for keys, _ in self.tree.scan_leaves(*version_range(name)):
-            for key in keys:
+        for leaf, first, last in self.tree.scan_leaves(*version_range(name)):
+            for key in leaf.keys[first:last]:
                 _, version, chunk = decode_key(key)
                 if chunk == 0:
                     out.append(version)
@@ -235,8 +235,8 @@ class CfsNameTable:
         self, prefix: str = ""
     ) -> Iterator[tuple[str, int, int, int, int]]:
         """Yield (name, version, uid, keep, header_addr) in name order."""
-        for keys, values in self.tree.scan_leaves(*prefix_range(prefix)):
-            for key, value in zip(keys, values):
+        for leaf, first, last in self.tree.scan_leaves(*prefix_range(prefix)):
+            for key, value in zip(leaf.keys[first:last], leaf.values[first:last]):
                 name, version, chunk = decode_key(key)
                 if prefix and not name.startswith(prefix):
                     return

@@ -567,7 +567,7 @@ class FSD:
             self._enter()
             self.ops.lists += 1
             self.obs.count("fsd.lists")
-            return list(self.name_table.enumerate_props(prefix))
+            return self.name_table.enumerate_props(prefix)
 
     def rename(self, old_name: str, new_name: str, version: int | None = None) -> FsdFile:
         """Rename a file version; rewrites its leader (the name checksum

@@ -21,7 +21,6 @@ from repro.btree import INTERNAL, LEAF, BTree, Node
 from repro.core.cache import MetadataCache, _NullCounter
 from repro.core.wal import PAGE_NAME_TABLE
 from repro.core.layout import VolumeLayout
-from repro.core import types
 from repro.core.types import (
     MAX_INLINE_RUNS,
     MAX_RUNS_PER_CHUNK,
@@ -33,6 +32,7 @@ from repro.core.types import (
     encode_continuation,
     encode_key,
     encode_main_entry,
+    parse_key,
     prefix_range,
     version_range,
 )
@@ -635,11 +635,20 @@ class FsdNameTable:
     # version helpers
     # ------------------------------------------------------------------
     def versions(self, name: str) -> list[int]:
-        """All existing versions of ``name``, ascending."""
+        """All existing versions of ``name``, ascending.
+
+        A leaf some walk has decoded is read from its view.  Any other
+        is decoded key by key, over the name's range only: decoding a
+        whole leaf for the few keys a create's version lookup reads
+        costs more than it saves."""
         out = []
-        for keys, _ in self.tree.scan_leaves(*version_range(name)):
-            for key in keys:
-                _, version, chunk = decode_key(key)
+        for leaf, first, last in self.tree.scan_leaves(*version_range(name)):
+            view = leaf.view
+            decoded = (
+                map(decode_key, leaf.keys[first:last]) if view is None
+                else view.keys[first:last]
+            )
+            for _, version, chunk in decoded:
                 if chunk == 0:
                     out.append(version)
         return out
@@ -658,23 +667,22 @@ class FsdNameTable:
         """Iterate complete entries (with full run tables) in name order.
 
         This is the paper's "list" operation: properties come straight
-        from the name table, no per-file I/O.
+        from the name table, no per-file I/O.  Keys come from each
+        leaf's view; the caller runs between entries, so each entry is
+        charged as it is reached.
         """
         current: tuple[FileProperties, RunTable] | None = None
-        expected_runs = 0
-        start, stop = prefix_range(prefix)
         clock = self.clock
         interpret_ms = clock.cpu.entry_interpret_ms
-        # decode_key memo-hit inlined: one dict probe per entry, with
-        # the decoding call only on a cold key.  Leaf-batched scan: one
-        # generator resume per leaf page, not per entry.
-        key_memo = types._KEY_MEMO
-        for keys, values in self.tree.scan_leaves(start, stop):
-            for key, value in zip(keys, values):
-                decoded = key_memo.get(key)
-                if decoded is None:
-                    decoded = decode_key(key)
-                name, version, chunk = decoded
+        for leaf, first, last in self.tree.scan_leaves(*prefix_range(prefix)):
+            view = _leaf_view(leaf)
+            decoded = (
+                map(parse_key, leaf.keys[first:last]) if view is None
+                else view.keys[first:last]
+            )
+            for (name, version, chunk), value in zip(
+                decoded, leaf.values[first:last]
+            ):
                 if prefix and not name.startswith(prefix):
                     if current is not None:
                         yield current
@@ -686,47 +694,114 @@ class FsdNameTable:
                 if chunk == 0:
                     if current is not None:
                         yield current
-                    props, runs, expected_runs = decode_main_entry(
-                        name, version, value
-                    )
-                    current = (props, runs)
+                    current = decode_main_entry(name, version, value)[:2]
                 else:
                     if current is None:
-                        raise CorruptMetadata(
-                            f"orphan continuation entry for {name}!{version}"
-                        )
+                        raise _orphan(name, version)
                     current[1].runs.extend(decode_continuation(value))
         if current is not None:
             yield current
 
-    def enumerate_props(self, prefix: str = "") -> Iterator[FileProperties]:
+    def enumerate_props(self, prefix: str = "") -> list[FileProperties]:
         """Properties-only listing for ``fsd.list``.
 
-        Same scan, same per-entry CPU charges as :meth:`enumerate`, but
-        run tables are never materialised: continuation entries are
-        charged and skipped without parsing, and chunk-0 entries decode
-        through the properties memo.
+        The entries :meth:`enumerate` reaches, with the same per-entry
+        CPU charge, but only chunk-0 entries' properties are returned
+        and no run table is built.  Each leaf is served from its view:
+        one check of where the walk stops in it, one charge loop and one
+        slice.  The charges accumulate in the per-entry walk's float
+        order and are written back before the scan reads the next page.
         """
+        out: list[FileProperties] = []
         have_main = False
-        start, stop = prefix_range(prefix)
         clock = self.clock
         interpret_ms = clock.cpu.entry_interpret_ms
-        key_memo = types._KEY_MEMO
-        decode_props = types.decode_main_props
-        for keys, values in self.tree.scan_leaves(start, stop):
-            for key, value in zip(keys, values):
-                decoded = key_memo.get(key)
-                if decoded is None:
-                    decoded = decode_key(key)
-                name, version, chunk = decoded
-                if prefix and not name.startswith(prefix):
-                    return
-                clock.now_ms += interpret_ms
-                clock.cpu_busy_ms += interpret_ms
-                if chunk == 0:
-                    have_main = True
-                    yield decode_props(name, version, value)
-                elif not have_main:
-                    raise CorruptMetadata(
-                        f"orphan continuation entry for {name}!{version}"
-                    )
+        # Every key in ``prefix_range(prefix)`` begins with the prefix's
+        # bytes, so its name begins with the prefix unless the prefix
+        # holds a NUL, which ends a name: only then are names checked.
+        nul_prefix = "\x00" in prefix
+        for leaf, first, last in self.tree.scan_leaves(*prefix_range(prefix)):
+            view = leaf.view
+            if view is None or view.props is None:
+                view = _leaf_view(leaf, props=True)
+            if view is None:
+                # An entry that does not decode: walk the page entry by
+                # entry, so that its error is raised where it stands.
+                for index in range(first, last):
+                    name, version, chunk = parse_key(leaf.keys[index])
+                    if prefix and not name.startswith(prefix):
+                        return out
+                    clock.now_ms += interpret_ms
+                    clock.cpu_busy_ms += interpret_ms
+                    if chunk == 0:
+                        have_main = True
+                        out.append(decode_main_entry(
+                            name, version, leaf.values[index]
+                        )[0])
+                    elif not have_main:
+                        raise _orphan(name, version)
+                continue
+            keys = view.keys
+            end = last
+            if nul_prefix:
+                end = next(
+                    (index for index in range(first, last)
+                     if not keys[index][0].startswith(prefix)),
+                    last,
+                )
+            if end > first and not have_main:
+                name, version, chunk = keys[first]
+                if chunk:
+                    clock.now_ms += interpret_ms
+                    clock.cpu_busy_ms += interpret_ms
+                    raise _orphan(name, version)
+                have_main = True
+            now = clock.now_ms
+            busy = clock.cpu_busy_ms
+            for _ in range(end - first):
+                now += interpret_ms
+                busy += interpret_ms
+            clock.now_ms = now
+            clock.cpu_busy_ms = busy
+            out.extend(filter(None, view.props[first:end]))
+            if end < last:
+                return out
+        return out
+
+
+def _orphan(name: str, version: int) -> CorruptMetadata:
+    return CorruptMetadata(f"orphan continuation entry for {name}!{version}")
+
+
+class _LeafView:
+    """What the FSD name table decoded from one leaf's page image, kept
+    in the leaf's parse template (``Node.view``).  The template is the
+    B-tree's memo entry for those very bytes, so a view is never stale;
+    it goes when the memo drops the template."""
+
+    __slots__ = ("keys", "props")
+
+    def __init__(self, keys: list[tuple[str, int, int]]):
+        #: ``(name, version, chunk)`` per entry.
+        self.keys = keys
+        #: per entry, a chunk-0 entry's properties (None for a
+        #: continuation); built by the first listing that reads the leaf.
+        self.props: list[FileProperties | None] | None = None
+
+
+def _leaf_view(leaf: Node, props: bool = False) -> _LeafView | None:
+    """``leaf``'s view, built on first use, with its ``props`` when
+    asked for; None when an entry of the page does not decode (the
+    walks then decode it entry by entry, as far as they read)."""
+    view = leaf.view
+    try:
+        if view is None:
+            view = leaf.view = _LeafView([parse_key(key) for key in leaf.keys])
+        if props and view.props is None:
+            view.props = [
+                None if chunk else decode_main_entry(name, version, value)[0]
+                for (name, version, chunk), value in zip(view.keys, leaf.values)
+            ]
+    except (CorruptMetadata, ValueError):
+        return None
+    return view

@@ -228,26 +228,35 @@ def prefix_range(prefix: str) -> tuple[bytes | None, bytes | None]:
     return start, start + b"\xff"
 
 
-#: parse memo for name-table keys: every ``list`` re-decodes the same
-#: keys, and the decoded triple is an immutable tuple — safe to share.
+def parse_key(key: bytes) -> tuple[str, int, int]:
+    """Parse a name-table key into (name, version, chunk).  Raises
+    :class:`CorruptMetadata` on a malformed key and
+    ``UnicodeDecodeError`` on a name that is not UTF-8."""
+    nul = key.rfind(b"\x00", 0, len(key) - 4)
+    if nul < 0 or len(key) < nul + 5:
+        raise CorruptMetadata(f"malformed name-table key {key!r}")
+    return (
+        key[:nul].decode("utf-8"),
+        int.from_bytes(key[nul + 1 : nul + 3], "big"),
+        int.from_bytes(key[nul + 3 : nul + 5], "big"),
+    )
+
+
+#: :func:`parse_key` memo for the per-key decoders (version lookups of
+#: leaves no listing has decoded, CFS); the decoded triple is an
+#: immutable tuple — safe to share.
 _KEY_MEMO: dict[bytes, tuple[str, int, int]] = {}
 _KEY_MEMO_LIMIT = 8192
 
 
 def decode_key(key: bytes) -> tuple[str, int, int]:
-    """Parse a name-table key into (name, version, chunk)."""
+    """:func:`parse_key`, memoised by key bytes."""
     decoded = _KEY_MEMO.get(key)
     if decoded is not None:
         return decoded
-    nul = key.rfind(b"\x00", 0, len(key) - 4)
-    if nul < 0 or len(key) < nul + 5:
-        raise CorruptMetadata(f"malformed name-table key {key!r}")
-    name = key[:nul].decode("utf-8")
-    version = int.from_bytes(key[nul + 1 : nul + 3], "big")
-    chunk = int.from_bytes(key[nul + 3 : nul + 5], "big")
+    decoded = parse_key(key)
     if len(_KEY_MEMO) >= _KEY_MEMO_LIMIT:
         _KEY_MEMO.clear()
-    decoded = (name, version, chunk)
     _KEY_MEMO[key] = decoded
     return decoded
 
@@ -385,8 +394,9 @@ def parse_main_entry(value: bytes) -> MainEntry:
     )
 
 
-#: parse memo for chunk-0 entries, keyed by entry bytes: every ``list``
-#: re-decodes the same entries, so the decoded FileProperties is cached
+#: parse memo for chunk-0 entries, keyed by entry bytes: every
+#: ``enumerate`` and every new leaf view of the name table re-decodes
+#: the same entries, so the decoded FileProperties is cached
 #: whole and only the RunTable wrapper (whose ``runs`` list callers
 #: extend and truncate) is rebuilt per call.  FileProperties is never
 #: mutated in place — updates go through ``with_updates`` — and Run
@@ -446,34 +456,6 @@ def decode_main_entry(
             props.remote_target,
         )
     return props, RunTable(list(run_tuple)), total_runs
-
-
-def decode_main_props(name: str, version: int, value: bytes) -> FileProperties:
-    """Properties-only decode of a chunk-0 entry.
-
-    ``list`` discards run tables, so this skips materialising a fresh
-    :class:`RunTable` per entry; a memo hit for the listing's own key
-    returns the shared (never mutated in place) properties object.
-    """
-    fields = _MAIN_MEMO.get(value)
-    if fields is None:
-        props, _runs, _total = decode_main_entry(name, version, value)
-        return props
-    props = fields[0]
-    if props.name != name or props.version != version:
-        props = FileProperties(
-            name,
-            version,
-            props.uid,
-            props.kind,
-            props.byte_size,
-            props.create_time_ms,
-            props.last_used_ms,
-            props.keep,
-            props.leader_addr,
-            props.remote_target,
-        )
-    return props
 
 
 def encode_continuation(runs: list[Run]) -> bytes:

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.btree import BTree, MemoryPager
+from repro.btree import INTERNAL, LEAF, BTree, MemoryPager, Node
 from repro.errors import CorruptMetadata
 
 
@@ -22,8 +22,8 @@ def entries(
     """``scan_leaves(start, stop)``'s leaves, flattened to entries."""
     return [
         pair
-        for keys, values in tree.scan_leaves(start, stop)
-        for pair in zip(keys, values)
+        for leaf, first, last in tree.scan_leaves(start, stop)
+        for pair in zip(leaf.keys[first:last], leaf.values[first:last])
     ]
 
 
@@ -129,6 +129,47 @@ class TestSplitsAndMerges:
             ref[key] = value
         tree.check_invariants()
         assert dict(entries(tree)) == ref
+
+
+class TestRedistributeSeparator:
+    """A delete that leaves a leaf underfull next to a sibling it cannot
+    merge with redistributes the pair evenly.  Here the even split's
+    separator (the right half's first key, 60 bytes) does not fit the
+    nearly full parent, but a one-byte prefix of it separates the halves
+    just as well, so the pair is rebalanced with that."""
+
+    @staticmethod
+    def build() -> BTree:
+        pager = MemoryPager(page_size=256)
+        tree = BTree.create(pager)
+        long_keys = [bytes([c]) + b"x" * 59 for c in b"cde"]
+        fillers = [bytes([c]) for c in range(0x66, 0x66 + 27)]
+        leaves = [[b"aaa"], long_keys] + [[key] for key in fillers]
+        pages = [pager.allocate() for _ in leaves]
+        for page, keys in zip(pages, leaves):
+            pager.write(page, Node(LEAF, keys, [b"v"] * len(keys)).to_bytes(256))
+        root = Node(INTERNAL, [b"c"] + fillers, children=pages)
+        # One byte short of room for the 60-byte separator.
+        assert 256 - root.serialized_size() + 1 < 60
+        pager.write(tree._root, root.to_bytes(256))
+        tree._height, tree._count = 2, sum(map(len, leaves))
+        tree._write_meta()
+        return BTree.open(pager)
+
+    def test_underfull_leaf_is_rebalanced_with_the_shortest_separator(self):
+        tree = self.build()
+        assert tree.delete(b"aaa")
+        shape = tree.check_invariants()
+        assert shape.leaves == 29
+        left, right = [
+            leaf.keys[first:last] for leaf, first, last in tree.scan_leaves(None, b"f")
+        ]
+        assert [key[:1] for key in left] == [b"c", b"d"]
+        assert [key[:1] for key in right] == [b"e"]
+        root = tree._load_template(tree._root)
+        assert root.keys[0] == b"e"
+        for key in left + right:
+            assert tree.get(key) == b"v"
 
 
 class TestPersistence:

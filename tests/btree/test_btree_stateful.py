@@ -70,8 +70,8 @@ class BTreeMachine(RuleBasedStateMachine):
     def scan_range(self, start, stop):
         got = [
             key
-            for keys, _ in self.tree.scan_leaves(start, stop)
-            for key in keys
+            for leaf, first, last in self.tree.scan_leaves(start, stop)
+            for key in leaf.keys[first:last]
         ]
         expected = sorted(
             k for k in self.model if start <= k and (stop is None or k < stop)

@@ -93,9 +93,9 @@ class TestRemountStartsCold:
         tree.insert(b"key-0001", b"EDITED")
         reopened = BTree.open(pager)
         assert reopened.get(b"key-0001") == b"EDITED"
-        keys, values = next(reopened.scan_leaves(b"key-0000", b"key-0002"))
-        assert keys == [b"key-0000", b"key-0001"]
-        assert values[1] == b"EDITED"
+        leaf, first, last = next(reopened.scan_leaves(b"key-0000", b"key-0002"))
+        assert leaf.keys[first:last] == [b"key-0000", b"key-0001"]
+        assert leaf.values[first + 1] == b"EDITED"
 
 
 class TestTemplatesAreNeverMutated:

@@ -105,7 +105,11 @@ def build(history) -> tuple[FsdNameTable, RecordingPager]:
 
 
 def flatten(leaves) -> list[tuple[bytes, bytes]]:
-    return [pair for keys, values in leaves for pair in zip(keys, values)]
+    return [
+        pair
+        for leaf, first, last in leaves
+        for pair in zip(leaf.keys[first:last], leaf.values[first:last])
+    ]
 
 
 @settings(max_examples=60, deadline=None)

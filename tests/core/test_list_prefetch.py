@@ -350,8 +350,8 @@ def volume(cache_pages: int, **mount) -> tuple[SimDisk, FSD, list[str]]:
 def leaves(fs: FSD) -> list[list[str]]:
     """Names per leaf, in key order."""
     return [
-        [decode_key(key)[0] for key in keys]
-        for keys, _ in fs.name_table.tree.scan_leaves()
+        [decode_key(key)[0] for key in leaf.keys]
+        for leaf, _, _ in fs.name_table.tree.scan_leaves()
     ]
 
 

@@ -4,6 +4,7 @@ page allocation bitmap, typed entries and run-table continuations."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.btree import INTERNAL, LEAF, Node
 from repro.core.cache import MetadataCache
@@ -18,13 +19,19 @@ from repro.core.name_table import (
     page_allocated,
 )
 from repro.core.types import (
+    MAX_INLINE_RUNS,
     FileKind,
     FileProperties,
     Run,
     RunTable,
+    decode_continuation,
+    decode_main_entry,
     encode_continuation,
     encode_key,
     make_uid,
+    parse_key,
+    prefix_range,
+    version_range,
 )
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
@@ -34,8 +41,7 @@ GEO = DiskGeometry(cylinders=120, heads=8, sectors_per_track=24)
 PARAMS = VolumeParams(nt_pages=512, log_record_sectors=300, cache_pages=64)
 
 
-@pytest.fixture
-def world():
+def make_world():
     disk = SimDisk(geometry=GEO)
     layout = VolumeLayout.compute(GEO, PARAMS)
     home = NameTableHome(disk, layout)
@@ -47,6 +53,11 @@ def world():
     )
     pager = NameTablePager(cache, layout, disk.clock, home)
     return disk, layout, home, cache, pager
+
+
+@pytest.fixture
+def world():
+    return make_world()
 
 
 def props_for(name: str, version: int = 1, **over) -> FileProperties:
@@ -313,3 +324,206 @@ class TestTypedTable:
         cache.flush_all_home()  # not strictly needed: cache shared
         reopened = FsdNameTable.open(pager, disk.clock)
         assert reopened.get("persist", 1) is not None
+
+
+# ----------------------------------------------------------------------
+# the decoded leaf views behind list, enumerate and versions
+# ----------------------------------------------------------------------
+def reference_list(table: FsdNameTable, prefix: str) -> list[FileProperties]:
+    """``enumerate_props`` entry by entry: decode the key, stop at a name
+    outside the prefix, charge the entry, then take its properties."""
+    clock = table.clock
+    ms = clock.cpu.entry_interpret_ms
+    out: list[FileProperties] = []
+    have_main = False
+    for leaf, first, last in table.tree.scan_leaves(*prefix_range(prefix)):
+        for key, value in zip(leaf.keys[first:last], leaf.values[first:last]):
+            name, version, chunk = parse_key(key)
+            if prefix and not name.startswith(prefix):
+                return out
+            clock.now_ms += ms
+            clock.cpu_busy_ms += ms
+            if chunk == 0:
+                have_main = True
+                out.append(decode_main_entry(name, version, value)[0])
+            elif not have_main:
+                raise CorruptMetadata(
+                    f"orphan continuation entry for {name}!{version}"
+                )
+    return out
+
+
+def reference_enumerate(table: FsdNameTable, prefix: str) -> list:
+    """``enumerate`` entry by entry, run tables completed."""
+    clock = table.clock
+    ms = clock.cpu.entry_interpret_ms
+    out: list = []
+    for leaf, first, last in table.tree.scan_leaves(*prefix_range(prefix)):
+        for key, value in zip(leaf.keys[first:last], leaf.values[first:last]):
+            name, version, chunk = parse_key(key)
+            if prefix and not name.startswith(prefix):
+                return out
+            clock.now_ms += ms
+            clock.cpu_busy_ms += ms
+            if chunk == 0:
+                props, runs, _ = decode_main_entry(name, version, value)
+                out.append((props, runs))
+            elif not out:
+                raise CorruptMetadata(
+                    f"orphan continuation entry for {name}!{version}"
+                )
+            else:
+                out[-1][1].runs.extend(decode_continuation(value))
+    return out
+
+
+def reference_versions(table: FsdNameTable, name: str) -> list[int]:
+    return [
+        version
+        for leaf, first, last in table.tree.scan_leaves(*version_range(name))
+        for _, version, chunk in map(parse_key, leaf.keys[first:last])
+        if chunk == 0
+    ]
+
+
+VIEW_NAMES = ("d/a", "d/ab", "d/abc", "d/é", "d/éa", "d/z", "e", "é", "é/x", "z")
+VIEW_PREFIXES = (
+    "", "a", "d", "d/", "d/a", "d/aa", "d/ab", "d/é", "é", "é/", "e", "zz",
+    "d/a\x00", "d/ab\x00\x00", "\x00",
+)
+#: inline only, and one, two and three continuation chunks.
+VIEW_RUNS = (1, 3, MAX_INLINE_RUNS + 5, MAX_INLINE_RUNS + 30, MAX_INLINE_RUNS + 60)
+view_names = st.sampled_from(VIEW_NAMES)
+view_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("create"), view_names, st.sampled_from(VIEW_RUNS)),
+        st.tuples(st.just("update"), view_names, st.sampled_from(VIEW_RUNS)),
+        st.tuples(st.just("delete"), view_names, st.just(0)),
+        st.tuples(st.just("orphan"), st.sampled_from(("a", "d/aa", "d/é")), st.just(0)),
+        st.tuples(st.just("list"), st.sampled_from(VIEW_PREFIXES), st.just(0)),
+        st.tuples(st.just("enumerate"), st.sampled_from(VIEW_PREFIXES), st.just(0)),
+        st.tuples(st.just("versions"), view_names, st.just(0)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+#: Every stream starts from a table of a few dozen leaves: each name in
+#: two versions, run tables of every drawn length.
+VIEW_POPULATION = [
+    ("create", name, VIEW_RUNS[(index + version) % len(VIEW_RUNS)])
+    for version in range(2)
+    for index, name in enumerate(VIEW_NAMES)
+]
+
+
+def _apply_view_op(table: FsdNameTable, live: dict, op: tuple, reference: bool):
+    kind, name, arg = op
+    versions = live.setdefault(name, [])
+    if kind in ("create", "update"):
+        if kind == "create" or not versions:
+            versions.append(max(versions, default=0) + 1)
+        runs = RunTable([Run(4000 + 8 * index, 1 + index % 3) for index in range(arg)])
+        props = props_for(name, versions[-1], byte_size=arg)
+        table.insert(props, runs)
+        return None
+    if kind == "delete":
+        if versions:
+            table.delete(name, versions.pop(0))
+        return None
+    if kind == "orphan":
+        # A continuation whose main entry is gone: only a walk that
+        # reaches it before any main entry refuses it.
+        table.tree.insert(encode_key(name, 999, 1), encode_continuation([Run(9000, 1)]))
+        return None
+    try:
+        if kind == "list":
+            return reference_list(table, name) if reference else table.enumerate_props(name)
+        if kind == "enumerate":
+            walked = reference_enumerate(table, name) if reference else list(table.enumerate(name))
+            return [(props, runs.runs) for props, runs in walked]
+        return reference_versions(table, name) if reference else table.versions(name)
+    except CorruptMetadata as error:
+        return str(error)
+
+
+def _views(table: FsdNameTable) -> list:
+    return [node for node in table.tree._parse_memo.values() if node.view is not None]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=view_ops)
+# An orphan first in the whole table, and first under a prefix that a
+# main entry of another name precedes in its leaf.
+@example(ops=[("orphan", "a", 0), ("list", "", 0), ("enumerate", "", 0)])
+@example(ops=[("orphan", "d/aa", 0), ("list", "d/aa", 0), ("list", "d/", 0)])
+def test_views_serve_what_the_per_entry_walk_reads(ops):
+    """Two tables take the same op stream; one answers list, enumerate
+    and versions from its leaf views, the other with the per-entry
+    walks above.  Every answer, orphan errors included, and both
+    clocks match bit for bit after every op, and every view is what its
+    template's own bytes decode to (a rewritten leaf is a new template,
+    never the old one's view)."""
+    tables = []
+    for _ in range(2):
+        disk, _, _, _, pager = make_world()
+        tables.append(FsdNameTable.format(pager, disk.clock))
+    viewed, walked = tables
+    live_viewed: dict = {}
+    live_walked: dict = {}
+    for op in VIEW_POPULATION + ops:
+        views_before = len(_views(viewed))
+        got = _apply_view_op(viewed, live_viewed, op, reference=False)
+        if op[0] == "versions":
+            assert len(_views(viewed)) == views_before  # reads views, builds none
+        assert got == _apply_view_op(walked, live_walked, op, reference=True), op
+        assert viewed.clock.now_ms == walked.clock.now_ms
+        assert viewed.clock.cpu_busy_ms == walked.clock.cpu_busy_ms
+        for node in _views(viewed):
+            assert node.view.keys == [parse_key(key) for key in node.keys]
+            if node.view.props is not None:
+                assert node.view.props == [
+                    None if chunk else decode_main_entry(name, version, value)[0]
+                    for (name, version, chunk), value in zip(node.view.keys, node.values)
+                ]
+
+
+class TestUndecodableEntries:
+    """A leaf with an entry that does not decode gets no view; the walks
+    then read it entry by entry, so the error is raised at that entry,
+    with the clock where the per-entry walk leaves it, and a walk whose
+    range misses the entry does not see it."""
+
+    def tables(self, key: bytes, value: bytes) -> list[FsdNameTable]:
+        out = []
+        for _ in range(2):
+            disk, _, _, _, pager = make_world()
+            table = FsdNameTable.format(pager, disk.clock)
+            for name in ("a", "b", "c"):
+                table.insert(props_for(name), RunTable([Run(2000, 1)]))
+            table.tree.insert(key, value)
+            out.append(table)
+        return out
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            (b"b\xff\x00\x00\x01\x00\x00", encode_continuation([Run(1, 1)])),
+            (encode_key("bb", 1), b"\x00" * 5),
+        ],
+        ids=["key not UTF-8", "truncated main entry"],
+    )
+    def test_error_where_the_per_entry_walk_raises_it(self, key, value):
+        viewed, walked = self.tables(key, value)
+        for prefix in ("", "a", "b", "c"):
+            outcomes = []
+            for table, walk in ((viewed, FsdNameTable.enumerate_props), (walked, reference_list)):
+                try:
+                    outcomes.append([props.name for props in walk(table, prefix)])
+                except (CorruptMetadata, ValueError) as error:
+                    outcomes.append(type(error))
+            assert outcomes[0] == outcomes[1], prefix
+            assert viewed.clock.now_ms == walked.clock.now_ms
+            assert viewed.clock.cpu_busy_ms == walked.clock.cpu_busy_ms
+        assert outcomes[0] == ["c"]

@@ -50,7 +50,7 @@ def cfs_table() -> CfsNameTable:
 
 def leaf_ends(tree: BTree) -> list[str]:
     """The name of the last key of every leaf but the last one."""
-    leaves = [keys for keys, _ in tree.scan_leaves()]
+    leaves = [leaf.keys for leaf, _, _ in tree.scan_leaves()]
     return [decode_key(keys[-1])[0] for keys in leaves[:-1]]
 
 

@@ -33,8 +33,6 @@ ALLOWED = {
     ("repro.core.name_table", "_NullCounter"),
     ("repro.core.name_table", "_entries"),
     ("repro.core.name_table", "_lru"),
-    # decode_key's memo probe, inlined in the enumerate loops.
-    ("repro.core.name_table", "_KEY_MEMO"),
     # The scripts' I/O CPU step, reused by the alternative designs.
     ("repro.model.alternatives", "_io_cpu"),
     # The disk's label padding, for the crash explorer's write record.
