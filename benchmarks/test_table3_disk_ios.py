@@ -29,6 +29,7 @@ from repro.harness.batches import measure_batches, measure_makedo
 from repro.harness.report import Table, ratio
 from repro.harness.runner import measure
 from repro.harness.scenarios import FULL, cfs_volume, fsd_volume, populate
+from repro.obs import Observer
 
 PAPER = {
     "100 small creates": (874, 149),
@@ -51,6 +52,25 @@ COLD_LIST_IOS_PAGE_AT_A_TIME = 60
 #: entry) it was 7.92.  The bound sits about 20 % above the current
 #: number.
 LIST_CALLS_PER_ENTRY_BOUND = 3.5
+
+#: Name-table node visits (``btree.page_reads``) per warm operation on
+#: the Table 3 volume (a height-3 tree), ``kind: (paper, bound,
+#: before)``.  Each operation resolves its name in one walk of the
+#: name's key range: an open is one descent (3.14), a create of a new
+#: name one walk plus the insert (6.00), a create that trims the oldest
+#: of its versions also removes that version's keys (12.59), a delete
+#: one walk plus the key deletes (9.74).  ``paper`` is the node count
+#: the §6 scripts price (``repro.model.scripts``: ``fsd_open``,
+#: ``fsd_small_create``, ``fsd_small_delete``).  ``before`` is what the
+#: same operations cost while each helper descended on its own (a
+#: version walk, then a ``get``, a second walk to trim, a probe past
+#: the last chunk); each bound lies between the two.
+NODE_VISITS_PER_OP = {
+    "open": (4, 3.5, 6.14),
+    "create": (6, 6.5, 12.14),
+    "create, trimming": ("-", 13.0, 25.18),
+    "delete": (6, 10.5, 18.74),
+}
 
 
 def test_table3_disk_ios(once):
@@ -152,3 +172,38 @@ def test_list_python_calls_per_entry():
     )
     table.print()
     assert per_entry <= LIST_CALLS_PER_ENTRY_BOUND
+
+
+def test_name_table_node_visits_per_op():
+    """A count gate that reads no clock: B-tree node visits per warm
+    open, create and delete by name on the Table 3 volume."""
+    disk, fs, adapter = fsd_volume(FULL, options=PAPER_MOUNT)
+    aged = populate(adapter, 200)[:100]
+    obs = Observer(disk.clock)
+    fs.attach_observer(obs)
+    reads = obs.metrics.counter("btree.page_reads")
+
+    def per_op(op, names: list[str]) -> float:
+        before = reads.value
+        for name in names:
+            op(name)
+        return (reads.value - before) / len(names)
+
+    for name in aged:
+        fs.open(name)  # warm: every page the opens below visit is cached
+    new = [f"bench/new-{index:03d}" for index in range(100)]
+    measured = {"open": per_op(fs.open, aged)}
+    measured["create"] = per_op(lambda name: fs.create(name, b"x"), new)
+    per_op(lambda name: fs.create(name, b"x"), aged)  # version 2 of each
+    # Version 3 of each: the default keep of 2 trims version 1.
+    measured["create, trimming"] = per_op(
+        lambda name: fs.create(name, b"x"), aged
+    )
+    measured["delete"] = per_op(fs.delete, aged)
+    table = Table("name-table node visits per operation (Table 3 volume)")
+    for kind, (paper, bound, before) in NODE_VISITS_PER_OP.items():
+        table.add(kind, paper, f"{measured[kind]:.2f}",
+                  note=f"bound {bound}, {before} before one walk per name")
+    table.print()
+    for kind, (_, bound, _) in NODE_VISITS_PER_OP.items():
+        assert measured[kind] <= bound, kind

@@ -464,7 +464,11 @@ class FSD:
                 self.obs.count("fsd.creates")
                 self.coordinator.note_update()
                 keep = self.DEFAULT_KEEP if keep is None else keep
-                version = (self.name_table.highest_version(name) or 0) + 1
+                # One walk of the name picks the version, says whether
+                # any key of it is left over, and is what the trim below
+                # removes from.
+                keys = self.name_table.walk(name)
+                version = keys.next_version()
 
                 def identity(leader_addr: int) -> FileProperties:
                     self._uid_sequence += 1
@@ -481,9 +485,11 @@ class FSD:
                         remote_target=remote_target,
                     )
 
-                handle = place_file(self, data, identity)
-                if keep > 0:
-                    self._trim_versions(name, keep)
+                handle = place_file(
+                    self, data, identity, fresh=not keys.holds(version)
+                )
+                for props, runs in self.name_table.trim(keys, keep, version):
+                    self._release(props, runs)
                 return handle
 
     def open(self, name: str, version: int | None = None) -> FsdFile:
@@ -558,7 +564,9 @@ class FSD:
                 self.ops.deletes += 1
                 self.obs.count("fsd.deletes")
                 self.coordinator.note_update()
-                return self._delete_resolved(name, version)
+                props, runs = self.name_table.delete(name, version)
+                self._release(props, runs)
+                return props
 
     def list(self, prefix: str = "") -> list[FileProperties]:
         """Name + properties of every file, straight from the name
@@ -578,17 +586,18 @@ class FSD:
                 self.ops.renames += 1
                 self.obs.count("fsd.renames")
                 self.coordinator.note_update()
-                props, runs = self._lookup(old_name, version)
+                props, runs = self.name_table.delete(old_name, version)
                 self.data_cache.invalidate_file(props.uid)
                 self.data_cache.invalidate_runs(runs)
-                self.name_table.delete(props.name, props.version)
-                new_version = (
-                    self.name_table.highest_version(new_name) or 0
-                ) + 1
+                # Walked after the delete: the new name may be the old.
+                new_keys = self.name_table.walk(new_name)
+                new_version = new_keys.next_version()
                 new_props = props.with_updates(
                     name=new_name, version=new_version
                 )
-                self.name_table.insert(new_props, runs)
+                self.name_table.insert(
+                    new_props, runs, fresh=not new_keys.holds(new_version)
+                )
                 self.cache.write_leader(
                     new_props.leader_addr,
                     encode_leader(
@@ -622,10 +631,13 @@ class FSD:
         """Change the version-retention count and trim old versions."""
         self._enter(write=True)
         with self.txn.op():
-            props, runs = self._lookup(name, None)
+            keys = self.name_table.walk(name)
+            props, runs = self.name_table.entry(keys)
             self.name_table.update(props.with_updates(keep=keep), runs)
-            if keep > 0:
-                self._trim_versions(name, keep)
+            # The update rewrote the newest version only, which the
+            # trim never removes.
+            for old_props, old_runs in self.name_table.trim(keys, keep):
+                self._release(old_props, old_runs)
 
     def force(self) -> int:
         """Client-requested commit ("Clients may force the log")."""
@@ -685,25 +697,13 @@ class FSD:
     def _lookup(
         self, name: str, version: int | None
     ) -> tuple[FileProperties, RunTable]:
-        if version is None:
-            version = self.name_table.highest_version(name)
-            if version is None:
-                raise FileNotFound(name)
-        entry = self.name_table.get(name, version)
-        if entry is None:
-            raise FileNotFound(f"{name}!{version}")
-        return entry
+        """The entry of ``version`` (the newest when None), from one
+        walk of the name."""
+        return self.name_table.entry(self.name_table.walk(name), version)
 
-    def _delete_resolved(
-        self, name: str, version: int | None
-    ) -> FileProperties:
-        props, runs = (
-            self._lookup(name, version)
-            if version is None
-            else self.name_table.delete(name, version)
-        )
-        if version is None:
-            self.name_table.delete(props.name, props.version)
+    def _release(self, props: FileProperties, runs: RunTable) -> None:
+        """Free a removed entry's sectors and forget what the caches
+        hold of it."""
         self.allocator.free([Run(props.leader_addr, 1)], deferred=True)
         self.allocator.free(runs, deferred=True)
         self.cache.drop_leader(props.leader_addr)
@@ -714,12 +714,6 @@ class FSD:
         self.data_cache.invalidate_file(props.uid)
         self.data_cache.invalidate_runs(runs)
         self.data_cache.invalidate(props.leader_addr)
-        return props
-
-    def _trim_versions(self, name: str, keep: int) -> None:
-        versions = self.name_table.versions(name)
-        while len(versions) > keep:
-            self._delete_resolved(name, versions.pop(0))
 
     # ------------------------------------------------------------------
     # data path
@@ -1005,14 +999,18 @@ class FSD:
 
 
 def place_file(
-    fs: FSD, data: bytes, identity: Callable[[int], FileProperties]
+    fs: FSD,
+    data: bytes,
+    identity: Callable[[int], FileProperties],
+    fresh: bool = False,
 ) -> FsdFile:
     """Place a new file holding ``data`` on ``fs``: allocate a leader
     sector with the data pages after it, enter the file in the name
     table, stage its leader and write the data.  ``identity(leader
     address)`` returns the file's properties: :meth:`FSD.create` mints
     a new uid and version there, salvage passes on the ones the file
-    had."""
+    had.  ``fresh``: no key of that version exists
+    (:meth:`FsdNameTable.insert`)."""
     sector_bytes = fs._sector_bytes
     big = len(data) >= fs.params.big_file_threshold_bytes
     table = fs.allocator.allocate(
@@ -1026,7 +1024,7 @@ def place_file(
     for run in table.runs[1:]:
         runs.append(run)
     handle = FsdFile(props=identity(first.start), runs=runs)
-    fs.name_table.insert(handle.props, runs)
+    fs.name_table.insert(handle.props, runs, fresh=fresh)
     fs._refresh_leader(handle)
     # A zero-byte file has no data write to piggyback on: its leader
     # stays cached until the logging code writes it during entry into

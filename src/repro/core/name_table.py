@@ -556,6 +556,44 @@ class NameTablePager:
         return runs
 
 
+class NameKeys:
+    """Every key of one name, as :meth:`FsdNameTable.walk` found them:
+    ``(version, chunk, value)`` in key order."""
+
+    __slots__ = ("name", "found")
+
+    def __init__(self, name: str, found: list[tuple[int, int, bytes]]):
+        self.name = name
+        self.found = found
+
+    def versions(self) -> list[int]:
+        """The versions with a chunk-0 entry, ascending."""
+        return [version for version, chunk, _ in self.found if chunk == 0]
+
+    def highest_version(self) -> int | None:
+        """The newest version with a chunk-0 entry, or None."""
+        for version, chunk, _ in reversed(self.found):
+            if chunk == 0:
+                return version
+        return None
+
+    def next_version(self) -> int:
+        """The version a create of this name takes."""
+        return (self.highest_version() or 0) + 1
+
+    def holds(self, version: int) -> bool:
+        """True when the walk saw any key of ``version``."""
+        return any(key_version == version for key_version, _, _ in self.found)
+
+    def chunks(self, version: int) -> dict[int, bytes]:
+        """``chunk -> value`` of every key of ``version``."""
+        return {
+            chunk: value
+            for key_version, chunk, value in self.found
+            if key_version == version
+        }
+
+
 class FsdNameTable:
     """Typed operations over the raw B-tree: the FS-facing name table."""
 
@@ -576,21 +614,73 @@ class FsdNameTable:
     # ------------------------------------------------------------------
     # entry operations
     # ------------------------------------------------------------------
-    def insert(self, props: FileProperties, runs: RunTable) -> None:
-        """Insert (or replace) a file's entry, spilling long run tables."""
+    def walk(self, name: str) -> NameKeys:
+        """Every key of ``name``, from one walk of its key range.
+
+        The one way an FSD operation resolves a name: the versions, each
+        version's chunk-0 entry and its continuation chunks all come
+        from this walk, so a lookup, create or delete descends the tree
+        once.  A leaf some walk has decoded is read from its view.  Any
+        other is decoded key by key, over the name's range only:
+        decoding a whole leaf for the few keys a lookup reads costs
+        more than it saves."""
+        found = []
+        for leaf, first, last in self.tree.scan_leaves(*version_range(name)):
+            view = leaf.view
+            decoded = (
+                map(decode_key, leaf.keys[first:last]) if view is None
+                else view.keys[first:last]
+            )
+            for (_, version, chunk), value in zip(
+                decoded, leaf.values[first:last]
+            ):
+                found.append((version, chunk, value))
+        return NameKeys(name, found)
+
+    def entry(
+        self, keys: NameKeys, version: int | None = None
+    ) -> tuple[FileProperties, RunTable]:
+        """The entry of ``version`` (the newest when None) from a walk,
+        its continuations from the same walk; one entry-interpretation
+        charge.  Raises :class:`FileNotFound` when the walk saw no
+        chunk-0 key of it."""
+        name = keys.name
+        if version is None:
+            version = keys.highest_version()
+            if version is None:
+                raise FileNotFound(name)
+        chunks = keys.chunks(version)
+        value = chunks.get(0)
+        if value is None:
+            raise FileNotFound(f"{name}!{version}")
+        self.clock.advance_cpu(self.clock.cpu.entry_interpret_ms)
+        props, runs, total_runs = decode_main_entry(name, version, value)
+        if len(runs.runs) < total_runs:
+            gather_runs(name, version, runs, total_runs, chunks.get)
+        return props, runs
+
+    def insert(
+        self, props: FileProperties, runs: RunTable, fresh: bool = False
+    ) -> None:
+        """Insert (or replace) a file's entry, spilling long run tables.
+
+        ``fresh`` says the caller's walk saw no key of this version, so
+        no stale continuation chunk can follow the ones written; an
+        entry that may have had a longer run table probes for them."""
         self.clock.advance_cpu(self.clock.cpu.entry_interpret_ms)
         self.tree.insert(
             encode_key(props.name, props.version, 0),
             encode_main_entry(props, runs),
         )
-        self._write_continuations(props.name, props.version, runs)
+        self._write_continuations(props.name, props.version, runs, fresh)
 
     def update(self, props: FileProperties, runs: RunTable) -> None:
-        """Rewrite an entry whose properties or runs changed."""
+        """Rewrite an entry whose properties or runs changed.  A handle
+        may hold fewer runs than the table does, so this probes."""
         self.insert(props, runs)
 
     def _write_continuations(
-        self, name: str, version: int, runs: RunTable
+        self, name: str, version: int, runs: RunTable, fresh: bool
     ) -> None:
         spill = runs.runs[MAX_INLINE_RUNS:]
         chunk = 1
@@ -600,6 +690,8 @@ class FsdNameTable:
                 encode_continuation(spill[start : start + MAX_RUNS_PER_CHUNK]),
             )
             chunk += 1
+        if fresh:
+            return
         # Drop stale continuation chunks from an earlier, longer table.
         while self.tree.delete(encode_key(name, version, chunk)):
             chunk += 1
@@ -607,56 +699,58 @@ class FsdNameTable:
     def get(
         self, name: str, version: int
     ) -> tuple[FileProperties, RunTable] | None:
-        """Full entry for (name, version), continuations resolved."""
-        self.clock.advance_cpu(self.clock.cpu.entry_interpret_ms)
-        value = self.tree.get(encode_key(name, version, 0))
-        if value is None:
+        """Full entry for (name, version), continuations resolved; None
+        when there is none."""
+        try:
+            return self.entry(self.walk(name), version)
+        except FileNotFound:
             return None
-        props, runs, total_runs = decode_main_entry(name, version, value)
-        if len(runs.runs) < total_runs:
-            gather_runs(
-                name, version, runs, total_runs,
-                lambda chunk: self.tree.get(encode_key(name, version, chunk)),
-            )
+
+    def remove(self, keys: NameKeys, version: int) -> None:
+        """Delete exactly the keys of ``version`` that the walk saw."""
+        name = keys.name
+        for key_version, chunk, _ in keys.found:
+            if key_version == version:
+                self.tree.delete(encode_key(name, version, chunk))
+
+    def delete(
+        self, name: str, version: int | None = None
+    ) -> tuple[FileProperties, RunTable]:
+        """Remove an entry (the newest when ``version`` is None) and its
+        continuations, resolved in one walk; returns what it held."""
+        keys = self.walk(name)
+        props, runs = self.entry(keys, version)
+        self.remove(keys, props.version)
         return props, runs
 
-    def delete(self, name: str, version: int) -> tuple[FileProperties, RunTable]:
-        """Remove an entry (and its continuations); returns what it held."""
-        entry = self.get(name, version)
-        if entry is None:
-            raise FileNotFound(f"{name}!{version}")
-        self.tree.delete(encode_key(name, version, 0))
-        chunk = 1
-        while self.tree.delete(encode_key(name, version, chunk)):
-            chunk += 1
-        return entry
+    def trim(
+        self, keys: NameKeys, keep: int, created: int | None = None
+    ) -> list[tuple[FileProperties, RunTable]]:
+        """Remove the oldest versions of the walk's name until ``keep``
+        remain (0 keeps every version), counting ``created`` (a version
+        inserted since the walk); returns the removed entries, oldest
+        first."""
+        if keep <= 0:
+            return []
+        versions = keys.versions()
+        if created is not None:
+            versions.append(created)
+        removed = []
+        for version in versions[: max(0, len(versions) - keep)]:
+            removed.append(self.entry(keys, version))
+            self.remove(keys, version)
+        return removed
 
     # ------------------------------------------------------------------
     # version helpers
     # ------------------------------------------------------------------
     def versions(self, name: str) -> list[int]:
-        """All existing versions of ``name``, ascending.
-
-        A leaf some walk has decoded is read from its view.  Any other
-        is decoded key by key, over the name's range only: decoding a
-        whole leaf for the few keys a create's version lookup reads
-        costs more than it saves."""
-        out = []
-        for leaf, first, last in self.tree.scan_leaves(*version_range(name)):
-            view = leaf.view
-            decoded = (
-                map(decode_key, leaf.keys[first:last]) if view is None
-                else view.keys[first:last]
-            )
-            for _, version, chunk in decoded:
-                if chunk == 0:
-                    out.append(version)
-        return out
+        """All existing versions of ``name``, ascending."""
+        return self.walk(name).versions()
 
     def highest_version(self, name: str) -> int | None:
         """Newest version of ``name``, or None."""
-        versions = self.versions(name)
-        return versions[-1] if versions else None
+        return self.walk(name).highest_version()
 
     # ------------------------------------------------------------------
     # enumeration

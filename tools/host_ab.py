@@ -16,9 +16,11 @@ neither) and the change's median against the parent's:
 * the *bound*: the change's median is no worse than the parent's by
   more than the metric's bound in the change tree's ``BENCHMARK.json``.
 
-Every run's value is printed too.  A workload whose operations fail on
-either side, or whose simulated numbers differ between the trees, is
-reported as such.
+A simulated metric (``sim_*``, ``disk_ios_per_op``) is exact per seed,
+so it is printed once a side, as parent -> change with its relative
+change and whether it keeps its bound; a side whose runs disagree on
+one is flagged.  Every run's value of a host metric is printed too.  A
+workload whose operations fail on either side is reported as such.
 Runs are sequential; one pair of ``read_stream`` takes about 30 s.
 """
 
@@ -44,6 +46,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:  # one pair: the run is its own median
+        return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
 
@@ -60,8 +64,17 @@ def report(workload: str, runs: dict[str, list[dict]], bounds: dict) -> None:
         change = [run["metrics"][metric]["value"] for run in runs["change"]]
         sign = 1 if better == "lower" else -1
         if metric.startswith("sim_") or metric == "disk_ios_per_op":
-            same = "identical" if parent == change else "DIFFERENT"
-            print(f"   {metric:16} {change[0]:.6g}  sim, {same}")
+            # Simulated metrics are exact per seed: one value a side.
+            p, c = parent[0], change[0]
+            within = sign * (c - p) <= bound * abs(p)
+            print(
+                f"   {metric:16} parent {p:.6g} -> change {c:.6g}  "
+                f"{(c - p) / p if p else 0.0:+.2%}  sim, "
+                f"{'identical' if p == c else 'changed'}  "
+                f"bound {bound:.0%} {'kept' if within else 'EXCEEDED'}"
+            )
+            if len(set(parent)) > 1 or len(set(change)) > 1:
+                print(f"   {'':16} NOT EXACT: runs of one side differ")
             continue
         p1, pm, p3 = quartiles(parent)
         c1, cm, c3 = quartiles(change)
