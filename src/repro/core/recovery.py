@@ -18,6 +18,7 @@ positions the arm least (:meth:`~repro.disk.sched.IoScheduler.write_batch`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 from repro.btree.node import LEAF, Node
 from repro.core.layout import RootPage, VolumeLayout
@@ -31,7 +32,7 @@ from repro.core.name_table import (
 )
 from repro.core.types import (
     decode_continuation,
-    decode_key,
+    parse_key,
     parse_main_entry,
 )
 from repro.core.vam import VolumeAllocationMap
@@ -289,9 +290,13 @@ def rebuild_vam(
     home: NameTableHome,
     report: MountReport,
     obs=NULL_OBS,
+    memo: bool = True,
 ) -> VolumeAllocationMap:
     """Reconstruct the free map from the name table (paper §5.5): mark
     the metadata extents, then every file's leader and data runs.
+    Without ``memo`` every page is parsed afresh and the disk's sweep
+    memo is neither read nor replaced: ``verify_volume`` builds its
+    reference that way, so a fault in the memo cannot hide from it.
 
     The rebuild needs every entry's runs, not their order, so the name
     table is swept in *physical* order (:func:`_sweep_name_table`)
@@ -306,7 +311,9 @@ def rebuild_vam(
     ladder_fallbacks = home.ladder_fallbacks
     with obs.span("recovery.vam_rebuild") as span:
         try:
-            swept = _sweep_name_table(disk, layout, name_table, home, obs)
+            swept = _sweep_name_table(
+                disk, layout, name_table, home, obs, memo
+            )
         except DegradedVolumeError:
             raise
         except (CorruptMetadata, ValueError):
@@ -343,12 +350,54 @@ def _metadata_vam(
     return vam
 
 
+#: What the sweep takes from one name-table page image: whether it is
+#: a leaf, its entry count, its chunk-0 (file) count, and its leaders
+#: and runs as ``(start, count)`` claims in entry order.
+PageSummary = tuple[bool, int, int, tuple[tuple[int, int], ...]]
+
+_INTERIOR: PageSummary = (False, 0, 0, ())
+
+#: Each disk's last sweep, ``{image: summary}`` for every page it swept.
+#: Scoped to the disk, so one volume's sweep never reads another's, and
+#: dropped with it; a summary is a pure function of the image bytes, so
+#: a hit is exactly the parse it replaces.
+_SWEEP_MEMO: WeakKeyDictionary[SimDisk, dict[bytes, PageSummary]] = (
+    WeakKeyDictionary()
+)
+
+
+def sweep_page(image: bytes) -> PageSummary:
+    """Parse one name-table page image for the VAM rebuild.
+
+    Raises :class:`CorruptMetadata` or ``ValueError`` on an image that
+    does not parse (a bad node, key, entry or continuation chunk).
+    """
+    node = Node.from_bytes(image)
+    if node.kind != LEAF:
+        return _INTERIOR
+    claims: list[tuple[int, int]] = []
+    files = 0
+    for key, value in zip(node.keys, node.values):
+        if parse_key(key)[2]:
+            claims.extend(
+                (run.start, run.count) for run in decode_continuation(value)
+            )
+        else:
+            entry = parse_main_entry(value)
+            files += 1
+            if entry.leader_addr:
+                claims.append((entry.leader_addr, 1))
+            claims.extend(entry.runs)
+    return True, len(node.keys), files, tuple(claims)
+
+
 def _sweep_name_table(
     disk: SimDisk,
     layout: VolumeLayout,
     name_table: FsdNameTable,
     home: NameTableHome,
     obs,
+    memo: bool,
 ) -> tuple[VolumeAllocationMap, int, int] | None:
     """Build a VAM from every allocated name-table page, read in
     ascending page order as multi-sector transfers.
@@ -360,9 +409,14 @@ def _sweep_name_table(
     because on a live mount (``verify_volume``) the newest pages are
     dirty or logged-but-not-home.  CPU is charged as the key-order walk
     charged it: one B-tree node visit per page, one entry
-    interpretation per leaf entry.  On the host each chunk-0 entry is
-    one :func:`parse_main_entry`, and each leaf one
+    interpretation per leaf entry, and each leaf is one
     :meth:`VolumeAllocationMap.claim` of its leaders and runs.
+
+    On the host a page is parsed (:func:`sweep_page`) only when its
+    image is not one this disk's previous sweep parsed (with ``memo``):
+    after a crash most of the table is what the last mount swept.  A
+    page that does not parse is never remembered, so it fails every
+    sweep that meets it.
     """
     pager = name_table.tree.pager
     cache = pager.cache
@@ -371,36 +425,41 @@ def _sweep_name_table(
     interpret_ms = clock.cpu.entry_interpret_ms
     max_io = layout.params.max_io_sectors
     vam = _metadata_vam(disk, layout, obs)
+    previous = _SWEEP_MEMO.get(disk, {}) if memo else {}
+    swept: dict[bytes, PageSummary] = {}
     files = entries = pages = 0
     for first, count in pager.allocated_runs():
         for start in range(first, first + count, max_io):
             images = home.read_run(start, min(max_io, first + count - start))
             for page_no, image in enumerate(images, start):
                 resident = cache.resident_nt(page_no)
-                node = Node.from_bytes(
-                    image if resident is None else resident
-                )
+                if resident is not None:
+                    image = resident
+                summary = previous.get(image)
+                if summary is None:
+                    try:
+                        summary = sweep_page(image)
+                    except (CorruptMetadata, ValueError):
+                        # Charged as far as the parse got: a leaf whose
+                        # entries fail has had its visit and entries; an
+                        # image that is no node raises again, uncharged.
+                        node = Node.from_bytes(image)
+                        clock.advance_cpu(node_ms)
+                        clock.advance_cpu(interpret_ms * len(node.keys))
+                        raise
+                if memo:
+                    swept[image] = summary
                 clock.advance_cpu(node_ms)
                 pages += 1
-                if node.kind != LEAF:
+                leaf, keys, chunk0, claims = summary
+                if not leaf:
                     continue
-                clock.advance_cpu(interpret_ms * len(node.keys))
-                entries += len(node.keys)
-                # The leaf's leaders and runs, in entry order, as one claim.
-                claims: list[tuple[int, int]] = []
-                for key, value in zip(node.keys, node.values):
-                    if decode_key(key)[2]:
-                        claims.extend(
-                            (run.start, run.count)
-                            for run in decode_continuation(value)
-                        )
-                    else:
-                        entry = parse_main_entry(value)
-                        files += 1
-                        if entry.leader_addr:
-                            claims.append((entry.leader_addr, 1))
-                        claims.extend(entry.runs)
+                clock.advance_cpu(interpret_ms * keys)
+                entries += keys
+                files += chunk0
                 vam.claim(claims)
+    if memo:
+        _SWEEP_MEMO[disk] = swept
     if entries != len(name_table.tree):
         return None
     return vam, files, pages

@@ -131,7 +131,8 @@ def _check_vam(fs: FSD, report: VerifyReport, strict: bool) -> None:
     # leaks, not as hazards.
     try:
         reference = rebuild_vam(
-            fs.disk, fs.layout, fs.name_table, fs.nt_home, MountReport()
+            fs.disk, fs.layout, fs.name_table, fs.nt_home, MountReport(),
+            memo=False,
         )
     except CorruptMetadata as error:
         report.add(f"VAM rebuild impossible: {error}")

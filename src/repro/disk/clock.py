@@ -22,8 +22,9 @@ events*: callbacks with a due time.  Two entry points drive them:
   the next daemon wake-up instead of stepping-and-polling.
 
 Cancellation is O(1): :meth:`SimClock.remove_timer` tombstones the
-event (``enabled = False``) and dead entries are swept out lazily when
-they outnumber the live ones — a chaos campaign cancelling thousands of
+event (``enabled = False``, its callback dropped so that it keeps
+nothing alive) and dead entries are swept out lazily when they
+outnumber the live ones — a chaos campaign cancelling thousands of
 deadline timers stays linear.  Registration order is preserved across
 sweeps because simultaneous timers fire in the order they were added.
 """
@@ -77,6 +78,10 @@ class CpuCostModel:
     bsd_write_serial_ms: float = 4.2       # serial extra per block write
     bsd_read_overlap_ms: float = 1.5       # overlapped extra per block read
     bsd_write_overlap_ms: float = 4.0      # overlapped extra per block write
+
+
+def _removed(clock: "SimClock") -> None:
+    """The callback of a removed timer, which never fires."""
 
 
 @dataclass(order=True, slots=True)
@@ -166,6 +171,9 @@ class SimClock:
         if not event.enabled:
             return
         event.enabled = False
+        # The tombstone may outlive its owner by up to
+        # ``_COMPACT_MIN_DEAD`` removals: it must not keep it reachable.
+        event.callback = _removed
         self._dead += 1
         if (
             self._dead >= _COMPACT_MIN_DEAD

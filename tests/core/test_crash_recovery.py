@@ -13,6 +13,9 @@ during home writebacks, and crashes inside the third-entry protocol.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.fsd import FSD
@@ -99,6 +102,23 @@ class TestCommittedSurvives:
             fs.crash()
             fs = FSD.mount(disk)
             verify_contents(fs, expected)
+
+    def test_crashed_mounts_are_freed(self):
+        """A crashed mount's cancelled commit timer stays on the disk's
+        clock as a tombstone; it must not keep the dead FSD, its cache
+        and its parse memo alive."""
+        disk, fs = fresh_fs()
+        crashed = []
+        for cycle in range(4):
+            for index in range(3):
+                fs.create(f"w/c{cycle}-{index}", payload(700, index))
+            fs.force()
+            fs.crash()
+            crashed.append(weakref.ref(fs))
+            fs = FSD.mount(disk)
+        gc.collect()
+        assert [ref() for ref in crashed] == [None] * len(crashed)
+        assert fs.exists("w/c3-2")
 
     def test_crash_without_any_force_since_mount(self):
         disk, fs = fresh_fs()

@@ -12,6 +12,8 @@ bulk transfer climbs the same ladder a single-page read climbs.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from repro.btree.node import LEAF, Node
 from repro.core.fsd import FSD
 from repro.core.layout import VolumeLayout, VolumeParams
 from repro.core.name_table import NameTableHome
+from repro.core import recovery
 from repro.core.recovery import MountReport, rebuild_vam
 from repro.core.types import (
     MAX_INLINE_RUNS,
@@ -31,6 +34,7 @@ from repro.core.types import (
     make_uid,
 )
 from repro.core.vam import VolumeAllocationMap
+from repro.core.verify import verify_volume
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
 from repro.errors import (
@@ -39,6 +43,7 @@ from repro.errors import (
     FileNotFound,
     VolumeFull,
 )
+from repro.harness.fingerprint import disk_digest
 from repro.obs import Observer
 from repro.workloads.generators import payload
 from tests.conftest import create_until_nt_pages
@@ -461,15 +466,25 @@ class TestSweepAcrossAStripeBoundary:
 # ----------------------------------------------------------------------
 # the entry-count guard
 # ----------------------------------------------------------------------
-def _plant_orphan(disk: SimDisk, fs: FSD, runs: list[Run]) -> int:
-    """Mark a free name-table page allocated and fill it with a leaf
-    the tree does not reach.  Returns the page number."""
+def _plant_page(disk: SimDisk, fs: FSD, image: bytes) -> int:
+    """Mark a free name-table page allocated and write ``image`` to
+    both its copies: a page the tree does not reach.  Returns the page
+    number."""
     layout = fs.layout
     allocated = allocated_pages(fs)
     orphan = next(
         page for page in range(2, layout.params.nt_pages)
         if page not in allocated
     )
+    home = NameTableHome(disk, layout)
+    bitmap = bytearray(home.read_page(1))
+    bitmap[orphan // 8] |= 1 << (orphan % 8)
+    home.write_pages([(1, bytes(bitmap)), (orphan, image)])
+    return orphan
+
+
+def _plant_orphan(disk: SimDisk, fs: FSD, runs: list[Run]) -> int:
+    """Plant a leaf holding one entry that claims ``runs``."""
     props = FileProperties(
         name="zz/orphan", version=1, uid=make_uid(9, 9), byte_size=512,
         keep=1, leader_addr=0,
@@ -479,11 +494,7 @@ def _plant_orphan(disk: SimDisk, fs: FSD, runs: list[Run]) -> int:
         keys=[encode_key("zz/orphan", 1, 0)],
         values=[encode_main_entry(props, RunTable(runs))],
     ).to_bytes(GEO.sector_bytes)
-    home = NameTableHome(disk, layout)
-    bitmap = bytearray(home.read_page(1))
-    bitmap[orphan // 8] |= 1 << (orphan % 8)
-    home.write_pages([(1, bytes(bitmap)), (orphan, leaf)])
-    return orphan
+    return _plant_page(disk, fs, leaf)
 
 
 class TestEntryCountGuard:
@@ -549,3 +560,202 @@ class TestEntryCountGuard:
         with pytest.raises(CorruptMetadata, match="outside volume"):
             FSD.mount(disk, obs=obs)
         assert obs.snapshot().counters["recovery.vam_sweep_mismatch"] == 1
+
+
+# ----------------------------------------------------------------------
+# the sweep's memo: one disk, its last sweep
+# ----------------------------------------------------------------------
+def swept_images(fs: FSD) -> set[bytes]:
+    """The image a sweep of ``fs`` reads for each allocated page: the
+    resident one where the cache holds the page, else home."""
+    return {
+        fs.cache.resident_nt(page_no) or fs.nt_home.read_page(page_no)
+        for page_no in allocated_pages(fs)
+    }
+
+
+_memo_history = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("create"),
+            st.integers(0, 11),
+            st.sampled_from(_SIZES),
+        ),
+        st.tuples(st.just("delete"), st.integers(0, 11)),
+        st.tuples(st.just("force")),
+        st.tuples(st.just("crash")),
+    ),
+    max_size=24,
+)
+
+
+def _mounts_of(history, forget: bool) -> list[tuple]:
+    """Run ``history`` on one volume, a crash and mount before and
+    after it and at each ``crash``; with ``forget`` the disk's memo
+    entry is dropped before every mount.  Returns what each mount left:
+    its bitmap, report, clock, counters and disk image."""
+    disk = SimDisk(geometry=GEO)
+    FSD.format(disk, params())
+    fs = FSD.mount(disk)
+    for index in range(24):
+        fs.create(f"base/f{index:02d}", payload(300, index))
+    fs.force()
+    mounts = []
+    for step, op in enumerate([("crash",), *history, ("crash",)]):
+        try:
+            if op[0] == "create":
+                fs.create(f"m/f{op[1]:02d}", payload(op[2], step), keep=0)
+            elif op[0] == "delete":
+                fs.delete(f"m/f{op[1]:02d}")
+            elif op[0] == "force":
+                fs.force()
+        except (FileNotFound, VolumeFull):
+            pass
+        if op[0] != "crash":
+            continue
+        fs.crash()
+        if forget:
+            recovery._SWEEP_MEMO.pop(disk, None)
+        obs = Observer()
+        fs = FSD.mount(disk, obs=obs)
+        clock = disk.clock
+        mounts.append((
+            bytes(fs.vam._bits),
+            fs.mount_report,
+            (clock.now_ms, clock.cpu_busy_ms, clock.disk_busy_ms),
+            obs.snapshot().counters,
+            disk_digest(disk),
+        ))
+    return mounts
+
+
+@settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(history=_memo_history)
+def test_memo_changes_no_mount(history):
+    """Crashes and mounts on one disk, with the memo and with it
+    dropped before every mount: every mount is the same, to the bit,
+    the report, the clock, the counters and the disk image."""
+    assert _mounts_of(history, forget=False) == _mounts_of(
+        history, forget=True
+    )
+
+
+class TestSweepMemo:
+    def test_a_rewritten_page_is_parsed_again(self, monkeypatch):
+        disk, fs = fragmented_volume()
+        fs.crash()
+        fs = FSD.mount(disk)  # the cold sweep fills the memo
+        seen = set(recovery._SWEEP_MEMO[disk])
+        fs.create("frag/new", payload(700, 1))
+        fs.force()
+        fs.crash()
+        parsed = []
+        parse = recovery.sweep_page
+        monkeypatch.setattr(
+            recovery, "sweep_page",
+            lambda image: parsed.append(image) or parse(image),
+        )
+        recovered = FSD.mount(disk)
+        swept = swept_images(recovered)
+        assert set(recovery._SWEEP_MEMO[disk]) == swept
+        assert parsed and set(parsed) == swept - seen
+        assert len(parsed) < recovered.mount_report.vam_sweep_pages
+        assert bytes(recovered.vam._bits) == walk_bits(recovered)
+
+    def test_an_unparseable_image_fails_every_sweep(self):
+        """An empty orphan leaf sweeps clean and is remembered; both
+        its copies then become an image that does not parse, and every
+        later mount's sweep meets it and falls back to the walk."""
+        disk, fs = fragmented_volume()
+        fs.unmount()
+        fs = FSD.mount(disk)
+        fs.crash()
+        empty = Node(kind=LEAF, keys=[], values=[]).to_bytes(GEO.sector_bytes)
+        orphan = _plant_page(disk, fs, empty)
+        obs = Observer()
+        warm = FSD.mount(disk, obs=obs)
+        assert "recovery.vam_sweep_mismatch" not in obs.snapshot().counters
+        assert empty in recovery._SWEEP_MEMO[disk]
+        warm.crash()
+        NameTableHome(disk, fs.layout).write_pages([(orphan, page(0xEE))])
+        for _ in range(2):
+            obs = Observer()
+            recovered = FSD.mount(disk, obs=obs)
+            counters = obs.snapshot().counters
+            assert counters["recovery.vam_sweep_mismatch"] == 1
+            assert bytes(recovered.vam._bits) == walk_bits(recovered)
+            recovered.crash()
+
+    def test_a_failed_parse_is_charged_as_far_as_it_got(self):
+        """A leaf whose node parses but whose entries do not has had
+        its node visit and entry interpretations charged when the sweep
+        gives up; an image that is no node has had nothing.  The walk
+        that follows is the same, so that is the whole difference."""
+        bad_entries = Node(
+            kind=LEAF,
+            keys=[encode_key("zz/a", 1, 0), encode_key("zz/b", 1, 0)],
+            values=[b"\x01\x02", b"\x03"],
+        ).to_bytes(GEO.sector_bytes)
+        cpu_ms = []
+        for image in (bad_entries, page(0xEE)):
+            disk, fs = fragmented_volume()
+            fs.unmount()
+            fs = FSD.mount(disk)
+            fs.crash()
+            _plant_page(disk, fs, image)
+            obs = Observer()
+            start = disk.clock.cpu_busy_ms
+            FSD.mount(disk, obs=obs)
+            assert obs.snapshot().counters["recovery.vam_sweep_mismatch"] == 1
+            cpu_ms.append(disk.clock.cpu_busy_ms - start)
+        cpu = disk.clock.cpu
+        assert cpu_ms[0] - cpu_ms[1] == pytest.approx(
+            cpu.btree_node_ms + 2 * cpu.entry_interpret_ms
+        )
+
+    def test_verify_on_a_live_mount_with_dirty_pages(self, monkeypatch):
+        """``verify_volume``'s reference parses every page afresh and
+        leaves the memo as it was; a rebuild that reads the memo on the
+        same live mount overlays the dirty resident images."""
+        disk, fs = fragmented_volume()
+        fs.crash()
+        fs = FSD.mount(disk)
+        memo = recovery._SWEEP_MEMO[disk]
+        for index in range(12):
+            fs.create(f"live/f{index:02d}", payload(700, index))
+        fs.delete("frag/f01")
+        assert fs.cache.pending_log_pages() > 0
+        parsed = []
+        parse = recovery.sweep_page
+        monkeypatch.setattr(
+            recovery, "sweep_page",
+            lambda image: parsed.append(image) or parse(image),
+        )
+        assert verify_volume(fs).clean
+        assert recovery._SWEEP_MEMO[disk] is memo
+        assert len(parsed) == len(allocated_pages(fs))
+        bits, _ = sweep_bits(fs)
+        assert bits == walk_bits(fs)
+        assert set(recovery._SWEEP_MEMO[disk]) == swept_images(fs)
+        fs.crash()
+        recovered = FSD.mount(disk)
+        assert bytes(recovered.vam._bits) == walk_bits(recovered)
+
+    def test_each_disk_has_its_own_entry_and_it_goes_with_the_disk(self):
+        disk_a, fs_a = fragmented_volume()
+        disk_b, fs_b = fragmented_volume()
+        fs_b.create("only/b", payload(900, 3))
+        fs_b.force()
+        fs_a.crash()
+        fs_b.crash()
+        mounted = [FSD.mount(disk_a), FSD.mount(disk_b)]
+        for disk, fs in zip((disk_a, disk_b), mounted):
+            assert set(recovery._SWEEP_MEMO[disk]) == swept_images(fs)
+        gc.collect()
+        entries = len(recovery._SWEEP_MEMO)
+        del disk, fs, disk_b, fs_b, mounted
+        gc.collect()
+        assert len(recovery._SWEEP_MEMO) == entries - 1
