@@ -26,8 +26,8 @@ from repro.btree import BTree
 from repro.cfs.labels import PAGE_NAME_TABLE, make_label
 from repro.core.types import (
     FileProperties,
-    decode_key,
     encode_key,
+    parse_key,
     prefix_range,
     version_range,
 )
@@ -221,7 +221,7 @@ class CfsNameTable:
         out = []
         for leaf, first, last in self.tree.scan_leaves(*version_range(name)):
             for key in leaf.keys[first:last]:
-                _, version, chunk = decode_key(key)
+                _, version, chunk = parse_key(key)
                 if chunk == 0:
                     out.append(version)
         return out
@@ -237,7 +237,7 @@ class CfsNameTable:
         """Yield (name, version, uid, keep, header_addr) in name order."""
         for leaf, first, last in self.tree.scan_leaves(*prefix_range(prefix)):
             for key, value in zip(leaf.keys[first:last], leaf.values[first:last]):
-                name, version, chunk = decode_key(key)
+                name, version, chunk = parse_key(key)
                 if prefix and not name.startswith(prefix):
                     return
                 if chunk != 0:

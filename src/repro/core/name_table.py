@@ -27,12 +27,12 @@ from repro.core.types import (
     FileProperties,
     RunTable,
     decode_continuation,
-    decode_key,
     decode_main_entry,
     encode_continuation,
     encode_key,
     encode_main_entry,
     parse_key,
+    parse_main_entry,
     prefix_range,
     version_range,
 )
@@ -83,7 +83,7 @@ def leaf_entries(image: bytes) -> list[tuple[tuple[str, int, int], bytes]]:
     entries = []
     for key, value in zip(node.keys, node.values):
         try:
-            entries.append((decode_key(key), value))
+            entries.append((parse_key(key), value))
         except (CorruptMetadata, UnicodeDecodeError):
             continue
     return entries
@@ -628,7 +628,7 @@ class FsdNameTable:
         for leaf, first, last in self.tree.scan_leaves(*version_range(name)):
             view = leaf.view
             decoded = (
-                map(decode_key, leaf.keys[first:last]) if view is None
+                map(parse_key, leaf.keys[first:last]) if view is None
                 else view.keys[first:last]
             )
             for (_, version, chunk), value in zip(
@@ -748,10 +748,6 @@ class FsdNameTable:
         """All existing versions of ``name``, ascending."""
         return self.walk(name).versions()
 
-    def highest_version(self, name: str) -> int | None:
-        """Newest version of ``name``, or None."""
-        return self.walk(name).highest_version()
-
     # ------------------------------------------------------------------
     # enumeration
     # ------------------------------------------------------------------
@@ -829,9 +825,9 @@ class FsdNameTable:
                     clock.cpu_busy_ms += interpret_ms
                     if chunk == 0:
                         have_main = True
-                        out.append(decode_main_entry(
-                            name, version, leaf.values[index]
-                        )[0])
+                        out.append(parse_main_entry(
+                            leaf.values[index]
+                        ).properties(name, version))
                     elif not have_main:
                         raise _orphan(name, version)
                 continue
@@ -893,7 +889,8 @@ def _leaf_view(leaf: Node, props: bool = False) -> _LeafView | None:
             view = leaf.view = _LeafView([parse_key(key) for key in leaf.keys])
         if props and view.props is None:
             view.props = [
-                None if chunk else decode_main_entry(name, version, value)[0]
+                None if chunk
+                else parse_main_entry(value).properties(name, version)
                 for (name, version, chunk), value in zip(view.keys, leaf.values)
             ]
     except (CorruptMetadata, ValueError):

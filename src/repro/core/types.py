@@ -57,9 +57,6 @@ class Run:
     def end(self) -> int:
         return self.start + self.count
 
-    def __contains__(self, sector: int) -> bool:
-        return self.start <= sector < self.end
-
 
 @dataclass(slots=True)
 class RunTable:
@@ -131,10 +128,6 @@ class RunTable:
         self.runs = kept
         return freed
 
-    def copy(self) -> "RunTable":
-        """Shallow-independent copy of the run list."""
-        return RunTable(list(self.runs))
-
 
 @dataclass(slots=True)
 class FileProperties:
@@ -156,18 +149,8 @@ class FileProperties:
         return replace(self, **kwargs)
 
 
-#: name -> validated encoding; every entry point validates its name
-#: argument, and workloads reuse a small set of names heavily.  Only
-#: names that pass validation are memoised, so error paths replay.
-_NAME_MEMO: dict[str, bytes] = {}
-_NAME_MEMO_LIMIT = 8192
-
-
 def validate_name(name: str) -> bytes:
     """Check and encode a file name for use as a B-tree key component."""
-    cached = _NAME_MEMO.get(name)
-    if cached is not None:
-        return cached
     encoded = name.encode("utf-8")
     if not encoded:
         raise FsError("empty file name")
@@ -175,9 +158,6 @@ def validate_name(name: str) -> bytes:
         raise FsError(f"file name longer than {MAX_NAME_BYTES} bytes: {name!r}")
     if b"\x00" in encoded:
         raise FsError("file names may not contain NUL")
-    if len(_NAME_MEMO) >= _NAME_MEMO_LIMIT:
-        _NAME_MEMO.clear()
-    _NAME_MEMO[name] = encoded
     return encoded
 
 
@@ -242,25 +222,6 @@ def parse_key(key: bytes) -> tuple[str, int, int]:
     )
 
 
-#: :func:`parse_key` memo for the per-key decoders (version lookups of
-#: leaves no listing has decoded, CFS); the decoded triple is an
-#: immutable tuple — safe to share.
-_KEY_MEMO: dict[bytes, tuple[str, int, int]] = {}
-_KEY_MEMO_LIMIT = 8192
-
-
-def decode_key(key: bytes) -> tuple[str, int, int]:
-    """:func:`parse_key`, memoised by key bytes."""
-    decoded = _KEY_MEMO.get(key)
-    if decoded is not None:
-        return decoded
-    decoded = parse_key(key)
-    if len(_KEY_MEMO) >= _KEY_MEMO_LIMIT:
-        _KEY_MEMO.clear()
-    _KEY_MEMO[key] = decoded
-    return decoded
-
-
 # ----------------------------------------------------------------------
 # B-tree value codecs
 # ----------------------------------------------------------------------
@@ -272,12 +233,9 @@ def _pack_runs(packer: Packer, runs: list[Run]) -> None:
 
 
 def encode_main_entry(props: FileProperties, runs: RunTable) -> bytes:
-    """Serialize the chunk-0 name-table entry for a file.
-
-    Emits exactly the bytes the :class:`Packer`-based reference
-    (:func:`_reference_encode_main_entry`) would, via precompiled
-    structs — this encoder runs on every name-table update.
-    """
+    """Serialize the chunk-0 name-table entry for a file: the fields of
+    :class:`MainEntry`, in its order, via precompiled structs — this
+    encoder runs on every name-table update."""
     inline = runs.runs[:MAX_INLINE_RUNS]
     target = props.remote_target.encode("utf-8")
     if len(target) > MAX_NAME_BYTES:
@@ -305,26 +263,8 @@ def encode_main_entry(props: FileProperties, runs: RunTable) -> bytes:
     return b"".join(parts)
 
 
-def _reference_encode_main_entry(props: FileProperties, runs: RunTable) -> bytes:
-    """The original Packer-based encoder, kept as the property-test
-    reference for the struct fast path above."""
-    inline = runs.runs[:MAX_INLINE_RUNS]
-    packer = Packer()
-    packer.u8(int(props.kind))
-    packer.u64(props.uid)
-    packer.u64(props.byte_size)
-    packer.f64(props.create_time_ms)
-    packer.f64(props.last_used_ms)
-    packer.u8(props.keep)
-    packer.u32(props.leader_addr)
-    packer.u16(len(runs.runs))
-    packer.string(props.remote_target, max_len=MAX_NAME_BYTES)
-    _pack_runs(packer, inline)
-    return packer.bytes()
-
-
-#: fixed-width prefix of a chunk-0 entry, matching the Packer calls in
-#: :func:`encode_main_entry` field for field.
+#: fixed-width prefix of a chunk-0 entry: kind, uid, byte size, the two
+#: times, keep, leader address and total run count.
 _MAIN_PREFIX = struct.Struct("<BQQddBIH")
 #: one (start u32, count u16) run record.
 _RUN_RECORD = struct.Struct("<IH")
@@ -359,6 +299,16 @@ class MainEntry(NamedTuple):
     #: the inline runs as ``(start, count)`` pairs.
     runs: tuple[tuple[int, int], ...]
 
+    def properties(self, name: str, version: int) -> FileProperties:
+        """The entry's properties under its key's name and version."""
+        # Positional construction: this pairs with the field order of
+        # FileProperties and skips per-call keyword processing.
+        return FileProperties(
+            name, version, self.uid, self.kind, self.byte_size,
+            self.create_time_ms, self.last_used_ms, self.keep,
+            self.leader_addr, self.remote_target,
+        )
+
 
 def parse_main_entry(value: bytes) -> MainEntry:
     """The one checked parse of a chunk-0 entry's bytes.
@@ -366,7 +316,8 @@ def parse_main_entry(value: bytes) -> MainEntry:
     Raises :class:`CorruptMetadata` on a truncated entry, and
     ``ValueError`` on a bad remote-target encoding, a zero-length run or
     a bad kind byte, in that order.  :func:`decode_main_entry` builds
-    the properties and run table on top of it; the recovery sweep and
+    the properties and run table on top of it, a listing the properties
+    alone (:meth:`MainEntry.properties`); the recovery sweep and
     the leader veto take only the leader, uid and runs, and build
     nothing.  Structs, one per inline run count, and no per-run Python:
     the sweep parses every entry of the table on every rebuild.
@@ -394,68 +345,23 @@ def parse_main_entry(value: bytes) -> MainEntry:
     )
 
 
-#: parse memo for chunk-0 entries, keyed by entry bytes: every
-#: ``enumerate`` and every new leaf view of the name table re-decodes
-#: the same entries, so the decoded FileProperties is cached
-#: whole and only the RunTable wrapper (whose ``runs`` list callers
-#: extend and truncate) is rebuilt per call.  FileProperties is never
-#: mutated in place — updates go through ``with_updates`` — and Run
-#: objects are frozen, so both are safely shared across decodes.
-_MAIN_MEMO: dict[bytes, tuple] = {}
-_MAIN_MEMO_LIMIT = 4096
-
-
 def decode_main_entry(
     name: str, version: int, value: bytes
 ) -> tuple[FileProperties, RunTable, int]:
-    """Decode a chunk-0 entry.
+    """Decode a chunk-0 entry: :func:`parse_main_entry`, and the
+    properties and run table built on it (a caller that wants only the
+    properties takes :meth:`MainEntry.properties`).
 
     Returns (properties, inline run table, total run count); when the
     total exceeds the inline count, the caller must read continuation
     chunks to complete the run table.
-
-    Built on :func:`parse_main_entry` and memoised by entry bytes: this
-    runs once per entry of every ``enumerate``, making it one of the
-    hottest metadata parses in the system.
     """
-    fields = _MAIN_MEMO.get(value)
-    if fields is None:
-        entry = parse_main_entry(value)
-        # Positional construction: this pairs with the field order of
-        # FileProperties and skips per-call keyword processing.
-        props = FileProperties(
-            name,
-            version,
-            entry.uid,
-            entry.kind,
-            entry.byte_size,
-            entry.create_time_ms,
-            entry.last_used_ms,
-            entry.keep,
-            entry.leader_addr,
-            entry.remote_target,
-        )
-        fields = (props, tuple(starmap(Run, entry.runs)), entry.total_runs)
-        if len(_MAIN_MEMO) >= _MAIN_MEMO_LIMIT:
-            _MAIN_MEMO.clear()
-        _MAIN_MEMO[value] = fields
-    props, run_tuple, total_runs = fields
-    if props.name != name or props.version != version:
-        # Same entry bytes under a different key (the value encodes
-        # no name/version): rebuild the properties for this key.
-        props = FileProperties(
-            name,
-            version,
-            props.uid,
-            props.kind,
-            props.byte_size,
-            props.create_time_ms,
-            props.last_used_ms,
-            props.keep,
-            props.leader_addr,
-            props.remote_target,
-        )
-    return props, RunTable(list(run_tuple)), total_runs
+    entry = parse_main_entry(value)
+    return (
+        entry.properties(name, version),
+        RunTable(list(starmap(Run, entry.runs))),
+        entry.total_runs,
+    )
 
 
 def encode_continuation(runs: list[Run]) -> bytes:

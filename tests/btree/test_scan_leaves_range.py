@@ -247,6 +247,8 @@ def test_versions_of_neighbouring_names_equal_the_model(history):
     assert fsd.tree.depth() >= 2
     for name, versions in model.items():
         want = sorted(versions)
+        newest = want[-1] if want else None
         for table in (fsd, cfs):
             assert table.versions(name) == want, name
-            assert table.highest_version(name) == (want[-1] if want else None)
+        assert fsd.walk(name).highest_version() == newest
+        assert cfs.highest_version(name) == newest

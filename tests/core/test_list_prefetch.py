@@ -21,7 +21,7 @@ from repro.core.name_table import (
     NameTablePager,
     _prefetch_runs,
 )
-from repro.core.types import decode_key
+from repro.core.types import parse_key
 from repro.core.verify import verify_volume
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
@@ -350,7 +350,7 @@ def volume(cache_pages: int, **mount) -> tuple[SimDisk, FSD, list[str]]:
 def leaves(fs: FSD) -> list[list[str]]:
     """Names per leaf, in key order."""
     return [
-        [decode_key(key)[0] for key in leaf.keys]
+        [parse_key(key)[0] for key in leaf.keys]
         for leaf, _, _ in fs.name_table.tree.scan_leaves()
     ]
 

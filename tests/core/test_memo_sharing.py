@@ -1,16 +1,16 @@
-"""The decode memos are process-global; sharing them changes no result.
+"""The B-tree's parse memo changes no result.
 
-``types._NAME_MEMO``, ``_KEY_MEMO`` and ``_MAIN_MEMO`` live for the
-whole process and are shared by every volume in it; each B-tree's
-parse memo is bounded by ``btree._PARSE_MEMO_LIMIT``.  A memo entry is
-keyed by the bytes (or name) it decodes, so neither a memo that holds
-one entry nor one filled by another volume may change what a volume
-does.  Hypothesis draws op streams over names that share prefixes, with
+Each B-tree keeps a memo of parsed pages, keyed by page image and
+bounded by ``btree._PARSE_MEMO_LIMIT``; the name table's leaf views
+live on its entries.  It is the one parse memo shared by everything a
+volume does, so neither a memo that holds one entry nor a second
+volume running in the same process may change what a volume does.
+Hypothesis draws op streams over names that share prefixes, with
 renames putting one entry's bytes under a second name, and runs them
-three ways: alone at the default limits (the reference), with every
-limit at 1, and as two volumes' streams interleaved in one process.
-Every op's result, the simulated clock and the disk image must match
-the reference.
+three ways: alone at the default limit (the reference), with the limit
+at 1, and as two volumes' streams interleaved in one process.  Every
+op's result, the simulated clock and the disk image must match the
+reference.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import types
 from repro.core.fsd import FSD
 from repro.crashcheck.scenarios import CRASH_SCALE
 from repro.disk.disk import SimDisk
@@ -50,14 +49,6 @@ OPS = st.builds(
         max_size=32,
     ),
 )
-
-MEMO_LIMITS = (
-    "repro.core.types._NAME_MEMO_LIMIT",
-    "repro.core.types._KEY_MEMO_LIMIT",
-    "repro.core.types._MAIN_MEMO_LIMIT",
-    "repro.btree.btree._PARSE_MEMO_LIMIT",
-)
-
 
 def _apply(fs: FSD, op: tuple) -> object:
     kind, name, arg = op
@@ -109,22 +100,13 @@ def _alone(ops: list) -> tuple:
     return volume.finish()
 
 
-def _clear_memos() -> None:
-    types._NAME_MEMO.clear()
-    types._KEY_MEMO.clear()
-    types._MAIN_MEMO.clear()
-
-
 @settings(max_examples=60, deadline=None)
 @given(first=OPS, second=OPS)
 def test_memo_sharing_cannot_change_a_result(first, second):
-    _clear_memos()
     reference = (_alone(first), _alone(second))
 
     with pytest.MonkeyPatch.context() as patch:
-        for limit in MEMO_LIMITS:
-            patch.setattr(limit, 1)
-        _clear_memos()
+        patch.setattr("repro.btree.btree._PARSE_MEMO_LIMIT", 1)
         assert _alone(first) == reference[0]
 
     one, two = _Volume(first), _Volume(second)

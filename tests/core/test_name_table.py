@@ -266,8 +266,8 @@ class TestTypedTable:
                 props_for("f", version=version), RunTable([Run(2000 + version, 1)])
             )
         assert table.versions("f") == [1, 2, 3]
-        assert table.highest_version("f") == 3
-        assert table.highest_version("ghost") is None
+        assert table.walk("f").highest_version() == 3
+        assert table.walk("ghost").highest_version() is None
 
     def test_continuation_runs_roundtrip(self, table):
         runs = RunTable([Run(3000 + i * 10, 2) for i in range(45)])

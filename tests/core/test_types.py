@@ -13,27 +13,23 @@ from repro.core.types import (
     Run,
     RunTable,
     decode_continuation,
-    decode_key,
     decode_main_entry,
     encode_continuation,
     encode_key,
     encode_main_entry,
     make_uid,
+    parse_key,
     parse_main_entry,
     validate_name,
     version_range,
-    _reference_encode_main_entry,
 )
 from repro.errors import CorruptMetadata, FsError
-from repro.serial import Unpacker
+from repro.serial import Packer, Unpacker
 
 
 class TestRun:
-    def test_end_and_contains(self):
-        run = Run(10, 5)
-        assert run.end == 15
-        assert 10 in run and 14 in run
-        assert 9 not in run and 15 not in run
+    def test_end(self):
+        assert Run(10, 5).end == 15
 
     @pytest.mark.parametrize("start,count", [(-1, 5), (0, 0), (3, -2)])
     def test_invalid_rejected(self, start, count):
@@ -96,12 +92,6 @@ class TestRunTable:
         assert freed == [Run(0, 2), Run(5, 2)]
         assert table.runs == []
 
-    def test_copy_is_shallow_safe(self):
-        table = RunTable([Run(0, 1)])
-        clone = table.copy()
-        clone.append(Run(5, 1))
-        assert len(table.runs) == 1
-
 
 class TestNameValidation:
     def test_valid(self):
@@ -116,7 +106,7 @@ class TestNameValidation:
 class TestKeyCodec:
     def test_roundtrip(self):
         key = encode_key("a/b.txt", 3, 1)
-        assert decode_key(key) == ("a/b.txt", 3, 1)
+        assert parse_key(key) == ("a/b.txt", 3, 1)
 
     def test_versions_sort_numerically(self):
         assert encode_key("f", 2) < encode_key("f", 10)
@@ -156,7 +146,7 @@ class TestKeyCodec:
     def test_roundtrip_property(self, name, version, chunk):
         if len(name.encode("utf-8")) > 64:
             return
-        assert decode_key(encode_key(name, version, chunk)) == (
+        assert parse_key(encode_key(name, version, chunk)) == (
             name, version, chunk,
         )
 
@@ -183,6 +173,7 @@ class TestEntryCodecs:
         value = encode_main_entry(props, runs)
         back, back_runs, total = decode_main_entry("dir/file", 2, value)
         assert back == props
+        assert parse_main_entry(value).properties("dir/file", 2) == props
         assert back_runs.runs == runs.runs
         assert total == 2
 
@@ -199,6 +190,19 @@ class TestEntryCodecs:
         back, _, _ = decode_main_entry("dir/file", 2, value)
         assert back.kind == FileKind.SYMLINK
         assert back.remote_target == "server/x"
+
+    def test_decodes_share_no_objects(self):
+        """Two decodes of one entry's bytes build their own properties
+        and run tables: what a caller changes in one, the other never
+        sees."""
+        value = encode_main_entry(self._props(), RunTable([Run(778, 10)]))
+        first, first_runs, _ = decode_main_entry("dir/file", 2, value)
+        second, second_runs, _ = decode_main_entry("dir/file", 2, value)
+        assert first == second and first is not second
+        first.byte_size = 1
+        first_runs.append(Run(900, 1))
+        assert second.byte_size == 12345
+        assert second_runs.runs == [Run(778, 10)]
 
     def test_continuation_roundtrip(self):
         runs = [Run(5, 2), Run(50, 7)]
@@ -268,6 +272,27 @@ class TestMainEntryEncoder:
             encode_main_entry(props, runs)
         with pytest.raises(ValueError):
             _reference_encode_main_entry(props, runs)
+
+
+def _reference_encode_main_entry(props: FileProperties, runs: RunTable) -> bytes:
+    """A chunk-0 entry written field by field with a :class:`Packer`:
+    the reference for the struct encoder."""
+    inline = runs.runs[:MAX_INLINE_RUNS]
+    packer = Packer()
+    packer.u8(int(props.kind))
+    packer.u64(props.uid)
+    packer.u64(props.byte_size)
+    packer.f64(props.create_time_ms)
+    packer.f64(props.last_used_ms)
+    packer.u8(props.keep)
+    packer.u32(props.leader_addr)
+    packer.u16(len(runs.runs))
+    packer.string(props.remote_target, max_len=MAX_NAME_BYTES)
+    packer.u8(len(inline))
+    for run in inline:
+        packer.u32(run.start)
+        packer.u16(run.count)
+    return packer.bytes()
 
 
 def _reference_parse(value: bytes) -> tuple[int, int, list[tuple[int, int]]]:
