@@ -68,10 +68,6 @@ class BufferCache:
         """A crash: every buffered block vanishes."""
         self._blocks.clear()
 
-    def forget(self, address: int) -> None:
-        """Drop one block from the cache."""
-        self._blocks.pop(address, None)
-
     def _remember(self, address: int, data: bytes) -> None:
         self._blocks[address] = data
         self._blocks.move_to_end(address)

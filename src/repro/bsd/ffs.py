@@ -68,10 +68,6 @@ class FfsFile:
     inode: Inode
     path: str
 
-    @property
-    def size(self) -> int:
-        return self.inode.size
-
 
 @dataclass
 class FfsOpCounts:
@@ -441,15 +437,6 @@ class FFS:
             out.append((name, inode.size, inode.mtime_ms))
         return out
 
-    def exists(self, path: str) -> bool:
-        """True when ``path`` resolves."""
-        self._enter()
-        try:
-            self._namei(path)
-            return True
-        except FileNotFound:
-            return False
-
     # ==================================================================
     # internals
     # ==================================================================
@@ -603,7 +590,3 @@ class FFS:
                 self.cache.write_block(address, encode_dir_block(kept))
                 return
         raise FileNotFound(name)
-
-    @property
-    def mounted(self) -> bool:
-        return self._mounted

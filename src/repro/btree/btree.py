@@ -207,9 +207,6 @@ class BTree:
     def __len__(self) -> int:
         return self._count
 
-    def __contains__(self, key: bytes) -> bool:
-        return self.get(key) is not None
-
     # ------------------------------------------------------------------
     # meta page
     # ------------------------------------------------------------------
@@ -532,10 +529,6 @@ class BTree:
                 child, bounds[index], bounds[index + 1], depth + 1, nodes, used
             )
         return total
-
-    def depth(self) -> int:
-        """Current tree height (1 = a single leaf)."""
-        return self._height
 
 
 # ----------------------------------------------------------------------

@@ -80,10 +80,6 @@ class CfsFile:
     header_addr: int
 
     @property
-    def name(self) -> str:
-        return self.props.name
-
-    @property
     def byte_size(self) -> int:
         return self.props.byte_size
 
@@ -334,20 +330,6 @@ class CFS:
             out.append(props)
         return out
 
-    def versions(self, name: str) -> list[int]:
-        """All live versions of ``name``, ascending."""
-        self._enter()
-        return self.name_table.versions(name)
-
-    def exists(self, name: str, version: int | None = None) -> bool:
-        """True when the file (version) exists."""
-        self._enter()
-        try:
-            self._resolve(name, version)
-            return True
-        except FileNotFound:
-            return False
-
     # ==================================================================
     # internals
     # ==================================================================
@@ -516,10 +498,6 @@ class CFS:
         address = handle.runs.sector_of_page(page)
         labels = data_labels(handle.props.uid, page, 1)
         return self.disk.read(address, 1, expect_labels=labels)[0]
-
-    @property
-    def mounted(self) -> bool:
-        return self._mounted
 
 
 def _strip_header(table: RunTable) -> RunTable:

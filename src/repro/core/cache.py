@@ -489,6 +489,3 @@ class MetadataCache:
             del self._entries[key]
         self.evictions += excess
         self.obs.count("cache.evictions", excess)
-
-    def __len__(self) -> int:
-        return len(self._entries)

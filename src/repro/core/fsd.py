@@ -978,25 +978,6 @@ class FSD:
         handle.leader_verified = True
         self.ops.leader_verifies += 1
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def mounted(self) -> bool:
-        return self._mounted
-
-    def metadata_io_stats(self) -> dict[str, int]:
-        """Counters for the logging/commit machinery (benchmark aid)."""
-        return {
-            "log_records": self.wal.records_written,
-            "log_sectors": self.wal.sectors_logged,
-            "pages_logged": self.wal.pages_logged,
-            "cache_hits": self.cache.hits,
-            "cache_misses": self.cache.misses,
-            "home_writes": self.cache.home_writes,
-            "forces": self.coordinator.forces,
-        }
-
 
 def place_file(
     fs: FSD,

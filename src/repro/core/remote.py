@@ -171,10 +171,6 @@ class CachingFS:
     def _cache_name(self, server_name: str, path: str) -> str:
         return f"{CACHE_PREFIX}/{server_name}/{path}"
 
-    def read(self, handle: FsdFile, offset: int = 0, length: int | None = None) -> bytes:
-        """Read through to the underlying FSD volume."""
-        return self.fs.read(handle, offset, length)
-
     # ------------------------------------------------------------------
     # flushing
     # ------------------------------------------------------------------

@@ -200,12 +200,6 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # appending
     # ------------------------------------------------------------------
-    def append(self, pages: list[LoggedPage]) -> int:
-        """Write one or more records carrying ``pages``; returns sectors
-        written.  Splits batches larger than the per-record page cap."""
-        records = self.append_records(pages)
-        return sum(record_sectors(len(chunk)) for _, _, chunk in records)
-
     def append_records(
         self, pages: list[LoggedPage]
     ) -> list[tuple[int, int, list[LoggedPage]]]:

@@ -27,7 +27,6 @@ from repro.crashcheck.engine import (
     CrashImage,
     SweepSummary,
     Violation,
-    crashed_image,
     explore,
     materialize,
 )
@@ -50,7 +49,6 @@ from repro.crashcheck.workload import (
     Op,
     Recording,
     record_scenario,
-    run_with_armed_crash,
 )
 
 __all__ = [
@@ -68,11 +66,9 @@ __all__ = [
     "StructuralOracle",
     "SweepSummary",
     "Violation",
-    "crashed_image",
     "default_oracles",
     "explore",
     "get_scenario",
     "materialize",
     "record_scenario",
-    "run_with_armed_crash",
 ]

@@ -23,7 +23,7 @@ prefix of the stream applied to the body-start snapshot, plus the
 variant's partial effect.  The simulation is deterministic, so the
 synthesized image is byte-identical to what an armed
 :class:`~repro.disk.faults.CrashPlan` would leave (a test
-cross-validates this).  A deduplicating work queue then skips crash
+cross-validates this against a live replay).  A deduplicating work queue then skips crash
 points whose persisted image — and committed-op watermark — some
 earlier point already produced: a read boundary, for example, leaves
 exactly the image of the previous write's full-persist variant.
@@ -135,28 +135,6 @@ def apply_torn(
         for offset, label in enumerate(rec.labels):
             state.labels[rec.address + offset] = label
     # reads: nothing of the in-flight operation persists
-
-
-def crashed_image(
-    recording: Recording,
-    boundary: int,
-    surviving_sectors: int | None = None,
-    damage_tail: int = 0,
-) -> CrashImage:
-    """Synthesize the image of a crash firing on body I/O ``boundary``
-    (``boundary == io_total`` means "after the last I/O")."""
-    state = recording.base.clone()
-    for rec in recording.records[:boundary]:
-        apply_full(state, rec)
-    if boundary < recording.io_total:
-        apply_torn(
-            state,
-            recording.records[boundary],
-            surviving_sectors,
-            damage_tail,
-            recording.scenario.scale.geometry.total_sectors,
-        )
-    return CrashImage(geometry=recording.scenario.scale.geometry, state=state)
 
 
 # ----------------------------------------------------------------------

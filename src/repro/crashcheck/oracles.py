@@ -47,7 +47,9 @@ def model_apply(stacks: dict[str, list[bytes]], op: Op) -> None:
     Mirrors FSD semantics: a create pushes the next version (trimming
     the oldest past ``keep`` when retention is bounded); a delete pops
     the newest version, exposing the previous one if any; an in-place
-    write replaces the newest version's content.
+    write replaces the newest version's content and a truncate cuts it
+    to its first ``size`` bytes; ``set_keep`` trims the oldest versions
+    past ``keep``.
     """
     if op.kind == "create":
         stack = stacks.setdefault(op.name, [])
@@ -63,7 +65,15 @@ def model_apply(stacks: dict[str, list[bytes]], op: Op) -> None:
     elif op.kind == "write":
         if op.name in stacks:
             stacks[op.name][-1] = op.data
-    # "force" and "checkpoint" have no namespace effect
+    elif op.kind == "truncate":
+        if op.name in stacks:
+            stacks[op.name][-1] = stacks[op.name][-1][: op.size]
+    elif op.kind == "set_keep":
+        stack = stacks.get(op.name)
+        if stack and op.keep > 0 and len(stack) > op.keep:
+            del stack[: len(stack) - op.keep]
+    elif op.kind not in ("force", "checkpoint"):  # no namespace effect
+        raise NotImplementedError(f"model_apply has no case for {op.kind!r}")
 
 
 def model_state(ops: list[Op]) -> dict[str, list[bytes]]:

@@ -241,6 +241,43 @@ def _mid_checkpoint() -> CrashScenario:
     )
 
 
+def _keep_trim() -> CrashScenario:
+    """Contracting and trimming: truncates that free whole runs and cut
+    one mid-sector, and ``keep`` changes that drop old versions.  Both
+    free sectors through the shadow bitmap and rewrite a leader, so a
+    crash inside either must leave the file whole at its old size or
+    its new one, and the trimmed versions all there or all gone.  Each
+    committed round is checkpointed, so the rewritten leaders and
+    name-table pages also go home under the crash."""
+    doc, log = "keep/doc", "keep/log"
+    body = (
+        Op("create", doc, payload(2900, 4)),
+        Op("truncate", doc, size=700),
+        Op("set_keep", doc, keep=2),
+        Op("force"),
+        Op("checkpoint"),
+        Op("create", log, payload(3100, 6)),
+        Op("truncate", log, size=1024),
+        Op("truncate", doc, size=0),
+        Op("force"),
+        Op("checkpoint"),
+        Op("set_keep", log, keep=1),
+        Op("create", "keep/never-forced", payload(600, 8)),
+    )
+    return CrashScenario(
+        name="keep_trim",
+        description="truncates and keep changes freeing sectors through "
+        "the shadow bitmap, crashed mid-commit",
+        scale=CRASH_SCALE,
+        setup=_aged_setup(12) + tuple(
+            Op("create", name, payload(1200 + 400 * version, version))
+            for name in (doc, log) for version in range(3)
+        ),
+        body=body,
+        checkpoint_interval_ms=1e12,
+    )
+
+
 SCENARIOS: dict[str, CrashScenario] = {
     scenario.name: scenario
     for scenario in (
@@ -249,6 +286,7 @@ SCENARIOS: dict[str, CrashScenario] = {
         _wrap(),
         _concurrent_burst(),
         _mid_checkpoint(),
+        _keep_trim(),
     )
 }
 

@@ -62,10 +62,6 @@ class SoakConfig:
     #: per-op probability of a crash/remount cycle mid-run.
     crash_probability: float = 0.12
 
-    @property
-    def total_faults(self) -> int:
-        return self.runs * self.faults_per_run
-
 
 @dataclass
 class RunResult(Outcome):

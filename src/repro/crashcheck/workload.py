@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.fsd import FSD
 from repro.disk.disk import SimDisk, _pad_label
-from repro.errors import SimulatedCrash
 from repro.harness.adapters import FsdAdapter
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,6 +34,12 @@ if TYPE_CHECKING:  # pragma: no cover
 # ----------------------------------------------------------------------
 # op scripts
 # ----------------------------------------------------------------------
+#: every op kind a script may hold (see :class:`Op`).
+OP_KINDS = (
+    "create", "delete", "force", "checkpoint", "write", "truncate", "set_keep"
+)
+
+
 @dataclass(frozen=True)
 class Op:
     """One step of a workload script.
@@ -44,22 +49,24 @@ class Op:
     (an explicit group commit; the script's durability points),
     ``"checkpoint"`` (one background checkpointer tick: write-home of
     every logged image plus the anchor advance — only legal in
-    scenarios mounted with a checkpoint interval) or ``"write"`` (the
-    newest version of ``name`` now holds ``data``, rewritten in place:
-    data sectors are not logged, so this is no crash-atomic step and
-    only the campaign oracle of :mod:`repro.crashcheck.outcome` models
-    it — explorer scenarios cannot script it).
+    scenarios mounted with a checkpoint interval), ``"truncate"`` (the
+    newest version of ``name`` keeps its first ``size`` bytes),
+    ``"set_keep"`` (``name`` retains ``keep`` versions; older ones go)
+    or ``"write"`` (the newest version of ``name`` now holds ``data``,
+    rewritten in place: data sectors are not logged, so this is no
+    crash-atomic step and only the campaign oracle of
+    :mod:`repro.crashcheck.outcome` models it — explorer scenarios
+    cannot script it).
     """
 
     kind: str
     name: str = ""
     data: bytes = b""
     keep: int = 0
+    size: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in (
-            "create", "delete", "force", "checkpoint", "write"
-        ):
+        if self.kind not in OP_KINDS:
             raise ValueError(f"unknown op kind {self.kind!r}")
 
 
@@ -92,10 +99,6 @@ class IoRec:
     payloads: tuple[bytes, ...] = ()
     set_labels: tuple[bytes, ...] | None = None
     labels: tuple[bytes, ...] = ()
-
-    @property
-    def is_write(self) -> bool:
-        return self.kind == "write"
 
 
 class DiskRecorder:
@@ -264,16 +267,24 @@ def _build_volume(
 
 def apply_op(adapter, op: Op) -> None:
     """Apply one script op through the harness adapter surface."""
+    fs = adapter.fs
     if op.kind == "create":
         adapter.create(op.name, op.data, keep=op.keep)
     elif op.kind == "delete":
         adapter.delete(op.name)
+    elif op.kind == "truncate":
+        fs.truncate(fs.open(op.name), op.size)
+    elif op.kind == "set_keep":
+        fs.set_keep(op.name, op.keep)
     elif op.kind == "checkpoint":
-        adapter.fs.checkpointer.tick()
+        fs.checkpointer.tick()
     elif op.kind == "force":
         adapter.settle()
+    elif op.kind == "write":
+        raise ValueError("op kind 'write' cannot be scripted: in-place "
+                         "data writes are not crash-atomic")
     else:
-        raise ValueError(f"op kind {op.kind!r} cannot be scripted")
+        raise NotImplementedError(f"apply_op has no case for {op.kind!r}")
 
 
 def record_scenario(scenario: "CrashScenario", **mount) -> Recording:
@@ -312,33 +323,3 @@ def record_scenario(scenario: "CrashScenario", **mount) -> Recording:
         applied=applied,
         watermarks=watermarks,
     )
-
-
-def run_with_armed_crash(
-    scenario: "CrashScenario",
-    after_ios: int,
-    surviving_sectors: int | None = None,
-    damage_tail: int = 1,
-    **mount,
-) -> SimDisk:
-    """Live replay: re-run the scenario with a real armed crash at body
-    I/O ``after_ios``; returns the crashed disk.  Used to cross-check
-    that synthesized crash images match what the fault injector
-    actually leaves behind."""
-    disk, fs, adapter = _build_volume(scenario, **mount)
-    for op in scenario.setup:
-        apply_op(adapter, op)
-    adapter.settle()
-    disk.faults.arm_crash(
-        after_ios=after_ios,
-        surviving_sectors=surviving_sectors,
-        damage_tail=damage_tail,
-    )
-    try:
-        for op in scenario.body:
-            apply_op(adapter, op)
-        disk.faults.disarm_crash()
-    except SimulatedCrash:
-        pass
-    fs.crash()
-    return disk

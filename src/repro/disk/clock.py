@@ -80,18 +80,15 @@ class CpuCostModel:
     bsd_write_overlap_ms: float = 4.0      # overlapped extra per block write
 
 
-def _removed(clock: "SimClock") -> None:
-    """The callback of a removed timer, which never fires."""
-
-
 @dataclass(order=True, slots=True)
 class TimerEvent:
     """A periodic callback owned by a file system (e.g. the log force
-    daemon).  ``callback`` runs with the clock as argument."""
+    daemon).  ``callback`` runs with the clock as argument; a removed
+    timer's is ``None``."""
 
     due_ms: float
     period_ms: float = field(compare=False)
-    callback: Callable[["SimClock"], None] = field(compare=False)
+    callback: Callable[["SimClock"], None] | None = field(compare=False)
     name: str = field(compare=False, default="timer")
     enabled: bool = field(compare=False, default=True)
 
@@ -173,7 +170,7 @@ class SimClock:
         event.enabled = False
         # The tombstone may outlive its owner by up to
         # ``_COMPACT_MIN_DEAD`` removals: it must not keep it reachable.
-        event.callback = _removed
+        event.callback = None
         self._dead += 1
         if (
             self._dead >= _COMPACT_MIN_DEAD

@@ -101,16 +101,6 @@ class FaultInjector:
         """True when ``address`` is detectably damaged (permanently)."""
         return address in self.damaged
 
-    @property
-    def any_read_faults(self) -> bool:
-        """True when *some* sector somewhere could fail a read.
-
-        The batched-consult guard: when False (the common case), an
-        extent read skips the per-sector :meth:`read_fails` consult
-        entirely — one truth-value test instead of N dict probes.
-        """
-        return bool(self.damaged or self.transient or self.latent)
-
     def repair_range(self, address: int, count: int) -> None:
         """Repair every sector of an extent write in one consult.
 

@@ -95,10 +95,6 @@ class IoScheduler:
     def stats(self):
         return self.disk.stats
 
-    @property
-    def faults(self):
-        return self.disk.faults
-
     def read(self, address, count=1, expect_labels=None, cpu_overlap=False):
         """Read ``count`` sectors; damaged sectors raise."""
         return self.disk.read(address, count, expect_labels=expect_labels,

@@ -34,10 +34,6 @@ class DiskStats:
         return self.reads + self.writes + self.label_reads + self.label_writes
 
     @property
-    def data_ios(self) -> int:
-        return self.reads + self.writes
-
-    @property
     def busy_ms(self) -> float:
         return self.seek_ms + self.rotational_ms + self.transfer_ms
 

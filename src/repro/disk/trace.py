@@ -76,10 +76,6 @@ class IoTracer:
         if self.enabled:
             self.events.append(event)
 
-    def clear(self) -> None:
-        """Drop all recorded events."""
-        self.events.clear()
-
     # ------------------------------------------------------------------
     # aggregation helpers (what the model predicts in aggregate)
     # ------------------------------------------------------------------

@@ -93,10 +93,6 @@ class CfsAdapter:
         """Number of files under ``prefix``."""
         return len(self.fs.list(prefix))
 
-    def exists(self, path: str) -> bool:
-        """True when the file exists."""
-        return self.fs.exists(path)
-
     def settle(self) -> None:
         """CFS writes through; nothing to flush."""
 
@@ -156,10 +152,6 @@ class FfsAdapter:
             return len(self.fs.list(directory))
         except FileNotFound:
             return 0
-
-    def exists(self, path: str) -> bool:
-        """True when ``path`` resolves."""
-        return self.fs.exists(path)
 
     def settle(self) -> None:
         """FFS metadata is synchronous; nothing to flush."""

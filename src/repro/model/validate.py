@@ -27,13 +27,6 @@ class ValidationRow:
             return 0.0
         return 100.0 * (self.predicted_ms - self.measured_ms) / self.measured_ms
 
-    def __str__(self) -> str:
-        return (
-            f"{self.operation:<24} model {self.predicted_ms:8.1f} ms   "
-            f"measured {self.measured_ms:8.1f} ms   "
-            f"error {self.error_pct:+6.1f}%"
-        )
-
 
 def compare(
     predictions: dict[str, Prediction], measured_ms: dict[str, float]

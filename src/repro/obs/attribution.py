@@ -372,12 +372,6 @@ class AttributionRecorder:
         self._force_begin_ms = None
         self._force_logged_ms = None
 
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.traces)
-
 
 def _pct(ordered: list[float], q: float) -> float:
     """:func:`~repro.obs.metrics.percentile` on an already-sorted list

@@ -224,19 +224,6 @@ class Snapshot:
                 out.setdefault(layer, {})[name] = value
         return out
 
-    def as_dict(self) -> dict[str, object]:
-        """Plain-data form (JSON-friendly) of every metric."""
-        data: dict[str, object] = {}
-        data.update(self.counters)
-        data.update(self.gauges)
-        for name, hist in self.histograms.items():
-            data[name] = {
-                "bounds": list(hist.bounds),
-                "counts": list(hist.counts),
-                "total": hist.total,
-            }
-        return data
-
 
 class MetricsRegistry:
     """Named metrics, created on first touch.

@@ -84,16 +84,12 @@ class NullSpan:
 NULL_SPAN = NullSpan()
 
 
-def _zero_ms() -> float:
-    """Default clock for an unbound span log."""
-    return 0.0
-
-
 @dataclass
 class SpanLog:
-    """Collects finished spans; maintains the open-span stack."""
+    """Collects finished spans; maintains the open-span stack.  ``now``
+    reads the clock a span's start and end are stamped with."""
 
-    now: Callable[[], float] = _zero_ms
+    now: Callable[[], float]
     records: list[SpanRecord] = field(default_factory=list)
     _stack: list[ActiveSpan] = field(default_factory=list)
     _next_id: int = 1

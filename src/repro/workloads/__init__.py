@@ -2,7 +2,6 @@
 
 from repro.workloads.generators import (
     BulkUpdateWorkload,
-    OperationMix,
     PaperFileSizes,
     payload,
     small_fraction_stats,
@@ -18,7 +17,6 @@ from repro.workloads.traffic import (
 __all__ = [
     "BulkUpdateWorkload",
     "MakeDoWorkload",
-    "OperationMix",
     "PaperFileSizes",
     "payload",
     "small_fraction_stats",

@@ -71,9 +71,12 @@ def payload(size: int, seed: int = 0) -> bytes:
 class BulkUpdateWorkload:
     """The §5.4 hot spot: re-release every file in one subdirectory.
 
-    Each round creates a new (small) version of each file with
-    ``keep=2``, so the old-old version is deleted as well — three
-    name-table updates per file, all landing on the same few pages.
+    :meth:`setup` creates the files; each of the ``rounds`` a bench then
+    runs creates a new (small) version of every file with ``keep=2``,
+    so the old-old version is deleted as well — three name-table
+    updates per file, all landing on the same few pages.  The benches
+    run the rounds themselves because each forces the log on its own
+    schedule.
     """
 
     directory: str = "bulk"
@@ -88,60 +91,3 @@ class BulkUpdateWorkload:
                 f"{self.directory}/module-{index:03d}",
                 payload(self.size_bytes, index),
             )
-
-    def run(self, adapter) -> int:
-        """Run the bulk update; returns number of operations issued."""
-        operations = 0
-        for round_index in range(1, self.rounds + 1):
-            for index in range(self.files):
-                adapter.create(
-                    f"{self.directory}/module-{index:03d}",
-                    payload(self.size_bytes, index * 31 + round_index),
-                )
-                operations += 1
-        return operations
-
-
-@dataclass
-class OperationMix:
-    """A randomized open/read/create/delete mix for soak tests."""
-
-    seed: int = 7
-    create_weight: float = 0.3
-    open_weight: float = 0.4
-    delete_weight: float = 0.1
-    read_weight: float = 0.2
-
-    def run(self, adapter, names: list[str], operations: int) -> dict[str, int]:
-        """Run the mix; returns per-kind operation counts."""
-        rng = random.Random(self.seed)
-        sizes = PaperFileSizes(seed=self.seed)
-        live = list(names)
-        counts = {"create": 0, "open": 0, "delete": 0, "read": 0}
-        serial = 0
-        total = (
-            self.create_weight
-            + self.open_weight
-            + self.delete_weight
-            + self.read_weight
-        )
-        for _ in range(operations):
-            roll = rng.random() * total
-            if roll < self.create_weight or not live:
-                serial += 1
-                name = f"mix/gen-{serial:05d}"
-                adapter.create(name, payload(sizes.sample(), serial))
-                live.append(name)
-                counts["create"] += 1
-            elif roll < self.create_weight + self.open_weight:
-                adapter.open(rng.choice(live))
-                counts["open"] += 1
-            elif roll < self.create_weight + self.open_weight + self.delete_weight:
-                victim = live.pop(rng.randrange(len(live)))
-                adapter.delete(victim)
-                counts["delete"] += 1
-            else:
-                handle = adapter.open(rng.choice(live))
-                adapter.read(handle)
-                counts["read"] += 1
-        return counts

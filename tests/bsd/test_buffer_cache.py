@@ -54,16 +54,6 @@ class TestCache:
         cache.read_block(0)
         assert cache.disk.stats.reads == reads_before + 1
 
-    def test_forget_single(self, cache):
-        cache.read_block(0)
-        cache.read_block(8)
-        cache.forget(0)
-        reads_before = cache.disk.stats.reads
-        cache.read_block(8)  # still cached
-        assert cache.disk.stats.reads == reads_before
-        cache.read_block(0)  # forgotten
-        assert cache.disk.stats.reads == reads_before + 1
-
     def test_block_padding(self, cache):
         cache.write_block(8, b"x")
         assert len(cache.read_block(8)) == BLOCK_SECTORS * 512

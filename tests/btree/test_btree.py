@@ -37,7 +37,7 @@ class TestBasics:
     def test_insert_get(self, tree):
         assert tree.insert(b"k", b"v")
         assert tree.get(b"k") == b"v"
-        assert b"k" in tree
+        assert tree.get(b"k") is not None
         assert len(tree) == 1
 
     def test_replace(self, tree):
@@ -88,7 +88,7 @@ class TestSplitsAndMerges:
     def test_grows_beyond_one_page(self, tree):
         for i in range(200):
             tree.insert(f"key-{i:04d}".encode(), b"value" * 4)
-        assert tree.depth() >= 2
+        assert tree.check_invariants().height >= 2
         tree.check_invariants()
         assert len(tree) == 200
 
@@ -99,7 +99,7 @@ class TestSplitsAndMerges:
             assert tree.delete(f"key-{i:04d}".encode())
         tree.check_invariants()
         assert len(tree) == 0
-        assert tree.depth() == 1
+        assert tree.check_invariants().height == 1
 
     def test_pages_freed_after_mass_delete(self):
         pager = MemoryPager(page_size=256)

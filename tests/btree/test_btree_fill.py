@@ -144,5 +144,5 @@ def test_deleting_everything_frees_every_page_but_the_root(page_size):
     for item in keys[1::2]:
         assert tree.delete(item)
     tree.check_invariants()
-    assert len(tree) == 0 and tree.depth() == 1
+    assert len(tree) == 0 and tree.check_invariants().height == 1
     assert tree.pager.allocated_pages == 2  # the meta page and the root

@@ -45,7 +45,7 @@ class TestIdentityHits:
         second_lookup = pager.reads - reads_before - first_lookup
         # The memo saves the parse, not the page access: both lookups
         # charge identical pager reads (one per level).
-        assert first_lookup == tree.depth()
+        assert first_lookup == tree.check_invariants().height
         assert second_lookup == first_lookup
 
 

@@ -244,7 +244,7 @@ def test_versions_of_neighbouring_names_equal_the_model(history):
         )
         fsd.insert(props, RunTable([Run(2000 + 4 * i, 2) for i in range(runs)]))
         cfs.insert(props, 3000 + version)
-    assert fsd.tree.depth() >= 2
+    assert fsd.tree.check_invariants().height >= 2
     for name, versions in model.items():
         want = sorted(versions)
         newest = want[-1] if want else None

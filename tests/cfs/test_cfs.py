@@ -66,7 +66,8 @@ class TestBasics:
         assert is_free(disk.peek_label(handle.header_addr))
         assert is_free(disk.peek_label(data_sector))
         assert cfs.vam.is_free(data_sector)
-        assert not cfs.exists("d/del")
+        with pytest.raises(FileNotFound):
+            cfs.open("d/del")
 
     def test_delete_missing(self, cfs):
         with pytest.raises(FileNotFound):
@@ -91,14 +92,14 @@ class TestVersions:
     def test_versioning(self, cfs):
         cfs.create("d/v", b"one", keep=0)
         cfs.create("d/v", b"two", keep=0)
-        assert cfs.versions("d/v") == [1, 2]
+        assert [p.version for p in cfs.list("d/v")] == [1, 2]
         assert cfs.read(cfs.open("d/v", version=1)) == b"one"
         assert cfs.read(cfs.open("d/v")) == b"two"
 
     def test_keep_trims(self, cfs):
         for index in range(4):
             cfs.create("d/k", payload(64, index), keep=2)
-        assert cfs.versions("d/k") == [3, 4]
+        assert [p.version for p in cfs.list("d/k")] == [3, 4]
 
 
 class TestCosts:

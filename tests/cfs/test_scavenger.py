@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cfs.cfs import CFS
 from repro.cfs.scavenger import scavenge
 from repro.disk.disk import SimDisk
+from repro.errors import FileNotFound
 from repro.workloads.generators import payload
 from tests.conftest import TEST_CFS_PARAMS, TEST_GEOMETRY
 
@@ -63,7 +66,8 @@ class TestScavenge:
         rebuilt, report = scavenge(disk, TEST_CFS_PARAMS)
         assert report.files_damaged == 1
         assert report.files_recovered == 24
-        assert not rebuilt.exists("d/f10")
+        with pytest.raises(FileNotFound):
+            rebuilt.open("d/f10")
         assert rebuilt.read(rebuilt.open("d/f11")) == contents["d/f11"]
 
     def test_orphan_data_counted(self):

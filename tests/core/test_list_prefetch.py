@@ -112,7 +112,7 @@ class TestTransfers:
         pager.prefetch([30, 40])  # two singletons
         pager.prefetch([])
         assert disk.stats.total_ios == before
-        assert len(cache) == 0
+        assert cache.pinned_pages + cache.clean_pages == 0
         assert counters(pager) == {}
 
     def test_resident_pages_are_not_fetched_again(self, world):
@@ -377,7 +377,7 @@ def boundary_prefixes(fs: FSD) -> dict[str, str]:
 def test_cold_list_equals_warm_list(cache_pages):
     disk, fs, names = volume(cache_pages)
     prefixes = boundary_prefixes(fs)
-    assert fs.name_table.tree.depth() >= 3
+    assert fs.name_table.tree.check_invariants().height >= 3
     fs.unmount()
     for label, prefix in prefixes.items():
         obs = Observer()
@@ -504,7 +504,7 @@ def wide_directory():
     fs = FSD.mount(disk)
     names = sorted(create_until_nt_pages(fs, WIDE + "module-", 80))
     tree = fs.name_table.tree
-    assert tree.depth() == 3
+    assert tree.check_invariants().height == 3
     leaf_parents = Node.from_bytes(fs.cache.read_nt(tree._root)).children
     assert len(leaf_parents) >= 3
     fs.unmount()

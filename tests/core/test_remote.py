@@ -58,19 +58,19 @@ class TestRefs:
 
 
 class TestCaching:
-    def test_first_open_fetches(self, caching, server):
+    def test_first_open_fetches(self, caching, server, fsd):
         handle = caching.open_remote("ivy:cedar/defs.mesa")
-        assert caching.read(handle) == payload(2_000, 1)
+        assert fsd.read(handle) == payload(2_000, 1)
         assert caching.stats.misses == 1
         assert server.fetches == 1
         assert handle.props.kind == FileKind.CACHED
 
-    def test_second_open_hits(self, caching, server):
+    def test_second_open_hits(self, caching, server, fsd):
         caching.open_remote("ivy:cedar/defs.mesa")
         handle = caching.open_remote("ivy:cedar/defs.mesa")
         assert caching.stats.hits == 1
         assert server.fetches == 1  # no second network round trip
-        assert caching.read(handle) == payload(2_000, 1)
+        assert fsd.read(handle) == payload(2_000, 1)
 
     def test_hit_updates_last_used(self, caching, fsd):
         first = caching.open_remote("ivy:cedar/defs.mesa")
@@ -79,11 +79,11 @@ class TestCaching:
         again = caching.open_remote("ivy:cedar/defs.mesa")
         assert again.props.last_used_ms > first.props.last_used_ms
 
-    def test_new_remote_version_fetched_alongside(self, caching, server):
+    def test_new_remote_version_fetched_alongside(self, caching, server, fsd):
         caching.open_remote("ivy:cedar/defs.mesa")
         server.store("cedar/defs.mesa", b"fresh")
         handle = caching.open_remote("ivy:cedar/defs.mesa")
-        assert caching.read(handle) == b"fresh"
+        assert fsd.read(handle) == b"fresh"
         assert caching.stats.misses == 2
         # Old version still cached locally (immutable).
         assert len(caching.cached_entries()) == 2
@@ -107,7 +107,7 @@ class TestLinks:
         caching.make_link("defs.mesa", "ivy:cedar/defs.mesa")
         handle = caching.open("defs.mesa")
         assert handle.props.kind == FileKind.CACHED
-        assert caching.read(handle) == payload(2_000, 1)
+        assert fsd.read(handle) == payload(2_000, 1)
 
     def test_read_link(self, caching):
         caching.make_link("defs.mesa", "ivy:cedar/defs.mesa")
@@ -121,7 +121,7 @@ class TestLinks:
     def test_open_local_passthrough(self, caching, fsd):
         fsd.create("local.txt", b"here")
         handle = caching.open("local.txt")
-        assert caching.read(handle) == b"here"
+        assert fsd.read(handle) == b"here"
         assert caching.stats.misses == 0
 
     def test_bad_link_target_rejected_early(self, caching):
@@ -162,7 +162,7 @@ class TestFlushing:
         assert fresh.cached_entries() == []
         # Opening again refetches cleanly.
         handle = fresh.open_remote("ivy:cedar/defs.mesa")
-        assert fresh.read(handle) == payload(2_000, 1)
+        assert recovered.read(handle) == payload(2_000, 1)
 
 
 class TestFlushEdges:

@@ -77,7 +77,7 @@ class TestAppendScan:
         end of the log all fit one window after the header pair."""
         disk, wal = fresh_wal()
         for index in range(10):
-            wal.append([nt_page(index, index)])
+            wal.append_records([nt_page(index, index)])
         reads = disk.stats.reads
         assert len(WriteAheadLog(disk, wal.layout).scan()) == 10
         assert disk.stats.reads - reads == 3  # anchor, header pair, window
@@ -85,7 +85,7 @@ class TestAppendScan:
     def test_single_record_roundtrip(self):
         disk, wal = fresh_wal()
         pages = [nt_page(3, 0xAA), nt_page(9, 0xBB)]
-        wal.append(pages)
+        wal.append_records(pages)
         layout = wal.layout
         reopened = WriteAheadLog(disk, layout)
         records = reopened.scan()
@@ -99,21 +99,21 @@ class TestAppendScan:
 
     def test_scan_resumes_append_position(self):
         disk, wal = fresh_wal()
-        wal.append([nt_page(1, 1)])
-        wal.append([nt_page(2, 2)])
+        wal.append_records([nt_page(1, 1)])
+        wal.append_records([nt_page(2, 2)])
         reopened = WriteAheadLog(disk, wal.layout)
         reopened.scan()
         assert reopened.write_offset == wal.write_offset
         assert reopened.next_record_number == 3
         # Appending after recovery continues the sequence.
         reopened.boot_count = 2
-        reopened.append([nt_page(3, 3)])
+        reopened.append_records([nt_page(3, 3)])
         final = WriteAheadLog(disk, wal.layout)
         assert len(final.scan()) == 3
 
     def test_leader_pages_carry_disk_addresses(self):
         disk, wal = fresh_wal()
-        wal.append(
+        wal.append_records(
             [LoggedPage(kind=PAGE_LEADER, page_id=4242, data=b"leader")]
         )
         records = WriteAheadLog(disk, wal.layout).scan()
@@ -136,12 +136,12 @@ class TestAppendScan:
 
     def test_empty_append_is_noop(self):
         disk, wal = fresh_wal()
-        assert wal.append([]) == 0
+        assert wal.append_records([]) == []
         assert disk.stats.writes == 1  # only the format anchor write
 
     def test_record_size_accounting(self):
         _, wal = fresh_wal()
-        wal.append([nt_page(1, 1)])
+        wal.append_records([nt_page(1, 1)])
         assert wal.record_sizes == [7]
         assert wal.sectors_logged == 7
         assert wal.pages_logged == 1
@@ -152,7 +152,7 @@ class TestOnDiskFormat:
         """The paper's rule: the same data never on adjacent sectors,
         so one 2-sector fault cannot kill both copies of anything."""
         disk, wal = fresh_wal()
-        wal.append([nt_page(i, 10 + i) for i in range(5)])
+        wal.append_records([nt_page(i, 10 + i) for i in range(5)])
         size = record_sectors(5)
         sectors = [disk.peek(wal.area_start + i) for i in range(size)]
         for a, b in zip(sectors, sectors[1:]):
@@ -160,34 +160,34 @@ class TestOnDiskFormat:
 
     def test_one_page_record_is_seven_sectors(self):
         _, wal = fresh_wal()
-        wal.append([nt_page(1, 1)])
+        wal.append_records([nt_page(1, 1)])
         assert wal.write_offset == 7
 
 
 class TestDamageTolerance:
     def test_header_copy_damaged(self):
         disk, wal = fresh_wal()
-        wal.append([nt_page(5, 0x55)])
+        wal.append_records([nt_page(5, 0x55)])
         disk.faults.damage(wal.area_start + 0)  # primary header
         records = WriteAheadLog(disk, wal.layout).scan()
         assert len(records) == 1
 
     def test_data_copy_damaged(self):
         disk, wal = fresh_wal()
-        wal.append([nt_page(5, 0x55)])
+        wal.append_records([nt_page(5, 0x55)])
         disk.faults.damage(wal.area_start + 3)  # primary data page
         records = WriteAheadLog(disk, wal.layout).scan()
         assert records[0].pages[0].data == bytes([0x55]) * 512
 
     def test_end_page_damaged(self):
         disk, wal = fresh_wal()
-        wal.append([nt_page(5, 0x55)])
+        wal.append_records([nt_page(5, 0x55)])
         disk.faults.damage(wal.area_start + 4)  # end page (copy survives)
         assert len(WriteAheadLog(disk, wal.layout).scan()) == 1
 
     def test_two_consecutive_sectors_damaged(self):
         disk, wal = fresh_wal()
-        wal.append([nt_page(5, 0x55), nt_page(6, 0x66)])
+        wal.append_records([nt_page(5, 0x55), nt_page(6, 0x66)])
         disk.faults.damage(wal.area_start + 3, count=2)  # both primary datas
         records = WriteAheadLog(disk, wal.layout).scan()
         assert len(records) == 1
@@ -195,17 +195,17 @@ class TestDamageTolerance:
 
     def test_torn_final_record_discarded(self):
         disk, wal = fresh_wal()
-        wal.append([nt_page(1, 1)])
+        wal.append_records([nt_page(1, 1)])
         disk.faults.arm_crash(after_ios=0, surviving_sectors=4, damage_tail=2)
         with pytest.raises(SimulatedCrash):
-            wal.append([nt_page(2, 2), nt_page(3, 3)])
+            wal.append_records([nt_page(2, 2), nt_page(3, 3)])
         records = WriteAheadLog(disk, wal.layout).scan()
         assert len(records) == 1
         assert records[0].pages[0].page_id == 1
 
     def test_anchor_copy_damaged(self):
         disk, wal = fresh_wal()
-        wal.append([nt_page(1, 1)])
+        wal.append_records([nt_page(1, 1)])
         disk.faults.damage(wal.layout.log_start)  # anchor page 0
         reopened = WriteAheadLog(disk, wal.layout)
         assert reopened.read_anchor() == (0, 1)
@@ -227,11 +227,11 @@ class TestThirdsProtocol:
         pages_per_record = 10
         appended = 0
         while wal.third_of(wal.write_offset) == 0 and appended < 50:
-            wal.append([nt_page(i, i) for i in range(pages_per_record)])
+            wal.append_records([nt_page(i, i) for i in range(pages_per_record)])
             appended += 1
         # The write position reached third 1; the next record (or the
         # one that crossed) must have announced entering it.
-        wal.append([nt_page(0, 0)])
+        wal.append_records([nt_page(0, 0)])
         assert 1 in entered
 
     def test_anchor_advances_when_wrapping(self):
@@ -240,7 +240,7 @@ class TestThirdsProtocol:
         first_anchor = wal.anchor_offset, wal.anchor_record_number
         # Fill well past one full log cycle.
         for i in range(60):
-            wal.append([nt_page(i % 30, i % 251) for _ in range(10)])
+            wal.append_records([nt_page(i % 30, i % 251) for _ in range(10)])
         assert (wal.anchor_offset, wal.anchor_record_number) != first_anchor
         assert wal.anchor_record_number > 1
 
@@ -251,11 +251,11 @@ class TestThirdsProtocol:
         disk, wal = fresh_wal()
         wal.flush_third = lambda third: None
         for fill in range(4):  # 4 x 25 sectors: one third exactly
-            wal.append([nt_page(i, fill) for i in range(10)])
+            wal.append_records([nt_page(i, fill) for i in range(10)])
         assert wal.write_offset == wal.third_sectors
         wal.checkpoint()
         writes = disk.stats.writes
-        wal.append([nt_page(7, 0x77)])
+        wal.append_records([nt_page(7, 0x77)])
         assert wal.third_entries == 1
         assert wal.stall_ms == 0.0
         assert disk.stats.writes == writes + 1  # the record alone
@@ -267,7 +267,7 @@ class TestThirdsProtocol:
         disk, wal = fresh_wal()
         wal.flush_third = lambda third: None
         for i in range(80):
-            wal.append([nt_page(i % 40, (i * 3) % 251) for _ in range(8)])
+            wal.append_records([nt_page(i % 40, (i * 3) % 251) for _ in range(8)])
         records = WriteAheadLog(disk, wal.layout).scan()
         assert records, "wrapped log must still recover its tail"
         # Record numbers are consecutive from the anchor.
@@ -283,16 +283,16 @@ class TestThirdsProtocol:
         # Append 8-page records (21 sectors); 300 is not a multiple of
         # 21, so the last record cannot fit the tail exactly.
         while wal.area_sectors - wal.write_offset >= 21:
-            wal.append([nt_page(i, 7) for i in range(8)])
+            wal.append_records([nt_page(i, 7) for i in range(8)])
         tail_before_wrap = wal.write_offset
-        wal.append([nt_page(1, 8) for _ in range(8)])  # forces the wrap
+        wal.append_records([nt_page(1, 8) for _ in range(8)])  # forces the wrap
         assert wal.write_offset < tail_before_wrap  # wrapped
         records = WriteAheadLog(disk, wal.layout).scan()
         assert records[-1].pages[0].data == bytes([8]) * 512
 
     def test_checkpoint_empties_recovery(self):
         disk, wal = fresh_wal()
-        wal.append([nt_page(1, 1)])
+        wal.append_records([nt_page(1, 1)])
         wal.checkpoint()
         assert WriteAheadLog(disk, wal.layout).scan() == []
 

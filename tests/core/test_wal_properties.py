@@ -155,7 +155,7 @@ def test_scan_after_torn_append_is_a_prefix(batches, crash_io, surviving, tail):
     resumed.boot_count = 2
     resumed.scan()
     resumed.flush_third = lambda third: None
-    resumed.append(make_batch([(1, 99)]))
+    resumed.append_records(make_batch([(1, 99)]))
     final = WriteAheadLog(disk, layout).scan()
     assert final[-1].pages[0].data == bytes([99]) * 512
 

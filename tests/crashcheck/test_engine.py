@@ -6,11 +6,9 @@ import pytest
 
 from repro.crashcheck import (
     SCENARIOS,
-    crashed_image,
     explore,
     get_scenario,
     materialize,
-    run_with_armed_crash,
 )
 from repro.crashcheck.engine import (
     CrashPoint,
@@ -20,6 +18,7 @@ from repro.crashcheck.engine import (
 )
 from repro.core.fsd import TUNED
 from repro.crashcheck.workload import DiskState, IoRec
+from tests.crashcheck.replay import crashed_image, run_with_armed_crash
 
 #: the bounded sweeps: every scenario on the default mount, and the
 #: three quick ones on the mount ``traffic_steady`` is benchmarked on
@@ -44,7 +43,7 @@ class TestSynthesis:
         write_boundaries = [
             boundary
             for boundary, rec in enumerate(recording.records)
-            if rec.is_write and rec.count > 1
+            if rec.kind == "write" and rec.count > 1
         ]
         picks = {
             write_boundaries[0],
@@ -209,7 +208,7 @@ class TestSweeps:
         ]
         assert spans, "scenario lost its checkpoint ops"
         for span in spans:
-            assert all(rec.is_write for rec in span)
+            assert all(rec.kind == "write" for rec in span)
             # Home writes first, then exactly one anchor write, last.
             assert span[-1].address == anchor
             assert len(span) > 1

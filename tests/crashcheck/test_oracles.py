@@ -60,6 +60,23 @@ class TestNamespaceModel:
             model_apply(stacks, Op("create", "a", bytes([index]), keep=2))
         assert stacks["a"] == [b"\x02", b"\x03"]
 
+    def test_truncate_keeps_a_prefix_of_the_newest_version(self):
+        stacks = model_state(
+            [
+                Op("create", "a", b"old"),
+                Op("create", "a", b"abcdef"),
+                Op("truncate", "a", size=2),
+            ]
+        )
+        assert stacks["a"] == [b"old", b"ab"]
+
+    def test_set_keep_trims_old_versions(self):
+        stacks = model_state(
+            [Op("create", "a", bytes([index])) for index in range(4)]
+            + [Op("set_keep", "a", keep=2)]
+        )
+        assert stacks["a"] == [b"\x02", b"\x03"]
+
     def test_force_is_a_namespace_noop(self):
         assert model_state([Op("create", "a", b"x"), Op("force")]) == {
             "a": [b"x"]

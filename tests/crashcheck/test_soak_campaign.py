@@ -25,7 +25,7 @@ class TestCampaign:
 
     def test_default_config_meets_fault_floor(self):
         """The acceptance bar: a default campaign injects >= 200 faults."""
-        assert SoakConfig().total_faults >= 200
+        assert run_campaign(SoakConfig()).faults_injected >= 200
 
     def test_deterministic_for_a_seed(self):
         first = run_campaign(SoakConfig(seed=77, runs=3))

@@ -5,9 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.crashcheck import DiskRecorder, Op, get_scenario, record_scenario
-from repro.crashcheck.workload import DiskState
+from repro.crashcheck.oracles import model_state
+from repro.crashcheck.workload import OP_KINDS, DiskState, _build_volume, apply_op
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
+from repro.workloads.generators import payload
 
 GEO = DiskGeometry(cylinders=4, heads=2, sectors_per_track=8)
 
@@ -15,10 +17,35 @@ GEO = DiskGeometry(cylinders=4, heads=2, sectors_per_track=8)
 class TestOp:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown op kind"):
-            Op("truncate", "x")
+            Op("rename", "x")
 
     def test_force_needs_no_name(self):
         assert Op("force").name == ""
+
+
+class TestOpKinds:
+    """Every kind an :class:`Op` accepts is either applied to a volume
+    and modelled alike, or refused by ``apply_op`` by name: a kind
+    added to one side only fails here."""
+
+    @pytest.mark.parametrize("kind", OP_KINDS)
+    def test_kind_is_scripted_and_modelled_or_refused(self, kind):
+        scenario = get_scenario("keep_trim")  # mounts a checkpointer
+        _, fs, adapter = _build_volume(scenario)
+        name = "kinds/f"
+        setup = [Op("create", name, payload(900 + 300 * v, v)) for v in range(3)]
+        op = Op(kind, name, payload(700, 9), keep=1, size=600)
+        for step in setup:
+            apply_op(adapter, step)
+        try:
+            apply_op(adapter, op)
+        except ValueError as error:
+            assert repr(kind) in str(error)
+            return
+        stack = model_state(setup + [op]).get(name, [])
+        assert len(fs.versions(name)) == len(stack)
+        if stack:
+            assert fs.read(fs.open(name)) == stack[-1]
 
 
 class TestDiskRecorder:
@@ -116,8 +143,6 @@ class TestRecording:
         """The op scripts drive the same adapter surface the harness
         scenarios use, so a straight (uncrashed) run must land every
         create with exact content."""
-        from repro.crashcheck.workload import _build_volume, apply_op
-
         scenario = get_scenario("quickstart")
         disk, fs, adapter = _build_volume(scenario)
         for op in scenario.setup + scenario.body:

@@ -94,7 +94,7 @@ class TestLabels:
         disk.read_labels(0, 1)
         assert disk.stats.label_writes == 1
         assert disk.stats.label_reads == 1
-        assert disk.stats.data_ios == 0
+        assert (disk.stats.reads, disk.stats.writes) == (0, 0)
 
     def test_label_length_cap(self, disk):
         with pytest.raises(DiskRangeError):

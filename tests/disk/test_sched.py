@@ -48,7 +48,6 @@ class TestFifoPassThrough:
         assert io.geometry is disk.geometry
         assert io.clock is disk.clock
         assert io.stats is disk.stats
-        assert io.faults is disk.faults
 
 
 #: one write: (synchronous?, address, sector count).  Addresses are

@@ -8,7 +8,6 @@ from repro.disk.stats import DiskStats, StatsWindow
 def test_totals():
     stats = DiskStats(reads=2, writes=3, label_reads=1, label_writes=4)
     assert stats.total_ios == 10
-    assert stats.data_ios == 5
 
 
 def test_busy_ms():

@@ -143,8 +143,6 @@ class TestTracing:
         tracer.enabled = False
         disk.read(0, 1)
         assert len(tracer.events) == 1
-        tracer.clear()
-        assert tracer.events == []
 
     def test_str_is_readable(self, traced):
         disk, tracer = traced

@@ -40,9 +40,9 @@ class TestUniformSurface:
 
     def test_delete_and_exists(self, adapter):
         adapter.create("dir/d", b"x")
-        assert adapter.exists("dir/d")
+        assert adapter.list("dir/") == 1
         adapter.delete("dir/d")
-        assert not adapter.exists("dir/d")
+        assert adapter.list("dir/") == 0
 
     def test_list_counts(self, adapter):
         for index in range(4):

@@ -24,16 +24,16 @@ class TestScales:
 class TestFactories:
     def test_fsd(self):
         disk, fs, adapter = fsd_volume(SMALL)
-        assert fs.mounted
+        assert adapter.list() == 0  # a mounted, empty volume
         assert adapter.fs is fs
 
     def test_cfs(self):
         disk, fs, adapter = cfs_volume(SMALL)
-        assert fs.mounted
+        assert adapter.list() == 0  # a mounted, empty volume
 
     def test_ffs(self):
         disk, fs, adapter = ffs_volume(SMALL)
-        assert fs.mounted
+        assert adapter.list() == 0  # a mounted, empty volume
 
 
 class TestPopulate:

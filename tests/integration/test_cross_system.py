@@ -9,7 +9,8 @@ from __future__ import annotations
 import random
 
 from repro.harness.scenarios import SMALL, cfs_volume, ffs_volume, fsd_volume
-from repro.workloads.generators import OperationMix, payload
+from repro.workloads.generators import payload
+from tests.workloads.operation_mix import OperationMix
 
 
 def run_everywhere(steps):

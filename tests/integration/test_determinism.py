@@ -8,7 +8,8 @@ from repro.core.fsd import FSD
 from repro.disk.disk import SimDisk
 from repro.harness.batches import measure_batches
 from repro.harness.scenarios import SMALL, fsd_volume, populate
-from repro.workloads.generators import OperationMix, payload
+from repro.workloads.generators import payload
+from tests.workloads.operation_mix import OperationMix
 from tests.conftest import TEST_FSD_PARAMS, TEST_GEOMETRY
 
 

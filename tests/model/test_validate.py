@@ -23,10 +23,6 @@ class TestRows:
     def test_zero_measured(self):
         assert ValidationRow("op", 5.0, 0.0).error_pct == 0.0
 
-    def test_str_contains_fields(self):
-        text = str(ValidationRow("create", 1.0, 2.0))
-        assert "create" in text and "-50.0%" in text
-
 
 class TestCompare:
     def test_join_by_name(self):

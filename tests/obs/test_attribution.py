@@ -69,7 +69,6 @@ class TestRecorderLifecycle:
         second = recorder.op_issued(1, _FakeOp, 1.0)
         assert (first.trace_id, second.trace_id) == (1, 2)
         assert recorder.traces == [first, second]
-        assert len(recorder) == 2
 
     def test_block_reasons_accumulate(self):
         recorder = AttributionRecorder(clock=_FakeClock())
@@ -371,6 +370,34 @@ class TestRetryPhase:
         assert trace.attempts == 2
         assert trace.error_class is None  # the retry eventually landed
         assert trace.phases["retry"] > 0.0
+        assert sum(trace.phases.values()) == pytest.approx(
+            trace.latency_ms, abs=1e-9
+        )
+
+    def test_failed_op_records_its_error_class(self):
+        """With no retry left, the failed op's trace is closed as an
+        error carrying the contract's class, and still partitions."""
+        disk = SimDisk(geometry=TEST_GEOMETRY)
+        FSD.format(disk, TEST_FSD_PARAMS)
+        fs = _attributed_fs(disk)
+        config = TrafficConfig(
+            clients=1, ops_per_client=1, seed=7, population=1,
+            shared_fraction=1.0, zipf_theta=0.0,
+            weights={"create": 0.0, "write": 0.0, "read": 1.0,
+                     "delete": 0.0, "list": 0.0},
+            max_file_bytes=900, settle=False, max_retries=0,
+        )
+        engine = TrafficEngine(fs, config)
+        engine.prepare()
+        site = fs.open(engine._pop_name(0)).props.leader_addr + 1
+        disk.faults.damage_transient(site, failures=2)
+        report = engine.run()
+        [trace] = fs.obs.attribution.traces
+        fs.crash()
+        assert report.errors == 1
+        assert trace.attempts == 1
+        assert trace.error
+        assert trace.error_class == "retryable"  # but no retry was left
         assert sum(trace.phases.values()) == pytest.approx(
             trace.latency_ms, abs=1e-9
         )

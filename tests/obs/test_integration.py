@@ -151,7 +151,7 @@ class TestZeroOverheadDetached:
         _scripted_ops(fs)
         fs.unmount()
         return (
-            fs.metadata_io_stats(),
+            disk.stats.as_dict(),
             {"creates": fs.ops.creates, "reads": fs.ops.reads},
             disk.clock.now_ms,
         )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import FsError
+from repro.obs.export import metric_dicts
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Histogram,
@@ -143,7 +144,7 @@ class TestSnapshotDelta:
         reg.counter("c").add(1)
         reg.gauge("g").set(2)
         reg.histogram("h", bounds=DEFAULT_BUCKETS).observe(3)
-        json.dumps(reg.snapshot().as_dict())
+        json.dumps(metric_dicts(reg.snapshot()))
 
 
 class TestPercentile:

@@ -302,7 +302,8 @@ class TestSubcommands:
     #: ``_interface(build_parser())`` of the last commit that had
     #: ``profile``, less that one entry, with the default of every
     #: mounting subcommand's ``--readahead`` since moved from 16 to 30
-    #: (``DEFAULT_READAHEAD_PAGES``, one track).
+    #: (``DEFAULT_READAHEAD_PAGES``, one track), and ``crashcheck
+    #: --scenario`` since offering ``keep_trim``.
     INTERFACE = {
         "mkfs": "8ea9183f2e281398",
         "put": "ee5d3617c2482127",
@@ -315,7 +316,7 @@ class TestSubcommands:
         "traffic": "4602bdc6694291b1",
         "soak": "8cec63d05898064b",
         "chaos": "78bf00a74e6e7d54",
-        "crashcheck": "5140f2e6396cfa55",
+        "crashcheck": "e721690de2ccf9b6",
         "stats": "8bf4b3fcd7b98173",
         "trace": "eddd5fa8a1315791",
         "bench": "0364525dcac157d1",

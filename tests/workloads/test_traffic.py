@@ -306,7 +306,7 @@ class TestSaturatedBurst:
             finish(client, op, latency)
             if (
                 not seen
-                and len(cache) > cache.capacity
+                and cache.pinned_pages + cache.clean_pages > cache.capacity
                 and cache.pinned_pages > cache.capacity - cache.reserve
             ):
                 seen.append((cache.clean_pages, verify_volume(fs)))

@@ -5,7 +5,7 @@ Usage: python tools/reachability.py [out.json]
 Runs every entry point of the program, each in a child interpreter, and
 records which ``src/repro`` functions it called:
 
-* the eight ``examples/``;
+* the nine ``examples/``;
 * ``tools/capture_fingerprints.py``, default and ``--readahead 0``;
 * ``pytest --benchmark-disable benchmarks`` (the e2e smoke test too);
 * ``tests/test_cli.py`` and ``tests/obs/test_cli.py``;
@@ -34,6 +34,13 @@ benchmarked body, so the benchmarks run with ``--benchmark-disable``.
 Every file an entry point writes goes to a temporary directory.  The whole
 run takes about ten minutes on a 2-core box; a wall-clock gate may
 fail under the tracer, and the tail of any failing command is printed.
+
+``tools/reachability_baseline.json`` holds the audit as committed: every
+definition no entry point reaches, each with the ``reason`` it stays
+(one of ``REASONS``).  When that file exists the run prints its drift
+against it (definitions newly unreached, newly reached, or whose length
+or test reach changed) and exits 1 if a definition the baseline does
+not list is now unreached.
 """
 
 from __future__ import annotations
@@ -50,13 +57,27 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 PACKAGE = SRC / "repro"
+BASELINE = REPO / "tools" / "reachability_baseline.json"
+
+#: why a definition may stay unreached by every entry point.
+REASONS = {
+    "fault-path": "an error or rare path no driver triggers",
+    "fake": "a test double's surface",
+    "reference": "the reference a fast path is tested against",
+    "test-api": "a read-only view tests use instead of private state",
+    "frozen-by-e2e": "named by benchmarks/e2e, which only a benchmark "
+                     "change may edit",
+    "protocol": "a protocol or base-class stub",
+    "awaiting-driver": "real behaviour a ROADMAP direction will drive",
+}
 
 E2E_WORKLOADS = ("makedo_build", "traffic_steady", "traffic_burst",
                  "read_stream", "crash_recovery")
 
 EXAMPLES = ("crash_recovery_demo", "fault_injection_tour",
-            "group_commit_tuning", "makedo_build", "performance_model",
-            "quickstart", "remote_caching", "trace_analysis")
+            "group_commit_tuning", "in_place_update", "makedo_build",
+            "performance_model", "quickstart", "remote_caching",
+            "trace_analysis")
 
 #: written into the child interpreters' ``sitecustomize``: keep every
 #: code object a call event names, write the package's ones at exit.
@@ -144,6 +165,8 @@ def entry_points(work: Path) -> dict[str, list[tuple[list[str], dict]]]:
                    "--data-cache-pages", "16", "--checkpoint-ms", "250",
                    "--max-points", "50"), {}),
             (repro("crashcheck", "--scenario", "mid_checkpoint",
+                   "--data-cache-pages", "16"), {}),
+            (repro("crashcheck", "--scenario", "keep_trim",
                    "--data-cache-pages", "16"), {}),
             (pytest("--benchmark-disable", "-s",
                     f"{bench}/test_data_cache.py"),
@@ -306,6 +329,30 @@ def join(reached: set, tested: set) -> tuple[list[dict], int, int]:
     return unreached, count, lines
 
 
+def drift(unreached: list[dict], baseline: dict) -> list[dict]:
+    """Print how ``unreached`` differs from the committed baseline;
+    returns the definitions the baseline does not list."""
+    known = {(e["file"], e["name"]): e for e in baseline["unreached"]}
+    now = {(e["file"], e["name"]): e for e in unreached}
+    new = [entry for key, entry in now.items() if key not in known]
+    for entry in new:
+        print(f"NEW unreached: {entry['file']} {entry['name']} "
+              f"({entry['lines']} lines, "
+              f"{'tests' if entry['tests'] else 'nothing'} reach it)")
+    for key, entry in known.items():
+        if key not in now:
+            print(f"now reached: {entry['file']} {entry['name']} "
+                  f"(baseline: {entry['reason']})")
+        elif (now[key]["lines"], now[key]["tests"]) != (
+                entry["lines"], entry["tests"]):
+            print(f"changed: {entry['file']} {entry['name']} "
+                  f"{entry['lines']} -> {now[key]['lines']} lines, tests "
+                  f"{entry['tests']} -> {now[key]['tests']}")
+    print(f"drift against {BASELINE.name}: {len(new)} new, "
+          f"{sum(key not in now for key in known)} now reached")
+    return new
+
+
 def main() -> int:
     out = Path(sys.argv[1] if len(sys.argv) > 1 else "reachability.json")
     if len(sys.argv) > 2 or out.name.startswith("-"):
@@ -347,6 +394,9 @@ def main() -> int:
           f"point: {document['tests_only_lines']} lines reached by tests only, "
           f"{document['nothing_lines']} by nothing; "
           f"{len(failed)} command(s) exited non-zero; wrote {out}")
+    if BASELINE.exists() and drift(unreached,
+                                   json.loads(BASELINE.read_text())):
+        return 1
     return 0
 
 
