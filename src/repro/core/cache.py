@@ -23,7 +23,8 @@ are the cache proper: they are evicted least recently used first, but
 never below a reserve of ``capacity // CLEAN_RESERVE_SHARE``, so that
 however much the log pins there is room for the B-tree root and the
 interior nodes every lookup descends through.  Resident entries are
-therefore bounded by ``max(capacity, pinned + reserve)``.
+therefore bounded by ``max(capacity, pinned + reserve)``.  A leader is
+never clean: nothing reads it here once it is logged and home, so it leaves.
 
 The cache itself never touches the disk: writeback goes through the
 injected ``nt_writer``/``leader_writer`` callables,
@@ -226,7 +227,7 @@ class MetadataCache:
         return [
             (entry.page_id, entry.data)
             for entry in self._entries.values()
-            if entry.kind == PAGE_NAME_TABLE and entry.evictable
+            if entry.evictable
         ]
 
     def misaccounted(self) -> list[tuple[int, int]]:
@@ -280,13 +281,13 @@ class MetadataCache:
         entry = self._entries.get(key)
         if entry is not None:
             entry.home_image = entry.data
-            self._settle(key, entry)
+            if self._settle(key, entry):
+                del self._entries[key]
 
     def drop_leader(self, address: int) -> None:
         """Forget a leader (its file was deleted before writeback)."""
         self._entries.pop((PAGE_LEADER, address), None)
         self._dirty.pop((PAGE_LEADER, address), None)
-        self._lru.pop((PAGE_LEADER, address), None)
 
     # ------------------------------------------------------------------
     # group-commit interface
@@ -314,7 +315,8 @@ class MetadataCache:
             # it stays dirty for the next commit.
             entry.logged_image = page.data
             entry.last_logged_third = third
-            self._settle(key, entry)
+            if self._settle(key, entry):
+                del self._entries[key]
         self._evict_if_needed()
         pinned = self.pinned_pages
         if pinned > self.pinned_peak:
@@ -329,6 +331,7 @@ class MetadataCache:
         log copy lives in ``third`` (it is about to be overwritten)."""
         writes_before = self.home_writes
         nt_batch: list[tuple[int, bytes]] = []
+        released = []
         for key, entry in self._entries.items():
             if (
                 entry.last_logged_third != third
@@ -343,7 +346,10 @@ class MetadataCache:
                 self._leader_writer(entry.page_id, entry.logged_image)
                 self.home_writes += 1
             entry.home_image = entry.logged_image
-            self._settle(key, entry)
+            if self._settle(key, entry):
+                released.append(key)
+        for key in released:
+            del self._entries[key]
         if nt_batch:
             nt_batch.sort()
             self._nt_writer(nt_batch)
@@ -392,7 +398,8 @@ class MetadataCache:
             else:
                 entry.data = entry.logged_image
                 entry.needs_log = False
-                self._settle(key, entry)
+                if self._settle(key, entry):
+                    del self._entries[key]
         self._dirty.clear()
         self.obs.count("cache.rollbacks", rolled_back)
         return rolled_back
@@ -428,26 +435,28 @@ class MetadataCache:
         self._tick += 1
         entry.lru_tick = self._tick
 
-    def _settle(self, key: tuple[int, int], entry: CacheEntry) -> None:
+    def _settle(self, key: tuple[int, int], entry: CacheEntry) -> bool:
         """Re-derive ``entry.pinned`` (``not entry.evictable``, inline)
         after ``needs_log`` or one of its images changed: the one place
-        the maintained state looks at page images."""
+        the maintained state looks at page images.  True when a leader
+        was released: the caller removes it from ``_entries``."""
         pinned = entry.needs_log or (
             entry.logged_image is not None
             and entry.logged_image != entry.home_image
         )
         if pinned == entry.pinned:
-            return
+            return False
         entry.pinned = pinned
         if pinned:
             del self._lru[key]
-        else:
+        elif entry.kind == PAGE_NAME_TABLE:
             # Released: its place in the recency order is wherever
             # its last use puts it, not the tail it joins here.
             self._lru[key] = entry
             oldest = self._released_from
             if oldest is None or entry.lru_tick < oldest:
                 self._released_from = entry.lru_tick
+        return not pinned and entry.kind == PAGE_LEADER
 
     def _restore_order(self) -> None:
         """Move released entries from the tail of ``_lru`` to where

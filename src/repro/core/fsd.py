@@ -629,15 +629,18 @@ class FSD:
 
     def set_keep(self, name: str, keep: int) -> None:
         """Change the version-retention count and trim old versions."""
-        self._enter(write=True)
-        with self.txn.op():
-            keys = self.name_table.walk(name)
-            props, runs = self.name_table.entry(keys)
-            self.name_table.update(props.with_updates(keep=keep), runs)
-            # The update rewrote the newest version only, which the
-            # trim never removes.
-            for old_props, old_runs in self.name_table.trim(keys, keep):
-                self._release(old_props, old_runs)
+        with self.obs.span("fsd.set_keep", name=name, keep=keep):
+            self._enter(write=True)
+            with self.txn.op():
+                self.obs.count("fsd.set_keeps")
+                self.coordinator.note_update()
+                keys = self.name_table.walk(name)
+                props, runs = self.name_table.entry(keys)
+                self.name_table.update(props.with_updates(keep=keep), runs)
+                # The update rewrote the newest version only, which the
+                # trim never removes.
+                for old_props, old_runs in self.name_table.trim(keys, keep):
+                    self._release(old_props, old_runs)
 
     def force(self) -> int:
         """Client-requested commit ("Clients may force the log")."""

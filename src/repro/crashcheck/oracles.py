@@ -13,7 +13,8 @@ Two layers, per the paper's durability contract:
   commit covering it returned before the crash point) is fully
   present, byte for byte; operations after the last returned commit
   are either absent or *atomically* applied — a file is never present
-  with content that no create ever wrote.
+  with content that no create ever wrote, nor with a number of versions
+  that the prefix of operations leaving that content does not leave.
 
 The semantic oracle models FSD's versioned namespace as per-name
 version stacks.  For uncommitted ops it accepts any per-name prefix
@@ -112,31 +113,40 @@ class OracleContext:
             pending=recording.pending_ops_at(boundary),
         )
 
-    def allowed_states(self) -> dict[str, set]:
-        """Per name: the set of contents (or :data:`ABSENT`) recovery
-        may legitimately expose.  Committed-only names map to exactly
-        their committed content; names touched by pending ops also
-        admit each intermediate pending state."""
+    def allowed_versions(self) -> dict[str, set]:
+        """Per name: the ``(version count, newest content)`` pairs
+        recovery may legitimately expose, ``(0, ABSENT)`` for no file.
+        Committed-only names map to exactly their committed pair; names
+        touched by pending ops also admit each intermediate pending
+        state."""
         if self._allowed:
             return self._allowed
         allowed: dict[str, set] = {}
 
-        def top(stacks: dict[str, list[bytes]], name: str):
+        def state(stacks: dict[str, list[bytes]], name: str):
             stack = stacks.get(name)
-            return stack[-1] if stack else ABSENT
+            return (len(stack), stack[-1]) if stack else (0, ABSENT)
 
         for name in self.committed:
-            allowed[name] = {top(self.committed, name)}
+            allowed[name] = {state(self.committed, name)}
         stacks = {name: list(stack) for name, stack in self.committed.items()}
         for applied in self.pending:
             op = applied.op
             if op.kind in ("force", "checkpoint"):
                 continue
-            allowed.setdefault(op.name, {top(stacks, op.name)})
+            allowed.setdefault(op.name, {state(stacks, op.name)})
             model_apply(stacks, op)
-            allowed[op.name].add(top(stacks, op.name))
+            allowed[op.name].add(state(stacks, op.name))
         self._allowed = allowed
         return allowed
+
+    def allowed_states(self) -> dict[str, set]:
+        """Per name: the set of contents (or :data:`ABSENT`) recovery
+        may legitimately expose."""
+        return {
+            name: {content for _, content in pairs}
+            for name, pairs in self.allowed_versions().items()
+        }
 
 
 @runtime_checkable
@@ -184,6 +194,7 @@ class SemanticOracle:
         """Compare the recovered namespace against the allowed states."""
         problems: list[str] = []
         allowed = ctx.allowed_states()
+        versions = ctx.allowed_versions()
         present = {props.name for props in fs.list()}
 
         for name in sorted(present - set(allowed)):
@@ -198,6 +209,7 @@ class SemanticOracle:
                 continue
             try:
                 content = fs.read(fs.open(name))
+                count = len(fs.versions(name))
             except Exception as error:
                 problems.append(f"file {name!r} unreadable: {error}")
                 continue
@@ -213,6 +225,14 @@ class SemanticOracle:
                 problems.append(
                     f"{kind} for {name!r}: recovered {len(content)} bytes, "
                     f"expected one of {expected or ['absent']}"
+                )
+            elif (count, content) not in versions[name]:
+                expected = sorted(
+                    n for n, s in versions[name] if s == content
+                )
+                problems.append(
+                    f"versions of {name!r}: recovered {count} under that "
+                    f"content, expected one of {expected}"
                 )
         return problems
 

@@ -16,7 +16,11 @@ rule with its definition:
   between passes the cache can be over by the writes since);
 * while the log pins at most ``capacity − capacity // 4`` entries the
   survivors are exactly those of the rule this one replaced: evict the
-  least recently used evictable entries until ``len ≤ capacity``.
+  least recently used evictable entries until ``len ≤ capacity``;
+* a leader leaves exactly when it becomes evictable (logged and home):
+  no resident leader is ever clean, and none leaves owing a write
+  unless it was dropped or rolled back.  That is a removal on purpose,
+  not an eviction, for this cache and the reference alike.
 """
 
 from __future__ import annotations
@@ -128,16 +132,32 @@ def apply(cache: MetadataCache, home: Home, op: tuple) -> None:
 EVICTING = {"force", "flush", "install"}
 
 
+#: operations that can leave a leader logged and home.
+RELEASING = {"force", "flush", "leader_home", "rollback"}
+
+
+def released_leaders(before: dict, op: tuple) -> set:
+    """Leaders ``op`` left owing no write.  Read after ``op``: an entry
+    object stays the one ``before`` holds, and a removed one is final."""
+    if op[0] not in RELEASING:
+        return set()
+    return {
+        key for key, entry in before.items()
+        if entry.kind == PAGE_LEADER and entry.evictable
+    }
+
+
 def removed_on_purpose(before: dict, op: tuple) -> set:
     """Keys ``op`` removes by definition (not by eviction)."""
     if op[0] == "drop_leader":
         return {(PAGE_LEADER, LEADER_BASE + op[1])}
+    released = released_leaders(before, op)
     if op[0] == "rollback":
-        return {
+        return released | {
             key for key, entry in before.items()
             if entry.needs_log and entry.logged_image is None
         }
-    return set()
+    return released
 
 
 def check_accounting(cache: MetadataCache) -> None:
@@ -146,6 +166,7 @@ def check_accounting(cache: MetadataCache) -> None:
     clean = {key for key, entry in entries.items() if entry.evictable}
     for key, entry in entries.items():
         assert entry.pinned == (not entry.evictable), key
+        assert entry.pinned or entry.kind == PAGE_NAME_TABLE, key
     assert set(cache._lru) == clean
     assert cache.clean_pages == len(clean)
     assert cache.pinned_pages == len(entries) - len(clean)
@@ -160,6 +181,10 @@ def check_eviction(
     """What left the cache during ``op``, against the rule."""
     after = cache._entries
     dropped = removed_on_purpose(before, op)
+    # a leader leaves exactly when it becomes evictable
+    left = {key for key in before if key[0] == PAGE_LEADER} - set(after)
+    assert released_leaders(before, op) <= left
+    assert left <= dropped
     evicted = [
         entry for key, entry in before.items()
         if key not in after and key not in dropped

@@ -168,6 +168,30 @@ class TestSemanticOracle:
         assert SemanticOracle().check(fs, ctx) == []
 
 
+    def test_lost_older_version_reported(self, crash_disk):
+        fs = self.make_fs(crash_disk, [Op("create", "a", b"v2")])
+        ctx = ctx_for([Op("create", "a", b"v1"), Op("create", "a", b"v2")])
+        problems = SemanticOracle().check(fs, ctx)
+        assert problems == [
+            "versions of 'a': recovered 1 under that content, "
+            "expected one of [2]"
+        ]
+
+    def test_resurrected_trimmed_version_reported(self, crash_disk):
+        ops = [Op("create", "a", b"v1"), Op("create", "a", b"v2")]
+        fs = self.make_fs(crash_disk, ops)
+        ctx = ctx_for(ops + [Op("set_keep", "a", keep=1)])
+        problems = SemanticOracle().check(fs, ctx)
+        assert any("versions of 'a': recovered 2" in p for p in problems)
+
+    def test_pending_trim_may_be_absent_or_whole(self, crash_disk):
+        ops = [Op("create", "a", b"v1"), Op("create", "a", b"v2")]
+        fs = self.make_fs(crash_disk, ops)
+        ctx = ctx_for(ops, pending=[Op("set_keep", "a", keep=1)])
+        assert ctx.allowed_versions()["a"] == {(2, b"v2"), (1, b"v2")}
+        assert SemanticOracle().check(fs, ctx) == []
+
+
 class TestStructuralOracle:
     def test_clean_volume_passes(self, fsd):
         fsd.create("s/a", b"data")

@@ -8,7 +8,7 @@ from repro.core.fsd import FSD
 from repro.disk.disk import SimDisk
 from repro.disk.trace import IoTracer
 from repro.obs import Observer
-from repro.obs.export import timeline, validate_timeline
+from repro.obs.export import folded_stacks, timeline, validate_timeline
 from tests.conftest import TEST_FSD_PARAMS, TEST_GEOMETRY
 
 
@@ -88,6 +88,45 @@ class TestMetricsMatchOpCounts:
             if value > 0
         }
         assert {"wal", "commit", "cache", "btree", "vam", "fsd"} <= layers
+
+
+class TestSetKeepIsAnUpdate:
+    """``set_keep`` is a mutating entry point like the others: the
+    commit that logs it counts it, and ``repro trace`` shows its span."""
+
+    def _keep_one(self):
+        fs, obs = _mounted_with_observer()
+        tracer = IoTracer()
+        fs.disk.tracer = tracer
+        for _ in range(3):
+            fs.create("k", b"v" * 600)
+        fs.force()
+        base = obs.snapshot()
+        fs.set_keep("k", 1)
+        fs.force()
+        return fs, obs, tracer, obs.snapshot() - base
+
+    def test_counted_and_absorbed_by_its_commit(self):
+        fs, _, _, delta = self._keep_one()
+        assert fs.versions("k") == [3]
+        assert delta.counter("fsd.set_keeps") == 1
+        # commit.batching_factor: updates absorbed per force
+        assert delta.counter("commit.forces") == 1
+        assert delta.histograms["commit.ops_absorbed"].total == 1
+
+    def test_span_in_the_trace(self):
+        _, obs, tracer, _ = self._keep_one()
+        records = timeline(obs.span_records(), tracer.events)
+        assert validate_timeline(records) == []
+        spans = [
+            r for r in records
+            if r["type"] == "span" and r["name"] == "fsd.set_keep"
+        ]
+        assert len(spans) == 1
+        assert any(
+            line.startswith("fsd.set_keep")
+            for line in folded_stacks(obs.span_records())
+        )
 
 
 class TestRecoveryTimeline:
