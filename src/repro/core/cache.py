@@ -27,10 +27,11 @@ therefore bounded by ``max(capacity, pinned + reserve)``.  A leader is
 never clean: nothing reads it here once it is logged and home, so it leaves.
 
 The cache itself never touches the disk: writeback goes through the
-injected ``nt_writer``/``leader_writer`` callables,
-which a mounted volume points at the shared
-:class:`~repro.disk.sched.IoScheduler`; each writeback is on the
-platter, in program order, when the callable returns.
+injected ``writer`` callable, which a mounted volume points at
+:meth:`~repro.core.name_table.NameTableHome.write_pages`: a third's
+(at a checkpoint or unmount, every third's) name-table pages and
+leaders go home as one planned batch, all on the platter when the
+callable returns.
 
 Cached name-table pages are conceptually read-only between updates —
 the paper keeps them read-protected to catch wild stores.  Here the
@@ -99,24 +100,25 @@ class MetadataCache:
     """Cache of name-table pages and pending leader pages.
 
     ``nt_reader(page_no)`` must return the page from its home copies
-    (the double read); ``nt_writer(pages)`` must write ``(page_no,
-    data)`` pairs to both home copies; ``leader_writer(addr, data)``
-    writes a leader page home.
+    (the double read); ``writer(pages, leaders)`` must write ``(page_no,
+    data)`` pairs to both home copies and ``(address, data)`` leader
+    pages home, and return the number of transfers it made
+    (:meth:`NameTableHome.write_pages`).
     """
 
     def __init__(
         self,
         capacity_pages: int,
         nt_reader: Callable[[int], bytes],
-        nt_writer: Callable[[list[tuple[int, bytes]]], None],
-        leader_writer: Callable[[int, bytes], None],
+        writer: Callable[
+            [list[tuple[int, bytes]], list[tuple[int, bytes]]], int
+        ],
     ):
         self.capacity = capacity_pages
         #: clean entries eviction never goes below.
         self.reserve = capacity_pages // CLEAN_RESERVE_SHARE
         self._nt_reader = nt_reader
-        self._nt_writer = nt_writer
-        self._leader_writer = leader_writer
+        self._writer = writer
         self._entries: dict[tuple[int, int], CacheEntry] = {}
         #: entries with ``needs_log`` set, maintained incrementally so
         #: the admission/pressure checks on every operation are O(1)
@@ -326,43 +328,16 @@ class MetadataCache:
         obs.gauge("cache.pinned_peak", self.pinned_peak)
         obs.gauge("cache.clean_pages", len(self._lru))
 
-    def flush_third(self, third: int) -> None:
+    def flush_third(self, third: int) -> tuple[int, int, int]:
         """The paper's writeback: write home every page whose newest
-        log copy lives in ``third`` (it is about to be overwritten)."""
-        writes_before = self.home_writes
-        nt_batch: list[tuple[int, bytes]] = []
-        released = []
-        for key, entry in self._entries.items():
-            if (
-                entry.last_logged_third != third
-                or not entry.pinned
-                or not entry.home_stale
-            ):
-                continue
-            assert entry.logged_image is not None
-            if entry.kind == PAGE_NAME_TABLE:
-                nt_batch.append((entry.page_id, entry.logged_image))
-            else:
-                self._leader_writer(entry.page_id, entry.logged_image)
-                self.home_writes += 1
-            entry.home_image = entry.logged_image
-            if self._settle(key, entry):
-                released.append(key)
-        for key in released:
-            del self._entries[key]
-        if nt_batch:
-            nt_batch.sort()
-            self._nt_writer(nt_batch)
-            self.home_writes += len(nt_batch)
-        self.obs.count(
-            "cache.dirty_writebacks", self.home_writes - writes_before
-        )
-        self._evict_if_needed()
+        log copy lives in ``third`` (it is about to be overwritten).
+        Returns the batch's name-table pages, leaders and transfers."""
+        return self._write_home((third,))
 
     def flush_all_home(self) -> None:
-        """Clean shutdown: every logged image goes home."""
-        for third in (0, 1, 2):
-            self.flush_third(third)
+        """Clean shutdown or a checkpoint: every logged image goes home,
+        all three thirds in one batch."""
+        self._write_home((0, 1, 2))
 
     def pending_log_pages(self) -> int:
         """Pages modified since the last force (awaiting commit)."""
@@ -407,6 +382,37 @@ class MetadataCache:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _write_home(self, thirds: tuple[int, ...]) -> tuple[int, int, int]:
+        """Hand every logged image not yet home whose newest log copy
+        lies in one of ``thirds`` to the writer, as one batch."""
+        pages: list[tuple[int, bytes]] = []
+        leaders: list[tuple[int, bytes]] = []
+        released = []
+        for key, entry in self._entries.items():
+            if (
+                entry.last_logged_third not in thirds
+                or not entry.pinned
+                or not entry.home_stale
+            ):
+                continue
+            assert entry.logged_image is not None
+            batch = pages if entry.kind == PAGE_NAME_TABLE else leaders
+            batch.append((entry.page_id, entry.logged_image))
+            entry.home_image = entry.logged_image
+            if self._settle(key, entry):
+                released.append(key)
+        for key in released:
+            del self._entries[key]
+        written = len(pages) + len(leaders)
+        transfers = 0
+        if written:
+            pages.sort()
+            transfers = self._writer(pages, leaders)
+            self.home_writes += written
+        self.obs.count("cache.dirty_writebacks", written)
+        self._evict_if_needed()
+        return len(pages), len(leaders), transfers
+
     def _add_clean(self, key: tuple[int, int], data: bytes) -> None:
         """A name-table image straight from home joins the clean
         population as its most recently used entry."""

@@ -249,8 +249,7 @@ class FSD:
         cache = MetadataCache(
             capacity_pages=params.cache_pages,
             nt_reader=home.read_page,
-            nt_writer=home.write_pages,
-            leader_writer=lambda addr, data: io.submit_write(addr, [data]),
+            writer=home.write_pages,
         )
         pager = NameTablePager(cache, layout, disk.clock, home)
         FsdNameTable.format(pager, disk.clock)
@@ -324,10 +323,7 @@ class FSD:
             cache = MetadataCache(
                 capacity_pages=layout.params.cache_pages,
                 nt_reader=home.read_page,
-                nt_writer=home.write_pages,
-                leader_writer=lambda addr, data: io.submit_write(
-                    addr, [data]
-                ),
+                writer=home.write_pages,
             )
             cache.obs = obs
             if redone_nt:

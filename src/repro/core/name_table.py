@@ -275,11 +275,15 @@ class NameTableHome:
                     writes.append((addr_b, sectors))
         return writes
 
-    def write_pages(self, pages: list[tuple[int, bytes]]) -> None:
-        """Write pages home: :meth:`page_writes`, in that order.  Every
-        copy is on the platter when this returns."""
-        for address, sectors in self.page_writes(pages):
-            self.io.submit_write(address, sectors)
+    def write_pages(self, pages: list[tuple[int, bytes]], leaders=()) -> int:
+        """The volume's one write-home path: ``(page_no, data)`` pages
+        and ``(address, data)`` leaders as one batch in the order the
+        disk finishes them (:meth:`IoScheduler.write_batch`), all on the
+        platter when this returns.  Returns the number of transfers."""
+        writes = [(address, [data]) for address, data in leaders]
+        writes += self.page_writes(pages)
+        self.io.write_batch(writes)
+        return len(writes)
 
 
 def _contiguous_groups(

@@ -12,7 +12,9 @@ records is written home once (redo is idempotent, so this is
 equivalent to the paper's record-at-a-time replay but cheaper).  Both
 steps stream: the scan reads the record area in multi-sector windows,
 and the home writes go to the disk as one batch in the order that
-positions the arm least (:meth:`~repro.disk.sched.IoScheduler.write_batch`).
+positions the arm least
+(:meth:`~repro.core.name_table.NameTableHome.write_pages`, the write-home
+path a third entry and the checkpointer take too).
 """
 
 from __future__ import annotations
@@ -175,8 +177,7 @@ def replay_log(
                 if page.kind == PAGE_NAME_TABLE:
                     nt_last_seen[page.page_id] = pages_scanned
         with obs.span("recovery.redo", pages=len(newest)):
-            io = wal.io
-            home = NameTableHome(io, layout)
+            home = NameTableHome(wal.io, layout)
             nt_images = {
                 page_id: data
                 for (kind, page_id), data in newest.items()
@@ -185,16 +186,14 @@ def replay_log(
             # A scan stopped short of committed records knows an older
             # state: a leader it calls live may since have been deleted
             # and its sector reused for data, so no leader goes home.
-            writes, stale_leaders = (
+            leaders, stale_leaders = (
                 ([], 0)
                 if wal.lost_records_detected
                 else _redo_live_leaders(home, layout, newest, nt_images)
             )
-            if nt_images:
-                writes += home.page_writes(sorted(nt_images.items()))
             # Redo is idempotent and no client waits on it: the whole
             # batch goes in the order that positions the arm least.
-            io.write_batch(writes)
+            home.write_pages(sorted(nt_images.items()), leaders)
         replay_span.set(records=len(records), pages=len(newest))
     report.log_damage = wal.scan_damage
     report.log_records_lost = wal.lost_records_detected
@@ -218,10 +217,9 @@ def _redo_live_leaders(
     layout: VolumeLayout,
     newest: dict[tuple[int, int], bytes],
     nt_images: dict[int, bytes],
-) -> tuple[list[tuple[int, list[bytes]]], int]:
-    """The home writes, ``(address, [image])`` each, for replayed
-    leader images that are still live, and the number of stale images
-    skipped.
+) -> tuple[list[tuple[int, bytes]], int]:
+    """The replayed leader images that are still live, ``(address,
+    image)`` each, and the number of stale images skipped.
 
     A leader is live iff the *final* name-table state still maps its
     (name, version) to its address and uid.  That state is derivable
@@ -265,7 +263,7 @@ def _redo_live_leaders(
                 continue
             live[(name, version)] = (entry.leader_addr, entry.uid)
 
-    writes: list[tuple[int, list[bytes]]] = []
+    live_leaders: list[tuple[int, bytes]] = []
     for address, data in sorted(pending.items()):
         try:
             image = decode_leader(data)
@@ -276,8 +274,8 @@ def _redo_live_leaders(
             and live.get((image.name, image.version))
             == (address, image.uid)
         ):
-            writes.append((address, [data]))
-    return writes, len(pending) - len(writes)
+            live_leaders.append((address, data))
+    return live_leaders, len(pending) - len(live_leaders)
 
 
 # ----------------------------------------------------------------------

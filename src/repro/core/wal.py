@@ -108,8 +108,10 @@ class WriteAheadLog:
             raise ValueError(
                 "log too small: the largest record must fit in one third"
             )
-        #: called with the third index before its records are overwritten
-        self.flush_third: Callable[[int], None] | None = None
+        #: called with the third index before its records are
+        #: overwritten; returns the name-table pages, leaders and
+        #: transfers it wrote home (``MetadataCache.flush_third``).
+        self.flush_third: Callable[[int], tuple[int, int, int]] | None = None
         #: observability attach point (``FSD.mount`` rebinds it).
         self.obs = NULL_OBS
 
@@ -289,20 +291,22 @@ class WriteAheadLog:
         self.third_entries += 1
         clock = self.io.clock
         start_ms = clock.now_ms
-        if self.flush_third is not None:
-            self.flush_third(third)
-        if self.third_of(self.anchor_offset) == third:
-            new_anchor = (upcoming_offset, self.next_record_number)
-            for step in (1, 2):
-                successor = self._third_first[(third + step) % 3]
-                if successor is not None:
-                    new_anchor = successor
-                    break
-            # A checkpoint that left the cursor exactly on this third's
-            # boundary has already put the anchor on the record about
-            # to be written: nothing to move.
-            if new_anchor != (self.anchor_offset, self.anchor_record_number):
-                self._write_anchor(*new_anchor)
+        with self.obs.span("wal.third_entry") as span:
+            if self.flush_third is not None:
+                pages, leaders, transfers = self.flush_third(third)
+                span.set(pages=pages, leaders=leaders, transfers=transfers)
+            if self.third_of(self.anchor_offset) == third:
+                new_anchor = (upcoming_offset, self.next_record_number)
+                for step in (1, 2):
+                    successor = self._third_first[(third + step) % 3]
+                    if successor is not None:
+                        new_anchor = successor
+                        break
+                # A checkpoint that left the cursor exactly on this
+                # third's boundary has already put the anchor on the
+                # record about to be written: nothing to move.
+                if new_anchor != (self.anchor_offset, self.anchor_record_number):
+                    self._write_anchor(*new_anchor)
         self._third_first[third] = None
         # Commit-path stall: the appender (and therefore the commit in
         # progress) was blocked behind this write-home + anchor advance.

@@ -3,13 +3,13 @@
 Every storage layer (WAL, group commit writeback, recovery redo, VAM
 save, the FSD data path) talks to one :class:`IoScheduler` instead of
 calling :class:`~repro.disk.disk.SimDisk` directly.  Writes that have
-no client waiting on them — the paper's §4 *asynchronous* writes:
-writeback of logged metadata pages, redo writes during recovery, the
-VAM bitmap save — go through :meth:`IoScheduler.submit_write`, which
-counts them (``sched.submitted`` / ``sched.dispatched``) and writes
-them at once, in program order: op counts and simulated times are
-exactly those of direct disk calls.  (Recovery's redo writes arrive as
-one :meth:`IoScheduler.write_batch`; see below.)
+no client waiting on them — the paper's §4 *asynchronous* writes: log
+records, logged metadata going home, the VAM bitmap save — go through
+:meth:`IoScheduler.submit_write`, which counts them (``sched.submitted``
+/ ``sched.dispatched``) and writes them at once, in program order: op
+counts and simulated times are exactly those of direct disk calls.
+(Logged metadata arrives as one :meth:`IoScheduler.write_batch`; see
+below.)
 
 There is one ordering rule: a write is on the platter when the call
 that issued it returns.  Nothing is held back or merged, so "what the
@@ -19,9 +19,11 @@ interrupts.  (An elevator and a deadline policy once sat here; they
 lost to program order on every workload that measured them: see
 EXPERIMENTS.md, "I/O dispatch order — the elevator's verdict".)
 
-The one reordering is a batch handed over whole.  Recovery's redo
-knows every write it will issue before it issues the first, no client
-waits on any of them, and redo is idempotent, so
+The one reordering is a batch handed over whole, by the one write-home
+path (:meth:`~repro.core.name_table.NameTableHome.write_pages`: a third
+entry, a checkpoint, unmount, redo, format).  It knows every write
+before it issues the first, no client waits on them, and no crash
+depends on their order (the log still holds every image), so
 :meth:`IoScheduler.write_batch` dispatches such a batch in the order
 :func:`plan_writes` picks: cylinders swept from the nearer end, and
 within a cylinder the write that would finish first at the disk's own

@@ -26,12 +26,11 @@ class Home:
         self.reads += 1
         return self.pages.get(page_no, b"\x00" * 512)
 
-    def write_pages(self, batch):
+    def write_pages(self, batch, leaders=()):
         for page_no, data in batch:
             self.pages[page_no] = data
-
-    def write_leader(self, addr, data):
-        self.leaders[addr] = data
+        self.leaders.update(leaders)
+        return len(batch) + len(leaders)
 
 
 @pytest.fixture
@@ -44,8 +43,7 @@ def cache(home: Home) -> MetadataCache:
     return MetadataCache(
         capacity_pages=4,
         nt_reader=home.read_page,
-        nt_writer=home.write_pages,
-        leader_writer=home.write_leader,
+        writer=home.write_pages,
     )
 
 

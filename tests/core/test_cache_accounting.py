@@ -49,11 +49,10 @@ class Home:
     def read_page(self, page_no: int) -> bytes:
         return self.pages.get(page_no, image(page_no, 0))
 
-    def write_pages(self, batch) -> None:
+    def write_pages(self, batch, leaders=()) -> int:
         self.pages.update(batch)
-
-    def write_leader(self, address: int, data: bytes) -> None:
-        self.leaders[address] = data
+        self.leaders.update(leaders)
+        return len(batch) + len(leaders)
 
 
 class ParentRuleCache(MetadataCache):
@@ -80,8 +79,7 @@ def build(cls, capacity: int):
     cache = cls(
         capacity_pages=capacity,
         nt_reader=home.read_page,
-        nt_writer=home.write_pages,
-        leader_writer=home.write_leader,
+        writer=home.write_pages,
     )
     return cache, home
 

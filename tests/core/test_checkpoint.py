@@ -160,8 +160,9 @@ class TestStallElimination:
                 ):
                     assert entry.kind == PAGE_LEADER and entry.needs_log
             start_ms = clock.now_ms
-            flush_third(third)
+            written = flush_third(third)
             restore_ms += clock.now_ms - start_ms
+            return written
 
         fs.wal.flush_third = only_piggybacked_leaders
         engine = TrafficEngine(

@@ -50,8 +50,7 @@ def world():
     cache = MetadataCache(
         capacity_pages=PARAMS.cache_pages,
         nt_reader=home.read_page,
-        nt_writer=home.write_pages,
-        leader_writer=lambda addr, data: disk.write(addr, [data]),
+        writer=home.write_pages,
     )
     pager = NameTablePager(cache, layout, disk.clock, home)
     pager.obs = Observer()
@@ -131,7 +130,7 @@ class TestTransfers:
         )
         layout = VolumeLayout.compute(GEO, params)
         home = NameTableHome(disk, layout)
-        cache = MetadataCache(64, home.read_page, home.write_pages, None)
+        cache = MetadataCache(64, home.read_page, home.write_pages)
         pager = NameTablePager(cache, layout, disk.clock, home)
         pager.obs = Observer()
         home.write_pages([(no, page(no)) for no in range(10, 20)])

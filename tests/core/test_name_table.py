@@ -48,8 +48,7 @@ def make_world():
     cache = MetadataCache(
         capacity_pages=PARAMS.cache_pages,
         nt_reader=home.read_page,
-        nt_writer=home.write_pages,
-        leader_writer=lambda addr, data: disk.write(addr, [data]),
+        writer=home.write_pages,
     )
     pager = NameTablePager(cache, layout, disk.clock, home)
     return disk, layout, home, cache, pager

@@ -169,8 +169,7 @@ def walk_table() -> FsdNameTable:
     )
     home = NameTableHome(disk, layout)
     cache = MetadataCache(
-        capacity_pages=64, nt_reader=home.read_page, nt_writer=home.write_pages,
-        leader_writer=lambda addr, data: disk.write(addr, [data]),
+        capacity_pages=64, nt_reader=home.read_page, writer=home.write_pages,
     )
     return FsdNameTable.format(NameTablePager(cache, layout, disk.clock, home), disk.clock)
 

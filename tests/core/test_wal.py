@@ -223,7 +223,12 @@ class TestThirdsProtocol:
     def test_flush_called_on_entering_new_third(self):
         _, wal = fresh_wal()
         entered = []
-        wal.flush_third = entered.append
+
+        def flush_third(third):
+            entered.append(third)
+            return 0, 0, 0
+
+        wal.flush_third = flush_third
         pages_per_record = 10
         appended = 0
         while wal.third_of(wal.write_offset) == 0 and appended < 50:
@@ -236,7 +241,7 @@ class TestThirdsProtocol:
 
     def test_anchor_advances_when_wrapping(self):
         _, wal = fresh_wal()
-        wal.flush_third = lambda third: None
+        wal.flush_third = lambda third: (0, 0, 0)
         first_anchor = wal.anchor_offset, wal.anchor_record_number
         # Fill well past one full log cycle.
         for i in range(60):
@@ -249,7 +254,7 @@ class TestThirdsProtocol:
         boundary has put the anchor on the record about to be written;
         entering that third moves nothing and writes nothing."""
         disk, wal = fresh_wal()
-        wal.flush_third = lambda third: None
+        wal.flush_third = lambda third: (0, 0, 0)
         for fill in range(4):  # 4 x 25 sectors: one third exactly
             wal.append_records([nt_page(i, fill) for i in range(10)])
         assert wal.write_offset == wal.third_sectors
@@ -265,7 +270,7 @@ class TestThirdsProtocol:
 
     def test_scan_after_many_wraps(self):
         disk, wal = fresh_wal()
-        wal.flush_third = lambda third: None
+        wal.flush_third = lambda third: (0, 0, 0)
         for i in range(80):
             wal.append_records([nt_page(i % 40, (i * 3) % 251) for _ in range(8)])
         records = WriteAheadLog(disk, wal.layout).scan()
@@ -279,7 +284,7 @@ class TestThirdsProtocol:
         """A record that does not fit the tail wraps via a skip record
         and scanning follows it."""
         disk, wal = fresh_wal()
-        wal.flush_third = lambda third: None
+        wal.flush_third = lambda third: (0, 0, 0)
         # Append 8-page records (21 sectors); 300 is not a multiple of
         # 21, so the last record cannot fit the tail exactly.
         while wal.area_sectors - wal.write_offset >= 21:
@@ -319,7 +324,7 @@ class TestSalvageSweep:
     @given(history=st.lists(record_keys, min_size=1, max_size=60))
     def test_agrees_with_the_scan_on_an_undamaged_log(self, history):
         disk, wal = fresh_wal()
-        wal.flush_third = lambda third: None
+        wal.flush_third = lambda third: (0, 0, 0)
         last_logged: dict[tuple[int, int], int] = {}
         for step, keys in enumerate(history):
             pages = [

@@ -60,7 +60,7 @@ def test_scan_returns_all_live_records(batches):
     wal = WriteAheadLog(disk, layout)
     wal.boot_count = 1
     wal.format()
-    wal.flush_third = lambda third: None
+    wal.flush_third = lambda third: (0, 0, 0)
 
     written: dict[int, list[LoggedPage]] = {}
     for spec in batches:
@@ -122,7 +122,7 @@ def test_scan_after_torn_append_is_a_prefix(batches, crash_io, surviving, tail):
     wal = WriteAheadLog(disk, layout)
     wal.boot_count = 1
     wal.format()
-    wal.flush_third = lambda third: None
+    wal.flush_third = lambda third: (0, 0, 0)
 
     completed: set[int] = set()
     disk.faults.arm_crash(
@@ -154,7 +154,7 @@ def test_scan_after_torn_append_is_a_prefix(batches, crash_io, surviving, tail):
     resumed = WriteAheadLog(disk, layout)
     resumed.boot_count = 2
     resumed.scan()
-    resumed.flush_third = lambda third: None
+    resumed.flush_third = lambda third: (0, 0, 0)
     resumed.append_records(make_batch([(1, 99)]))
     final = WriteAheadLog(disk, layout).scan()
     assert final[-1].pages[0].data == bytes([99]) * 512
@@ -343,7 +343,7 @@ def test_windowed_scan_equals_per_record_reference(batches, crash, damage):
     wal = WriteAheadLog(disk, layout)
     wal.boot_count = 1
     wal.format()
-    wal.flush_third = lambda third: None
+    wal.flush_third = lambda third: (0, 0, 0)
     if crash is not None:
         crash_io, surviving, tail = crash
         disk.faults.arm_crash(

@@ -13,6 +13,7 @@ from repro.core.name_table import NameTableHome
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
 from repro.disk.mirror import MirroredDisk
+from repro.disk.sched import plan_writes
 from repro.errors import SimulatedCrash
 
 GEO = DiskGeometry(cylinders=120, heads=8, sectors_per_track=24)
@@ -32,27 +33,33 @@ def page(byte: int) -> bytes:
 
 class TestSecondCopyFaults:
     def test_crash_fires_on_second_copy_write(self, world):
-        """The A-copy write completes; the crash tears the B-copy.
-        The double read must recover from A and repair B in place."""
+        """The copy the plan dispatches first completes; the crash
+        tears the second.  The double read must recover from the
+        survivor and repair the torn copy in place."""
         disk, layout, home = world
         home.write_pages([(3, page(0x5A))])  # both copies healthy
-        addr_a, addr_b = layout.nt_page_addresses(3)
+        writes = home.page_writes([(3, page(0xA5))])
+        first, second = (
+            writes[index][0] for index, _ in plan_writes(disk, writes)
+        )
+        assert {first, second} == set(layout.nt_page_addresses(3))
 
-        # Next write: A lands (I/O #0 survives), the B write (I/O #1)
-        # crashes with nothing transferred and a damaged boundary.
+        # Next write: the first copy lands (I/O #0 survives), the
+        # second (I/O #1) crashes with nothing transferred and a
+        # damaged boundary.
         disk.faults.arm_crash(
             after_ios=1, surviving_sectors=0, damage_tail=1
         )
         with pytest.raises(SimulatedCrash):
             home.write_pages([(3, page(0xA5))])
-        assert disk.read_maybe(addr_a, 1)[0] == page(0xA5)
-        assert disk.read_maybe(addr_b, 1)[0] is None
+        assert disk.read_maybe(first, 1)[0] == page(0xA5)
+        assert disk.read_maybe(second, 1)[0] is None
 
         # A fresh home (post-recovery) reads the survivor and repairs.
         recovered = NameTableHome(disk, layout)
         assert recovered.read_page(3) == page(0xA5)
         assert recovered.repairs == 1
-        assert disk.read_maybe(addr_b, 1)[0] == page(0xA5)
+        assert disk.read_maybe(second, 1)[0] == page(0xA5)
 
     def test_media_fault_on_second_copy_only(self, world):
         """A media flaw on the B copy is invisible until read, then

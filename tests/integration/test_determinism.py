@@ -72,11 +72,15 @@ def test_bit_identical_replay():
 #: I/Os and the same end time); and again when open, create and delete
 #: began resolving a name in one walk of its key range (fewer B-tree
 #: node visits: the run ends 100.02 ms sooner and waits 36.47 ms less
-#: for rotation, with the same I/Os).  The I/O port must reproduce
-#: every one of these, bit for bit.
+#: for rotation, with the same I/Os); and again when every write-home
+#: (a third entry, the checkpointer, unmount, redo and format) became
+#: one planned batch (the unmount's three thirds go home together, so
+#: contiguous pages share a transfer: 214 -> 208 writes with the same
+#: sectors, and the batch waits 64.88 ms less for rotation).  The I/O
+#: port must reproduce every one of these, bit for bit.
 GOLDEN = dict(
     reads=112,
-    writes=214,
+    writes=208,
     label_reads=0,
     label_writes=0,
     sectors_read=334,
@@ -84,9 +88,9 @@ GOLDEN = dict(
     seeks=15,
     short_seeks=30,
     seek_ms=450.7711064878843,
-    rotational_ms=2271.99351851223,
-    transfer_ms=655.6866666666689,
-    now_ms=8752.097291666667,
+    rotational_ms=2207.1135185122325,
+    transfer_ms=655.6866666666687,
+    now_ms=8685.417291666668,
     create_ios=109,
     list_ios=0,
     read_ios=100,
@@ -109,13 +113,13 @@ def golden_workload():
 
 class TestFifoBitCompat:
     def test_fifo_matches_pre_refactor_golden_numbers(self):
-        """``GOLDEN`` pins where metadata lies, not a refactor: a
-        change to ``core/layout.py`` that moves a metadata sector, or
-        to how many name-table pages the B-tree fills, legitimately
-        moves these numbers and re-captures them; a change anywhere
-        else must not.  Since the reordering policies went, program
-        order is *the* dispatch order, so this pins every mount's
-        writes, not one policy's."""
+        """``GOLDEN`` pins the simulated cost of one fixed workload,
+        bit for bit.  What moves it legitimately, and re-captures it:
+        where metadata lies (``core/layout.py``), how many name-table
+        pages the B-tree fills, how much CPU comes between I/Os, and
+        the order a write-home batch dispatches its writes in
+        (:func:`~repro.disk.sched.plan_writes`).  A refactor that moves
+        none of these must not move it."""
         disk, result = golden_workload()
         st = disk.stats
         got = dict(

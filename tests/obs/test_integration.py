@@ -129,6 +129,50 @@ class TestSetKeepIsAnUpdate:
         )
 
 
+class TestThirdEntrySpan:
+    """A third entry is a ``wal.third_entry`` span: its duration is the
+    commit-path stall it caused, and its attributes say what it wrote
+    home, so ``repro trace`` explains each stall."""
+
+    def _wrap_log(self):
+        fs, obs = _mounted_with_observer()
+        tracer = IoTracer()
+        fs.disk.tracer = tracer
+        for index in range(240):
+            name = f"t/{index * 37 % 240:03d}-{index}"
+            fs.create(name, b"x" * 200)
+            if index % 4 == 3:
+                fs.rename(name, f"r/{index}")  # relogs the leader
+            if index % 3 == 2:
+                fs.force()
+        spans = [r for r in obs.span_records() if r.name == "wal.third_entry"]
+        return fs, obs, tracer, spans
+
+    def test_one_span_per_entry_summing_to_the_stall(self):
+        fs, obs, _, spans = self._wrap_log()
+        assert len(spans) == fs.wal.third_entries >= 3
+        assert sum(span.duration_ms for span in spans) == fs.wal.stall_ms
+        assert obs.snapshot().counter("wal.stall_ms") == fs.wal.stall_ms
+
+    def test_attributes_name_what_went_home(self):
+        fs, _, tracer, spans = self._wrap_log()
+        anchor = range(fs.layout.log_start, fs.layout.log_start + 3)
+        assert any(span.attrs["leaders"] for span in spans)
+        assert any(span.attrs["transfers"] > 2 for span in spans)
+        for span in spans:
+            home = [
+                event for event in tracer.events
+                if span.start_ms <= event.start_ms < span.end_ms
+                and event.address not in anchor
+            ]
+            assert all(event.kind == "write" for event in home)
+            assert len(home) == span.attrs["transfers"]
+            # Both copies of each page, one sector per leader.
+            assert sum(event.sectors for event in home) == (
+                2 * span.attrs["pages"] + span.attrs["leaders"]
+            )
+
+
 class TestRecoveryTimeline:
     def test_recovery_spans_form_valid_nested_timeline(self):
         disk = SimDisk(geometry=TEST_GEOMETRY)
