@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import sys
 
+from repro.btree import INTERNAL
 from repro.core.fsd import FSD, PAPER as PAPER_MOUNT
 from repro.harness.batches import measure_batches, measure_makedo
 from repro.harness.report import Table, ratio
@@ -172,6 +173,42 @@ def test_list_python_calls_per_entry():
     )
     table.print()
     assert per_entry <= LIST_CALLS_PER_ENTRY_BOUND
+
+
+def test_a_cold_list_keeps_the_interior_nodes():
+    """A count gate that reads no clock: the pages a ``list`` of a
+    1 500-file directory prefetches join the metadata cache cold, so
+    the list pushes out none of the interior nodes resident before it,
+    and the next open descends without an interior demand miss."""
+    disk, fs, adapter = fsd_volume(FULL)
+    names = populate(adapter, 1500, directory="src", max_bytes=512)
+    fs.unmount()
+    obs = Observer(disk.clock)
+    fs = FSD.mount(disk, obs=obs)
+    for name in names[::100]:
+        fs.open(name)
+    interior = [
+        page_no for page_no in range(fs.layout.params.nt_pages)
+        if (fs.cache.resident_nt(page_no) or b"\x00")[0] == INTERNAL
+    ]
+    listed = fs.list("src/")
+    assert len(listed) == 1500
+    misses = obs.metrics.counter("cache.misses_interior")
+    before = misses.value
+    cold = obs.metrics.counter("cache.cold_evictions").value
+    fs.open(names[750])
+    table = Table("a cold list of 1 500 files (FSD default mount)")
+    table.add(
+        "interior nodes resident before, after the list",
+        "-",
+        f"{len(interior)}, "
+        f"{sum(fs.cache.resident_nt(page) is not None for page in interior)}",
+        note=f"{cold:g} cold evictions",
+    )
+    table.print()
+    assert len(interior) >= 2
+    assert all(fs.cache.resident_nt(page) is not None for page in interior)
+    assert misses.value == before
 
 
 def test_name_table_node_visits_per_op():

@@ -19,12 +19,23 @@ The cache holds two populations.  *Pinned* entries (``needs_log``, or a
 logged image that differs from home) are obligations: their number is
 set by the log — how much was modified since the third now being
 overwritten was last entered — not by ``capacity``.  *Clean* entries
-are the cache proper: they are evicted least recently used first, but
-never below a reserve of ``capacity // CLEAN_RESERVE_SHARE``, so that
-however much the log pins there is room for the B-tree root and the
-interior nodes every lookup descends through.  Resident entries are
-therefore bounded by ``max(capacity, pinned + reserve)``.  A leader is
-never clean: nothing reads it here once it is logged and home, so it leaves.
+are the cache proper, evicted never below a reserve of
+``capacity // CLEAN_RESERVE_SHARE``, so that however much the log pins
+there is room for the B-tree root and the interior nodes every lookup
+descends through.  Resident entries are therefore bounded by
+``max(capacity, pinned + reserve)``.  A leader is never clean: nothing
+reads it here once it is logged and home, so it leaves.
+
+Clean pages are *warm*, in recency order, or *cold*: the pages a
+listing prefetched (``install_clean(..., cold=True)``) join a FIFO
+segment instead, and the listing's own read of each leaves it there;
+any later read moves it to the warm most-recently-used end.  Eviction
+takes the cold pages already read first (oldest first), then the warm
+ones (least recently used first), then the cold ones no read has
+reached yet.  A listing of a directory larger than the cache therefore
+recycles its own pages and leaves the warm set (interior nodes, the
+leaves lookups live on) where it was.  The rule only chooses which
+clean page leaves, so no disk image or result depends on it.
 
 The cache itself never touches the disk: writeback goes through the
 injected ``writer`` callable, which a mounted volume points at
@@ -51,9 +62,8 @@ from repro.errors import CorruptMetadata
 from repro.obs import NULL_OBS
 
 #: clean entries the cache keeps whatever the log pins, as a share of
-#: ``capacity``: the same quarter a name-table prefetch may fill
-#: (``name_table.PREFETCH_CACHE_SHARE``).  EXPERIMENTS.md "§5.3 —
-#: clean-page reserve" has the sweep behind the value.
+#: ``capacity``.  EXPERIMENTS.md "§5.3 — clean-page reserve" has the
+#: sweep behind the value.
 CLEAN_RESERVE_SHARE = 4
 
 _BY_TICK = attrgetter("lru_tick")
@@ -72,6 +82,9 @@ class CacheEntry:
     #: ``not evictable``, maintained by the cache at every transition
     #: that can change it so that eviction never compares page images.
     pinned: bool = False
+    #: a clean page a listing prefetched that no later read has warmed:
+    #: it lives in the cache's cold segment, not its recency order.
+    cold: bool = False
 
     @property
     def home_stale(self) -> bool:
@@ -124,10 +137,18 @@ class MetadataCache:
         #: the admission/pressure checks on every operation are O(1)
         #: instead of a full cache scan.
         self._dirty: dict[tuple[int, int], CacheEntry] = {}
-        #: the clean entries (exactly those with ``pinned`` unset) in
-        #: recency order, oldest first: eviction pops the front and
-        #: never sees a pinned entry.
+        #: the warm clean entries (exactly those with ``pinned`` and
+        #: ``cold`` unset) in recency order, oldest first: eviction pops
+        #: the front and never sees a pinned entry.
         self._lru: OrderedDict[tuple[int, int], CacheEntry] = OrderedDict()
+        #: the cold segment: pages a listing prefetched that no read
+        #: has reached yet, in the order they arrived ...
+        self._cold: OrderedDict[tuple[int, int], CacheEntry] = OrderedDict()
+        #: ... and those the listing has read once, in the order it
+        #: read them: the first pages eviction takes.
+        self._cold_read: OrderedDict[
+            tuple[int, int], CacheEntry
+        ] = OrderedDict()
         #: while entries released from their pin sit at the tail of
         #: ``_lru`` rather than where ``lru_tick`` puts them, the oldest
         #: ``lru_tick`` among them (else None); the next eviction
@@ -141,6 +162,8 @@ class MetadataCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: the evictions that took a page from the cold segment.
+        self.cold_evictions = 0
         #: evictions the reserve withheld (see ``_evict_if_needed``).
         self.reserve_holds = 0
         #: most pinned entries seen at a force.
@@ -163,12 +186,13 @@ class MetadataCache:
     def pinned_pages(self) -> int:
         """Entries the log holds here: modified and not yet logged, or
         logged and not yet written home."""
-        return len(self._entries) - len(self._lru)
+        return len(self._entries) - self.clean_pages
 
     @property
     def clean_pages(self) -> int:
-        """Entries equal to their home copies (the evictable ones)."""
-        return len(self._lru)
+        """Entries equal to their home copies (the evictable ones),
+        warm and cold."""
+        return len(self._lru) + len(self._cold) + len(self._cold_read)
 
     # ------------------------------------------------------------------
     # name-table pages
@@ -197,7 +221,9 @@ class MetadataCache:
             # in the recency order until it is released.
             self._tick += 1
             entry.lru_tick = self._tick
-            if not entry.pinned:
+            if entry.cold:
+                self.touch_cold(key, entry)
+            elif not entry.pinned:
                 self._lru.move_to_end(key)
             return entry.data
         self.misses += 1
@@ -206,6 +232,21 @@ class MetadataCache:
         self._add_clean(key, data)
         self._evict_if_needed()
         return data
+
+    def touch_cold(self, key: tuple[int, int], entry: CacheEntry) -> None:
+        """The recency part of a hit on a cold page (``read_nt`` and
+        ``NameTablePager.read`` do the rest).  The first read is the
+        listing's own: the page stays cold, now among those eviction
+        takes first.  Any later read warms it: it joins the recency
+        order at the most recently used end."""
+        cold = self._cold
+        if key in cold:
+            del cold[key]
+            self._cold_read[key] = entry
+            return
+        del self._cold_read[key]
+        entry.cold = False
+        self._lru[key] = entry
 
     def write_nt(self, page_no: int, data: bytes) -> None:
         """Apply an update to a cached name-table page (dirty until logged)."""
@@ -234,27 +275,37 @@ class MetadataCache:
 
     def misaccounted(self) -> list[tuple[int, int]]:
         """Keys of entries whose maintained ``pinned`` flag, or place
-        in the clean list, disagrees with their images.  Always empty;
+        among the clean lists, disagrees with their images: a clean
+        entry is in exactly one, the warm list or (when ``cold``) one of
+        the cold segment's two, a pinned one in none.  Always empty;
         the verifier holds the cache to that too."""
-        return [
-            key for key, entry in self._entries.items()
-            if entry.pinned == entry.evictable
-            or (key in self._lru) == entry.pinned
-        ]
+        out = []
+        for key, entry in self._entries.items():
+            cold = (key in self._cold) + (key in self._cold_read)
+            if (
+                entry.pinned == entry.evictable
+                or (key in self._lru) + cold != (not entry.pinned)
+                or cold != entry.cold
+            ):
+                out.append(key)
+        return out
 
-    def install_clean(self, pages: list[tuple[int, bytes]]) -> int:
+    def install_clean(
+        self, pages: list[tuple[int, bytes]], cold: bool = False
+    ) -> int:
         """Adopt name-table images known to equal their home copies
         (recovery hands over what it just redid), oldest first, as
-        clean evictable entries.  Only as many as fit are taken, from
-        the newest end; a page already resident keeps its entry.
-        Returns the number of pages installed.
+        clean evictable entries: warm, or in the cold segment when
+        ``cold`` (a listing's prefetch).  Only as many as fit are
+        taken, from the newest end; a page already resident keeps its
+        entry.  Returns the number of pages installed.
         """
         installed = 0
         for page_no, data in pages[max(0, len(pages) - self.capacity):]:
             key = (PAGE_NAME_TABLE, page_no)
             if key in self._entries:
                 continue
-            self._add_clean(key, data)
+            self._add_clean(key, data, cold)
             installed += 1
         self._evict_if_needed()
         return installed
@@ -326,7 +377,7 @@ class MetadataCache:
         obs = self.obs
         obs.gauge("cache.pinned_pages", pinned)
         obs.gauge("cache.pinned_peak", self.pinned_peak)
-        obs.gauge("cache.clean_pages", len(self._lru))
+        obs.gauge("cache.clean_pages", self.clean_pages)
 
     def flush_third(self, third: int) -> tuple[int, int, int]:
         """The paper's writeback: write home every page whose newest
@@ -351,6 +402,8 @@ class MetadataCache:
         self._entries.clear()
         self._dirty.clear()
         self._lru.clear()
+        self._cold.clear()
+        self._cold_read.clear()
         self._released_from = None
 
     def rollback_uncommitted(self) -> int:
@@ -413,16 +466,33 @@ class MetadataCache:
         self._evict_if_needed()
         return len(pages), len(leaders), transfers
 
-    def _add_clean(self, key: tuple[int, int], data: bytes) -> None:
+    def _add_clean(
+        self, key: tuple[int, int], data: bytes, cold: bool = False
+    ) -> None:
         """A name-table image straight from home joins the clean
-        population as its most recently used entry."""
+        population as its most recently used entry, or (``cold``) as
+        the newest unread page of the cold segment."""
         self._tick += 1
         entry = CacheEntry(
             kind=PAGE_NAME_TABLE, page_id=key[1], data=data,
-            home_image=data, lru_tick=self._tick,
+            home_image=data, lru_tick=self._tick, cold=cold,
         )
         self._entries[key] = entry
-        self._lru[key] = entry
+        if cold:
+            self._cold[key] = entry
+        else:
+            self._lru[key] = entry
+
+    def _unlink_clean(self, key: tuple[int, int], entry: CacheEntry) -> None:
+        """A clean entry becomes pinned: it leaves its clean list."""
+        if not entry.cold:
+            del self._lru[key]
+            return
+        entry.cold = False
+        if key in self._cold:
+            del self._cold[key]
+        else:
+            del self._cold_read[key]
 
     def _stage(self, kind: int, page_id: int, data: bytes) -> None:
         """A modified image: pinned until it is logged *and* home."""
@@ -434,7 +504,7 @@ class MetadataCache:
             self._entries[key] = entry
         elif not entry.pinned:
             entry.pinned = True
-            del self._lru[key]
+            self._unlink_clean(key, entry)
         entry.data = data
         entry.needs_log = True
         self._dirty[key] = entry
@@ -454,7 +524,7 @@ class MetadataCache:
             return False
         entry.pinned = pinned
         if pinned:
-            del self._lru[key]
+            self._unlink_clean(key, entry)
         elif entry.kind == PAGE_NAME_TABLE:
             # Released: its place in the recency order is wherever
             # its last use puts it, not the tail it joins here.
@@ -486,21 +556,47 @@ class MetadataCache:
         if excess <= 0:
             return
         lru = self._lru
-        spare = len(lru) - self.reserve
+        cold, cold_read = self._cold, self._cold_read
+        clean = len(lru)
+        if cold or cold_read:
+            clean += len(cold) + len(cold_read)
+        spare = clean - self.reserve
         if spare < excess:
             # The log pins more than ``capacity - reserve`` entries:
             # the reserve stays, and the cache runs over capacity.
-            held = min(excess, len(lru)) - max(spare, 0)
+            held = min(excess, clean) - max(spare, 0)
             if held:
                 self.reserve_holds += held
                 self.obs.count("cache.reserve_holds", held)
             if spare <= 0:
                 return
             excess = spare
-        if self._released_from is not None:
-            self._restore_order()
-        for _ in range(excess):
-            key, _entry = lru.popitem(last=False)
-            del self._entries[key]
+        entries = self._entries
+        from_cold = 0
+        if cold or cold_read:
+            # The pages a listing has read go first, oldest first; the
+            # ones it has not read yet only once the warm ones are gone.
+            from_cold = len(cold_read)
+            if from_cold > excess:
+                from_cold = excess
+            for _ in range(from_cold):
+                key, _entry = cold_read.popitem(last=False)
+                del entries[key]
+            unread = excess - from_cold - len(lru)
+            if unread > 0:
+                for _ in range(unread):
+                    key, _entry = cold.popitem(last=False)
+                    del entries[key]
+                from_cold += unread
+            if from_cold:
+                self.cold_evictions += from_cold
+                self.obs.count("cache.cold_evictions", from_cold)
+        warm = excess - from_cold
+        if warm:
+            if self._released_from is not None:
+                self._restore_order()
+            for _ in range(warm):
+                key, _entry = lru.popitem(last=False)
+                del entries[key]
         self.evictions += excess
         self.obs.count("cache.evictions", excess)

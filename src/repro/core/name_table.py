@@ -299,13 +299,6 @@ def _contiguous_groups(
         yield group
 
 
-#: A scan prefetch fills at most this share of the metadata cache per
-#: call, so one interior node's children cannot push out the pages an
-#: interleaved point lookup is living on (EXPERIMENTS.md, "list
-#: prefetch": capacity // 4 = 24 pages covers every interior node of a
-#: 1500-entry directory; a larger share buys nothing).
-PREFETCH_CACHE_SHARE = 4
-
 #: Unwanted pages a prefetch transfer may read through to reach the
 #: next wanted one.  A bridged sector costs ~0.5 ms of transfer against
 #: ~23 ms for the seek and rotational wait of a transfer of its own;
@@ -353,12 +346,10 @@ class NameTablePager:
         #: where :meth:`prefetch` fetches from (demand misses reach the
         #: same object through the cache's ``nt_reader``).
         self.home = home
-        #: most pages one prefetch call may install, and the longest
-        #: transfer it may issue.
-        self._prefetch_pages = cache.capacity // PREFETCH_CACHE_SHARE
-        self._prefetch_window = min(
-            layout.params.max_io_sectors, self._prefetch_pages
-        )
+        #: True while a listing's scan runs (:meth:`FsdNameTable.
+        #: enumerate`, :meth:`FsdNameTable.enumerate_props`): what it
+        #: prefetches joins the cache's cold segment.
+        self.listing = False
         #: the fixed per-node CPU charge (CpuCostModel is frozen).
         self._node_ms = clock.cpu.btree_node_ms
         self.page_size = layout.geometry.sector_bytes
@@ -423,7 +414,9 @@ class NameTablePager:
         hit_counter.value += 1
         cache._tick += 1
         entry.lru_tick = cache._tick
-        if not entry.pinned:
+        if entry.cold:
+            cache.touch_cold(key, entry)
+        elif not entry.pinned:
             cache._lru.move_to_end(key)
         return entry.data
 
@@ -472,28 +465,31 @@ class NameTablePager:
 
         Of ``page_nos`` (the scan's frontier, in its read order: the
         node's children, then the pages it pops after them) the first
-        ``capacity // 4`` that are not resident are sorted by page
-        number and cut into transfers (:func:`_prefetch_runs`); every
-        transfer holding at least two of them is read with
-        :meth:`NameTableHome.read_run` — both copies, compared page by
-        page, ladder for any odd page — and adopted as clean cache
-        entries.  A lone page is left to the demand miss it would have
-        been anyway.  Resident pages are never touched: their cached
-        image may be newer than home.  No B-tree node visit is charged
-        and no ``btree.page_reads`` counted here; the scan's own
-        ``read`` of each page does both, and finds the page resident.
+        the cache can hold that are not resident are sorted by page
+        number and cut into transfers of at most ``max_io_sectors``
+        pages (:func:`_prefetch_runs`); every transfer holding at least
+        two of them is read with :meth:`NameTableHome.read_run` — both
+        copies, compared page by page, ladder for any odd page — and
+        adopted as clean cache entries: cold ones under a listing
+        (:attr:`listing`), which its own read of each leaves cold, warm
+        ones under a version walk.  A lone page is left to the demand
+        miss it would have been anyway.  Resident pages are never
+        touched: their cached image may be newer than home.  No B-tree
+        node visit is charged and no ``btree.page_reads`` counted here;
+        the scan's own ``read`` of each page does both, and finds the
+        page resident.
         """
         resident = self.cache.resident_nt
         wanted = [page_no for page_no in page_nos if resident(page_no) is None]
         if len(wanted) < 2:
             return
-        wanted = sorted(wanted[: self._prefetch_pages])
+        wanted = sorted(wanted[: self.cache.capacity])
         fetched: list[tuple[int, bytes]] = []
         gap_sectors = 0
         copies = 1 if self.home.single_copy else 2
         bulk_reads = self.home.bulk_reads
         for run in _prefetch_runs(
-            wanted, PREFETCH_MAX_GAP, self._prefetch_window
+            wanted, PREFETCH_MAX_GAP, self.layout.params.max_io_sectors
         ):
             if len(run) < 2:
                 continue
@@ -507,7 +503,10 @@ class NameTablePager:
         if not fetched:
             return
         obs = self._obs
-        obs.count("nt.prefetch_pages", self.cache.install_clean(fetched))
+        obs.count(
+            "nt.prefetch_pages",
+            self.cache.install_clean(fetched, cold=self.listing),
+        )
         # A run that crosses a stripe boundary is two transfers a copy.
         obs.count("nt.prefetch_transfers", self.home.bulk_reads - bulk_reads)
         obs.count("nt.prefetch_gap_sectors", gap_sectors)
@@ -763,36 +762,48 @@ class FsdNameTable:
         This is the paper's "list" operation: properties come straight
         from the name table, no per-file I/O.  Keys come from each
         leaf's view; the caller runs between entries, so each entry is
-        charged as it is reached.
+        charged as it is reached.  The scan's prefetches are a
+        listing's (:attr:`NameTablePager.listing`) only while this
+        generator runs, not while the caller does.
         """
         current: tuple[FileProperties, RunTable] | None = None
         clock = self.clock
         interpret_ms = clock.cpu.entry_interpret_ms
-        for leaf, first, last in self.tree.scan_leaves(*prefix_range(prefix)):
-            view = _leaf_view(leaf)
-            decoded = (
-                map(parse_key, leaf.keys[first:last]) if view is None
-                else view.keys[first:last]
-            )
-            for (name, version, chunk), value in zip(
-                decoded, leaf.values[first:last]
+        pager = self.tree.pager
+        pager.listing = True
+        try:
+            for leaf, first, last in self.tree.scan_leaves(
+                *prefix_range(prefix)
             ):
-                if prefix and not name.startswith(prefix):
-                    if current is not None:
-                        yield current
-                    return
-                # advance_cpu inlined: fixed positive cost, once per
-                # entry of every list operation.
-                clock.now_ms += interpret_ms
-                clock.cpu_busy_ms += interpret_ms
-                if chunk == 0:
-                    if current is not None:
-                        yield current
-                    current = decode_main_entry(name, version, value)[:2]
-                else:
-                    if current is None:
-                        raise _orphan(name, version)
-                    current[1].runs.extend(decode_continuation(value))
+                view = _leaf_view(leaf)
+                decoded = (
+                    map(parse_key, leaf.keys[first:last]) if view is None
+                    else view.keys[first:last]
+                )
+                for (name, version, chunk), value in zip(
+                    decoded, leaf.values[first:last]
+                ):
+                    if prefix and not name.startswith(prefix):
+                        if current is not None:
+                            pager.listing = False
+                            yield current
+                        return
+                    # advance_cpu inlined: fixed positive cost, once
+                    # per entry of every list operation.
+                    clock.now_ms += interpret_ms
+                    clock.cpu_busy_ms += interpret_ms
+                    if chunk == 0:
+                        if current is not None:
+                            pager.listing = False
+                            yield current
+                            pager.listing = True
+                        current = decode_main_entry(name, version, value)[:2]
+                    else:
+                        if current is None:
+                            raise _orphan(name, version)
+                        current[1].runs.extend(decode_continuation(value))
+        finally:
+            pager.listing = False
         if current is not None:
             yield current
 
@@ -805,7 +816,18 @@ class FsdNameTable:
         one check of where the walk stops in it, one charge loop and one
         slice.  The charges accumulate in the per-entry walk's float
         order and are written back before the scan reads the next page.
+        The scan's prefetches are a listing's
+        (:attr:`NameTablePager.listing`).
         """
+        pager = self.tree.pager
+        pager.listing = True
+        try:
+            return self._list_props(prefix)
+        finally:
+            pager.listing = False
+
+    def _list_props(self, prefix: str) -> list[FileProperties]:
+        """:meth:`enumerate_props`' walk."""
         out: list[FileProperties] = []
         have_main = False
         clock = self.clock

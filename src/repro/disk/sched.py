@@ -177,22 +177,41 @@ def plan_writes(
     in dispatch order.  Cylinders are swept from the end nearer the
     head; within a cylinder the next write is the one that would finish
     first, at :meth:`SimDisk.price` plus its transfer, from where the
-    previous write left the clock and the arm.  A write that overlaps
-    an earlier one of the batch waits for it, so the final image is
-    program order's.  Planning advances no clock.
+    previous write left the clock and the arm (the lowest index among
+    equals).  A write that overlaps an earlier one of the batch waits
+    for it, so the final image is program order's.  Planning advances
+    no clock.
+
+    Not every candidate is priced at every pick.  Writes of one
+    cylinder and one length start from the same clock and arm, so
+    their rotational waits differ only by how far apart their slots lie
+    on the platter (slot ``s`` passes under the head ``s`` sector times
+    after slot 0): the first of a length is priced, and the wait of
+    each later one is estimated from it.  A write is priced only when
+    its estimate leaves it a chance to finish first, and one on the
+    slot of the best so far, which would tie and lose on index, is not
+    priced at all.  The plan is the one pricing every write would make,
+    bit for bit.
     """
     price, timing = disk.price, disk.timing
     spc, spt = disk.geometry.sectors_per_cylinder, disk.geometry.sectors_per_track
+    rotation = timing.rotation_ms
+    slot_ms = rotation / spt
+    # How far an estimated wait may stray from the priced one.
+    slack = rotation * 1e-9
     # Per write, what does not depend on when it goes: (cylinder,
-    # address, sector count, transfer ms, cylinder the arm ends on).
-    costs = [
-        (
-            address // spc, address, len(sectors),
-            timing.transfer_ms(len(sectors), spt),
-            (address + len(sectors) - 1) // spc,
-        )
-        for address, sectors in writes
-    ]
+    # address, sector count, transfer ms, cylinder the arm ends on,
+    # rotational slot).
+    transfers: dict[int, float] = {}
+    costs = []
+    for address, sectors in writes:
+        count = len(sectors)
+        if count not in transfers:
+            transfers[count] = timing.transfer_ms(count, spt)
+        costs.append((
+            address // spc, address, count, transfers[count],
+            (address + count - 1) // spc, address % spt,
+        ))
     waits_for = _earlier_overlaps(writes)
     by_cylinder: dict[int, list[int]] = {}
     for index, cost in enumerate(costs):
@@ -208,12 +227,39 @@ def plan_writes(
             pending = by_cylinder[cylinder]
             while pending:
                 best, best_ms = -1, 0.0
+                # Per write length: the priced first one's wait and
+                # slot, then the best so far's wait, finish and slot.
+                lengths: dict[int, list] = {}
                 for index in pending:
                     waits = waits_for[index]
                     if waits and not done.issuperset(waits):
                         continue
-                    _, address, count, transfer_ms, _ = costs[index]
-                    ms = price(now, head, address, count)[4] + transfer_ms
+                    _, address, count, transfer_ms, _, slot = costs[index]
+                    if count in lengths:
+                        first_wait, first_slot, wait, ms, best_slot = (
+                            lengths[count]
+                        )
+                        if slot == best_slot:
+                            continue
+                        estimate = (
+                            first_wait + (slot - first_slot) * slot_ms
+                        ) % rotation
+                        # A wait longer by more than a few units in the
+                        # last place of a finish finishes later.
+                        if (
+                            estimate < rotation - slack
+                            and estimate - slack
+                            > wait + (ms + rotation) * 1e-15
+                        ):
+                            continue
+                        _, _, _, wait, start = price(now, head, address, count)
+                        ms = start + transfer_ms
+                        if ms < lengths[count][3]:
+                            lengths[count][2:] = wait, ms, slot
+                    else:
+                        _, _, _, wait, start = price(now, head, address, count)
+                        ms = start + transfer_ms
+                        lengths[count] = [wait, slot, wait, ms, slot]
                     if best < 0 or ms < best_ms:
                         best, best_ms = index, ms
                 if best < 0:

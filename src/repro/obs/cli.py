@@ -102,14 +102,17 @@ def cmd_stats(args) -> int:
         )
     if "cache.pinned_pages" in cache:
         # Pinned pages are the log's, not the cache's: they do not
-        # count against the reserve of clean pages eviction keeps.
+        # count against the reserve of clean pages eviction keeps.  A
+        # cold eviction took a page a listing prefetched.
         print(
             f"metadata cache: {_fmt_value(cache['cache.pinned_pages'])} "
             f"pinned (peak {_fmt_value(cache['cache.pinned_peak'])}) of "
             f"{fs.cache.capacity}, reserve {fs.cache.reserve} held "
             f"{_fmt_value(cache.get('cache.reserve_holds', 0))} times, "
             f"{_fmt_value(cache.get('cache.misses_interior', 0))} of "
-            f"{_fmt_value(misses)} misses interior"
+            f"{_fmt_value(misses)} misses interior, "
+            f"{_fmt_value(cache.get('cache.evictions', 0))} evictions "
+            f"({_fmt_value(cache.get('cache.cold_evictions', 0))} cold)"
         )
     data_hits = cache.get("cache.data.hits", 0)
     data_lookups = data_hits + cache.get("cache.data.misses", 0)

@@ -10,7 +10,13 @@ rule with its definition:
 
 * no pinned entry is ever evicted;
 * an eviction pass removes ``min(len − capacity, clean − capacity // 4)``
-  entries, the least recently used clean ones;
+  clean entries: first the cold pages a listing has read (in the order
+  it read them), then the warm ones least recently used first, then the
+  cold pages no read has reached yet (in the order they arrived);
+* so a listing never evicts a warm page while a cold page it has
+  already read is resident;
+* a page a listing prefetched is cold (``CacheEntry.cold``, in one of
+  the cold segment's lists) until its second read, warm after it;
 * so after a pass ``len ≤ max(capacity, pinned + capacity // 4)`` (a
   staged write does not run a pass — it did not before either — so
   between passes the cache can be over by the writes since);
@@ -21,6 +27,10 @@ rule with its definition:
   no resident leader is ever clean, and none leaves owing a write
   unless it was dropped or rolled back.  That is a removal on purpose,
   not an eviction, for this cache and the reference alike.
+
+Which pages are cold, and in what order, is kept here too
+(:class:`Segments`), from the operations and what was resident before
+each, not from the cache's lists.
 """
 
 from __future__ import annotations
@@ -55,10 +65,63 @@ class Home:
         return len(batch) + len(leaders)
 
 
+COLD_READ, WARM, COLD_UNREAD = range(3)
+
+
+class Segments:
+    """The cold segment as its definition states it, kept beside a
+    cache: per page a listing installed that no second read has warmed,
+    whether a read reached it yet and a stamp of when (the install, or
+    that read).  Fed each operation before it runs (``before``, which
+    sees what is resident then) and pruned of what left after it."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.cold: dict[tuple[int, int], tuple[int, int]] = {}
+        self.clock = 0
+
+    def _stamp(self) -> int:
+        self.clock += 1
+        return self.clock
+
+    def before(self, cache: MetadataCache, op: tuple) -> None:
+        kind = op[0]
+        if kind == "read":
+            key = (PAGE_NAME_TABLE, op[1])
+            state = self.cold.get(key)
+            if state is None:
+                return
+            if state[0] == COLD_UNREAD:
+                self.cold[key] = (COLD_READ, self._stamp())
+            else:
+                del self.cold[key]  # the second read warms it
+        elif kind == "install" and op[2]:
+            for page_no in op[1][max(0, len(op[1]) - self.capacity):]:
+                key = (PAGE_NAME_TABLE, page_no)
+                if key not in cache._entries:
+                    self.cold[key] = (COLD_UNREAD, self._stamp())
+        elif kind == "write_nt":
+            self.cold.pop((PAGE_NAME_TABLE, op[1]), None)
+        elif kind == "write_run":
+            for page_no in range(op[1], op[1] + op[2]):
+                self.cold.pop((PAGE_NAME_TABLE, page_no), None)
+
+    def after(self, cache: MetadataCache) -> None:
+        for key in [key for key in self.cold if key not in cache._entries]:
+            del self.cold[key]
+
+    def rank(self, entry) -> tuple[int, int]:
+        """Eviction order: lower goes first."""
+        state = self.cold.get((entry.kind, entry.page_id))
+        return (WARM, entry.lru_tick) if state is None else state
+
+
 class ParentRuleCache(MetadataCache):
     """The eviction rule before the reserve, as its comment defined it:
-    the entries a sort by ``lru_tick`` over the evictable ones selects,
-    until the cache is back at capacity.  Decided from the images."""
+    the entries a sort over the evictable ones selects, until the cache
+    is back at capacity, extended with the cold segment: the sort is by
+    :meth:`Segments.rank` (``lru_tick`` alone when nothing is cold).
+    Decided from the images and the test's own :class:`Segments`."""
 
     def _evict_if_needed(self) -> None:
         excess = len(self._entries) - self.capacity
@@ -66,12 +129,13 @@ class ParentRuleCache(MetadataCache):
             return
         victims = sorted(
             (entry for entry in self._entries.values() if entry.evictable),
-            key=lambda entry: entry.lru_tick,
+            key=self.segments.rank,
         )[:excess]
         for entry in victims:
             key = (entry.kind, entry.page_id)
             del self._entries[key]
-            self._lru.pop(key, None)
+            for clean in (self._lru, self._cold, self._cold_read):
+                clean.pop(key, None)
 
 
 def build(cls, capacity: int):
@@ -81,7 +145,18 @@ def build(cls, capacity: int):
         nt_reader=home.read_page,
         writer=home.write_pages,
     )
+    cache.segments = Segments(capacity)
     return cache, home
+
+
+def step(cache: MetadataCache, home: "Home", op: tuple) -> dict:
+    """Run ``op`` with the cache's :class:`Segments` fed beside it;
+    returns the entries from before it.  The segments still hold what
+    the op evicted (its rank at the pass) until ``segments.after``."""
+    before = dict(cache._entries)
+    cache.segments.before(cache, op)
+    apply(cache, home, op)
+    return before
 
 
 def apply(cache: MetadataCache, home: Home, op: tuple) -> None:
@@ -113,8 +188,10 @@ def apply(cache: MetadataCache, home: Home, op: tuple) -> None:
     elif kind == "install":
         # Only images equal to home may be installed; a resident page
         # is skipped, so home is the right image for every other one.
+        # ``op[2]``: a listing's prefetch, which installs cold.
         cache.install_clean(
-            [(page_no, home.read_page(page_no)) for page_no in op[1]]
+            [(page_no, home.read_page(page_no)) for page_no in op[1]],
+            cold=op[2],
         )
     elif kind == "leader_home":
         cache.note_leader_home(LEADER_BASE + op[1])
@@ -165,7 +242,25 @@ def check_accounting(cache: MetadataCache) -> None:
     for key, entry in entries.items():
         assert entry.pinned == (not entry.evictable), key
         assert entry.pinned or entry.kind == PAGE_NAME_TABLE, key
-    assert set(cache._lru) == clean
+    warm, cold, cold_read = (
+        set(cache._lru), set(cache._cold), set(cache._cold_read)
+    )
+    assert warm | cold | cold_read == clean
+    assert len(warm) + len(cold) + len(cold_read) == len(clean)
+    segments = cache.segments.cold
+    assert cold == {
+        key for key, (state, _) in segments.items() if state == COLD_UNREAD
+    }
+    assert cold_read == {
+        key for key, (state, _) in segments.items() if state == COLD_READ
+    }
+    for key, entry in entries.items():
+        assert entry.cold == (key in segments), key
+    # each cold list in the order the definition gives it
+    for keys in (cache._cold, cache._cold_read):
+        stamps = [segments[key][1] for key in keys]
+        assert stamps == sorted(stamps)
+    assert cache.misaccounted() == []
     assert cache.clean_pages == len(clean)
     assert cache.pinned_pages == len(entries) - len(clean)
     assert set(cache._dirty) == {
@@ -194,11 +289,13 @@ def check_eviction(
     clean = [entry for entry in after.values() if entry.evictable]
     # never a pinned entry (an evicted entry's fields are final)
     assert all(entry.evictable for entry in evicted)
-    # the least recently used clean ones
+    # the first clean ones in eviction order, and so no warm page while
+    # a cold page the listing has read stays
+    rank = cache.segments.rank
     if evicted and clean:
-        assert max(e.lru_tick for e in evicted) < min(
-            e.lru_tick for e in clean
-        )
+        assert max(map(rank, evicted)) < min(map(rank, clean))
+    if any(rank(entry)[0] == WARM for entry in evicted):
+        assert all(rank(entry)[0] != COLD_READ for entry in clean)
     # exactly min(len - capacity, clean - reserve) of them: the pass
     # stopped no earlier ...
     assert len(after) <= cache.capacity or len(clean) <= reserve
@@ -232,13 +329,31 @@ def operations(capacity: int):
             st.tuples(
                 st.just("install"),
                 st.lists(pages, max_size=capacity + 2, unique=True),
+                st.booleans(),
+            ),
+            st.tuples(
+                st.just("list"),
+                st.lists(pages, max_size=capacity + 2, unique=True),
             ),
             st.tuples(st.just("leader_home"), leaders),
             st.tuples(st.just("drop_leader"), leaders),
             st.tuples(st.just("rollback")),
         ),
         max_size=120,
-    )
+    ).map(expand)
+
+
+def expand(ops: list[tuple]) -> list[tuple]:
+    """A ``list`` is what a listing does to the cache: its prefetch
+    installs the pages cold, then its scan reads each of them once."""
+    out = []
+    for op in ops:
+        if op[0] == "list":
+            out.append(("install", op[1], True))
+            out.extend(("read", page_no) for page_no in op[1])
+        else:
+            out.append(op)
+    return out
 
 
 @pytest.mark.parametrize("capacity", CAPACITIES)
@@ -256,12 +371,14 @@ def test_accounting_and_eviction_rule(capacity, data):
     #: cannot have withheld anything.
     same_as_parent = True
     for op in ops:
-        before, misses = dict(cache._entries), cache.misses
-        apply(cache, home, op)
+        misses = cache.misses
+        before = step(cache, home, op)
         ran_pass = op[0] in EVICTING or cache.misses > misses
-        check_accounting(cache)
         check_eviction(cache, before, op, ran_pass)
-        apply(reference, reference_home, op)
+        cache.segments.after(cache)
+        check_accounting(cache)
+        step(reference, reference_home, op)
+        reference.segments.after(reference)
         if ran_pass and cache.pinned_pages > (
             capacity - capacity // CLEAN_RESERVE_SHARE
         ):

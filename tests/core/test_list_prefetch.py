@@ -2,11 +2,15 @@
 ``NameTablePager.prefetch`` may fetch, what it must leave alone, and
 that a listing served through it is the listing served without it.
 
-The contract (DESIGN.md "Name table"): the scan's frontier only, a
-bounded window, clean installs only, gap sectors inert.
+The contract (DESIGN.md "Name table"): the scan's frontier only, no
+more pages a call than the cache holds, transfers of at most
+``max_io_sectors`` pages, clean installs only (cold under a listing),
+gap sectors inert.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +19,6 @@ from repro.core.cache import MetadataCache
 from repro.core.fsd import FSD
 from repro.core.layout import VolumeLayout, VolumeParams
 from repro.core.name_table import (
-    PREFETCH_CACHE_SHARE,
     PREFETCH_MAX_GAP,
     NameTableHome,
     NameTablePager,
@@ -23,6 +26,7 @@ from repro.core.name_table import (
 )
 from repro.core.types import parse_key
 from repro.core.verify import verify_volume
+from repro.core.wal import PAGE_NAME_TABLE
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
 from repro.errors import DegradedVolumeError
@@ -32,7 +36,6 @@ from tests.conftest import create_until_nt_pages
 
 GEO = DiskGeometry(cylinders=120, heads=8, sectors_per_track=24)
 PARAMS = VolumeParams(nt_pages=512, log_record_sectors=300, cache_pages=64)
-WINDOW = PARAMS.cache_pages // PREFETCH_CACHE_SHARE
 
 
 def page(tag: int) -> bytes:
@@ -42,10 +45,9 @@ def page(tag: int) -> bytes:
 # ----------------------------------------------------------------------
 # the pager against a bare home + cache
 # ----------------------------------------------------------------------
-@pytest.fixture
-def world():
+def make_world(params: VolumeParams = PARAMS):
     disk = SimDisk(geometry=GEO)
-    layout = VolumeLayout.compute(GEO, PARAMS)
+    layout = VolumeLayout.compute(GEO, params)
     home = NameTableHome(disk, layout)
     cache = MetadataCache(
         capacity_pages=PARAMS.cache_pages,
@@ -56,6 +58,11 @@ def world():
     pager.obs = Observer()
     home.write_pages([(no, page(no)) for no in range(10, 80)])
     return disk, layout, home, cache, pager
+
+
+@pytest.fixture
+def world():
+    return make_world()
 
 
 def counters(pager) -> dict[str, float]:
@@ -208,29 +215,46 @@ class TestAcrossAStripeBoundary:
 
 
 class TestWindow:
-    def test_at_most_a_quarter_of_the_cache_per_call(self, world):
-        _, _, _, cache, pager = world
-        pager.prefetch(list(range(10, 70)))
-        # The first capacity // 4 of the hint, in the order handed.
-        assert resident(cache, range(10, 80)) == list(range(10, 10 + WINDOW))
-        assert counters(pager)["pages"] == WINDOW
+    """A call fetches every hinted page that is not resident, as many
+    as the cache holds, in transfers of at most ``max_io_sectors``
+    pages.  No share of the cache bounds it: a listing's pages join
+    the cache cold and push none of its warm pages out."""
 
-    def test_no_transfer_is_longer_than_the_window(self, world):
-        disk, _, home, _, pager = world
+    def test_every_hinted_page_in_one_call(self, world):
+        disk, _, _, cache, pager = world
+        before = disk.stats.total_ios
+        pager.prefetch(list(range(10, 70)))
+        assert resident(cache, range(10, 80)) == list(range(10, 70))
+        assert counters(pager)["pages"] == 60
+        assert disk.stats.total_ios - before == 2  # one transfer a copy
+
+    def test_at_most_what_the_cache_holds(self, world):
+        _, _, _, cache, pager = world
+        # The first ``cache_pages`` of the hint, in the order handed.
+        pager.prefetch(list(range(79, 9, -1)))
+        held = list(range(80 - PARAMS.cache_pages, 80))
+        assert resident(cache, range(10, 80)) == held
+        assert counters(pager)["pages"] == PARAMS.cache_pages
+
+    def test_no_transfer_is_longer_than_max_io_sectors(self):
+        window = 12
+        disk, _, home, _, pager = make_world(
+            replace(PARAMS, max_io_sectors=window)
+        )
         sectors = disk.stats.sectors_read
         reads = home.bulk_reads
-        pager.prefetch(list(range(10, 10 + WINDOW)))
-        assert home.bulk_reads - reads == 2
-        assert disk.stats.sectors_read - sectors == 2 * WINDOW
+        pager.prefetch(list(range(10, 10 + 2 * window)))
+        assert home.bulk_reads - reads == 4
+        assert disk.stats.sectors_read - sectors == 4 * window
         # Spread out, the same number of pages takes more transfers,
         # none of them spanning more than the window.
-        spread = list(range(30, 30 + 3 * WINDOW, 3))
+        spread = list(range(40, 40 + 3 * window, 3))
         sectors = disk.stats.sectors_read
         reads = home.bulk_reads
         pager.prefetch(spread)
         transfers = home.bulk_reads - reads
         assert transfers > 2
-        assert disk.stats.sectors_read - sectors <= transfers * WINDOW
+        assert disk.stats.sectors_read - sectors <= transfers * window
 
     def test_pinned_entries_survive_a_prefetch_into_a_full_cache(self, world):
         _, _, _, cache, pager = world
@@ -241,7 +265,7 @@ class TestWindow:
         for first in range(10, 70, 20):
             pager.prefetch(list(range(first, first + 20)))
             installs += 1
-            assert counters(pager)["pages"] <= installs * WINDOW
+            assert counters(pager)["pages"] <= installs * 20
             assert resident(cache, pinned) == pinned
             assert all(cache.resident_nt(no) == page(1) for no in pinned)
 
@@ -300,6 +324,79 @@ class TestLadderInsideAPrefetch:
         assert disk.stats.writes == writes
         if fault != "differ":
             assert disk.faults.is_damaged(addr_a)
+
+
+def cold(cache, pages) -> list[int]:
+    return [no for no in pages if cache._entries[(PAGE_NAME_TABLE, no)].cold]
+
+
+class TestColdUnderAListing:
+    """A listing's prefetch installs cold: the listing's own read of a
+    page leaves it cold, a second read warms it.  Any other prefetch
+    installs warm."""
+
+    def test_a_walk_prefetch_installs_warm(self, world):
+        _, _, _, cache, pager = world
+        pager.prefetch([20, 21, 22])
+        assert cold(cache, [20, 21, 22]) == []
+        assert list(cache._lru) == [(PAGE_NAME_TABLE, no) for no in (20, 21, 22)]
+
+    def test_the_second_read_warms(self, world):
+        _, _, _, cache, pager = world
+        pager.listing = True
+        pager.prefetch([20, 21, 22])
+        pager.listing = False
+        assert cold(cache, [20, 21, 22]) == [20, 21, 22]
+        pager.read(21)
+        assert cold(cache, [20, 21, 22]) == [20, 21, 22]
+        pager.read(21)
+        assert cold(cache, [20, 21, 22]) == [20, 22]
+        assert list(cache._lru) == [(PAGE_NAME_TABLE, 21)]
+        assert cache.misaccounted() == []
+
+    def test_read_pages_go_before_warm_ones_unread_after(self, world):
+        """A full cache of warm pages, then a listing's transfer larger
+        than the room left: the listing recycles the pages it has read,
+        and the warm pages go only for pages it has not read yet."""
+        _, _, _, cache, pager = world
+        capacity = PARAMS.cache_pages
+        warm = list(range(100, 100 + capacity - 8))
+        for no in warm:
+            cache.read_nt(no)
+        pager.listing = True
+        pager.prefetch(list(range(10, 18)))
+        for no in range(10, 18):
+            pager.read(no)
+        pager.prefetch(list(range(30, 38)))
+        # The second transfer took the room of the first one's pages.
+        assert resident(cache, warm) == warm
+        assert resident(cache, range(10, 18)) == []
+        assert resident(cache, range(30, 38)) == list(range(30, 38))
+        pager.prefetch(list(range(50, 54)))
+        # Nothing read is left cold: warm pages make room, oldest first.
+        assert resident(cache, range(50, 54)) == [50, 51, 52, 53]
+        assert resident(cache, warm) == warm[4:]
+        assert cache.cold_evictions == 8
+        assert cache.misaccounted() == []
+
+    def test_list_and_enumerate_prefetch_cold_and_only_while_they_run(self):
+        disk, fs, names = volume(16)
+        fs.unmount()
+        fs = FSD.mount(disk)
+        pager = fs.name_table.tree.pager
+        listed = fs.list("src/")
+        assert len(listed) == 220
+        assert not pager.listing
+        assert fs.cache._cold_read and fs.cache.cold_evictions
+        fs.unmount()
+        fs = FSD.mount(disk)
+        pager = fs.name_table.tree.pager
+        flags = [pager.listing for _ in fs.name_table.enumerate("src/")]
+        assert flags == [False] * 220
+        assert not pager.listing
+        assert fs.cache._cold_read
+        assert fs.cache.misaccounted() == []
+        assert verify_volume(fs).clean
 
 
 class TestCacheIsNewerThanHome:
@@ -405,7 +502,7 @@ def test_cold_list_whose_prefetch_crosses_a_stripe_boundary():
     disk = SimDisk(geometry=GEO)
     FSD.format(disk, PARAMS)
     fs = FSD.mount(disk)
-    names = list(create_until_nt_pages(fs, "wide/m", STRIPE_PAGES + WINDOW))
+    names = list(create_until_nt_pages(fs, "wide/m", STRIPE_PAGES + 16))
     fs.unmount()
     obs = Observer()
     fs = FSD.mount(disk, obs=obs)
@@ -480,6 +577,7 @@ def test_list_over_a_leaf_lost_on_both_copies_degrades_the_volume():
     fs = FSD.mount(disk)
     with pytest.raises(DegradedVolumeError):
         fs.list()
+    assert not fs.name_table.tree.pager.listing
     assert fs.degraded
     assert fs.list("doc/")  # reads elsewhere still work
 
@@ -487,9 +585,9 @@ def test_list_over_a_leaf_lost_on_both_copies_degrades_the_volume():
 # ----------------------------------------------------------------------
 # the frontier: the next leaf-parent rides in the leaf transfers
 # ----------------------------------------------------------------------
-#: Long names keep a leaf-parent's children (about a dozen) inside one
-#: prefetch window (``WINDOW`` = 16 pages), with room for the next
-#: leaf-parent behind them.
+#: Long names keep a leaf-parent's children (about a dozen) few enough
+#: for one transfer, with the next leaf-parent a page or three behind
+#: them.
 WIDE = "sources-of-the-build/"
 
 

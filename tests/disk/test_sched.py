@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +13,11 @@ from repro.disk.mirror import MirroredDisk
 from repro.disk.sched import IoScheduler, as_scheduler, plan_writes
 from repro.errors import SimulatedCrash
 from repro.obs import Observer
+from tests.disk.reference_plan import reference_plan_writes
 
 GEO = DiskGeometry(cylinders=100, heads=4, sectors_per_track=16)
+#: the benchmarks' track length and heads, on fewer cylinders.
+WIDE_GEO = DiskGeometry(cylinders=50, heads=24, sectors_per_track=30)
 
 
 def sector(byte: int, geo: DiskGeometry = GEO) -> bytes:
@@ -168,6 +173,61 @@ class TestWriteBatch:
         for index, finish_ms in plan:
             disk.write(*writes[index])
             assert disk.clock.now_ms == finish_ms
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        geometry=st.sampled_from([GEO, WIDE_GEO]),
+        spec=st.lists(
+            st.tuples(st.integers(0, 3 * 720 - 1), st.integers(1, 5)),
+            max_size=70,
+        ),
+        head=st.integers(0, 40), idle_ms=st.floats(0.0, 1e8),
+        charge_cpu=st.booleans(), mirrored=st.booleans(),
+    )
+    def test_the_plan_of_pricing_every_write(
+        self, geometry, spec, head, idle_ms, charge_cpu, mirrored
+    ):
+        """The planner prices few candidates a pick, and its plan is
+        still the one pricing every pending write at every pick makes,
+        index for index and finish for finish: batches crowded onto a
+        few cylinders, long and short writes, many on one slot, clocks
+        from zero to a day."""
+        spc = geometry.sectors_per_cylinder
+        writes = [
+            (address % (3 * spc), [sector(index % 250 + 1, geometry)] * count)
+            for index, (address, count) in enumerate(spec)
+        ]
+        make = MirroredDisk if mirrored else SimDisk
+        disk = make(geometry=geometry, charge_cpu=charge_cpu)
+        disk.head_cylinder = head
+        disk.clock.advance_idle(idle_ms)
+        assert plan_writes(disk, writes) == reference_plan_writes(disk, writes)
+
+    def test_prices_few_candidates_a_pick(self):
+        """A hundred writes on one cylinder: pricing every pending write
+        at every pick is 5 050 prices; the planner makes under a
+        quarter of them and plans the same."""
+        rng = random.Random(5)
+        spc = WIDE_GEO.sectors_per_cylinder
+        writes = [
+            (3 * spc + rng.randrange(spc - 4),
+             [sector(index + 1, WIDE_GEO)] * rng.choice([1, 1, 1, 2, 3]))
+            for index in range(100)
+        ]
+        disk = SimDisk(geometry=WIDE_GEO)
+        priced = 0
+        price = disk.price
+
+        def counting(*args):
+            nonlocal priced
+            priced += 1
+            return price(*args)
+
+        disk.price = counting
+        plan = plan_writes(disk, writes)
+        del disk.price
+        assert plan == reference_plan_writes(disk, writes)
+        assert priced * 4 < 100 * 101 // 2
 
     def test_empty_and_single_batches_are_program_order(self):
         disk = disk_at(3, 5.0)

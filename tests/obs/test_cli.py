@@ -191,16 +191,19 @@ class TestStats:
         match = re.fullmatch(
             r"metadata cache: (\d+) pinned \(peak (\d+)\) of (\d+), "
             r"reserve (\d+) held (\d+) times, "
-            r"(\d+) of (\d+) misses interior",
+            r"(\d+) of (\d+) misses interior, "
+            r"(\d+) evictions \((\d+) cold\)",
             line,
         )
         assert match, line
-        pinned, peak, capacity, reserve, _, interior, misses = map(
-            int, match.groups()
-        )
+        (
+            pinned, peak, capacity, reserve, _, interior, misses,
+            evictions, cold,
+        ) = map(int, match.groups())
         assert 0 < pinned <= peak
         assert reserve == capacity // 4
         assert interior <= misses
+        assert cold <= evictions
 
     def test_cache_off_run_has_no_cache_summary(self, image, capsys):
         """The paper's mount (no read-ahead, nothing retained) records
