@@ -5,7 +5,7 @@ compiler streams sources one 512-byte page at a time) on three mounts
 and writes the comparison to ``BENCH_data_cache.json``:
 
 * ``paper``   — ``PAPER``: a disk request per page read.
-  Must reproduce the ``paper`` row of the committed
+  At full scale it must reproduce the ``paper`` row of the committed
   ``BENCH_data_cache.json`` bit-for-bit.
 * ``default`` — what ``FSD.mount`` gives with no arguments: nothing
   retained but the read-ahead buffer.
@@ -16,7 +16,8 @@ Both read-ahead arms must cut elapsed time by at least 30%.
 Environment knobs (used by the CI bench-smoke job to run tiny):
 
 * ``BENCH_DATA_CACHE_OUT``      — output path (default
-  ``BENCH_data_cache.json`` in the repo root),
+  ``.bench_build/BENCH_data_cache.json``, a scratch path; name the
+  committed ``BENCH_data_cache.json`` to re-capture it),
 * ``BENCH_DATA_CACHE_SCALE``    — ``full`` (default) or ``small``,
 * ``BENCH_DATA_CACHE_MODULES``  — modules in the MakeDo build,
 * ``BENCH_DATA_CACHE_PAGES``    — capacity of the ``cached`` arm,
@@ -53,7 +54,8 @@ CACHE_PAGES = int(
 )
 OUT_PATH = Path(
     os.environ.get(
-        "BENCH_DATA_CACHE_OUT", REPO_ROOT / "BENCH_data_cache.json"
+        "BENCH_DATA_CACHE_OUT",
+        REPO_ROOT / ".bench_build" / "BENCH_data_cache.json",
     )
 )
 BASELINE_PATH = os.environ.get("BENCH_DATA_CACHE_BASELINE")
@@ -119,7 +121,8 @@ def test_data_cache(once):
 
     results = once(run)
     paper = results["paper"]
-    # Read before OUT_PATH (by default the same file) is overwritten.
+    # Read before OUT_PATH (when it names the committed file) is
+    # overwritten.
     committed = json.loads(COMMITTED_PATH.read_text())
 
     document = {
@@ -130,6 +133,7 @@ def test_data_cache(once):
         "target_ratio": TARGET_RATIO,
         "workloads": {"makedo": results},
     }
+    OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
     OUT_PATH.write_text(json.dumps(document, indent=2) + "\n")
 
     table = Table("Data cache + read-ahead (MakeDo)")

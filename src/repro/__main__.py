@@ -13,8 +13,8 @@
     python -m repro traffic vol.img [--clients N] [--attrib] [--slo-ms MS]
     python -m repro bench diff BEFORE.json AFTER.json [--fail-over FRAC]
     python -m repro salvage vol.img rebuilt.img
-    python -m repro soak [--seed N] [--runs N] [--json FILE]
     python -m repro chaos [--clients N] [--faults N] [--mirror] [--json FILE]
+    python -m repro chaos --profile churn [--seed N] [--json FILE]
 
 Each command loads the image, mounts the volume (recovering it if the
 last session crashed), performs the operation, unmounts cleanly, and
@@ -224,60 +224,34 @@ def cmd_salvage(args) -> int:
     return 0 if not report.lost else 1
 
 
-def cmd_soak(args) -> int:
-    import json
-
-    from repro.crashcheck.soak import SoakConfig, run_campaign
-
-    config = SoakConfig(
-        seed=args.seed,
-        runs=args.runs,
-        ops_per_run=args.ops,
-        faults_per_run=args.faults,
-    )
-
-    def progress(done, total, result) -> None:
-        faults = sum(result.faults.values())
-        print(
-            f"run {done:>3}/{total}: {result.verdict:<9} "
-            f"({result.ops} ops, {faults} faults, "
-            f"{result.crashes} crashes, "
-            f"{result.files_verified} files verified)"
-        )
-
-    report = run_campaign(config, progress=progress if not args.quiet else None)
-    print(report.summary())
-    for finding in report.silent_corruptions:
-        print(f"SILENT CORRUPTION: {finding}")
-    if args.json:
-        Path(args.json).write_text(json.dumps(report.to_json(), indent=2))
-        print(f"report written to {args.json}")
-    return 0 if report.ok else 1
-
-
 def cmd_chaos(args) -> int:
-    from repro.workloads.chaos import ChaosConfig, run_chaos
+    from repro.workloads.chaos import PROFILES, ChaosConfig, run_chaos
     from repro.workloads.traffic import TrafficConfig
 
-    traffic = TrafficConfig(
-        clients=args.clients,
-        ops_per_client=args.ops,
-        seed=args.seed,
-        mean_think_ms=args.think_ms,
-        sync_fraction=args.sync_fraction,
-        max_file_bytes=8_000,
-        settle=False,
-        max_retries=args.max_retries,
-        deadline_ms=args.deadline_ms,
-        slo_ms=args.slo_ms,
-    )
-    chaos = ChaosConfig(
-        faults=args.faults,
-        fault_interval_ms=args.fault_interval_ms,
-        crash_cycles=args.crashes,
-        mirror=args.mirror,
-    )
-    report = run_chaos(traffic, chaos, options=mount_options(args))
+    if args.profile:
+        campaign = PROFILES[args.profile](args.seed)
+    else:
+        campaign = {
+            "traffic": TrafficConfig(
+                clients=args.clients,
+                ops_per_client=args.ops,
+                seed=args.seed,
+                mean_think_ms=args.think_ms,
+                sync_fraction=args.sync_fraction,
+                max_file_bytes=8_000,
+                settle=False,
+                max_retries=args.max_retries,
+                deadline_ms=args.deadline_ms,
+                slo_ms=args.slo_ms,
+            ),
+            "chaos": ChaosConfig(
+                faults=args.faults,
+                fault_interval_ms=args.fault_interval_ms,
+                crash_cycles=args.crashes,
+                mirror=args.mirror,
+            ),
+        }
+    report = run_chaos(**campaign, options=mount_options(args))
     if not args.quiet:
         for line in report.summary_lines():
             print(line)
@@ -396,26 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_mount_arguments(p)
     p.set_defaults(fn=cmd_traffic)
 
-    p = sub.add_parser(
-        "soak", help="seeded multi-fault soak campaign with recovery oracle"
-    )
-    p.add_argument("--seed", type=int, default=1987)
-    p.add_argument("--runs", type=int, default=12)
-    p.add_argument("--ops", type=int, default=30,
-                   help="operations per run (default: 30)")
-    p.add_argument("--faults", type=int, default=18,
-                   help="faults injected per run (default: 18)")
-    p.add_argument("--json", metavar="PATH",
-                   help="write the campaign report as JSON")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-run progress lines")
-    p.set_defaults(fn=cmd_soak)
+    from repro.workloads.chaos import PROFILES
 
     p = sub.add_parser(
         "chaos",
         help="fault injection under live multi-client traffic, with "
              "the client error contract and recovery oracle",
     )
+    p.add_argument("--profile", choices=sorted(PROFILES),
+                   help="a named campaign shape; only --seed, the "
+                        "output flags and the mount flags still apply")
     p.add_argument("--clients", type=int, default=32)
     p.add_argument("--ops", type=int, default=12,
                    help="operations per client (default: 12)")

@@ -29,7 +29,7 @@ Oracles are pluggable: anything with a ``name`` and a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 from repro.core.fsd import FSD
 from repro.core.verify import verify_volume
@@ -85,6 +85,47 @@ def model_state(ops: list[Op]) -> dict[str, list[bytes]]:
     return stacks
 
 
+def allowed_versions(
+    stacks: dict[str, list[bytes]], steps: Iterable[tuple[Op, int | None]]
+) -> dict[str, set]:
+    """Per name: the ``(version count, newest content)`` pairs recovery
+    may legitimately expose once ``steps`` ran on ``stacks``,
+    ``(0, ABSENT)`` for no file.
+
+    A step ``(op, None)`` took effect.  Steps sharing a *pending group*
+    number (the ops one crash lost past the last returned commit, or
+    one op that raised partway) are uncertain: for each name, the ones
+    that took effect are a prefix of that name's ops in the group.  A
+    name no pending op touches maps to exactly one pair.
+    """
+
+    def pair(stack: tuple) -> tuple:
+        return (len(stack), stack[-1]) if stack else (0, ABSENT)
+
+    # Per name: every (stack, groups already cut short) still possible.
+    worlds: dict[str, set] = {
+        name: {(tuple(stack), frozenset())} for name, stack in stacks.items()
+    }
+    for op, group in steps:
+        if op.kind in ("force", "checkpoint"):
+            continue
+        after = set()
+        for stack, cut in worlds.get(op.name, {((), frozenset())}):
+            if group in cut:
+                after.add((stack, cut))
+                continue
+            scratch = {op.name: list(stack)} if stack else {}
+            model_apply(scratch, op)
+            after.add((tuple(scratch.get(op.name, ())), cut))
+            if group is not None:
+                after.add((stack, cut | {group}))
+        worlds[op.name] = after
+    return {
+        name: {pair(stack) for stack, _ in states}
+        for name, states in worlds.items()
+    }
+
+
 # ----------------------------------------------------------------------
 # oracle context
 # ----------------------------------------------------------------------
@@ -115,30 +156,14 @@ class OracleContext:
 
     def allowed_versions(self) -> dict[str, set]:
         """Per name: the ``(version count, newest content)`` pairs
-        recovery may legitimately expose, ``(0, ABSENT)`` for no file.
-        Committed-only names map to exactly their committed pair; names
-        touched by pending ops also admit each intermediate pending
-        state."""
-        if self._allowed:
-            return self._allowed
-        allowed: dict[str, set] = {}
-
-        def state(stacks: dict[str, list[bytes]], name: str):
-            stack = stacks.get(name)
-            return (len(stack), stack[-1]) if stack else (0, ABSENT)
-
-        for name in self.committed:
-            allowed[name] = {state(self.committed, name)}
-        stacks = {name: list(stack) for name, stack in self.committed.items()}
-        for applied in self.pending:
-            op = applied.op
-            if op.kind in ("force", "checkpoint"):
-                continue
-            allowed.setdefault(op.name, {state(stacks, op.name)})
-            model_apply(stacks, op)
-            allowed[op.name].add(state(stacks, op.name))
-        self._allowed = allowed
-        return allowed
+        recovery may legitimately expose (see :func:`allowed_versions`);
+        the pending ops are one group, cut short wherever the crash
+        point falls."""
+        if not self._allowed:
+            self._allowed = allowed_versions(
+                self.committed, ((applied.op, 0) for applied in self.pending)
+            )
+        return self._allowed
 
     def allowed_states(self) -> dict[str, set]:
         """Per name: the set of contents (or :data:`ABSENT`) recovery

@@ -1,9 +1,8 @@
 """The outcome oracle: was the end of a fault campaign honest?
 
-The soak campaign (:mod:`repro.crashcheck.soak`) and the chaos engine
-(:mod:`repro.workloads.chaos`) both drive a volume through faults and
-crashes and then ask the robustness claim's question.  Every campaign
-must end in exactly one of three honest states —
+The chaos engine (:mod:`repro.workloads.chaos`) drives a volume through
+faults and crashes and then asks the robustness claim's question.
+Every campaign must end in exactly one of three honest states —
 
 * ``recovered`` — the final mount is clean and every committed file
   reads back exactly (or fails with an *explicit* error where its data
@@ -20,22 +19,30 @@ whose content was never written to it.
 
 The driver tells the oracle what it did (:meth:`~OutcomeOracle.created`
 / :meth:`~OutcomeOracle.wrote` / :meth:`~OutcomeOracle.deleted`) and
-what went wrong (:meth:`~OutcomeOracle.tear`,
+what went wrong (:meth:`~OutcomeOracle.raised`,
 :meth:`~OutcomeOracle.crashed`); the oracle keeps the committed
 watermark itself, through a commit hook on every mount it is asked to
 :meth:`~OutcomeOracle.watch`.  The expected namespace is the crash
 explorer's version-stack model (:func:`~repro.crashcheck.oracles.model_state`)
 of the committed prefix of the op log.
 
+An op a crash lost past the last returned commit, or one that raised
+partway, is *pending*: it may or may not have reached the log (the
+force the crash interrupted may have landed it).  A file the committed
+prefix expects may be absent only where some per-name prefix of its
+pending ops leaves it absent — the crash explorer's rule
+(:func:`~repro.crashcheck.oracles.allowed_versions`).
+
 FSD logs *metadata* only, so a file's data sectors are not
-crash-atomic.  A name the driver :meth:`~OutcomeOracle.tear`\\ s — an
-operation on it failed with an explicit error, or was cut short by a
-crash — may honestly hold a blend, or be gone: the client was *told*
-the operation did not cleanly succeed.
+crash-atomic.  A name an in-place write was cut on (the write failed
+with an explicit error, or a crash cut or lost it) is **torn**: it may
+honestly hold a blend, or be gone — the client was *told* the write
+did not cleanly succeed.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,7 +50,12 @@ from repro.core.fsd import FSD
 from repro.core.layout import VolumeParams
 from repro.core.salvage import salvage_volume
 from repro.core.types import FileProperties
-from repro.crashcheck.oracles import model_apply, model_state
+from repro.crashcheck.oracles import (
+    ABSENT,
+    allowed_versions,
+    model_apply,
+    model_state,
+)
 from repro.crashcheck.workload import Op
 from repro.disk.disk import SimDisk
 from repro.errors import (
@@ -59,8 +71,8 @@ VERDICTS = ("recovered", "degraded", "salvaged")
 
 @dataclass(kw_only=True)
 class Outcome:
-    """What :meth:`OutcomeOracle.classify` found.  The campaign reports
-    (``soak.RunResult``, ``chaos.ChaosReport``) extend it."""
+    """What :meth:`OutcomeOracle.classify` found.  The campaign report
+    (``chaos.ChaosReport``) extends it."""
 
     verdict: str = ""  # one of VERDICTS
     #: the read-back of the volume the verdict names: the recovered or
@@ -82,24 +94,30 @@ class OutcomeOracle:
     """Everything a campaign tracks to judge its own outcome honestly."""
 
     def __init__(self) -> None:
-        #: what the driver did, in order; entries past ``committed``
-        #: are not covered by a returned group commit.
-        self.oplog: list[Op] = []
+        #: what the driver did, in order, each op with its pending group
+        #: (None: it took effect), as
+        #: :func:`~repro.crashcheck.oracles.allowed_versions` takes
+        #: them; entries past ``committed`` are not covered by a
+        #: returned group commit.
+        self.oplog: list[tuple[Op, int | None]] = []
         self.committed = 0
         #: every payload ever handed to the file system per name — the
         #: only contents a read may ever return for it.
         self.history: dict[str, set[bytes]] = {}
-        #: names whose content is no longer pinned (see module doc).
+        #: names an in-place write was cut on: their content is no
+        #: longer pinned (see module doc).
         self.torn: set[str] = set()
         #: a mount reported log damage or lost records, or the volume
         #: marked itself degraded or lost: absence of a committed file
         #: is then an honest loss, not a silent one.
         self.honesty_flag = False
         #: leader sectors of live files, by (name, version): the
-        #: wild-write targets of :func:`~repro.crashcheck.soak.inject_fault`.
+        #: wild-write targets of :func:`~repro.workloads.chaos.inject_fault`.
         self.leader_addrs: dict[tuple[str, int], int] = {}
-        #: the model of the whole op log, committed or not.
+        #: the model of every op that took effect, committed or not.
         self._live: dict[str, list[bytes]] = {}
+        #: pending group numbers.
+        self._groups = itertools.count(1)
 
     # ------------------------------------------------------------------
     # what the driver reports
@@ -130,7 +148,7 @@ class OutcomeOracle:
         return stack[-1] if stack else None
 
     def _record(self, op: Op) -> None:
-        self.oplog.append(op)
+        self.oplog.append((op, None))
         model_apply(self._live, op)
 
     def created(self, name: str, data: bytes, props: FileProperties) -> None:
@@ -164,22 +182,28 @@ class OutcomeOracle:
             )
         self.leader_addrs.pop((name, version), None)
 
-    def tear(self, name: str) -> None:
-        """An operation on ``name`` did not cleanly succeed."""
-        self.torn.add(name)
+    def raised(self, op: Op) -> None:
+        """``op`` raised partway, or a crash cut it: it may or may not
+        have taken effect, so it stays pending for good.  A cut
+        in-place write tears its name."""
+        self.oplog.append((op, next(self._groups)))
+        if op.kind == "write":
+            self.torn.add(op.name)
 
-    def crashed(self, tear: bool) -> None:
-        """The machine crashed.  Ops past the committed watermark died
-        with it and must never be counted committed by a *later* commit
-        (if an in-flight force secretly made one durable, the history
-        check still accepts what it reads back).  ``tear`` says whether
-        the driver writes data sectors in place: then those ops' names
-        are torn, not merely rolled back."""
-        if tear:
-            for op in self.oplog[self.committed:]:
+    def crashed(self) -> None:
+        """The machine crashed.  The ops past the committed watermark
+        are lost, but an in-flight force may have made some of them
+        durable: they stay in the op log as one pending group, which a
+        later commit never counts as taken effect.  A lost in-place
+        write tears its name."""
+        group = next(self._groups)
+        for index in range(self.committed, len(self.oplog)):
+            op, pending = self.oplog[index]
+            if pending is None:
+                self.oplog[index] = (op, group)
+            if op.kind == "write":
                 self.torn.add(op.name)
-        del self.oplog[self.committed:]
-        self._live = model_state(self.oplog)
+        self._live = model_state(self._took_effect(self.oplog))
 
     def resync_leaders(self, fs: FSD) -> None:
         """Creates lost in a crash leave stale leader addresses whose
@@ -196,15 +220,15 @@ class OutcomeOracle:
     # ------------------------------------------------------------------
     # the judgement
     # ------------------------------------------------------------------
-    def expected_visible(self) -> dict[str, bytes]:
-        """The committed op prefix replayed: name -> newest content."""
-        stacks = model_state(self.oplog[: self.committed])
-        return {name: stack[-1] for name, stack in stacks.items()}
+    @staticmethod
+    def _took_effect(entries: list[tuple[Op, int | None]]) -> list[Op]:
+        return [op for op, pending in entries if pending is None]
 
-    def uncommitted_touches(self, name: str) -> bool:
-        """True when ``name`` appears in the op log's uncommitted
-        suffix — what it holds was never acknowledged durable."""
-        return any(op.name == name for op in self.oplog[self.committed:])
+    def expected_visible(self) -> dict[str, bytes]:
+        """The committed op prefix replayed, no pending op applied:
+        name -> newest content."""
+        stacks = model_state(self._took_effect(self.oplog[: self.committed]))
+        return {name: stack[-1] for name, stack in stacks.items()}
 
     def classify(
         self,
@@ -218,9 +242,11 @@ class OutcomeOracle:
         ``params_hint`` lets the salvager locate the layout even when
         both root-page copies are gone.
 
-        The verification mount is deliberately *not* watched: a timer
-        force during the read-back must not advance the watermark over
-        the uncommitted suffix."""
+        What the watermark does not cover died in that crash
+        (:meth:`crashed`).  The verification mount is deliberately
+        *not* watched: a timer force during the read-back must not
+        advance the watermark."""
+        self.crashed()
         outcome = Outcome()
         fs = None
         if mount is not None:
@@ -275,6 +301,7 @@ class OutcomeOracle:
         """One pass over every expected file: (expected, verified,
         honestly lost); silent findings go to ``outcome``."""
         expected = self.expected_visible()
+        allowed = allowed_versions({}, self.oplog)
         verified = lost = 0
         silent_before = len(outcome.silent_corruptions)
         for name, want in sorted(expected.items()):
@@ -288,7 +315,7 @@ class OutcomeOracle:
                     salvaged
                     or self.honesty_flag
                     or name in self.torn
-                    or self.uncommitted_touches(name)
+                    or (0, ABSENT) in allowed[name]
                 ):
                     lost += 1
                 else:

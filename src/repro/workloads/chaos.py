@@ -1,25 +1,26 @@
 """Chaos under load: fault injection inside the live traffic engine.
 
-The soak campaign (:mod:`repro.crashcheck.soak`) mixes faults into a
-*serial* workload; the crash-point explorer is exhaustive over single
-crashes.  What neither answers is the paper's operational claim — that
-a Cedar file server keeps *serving* through media decay and machine
-crashes, clients see typed errors rather than hangs, and recovery is
-"a minute or so" (§1) rather than a multi-hour scavenge.  The chaos
-engine closes that gap: it drives the multi-client traffic engine
-while a weighted fault mix (the soak campaign's own
-:data:`~repro.crashcheck.soak.FAULT_KINDS`) lands on the platter
-between operations, machine crashes fire *mid-I/O* via the armed
-crash plan, and — on a mirrored volume — an entire shadow unit dies
-and is later resilvered.
+The crash-point explorer is exhaustive over single crashes.  What it
+does not answer is the paper's operational claim — that a Cedar file
+server keeps *serving* through media decay and machine crashes,
+clients see typed errors rather than hangs, and recovery is "a minute
+or so" (§1) rather than a multi-hour scavenge.  The chaos engine
+closes that gap: it drives the multi-client traffic engine while a
+weighted fault mix (:data:`FAULT_KINDS`, past the paper's single-fault
+model) lands on the platter between operations, machine crashes fire
+*mid-I/O* via the armed crash plan, and — on a mirrored volume — an
+entire shadow unit dies and is later resilvered.  A named profile
+(:data:`PROFILES`, ``repro chaos --profile``) fixes a campaign's
+shape: ``churn`` is one client creating and deleting small files on
+the crash explorer's drive.
 
 On top of the traffic engine's client error contract (typed error
 classes, capped-backoff retries, deadlines, degraded fast-fail) the
 chaos engine adds what only a crash needs:
 
 * a :class:`~repro.errors.SimulatedCrash` unwinds to the event loop,
-  which crashes the volume (discarding every parked waiter), truncates
-  the oracle to the committed watermark, bumps the token of every
+  which crashes the volume (discarding every parked waiter), tells the
+  oracle which ops the crash lost, bumps the token of every
   interrupted client (the base event loop then drops their pre-crash
   hold timers, read chunks and retries), remounts, and re-drives each
   interrupted client through the ordinary retry path with a typed
@@ -29,17 +30,17 @@ chaos engine adds what only a crash needs:
   resolves immediately with a ``degraded`` error — clients never hang
   — and the campaign ends in the salvage oracle.
 
-The oracle is the soak campaign's
-(:class:`~repro.crashcheck.outcome.OutcomeOracle`), with the one thing
-in-place writes add: FSD logs *metadata* only, so a file's data sectors
-are not crash-atomic.  Any name touched by an operation that failed
-with an explicit error, was interrupted by a crash, or sat in the
-uncommitted oplog suffix when a crash hit — the final power-off
-included — is **torn**.  Everything else must read back exactly (or a
-historical value, or fail with an explicit error).  Silent corruption
-— junk content or a vanished file on a mount that claims health, with
-no explicit error anywhere in its story — is the one verdict that
-fails a campaign.
+The oracle is :class:`~repro.crashcheck.outcome.OutcomeOracle`.  An
+op that raised partway, was cut by a crash, or sat past the committed
+watermark when a crash hit — the final power-off included — is
+*pending*: a committed file may be missing only where some per-name
+prefix of its pending ops leaves it missing.  FSD logs *metadata*
+only, so a file's data sectors are not crash-atomic: a name an
+in-place write was cut on is **torn**.  Everything else must read back
+exactly (or a historical value, or fail with an explicit error).
+Silent corruption — junk content or a vanished file on a mount that
+claims health, with no explicit error anywhere in its story — is the
+one verdict that fails a campaign.
 
 Everything is deterministic: faults come from one seeded RNG, crashes
 from deterministic I/O countdowns, backoff jitter from per-(client,
@@ -56,7 +57,8 @@ from dataclasses import dataclass, field, replace
 from repro.core.fsd import FSD
 from repro.core.layout import VolumeParams
 from repro.crashcheck.outcome import VERDICTS, Outcome, OutcomeOracle
-from repro.crashcheck.soak import inject_fault
+from repro.crashcheck.scenarios import CRASH_SCALE
+from repro.crashcheck.workload import Op
 from repro.disk.disk import SimDisk
 from repro.disk.geometry import DiskGeometry
 from repro.disk.mirror import MirroredDisk
@@ -65,6 +67,7 @@ from repro.errors import (
     DegradedVolumeError,
     FsError,
     NotMounted,
+    ReproError,
     SimulatedCrash,
 )
 from repro.harness.adapters import FsdAdapter
@@ -72,7 +75,6 @@ from repro.harness.fingerprint import fingerprint
 from repro.harness.scenarios import SMALL
 from repro.obs import Observer
 from repro.workloads.traffic import (
-    MUTATING,
     TrafficConfig,
     TrafficEngine,
     TrafficReport,
@@ -83,6 +85,7 @@ __all__ = [
     "ChaosConfig",
     "ChaosEngine",
     "ChaosReport",
+    "PROFILES",
     "chaos_bench_doc",
     "run_chaos",
 ]
@@ -100,6 +103,19 @@ RESILVER_DELAY_MS = 2_500.0
 #: DEFAULT_SLO_MS.
 SLO_WINDOW = 5
 DEFAULT_SLO_MS = 50.0
+
+
+#: fault kinds and their selection weights.  ``nt_pair`` destroys both
+#: home copies of one name-table page — deliberately past the paper's
+#: single-fault model, so the escalation ladder's degraded rung and the
+#: salvager actually get exercised.
+FAULT_KINDS = (
+    ("permanent", 0.30),
+    ("transient", 0.20),
+    ("latent", 0.15),
+    ("wild_write", 0.20),
+    ("nt_pair", 0.15),
+)
 
 
 @dataclass(frozen=True)
@@ -139,6 +155,95 @@ class ChaosConfig:
         return max(1, self.faults // 3)
 
 
+# ----------------------------------------------------------------------
+# faults
+# ----------------------------------------------------------------------
+def nt_page(layout, rng: random.Random) -> int:
+    """A name-table page number, biased toward the low pages a small
+    volume actually uses (uniform hits over thousands of blank pages
+    would never stress anything)."""
+    nt_pages = layout.params.nt_pages
+    if rng.random() < 0.6:
+        return rng.randrange(min(32, nt_pages))
+    return rng.randrange(nt_pages)
+
+
+def pick_fault_kind(rng: random.Random) -> str:
+    """One kind from :data:`FAULT_KINDS` by weight."""
+    roll = rng.random()
+    cumulative = 0.0
+    kind = FAULT_KINDS[-1][0]
+    for name, weight in FAULT_KINDS:
+        cumulative += weight
+        if roll < cumulative:
+            kind = name
+            break
+    return kind
+
+
+def fault_target(
+    layout, leader_addrs: dict, rng: random.Random
+) -> int:
+    """Pick a sector for a damage fault: name-table copies, the log,
+    or a live file's sectors — the places recovery has to care about.
+    ``leader_addrs`` maps live (name, version) pairs to their leader
+    sectors."""
+    choice = rng.random()
+    if choice < 0.3:
+        return layout.nt_page_addresses(nt_page(layout, rng))[0]
+    if choice < 0.5 and not layout.params.single_nt_copy:
+        return layout.nt_page_addresses(nt_page(layout, rng))[1]
+    if choice < 0.75:
+        return layout.log_start + rng.randrange(
+            3 + layout.params.log_record_sectors
+        )
+    if leader_addrs and choice < 0.9:
+        return rng.choice(sorted(leader_addrs.values()))
+    area = layout.big_area if rng.random() < 0.5 else layout.small_area
+    return area.start + rng.randrange(area.count)
+
+
+def wild_write_target(
+    layout, leader_addrs: dict, rng: random.Random
+) -> int:
+    """Wild writes model software scribbling over mapped metadata: they
+    land only on name-table extents or leader sectors (paper §5.3's
+    read-protection motivation)."""
+    if leader_addrs and rng.random() < 0.4:
+        return rng.choice(sorted(leader_addrs.values()))
+    copy = 0 if layout.params.single_nt_copy or rng.random() < 0.5 else 1
+    return layout.nt_page_addresses(nt_page(layout, rng))[copy]
+
+
+def inject_fault(
+    disk: SimDisk, layout, leader_addrs: dict, rng: random.Random
+) -> str:
+    """Inject one weighted fault against ``disk``; returns its kind."""
+    kind = pick_fault_kind(rng)
+    if kind == "permanent":
+        disk.faults.damage(
+            fault_target(layout, leader_addrs, rng),
+            count=rng.choice((1, 2)),
+        )
+    elif kind == "transient":
+        disk.faults.damage_transient(
+            fault_target(layout, leader_addrs, rng),
+            failures=rng.choice((1, 2)),
+        )
+    elif kind == "latent":
+        disk.faults.damage_latent(fault_target(layout, leader_addrs, rng))
+    elif kind == "nt_pair":
+        page_no = nt_page(layout, rng)
+        address_a, address_b = layout.nt_page_addresses(page_no)
+        disk.faults.damage(address_a)
+        if not layout.params.single_nt_copy:
+            disk.faults.damage(address_b)
+    else:  # wild_write
+        junk = bytes(rng.getrandbits(8) for _ in range(48))
+        disk.write(wild_write_target(layout, leader_addrs, rng), [junk])
+    return kind
+
+
 class ChaosEngine(TrafficEngine):
     """The traffic engine with a fault campaign and crash recovery."""
 
@@ -176,11 +281,20 @@ class ChaosEngine(TrafficEngine):
     # ------------------------------------------------------------------
     # body steps, recorded in the oracle (the population included)
     # ------------------------------------------------------------------
+    # A step that raises (an explicit error, or a crash cutting it)
+    # may or may not have taken effect: the oracle keeps it pending.
     def _create(self, name, data):
         # Record the payload *before* the call: a create that fails
         # after materializing is then still a known content.
         self.oracle.offered(name, data)
-        handle = super()._create(name, data)
+        try:
+            handle = super()._create(name, data)
+        except ReproError:
+            # The adapter creates with keep 2, FSD's default.
+            self.oracle.raised(
+                Op("create", name, data, keep=FSD.DEFAULT_KEEP)
+            )
+            raise
         self.oracle.created(name, data, handle.props)
         return handle
 
@@ -188,11 +302,19 @@ class ChaosEngine(TrafficEngine):
         old = self.oracle.live(name) or b""
         result = data + old[len(data):]
         self.oracle.offered(name, result)
-        super()._write(name, handle, data)
+        try:
+            super()._write(name, handle, data)
+        except ReproError:
+            self.oracle.raised(Op("write", name, result))
+            raise
         self.oracle.wrote(name, result)
 
     def _delete(self, name) -> None:
-        super()._delete(name)
+        try:
+            super()._delete(name)
+        except ReproError:
+            self.oracle.raised(Op("delete", name))
+            raise
         self.oracle.deleted(name)
 
     # ------------------------------------------------------------------
@@ -211,13 +333,6 @@ class ChaosEngine(TrafficEngine):
             self._fail(client, client.ops[client.index], error)
             return
         super()._attempt(client)
-
-    def _op_failed(self, client, op, error, in_bracket=False) -> bool:
-        if in_bracket:
-            # The body raised partway: FSD logs metadata, not data, so
-            # this name's content is no longer pinned by the oracle.
-            self.oracle.tear(op.name)
-        return super()._op_failed(client, op, error, in_bracket=in_bracket)
 
     # ------------------------------------------------------------------
     # the fault campaign tick
@@ -299,13 +414,10 @@ class ChaosEngine(TrafficEngine):
         # The armed plan *was* this crash; it dies with the machine.
         self.disk.faults.disarm_crash()
         self._parked = 0
-        self.oracle.crashed(tear=True)
+        self.oracle.crashed()
         interrupted = [c for c in self.clients if c.inflight]
         for client in interrupted:
             client.token += 1
-            op = client.ops[client.index]
-            if op.kind in MUTATING:
-                self.oracle.tear(op.name)
         try:
             fs = self.remount(self.disk)
         except (DegradedVolumeError, CorruptMetadata) as error:
@@ -585,11 +697,6 @@ def run_chaos(
     # A still-armed crash died with the final power-off; the oracle's
     # classification mounts must not trip over it.
     disk.faults.disarm_crash()
-    # An op past the committed watermark died with the final power-off;
-    # like a mid-run crash it leaves unlogged data sectors half-applied,
-    # so its name's content is honestly indeterminate — the client never
-    # saw that op acknowledged as durable.
-    engine.oracle.crashed(tear=True)
     outcome = engine.oracle.classify(
         disk, None if engine._volume_lost else engine.remount, params
     )
@@ -608,6 +715,39 @@ def run_chaos(
     )
     report.fingerprint = fingerprint(disk, obs).as_dict()
     return report
+
+
+def churn_profile(seed: int) -> dict:
+    """``run_chaos`` arguments of the ``churn`` profile: one client
+    creating and deleting small files on the crash explorer's drive
+    under 18 faults and three armed crashes.  With no in-place write in
+    the mix, no name may end torn."""
+    return {
+        "traffic": TrafficConfig(
+            clients=1,
+            ops_per_client=30,
+            seed=seed,
+            population=0,
+            weights={
+                "create": 0.55, "delete": 0.2,
+                "write": 0.0, "read": 0.0, "list": 0.0,
+            },
+            sync_fraction=0.25,
+            max_file_bytes=2_000,
+            mean_think_ms=100.0,
+            max_retries=0,
+            settle=False,
+        ),
+        "chaos": ChaosConfig(
+            faults=18, fault_interval_ms=100.0, crash_cycles=3
+        ),
+        "geometry": CRASH_SCALE.geometry,
+        "params": CRASH_SCALE.fsd_params,
+    }
+
+
+#: ``repro chaos --profile NAME``: a seed -> ``run_chaos`` arguments.
+PROFILES = {"churn": churn_profile}
 
 
 def chaos_bench_doc(report: ChaosReport) -> dict:

@@ -14,7 +14,12 @@ from repro.crashcheck import (
     default_oracles,
     explore,
 )
-from repro.crashcheck.oracles import ABSENT, model_apply, model_state
+from repro.crashcheck.oracles import (
+    ABSENT,
+    allowed_versions,
+    model_apply,
+    model_state,
+)
 from repro.crashcheck.workload import AppliedOp
 
 
@@ -105,6 +110,32 @@ class TestAllowedStates:
         )
         # before / after the create / after the delete (back to v1)
         assert ctx.allowed_states()["a"] == {b"v1", b"v2"}
+
+
+class TestPendingGroups:
+    """:func:`allowed_versions` over several pending groups, as a fault
+    campaign leaves them: each crash's lost ops are a per-name prefix
+    of their own, whatever an earlier crash kept."""
+
+    V1 = {"a": [b"v1"]}
+
+    def test_one_group_is_a_prefix(self):
+        steps = [(Op("create", "a", b"v2"), 1), (Op("delete", "a"), 1)]
+        assert allowed_versions(self.V1, steps)["a"] == {
+            (1, b"v1"), (2, b"v2")
+        }
+
+    def test_a_later_group_may_land_what_an_earlier_one_lost(self):
+        steps = [(Op("create", "a", b"v2"), 1), (Op("delete", "a"), 2)]
+        assert allowed_versions(self.V1, steps)["a"] == {
+            (1, b"v1"), (2, b"v2"), (0, ABSENT)
+        }
+
+    def test_an_op_that_took_effect_applies_to_every_branch(self):
+        steps = [(Op("delete", "a"), 1), (Op("create", "a", b"v3"), None)]
+        assert allowed_versions(self.V1, steps)["a"] == {
+            (2, b"v3"), (1, b"v3")
+        }
 
 
 class TestSemanticOracle:

@@ -1,6 +1,6 @@
 """The outcome oracle, judged on its own.
 
-The soak and chaos campaigns exercise
+The chaos campaigns exercise
 :class:`~repro.crashcheck.outcome.OutcomeOracle` only through whole
 seeded runs; these tests pin each rule of the judgement on a small
 real volume, telling the oracle (where a rule needs it) something the
@@ -16,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fsd import FSD
-from repro.crashcheck.oracles import model_state
+from repro.crashcheck.oracles import ABSENT, allowed_versions, model_state
 from repro.crashcheck.outcome import OutcomeOracle
 from repro.crashcheck.scenarios import CRASH_SCALE
 from repro.crashcheck.workload import Op
 from repro.disk.disk import SimDisk
+from repro.errors import SimulatedCrash
 
 #: what a create the volume never saw "returned".
 GHOST = SimpleNamespace(version=1, keep=2, leader_addr=0)
@@ -65,10 +66,10 @@ class TestAbsence:
         if excuse == "honesty":
             oracle.honesty_flag = True
         elif excuse == "uncommitted":
+            # Never committed: the crash leaves the delete pending.
             oracle.deleted("ghost")
-            assert oracle.uncommitted_touches("ghost")
         else:
-            oracle.tear("ghost")
+            oracle.raised(Op("write", "ghost", b"half"))
         fs.crash()
         outcome = oracle.classify(disk, FSD.mount)
         assert outcome.silent_corruptions == []
@@ -94,7 +95,8 @@ class TestContent:
 
     def test_unless_the_name_is_torn(self):
         disk, oracle = self._mismatch()
-        oracle.tear("f")
+        oracle.raised(Op("write", "f", b"what the oracle was told"))
+        assert oracle.torn == {"f"}
         outcome = oracle.classify(disk, FSD.mount)
         assert outcome.silent_corruptions == []
         assert outcome.files_verified == 1
@@ -119,23 +121,29 @@ class TestWatermark:
 
     def test_ops_lost_in_a_crash_are_never_committed_later(self):
         disk, oracle = self._one_committed_one_not()
-        oracle.crashed(tear=False)
-        assert [op.name for op in oracle.oplog] == ["a"]
+        oracle.crashed()
+        assert [(op.name, pending) for op, pending in oracle.oplog] == [
+            ("a", None), ("b", 1)
+        ]
         fs = FSD.mount(disk)
         oracle.watch(fs)
         _create(fs, oracle, "c", b"c" * 600)
         fs.force()
-        assert oracle.committed == 2
+        assert oracle.committed == 3
         assert sorted(oracle.expected_visible()) == ["a", "c"]
+        assert oracle.oplog[1][1] == 1  # still pending
         fs.crash()
 
     def test_only_a_tearing_crash_tears(self):
+        """A crash tears only the names of the in-place writes it lost;
+        a lost create or delete is pending, not torn."""
         disk, oracle = self._one_committed_one_not()
-        oracle.crashed(tear=False)
+        oracle.crashed()
         assert oracle.torn == set()
         disk, oracle = self._one_committed_one_not()
-        oracle.crashed(tear=True)
-        assert oracle.torn == {"b"}
+        oracle.wrote("a", b"A" * 600)
+        oracle.crashed()
+        assert oracle.torn == {"a"}
 
     def test_a_force_on_the_verification_mount_moves_nothing(self):
         disk, oracle = self._one_committed_one_not()
@@ -151,6 +159,49 @@ class TestWatermark:
         assert sorted(oracle.expected_visible()) == ["a"]
         assert outcome.silent_corruptions == []
         assert (outcome.files_expected, outcome.files_verified) == (1, 1)
+
+
+class TestPending:
+    def test_a_delete_whose_record_landed_before_the_crash_may_be_gone(self):
+        """A committed file is deleted, and the force that would make
+        the delete durable is cut by a crash after its log record
+        landed: the commit never returned, yet recovery replays the
+        delete.  The delete is pending, and the file's absence is the
+        state it leaves — an honest outcome, with no name torn."""
+        disk, fs, oracle = _volume()
+        _create(fs, oracle, "f", b"f" * 700)
+        fs.force()
+        oracle.deleted("f", fs.delete("f").version)
+        disk.faults.arm_crash(after_ios=0)  # fires once the record is down
+        with pytest.raises(SimulatedCrash):
+            fs.force()
+        assert oracle.committed == 1
+        fs.crash()
+        disk.faults.disarm_crash()
+        oracle.crashed()
+        outcome = oracle.classify(disk, FSD.mount)
+        assert oracle.torn == set()
+        assert outcome.silent_corruptions == []
+        assert outcome.verdict == "recovered"
+        assert (
+            outcome.files_expected,
+            outcome.files_verified,
+            outcome.files_honestly_lost,
+        ) == (1, 0, 1)
+
+    def test_the_pending_prefix_never_excuses_a_create(self):
+        """A lost create of a committed name may add a version but
+        never remove the file: its absence stays silent."""
+        disk, fs, oracle = _volume()
+        oracle.created("ghost", b"boo", GHOST)
+        fs.force()
+        oracle.created("ghost", b"boo2", GHOST)
+        fs.crash()
+        outcome = oracle.classify(disk, FSD.mount)
+        assert outcome.silent_corruptions == [
+            "committed file ghost vanished from a mount that claims to "
+            "be healthy"
+        ]
 
 
 class TestDegraded:
@@ -206,11 +257,12 @@ class _Commits:
 _NAMES = st.sampled_from(["x", "y", "z"])
 _STEPS = st.lists(
     st.one_of(
-        st.tuples(st.just("create"), _NAMES, st.binary(max_size=6)),
-        st.tuples(st.just("write"), _NAMES, st.binary(max_size=6)),
-        st.tuples(st.just("delete"), _NAMES, st.just(b"")),
-        st.tuples(st.just("commit"), st.just(""), st.just(b"")),
-        st.tuples(st.just("crash"), st.just(""), st.booleans()),
+        st.tuples(st.sampled_from(["create", "write", "delete"]), _NAMES,
+                  st.binary(max_size=6), st.booleans()),
+        st.tuples(st.just("commit"), st.just(""), st.just(b""),
+                  st.just(False)),
+        st.tuples(st.just("crash"), st.just(""), st.just(b""),
+                  st.just(False)),
     ),
     max_size=40,
 )
@@ -219,45 +271,63 @@ _STEPS = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(steps=_STEPS)
 def test_expected_visible_is_the_model_of_the_committed_prefix(steps):
+    """Each step is an op that took effect or one that raised; a crash
+    leaves every op past the watermark pending.  The oracle expects the
+    committed ops that took effect, lives on every op that took effect,
+    tears exactly the names of cut writes, and always allows the state
+    in which no pending op took effect."""
     oracle = OutcomeOracle()
     volume = _Commits()
     oracle.watch(volume)
-    committed: list[Op] = []
-    pending: list[Op] = []
+    log: list[list] = []  # [op, pending], in the order the ops ran
+    watermark = 0
     torn: set[str] = set()
     versions: dict[str, int] = {}
-    for kind, name, arg in steps:
-        if kind == "create":
-            versions[name] = versions.get(name, 0) + 1
-            props = SimpleNamespace(
-                version=versions[name], keep=2, leader_addr=versions[name]
-            )
-            oracle.created(name, arg, props)
-            pending.append(Op("create", name, arg, keep=2))
-        elif kind == "write":
-            oracle.wrote(name, arg)
-            pending.append(Op("write", name, arg))
-        elif kind == "delete":
-            oracle.deleted(name)
-            pending.append(Op("delete", name))
-        elif kind == "commit":
+    for kind, name, arg, raises in steps:
+        if kind == "commit":
             volume.commit()
-            committed += pending
-            pending = []
-        else:
-            oracle.crashed(tear=arg)
-            if arg:
-                torn |= {op.name for op in pending}
-            pending = []
+            watermark = len(log)
+        elif kind == "crash":
+            oracle.crashed()
+            for entry in log[watermark:]:
+                entry[1] = True
+                if entry[0].kind == "write":
+                    torn.add(entry[0].name)
             volume = _Commits()  # the old mount's hooks died with it
             oracle.watch(volume)
+        else:
+            op = Op(kind, name, arg if kind != "delete" else b"",
+                    keep=2 if kind == "create" else 0)
+            log.append([op, raises])
+            if raises:
+                oracle.raised(op)
+                if kind == "write":
+                    torn.add(name)
+            elif kind == "create":
+                versions[name] = versions.get(name, 0) + 1
+                props = SimpleNamespace(
+                    version=versions[name], keep=2,
+                    leader_addr=versions[name],
+                )
+                oracle.created(name, arg, props)
+            elif kind == "write":
+                oracle.wrote(name, arg)
+            else:
+                oracle.deleted(name)
+        committed = model_state([op for op, lost in log[:watermark] if not lost])
         assert oracle.expected_visible() == {
-            name: stack[-1] for name, stack in model_state(committed).items()
+            name: stack[-1] for name, stack in committed.items()
         }
         assert oracle.torn == torn
+        assert [op for op, group in oracle.oplog if group is not None] == [
+            op for op, lost in log if lost
+        ]
+        took_effect = model_state([op for op, lost in log if not lost])
+        allowed = allowed_versions({}, oracle.oplog)
         for name in "xyz":
-            assert oracle.uncommitted_touches(name) == any(
-                op.name == name for op in pending
-            )
-            stack = model_state(committed + pending).get(name)
+            stack = took_effect.get(name)
             assert oracle.live(name) == (stack[-1] if stack else None)
+            if name in allowed:
+                assert (
+                    (len(stack), stack[-1]) if stack else (0, ABSENT)
+                ) in allowed[name]

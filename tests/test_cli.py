@@ -264,6 +264,20 @@ class TestMountFlags:
         assert main(campaign + ["--readahead", "0", "--json", str(paper)]) == 0
         assert default.read_bytes() != paper.read_bytes()
 
+    def test_chaos_profile_fixes_the_campaign_but_not_the_seed(self, tmp_path):
+        """``--profile churn`` overrides the traffic and fault flags;
+        ``--seed`` still picks the campaign."""
+        reports = {}
+        for name, extra in (("one", []), ("flags", ["--clients", "9"]),
+                            ("other", ["--seed", "2"])):
+            path = tmp_path / f"{name}.json"
+            argv = ["chaos", "--quiet", "--profile", "churn", "--seed", "1"]
+            assert main(argv + extra + ["--json", str(path)]) == 0
+            reports[name] = path.read_bytes()
+        assert reports["one"] == reports["flags"]
+        assert reports["one"] != reports["other"]
+        assert b'"clients": 1,' in reports["one"]
+
 
 def _interface(
     parser: argparse.ArgumentParser, command: str = "", summary: str = ""
@@ -297,13 +311,15 @@ def _interface(
 class TestSubcommands:
     """``repro profile`` was deleted: the traced ``benchmarks/e2e`` run
     reports host time per layer, and ``python -m cProfile`` is in the
-    standard library.  No other subcommand changed."""
+    standard library.  ``repro soak`` went too: its campaign is
+    ``repro chaos --profile churn``.  No other subcommand changed."""
 
     #: ``_interface(build_parser())`` of the last commit that had
     #: ``profile``, less that one entry, with the default of every
     #: mounting subcommand's ``--readahead`` since moved from 16 to 30
-    #: (``DEFAULT_READAHEAD_PAGES``, one track), and ``crashcheck
-    #: --scenario`` since offering ``keep_trim``.
+    #: (``DEFAULT_READAHEAD_PAGES``, one track), ``crashcheck
+    #: --scenario`` since offering ``keep_trim``, ``soak`` since gone
+    #: and ``chaos`` since taking ``--profile``.
     INTERFACE = {
         "mkfs": "8ea9183f2e281398",
         "put": "ee5d3617c2482127",
@@ -314,8 +330,7 @@ class TestSubcommands:
         "verify": "2f6e437f0d272438",
         "salvage": "fc43f319302b1b74",
         "traffic": "4602bdc6694291b1",
-        "soak": "8cec63d05898064b",
-        "chaos": "78bf00a74e6e7d54",
+        "chaos": "ec27066fccf939ac",
         "crashcheck": "e721690de2ccf9b6",
         "stats": "8bf4b3fcd7b98173",
         "trace": "eddd5fa8a1315791",
@@ -328,6 +343,12 @@ class TestSubcommands:
             main(["profile", "makedo"])
         assert refused.value.code == 2
         assert "'profile'" in capsys.readouterr().err
+
+    def test_soak_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["soak"])
+        assert refused.value.code == 2
+        assert "'soak'" in capsys.readouterr().err
 
     def test_help_does_not_list_profile(self, capsys):
         with pytest.raises(SystemExit) as shown:

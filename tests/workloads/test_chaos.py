@@ -9,6 +9,7 @@ oracle never reports silent corruption on a surviving volume.
 
 from __future__ import annotations
 
+import json
 from types import SimpleNamespace
 from unittest import mock
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.recovery as recovery
 from repro.core.fsd import FSD
 from repro.core.layout import VolumeParams
 from repro.disk.disk import SimDisk
@@ -25,6 +27,7 @@ from repro.harness.fingerprint import fingerprint
 from repro.obs import Observer
 from repro.workloads import chaos as chaos_module
 from repro.workloads.chaos import (
+    PROFILES,
     ChaosConfig,
     ChaosEngine,
     ChaosReport,
@@ -170,6 +173,89 @@ class TestDeterminism:
         second = _small_campaign(seed=seed)
         assert first.fingerprint == second.fingerprint
         assert first.to_json() == second.to_json()
+
+
+def _churn(seed: int) -> ChaosReport:
+    return run_chaos(**PROFILES["churn"](seed))
+
+
+class TestChurnProfile:
+    """``repro chaos --profile churn``: one client creating and deleting
+    small files under 18 faults and three armed crashes."""
+
+    VERDICTS = {"recovered", "degraded", "salvaged"}
+
+    def test_campaign_ends_honestly(self):
+        report = _churn(1987)
+        assert report.ok, report.summary_lines()
+        assert report.silent_corruptions == []
+        assert report.verdict in self.VERDICTS
+        assert report.clients == 1
+        assert report.faults_injected == 18
+
+    def test_deterministic_for_a_seed(self):
+        assert _churn(77).to_json() == _churn(77).to_json()
+
+    def test_different_seeds_diverge(self):
+        assert _churn(1).fingerprint != _churn(2).fingerprint
+
+    def test_salvaged_verdict_reachable(self):
+        """Faults sometimes land hard enough that the volume cannot
+        remount; the campaign must then prove salvage works, orphan
+        leaders included, rather than call the run a loss."""
+        report = _churn(12)
+        assert report.ok, report.summary_lines()
+        assert report.verdict == "salvaged"
+        assert "via orphan leaders" in report.salvage_summary
+
+    def test_report_json_shape(self):
+        blob = json.loads(_churn(9).to_json())
+        assert blob["seed"] == 9
+        assert blob["ok"] is True
+        assert blob["verdict"] in self.VERDICTS
+        assert sum(blob["faults_by_kind"].values()) == blob["faults_injected"]
+        assert blob["hung_ops"] == 0
+
+    def test_broken_recovery_is_caught(self):
+        """The oracle itself must be falsifiable: against a recovery
+        that drops the last scanned log record, some campaign of a
+        short sweep reports silent corruption."""
+        recovery.TEST_DROP_LAST_RECORD = True
+        try:
+            reports = [_churn(seed) for seed in range(1, 9)]
+        finally:
+            recovery.TEST_DROP_LAST_RECORD = False
+        assert any(report.silent_corruptions for report in reports)
+        assert not all(report.ok for report in reports)
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        """The CI sweep, seeds 1-40, run once for the tests below:
+        each seed's report and its engine."""
+        engines = []
+
+        class Spy(ChaosEngine):
+            def __init__(self, *args):
+                super().__init__(*args)
+                engines.append(self)
+
+        with mock.patch.object(chaos_module, "ChaosEngine", Spy):
+            reports = [_churn(seed) for seed in range(1, 41)]
+        return SimpleNamespace(reports=reports, engines=engines)
+
+    def test_sweep_of_seeds_1_to_40(self, sweep):
+        """Every seed honest, no name torn (the profile writes nothing
+        in place), both recovered and salvaged verdicts, and the
+        double-copy name-table fault fires."""
+        reports = sweep.reports
+        assert all(report.ok for report in reports)
+        assert all(engine.oracle.torn == set() for engine in sweep.engines)
+        assert {"recovered", "salvaged"} <= {r.verdict for r in reports}
+        assert sum(r.faults_by_kind.get("nt_pair", 0) for r in reports) > 0
+
+    def test_sweep_meets_fault_floor(self, sweep):
+        """The acceptance bar: the sweep injects >= 200 faults."""
+        assert sum(r.faults_injected for r in sweep.reports) >= 200
 
 
 class TestTokenGuard:

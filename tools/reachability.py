@@ -194,10 +194,10 @@ def entry_points(work: Path) -> dict[str, list[tuple[list[str], dict]]]:
                     f"{bench}/test_recovery_times.py",
                     f"{bench}/test_double_write_ablation.py",
                     f"{bench}/test_robustness_matrix.py"), bench_outs),
-            (repro("soak", "--seed", "1987", "--runs", "12", "--json",
-                   "soak-report.json"), {}),
-            (repro("soak", "--seed", "555", "--runs", "12", "--quiet",
-                   "--json", "soak-salvage.json"), {}),
+            (repro("chaos", "--quiet", "--profile", "churn", "--seed", "1",
+                   "--json", "chaos-churn-1.json"), {}),
+            (repro("chaos", "--quiet", "--profile", "churn", "--seed", "12",
+                   "--json", "chaos-churn-12.json"), {}),
             (repro("chaos", "--quiet", "--json", "chaos-report.json",
                    "--bench", "BENCH_chaos_ci.json"), {}),
             (repro("chaos", "--quiet", "--mirror", "--seed", "2024",
@@ -231,7 +231,7 @@ def entry_points(work: Path) -> dict[str, list[tuple[list[str], dict]]]:
             (repro("traffic", "v.img", "--attrib", "--slo-ms", "50"), {}),
             (repro("crashcheck", "--list"), {}),
             (repro("crashcheck", "--max-points", "20", "--metrics"), {}),
-            (repro("soak", "--runs", "2"), {}),
+            (repro("chaos", "--profile", "churn"), {}),
             (repro("chaos"), {}),
             (repro("bench", "diff", str(REPO / "BENCH_chaos.json"),
                    str(REPO / "BENCH_chaos.json")), {}),
